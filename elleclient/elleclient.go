@@ -110,7 +110,6 @@ type Memory struct {
 	RetiredBytes int    `json:"retired_bytes"`
 	SpilledBytes int64  `json:"spilled_bytes"`
 	RetiredKeys  int    `json:"retired_keys"`
-	FrozenBytes  int    `json:"frozen_bytes"`
 	Degraded     string `json:"degraded"`
 }
 

@@ -151,7 +151,7 @@ func Cases() []Case {
 			// The streaming check under a memory budget: settled prefixes
 			// retire to encoded segments as the stream is fed, and Finish
 			// rehydrates them. Gates the whole retire/rehydrate cycle —
-			// encode, sweep, freeze, decode — on top of the plain
+			// encode, sweep, drop, decode — on top of the plain
 			// streaming cost.
 			h := listHistory()
 			opts := checkOpts(core.ListAppend)

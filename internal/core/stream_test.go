@@ -87,8 +87,8 @@ func TestStreamEqualsBatch(t *testing.T) {
 				for _, p := range []int{1, 8} {
 					// The retirement axis: a budget tiny relative to the
 					// history forces many sweeps (settled prefixes encoded
-					// and released, key caches dropped, graph regions
-					// frozen), and the Finish must still render
+					// and released, key caches and graph regions
+					// dropped), and the Finish must still render
 					// byte-identically to batch. One corner also spills
 					// segments to disk.
 					for _, budget := range []int{0, 16} {

@@ -53,9 +53,9 @@ func NewIncr(mask KindSet) *Incr {
 	}
 }
 
-// Graph returns the underlying graph. It grows monotonically: the
-// caller may read it (searches, subgraphs) but must add edges through
-// Incr so the component index stays consistent.
+// Graph returns the underlying graph. It grows monotonically until
+// Retire replaces it: the caller may read it (searches, subgraphs) but
+// must add edges through Incr so the component index stays consistent.
 func (x *Incr) Graph() *Graph { return x.g }
 
 // Ensure adds node n if absent.
@@ -365,6 +365,60 @@ func (x *Incr) DirtySCCs() [][]int {
 	x.dirty = map[int32]bool{}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
+}
+
+// Retire drops every node for which keep returns false, with all its
+// edges, and rebuilds the Incr in place over the survivors. Edges
+// crossing the boundary are discarded; callers choose the keep
+// predicate so that can't lose findings (a retired transaction's edges
+// to live ones would only matter for cycles through the live region,
+// and sessions only retire nodes whose keys can gain no further edges,
+// making such cycles impossible by the time Retire runs — any that did
+// exist were searched and surfaced before retirement).
+func (x *Incr) Retire(keep func(int) bool) {
+	old := x.g
+	// Survivors re-enter in the old topological order of their
+	// components (ties broken by dense id, which keeps each old SCC
+	// contiguous). Re-fed that way, every cross-component edge is
+	// order-respecting — an O(1) insert for Pearce-Kelly — and only
+	// within-SCC edges pay for restoration, which re-merges exactly the
+	// components that must collapse anyway. Feeding in dense-id order
+	// instead makes the rebuild quadratic-ish in practice: dense ids
+	// are arrival order, not topological order, so a large share of
+	// edges lands order-violating and triggers region reorderings.
+	type survivor struct {
+		ai  int32
+		ord int64
+	}
+	var survivors []survivor
+	for ai, n := range old.nodes {
+		if keep(n) {
+			survivors = append(survivors, survivor{int32(ai), x.ord[x.find(int32(ai))]})
+		}
+	}
+	sort.Slice(survivors, func(i, j int) bool {
+		if survivors[i].ord != survivors[j].ord {
+			return survivors[i].ord < survivors[j].ord
+		}
+		return survivors[i].ai < survivors[j].ai
+	})
+
+	*x = *NewIncr(x.mask)
+	for _, s := range survivors {
+		x.ensure(old.nodes[s.ai]) // survivors keep their nodes even when isolated
+	}
+	for _, s := range survivors {
+		a := old.nodes[s.ai]
+		for _, e := range old.adj[s.ai] {
+			b := old.nodes[e.to]
+			if !keep(b) {
+				continue
+			}
+			for _, k := range e.ks.Kinds() {
+				x.AddEdge(a, b, k)
+			}
+		}
+	}
 }
 
 // Subgraph returns the subgraph of g induced by the given nodes,

@@ -137,6 +137,62 @@ func TestIncrMergesThroughIntermediates(t *testing.T) {
 	}
 }
 
+// randomEdges builds a reproducible random edge list over n nodes.
+func randomEdges(r *rand.Rand, n, m int) []Edge {
+	out := make([]Edge, 0, m)
+	for i := 0; i < m; i++ {
+		a, b := r.Intn(n), r.Intn(n)
+		if a == b {
+			continue
+		}
+		out = append(out, Edge{From: a, To: b, Kind: Kind(r.Intn(3))}) // ww/wr/rw
+	}
+	return out
+}
+
+// TestIncrRetire: after Retire the Incr behaves like a fresh one fed
+// only the live edges — immediately and after further insertions — and
+// no retired node remains in its graph.
+func TestIncrRetire(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 10; trial++ {
+		before := randomEdges(r, 24, 80)
+		after := randomEdges(r, 24, 60)
+		keep := func(n int) bool { return n >= 8 }
+
+		x := NewIncr(KSDep)
+		x.AddEdges(before)
+		x.DirtySCCs() // drain, as a session would before retiring
+		x.Retire(keep)
+
+		fresh := NewIncr(KSDep)
+		for _, e := range before {
+			if keep(e.From) && keep(e.To) {
+				fresh.AddEdge(e.From, e.To, e.Kind)
+			}
+		}
+		if !sccSetsEqual(x.SCCs(), fresh.SCCs()) {
+			t.Fatalf("trial %d: retired incr SCCs diverge from fresh rebuild", trial)
+		}
+		checkOrder(t, x)
+		for _, e := range after {
+			if keep(e.From) && keep(e.To) {
+				x.AddEdge(e.From, e.To, e.Kind)
+				fresh.AddEdge(e.From, e.To, e.Kind)
+			}
+		}
+		if !sccSetsEqual(x.SCCs(), fresh.SCCs()) {
+			t.Fatalf("trial %d: retired incr SCCs diverge from fresh rebuild after further inserts", trial)
+		}
+		checkOrder(t, x)
+		for _, n := range x.Graph().Nodes() {
+			if !keep(n) {
+				t.Fatalf("trial %d: retired node %d still in live graph", trial, n)
+			}
+		}
+	}
+}
+
 // TestSubgraph checks the induced subgraph keeps exactly the internal
 // edges with their kinds.
 func TestSubgraph(t *testing.T) {

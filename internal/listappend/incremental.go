@@ -8,8 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
-	"repro/internal/par"
-	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
@@ -30,9 +28,9 @@ const scanEvery = 128
 // touched. A graph.Incr ingests the refreshed edges and yields the
 // dirty components, which are re-searched for new cycle witnesses.
 //
-// Finish runs exactly the batch phase sequence over the maintained
-// indices, so its Analysis is byte-identical to Analyze over the
-// concatenated chunks.
+// Finish hands the maintained indices and per-key state to the same
+// phase sequence Analyze runs (analyzer.finish), so its Analysis is
+// byte-identical to Analyze over the concatenated chunks.
 type session struct {
 	a  *analyzer
 	hs *history.Stream
@@ -50,18 +48,9 @@ type session struct {
 	sinceScan int
 	done      bool
 
-	// Memory-budget state (nil without a budget): quiescent-key tracking
-	// and the store for frozen graph segments. See retire.go.
-	rt     *workload.KeyTracker
-	frozen *workload.FrozenStore
-}
-
-// keyState is one key's maintained inference state.
-type keyState struct {
-	reads   []cleanRead
-	longest cleanRead
-	has     bool
-	edges   []graph.Edge
+	// rt tracks key quiescence under a memory budget (nil without one);
+	// see retire.go.
+	rt *workload.KeyTracker
 }
 
 func beginSession(opts workload.Opts) workload.Session {
@@ -77,7 +66,6 @@ func beginSession(opts workload.Opts) workload.Session {
 	if opts.MemoryBudget > 0 {
 		hs.SetBudget(workload.StreamBudget(opts))
 		s.rt = workload.NewKeyTracker(opts.MemoryBudget)
-		s.frozen = workload.NewFrozenStore(opts.SpillDir)
 		s.a.windowed = true
 	}
 	return s
@@ -207,8 +195,8 @@ func (s *session) ingestCleanRead(o op.Op, m op.Mop, d *workload.Delta) {
 	r := cleanRead{o, m.List}
 	ks.reads = append(ks.reads, r)
 	switch {
-	case !ks.has:
-		ks.longest, ks.has = r, true
+	case len(ks.reads) == 1:
+		ks.longest = r
 		s.orders[k] = m.List
 	case len(m.List) > len(ks.longest.list):
 		// The trace grows; the displaced read keeps its edges only if it
@@ -266,11 +254,9 @@ func (s *session) scan(d *workload.Delta) {
 	for _, scc := range dirty {
 		nodes = append(nodes, scc...)
 	}
-	// The induced subgraph is σ_{from,to ∈ dirty}(dep) over the
-	// incremental graph, seeded from the dirty node list so the cost is
-	// O(edges incident to the dirty components), not O(graph).
-	sub := rel.Subgraph(s.incr.Graph(), nodes)
-	cycles := sub.AnomalousCycles(0, s.a.opts.Parallelism)
+	// Search the induced subgraph: walked from the dirty node list, so
+	// the cost is O(edges incident to the dirty components), not O(graph).
+	cycles := s.incr.Graph().Subgraph(nodes).AnomalousCycles(0, s.a.opts.Parallelism)
 	if len(cycles) == 0 {
 		return
 	}
@@ -304,12 +290,11 @@ func (s *session) emit(d *workload.Delta, key string, an anomaly.Anomaly) {
 }
 
 // Finish completes the stream: it refreshes the edge caches of keys
-// still pending since the last scan, then assembles the canonical
-// analysis in the batch phase order over the maintained indices. Only
-// the checks whose evidence is inherently global (garbage reads,
-// G1a/G1b against the final writer index, dirty and lost updates) run
-// over the whole history here; version orders and dependency edges are
-// the maintained ones.
+// still pending since the last scan, then runs the shared phase
+// sequence over the maintained indices. Only the checks whose evidence
+// is inherently global (garbage reads, G1a/G1b against the final writer
+// index, dirty and lost updates) run over the whole history there;
+// version orders and dependency edges are the maintained ones.
 func (s *session) Finish() (workload.Analysis, error) {
 	if s.done {
 		return workload.Analysis{}, workload.ErrSessionFinished
@@ -324,59 +309,19 @@ func (s *session) Finish() (workload.Analysis, error) {
 		// Budgeted sessions retired analyzer state along the way, so the
 		// maintained indices are windows, not the whole history. Rehydrate
 		// the stream (History decodes every retired segment) and run the
-		// batch analyzer over it — byte-identical to batch by
-		// construction, at the documented O(history) finish cost.
-		s.frozen.Close()
-		an := Analyze(s.hs.History(), s.a.opts)
-		return workload.Analysis{
-			Graph:     an.Graph,
-			Anomalies: an.Anomalies,
-			Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, ListOrders: an.VersionOrders},
-		}, nil
+		// batch analyzer over it, at the documented O(history) finish cost.
+		return Analyze(s.hs.History(), s.a.opts).workloadAnalysis(), nil
 	}
 	a := s.a
 	a.h = s.hs.History()
-	p := a.opts.Parallelism
-
 	for k := range s.touched {
-		ks := s.keystAt(k)
-		if ks == nil {
-			continue
+		if ks := s.keystAt(k); ks != nil {
+			ks.edges = a.keyEdges(k, ks.reads, ks.longest.list)
 		}
-		ks.edges = a.keyEdges(k, ks.reads, s.orders[k])
 	}
 	keys := append([]history.KeyID(nil), s.keys...)
 	a.in.SortKeyIDs(keys)
-
-	a.anomalies = append(a.anomalies, a.duplicateAppendAnomalies()...)
-	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.internalAnomalies(a.oks[i])
-	}))
-	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.readStructureAnomalies(a.oks[i])
-	}))
-	perKey := par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
-		ks := s.keyst[keys[i]]
-		return a.incompatAnomalies(keys[i], ks.reads, ks.longest)
-	})
-	for _, anoms := range perKey {
-		a.anomalies = append(a.anomalies, anoms...)
-	}
-
-	g := graph.New()
-	for _, o := range a.oks {
-		g.Ensure(o.Index)
-	}
-	for _, k := range keys {
-		g.AddEdges(s.keyst[k].edges)
-	}
-
-	a.finishAnomalies(keys, s.orders)
-	return workload.Analysis{
-		Graph:     g,
-		Anomalies: a.anomalies,
-		Explainer: &explain.Explainer{Ops: a.ops, Keys: a.in, ListOrders: s.orders},
-	}, nil
+	return a.finish(keys, s.keyst).workloadAnalysis(), nil
 }
 
 // History returns the session's validated accumulation; call after

@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"repro/internal/anomaly"
+	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
@@ -88,8 +89,6 @@ type analyzer struct {
 
 	ops      map[int]op.Op // completion ops by index
 	oks      []op.Op
-	fails    []op.Op
-	infos    []op.Op
 	spanOf   map[int][2]int // op index -> [invoke index, complete index]
 	attempts map[elemKey][]int
 	// writer maps each recoverable element to the op index of the unique
@@ -105,10 +104,10 @@ type analyzer struct {
 	// finishAnomalies; immutable thereafter.
 	failedIx *rel.Index
 
-	// windowed marks a memory-budgeted streaming session: the oks /
-	// fails / infos slices are not accumulated (they would grow with the
-	// history, and the budgeted Finish re-analyzes the rehydrated
-	// history from scratch instead of reading them).
+	// windowed marks a memory-budgeted streaming session: oks is not
+	// accumulated (it would grow with the history, and the budgeted
+	// Finish re-analyzes the rehydrated history from scratch instead of
+	// reading it).
 	windowed bool
 }
 
@@ -131,6 +130,16 @@ func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
 // kid resolves an interned key (see history.Interner.MustID).
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
 
+// keyState is one key's inference state: its clean reads in op order,
+// the longest of them (whose trace is the key's version order), and the
+// dependency edges the two imply. Analyze computes it for every key at
+// once; a streaming session maintains it across feeds.
+type keyState struct {
+	reads   []cleanRead
+	longest cleanRead
+	edges   []graph.Edge
+}
+
 // Analyze infers the dependency graph and non-cycle anomalies for h.
 // Of the shared options it consumes Parallelism and DetectLostUpdates
 // (see workload.Opts).
@@ -144,7 +153,30 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		inv, comp := h.Span(pos)
 		a.addOp(o, [2]int{inv, comp})
 	}
-	p := opts.Parallelism
+	// Per-key inference: the version order, then the dependency edges it
+	// implies (§4.3.2) from the recoverable-writer index.
+	keys, byKey := a.cleanReadsByKey()
+	states := par.Map(opts.Parallelism, len(keys), func(i int) keyState {
+		k := keys[i]
+		longest := longestRead(byKey[k])
+		return keyState{reads: byKey[k], longest: longest, edges: a.keyEdges(k, byKey[k], longest.list)}
+	})
+	keyst := make([]*keyState, a.in.Len())
+	for i, k := range keys {
+		keyst[k] = &states[i]
+	}
+	return a.finish(keys, keyst)
+}
+
+// finish is the analysis's one phase sequence, shared by the batch
+// Analyze and the streaming session's Finish so the two agree by
+// construction: over the indices addOp built and the per-key inference
+// state (keys name-sorted, keyst indexed by KeyID) it runs the
+// per-transaction checks, merges per-key findings and edges in key
+// order, and ends with the checks that need the final write indices and
+// version orders.
+func (a *analyzer) finish(keys []history.KeyID, keyst []*keyState) *Analysis {
+	p := a.opts.Parallelism
 	a.anomalies = append(a.anomalies, a.duplicateAppendAnomalies()...)
 
 	// Per-transaction checks: every committed op is validated against its
@@ -155,21 +187,22 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
 		return a.readStructureAnomalies(a.oks[i])
 	}))
+	a.collect(par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
+		ks := keyst[keys[i]]
+		return a.incompatAnomalies(keys[i], ks.reads, ks.longest)
+	}))
 
-	// Per-key inference: version orders, then the dependency edges they
-	// imply. Results are merged in sorted-key order.
-	keys, byKey := a.cleanReadsByKey()
-	perKey := par.Map(p, len(keys), func(i int) keyOrder {
-		k := keys[i]
-		longest := longestRead(byKey[k])
-		return keyOrder{elems: longest.list, anoms: a.incompatAnomalies(k, byKey[k], longest)}
-	})
-	orders := make([][]int, a.in.Len())
-	for i, k := range keys {
-		orders[k] = perKey[i].elems
-		a.anomalies = append(a.anomalies, perKey[i].anoms...)
+	// Every transaction that may have committed is a vertex, even if it
+	// has no edges; cycle search ignores isolated vertices.
+	g := graph.New()
+	for _, o := range a.oks {
+		g.Ensure(o.Index)
 	}
-	g := a.buildGraph(keys, byKey, orders)
+	orders := make([][]int, a.in.Len())
+	for _, k := range keys {
+		orders[k] = keyst[k].longest.list
+		g.AddEdges(keyst[k].edges)
+	}
 
 	a.finishAnomalies(keys, orders)
 	return &Analysis{
@@ -181,18 +214,17 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	}
 }
 
-// orderAt reads a KeyID-indexed order slice that may be shorter than
-// the key space (streaming sessions grow it on demand).
-func orderAt(orders [][]int, k history.KeyID) []int {
-	if int(k) < len(orders) {
-		return orders[k]
+// workloadAnalysis is the registry-facing view of an Analysis.
+func (an *Analysis) workloadAnalysis() workload.Analysis {
+	return workload.Analysis{
+		Graph:     an.Graph,
+		Anomalies: an.Anomalies,
+		Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, ListOrders: an.VersionOrders},
 	}
-	return nil
 }
 
 // finishAnomalies runs the checks that need the final write indices and
-// version orders — G1a/G1b, dirty updates, lost updates — shared by the
-// batch Analyze and the streaming session's Finish.
+// version orders: G1a/G1b, dirty updates, lost updates.
 func (a *analyzer) finishAnomalies(keys []history.KeyID, orders [][]int) {
 	p := a.opts.Parallelism
 	a.failedIx = rel.BuildIndex(a.failedAppends(), "key", "elem")
@@ -201,7 +233,7 @@ func (a *analyzer) finishAnomalies(keys []history.KeyID, orders [][]int) {
 		return a.intermediateReadAnomalies(a.oks[i])
 	}))
 	a.collect(par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
-		return a.dirtyUpdateAnomalies(keys[i], orderAt(orders, keys[i]))
+		return a.dirtyUpdateAnomalies(keys[i], orders[keys[i]])
 	}))
 	if a.opts.DetectLostUpdates {
 		a.checkLostUpdates(orders)
@@ -220,15 +252,8 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 func (a *analyzer) addOp(o op.Op, span [2]int) {
 	a.ops[o.Index] = o
 	a.spanOf[o.Index] = span
-	if !a.windowed {
-		switch o.Type {
-		case op.OK:
-			a.oks = append(a.oks, o)
-		case op.Fail:
-			a.fails = append(a.fails, o)
-		case op.Info:
-			a.infos = append(a.infos, o)
-		}
+	if o.Type == op.OK && !a.windowed {
+		a.oks = append(a.oks, o)
 	}
 	for _, m := range o.Mops {
 		if m.F != op.FAppend {
@@ -386,13 +411,6 @@ func (a *analyzer) cleanReadsByKey() ([]history.KeyID, [][]cleanRead) {
 	return keys, byKey
 }
 
-// keyOrder is one key's inferred version order plus the anomalies the
-// inference surfaced.
-type keyOrder struct {
-	elems []int
-	anoms []anomaly.Anomaly
-}
-
 // longestRead returns the first read of maximal length: its trace is
 // the inferred version order ≪x of the key (§4.3.2). The streaming
 // session maintains the same value across feeds by replacing only on a
@@ -434,26 +452,6 @@ func incompatAnomaly(k string, r, longest cleanRead) anomaly.Anomaly {
 			r.o.Name(), k, op.FormatList(r.list),
 			longest.o.Name(), op.FormatList(longest.list)),
 	}
-}
-
-// buildGraph emits the inferred serialization graph of §4.3.2: per-key
-// workers produce edge lists from the version orders and the
-// recoverable-writer index, which merge into one graph in key order.
-func (a *analyzer) buildGraph(keys []history.KeyID, byKey [][]cleanRead, orders [][]int) *graph.Graph {
-	g := graph.New()
-	// Every transaction that may have committed is a vertex, even if it
-	// has no edges; cycle search ignores isolated vertices.
-	for _, o := range a.oks {
-		g.Ensure(o.Index)
-	}
-	perKey := par.Map(a.opts.Parallelism, len(keys), func(i int) []graph.Edge {
-		k := keys[i]
-		return a.keyEdges(k, byKey[k], orders[k])
-	})
-	for _, edges := range perKey {
-		g.AddEdges(edges)
-	}
-	return g
 }
 
 // keyEdges infers every dependency edge key k contributes.
@@ -646,7 +644,7 @@ func (a *analyzer) checkLostUpdates(orders [][]int) {
 				continue
 			}
 			k := a.kid(m.Key)
-			elems := orderAt(orders, k)
+			elems := orders[k]
 			if elems == nil || len(m.List) != len(elems) || !op.IsPrefix(m.List, elems) {
 				continue
 			}

@@ -1,7 +1,6 @@
 package listappend
 
 import (
-	"repro/internal/explain"
 	"repro/internal/gen"
 	"repro/internal/history"
 	"repro/internal/memdb"
@@ -16,12 +15,7 @@ func init() {
 		DB:          memdb.WorkloadList,
 		Incremental: workload.IncrementalFunc(beginSession),
 		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
-			an := Analyze(h, opts)
-			return workload.Analysis{
-				Graph:     an.Graph,
-				Anomalies: an.Anomalies,
-				Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, ListOrders: an.VersionOrders},
-			}
+			return Analyze(h, opts).workloadAnalysis()
 		}),
 	})
 }

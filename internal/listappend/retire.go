@@ -9,33 +9,24 @@ import (
 // This file is the session's memory-budget half: with a budget
 // configured (workload.Opts.MemoryBudget), per-key inference state is
 // kept only for keys touched within the window, and the incremental
-// graph's settled regions are condensed into immutable frozen segments.
-// Mid-stream findings from a budgeted session are a subset of the
-// unbudgeted session's — evidence that was retired cannot be cited —
-// which the workload.Delta contract permits; the definitive analysis
-// comes from Finish's full re-analysis of the rehydrated stream.
+// graph drops the nodes no live key pins. Mid-stream findings from a
+// budgeted session are a subset of the unbudgeted session's — evidence
+// that was retired cannot be cited — which the workload.Delta contract
+// permits; the definitive analysis comes from Finish's full re-analysis
+// of the rehydrated stream.
 
 // note records one completion with the key tracker. Ops touching no
 // keys are unpinned immediately: nothing can ever cite them.
 func (s *session) note(o op.Op) {
-	if s.rt == nil {
-		return
-	}
-	keys := make([]history.KeyID, 0, len(o.Mops))
-	for _, m := range o.Mops {
-		keys = append(keys, s.a.kid(m.Key))
-	}
-	if len(keys) == 0 {
+	if s.rt != nil && !s.rt.NoteOp(o, s.a.in) {
 		delete(s.a.ops, o.Index)
 		delete(s.a.spanOf, o.Index)
-		return
 	}
-	s.rt.NoteOp(o.Index, keys)
 }
 
 // sweep retires every key quiescent for a full window: its version
 // order, clean-read cache, element indices, and — once no live key pins
-// them — its ops, then freezes the graph region those ops spanned. A
+// them — its ops, then drops the graph region those ops spanned. A
 // retired key seen again is re-analyzed as brand new.
 func (s *session) sweep() {
 	dead, deadOps := s.rt.Sweep()
@@ -88,14 +79,11 @@ func (s *session) sweep() {
 		delete(a.ops, i)
 		delete(a.spanOf, i)
 	}
-	// Freeze the settled graph region: nodes no live key pins can gain
-	// no further edges from maintained state. The sweep runs right after
-	// a scan, so their components' witnesses have already been searched
+	// Drop the settled graph region: nodes no live key pins can gain no
+	// further edges from maintained state. The sweep runs right after a
+	// scan, so their components' witnesses have already been searched
 	// and surfaced.
-	fz := s.incr.Retire(s.rt.LiveOp)
-	if fz.NumNodes() > 0 {
-		s.frozen.Add(fz)
-	}
+	s.incr.Retire(s.rt.LiveOp)
 }
 
 // RetireStats implements workload.Retirer.
@@ -103,7 +91,6 @@ func (s *session) RetireStats() workload.RetireStats {
 	st := workload.RetireStats{Stream: s.hs.RetireStats()}
 	if s.rt != nil {
 		st.RetiredKeys = s.rt.RetiredKeys()
-		s.frozen.AddTo(&st)
 	}
 	return st
 }

@@ -214,33 +214,3 @@ func TestCatalogRelations(t *testing.T) {
 		t.Fatal("AnomalyAt on empty anomalies")
 	}
 }
-
-func TestSubgraphMatchesGraphSubgraph(t *testing.T) {
-	g := graph.New()
-	g.AddEdge(1, 2, graph.WW)
-	g.AddEdge(2, 3, graph.WR)
-	g.AddEdge(3, 1, graph.RW)
-	g.AddEdge(2, 1, graph.Process)
-	g.AddEdge(4, 1, graph.WW)
-	nodes := []int{1, 2, 3, 99}
-
-	want := g.Subgraph(nodes)
-	got := Subgraph(g, nodes)
-	if !reflect.DeepEqual(want.Nodes(), got.Nodes()) {
-		t.Fatalf("nodes: want %v, got %v", want.Nodes(), got.Nodes())
-	}
-	if want.NumEdges() != got.NumEdges() {
-		t.Fatalf("edges: want %d, got %d", want.NumEdges(), got.NumEdges())
-	}
-	for _, a := range want.Nodes() {
-		for _, b := range want.Nodes() {
-			if want.Label(a, b) != got.Label(a, b) {
-				t.Fatalf("label %d->%d: want %v, got %v", a, b, want.Label(a, b), got.Label(a, b))
-			}
-		}
-	}
-	// The excluded node's edge must be gone.
-	if got.HasNode(4) || got.HasNode(99) {
-		t.Fatal("excluded/absent nodes leaked into the subgraph")
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/anomaly"
-	"repro/internal/explain"
-	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/par"
@@ -26,7 +24,8 @@ const scanEvery = 128
 // inference pipeline (version graph, cyclicity, reduction, dependency
 // explosion), recomputed only for keys the last chunk touched. At
 // Finish, every untouched key's cached result is exactly what the batch
-// analyzer would compute, so the Analysis is byte-identical.
+// analyzer would compute, and the same phase sequence (analyzer.finish)
+// merges them, so the Analysis is byte-identical.
 type session struct {
 	a  *analyzer
 	hs *history.Stream
@@ -182,8 +181,8 @@ func (s *session) emit(d *workload.Delta, key string, an anomaly.Anomaly) {
 }
 
 // Finish completes the stream: it refreshes the keys still pending
-// since the last scan, then assembles the canonical analysis in the
-// batch phase order over the maintained indices and per-key caches.
+// since the last scan, then runs the shared phase sequence over the
+// maintained indices and per-key caches.
 func (s *session) Finish() (workload.Analysis, error) {
 	if s.done {
 		return workload.Analysis{}, workload.ErrSessionFinished
@@ -197,64 +196,21 @@ func (s *session) Finish() (workload.Analysis, error) {
 	if s.rt != nil {
 		// Budgeted sessions retired per-key state along the way; the
 		// caches are windows, not the whole history. Rehydrate the stream
-		// and run the batch analyzer — byte-identical to batch by
-		// construction, at the documented O(history) finish cost.
-		an := Analyze(s.hs.History(), s.a.opts)
-		return workload.Analysis{
-			Graph:     an.Graph,
-			Anomalies: an.Anomalies,
-			Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, RegOrders: an.VersionOrders},
-		}, nil
+		// and run the batch analyzer, at the documented O(history) finish
+		// cost.
+		return Analyze(s.hs.History(), s.a.opts).workloadAnalysis(), nil
 	}
-	a := s.a
-	a.h = s.hs.History()
-	p := a.opts.Parallelism
-
-	pending := make([]history.KeyID, 0, len(s.touched))
-	for k := range s.touched {
-		pending = append(pending, k)
-	}
-	a.in.SortKeyIDs(pending)
-	results := par.Map(p, len(pending), func(i int) keyResult {
-		return a.analyzeKey(pending[i], a.byKeyAt(pending[i]))
-	})
-	for i, k := range pending {
-		s.cache[k] = results[i]
-	}
-
-	a.anomalies = append(a.anomalies, a.duplicateWriteAnomalies()...)
-	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.internalAnomalies(a.oks[i])
-	}))
-	a.buildRelIndexes()
-	a.anomalies = append(a.anomalies, a.abortedReadAnomalies()...)
-	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.readAnomalies(a.oks[i])
-	}))
-
-	g := graph.New()
-	for _, o := range a.oks {
-		g.Ensure(o.Index)
-	}
+	// The refresh's provisional findings are dropped: the phase sequence
+	// below reports the definitive set.
+	s.scan(&workload.Delta{})
 	keys := make([]history.KeyID, 0, len(s.keySet))
 	for k := range s.keySet {
 		keys = append(keys, k)
 	}
-	a.in.SortKeyIDs(keys)
-	orders := make([][][2]string, a.in.Len())
-	for _, k := range keys {
-		r := s.cache[k]
-		if r.cyclic != nil {
-			a.report(cvoAnomaly(a.in.Key(k), r.cyclic))
-			continue
-		}
-		orders[k] = r.verEdges
-		g.AddEdges(r.edges)
+	s.a.in.SortKeyIDs(keys)
+	perKey := make([]keyResult, len(keys))
+	for i, k := range keys {
+		perKey[i] = s.cache[k]
 	}
-	a.emitWR(g)
-	return workload.Analysis{
-		Graph:     g,
-		Anomalies: a.anomalies,
-		Explainer: &explain.Explainer{Ops: a.ops, Keys: a.in, RegOrders: orders},
-	}, nil
+	return s.a.finish(keys, perKey).workloadAnalysis(), nil
 }

@@ -1,7 +1,6 @@
 package rwregister
 
 import (
-	"repro/internal/explain"
 	"repro/internal/gen"
 	"repro/internal/history"
 	"repro/internal/memdb"
@@ -17,12 +16,7 @@ func init() {
 		DB:            memdb.WorkloadRegister,
 		Incremental:   workload.IncrementalFunc(beginSession),
 		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
-			an := Analyze(h, opts)
-			return workload.Analysis{
-				Graph:     an.Graph,
-				Anomalies: an.Anomalies,
-				Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, RegOrders: an.VersionOrders},
-			}
+			return Analyze(h, opts).workloadAnalysis()
 		}),
 	})
 }

@@ -9,7 +9,7 @@ import (
 // This file is the register session's memory-budget half: with a budget
 // configured (workload.Opts.MemoryBudget), per-key inference caches are
 // kept only for keys touched within the window. Register inference has
-// no cross-key graph to freeze — dependencies are exploded per key — so
+// no cross-key graph to retire — dependencies are exploded per key — so
 // retirement here is purely map and slice eviction; the op stream's own
 // segment retirement (history.Stream) bounds op storage. Mid-stream
 // findings from a budgeted session are a subset of the unbudgeted
@@ -19,19 +19,10 @@ import (
 // note records one completion with the key tracker. Ops touching no
 // keys are unpinned immediately: nothing can ever cite them.
 func (s *session) note(o op.Op) {
-	if s.rt == nil {
-		return
-	}
-	keys := make([]history.KeyID, 0, len(o.Mops))
-	for _, m := range o.Mops {
-		keys = append(keys, s.a.kid(m.Key))
-	}
-	if len(keys) == 0 {
+	if s.rt != nil && !s.rt.NoteOp(o, s.a.in) {
 		delete(s.a.ops, o.Index)
 		delete(s.a.spanOf, o.Index)
-		return
 	}
-	s.rt.NoteOp(o.Index, keys)
 }
 
 // sweep retires every key quiescent for a full window: its op grouping,

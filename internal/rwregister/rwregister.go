@@ -30,6 +30,7 @@ import (
 	"sort"
 
 	"repro/internal/anomaly"
+	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
@@ -75,7 +76,6 @@ type verKey struct {
 
 type analyzer struct {
 	opts workload.Opts
-	h    *history.History
 	in   *history.Interner
 
 	ops          map[int]op.Op
@@ -102,8 +102,7 @@ type analyzer struct {
 }
 
 // newAnalyzer returns an analyzer with empty indices over the given
-// interner; the history is attached by Analyze (batch) or at Finish
-// (streaming sessions).
+// interner (the history's in batch runs, the stream's in sessions).
 func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
 	return &analyzer{
 		opts:         opts,
@@ -136,7 +135,6 @@ func (a *analyzer) byKeyAt(k history.KeyID) []op.Op {
 // the paper's Dgraph analysis.
 func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	a := newAnalyzer(opts, h.Keys())
-	a.h = h
 	for pos, o := range h.Ops {
 		if o.Type == op.Invoke {
 			continue
@@ -144,7 +142,24 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		inv, comp := h.Span(pos)
 		a.addOp(o, [2]int{inv, comp})
 	}
-	p := opts.Parallelism
+	// Per-key version-graph inference — building, cycle-checking,
+	// reducing, and exploding each key's version order into transaction
+	// dependencies — is independent per key.
+	keys := a.keys()
+	return a.finish(keys, par.Map(opts.Parallelism, len(keys), func(i int) keyResult {
+		return a.analyzeKey(keys[i], a.byKeyAt(keys[i]))
+	}))
+}
+
+// finish is the analysis's one phase sequence, shared by the batch
+// Analyze and the streaming session's Finish so the two agree by
+// construction: over the indices addOp built and the per-key inference
+// results (keys name-sorted, perKey parallel to it) it runs the
+// per-transaction checks, then merges per-key findings and edges in
+// key order, so the graph and anomaly list are identical at every
+// parallelism level.
+func (a *analyzer) finish(keys []history.KeyID, perKey []keyResult) *Analysis {
+	p := a.opts.Parallelism
 	a.anomalies = append(a.anomalies, a.duplicateWriteAnomalies()...)
 
 	// Per-transaction checks are independent per committed op; fan them
@@ -163,15 +178,6 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	for _, o := range a.oks {
 		g.Ensure(o.Index)
 	}
-	// Per-key version-graph inference — building, cycle-checking,
-	// reducing, and exploding each key's version order into transaction
-	// dependencies — is independent per key. Workers produce edge lists;
-	// the merge walks keys in sorted order so the graph and anomaly list
-	// are identical at every parallelism level.
-	keys := a.keys()
-	perKey := par.Map(p, len(keys), func(i int) keyResult {
-		return a.analyzeKey(keys[i], a.byKeyAt(keys[i]))
-	})
 	orders := make([][][2]string, a.in.Len())
 	for i, k := range keys {
 		r := perKey[i]
@@ -184,6 +190,15 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	}
 	a.emitWR(g)
 	return &Analysis{Graph: g, Anomalies: a.anomalies, Keys: a.in, VersionOrders: orders, Ops: a.ops}
+}
+
+// workloadAnalysis is the registry-facing view of an Analysis.
+func (an *Analysis) workloadAnalysis() workload.Analysis {
+	return workload.Analysis{
+		Graph:     an.Graph,
+		Anomalies: an.Anomalies,
+		Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, RegOrders: an.VersionOrders},
+	}
 }
 
 // keyResult is one key's inference outcome: either a cyclic-version-order
@@ -301,8 +316,7 @@ func cvoAnomaly(k string, cyc []int) anomaly.Anomaly {
 }
 
 // buildRelIndexes prepares the immutable relational indexes the G1a
-// scan probes; both the batch analyzer and streaming Finish call it
-// once, after ingestion and before abortedReadAnomalies.
+// scan probes, once, after ingestion and before abortedReadAnomalies.
 func (a *analyzer) buildRelIndexes() {
 	a.failedIx = rel.BuildIndex(a.failedWrites(), "key", "value")
 }

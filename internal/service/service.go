@@ -519,10 +519,8 @@ type memoryJSON struct {
 	RetiredBytes int   `json:"retired_bytes"`
 	SpilledBytes int64 `json:"spilled_bytes"`
 	// RetiredKeys counts keys whose analyzer caches were released after
-	// a full window of quiescence; FrozenBytes the encoded size of the
-	// dependency-graph regions condensed along with them.
+	// a full window of quiescence.
 	RetiredKeys int `json:"retired_keys"`
-	FrozenBytes int `json:"frozen_bytes,omitempty"`
 	// Degraded names any fallback taken (spill I/O failure, codec
 	// failure); retirement degrades rather than corrupting.
 	Degraded string `json:"degraded,omitempty"`
@@ -555,7 +553,6 @@ func (j *job) statusLocked() jobJSON {
 				RetiredBytes: rs.Stream.RetiredBytes,
 				SpilledBytes: rs.Stream.SpilledBytes,
 				RetiredKeys:  rs.RetiredKeys,
-				FrozenBytes:  rs.FrozenBytes,
 				Degraded:     rs.Stream.Degraded,
 			}
 		}

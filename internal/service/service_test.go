@@ -308,7 +308,8 @@ func TestServiceMemoryBudget(t *testing.T) {
 	feedChunks(t, c, srv.URL, id, jsonl, 50)
 
 	var st jobJSON
-	if code, raw := do(t, c, "GET", srv.URL+"/v1/jobs/"+id, "", &st); code != http.StatusOK {
+	code, raw := do(t, c, "GET", srv.URL+"/v1/jobs/"+id, "", &st)
+	if code != http.StatusOK {
 		t.Fatalf("status: %d: %s", code, raw)
 	}
 	if st.Memory == nil {
@@ -319,6 +320,26 @@ func TestServiceMemoryBudget(t *testing.T) {
 	}
 	if st.Memory.Degraded != "" {
 		t.Fatalf("unexpected degradation: %s", st.Memory.Degraded)
+	}
+	// The wire shape of the memory object is pinned: these keys, always,
+	// plus "degraded" only when a fallback was taken.
+	var wire struct {
+		Memory map[string]json.RawMessage `json:"memory"`
+	}
+	if err := json.Unmarshal([]byte(raw), &wire); err != nil {
+		t.Fatal(err)
+	}
+	wantKeys := []string{"budget", "resident_ops", "retired_ops", "segments", "retired_bytes", "spilled_bytes", "retired_keys"}
+	for _, k := range wantKeys {
+		if _, ok := wire.Memory[k]; !ok {
+			t.Errorf("status memory object lacks %q: %s", k, raw)
+		}
+	}
+	if len(wire.Memory) != len(wantKeys) {
+		t.Errorf("status memory object has keys beyond %v: %s", wantKeys, raw)
+	}
+	if b, _ := json.Marshal(memoryJSON{Degraded: "spill failed"}); !strings.Contains(string(b), `"degraded":"spill failed"`) {
+		t.Errorf("a degraded job's memory object lacks \"degraded\": %s", b)
 	}
 
 	code, got := do(t, c, "GET", srv.URL+"/v1/jobs/"+id+"/report", "", nil)

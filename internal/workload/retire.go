@@ -2,13 +2,13 @@ package workload
 
 import (
 	"repro/internal/binhist"
-	"repro/internal/graph"
 	"repro/internal/history"
+	"repro/internal/op"
 )
 
 // RetireStats reports how much of a budgeted streaming session has been
-// retired: the history stream's own counters plus whatever analyzer
-// state the session released (key caches, frozen graph segments).
+// retired: the history stream's own counters plus the per-key analyzer
+// state the session released.
 type RetireStats struct {
 	// Stream is the underlying op stream's retirement counters.
 	Stream history.RetireStats
@@ -16,15 +16,6 @@ type RetireStats struct {
 	// orders, clean-read caches) has been released. A key seen again
 	// after retirement is treated as brand new and counted again.
 	RetiredKeys int
-	// FrozenSegments / FrozenNodes / FrozenEdges describe the settled
-	// graph regions condensed into immutable CSR segments.
-	FrozenSegments int
-	FrozenNodes    int
-	FrozenEdges    int
-	// FrozenBytes is the encoded frozen-segment bytes held in memory;
-	// FrozenSpilledBytes the encoded bytes written to the spill file.
-	FrozenBytes        int
-	FrozenSpilledBytes int64
 }
 
 // Retirer is the optional Session extension a budget-aware session
@@ -71,14 +62,19 @@ func NewKeyTracker(window int) *KeyTracker {
 	return &KeyTracker{window: window, refs: map[int]int{}}
 }
 
-// NoteOp records one completion op touching the given keys (duplicates
-// tolerated; the op is pinned once per distinct key).
-func (t *KeyTracker) NoteOp(index int, keys []history.KeyID) {
+// NoteOp records one completion op, pinning it once per distinct key it
+// touches (keys resolve through the session's interner), and reports
+// whether anything pins it. An op touching no keys can never be cited:
+// it does not count toward the window and the session drops it at once.
+func (t *KeyTracker) NoteOp(o op.Op, in *history.Interner) bool {
+	if len(o.Mops) == 0 {
+		return false
+	}
 	t.comps++
-	for i, k := range keys {
+	for i, m := range o.Mops {
 		dup := false
-		for _, p := range keys[:i] {
-			if p == k {
+		for _, p := range o.Mops[:i] {
+			if p.Key == m.Key {
 				dup = true
 				break
 			}
@@ -86,12 +82,14 @@ func (t *KeyTracker) NoteOp(index int, keys []history.KeyID) {
 		if dup {
 			continue
 		}
+		k := in.MustID(m.Key)
 		t.lastTouch = history.GrowKeyed(t.lastTouch, k)
 		t.opsOfKey = history.GrowKeyed(t.opsOfKey, k)
 		t.lastTouch[k] = t.comps
-		t.opsOfKey[k] = append(t.opsOfKey[k], index)
-		t.refs[index]++
+		t.opsOfKey[k] = append(t.opsOfKey[k], o.Index)
+		t.refs[o.Index]++
 	}
+	return true
 }
 
 // LiveOp reports whether any live key still pins op index — the keep
@@ -128,102 +126,3 @@ func (t *KeyTracker) Sweep() (dead []history.KeyID, deadOps []int) {
 
 // RetiredKeys returns the total keys retired over the tracker's life.
 func (t *KeyTracker) RetiredKeys() int { return t.retired }
-
-// frozenSeg is one encoded graph.Frozen, in memory or spilled.
-type frozenSeg struct {
-	data    []byte
-	ref     history.SpillRef
-	spilled bool
-}
-
-// FrozenStore accumulates encoded frozen-graph segments, reusing the
-// history spill machinery when a spill directory is configured. Like
-// stream retirement it degrades rather than fails: spill trouble keeps
-// segments in memory.
-type FrozenStore struct {
-	spillDir string
-	segs     []frozenSeg
-	spill    *history.Spill
-	nodes    int
-	edges    int
-	bytes    int
-}
-
-// NewFrozenStore returns a store spilling to dir ("" keeps segments in
-// memory).
-func NewFrozenStore(dir string) *FrozenStore {
-	return &FrozenStore{spillDir: dir}
-}
-
-// Add encodes and stores one frozen region.
-func (f *FrozenStore) Add(fz *graph.Frozen) {
-	f.nodes += fz.NumNodes()
-	f.edges += fz.NumEdges()
-	data := fz.Encode(nil)
-	seg := frozenSeg{}
-	if f.spillDir != "" {
-		if f.spill == nil {
-			sp, err := history.NewSpill(f.spillDir)
-			if err != nil {
-				f.spillDir = ""
-			} else {
-				f.spill = sp
-			}
-		}
-		if f.spill != nil {
-			if ref, err := f.spill.Append(data); err == nil {
-				seg.ref, seg.spilled = ref, true
-			} else {
-				f.spillDir = ""
-			}
-		}
-	}
-	if !seg.spilled {
-		seg.data = data
-		f.bytes += len(data)
-	}
-	f.segs = append(f.segs, seg)
-}
-
-// Segments iterates the stored regions, decoding each in turn.
-func (f *FrozenStore) Segments(fn func(*graph.Frozen) error) error {
-	var buf []byte
-	for _, seg := range f.segs {
-		data := seg.data
-		if seg.spilled {
-			var err error
-			buf, err = f.spill.Read(seg.ref, buf[:0])
-			if err != nil {
-				return err
-			}
-			data = buf
-		}
-		fz, err := graph.DecodeFrozen(data)
-		if err != nil {
-			return err
-		}
-		if err := fn(fz); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close releases the spill file, if any.
-func (f *FrozenStore) Close() {
-	if f.spill != nil {
-		f.spill.Close()
-		f.spill = nil
-	}
-}
-
-// AddTo folds the store's counters into st.
-func (f *FrozenStore) AddTo(st *RetireStats) {
-	st.FrozenSegments += len(f.segs)
-	st.FrozenNodes += f.nodes
-	st.FrozenEdges += f.edges
-	st.FrozenBytes += f.bytes
-	if f.spill != nil {
-		st.FrozenSpilledBytes += f.spill.Size()
-	}
-}

@@ -1,0 +1,77 @@
+package workload_test
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/history"
+	"repro/internal/op"
+	"repro/internal/workload"
+)
+
+// TestKeyTracker walks the quiescence bookkeeping the budgeted sessions
+// share: a key untouched for a window retires, an op pinned by two keys
+// dies only with the second, a re-touched key is tracked from zero, and
+// Sweep does nothing inside a window.
+func TestKeyTracker(t *testing.T) {
+	in := history.NewInterner()
+	x, y := in.Intern("x"), in.Intern("y")
+	in.Intern("z")
+	tr := workload.NewKeyTracker(4)
+	index := 1
+	note := func(keys ...string) int {
+		t.Helper()
+		o := op.Op{Index: index, Type: op.OK}
+		for _, k := range keys {
+			o.Mops = append(o.Mops, op.Mop{F: op.FAppend, Key: k, Arg: index})
+		}
+		index += 2
+		if pinned := tr.NoteOp(o, in); pinned != (len(keys) > 0) {
+			t.Fatalf("NoteOp(%v) = %v", keys, pinned)
+		}
+		return o.Index
+	}
+	sweep := func(wantDead []history.KeyID, wantOps []int) {
+		t.Helper()
+		dead, ops := tr.Sweep()
+		if !reflect.DeepEqual(dead, wantDead) || !reflect.DeepEqual(ops, wantOps) {
+			t.Fatalf("Sweep = %v, %v; want %v, %v", dead, ops, wantDead, wantOps)
+		}
+	}
+
+	both := note("x", "y", "x") // the repeated key pins once
+	xs := []int{both, note("x")}
+	note() // key-less: never pinned, and no progress toward the window
+	sweep(nil, nil)
+	xs = append(xs, note("x"), note("x"), note("x"))
+
+	// Five completions in, y has sat untouched for a full window; x has
+	// not, and still pins the op they share.
+	sweep([]history.KeyID{y}, nil)
+	if !tr.LiveOp(both) {
+		t.Fatal("op pinned by live key x died with y")
+	}
+	sweep(nil, nil) // a window has not elapsed since the last sweep
+
+	for i := 0; i < 4; i++ {
+		note("z")
+	}
+	sweep([]history.KeyID{x}, xs)
+	if tr.LiveOp(both) {
+		t.Fatal("op still live after both its keys retired")
+	}
+
+	// y returns: tracked as a brand-new key whose only op is the new one.
+	again := note("y")
+	for i := 0; i < 3; i++ {
+		note("z")
+	}
+	sweep(nil, nil)
+	for i := 0; i < 4; i++ {
+		note("z")
+	}
+	sweep([]history.KeyID{y}, []int{again})
+	if got := tr.RetiredKeys(); got != 3 {
+		t.Fatalf("RetiredKeys = %d, want 3 (y, x, y again)", got)
+	}
+}

@@ -89,13 +89,14 @@ type Opts struct {
 	BankTotal int
 
 	// MemoryBudget, when > 0, bounds a streaming session's resident
-	// memory: roughly the last MemoryBudget completions stay fully
-	// resident, while settled prefixes — closed spans behind the window,
-	// quiescent keys' caches, frozen graph regions — are retired into
-	// compact encoded segments. Finish still returns an Analysis
-	// byte-identical to the batch analyzer (it rehydrates the retired
-	// segments), so the budget trades finish-time work for feed-phase
-	// memory. Batch analyzers ignore it.
+	// memory during Feed: roughly the last MemoryBudget completions stay
+	// fully resident, while settled prefixes are retired — closed spans
+	// behind the window into compact encoded segments, quiescent keys'
+	// caches and the graph regions only they pinned dropped. Finish
+	// still returns an Analysis byte-identical to the batch analyzer: it
+	// rehydrates the retired segments and pays the batch analyzer's
+	// O(history) cost, so the budget bounds the feed phase, not the
+	// finish. Batch analyzers ignore it.
 	MemoryBudget int
 	// SpillDir, when non-empty and MemoryBudget > 0, spills retired
 	// segments to an unlinked temporary file in that directory instead
