@@ -7,6 +7,7 @@ package explain
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -384,19 +385,28 @@ func (e *Explainer) wwRegWitness(from, to op.Op) (key, prev, next string, ok boo
 	return "", "", "", false
 }
 
-// wwWitness finds a key and adjacent elements proving a ww edge. Keys
-// are tried in sorted order so the same edge always gets the same
-// witness, whatever order the analyzer stored them in.
+// wwWitness finds a key and adjacent elements proving a ww edge. Only a
+// key both transactions appended to can join, so that selection runs
+// below the joins: adjacent pairs are generated for those keys alone,
+// not for every version order of the analysis. Keys are tried in sorted
+// order so the same edge always gets the same witness, whatever order
+// the analyzer stored them in.
 func (e *Explainer) wwWitness(from, to op.Op) (string, int, int, bool) {
 	if e.Keys == nil {
 		return "", 0, 0, false
 	}
+	var shared []history.KeyID
+	for _, m := range from.Mops {
+		id, ok := e.Keys.ID(m.Key)
+		if ok && m.F == op.FAppend && int(id) < len(e.ListOrders) && !slices.Contains(shared, id) &&
+			slices.ContainsFunc(to.Mops, func(w op.Mop) bool { return w.F == op.FAppend && w.Key == m.Key }) {
+			shared = append(shared, id)
+		}
+	}
+	e.Keys.SortKeyIDs(shared)
 	pairs := rel.NewRelation([]string{"key", "e1", "e2"}, func(yield func(rel.Tuple) bool) {
 		t := make(rel.Tuple, 3)
-		for _, id := range e.keyIDsByName() {
-			if int(id) >= len(e.ListOrders) {
-				continue
-			}
+		for _, id := range shared {
 			key := rel.Str(e.Keys.Key(id))
 			order := e.ListOrders[id]
 			for i := 0; i+1 < len(order); i++ {

@@ -145,3 +145,33 @@ func TestRegisterRWReason(t *testing.T) {
 		t.Errorf("register rw reason = %q", got)
 	}
 }
+
+// TestWWReason: a list ww edge is witnessed by the first adjacent pair of
+// the name-smallest key both transactions appended to. Key "c" also
+// holds an adjacent pair ending in T2's append, but T1 never appended to
+// it, so it yields no witness — alone or ahead of the shared keys.
+func TestWWReason(t *testing.T) {
+	t1 := op.Txn(1, 1, op.OK, op.Append("b", 10), op.Append("a", 1), op.Append("a", 3))
+	t2 := op.Txn(2, 2, op.OK, op.Append("c", 21), op.Append("b", 11), op.Append("a", 2), op.Append("a", 4))
+	t3 := op.Txn(3, 3, op.OK, op.Append("c", 20))
+	keys := history.NewInterner()
+	orders := make([][]int, 3)
+	orders[keys.Intern("c")] = []int{20, 21}
+	orders[keys.Intern("b")] = []int{10, 11}
+	orders[keys.Intern("a")] = []int{1, 2, 3, 4}
+	e := &Explainer{Ops: map[int]op.Op{1: t1, 2: t2, 3: t3}, Keys: keys, ListOrders: orders}
+	got := e.edgeReason(graph.Step{From: 1, To: 2, Via: graph.WW})
+	if want := "T2 appended 2 after T1 appended 1 to key a"; got != want {
+		t.Errorf("ww reason = %q, want %q", got, want)
+	}
+	// T3 and T2 share only key c.
+	got = e.edgeReason(graph.Step{From: 3, To: 2, Via: graph.WW})
+	if want := "T2 appended 21 after T3 appended 20 to key c"; got != want {
+		t.Errorf("ww reason = %q, want %q", got, want)
+	}
+	// T1 and T3 share no key: the pair on c is no witness for them.
+	got = e.edgeReason(graph.Step{From: 1, To: 3, Via: graph.WW})
+	if want := "T3 overwrote a version T1 installed"; got != want {
+		t.Errorf("ww reason without a shared key = %q, want %q", got, want)
+	}
+}

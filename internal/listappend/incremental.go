@@ -2,6 +2,7 @@ package listappend
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/anomaly"
 	"repro/internal/explain"
@@ -21,25 +22,22 @@ const scanEvery = 128
 
 // session is the native incremental analysis for list-append histories
 // (workload.Session). Across feeds it maintains every index the batch
-// analyzer builds up front — the op/span maps, the per-element attempt
-// and writer indices — plus the per-key version orders (the longest
-// clean read, replaced only by a strictly longer one) and a per-key
-// dependency-edge cache that is rebuilt only for keys the last chunk
-// touched. A graph.Incr ingests the refreshed edges and yields the
-// dirty components, which are re-searched for new cycle witnesses.
+// analyzer builds up front — the op/span maps and the per-key state:
+// each key's element table, reads, and trace (replaced only by a
+// strictly longer clean read), plus a per-key dependency-edge cache that
+// is rebuilt only for keys the last chunk touched. A graph.Incr ingests
+// the refreshed edges and yields the dirty components, which are
+// re-searched for new cycle witnesses.
 //
-// Finish hands the maintained indices and per-key state to the same
-// phase sequence Analyze runs (analyzer.finish), so its Analysis is
-// byte-identical to Analyze over the concatenated chunks.
+// Finish hands the maintained state to the same phase sequence Analyze
+// runs (analyzer.finish), so its Analysis is byte-identical to Analyze
+// over the concatenated chunks.
 type session struct {
-	a  *analyzer
+	a  *analyzer // a.keyst is the per-key maintained state
 	hs *history.Stream
 
-	keyst  []*keyState     // per-key maintained state, indexed by KeyID
-	keys   []history.KeyID // keys with clean reads, insertion order (sorted on demand)
-	orders [][]int         // current version orders: longest clean read per key
-
-	readersOf map[elemKey][]int // committed readers of each element, for late-abort G1a
+	keys   []history.KeyID // keys with a trace, insertion order (sorted on demand)
+	orders [][]int         // current version orders: each key's trace
 
 	incr      *graph.Incr
 	touched   map[history.KeyID]bool // keys whose edge caches are stale
@@ -56,12 +54,11 @@ type session struct {
 func beginSession(opts workload.Opts) workload.Session {
 	hs := history.NewStream()
 	s := &session{
-		a:         newAnalyzer(opts, hs.Keys()),
-		hs:        hs,
-		readersOf: map[elemKey][]int{},
-		incr:      graph.NewIncr(graph.KSDep),
-		touched:   map[history.KeyID]bool{},
-		emitted:   map[string]bool{},
+		a:       newAnalyzer(opts, hs.Keys()),
+		hs:      hs,
+		incr:    graph.NewIncr(graph.KSDep),
+		touched: map[history.KeyID]bool{},
+		emitted: map[string]bool{},
 	}
 	if opts.MemoryBudget > 0 {
 		hs.SetBudget(workload.StreamBudget(opts))
@@ -69,15 +66,6 @@ func beginSession(opts workload.Opts) workload.Session {
 		s.a.windowed = true
 	}
 	return s
-}
-
-// keystAt reads the KeyID-indexed state slice, which grows on demand as
-// the stream interns new keys.
-func (s *session) keystAt(k history.KeyID) *keyState {
-	if int(k) < len(s.keyst) {
-		return s.keyst[k]
-	}
-	return nil
 }
 
 // Feed ingests one chunk, updating every maintained index, and returns
@@ -123,29 +111,36 @@ func (s *session) ingest(o op.Op, d *workload.Delta) {
 		}
 		k := a.kid(m.Key)
 		s.touched[k] = true
-		ek := elemKey{k, m.Arg}
-		switch len(a.attempts[ek]) {
+		ks := a.keyst[k]
+		switch es := ks.find(m.Arg); es.attempts {
 		case 1:
-			if o.Type == op.Fail {
-				// Readers that already observed this element read state
-				// that is now known to be aborted.
-				for _, r := range s.readersOf[ek] {
-					ro := a.ops[r]
-					s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", ek.key, ek.elem, r, o.Index),
-						g1aAnomaly(ro, m.Key, readListOf(ro, m.Key, ek.elem), ek.elem, o))
+			if o.Type != op.Fail || !es.observed {
+				break
+			}
+			// Readers that already observed this element read state that
+			// is now known to be aborted: the key's reads holding it, in
+			// ingestion order.
+			if es.pos >= 0 {
+				ks.aborted = append(ks.aborted, int(es.pos))
+				slices.Sort(ks.aborted)
+			}
+			for _, r := range ks.reads {
+				if slices.Contains(r.list, m.Arg) {
+					s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r.o.Index, o.Index),
+						g1aAnomaly(r.o, m.Key, readListOf(r.o, m.Key, m.Arg), m.Arg, o))
 				}
 			}
 		case 2:
 			// The evicted writer's edges may already be in the
 			// incremental graph; they are no longer evidence.
 			s.poisoned = true
-			s.emit(d, fmt.Sprintf("dup|%d|%d", ek.key, ek.elem), anomaly.Anomaly{
+			s.emit(d, fmt.Sprintf("dup|%d|%d", k, m.Arg), anomaly.Anomaly{
 				Type: anomaly.DuplicateAppends,
-				Ops:  []op.Op{a.ops[a.attempts[ek][0]], o},
+				Ops:  []op.Op{a.ops[es.first], o},
 				Key:  m.Key,
 				Explanation: fmt.Sprintf(
 					"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
-					ek.elem, m.Key, len(a.attempts[ek])),
+					m.Arg, m.Key, es.attempts),
 			})
 		}
 	}
@@ -156,63 +151,49 @@ func (s *session) ingest(o op.Op, d *workload.Delta) {
 	// Per-op checks whose evidence is already complete.
 	d.Anomalies = append(d.Anomalies, a.internalAnomalies(o)...)
 	for _, m := range o.Mops {
-		if !m.ListKnown() {
-			continue
+		if m.ListKnown() {
+			s.ingestRead(o, m, d)
 		}
-		if dup, ok := duplicateElements(o, m); ok {
-			d.Anomalies = append(d.Anomalies, dup)
-		}
-		k := a.kid(m.Key)
-		for _, e := range m.List {
-			ek := elemKey{k, e}
-			s.readersOf[ek] = append(s.readersOf[ek], o.Index)
-			if w, ok := a.failedWriter[ek]; ok {
-				s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", ek.key, e, o.Index, w),
-					g1aAnomaly(o, m.Key, m.List, e, a.ops[w]))
-			}
-		}
-		if hasDuplicates(m.List) {
-			continue // not a clean read; contributes no version order
-		}
-		s.ingestCleanRead(o, m, d)
 	}
 }
 
-// ingestCleanRead folds one clean committed read into the key's
-// maintained version order, surfacing incompatible orders as they
-// become provable.
-func (s *session) ingestCleanRead(o op.Op, m op.Mop, d *workload.Delta) {
+// ingestRead folds one committed read into its key's trace (see
+// keyState.observe) and surfaces what it proves: duplicate elements,
+// aborted reads, and incompatible orders as they become provable.
+func (s *session) ingestRead(o op.Op, m op.Mop, d *workload.Delta) {
 	k := s.a.kid(m.Key)
-	s.touched[k] = true
-	s.keyst = history.GrowKeyed(s.keyst, k)
-	s.orders = history.GrowKeyed(s.orders, k)
-	ks := s.keyst[k]
-	if ks == nil {
-		ks = &keyState{}
-		s.keyst[k] = ks
-		s.keys = append(s.keys, k)
+	ks, r := s.a.addRead(o, m)
+	old := ks.longest
+	change := ks.observe(r)
+	if change == duplicated {
+		dup, _ := duplicateElements(o, m)
+		d.Anomalies = append(d.Anomalies, dup)
 	}
-	r := cleanRead{o, m.List}
-	ks.reads = append(ks.reads, r)
-	switch {
-	case len(ks.reads) == 1:
-		ks.longest = r
-		s.orders[k] = m.List
-	case len(m.List) > len(ks.longest.list):
-		// The trace grows; the displaced read keeps its edges only if it
-		// is a prefix of the new trace.
-		if !op.IsPrefix(ks.longest.list, m.List) {
-			// Replacing the trace retracts the edges inferred from it.
-			s.poisoned = true
-			old := ks.longest
-			s.emit(d, fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.o.Index, o.Index),
-				incompatAnomaly(m.Key, old, r))
+	// Suspects are only candidates (a second append since may have made
+	// an aborted position unrecoverable): the table has the last word.
+	for e := range ks.suspects(m.List) {
+		if w, ok := ks.sole(e, true); ok {
+			s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", k, e, o.Index, w),
+				g1aAnomaly(o, m.Key, m.List, e, s.a.ops[w]))
 		}
-		ks.longest = r
-		s.orders[k] = m.List
-	case !op.IsPrefix(m.List, ks.longest.list):
+	}
+	if change == duplicated {
+		return // not a clean read; contributes no version order
+	}
+	s.touched[k] = true
+	s.orders = history.GrowKeyed(s.orders, k)
+	s.orders[k] = ks.longest.list
+	switch {
+	case old.list == nil:
+		s.keys = append(s.keys, k)
+	case change == replaced:
+		// Replacing the trace retracts the edges inferred from it.
+		s.poisoned = true
+		s.emit(d, fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.o.Index, o.Index),
+			incompatAnomaly(m.Key, old, *r))
+	case change == incompatible:
 		s.emit(d, fmt.Sprintf("incompat|%s|%d|%d", m.Key, o.Index, ks.longest.o.Index),
-			incompatAnomaly(m.Key, r, ks.longest))
+			incompatAnomaly(m.Key, *r, ks.longest))
 	}
 }
 
@@ -221,11 +202,8 @@ func (s *session) ingestCleanRead(o op.Op, m op.Mop, d *workload.Delta) {
 func (s *session) scan(d *workload.Delta) {
 	s.sinceScan = 0
 	for _, k := range s.drainTouched() {
-		ks := s.keystAt(k)
-		if ks == nil {
-			continue // appends without clean reads: no trace, no edges
-		}
-		ks.edges = s.a.keyEdges(k, ks.reads, s.orders[k])
+		ks := s.a.keyst[k]
+		ks.edges = keyEdges(ks)
 		if !s.poisoned {
 			s.incr.AddEdges(ks.edges)
 		}
@@ -243,7 +221,7 @@ func (s *session) scan(d *workload.Delta) {
 		keys := append([]history.KeyID(nil), s.keys...)
 		s.a.in.SortKeyIDs(keys)
 		for _, k := range keys {
-			s.incr.AddEdges(s.keyst[k].edges)
+			s.incr.AddEdges(s.a.keyst[k].edges)
 		}
 	}
 	dirty := s.incr.DirtySCCs()
@@ -289,12 +267,12 @@ func (s *session) emit(d *workload.Delta, key string, an anomaly.Anomaly) {
 	d.Anomalies = append(d.Anomalies, an)
 }
 
-// Finish completes the stream: it refreshes the edge caches of keys
-// still pending since the last scan, then runs the shared phase
-// sequence over the maintained indices. Only the checks whose evidence
-// is inherently global (garbage reads, G1a/G1b against the final writer
-// index, dirty and lost updates) run over the whole history there;
-// version orders and dependency edges are the maintained ones.
+// Finish completes the stream by running the shared phase sequence over
+// the maintained state. The version orders are the maintained ones; the
+// checks whose evidence is inherently global (garbage reads, G1a/G1b
+// against the final writer index, dirty and lost updates) run over the
+// whole history there, each read costing one comparison against its
+// key's trace.
 func (s *session) Finish() (workload.Analysis, error) {
 	if s.done {
 		return workload.Analysis{}, workload.ErrSessionFinished
@@ -312,16 +290,10 @@ func (s *session) Finish() (workload.Analysis, error) {
 		// batch analyzer over it, at the documented O(history) finish cost.
 		return Analyze(s.hs.History(), s.a.opts).workloadAnalysis(), nil
 	}
-	a := s.a
-	a.h = s.hs.History()
-	for k := range s.touched {
-		if ks := s.keystAt(k); ks != nil {
-			ks.edges = a.keyEdges(k, ks.reads, ks.longest.list)
-		}
-	}
+	s.a.h = s.hs.History()
 	keys := append([]history.KeyID(nil), s.keys...)
-	a.in.SortKeyIDs(keys)
-	return a.finish(keys, s.keyst).workloadAnalysis(), nil
+	s.a.in.SortKeyIDs(keys)
+	return s.a.finish(keys).workloadAnalysis(), nil
 }
 
 // History returns the session's validated accumulation; call after

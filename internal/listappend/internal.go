@@ -4,16 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/anomaly"
-	"repro/internal/history"
 	"repro/internal/op"
 )
 
 // keyModel tracks what a transaction must believe about one key.
 type keyModel struct {
+	key string
 	// known is true once the transaction has read the key, fixing the
 	// full expected value.
 	known bool
-	// value is the full expected value when known.
+	// value is the full expected value when known. It aliases the
+	// observed list, capacity clipped, so the transaction's first own
+	// append after a read copies it and later ones extend the copy.
 	value []int
 	// appended holds the transaction's own appends since the last read
 	// (or since the start, if it has never read the key). When !known,
@@ -32,15 +34,18 @@ type keyModel struct {
 // reading nil — is the canonical violation.
 func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	models := map[history.KeyID]*keyModel{}
+	// A transaction touches a handful of keys: a small slice searched
+	// linearly, one pointer live at a time.
+	var buf [4]keyModel
+	models := buf[:0]
 	model := func(k string) *keyModel {
-		id := a.kid(k)
-		m, ok := models[id]
-		if !ok {
-			m = &keyModel{}
-			models[id] = m
+		for i := range models {
+			if models[i].key == k {
+				return &models[i]
+			}
 		}
-		return m
+		models = append(models, keyModel{key: k})
+		return &models[len(models)-1]
 	}
 	for _, mop := range o.Mops {
 		m := model(mop.Key)
@@ -79,7 +84,7 @@ func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 			}
 			// Whatever was observed is the transaction's view from here on.
 			m.known = true
-			m.value = append([]int(nil), observed...)
+			m.value = observed[:len(observed):len(observed)]
 			m.appended = nil
 		}
 	}

@@ -26,7 +26,9 @@ package listappend
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"maps"
+	"slices"
 
 	"repro/internal/anomaly"
 	"repro/internal/explain"
@@ -66,43 +68,29 @@ func (a *Analysis) VersionOrder(key string) []int {
 	return a.VersionOrders[id]
 }
 
-type elemKey struct {
-	key  history.KeyID
-	elem int
-}
-
-// cleanRead is one committed read of a well-formed (duplicate-free) list
-// value, the unit of per-key inference.
-type cleanRead struct {
+// keyRead is one committed read of a known list value, filed under its
+// key in op order.
+type keyRead struct {
 	o    op.Op
 	list []int
+	dup  bool // the value repeats an element: it contributes no version order
 }
 
-// analyzer carries the indices built over one history. Per-key state is
-// keyed by the history interner's dense KeyIDs (see history.Interner),
-// so the hot inference loops hash small fixed-size structs, never key
-// strings.
+// analyzer carries the indices built over one history. Everything known
+// about a key — its element table, its reads, its trace — lives in one
+// keyState indexed by the history interner's dense KeyID (see
+// history.Interner), so the hot inference loops hash small ints within
+// one key, never key strings or (key, element) pairs.
 type analyzer struct {
 	opts workload.Opts
 	h    *history.History
 	in   *history.Interner
 
-	ops      map[int]op.Op // completion ops by index
-	oks      []op.Op
-	spanOf   map[int][2]int // op index -> [invoke index, complete index]
-	attempts map[elemKey][]int
-	// writer maps each recoverable element to the op index of the unique
-	// non-aborted attempt that wrote it. Aborted writers are tracked
-	// separately for G1a / dirty-update detection.
-	writer       map[elemKey]int
-	failedWriter map[elemKey]int
-	anomalies    []anomaly.Anomaly
-
-	// failedIx indexes failed_append(key, elem, writer) tuples — the
-	// aborted writers — for the relational G1a scan, which probes it
-	// in one lookup join over the whole history. Built once by
-	// finishAnomalies; immutable thereafter.
-	failedIx *rel.Index
+	ops       map[int]op.Op // completion ops by index
+	oks       []op.Op
+	spanOf    map[int][2]int // op index -> [invoke index, complete index]
+	keyst     []*keyState    // per-key state by KeyID; nil for keys never appended to or read
+	anomalies []anomaly.Anomaly
 
 	// windowed marks a memory-budgeted streaming session: oks is not
 	// accumulated (it would grow with the history, and the budgeted
@@ -116,28 +104,200 @@ type analyzer struct {
 // history itself is attached by Analyze (batch) or at Finish (streaming
 // sessions).
 func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
-	return &analyzer{
-		opts:         opts,
-		in:           in,
-		ops:          map[int]op.Op{},
-		spanOf:       map[int][2]int{},
-		attempts:     map[elemKey][]int{},
-		writer:       map[elemKey]int{},
-		failedWriter: map[elemKey]int{},
-	}
+	return &analyzer{opts: opts, in: in, ops: map[int]op.Op{}, spanOf: map[int][2]int{}}
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
 
-// keyState is one key's inference state: its clean reads in op order,
-// the longest of them (whose trace is the key's version order), and the
-// dependency edges the two imply. Analyze computes it for every key at
-// once; a streaming session maintains it across feeds.
+// key returns k's state, creating it on first use.
+func (a *analyzer) key(k history.KeyID) *keyState {
+	a.keyst = history.GrowKeyed(a.keyst, k)
+	if a.keyst[k] == nil {
+		a.keyst[k] = &keyState{ix: map[int]int32{}}
+	}
+	return a.keyst[k]
+}
+
+// elemState is one row of a key's element table: who tried to append
+// the element, and where the key's reads saw it.
+type elemState struct {
+	elem     int
+	first    int   // op index of the first completed attempt, once attempts > 0
+	attempts int32 // completed append attempts; exactly one keeps it recoverable (§4.2.3)
+	pos      int32 // position in the key's trace, -1 while the trace lacks it
+	failed   bool  // the first attempt aborted
+	observed bool  // some committed read contained it
+	crashed  bool  // an invocation that never completed tried to append it
+}
+
+// attempted reports whether anyone — crashed clients included, whose
+// appends may still have taken effect — tried to append the element.
+func (es *elemState) attempted() bool {
+	return es != nil && (es.attempts > 0 || es.crashed)
+}
+
+// keyState is one key's inference state: its element table, its
+// committed reads in op order, the trace — the first duplicate-free read
+// of maximal length, whose value is the key's version order — and what
+// the two imply. Almost every read of a key is a prefix of its trace
+// (§3, traceability), so element-level facts are computed once per trace
+// position and shared by every read that compares as a prefix; only the
+// others are examined element by element. Analyze builds it for every
+// key at once; a streaming session maintains it across feeds.
 type keyState struct {
-	reads   []cleanRead
-	longest cleanRead
-	edges   []graph.Edge
+	ix   map[int]int32 // element -> row of tab
+	tab  []elemState
+	dups map[int][]int // every attempt on an element appended more than once
+
+	reads   []keyRead
+	longest keyRead // the trace; longest.list is nil until a clean read exists
+
+	// Per trace position, rebuilt by index from the element table: the
+	// recoverable writer's op index or -1; the ascending positions whose
+	// only writer aborted (a session also grows it between rebuilds, so
+	// entries are re-verified against the table before use); the first
+	// position nobody attempted to append, len(trace) if none.
+	writers []int
+	aborted []int
+	garbage int
+
+	edges []graph.Edge
+}
+
+// find returns e's row, or nil if the key has never met e. The pointer
+// is valid until the next elem call.
+func (ks *keyState) find(e int) *elemState {
+	if i, ok := ks.ix[e]; ok {
+		return &ks.tab[i]
+	}
+	return nil
+}
+
+// elem returns e's row, adding it on first sight.
+func (ks *keyState) elem(e int) *elemState {
+	i, ok := ks.ix[e]
+	if !ok {
+		i = int32(len(ks.tab))
+		ks.ix[e] = i
+		ks.tab = append(ks.tab, elemState{elem: e, pos: -1})
+	}
+	return &ks.tab[i]
+}
+
+// sole returns the op index of e's only attempt when there is exactly
+// one and it aborted (failed) or did not (!failed): the element's
+// recoverable writer, tracked apart by outcome for G1a and dirty-update
+// detection.
+func (ks *keyState) sole(e int, failed bool) (int, bool) {
+	if es := ks.find(e); es != nil && es.attempts == 1 && es.failed == failed {
+		return es.first, true
+	}
+	return 0, false
+}
+
+// traceChange is what one read did to its key's trace.
+type traceChange int
+
+const (
+	compatible   traceChange = iota // a prefix of the trace: nothing new
+	extended                        // the trace, plus new elements: it becomes the trace
+	replaced                        // clean and longer, but not an extension: it displaces the trace
+	incompatible                    // clean, neither a prefix of the trace nor longer
+	duplicated                      // repeats an element
+)
+
+// observe folds r, the key's newest read, into the trace. A prefix of
+// the trace costs one comparison; an extension is duplicate-checked
+// against the element table over its new suffix only; anything else is
+// examined element by element. Replacing the trace only on a strictly
+// longer clean read keeps it the first clean read of maximal length.
+func (ks *keyState) observe(r *keyRead) traceChange {
+	trace := ks.longest.list
+	if trace != nil && op.IsPrefix(r.list, trace) {
+		return compatible
+	}
+	grows := op.IsPrefix(trace, r.list)
+	if grows && ks.extend(r.list, len(trace)) {
+		ks.longest = *r
+		return extended
+	}
+	for _, e := range r.list {
+		ks.elem(e).observed = true
+	}
+	switch {
+	case grows || hasDuplicates(r.list): // an extension that failed repeats an element
+		r.dup = true
+		return duplicated
+	case len(r.list) <= len(trace):
+		return incompatible
+	}
+	for _, e := range trace {
+		ks.elem(e).pos = -1
+	}
+	ks.aborted = ks.aborted[:0]
+	ks.extend(r.list, 0)
+	ks.longest = *r
+	return replaced
+}
+
+// extend gives list[from:] — the part of a new trace beyond the old —
+// its trace positions, and reports whether those elements are distinct
+// from the trace and from each other. On a repeat it changes nothing.
+func (ks *keyState) extend(list []int, from int) bool {
+	aborted := len(ks.aborted)
+	for p := from; p < len(list); p++ {
+		es := ks.elem(list[p])
+		if es.pos >= 0 {
+			for _, e := range list[from:p] {
+				ks.elem(e).pos = -1
+			}
+			ks.aborted = ks.aborted[:aborted]
+			return false
+		}
+		es.pos, es.observed = int32(p), true
+		if es.attempts == 1 && es.failed {
+			ks.aborted = append(ks.aborted, p)
+		}
+	}
+	return true
+}
+
+// index rebuilds the per-position facts from the element table: one
+// probe per trace element, however many reads share them.
+func (ks *keyState) index() {
+	trace := ks.longest.list
+	ks.writers, ks.aborted, ks.garbage = ks.writers[:0], ks.aborted[:0], len(trace)
+	for p, e := range trace {
+		es, w := ks.find(e), -1
+		switch {
+		case es.attempts == 1 && es.failed:
+			ks.aborted = append(ks.aborted, p)
+		case es.attempts == 1:
+			w = es.first
+		case !es.attempted() && ks.garbage == len(trace):
+			ks.garbage = p
+		}
+		ks.writers = append(ks.writers, w)
+	}
+}
+
+// suspects yields, in list order, the elements of list — a read of the
+// key — that can have an aborted writer: for a prefix of the trace, those
+// at the trace's aborted positions below its length; for any other
+// read, every element.
+func (ks *keyState) suspects(list []int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		if !op.IsPrefix(list, ks.longest.list) {
+			slices.Values(list)(yield)
+			return
+		}
+		for _, p := range ks.aborted {
+			if p >= len(list) || !yield(list[p]) {
+				return
+			}
+		}
+	}
 }
 
 // Analyze infers the dependency graph and non-cycle anomalies for h.
@@ -152,31 +312,50 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		}
 		inv, comp := h.Span(pos)
 		a.addOp(o, [2]int{inv, comp})
+		if o.Type != op.OK {
+			continue
+		}
+		for _, m := range o.Mops {
+			if m.ListKnown() {
+				a.addRead(o, m)
+			}
+		}
 	}
-	// Per-key inference: the version order, then the dependency edges it
-	// implies (§4.3.2) from the recoverable-writer index.
-	keys, byKey := a.cleanReadsByKey()
-	states := par.Map(opts.Parallelism, len(keys), func(i int) keyState {
-		k := keys[i]
-		longest := longestRead(byKey[k])
-		return keyState{reads: byKey[k], longest: longest, edges: a.keyEdges(k, byKey[k], longest.list)}
+	// Per-key inference: each key's reads fold into its trace, the
+	// version order (§4.3.2).
+	par.Do(opts.Parallelism, len(a.keyst), func(k int) {
+		if ks := a.keyst[k]; ks != nil {
+			for i := range ks.reads {
+				ks.observe(&ks.reads[i])
+			}
+		}
 	})
-	keyst := make([]*keyState, a.in.Len())
-	for i, k := range keys {
-		keyst[k] = &states[i]
+	var keys []history.KeyID
+	for k, ks := range a.keyst {
+		if ks != nil && ks.longest.list != nil {
+			keys = append(keys, history.KeyID(k))
+		}
 	}
-	return a.finish(keys, keyst)
+	a.in.SortKeyIDs(keys)
+	return a.finish(keys)
 }
 
 // finish is the analysis's one phase sequence, shared by the batch
 // Analyze and the streaming session's Finish so the two agree by
-// construction: over the indices addOp built and the per-key inference
-// state (keys name-sorted, keyst indexed by KeyID) it runs the
-// per-transaction checks, merges per-key findings and edges in key
-// order, and ends with the checks that need the final write indices and
-// version orders.
-func (a *analyzer) finish(keys []history.KeyID, keyst []*keyState) *Analysis {
+// construction: over the per-key state addOp and observe built (keys
+// names the keys with a trace, name-sorted) it derives each key's
+// per-position facts and dependency edges, runs the per-transaction
+// checks, merges per-key findings and edges in key order, and ends with
+// the checks that need the final write indices and version orders. The
+// per-key state is complete before the first per-transaction fan-out
+// and immutable from then on.
+func (a *analyzer) finish(keys []history.KeyID) *Analysis {
 	p := a.opts.Parallelism
+	a.markCrashed()
+	par.Do(p, len(keys), func(i int) {
+		ks := a.keyst[keys[i]]
+		ks.edges = keyEdges(ks)
+	})
 	a.anomalies = append(a.anomalies, a.duplicateAppendAnomalies()...)
 
 	// Per-transaction checks: every committed op is validated against its
@@ -188,8 +367,7 @@ func (a *analyzer) finish(keys []history.KeyID, keyst []*keyState) *Analysis {
 		return a.readStructureAnomalies(a.oks[i])
 	}))
 	a.collect(par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
-		ks := keyst[keys[i]]
-		return a.incompatAnomalies(keys[i], ks.reads, ks.longest)
+		return a.incompatAnomalies(keys[i])
 	}))
 
 	// Every transaction that may have committed is a vertex, even if it
@@ -200,8 +378,8 @@ func (a *analyzer) finish(keys []history.KeyID, keyst []*keyState) *Analysis {
 	}
 	orders := make([][]int, a.in.Len())
 	for _, k := range keys {
-		orders[k] = keyst[k].longest.list
-		g.AddEdges(keyst[k].edges)
+		orders[k] = a.keyst[k].longest.list
+		g.AddEdges(a.keyst[k].edges)
 	}
 
 	a.finishAnomalies(keys, orders)
@@ -227,13 +405,12 @@ func (an *Analysis) workloadAnalysis() workload.Analysis {
 // version orders: G1a/G1b, dirty updates, lost updates.
 func (a *analyzer) finishAnomalies(keys []history.KeyID, orders [][]int) {
 	p := a.opts.Parallelism
-	a.failedIx = rel.BuildIndex(a.failedAppends(), "key", "elem")
 	a.anomalies = append(a.anomalies, a.abortedReadAnomalies()...)
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
 		return a.intermediateReadAnomalies(a.oks[i])
 	}))
 	a.collect(par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
-		return a.dirtyUpdateAnomalies(keys[i], orders[keys[i]])
+		return a.dirtyUpdateAnomalies(keys[i])
 	}))
 	if a.opts.DetectLostUpdates {
 		a.checkLostUpdates(orders)
@@ -245,10 +422,10 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 }
 
 // addOp indexes one completion op: the op and span indices every check
-// reads, and the per-element attempt index with its recoverability
-// transitions — the first attempt on an element claims the writer slot,
-// a second attempt destroys recoverability (§4.2.3) and evicts it.
-// Ops must be added in ascending index order.
+// reads, and each appended element's row in its key's table with its
+// recoverability transitions — the first attempt on an element is its
+// writer, a second destroys recoverability (§4.2.3). Ops must be added
+// in ascending index order.
 func (a *analyzer) addOp(o op.Op, span [2]int) {
 	a.ops[o.Index] = o
 	a.spanOf[o.Index] = span
@@ -259,18 +436,47 @@ func (a *analyzer) addOp(o op.Op, span [2]int) {
 		if m.F != op.FAppend {
 			continue
 		}
-		ek := elemKey{a.in.Intern(m.Key), m.Arg}
-		a.attempts[ek] = append(a.attempts[ek], o.Index)
-		switch len(a.attempts[ek]) {
-		case 1:
-			if o.Type == op.Fail {
-				a.failedWriter[ek] = o.Index
-			} else {
-				a.writer[ek] = o.Index
+		ks := a.key(a.in.Intern(m.Key))
+		es := ks.elem(m.Arg)
+		if es.attempts++; es.attempts == 1 {
+			es.first, es.failed = o.Index, o.Type == op.Fail
+			continue
+		}
+		// Only a repeated element keeps its full attempt list.
+		if ks.dups == nil {
+			ks.dups = map[int][]int{}
+		}
+		if es.attempts == 2 {
+			ks.dups[m.Arg] = []int{es.first}
+		}
+		ks.dups[m.Arg] = append(ks.dups[m.Arg], o.Index)
+	}
+}
+
+// addRead files one committed read of a known list value under its key.
+func (a *analyzer) addRead(o op.Op, m op.Mop) (*keyState, *keyRead) {
+	ks := a.key(a.kid(m.Key))
+	ks.reads = append(ks.reads, keyRead{o: o, list: m.List})
+	return ks, &ks.reads[len(ks.reads)-1]
+}
+
+// markCrashed records the appends of invocations that never completed.
+// Crashed clients leave an invoke with no completion; their appends may
+// still have taken effect and are not garbage.
+func (a *analyzer) markCrashed() {
+	open := map[int]int{} // process -> position of its outstanding invocation
+	for pos, o := range a.h.Ops {
+		if o.Type == op.Invoke {
+			open[o.Process] = pos
+		} else {
+			delete(open, o.Process)
+		}
+	}
+	for _, pos := range open {
+		for _, m := range a.h.Ops[pos].Mops {
+			if m.F == op.FAppend {
+				a.key(a.kid(m.Key)).elem(m.Arg).crashed = true
 			}
-		case 2:
-			delete(a.writer, ek)
-			delete(a.failedWriter, ek)
 		}
 	}
 }
@@ -278,64 +484,69 @@ func (a *analyzer) addOp(o op.Op, span [2]int) {
 // duplicateAppendAnomalies reports every element appended more than
 // once, in sorted (key, element) order.
 func (a *analyzer) duplicateAppendAnomalies() []anomaly.Anomaly {
-	var keys []elemKey
-	for ek, idxs := range a.attempts {
-		if len(idxs) > 1 {
-			keys = append(keys, ek)
+	var keys []history.KeyID
+	for k, ks := range a.keyst {
+		if ks != nil && len(ks.dups) > 0 {
+			keys = append(keys, history.KeyID(k))
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].key != keys[j].key {
-			return a.in.Less(keys[i].key, keys[j].key)
-		}
-		return keys[i].elem < keys[j].elem
-	})
+	a.in.SortKeyIDs(keys)
 	var out []anomaly.Anomaly
-	for _, ek := range keys {
-		idxs := a.attempts[ek]
-		sort.Ints(idxs)
-		ops := make([]op.Op, len(idxs))
-		for i, ix := range idxs {
-			ops[i] = a.ops[ix]
+	for _, k := range keys {
+		dups, kname := a.keyst[k].dups, a.in.Key(k)
+		for _, e := range slices.Sorted(maps.Keys(dups)) {
+			ops := make([]op.Op, len(dups[e]))
+			for i, ix := range dups[e] {
+				ops[i] = a.ops[ix]
+			}
+			out = append(out, anomaly.Anomaly{
+				Type: anomaly.DuplicateAppends,
+				Ops:  ops,
+				Key:  kname,
+				Explanation: fmt.Sprintf(
+					"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
+					e, kname, len(ops)),
+			})
 		}
-		kname := a.in.Key(ek.key)
-		out = append(out, anomaly.Anomaly{
-			Type: anomaly.DuplicateAppends,
-			Ops:  ops,
-			Key:  kname,
-			Explanation: fmt.Sprintf(
-				"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
-				ek.elem, kname, len(idxs)),
-		})
 	}
 	return out
 }
 
 // readStructureAnomalies validates each committed read value of one
 // transaction: no duplicate elements, and no garbage elements that were
-// never appended by any attempted transaction.
+// never appended by any attempted transaction. A prefix of its key's
+// trace repeats nothing and holds a never-appended element exactly
+// where the trace does; only other reads are scanned.
 func (a *analyzer) readStructureAnomalies(o op.Op) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
 	for _, m := range o.Mops {
 		if !m.ListKnown() {
 			continue
 		}
-		if dup, ok := duplicateElements(o, m); ok {
-			out = append(out, dup)
-		}
-		k := a.kid(m.Key)
-		for _, e := range m.List {
-			if !a.attempted(elemKey{k, e}) {
-				out = append(out, anomaly.Anomaly{
-					Type: anomaly.GarbageRead,
-					Ops:  []op.Op{o},
-					Key:  m.Key,
-					Explanation: fmt.Sprintf(
-						"%s read key %s as %s, but element %d was never appended by any transaction",
-						o.Name(), m.Key, op.FormatList(m.List), e),
-				})
-				break
+		ks := a.keyst[a.kid(m.Key)]
+		garbage := len(m.List) // position of the first never-appended element
+		if op.IsPrefix(m.List, ks.longest.list) {
+			garbage = min(garbage, ks.garbage)
+		} else {
+			if dup, ok := duplicateElements(o, m); ok {
+				out = append(out, dup)
 			}
+			for i, e := range m.List {
+				if !ks.find(e).attempted() {
+					garbage = i
+					break
+				}
+			}
+		}
+		if garbage < len(m.List) {
+			out = append(out, anomaly.Anomaly{
+				Type: anomaly.GarbageRead,
+				Ops:  []op.Op{o},
+				Key:  m.Key,
+				Explanation: fmt.Sprintf(
+					"%s read key %s as %s, but element %d was never appended by any transaction",
+					o.Name(), m.Key, op.FormatList(m.List), m.List[garbage]),
+			})
 		}
 	}
 	return out
@@ -363,78 +574,16 @@ func duplicateElements(o op.Op, m op.Mop) (anomaly.Anomaly, bool) {
 	return anomaly.Anomaly{}, false
 }
 
-// attempted reports whether any op (including unpaired invocations from
-// crashed clients) tried to append ek.elem to ek.key.
-func (a *analyzer) attempted(ek elemKey) bool {
-	if len(a.attempts[ek]) > 0 {
-		return true
-	}
-	kname := a.in.Key(ek.key)
-	// Crashed clients leave an invoke with no completion; their appends
-	// may still have taken effect and are not garbage.
-	for _, o := range a.h.Ops {
-		if o.Type != op.Invoke {
-			continue
-		}
-		if _, done := a.ops[o.Index]; done {
-			continue
-		}
-		for _, m := range o.Mops {
-			if m.F == op.FAppend && m.Key == kname && m.Arg == ek.elem {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// cleanReadsByKey groups every committed duplicate-free list read by
-// key — a dense KeyID-indexed slice, preserving op order within each
-// key — and returns the name-sorted list of keys with clean reads, the
-// per-key work items of version-order and edge inference.
-func (a *analyzer) cleanReadsByKey() ([]history.KeyID, [][]cleanRead) {
-	byKey := make([][]cleanRead, a.in.Len())
-	var keys []history.KeyID
-	for _, o := range a.oks {
-		for _, m := range o.Mops {
-			if !m.ListKnown() || hasDuplicates(m.List) {
-				continue
-			}
-			k := a.kid(m.Key)
-			if len(byKey[k]) == 0 {
-				keys = append(keys, k)
-			}
-			byKey[k] = append(byKey[k], cleanRead{o, m.List})
-		}
-	}
-	a.in.SortKeyIDs(keys)
-	return keys, byKey
-}
-
-// longestRead returns the first read of maximal length: its trace is
-// the inferred version order ≪x of the key (§4.3.2). The streaming
-// session maintains the same value across feeds by replacing only on a
-// strictly longer read.
-func longestRead(reads []cleanRead) cleanRead {
-	longest := reads[0]
-	for _, r := range reads[1:] {
-		if len(r.list) > len(longest.list) {
-			longest = r
-		}
-	}
-	return longest
-}
-
-// incompatAnomalies reports incompatible orders against the longest
-// read of key k: pairs of committed reads neither of which is a prefix
-// of the other, which imply an aborted read in every interpretation
-// (§4.3.1, "Inconsistent Observations").
-func (a *analyzer) incompatAnomalies(k history.KeyID, reads []cleanRead, longest cleanRead) []anomaly.Anomaly {
+// incompatAnomalies reports incompatible orders against key k's trace:
+// pairs of committed reads neither of which is a prefix of the other,
+// which imply an aborted read in every interpretation (§4.3.1,
+// "Inconsistent Observations").
+func (a *analyzer) incompatAnomalies(k history.KeyID) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	kname := a.in.Key(k)
-	for _, r := range reads {
-		if !op.IsPrefix(r.list, longest.list) {
-			out = append(out, incompatAnomaly(kname, r, longest))
+	ks, kname := a.keyst[k], a.in.Key(k)
+	for _, r := range ks.reads {
+		if !r.dup && !op.IsPrefix(r.list, ks.longest.list) {
+			out = append(out, incompatAnomaly(kname, r, ks.longest))
 		}
 	}
 	return out
@@ -442,7 +591,7 @@ func (a *analyzer) incompatAnomalies(k history.KeyID, reads []cleanRead, longest
 
 // incompatAnomaly renders one incompatible-order finding; the streaming
 // session uses the same rendering for mid-stream surfacing.
-func incompatAnomaly(k string, r, longest cleanRead) anomaly.Anomaly {
+func incompatAnomaly(k string, r, longest keyRead) anomaly.Anomaly {
 	return anomaly.Anomaly{
 		Type: anomaly.IncompatibleOrder,
 		Ops:  []op.Op{r.o, longest.o},
@@ -454,66 +603,70 @@ func incompatAnomaly(k string, r, longest cleanRead) anomaly.Anomaly {
 	}
 }
 
-// keyEdges infers every dependency edge key k contributes.
-func (a *analyzer) keyEdges(k history.KeyID, reads []cleanRead, elems []int) []graph.Edge {
+// keyEdges refreshes ks's per-position facts and infers every
+// dependency edge the key contributes.
+func keyEdges(ks *keyState) []graph.Edge {
+	ks.index()
 	var out []graph.Edge
+	w := ks.writers
 	// ww: consecutive recoverable writers along the version order.
-	for i := 0; i+1 < len(elems); i++ {
-		wi, oki := a.writer[elemKey{k, elems[i]}]
-		wj, okj := a.writer[elemKey{k, elems[i+1]}]
-		if oki && okj {
-			out = append(out, graph.Edge{From: wi, To: wj, Kind: graph.WW})
+	for i := 0; i+1 < len(w); i++ {
+		if w[i] >= 0 && w[i+1] >= 0 {
+			out = append(out, graph.Edge{From: w[i], To: w[i+1], Kind: graph.WW})
 		}
 	}
-	for _, r := range reads {
-		if !op.IsPrefix(r.list, elems) {
+	for _, r := range ks.reads {
+		n := len(r.list)
+		if !op.IsPrefix(r.list, ks.longest.list) {
 			// Incompatible reads were already reported; don't let them
 			// seed bogus edges.
 			continue
 		}
 		// wr: the writer of the last element of the observed version
 		// installed the version this read observed.
-		if n := len(r.list); n > 0 {
-			if w, ok := a.writer[elemKey{k, r.list[n-1]}]; ok {
-				out = append(out, graph.Edge{From: w, To: r.o.Index, Kind: graph.WR})
-			}
+		if n > 0 && w[n-1] >= 0 {
+			out = append(out, graph.Edge{From: w[n-1], To: r.o.Index, Kind: graph.WR})
 		}
 		// rw: the writer of the next element in ≪x overwrote the
 		// version this read observed.
-		if len(r.list) < len(elems) {
-			next := elems[len(r.list)]
-			if w, ok := a.writer[elemKey{k, next}]; ok {
-				out = append(out, graph.Edge{From: r.o.Index, To: w, Kind: graph.RW})
-			}
+		if n < len(w) && w[n] >= 0 {
+			out = append(out, graph.Edge{From: r.o.Index, To: w[n], Kind: graph.RW})
 		}
 	}
 	return out
 }
 
 // failedAppends is the relation failed_append(key, elem, writer): one
-// tuple per recoverable element whose only writer aborted. Build order
-// over the map is arbitrary, but every (key, elem) bucket holds exactly
-// one tuple, so index probes are deterministic regardless.
+// tuple per recoverable element whose only writer aborted — selected
+// down to the elements some read observed, since no other can join. A
+// clean history yields none.
 func (a *analyzer) failedAppends() rel.Relation {
-	fw := a.failedWriter
 	return rel.NewRelation([]string{"key", "elem", "writer"}, func(yield func(rel.Tuple) bool) {
 		t := make(rel.Tuple, 3)
-		for ek, w := range fw {
-			t[0], t[1], t[2] = rel.Int(int(ek.key)), rel.Int(ek.elem), rel.Int(w)
-			if !yield(t) {
-				return
+		for k, ks := range a.keyst {
+			if ks == nil {
+				continue
+			}
+			for _, es := range ks.tab {
+				if !es.observed || es.attempts != 1 || !es.failed {
+					continue
+				}
+				t[0], t[1], t[2] = rel.Int(k), rel.Int(es.elem), rel.Int(es.first)
+				if !yield(t) {
+					return
+				}
 			}
 		}
 	})
 }
 
-// allReadElems is the relation read_elem(key, elem, txn, mop) over
-// every committed transaction: every element of every known list read,
-// in transaction, program, and list order — the probe side of the
-// relational G1a scan. One relation spans the whole history so the
-// join pipeline is constructed once per analysis, not once per
-// transaction.
-func (a *analyzer) allReadElems() rel.Relation {
+// suspectReadElems is the relation read_elem(key, elem, txn, mop) over
+// every committed transaction, in transaction, program, and list order
+// — the probe side of the relational G1a scan — selected down to the
+// elements that could have an aborted writer (keyState.suspects). One
+// relation spans the whole history so the join pipeline is constructed
+// once per analysis, not once per transaction.
+func (a *analyzer) suspectReadElems() rel.Relation {
 	return rel.NewRelation([]string{"key", "elem", "txn", "mop"}, func(yield func(rel.Tuple) bool) {
 		t := make(rel.Tuple, 4)
 		for oi, o := range a.oks {
@@ -521,10 +674,10 @@ func (a *analyzer) allReadElems() rel.Relation {
 				if !m.ListKnown() {
 					continue
 				}
-				k := rel.Int(int(a.kid(m.Key)))
-				for _, e := range m.List {
-					t[0], t[1], t[2], t[3] = k, rel.Int(e), rel.Int(oi), rel.Int(pos)
-					if !yield(t) {
+				k := a.kid(m.Key)
+				t[0], t[2], t[3] = rel.Int(int(k)), rel.Int(oi), rel.Int(pos)
+				for e := range a.keyst[k].suspects(m.List) {
+					if t[1] = rel.Int(e); !yield(t) {
 						return
 					}
 				}
@@ -535,21 +688,19 @@ func (a *analyzer) allReadElems() rel.Relation {
 
 // abortedReadAnomalies finds G1a — reads of versions containing
 // elements written by aborted transactions — in one relational pass
-// over the whole history: read_elem(key, elem, txn, mop) ⋈ the
-// prebuilt failed_append(key, elem, writer) index, each joined row one
-// aborted read. The lookup join streams reads in
-// transaction-then-program-and-list order, exactly the order the old
-// per-transaction scans merged to, so the report is unchanged;
-// evaluating the pipeline once instead of per transaction keeps its
-// setup cost off the hot path.
+// over the whole history: read_elem(key, elem, txn, mop) ⋈ an index
+// over failed_append(key, elem, writer), each joined row one aborted
+// read. The lookup join streams reads in transaction-then-program-and-
+// list order, so that is the report's order.
 func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
-	if a.failedIx.Len() == 0 {
+	failedIx := rel.BuildIndex(a.failedAppends(), "key", "elem")
+	if failedIx.Len() == 0 {
 		// A lookup join against an empty failed_append index is empty
 		// by definition.
 		return nil
 	}
 	var out []anomaly.Anomaly
-	a.allReadElems().LookupJoin(a.failedIx).Each(func(t rel.Tuple) bool {
+	a.suspectReadElems().LookupJoin(failedIx).Each(func(t rel.Tuple) bool {
 		o := a.oks[t[2].Num()]
 		m := o.Mops[t[3].Num()]
 		out = append(out, g1aAnomaly(o, m.Key, m.List, int(t[1].Num()), a.ops[int(t[4].Num())]))
@@ -570,10 +721,9 @@ func (a *analyzer) intermediateReadAnomalies(o op.Op) []anomaly.Anomaly {
 		if !m.ListKnown() {
 			continue
 		}
-		k := a.kid(m.Key)
 		if n := len(m.List); n > 0 {
 			last := m.List[n-1]
-			if w, ok := a.writer[elemKey{k, last}]; ok && w != o.Index {
+			if w, ok := a.keyst[a.kid(m.Key)].sole(last, false); ok && w != o.Index {
 				wo := a.ops[w]
 				if finalAppend(wo, m.Key) != last {
 					out = append(out, anomaly.Anomaly{
@@ -595,15 +745,14 @@ func (a *analyzer) intermediateReadAnomalies(o op.Op) []anomaly.Anomaly {
 // element from an aborted transaction followed by an element from a
 // committed one means committed state incorporates aborted state (§4.1.5,
 // "Via Traces").
-func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID, elems []int) []anomaly.Anomaly {
+func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	for i := 0; i+1 < len(elems); i++ {
-		fw, failed := a.failedWriter[elemKey{k, elems[i]}]
-		if !failed {
-			continue
-		}
-		for j := i + 1; j < len(elems); j++ {
-			if cw, ok := a.writer[elemKey{k, elems[j]}]; ok && a.ops[cw].Type == op.OK {
+	ks := a.keyst[k]
+	elems := ks.longest.list
+	for _, i := range ks.aborted {
+		fw, _ := ks.sole(elems[i], true)
+		for _, cw := range ks.writers[i+1:] {
+			if cw >= 0 && a.ops[cw].Type == op.OK {
 				kname := a.in.Key(k)
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.DirtyUpdate,

@@ -1,6 +1,8 @@
 package listappend
 
 import (
+	"slices"
+
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/workload"
@@ -24,57 +26,26 @@ func (s *session) note(o op.Op) {
 	}
 }
 
-// sweep retires every key quiescent for a full window: its version
-// order, clean-read cache, element indices, and — once no live key pins
-// them — its ops, then drops the graph region those ops spanned. A
-// retired key seen again is re-analyzed as brand new.
+// sweep retires every key quiescent for a full window — dropping its
+// one per-key state (element table, reads, trace, edge cache) and its
+// version order — and, once no live key pins them, its ops, then drops
+// the graph region those ops spanned. A retired key seen again is
+// re-analyzed as brand new.
 func (s *session) sweep() {
 	dead, deadOps := s.rt.Sweep()
 	if len(dead) == 0 && len(deadOps) == 0 {
 		return
 	}
 	a := s.a
-	deadSet := make(map[history.KeyID]bool, len(dead))
 	for _, k := range dead {
-		deadSet[k] = true
-		if int(k) < len(s.keyst) {
-			s.keyst[k] = nil
+		if int(k) < len(a.keyst) {
+			a.keyst[k] = nil
 		}
 		if int(k) < len(s.orders) {
 			s.orders[k] = nil
 		}
 	}
-	if len(dead) > 0 {
-		live := s.keys[:0]
-		for _, k := range s.keys {
-			if !deadSet[k] {
-				live = append(live, k)
-			}
-		}
-		s.keys = live
-		// The per-element maps are keyed by (key, element); one full
-		// iteration per sweep frees every entry of every dead key.
-		for ek := range a.attempts {
-			if deadSet[ek.key] {
-				delete(a.attempts, ek)
-			}
-		}
-		for ek := range a.writer {
-			if deadSet[ek.key] {
-				delete(a.writer, ek)
-			}
-		}
-		for ek := range a.failedWriter {
-			if deadSet[ek.key] {
-				delete(a.failedWriter, ek)
-			}
-		}
-		for ek := range s.readersOf {
-			if deadSet[ek.key] {
-				delete(s.readersOf, ek)
-			}
-		}
-	}
+	s.keys = slices.DeleteFunc(s.keys, func(k history.KeyID) bool { return a.keyst[k] == nil })
 	for _, i := range deadOps {
 		delete(a.ops, i)
 		delete(a.spanOf, i)
