@@ -177,6 +177,20 @@ func (h *History) OKs() []op.Op {
 	return out
 }
 
+// Crashed returns the invocations that never completed — crashed
+// clients, or the tail of a log still being written — in index order.
+// What they attempted may have taken effect all the same, so analyzers
+// consult them before calling an observed value garbage.
+func (h *History) Crashed() []op.Op {
+	var out []op.Op
+	for pos, c := range h.completion {
+		if c < 0 && h.Ops[pos].Type == op.Invoke {
+			out = append(out, h.Ops[pos])
+		}
+	}
+	return out
+}
+
 // Span returns the invoke and completion indices bounding the transaction
 // completed at position pos within Ops. For compact histories (or
 // unpaired ops) both bounds equal the op's own index.

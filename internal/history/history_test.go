@@ -100,6 +100,11 @@ func TestUnpairedTailTolerated(t *testing.T) {
 	if got := len(h.Completions()); got != 1 {
 		t.Errorf("Completions() = %d", got)
 	}
+	// The dangling invoke is the history's one crashed invocation; the
+	// completed one is not.
+	if got := h.Crashed(); len(got) != 1 || got[0].Index != 1 {
+		t.Errorf("Crashed() = %v, want the invocation at index 1", got)
+	}
 }
 
 func TestSortsOutOfOrderInput(t *testing.T) {

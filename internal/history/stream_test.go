@@ -1,6 +1,7 @@
 package history
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/op"
@@ -59,6 +60,12 @@ func TestStreamMatchesNew(t *testing.T) {
 			}
 			if len(got.Completions()) != len(want.Completions()) {
 				t.Fatal("completions diverge")
+			}
+			// Only the complete layout can hold a crashed invocation:
+			// process 2's.
+			crashed := map[string]int{"complete": 1, "compact": 0}[name]
+			if !reflect.DeepEqual(got.Crashed(), want.Crashed()) || len(want.Crashed()) != crashed {
+				t.Fatalf("Crashed() = %v, batch %v, want %d", got.Crashed(), want.Crashed(), crashed)
 			}
 			if s.Completions() != len(want.Completions()) {
 				t.Fatalf("Completions() = %d, want %d", s.Completions(), len(want.Completions()))

@@ -185,16 +185,10 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	}
 	kid := in.MustID
 
-	// Open invocations at the end of the history are crashed clients:
-	// their writes may have committed, so they must join their clusters
-	// as indeterminate rather than vanish.
-	open := map[int]int{} // process -> position of outstanding invoke
 	for pos, o := range h.Ops {
 		if o.Type == op.Invoke {
-			open[o.Process] = pos
 			continue
 		}
-		delete(open, o.Process)
 		ops[o.Index] = o
 		start64, end64 := spanOf(h, pos)
 		switch o.Type {
@@ -228,13 +222,10 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 			}
 		}
 	}
-	crashed := make([]int, 0, len(open))
-	for _, pos := range open {
-		crashed = append(crashed, pos)
-	}
-	sort.Ints(crashed)
-	for _, pos := range crashed {
-		o := h.Ops[pos]
+	// Invocations that never completed are crashed clients: their writes
+	// may have committed, so they must join their clusters as
+	// indeterminate rather than vanish.
+	for _, o := range h.Crashed() {
 		for _, m := range o.Mops {
 			if m.F == op.FWrite {
 				agg(kid(m.Key)).addWrite(m.Arg, int64(o.Index), posInf, o)

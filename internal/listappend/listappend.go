@@ -464,16 +464,8 @@ func (a *analyzer) addRead(o op.Op, m op.Mop) (*keyState, *keyRead) {
 // Crashed clients leave an invoke with no completion; their appends may
 // still have taken effect and are not garbage.
 func (a *analyzer) markCrashed() {
-	open := map[int]int{} // process -> position of its outstanding invocation
-	for pos, o := range a.h.Ops {
-		if o.Type == op.Invoke {
-			open[o.Process] = pos
-		} else {
-			delete(open, o.Process)
-		}
-	}
-	for _, pos := range open {
-		for _, m := range a.h.Ops[pos].Mops {
+	for _, o := range a.h.Crashed() {
+		for _, m := range o.Mops {
 			if m.F == op.FAppend {
 				a.key(a.kid(m.Key)).elem(m.Arg).crashed = true
 			}

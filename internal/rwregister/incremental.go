@@ -6,7 +6,6 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/history"
 	"repro/internal/op"
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -19,22 +18,18 @@ const scanEvery = 128
 // session is the native incremental analysis for rw-register histories
 // (workload.Session). Register inference is per-key and the rules are
 // monotone — version graphs only gain edges as the history grows — so
-// the session maintains the batch analyzer's indices (op/span maps,
-// per-value write and reader indices) plus a per-key cache of the full
-// inference pipeline (version graph, cyclicity, reduction, dependency
-// explosion), recomputed only for keys the last chunk touched. At
-// Finish, every untouched key's cached result is exactly what the batch
-// analyzer would compute, and the same phase sequence (analyzer.finish)
-// merges them, so the Analysis is byte-identical.
+// the session maintains exactly what the batch analyzer builds up front
+// (the op index and every key's state: value table, transaction
+// footprints, inference result) and re-runs the per-key pipeline only
+// for keys the last chunk touched. At Finish every untouched key's
+// result is what the batch analyzer would compute, and the same phase
+// sequence (analyzer.finish) merges them, so the Analysis is
+// byte-identical.
 type session struct {
-	a  *analyzer
+	a  *analyzer // a.keyst is the per-key maintained state
 	hs *history.Stream
 
-	keySet map[history.KeyID]bool
-
-	cache     map[history.KeyID]keyResult
-	touched   map[history.KeyID]bool
-	emitted   map[string]bool
+	emitted   map[string]bool // mid-stream findings already surfaced
 	sinceScan int
 	done      bool
 
@@ -45,14 +40,7 @@ type session struct {
 
 func beginSession(opts workload.Opts) workload.Session {
 	hs := history.NewStream()
-	s := &session{
-		a:       newAnalyzer(opts, hs.Keys()),
-		hs:      hs,
-		keySet:  map[history.KeyID]bool{},
-		cache:   map[history.KeyID]keyResult{},
-		touched: map[history.KeyID]bool{},
-		emitted: map[string]bool{},
-	}
+	s := &session{a: newAnalyzer(opts, hs.Keys()), hs: hs, emitted: map[string]bool{}}
 	if opts.MemoryBudget > 0 {
 		hs.SetBudget(workload.StreamBudget(opts))
 		s.rt = workload.NewKeyTracker(opts.MemoryBudget)
@@ -61,7 +49,7 @@ func beginSession(opts workload.Opts) workload.Session {
 	return s
 }
 
-// Feed ingests one chunk, updating the maintained indices, and returns
+// Feed ingests one chunk, updating the maintained state, and returns
 // the anomalies the chunk made provable.
 func (s *session) Feed(ops []op.Op) (workload.Delta, error) {
 	if s.done {
@@ -90,9 +78,10 @@ func (s *session) Feed(ops []op.Op) (workload.Delta, error) {
 	return d, nil
 }
 
+// ingest indexes one completion and surfaces its per-op findings.
 func (s *session) ingest(o op.Op, d *workload.Delta) {
 	a := s.a
-	a.addOp(o, s.hs.SpanOf(o.Index))
+	a.addOp(o, s.hs.SpanOf(o.Index)[0])
 	s.note(o)
 
 	for _, m := range o.Mops {
@@ -100,38 +89,27 @@ func (s *session) ingest(o op.Op, d *workload.Delta) {
 			continue
 		}
 		k := a.kid(m.Key)
-		s.mark(k)
-		vk := verKey{k, m.Arg}
-		switch a.writeCount[vk] {
+		switch vs := a.find(k, m.Arg); vs.writes {
 		case 1:
 			if o.Type == op.Fail {
 				// Readers that already observed this value read state
 				// that is now known to be aborted.
-				for _, r := range a.readers[vk] {
-					s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", vk.key, vk.val, r, o.Index),
-						g1aAnomaly(a.ops[r], m.Key, vk.val, o))
+				for _, r := range vs.readers {
+					s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r, o.Index),
+						g1aAnomaly(a.ops[r], m.Key, m.Arg, o))
 				}
 			}
 		case 2:
-			s.emit(d, fmt.Sprintf("dup|%d|%d", vk.key, vk.val), anomaly.Anomaly{
-				Type: anomaly.DuplicateAppends,
-				Key:  m.Key,
-				Explanation: fmt.Sprintf(
-					"value %d was written to key %s by %d transactions; writes must be unique for versions to be recoverable",
-					vk.val, m.Key, a.writeCount[vk]),
-			})
+			s.emit(d, fmt.Sprintf("dup|%d|%d", k, m.Arg), dupAnomaly(m.Key, vs))
 		}
 	}
 	if o.Type != op.OK {
 		return
 	}
 	for _, m := range o.Mops {
-		// addOp already grouped the op under each key; marking keeps the
-		// touched/key sets in step (repeated marks are cheap).
-		k := a.kid(m.Key)
-		s.mark(k)
 		if m.F == op.FRead && m.RegKnown && !m.RegNil {
-			if w, ok := a.failedWriter[verKey{k, m.Reg}]; ok {
+			k := a.kid(m.Key)
+			if w, ok := a.find(k, m.Reg).sole(true); ok {
 				s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Reg, o.Index, w),
 					g1aAnomaly(o, m.Key, m.Reg, a.ops[w]))
 			}
@@ -140,29 +118,14 @@ func (s *session) ingest(o op.Op, d *workload.Delta) {
 	d.Anomalies = append(d.Anomalies, a.internalAnomalies(o)...)
 }
 
-func (s *session) mark(k history.KeyID) {
-	s.keySet[k] = true
-	s.touched[k] = true
-}
-
 // scan refreshes the per-key inference of every touched key, surfacing
 // newly cyclic version orders.
 func (s *session) scan(d *workload.Delta) {
 	s.sinceScan = 0
-	keys := make([]history.KeyID, 0, len(s.touched))
-	for k := range s.touched {
-		keys = append(keys, k)
-	}
-	s.a.in.SortKeyIDs(keys)
-	s.touched = map[history.KeyID]bool{}
-	results := par.Map(s.a.opts.Parallelism, len(keys), func(i int) keyResult {
-		return s.a.analyzeKey(keys[i], s.a.byKeyAt(keys[i]))
-	})
-	for i, k := range keys {
-		s.cache[k] = results[i]
-		if results[i].cyclic != nil {
+	for _, k := range s.a.refresh() {
+		if cyc := s.a.keyst[k].res.cyclic; cyc != nil {
 			kname := s.a.in.Key(k)
-			s.emit(d, "cvo|"+kname, cvoAnomaly(kname, results[i].cyclic))
+			s.emit(d, "cvo|"+kname, cvoAnomaly(kname, cyc))
 		}
 	}
 }
@@ -180,9 +143,9 @@ func (s *session) emit(d *workload.Delta, key string, an anomaly.Anomaly) {
 	d.Anomalies = append(d.Anomalies, an)
 }
 
-// Finish completes the stream: it refreshes the keys still pending
-// since the last scan, then runs the shared phase sequence over the
-// maintained indices and per-key caches.
+// Finish completes the stream by running the shared phase sequence over
+// the maintained state; it refreshes the keys touched since the last
+// scan first.
 func (s *session) Finish() (workload.Analysis, error) {
 	if s.done {
 		return workload.Analysis{}, workload.ErrSessionFinished
@@ -194,23 +157,11 @@ func (s *session) Finish() (workload.Analysis, error) {
 		return workload.Analysis{}, err
 	}
 	if s.rt != nil {
-		// Budgeted sessions retired per-key state along the way; the
-		// caches are windows, not the whole history. Rehydrate the stream
-		// and run the batch analyzer, at the documented O(history) finish
-		// cost.
+		// Budgeted sessions retired per-key state along the way; what is
+		// maintained is a window, not the whole history. Rehydrate the
+		// stream and run the batch analyzer, at the documented O(history)
+		// finish cost.
 		return Analyze(s.hs.History(), s.a.opts).workloadAnalysis(), nil
 	}
-	// The refresh's provisional findings are dropped: the phase sequence
-	// below reports the definitive set.
-	s.scan(&workload.Delta{})
-	keys := make([]history.KeyID, 0, len(s.keySet))
-	for k := range s.keySet {
-		keys = append(keys, k)
-	}
-	s.a.in.SortKeyIDs(keys)
-	perKey := make([]keyResult, len(keys))
-	for i, k := range keys {
-		perKey[i] = s.cache[k]
-	}
-	return s.a.finish(keys, perKey).workloadAnalysis(), nil
+	return s.a.finish(s.hs.History()).workloadAnalysis(), nil
 }

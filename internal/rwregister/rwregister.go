@@ -27,7 +27,6 @@ package rwregister
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/anomaly"
 	"repro/internal/explain"
@@ -39,7 +38,8 @@ import (
 	"repro/internal/workload"
 )
 
-// nilVer encodes the initial version in per-key version graphs.
+// nilVer stands for the initial version wherever versions are values:
+// it is the value of row 0 of every key's table, and sorts first.
 const nilVer = math.MinInt64
 
 // Analysis is the result of register dependency inference.
@@ -69,31 +69,20 @@ func (a *Analysis) VersionOrder(key string) [][2]string {
 	return a.VersionOrders[id]
 }
 
-type verKey struct {
-	key history.KeyID
-	val int
-}
-
+// analyzer carries the indices built over one history. Everything known
+// about a key — its value table, the transactions that touched it, its
+// inferred version order — lives in one keyState indexed by the history
+// interner's dense KeyID (see history.Interner), so the inference loops
+// hash small ints within one key, never (key, value) pairs.
 type analyzer struct {
 	opts workload.Opts
 	in   *history.Interner
 
-	ops          map[int]op.Op
-	oks          []op.Op
-	byKey        [][]op.Op // committed ops touching each key, in index order
-	spanOf       map[int][2]int
-	writer       map[verKey]int // recoverable committed/indeterminate writer
-	failedWriter map[verKey]int
-	writeCount   map[verKey]int
-	readers      map[verKey][]int // ok transactions that read (key, val)
-	anomalies    []anomaly.Anomaly
-
-	// failedIx indexes failed_write(key, value, writer) tuples — the
-	// build side of the relational G1a scan, which probes it in one
-	// lookup join over the whole history. It is constructed once
-	// (buildRelIndexes), after ingestion, and is immutable from then
-	// on.
-	failedIx *rel.Index
+	ops       map[int]op.Op // completion ops by index
+	oks       []op.Op
+	keyst     []*keyState     // per-key state by KeyID; nil for keys never written or read
+	stale     []history.KeyID // keys whose tables changed since their last inference
+	anomalies []anomaly.Anomaly
 
 	// windowed marks a memory-budgeted streaming session: oks is not
 	// accumulated (the budgeted Finish re-analyzes the rehydrated
@@ -104,28 +93,85 @@ type analyzer struct {
 // newAnalyzer returns an analyzer with empty indices over the given
 // interner (the history's in batch runs, the stream's in sessions).
 func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
-	return &analyzer{
-		opts:         opts,
-		in:           in,
-		ops:          map[int]op.Op{},
-		spanOf:       map[int][2]int{},
-		writer:       map[verKey]int{},
-		failedWriter: map[verKey]int{},
-		writeCount:   map[verKey]int{},
-		readers:      map[verKey][]int{},
-	}
+	return &analyzer{opts: opts, in: in, ops: map[int]op.Op{}}
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
 
-// byKeyAt reads the KeyID-indexed op grouping, which streaming sessions
-// grow on demand.
-func (a *analyzer) byKeyAt(k history.KeyID) []op.Op {
-	if int(k) < len(a.byKey) {
-		return a.byKey[k]
+// key returns k's state, creating it on first use.
+func (a *analyzer) key(k history.KeyID) *keyState {
+	a.keyst = history.GrowKeyed(a.keyst, k)
+	if a.keyst[k] == nil {
+		a.keyst[k] = &keyState{ix: map[int]int32{nilVer: 0}, tab: []verState{{val: nilVer}}}
+	}
+	return a.keyst[k]
+}
+
+// find returns the row for value v of key k, or nil if no completed op
+// wrote v to it or read v from it. The pointer is valid until the next
+// addOp.
+func (a *analyzer) find(k history.KeyID, v int) *verState {
+	if int(k) < len(a.keyst) && a.keyst[k] != nil {
+		if i, ok := a.keyst[k].ix[v]; ok {
+			return &a.keyst[k].tab[i]
+		}
 	}
 	return nil
+}
+
+// verState is one row of a key's value table: one version of the
+// register — the initial nil, or a value somebody wrote or read — with
+// who wrote it and who read it.
+type verState struct {
+	val     int
+	first   int   // op index of the first completed write, once writes > 0
+	writes  int32 // completed writes; exactly one keeps the version recoverable
+	failed  bool  // the first write aborted
+	crashed bool  // an invocation that never completed wrote it
+	readers []int // committed transactions that read it, ascending op index
+}
+
+// sole returns the op index of the version's only write when there is
+// exactly one and it aborted (failed) or did not (!failed): the
+// recoverable writer, tracked apart by outcome for G1a detection.
+func (vs *verState) sole(failed bool) (int, bool) {
+	return vs.first, vs.writes == 1 && vs.failed == failed
+}
+
+// keyOp is one committed transaction's footprint on a key: when it ran,
+// and the table rows of the first and last versions it touched (wrote,
+// or read with a known result). Its completion index is its op index.
+type keyOp struct {
+	index, process, invoke int
+	first, last            int32
+}
+
+// keyState is one key's inference state: its value table, the committed
+// transactions that touched it, and the version order inferred from the
+// two. Analyze builds it for every key at once; a streaming session
+// maintains it across feeds.
+type keyState struct {
+	ix  map[int]int32 // value -> row of tab
+	tab []verState    // row 0 is the initial nil version
+	ops []keyOp       // index order
+	// wfr holds the writes-follow-reads pairs: the version a transaction
+	// had last touched, then the one it wrote over it.
+	wfr [][2]int32
+
+	res   keyResult // inference over the above, current unless stale
+	stale bool
+}
+
+// row returns the index of v's row, adding it on first sight.
+func (ks *keyState) row(v int) int32 {
+	i, ok := ks.ix[v]
+	if !ok {
+		i = int32(len(ks.tab))
+		ks.ix[v] = i
+		ks.tab = append(ks.tab, verState{val: v})
+	}
+	return i
 }
 
 // Analyze infers dependencies and anomalies for a register history. Of
@@ -136,31 +182,45 @@ func (a *analyzer) byKeyAt(k history.KeyID) []op.Op {
 func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	a := newAnalyzer(opts, h.Keys())
 	for pos, o := range h.Ops {
-		if o.Type == op.Invoke {
-			continue
+		if o.Type != op.Invoke {
+			inv, _ := h.Span(pos)
+			a.addOp(o, inv)
 		}
-		inv, comp := h.Span(pos)
-		a.addOp(o, [2]int{inv, comp})
 	}
-	// Per-key version-graph inference — building, cycle-checking,
-	// reducing, and exploding each key's version order into transaction
-	// dependencies — is independent per key.
-	keys := a.keys()
-	return a.finish(keys, par.Map(opts.Parallelism, len(keys), func(i int) keyResult {
-		return a.analyzeKey(keys[i], a.byKeyAt(keys[i]))
-	}))
+	return a.finish(h)
 }
 
 // finish is the analysis's one phase sequence, shared by the batch
 // Analyze and the streaming session's Finish so the two agree by
-// construction: over the indices addOp built and the per-key inference
-// results (keys name-sorted, perKey parallel to it) it runs the
-// per-transaction checks, then merges per-key findings and edges in
-// key order, so the graph and anomaly list are identical at every
-// parallelism level.
-func (a *analyzer) finish(keys []history.KeyID, perKey []keyResult) *Analysis {
+// construction: over the per-key state addOp built it brings every
+// stale key's inference up to date, runs the per-transaction checks,
+// then merges per-key findings and edges in key-name order, so the
+// graph and anomaly list are identical at every parallelism level. The
+// per-key state is complete before the first per-transaction fan-out
+// and read-only from then on.
+func (a *analyzer) finish(h *history.History) *Analysis {
 	p := a.opts.Parallelism
-	a.anomalies = append(a.anomalies, a.duplicateWriteAnomalies()...)
+	a.refresh()
+	// A write whose invocation never completed may still have taken
+	// effect: reading it is not garbage. It gains no writer and no edge.
+	for _, o := range h.Crashed() {
+		for _, m := range o.Mops {
+			if m.F != op.FWrite {
+				continue
+			}
+			if vs := a.find(a.kid(m.Key), m.Arg); vs != nil {
+				vs.crashed = true
+			}
+		}
+	}
+	var keys []history.KeyID
+	for k, ks := range a.keyst {
+		if ks != nil {
+			keys = append(keys, history.KeyID(k))
+		}
+	}
+	a.in.SortKeyIDs(keys)
+	a.anomalies = append(a.anomalies, a.duplicateWriteAnomalies(keys)...)
 
 	// Per-transaction checks are independent per committed op; fan them
 	// out with ordered collection so the report order matches the
@@ -168,7 +228,6 @@ func (a *analyzer) finish(keys []history.KeyID, perKey []keyResult) *Analysis {
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
 		return a.internalAnomalies(a.oks[i])
 	}))
-	a.buildRelIndexes()
 	a.anomalies = append(a.anomalies, a.abortedReadAnomalies()...)
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
 		return a.readAnomalies(a.oks[i])
@@ -179,17 +238,32 @@ func (a *analyzer) finish(keys []history.KeyID, perKey []keyResult) *Analysis {
 		g.Ensure(o.Index)
 	}
 	orders := make([][][2]string, a.in.Len())
-	for i, k := range keys {
-		r := perKey[i]
+	for _, k := range keys {
+		r := a.keyst[k].res
 		if r.cyclic != nil {
-			a.report(cvoAnomaly(a.in.Key(k), r.cyclic))
+			a.anomalies = append(a.anomalies, cvoAnomaly(a.in.Key(k), r.cyclic))
 			continue
 		}
 		orders[k] = r.verEdges
 		g.AddEdges(r.edges)
 	}
-	a.emitWR(g)
+	a.emitWR(g, keys)
 	return &Analysis{Graph: g, Anomalies: a.anomalies, Keys: a.in, VersionOrders: orders, Ops: a.ops}
+}
+
+// refresh re-runs per-key inference — building, cycle-checking, reducing
+// and exploding the version order, independent per key — for every key
+// whose table changed since its last result, and returns those keys in
+// name order.
+func (a *analyzer) refresh() []history.KeyID {
+	keys := a.stale
+	a.stale = nil
+	a.in.SortKeyIDs(keys)
+	par.Do(a.opts.Parallelism, len(keys), func(i int) {
+		ks := a.keyst[keys[i]]
+		ks.res, ks.stale = a.analyzeKey(ks), false
+	})
+	return keys
 }
 
 // workloadAnalysis is the registry-facing view of an Analysis.
@@ -201,106 +275,88 @@ func (an *Analysis) workloadAnalysis() workload.Analysis {
 	}
 }
 
-// keyResult is one key's inference outcome: either a cyclic-version-order
-// witness, or the reduced version order plus the dependency edges it
-// implies.
-type keyResult struct {
-	cyclic   []int
-	verEdges [][2]string
-	edges    []graph.Edge
-}
-
-// analyzeKey runs the whole per-key pipeline for key k: build the version
-// graph from the enabled rules, reject it if cyclic, otherwise reduce it
-// and explode it into transaction dependencies. oks is the key's own
-// committed-op list (analyzer.byKey), maintained identically by the
-// batch ingestion loop and the streaming sessions; the rules filter by
-// key, so scanning only the ops that touch it changes nothing but cost.
-func (a *analyzer) analyzeKey(k history.KeyID, oks []op.Op) keyResult {
-	vg := a.versionGraph(k, oks)
-	if cyc := cyclicWitness(vg); cyc != nil {
-		return keyResult{cyclic: cyc}
-	}
-	reduce(vg)
-	verEdges, edges := a.emitEdges(k, vg, oks)
-	return keyResult{verEdges: verEdges, edges: edges}
-}
-
 func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 	a.anomalies = anomaly.AppendGroups(a.anomalies, groups)
 }
 
-// addOp indexes one completion op: the op and span maps, the per-value
-// write index with its recoverability transitions (first write claims
-// the writer slot, a second write evicts it), and the reader index.
-// Ops must be added in ascending index order.
-func (a *analyzer) addOp(o op.Op, span [2]int) {
+// addOp indexes one completion op: the op index every check reads, and
+// per touched key the value-table rows of its writes — with their
+// recoverability transitions: the first write of a value is its writer,
+// a second destroys recoverability — and of its committed reads, plus
+// the transaction's footprint on the key. Ops must be added in
+// ascending index order; invoke is the index of o's invocation.
+func (a *analyzer) addOp(o op.Op, invoke int) {
 	a.ops[o.Index] = o
-	a.spanOf[o.Index] = span
 	if o.Type == op.OK && !a.windowed {
 		a.oks = append(a.oks, o)
 	}
 	for _, m := range o.Mops {
-		k := a.in.Intern(m.Key)
-		if o.Type == op.OK {
-			// Group the op under each distinct key it touches, in index
-			// order — the per-key work lists analyzeKey scans. Ops arrive
-			// in ascending index order, so a trailing-element check
-			// dedupes repeated keys within one transaction.
-			a.byKey = history.GrowKeyed(a.byKey, k)
-			if n := len(a.byKey[k]); n == 0 || a.byKey[k][n-1].Index != o.Index {
-				a.byKey[k] = append(a.byKey[k], o)
-			}
+		write := m.F == op.FWrite
+		if !write && !(m.F == op.FRead && o.Type == op.OK && m.RegKnown) {
+			continue
 		}
+		k := a.kid(m.Key)
+		ks := a.key(k)
+		var row int32 // a nil read touches row 0
 		switch {
-		case m.F == op.FWrite:
-			vk := verKey{k, m.Arg}
-			a.writeCount[vk]++
-			switch a.writeCount[vk] {
-			case 1:
-				if o.Type == op.Fail {
-					a.failedWriter[vk] = o.Index
-				} else {
-					a.writer[vk] = o.Index
-				}
-			case 2:
-				delete(a.writer, vk)
-				delete(a.failedWriter, vk)
+		case write:
+			row = ks.row(m.Arg)
+			vs := &ks.tab[row]
+			if vs.writes++; vs.writes == 1 {
+				vs.first, vs.failed = o.Index, o.Type == op.Fail
 			}
-		case m.F == op.FRead && o.Type == op.OK && m.RegKnown && !m.RegNil:
-			vk := verKey{k, m.Reg}
-			a.readers[vk] = append(a.readers[vk], o.Index)
+		case !m.RegNil:
+			row = ks.row(m.Reg)
+		}
+		if !ks.stale {
+			ks.stale = true
+			a.stale = append(a.stale, k)
+		}
+		if o.Type != op.OK {
+			continue
+		}
+		// Ops arrive in ascending index order, so trailing-element checks
+		// dedupe a transaction's repeated reads and repeated keys.
+		if vs := &ks.tab[row]; !write && (len(vs.readers) == 0 || vs.readers[len(vs.readers)-1] != o.Index) {
+			vs.readers = append(vs.readers, o.Index)
+		}
+		if n := len(ks.ops); n > 0 && ks.ops[n-1].index == o.Index {
+			ko := &ks.ops[n-1]
+			if write && ko.last != row {
+				ks.wfr = append(ks.wfr, [2]int32{ko.last, row})
+			}
+			ko.last = row
+		} else {
+			ks.ops = append(ks.ops, keyOp{index: o.Index, process: o.Process, invoke: invoke, first: row, last: row})
 		}
 	}
 }
 
 // duplicateWriteAnomalies reports every value written more than once,
-// in sorted (key, value) order.
-func (a *analyzer) duplicateWriteAnomalies() []anomaly.Anomaly {
-	var vks []verKey
-	for vk, n := range a.writeCount {
-		if n > 1 {
-			vks = append(vks, vk)
-		}
-	}
-	sort.Slice(vks, func(i, j int) bool {
-		if vks[i].key != vks[j].key {
-			return a.in.Less(vks[i].key, vks[j].key)
-		}
-		return vks[i].val < vks[j].val
-	})
+// in (key name, value) order.
+func (a *analyzer) duplicateWriteAnomalies(keys []history.KeyID) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	for _, vk := range vks {
-		kname := a.in.Key(vk.key)
-		out = append(out, anomaly.Anomaly{
-			Type: anomaly.DuplicateAppends,
-			Key:  kname,
-			Explanation: fmt.Sprintf(
-				"value %d was written to key %s by %d transactions; writes must be unique for versions to be recoverable",
-				vk.val, kname, a.writeCount[vk]),
-		})
+	for _, k := range keys {
+		ks, kname := a.keyst[k], a.in.Key(k)
+		for _, row := range ks.res.order {
+			if vs := &ks.tab[row]; vs.writes > 1 {
+				out = append(out, dupAnomaly(kname, vs))
+			}
+		}
 	}
 	return out
+}
+
+// dupAnomaly renders one duplicate-write finding; the streaming session
+// uses the same rendering for mid-stream surfacing.
+func dupAnomaly(k string, vs *verState) anomaly.Anomaly {
+	return anomaly.Anomaly{
+		Type: anomaly.DuplicateAppends,
+		Key:  k,
+		Explanation: fmt.Sprintf(
+			"value %d was written to key %s by %d transactions; writes must be unique for versions to be recoverable",
+			vs.val, k, vs.writes),
+	}
 }
 
 // cvoAnomaly renders one cyclic-version-order finding; the streaming
@@ -315,24 +371,25 @@ func cvoAnomaly(k string, cyc []int) anomaly.Anomaly {
 	}
 }
 
-// buildRelIndexes prepares the immutable relational indexes the G1a
-// scan probes, once, after ingestion and before abortedReadAnomalies.
-func (a *analyzer) buildRelIndexes() {
-	a.failedIx = rel.BuildIndex(a.failedWrites(), "key", "value")
-}
-
 // failedWrites is the relation failed_write(key, value, writer): one
-// tuple per recoverable value whose only writer aborted. Build order
-// over the map is arbitrary, but every (key, value) bucket holds
-// exactly one tuple, so index probes are deterministic regardless.
+// tuple per recoverable value whose only writer aborted, in key-then-row
+// order — selected down to the values some transaction read, since no
+// other can join.
 func (a *analyzer) failedWrites() rel.Relation {
-	fw := a.failedWriter
 	return rel.NewRelation([]string{"key", "value", "writer"}, func(yield func(rel.Tuple) bool) {
 		t := make(rel.Tuple, 3)
-		for vk, w := range fw {
-			t[0], t[1], t[2] = rel.Int(int(vk.key)), rel.Int(vk.val), rel.Int(w)
-			if !yield(t) {
-				return
+		for k, ks := range a.keyst {
+			if ks == nil {
+				continue
+			}
+			for i := range ks.tab {
+				vs := &ks.tab[i]
+				if w, ok := vs.sole(true); ok && len(vs.readers) > 0 {
+					t[0], t[1], t[2] = rel.Int(k), rel.Int(vs.val), rel.Int(w)
+					if !yield(t) {
+						return
+					}
+				}
 			}
 		}
 	})
@@ -362,20 +419,19 @@ func (a *analyzer) allReadRegs() rel.Relation {
 
 // abortedReadAnomalies finds G1a — reads of values written by aborted
 // transactions — in one relational pass over the whole history:
-// read_reg(key, value, txn, mop) ⋈ the prebuilt failed_write(key,
-// value, writer) index, each joined row one aborted read. The lookup
-// join streams reads in transaction-then-program order, exactly the
-// order the old per-transaction scans merged to, so the report is
-// unchanged; evaluating the pipeline once instead of per transaction
-// keeps its setup cost off the hot path.
+// read_reg(key, value, txn, mop) ⋈ an index over failed_write(key,
+// value, writer), each joined row one aborted read. The lookup join
+// streams reads in transaction-then-program order, so that is the
+// report's order.
 func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
-	if a.failedIx.Len() == 0 {
+	failedIx := rel.BuildIndex(a.failedWrites(), "key", "value")
+	if failedIx.Len() == 0 {
 		// A lookup join against an empty failed_write index is empty
 		// by definition.
 		return nil
 	}
 	var out []anomaly.Anomaly
-	a.allReadRegs().LookupJoin(a.failedIx).Each(func(t rel.Tuple) bool {
+	a.allReadRegs().LookupJoin(failedIx).Each(func(t rel.Tuple) bool {
 		o := a.oks[t[2].Num()]
 		m := o.Mops[t[3].Num()]
 		out = append(out, g1aAnomaly(o, m.Key, m.Reg, a.ops[int(t[4].Num())]))
@@ -384,33 +440,35 @@ func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
 	return out
 }
 
-// readAnomalies detects garbage reads (values never written) and G1b
-// (intermediate values) in one committed transaction. Its sibling G1a
-// scan runs once for the whole history in abortedReadAnomalies; a
-// garbage-read value has no writer at all, failed or otherwise, so
-// that join cannot produce a G1a row for it, and the final report
-// survives the split because classification stable-sorts by
-// (severity, type), separating garbage reads, G1a, and G1b however
-// they interleave in the raw list.
+// readAnomalies detects garbage reads (values nobody wrote, crashed
+// clients included) and G1b (intermediate values) in one committed
+// transaction. Its sibling G1a scan runs once for the whole history in
+// abortedReadAnomalies; a garbage-read value has no writer at all,
+// failed or otherwise, so that join cannot produce a G1a row for it,
+// and the final report survives the split because classification
+// stable-sorts by (severity, type), separating garbage reads, G1a, and
+// G1b however they interleave in the raw list.
 func (a *analyzer) readAnomalies(o op.Op) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
 	for _, m := range o.Mops {
 		if m.F != op.FRead || !m.RegKnown || m.RegNil {
 			continue
 		}
-		vk := verKey{a.kid(m.Key), m.Reg}
-		if a.writeCount[vk] == 0 {
-			out = append(out, anomaly.Anomaly{
-				Type: anomaly.GarbageRead,
-				Ops:  []op.Op{o},
-				Key:  m.Key,
-				Explanation: fmt.Sprintf(
-					"%s read key %s = %d, but no transaction ever wrote %d to %s",
-					o.Name(), m.Key, m.Reg, m.Reg, m.Key),
-			})
+		vs := a.find(a.kid(m.Key), m.Reg)
+		if vs.writes == 0 {
+			if !vs.crashed {
+				out = append(out, anomaly.Anomaly{
+					Type: anomaly.GarbageRead,
+					Ops:  []op.Op{o},
+					Key:  m.Key,
+					Explanation: fmt.Sprintf(
+						"%s read key %s = %d, but no transaction ever wrote %d to %s",
+						o.Name(), m.Key, m.Reg, m.Reg, m.Key),
+				})
+			}
 			continue
 		}
-		if w, ok := a.writer[vk]; ok && w != o.Index {
+		if w, ok := vs.sole(false); ok && w != o.Index {
 			wo := a.ops[w]
 			if fin, has := finalWrite(wo, m.Key); has && fin != m.Reg {
 				out = append(out, anomaly.Anomaly{
@@ -432,19 +490,26 @@ func (a *analyzer) readAnomalies(o op.Op) []anomaly.Anomaly {
 // subsequent reads must return v until overwritten.
 func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	type state struct {
+	// What the transaction must believe about each key it has touched. A
+	// transaction touches a handful of keys: a small slice searched
+	// linearly.
+	type view struct {
+		key   string
 		known bool
 		nil_  bool
 		val   int
 	}
-	views := map[history.KeyID]*state{}
+	var buf [4]view
+	views := buf[:0]
 	for _, m := range o.Mops {
-		k := a.kid(m.Key)
-		s, ok := views[k]
-		if !ok {
-			s = &state{}
-			views[k] = s
+		i := 0
+		for i < len(views) && views[i].key != m.Key {
+			i++
 		}
+		if i == len(views) {
+			views = append(views, view{key: m.Key})
+		}
+		s := &views[i]
 		switch m.F {
 		case op.FWrite:
 			s.known, s.nil_, s.val = true, false, m.Arg

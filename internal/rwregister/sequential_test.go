@@ -2,6 +2,7 @@ package rwregister
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/anomaly"
@@ -88,20 +89,23 @@ func TestDefaultOptsEnableEverything(t *testing.T) {
 func TestReductionPreservesReachability(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 60; trial++ {
-		// Random DAG over n nodes: edges only from lower to higher ids.
+		// Random DAG over n nodes: edges only from lower to higher ids,
+		// in the pipeline's form (sorted, duplicate-free adjacency).
 		n := 2 + rng.Intn(8)
-		vg := map[int]map[int]bool{}
-		for i := 0; i < n; i++ {
-			vg[i] = map[int]bool{}
-		}
+		vg := make([][]int32, n)
 		for e := 0; e < rng.Intn(20); e++ {
 			a, b := rng.Intn(n), rng.Intn(n)
-			if a < b {
-				vg[a][b] = true
+			if a < b && !slices.Contains(vg[a], int32(b)) {
+				vg[a] = append(vg[a], int32(b))
+				slices.Sort(vg[a])
 			}
 		}
 		before := reachabilityMatrix(vg, n)
-		reduce(vg)
+		cyc, post := cyclicWitness(vg)
+		if cyc != nil || len(post) != n {
+			t.Fatalf("trial %d: a DAG searched as cycle %v, postorder %v", trial, cyc, post)
+		}
+		reduce(vg, post)
 		after := reachabilityMatrix(vg, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -113,10 +117,13 @@ func TestReductionPreservesReachability(t *testing.T) {
 		// And it must be minimal: removing any remaining edge changes
 		// reachability.
 		for u, outs := range vg {
-			for v := range outs {
-				delete(vg[u], v)
-				broken := !reachable(vg, u, v)
-				vg[u][v] = true
+			if !slices.IsSorted(outs) {
+				t.Fatalf("trial %d: reduction left %d's successors unsorted: %v", trial, u, outs)
+			}
+			for i, v := range outs {
+				vg[u] = slices.Delete(slices.Clone(outs), i, i+1)
+				broken := !reachable(vg, int32(u), v)
+				vg[u] = outs
 				if !broken {
 					t.Fatalf("trial %d: edge %d->%d survives but is redundant", trial, u, v)
 				}
@@ -125,15 +132,15 @@ func TestReductionPreservesReachability(t *testing.T) {
 	}
 }
 
-func reachabilityMatrix(vg map[int]map[int]bool, n int) [][]bool {
+func reachabilityMatrix(vg [][]int32, n int) [][]bool {
 	m := make([][]bool, n)
 	for i := 0; i < n; i++ {
 		m[i] = make([]bool, n)
-		stack := []int{i}
+		stack := []int32{int32(i)}
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for v := range vg[u] {
+			for _, v := range vg[u] {
 				if !m[i][v] {
 					m[i][v] = true
 					stack = append(stack, v)
@@ -144,13 +151,13 @@ func reachabilityMatrix(vg map[int]map[int]bool, n int) [][]bool {
 	return m
 }
 
-func reachable(vg map[int]map[int]bool, from, to int) bool {
-	seen := map[int]bool{from: true}
-	stack := []int{from}
+func reachable(vg [][]int32, from, to int32) bool {
+	seen := map[int32]bool{from: true}
+	stack := []int32{from}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for v := range vg[u] {
+		for _, v := range vg[u] {
 			if v == to {
 				return true
 			}

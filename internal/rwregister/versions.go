@@ -1,204 +1,125 @@
 package rwregister
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strconv"
 	"strings"
 
-	"repro/internal/anomaly"
 	"repro/internal/graph"
 	"repro/internal/history"
-	"repro/internal/op"
 )
 
-// versionGraph builds the per-key partial version order for key k from
-// the enabled inference rules. Nodes are written/observed values, with
-// nilVer standing in for the initial version.
-func (a *analyzer) versionGraph(k history.KeyID, oks []op.Op) map[int]map[int]bool {
-	vg := map[int]map[int]bool{}
-	addVer := func(v int) {
-		if vg[v] == nil {
-			vg[v] = map[int]bool{}
-		}
-	}
-	addEdge := func(u, v int) {
-		if u == v {
-			return
-		}
-		addVer(u)
-		addVer(v)
-		vg[u][v] = true
-	}
-	addVer(nilVer)
+// This file is the per-key pipeline. Inside it a version is its rank:
+// the position of its table row when the key's rows are sorted by
+// value, nil (row 0, value nilVer) first. Version graphs are sorted,
+// duplicate-free adjacency slices over ranks, so every walk in rank
+// order is a walk in the ascending value order the reports are pinned
+// to.
 
-	versions := a.versionsOf(k)
-	for _, v := range versions {
-		addVer(v)
-		if a.opts.InitialState {
-			addEdge(nilVer, v)
-		}
+// keyResult is one key's inference outcome: either a cyclic-version-order
+// witness, or the reduced version order plus the dependency edges it
+// implies.
+type keyResult struct {
+	order    []int32 // rank -> table row
+	cyclic   []int   // the witness's values
+	verEdges [][2]string
+	edges    []graph.Edge
+}
+
+// analyzeKey runs the whole per-key pipeline over ks: rank the versions,
+// build the version graph from the enabled rules, reject it if cyclic,
+// otherwise reduce it and explode it into transaction dependencies.
+func (a *analyzer) analyzeKey(ks *keyState) keyResult {
+	order := make([]int32, len(ks.tab))
+	for row := range order {
+		order[row] = int32(row)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(ks.tab[x].val, ks.tab[y].val) })
+	rank := make([]int32, len(order)) // table row -> rank
+	for r, row := range order {
+		rank[row] = int32(r)
 	}
 
+	vg := a.versionGraph(ks, rank)
+	cyc, post := cyclicWitness(vg)
+	if cyc != nil {
+		vals := make([]int, len(cyc))
+		for i, r := range cyc {
+			vals[i] = ks.tab[order[r]].val
+		}
+		return keyResult{order: order, cyclic: vals}
+	}
+	reduce(vg, post)
+	verEdges, edges := emitEdges(ks, order, vg)
+	return keyResult{order: order, verEdges: verEdges, edges: edges}
+}
+
+// versionGraph builds the key's partial version order from the enabled
+// inference rules. rank maps the table rows the rules speak of to the
+// graph's nodes.
+func (a *analyzer) versionGraph(ks *keyState, rank []int32) [][]int32 {
+	vg := make([][]int32, len(rank))
+	addEdge := func(u, v int32) {
+		if u != v {
+			vg[rank[u]] = append(vg[rank[u]], rank[v])
+		}
+	}
+	if a.opts.InitialState {
+		for row := range ks.tab {
+			addEdge(0, int32(row))
+		}
+	}
 	if a.opts.WritesFollowReads {
-		kname := a.in.Key(k)
-		for _, o := range oks {
-			cur, haveCur := nilVer, false
-			for _, m := range o.Mops {
-				if m.Key != kname {
-					continue
-				}
-				switch m.F {
-				case op.FRead:
-					if !m.RegKnown {
-						continue
-					}
-					if m.RegNil {
-						cur, haveCur = nilVer, true
-					} else {
-						cur, haveCur = m.Reg, true
-					}
-				case op.FWrite:
-					if haveCur {
-						addEdge(cur, m.Arg)
-					}
-					cur, haveCur = m.Arg, true
-				}
-			}
+		for _, e := range ks.wfr {
+			addEdge(e[0], e[1])
 		}
 	}
-
 	if a.opts.LinearizableKeys {
-		a.linearizableEdges(k, oks, addEdge)
+		linearizableEdges(ks.ops, addEdge)
 	}
 	if a.opts.SequentialKeys {
-		a.sequentialEdges(k, oks, addEdge)
+		sequentialEdges(ks.ops, addEdge)
+	}
+	for u := range vg {
+		slices.Sort(vg[u])
+		vg[u] = slices.Compact(vg[u])
 	}
 	return vg
 }
 
 // sequentialEdges infers vi <x vj whenever one committed process touched
-// key k at version vi in one transaction and at vj in a later one: the
+// the key at version vi in one transaction and at vj in a later one: the
 // session's view of a sequentially consistent key must be monotone.
-func (a *analyzer) sequentialEdges(k history.KeyID, oks []op.Op, addEdge func(u, v int)) {
-	kname := a.in.Key(k)
-	type touch struct {
-		process     int
-		index       int
-		first, last int
-		ok          bool
-	}
-	byProcess := map[int]touch{}
-	// oks is in index order, so per-process iteration follows the
+func sequentialEdges(ops []keyOp, addEdge func(u, v int32)) {
+	last := map[int]int32{} // process -> the last version its latest transaction touched
+	// ops is in index order, so per-process iteration follows the
 	// session order.
-	for _, o := range oks {
-		first, last, have := nilVer, nilVer, false
-		for _, m := range o.Mops {
-			if m.Key != kname {
-				continue
-			}
-			var v int
-			switch {
-			case m.F == op.FWrite:
-				v = m.Arg
-			case m.F == op.FRead && m.RegKnown && m.RegNil:
-				v = nilVer
-			case m.F == op.FRead && m.RegKnown:
-				v = m.Reg
-			default:
-				continue
-			}
-			if !have {
-				first, have = v, true
-			}
-			last = v
+	for _, o := range ops {
+		if prev, ok := last[o.process]; ok {
+			addEdge(prev, o.first)
 		}
-		if !have {
-			continue
-		}
-		if prev, ok := byProcess[o.Process]; ok && prev.ok {
-			addEdge(prev.last, first)
-		}
-		byProcess[o.Process] = touch{process: o.Process, index: o.Index, first: first, last: last, ok: true}
+		last[o.process] = o.last
 	}
-}
-
-// versionsOf lists every value observed or written for key k, in
-// ascending order, excluding nil.
-func (a *analyzer) versionsOf(k history.KeyID) []int {
-	set := map[int]bool{}
-	for vk := range a.writeCount {
-		if vk.key == k {
-			set[vk.val] = true
-		}
-	}
-	for vk := range a.readers {
-		if vk.key == k {
-			set[vk.val] = true
-		}
-	}
-	var out []int
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // linearizableEdges infers vi <x vj whenever a committed transaction A
-// finished touching k at version vi strictly before a committed
-// transaction B began and first touched k at version vj. The sweep
+// finished touching the key at version vi strictly before a committed
+// transaction B began and first touched it at version vj. The sweep
 // mirrors the real-time transitive reduction: it maintains the frontier
 // of completed transactions not yet transitively covered.
-func (a *analyzer) linearizableEdges(k history.KeyID, oks []op.Op, addEdge func(u, v int)) {
-	kname := a.in.Key(k)
-	type span struct {
-		invoke, complete int
-		first, last      int // versions; nilVer possible
-		hasFirst         bool
-	}
-	var spans []span
-	for _, o := range oks {
-		first, last, have := nilVer, nilVer, false
-		for _, m := range o.Mops {
-			if m.Key != kname {
-				continue
-			}
-			var v int
-			switch {
-			case m.F == op.FWrite:
-				v = m.Arg
-			case m.F == op.FRead && m.RegKnown && m.RegNil:
-				v = nilVer
-			case m.F == op.FRead && m.RegKnown:
-				v = m.Reg
-			default:
-				continue
-			}
-			if !have {
-				first, have = v, true
-			}
-			last = v
-		}
-		if !have {
-			continue
-		}
-		sp := a.spanOf[o.Index]
-		spans = append(spans, span{invoke: sp[0], complete: sp[1], first: first, last: last, hasFirst: true})
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].invoke < spans[j].invoke })
-	byComplete := make([]span, len(spans))
-	copy(byComplete, spans)
-	sort.Slice(byComplete, func(i, j int) bool { return byComplete[i].complete < byComplete[j].complete })
-
-	var frontier []span
-	ci := 0
-	for _, t := range spans {
-		for ci < len(byComplete) && byComplete[ci].complete < t.invoke {
-			c := byComplete[ci]
+func linearizableEdges(ops []keyOp, addEdge func(u, v int32)) {
+	byInvoke := slices.Clone(ops)
+	slices.SortFunc(byInvoke, func(x, y keyOp) int { return cmp.Compare(x.invoke, y.invoke) })
+	var frontier []keyOp
+	ci := 0 // ops itself is in completion order
+	for _, t := range byInvoke {
+		for ci < len(ops) && ops[ci].index < t.invoke {
+			c := ops[ci]
 			ci++
 			kept := frontier[:0]
 			for _, f := range frontier {
-				if f.complete >= c.invoke {
+				if f.index >= c.invoke {
 					kept = append(kept, f)
 				}
 			}
@@ -210,198 +131,147 @@ func (a *analyzer) linearizableEdges(k history.KeyID, oks []op.Op, addEdge func(
 	}
 }
 
-// cyclicWitness returns a cycle of versions if the version graph has one,
-// or nil if the graph is acyclic. Uses iterative DFS with colors.
-func cyclicWitness(vg map[int]map[int]bool) []int {
+// cyclicWitness searches the version graph depth-first, roots and
+// successors in ascending order. It returns the first cycle it meets, in
+// forward order, or — the graph being acyclic — every version in
+// postorder: each one after all its descendants.
+func cyclicWitness(vg [][]int32) (cycle, post []int32) {
 	const (
-		white = 0
-		gray  = 1
-		black = 2
+		white = iota
+		gray
+		black
 	)
-	color := map[int]int{}
-	parent := map[int]int{}
-	var nodes []int
-	for v := range vg {
-		nodes = append(nodes, v)
+	color := make([]uint8, len(vg))
+	parent := make([]int32, len(vg))
+	type frame struct {
+		v int32
+		i int
 	}
-	sort.Ints(nodes)
-
-	for _, root := range nodes {
+	var stack []frame
+	for root := range vg {
 		if color[root] != white {
 			continue
 		}
-		type frame struct {
-			v    int
-			next []int
-			i    int
-		}
-		stack := []frame{{v: root, next: sortedTargets(vg[root])}}
 		color[root] = gray
+		stack = append(stack, frame{v: int32(root)})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.i < len(f.next) {
-				w := f.next[f.i]
-				f.i++
-				switch color[w] {
-				case white:
-					color[w] = gray
-					parent[w] = f.v
-					stack = append(stack, frame{v: w, next: sortedTargets(vg[w])})
-				case gray:
-					// Found a back edge f.v -> w: reconstruct the cycle.
-					cyc := []int{w}
-					for at := f.v; at != w; at = parent[at] {
-						cyc = append(cyc, at)
-					}
-					// Reverse into forward order.
-					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
+			if f.i == len(vg[f.v]) {
+				color[f.v] = black
+				post = append(post, f.v)
+				stack = stack[:len(stack)-1]
 				continue
 			}
-			color[f.v] = black
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return nil
-}
-
-func sortedTargets(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// reduce removes transitively implied edges from an acyclic version graph
-// in place, so that direct edges mean "next version".
-func reduce(vg map[int]map[int]bool) {
-	for u, outs := range vg {
-		for v := range outs {
-			if reachableAvoiding(vg, u, v) {
-				delete(outs, v)
+			w := vg[f.v][f.i]
+			f.i++
+			switch color[w] {
+			case white:
+				color[w] = gray
+				parent[w] = f.v
+				stack = append(stack, frame{v: w})
+			case gray:
+				// Found a back edge f.v -> w: reconstruct the cycle.
+				cyc := []int32{w}
+				for at := f.v; at != w; at = parent[at] {
+					cyc = append(cyc, at)
+				}
+				slices.Reverse(cyc)
+				return cyc, nil
 			}
 		}
 	}
+	return nil, post
 }
 
-// reachableAvoiding reports whether v is reachable from u without using
-// the direct edge u->v.
-func reachableAvoiding(vg map[int]map[int]bool, u, v int) bool {
-	visited := map[int]bool{u: true}
-	stack := []int{}
-	for w := range vg[u] {
-		if w != v && !visited[w] {
-			visited[w] = true
-			stack = append(stack, w)
-		}
+// reduce removes transitively implied edges from an acyclic version
+// graph in place, so that direct edges mean "next version". post lists
+// the versions descendants-first; one pass in that order keeps a
+// descendant bitset per version, and u -> v is implied exactly when v
+// is already a descendant of u through a topologically earlier
+// successor.
+func reduce(vg [][]int32, post []int32) {
+	n := len(vg)
+	words := (n + 63) / 64
+	desc := make([]uint64, n*words)
+	at := make([]int32, n) // position in post; topologically earlier is higher
+	for i, v := range post {
+		at[v] = int32(i)
 	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x == v {
-			return true
-		}
-		for w := range vg[x] {
-			if !visited[w] {
-				visited[w] = true
-				stack = append(stack, w)
+	keep := make([]bool, n)
+	var succ []int32
+	for _, u := range post {
+		du := desc[int(u)*words:][:words]
+		succ = append(succ[:0], vg[u]...)
+		slices.SortFunc(succ, func(x, y int32) int { return cmp.Compare(at[y], at[x]) })
+		for _, v := range succ {
+			if du[v/64]&(1<<(v%64)) != 0 {
+				continue
+			}
+			keep[v] = true
+			du[v/64] |= 1 << (v % 64)
+			for i, w := range desc[int(v)*words:][:words] {
+				du[i] |= w
 			}
 		}
+		vg[u] = slices.DeleteFunc(vg[u], func(v int32) bool {
+			kept := keep[v]
+			keep[v] = false
+			return !kept
+		})
 	}
-	return false
 }
 
-// emitEdges explodes key k's reduced version order into ww and rw
+// emitEdges explodes the key's reduced version order into ww and rw
 // transaction dependencies, returning the direct version edges for
 // reporting alongside the dependency edges.
-func (a *analyzer) emitEdges(k history.KeyID, vg map[int]map[int]bool, oks []op.Op) ([][2]string, []graph.Edge) {
+func emitEdges(ks *keyState, order []int32, vg [][]int32) ([][2]string, []graph.Edge) {
 	var edges [][2]string
 	var deps []graph.Edge
-	for _, u := range sortedTargets(allNodes(vg)) {
-		for _, v := range sortedTargets(vg[u]) {
-			edges = append(edges, [2]string{verName(u), verName(v)})
+	for u, outs := range vg {
+		vu := &ks.tab[order[u]]
+		for _, v := range outs {
+			vv := &ks.tab[order[v]]
+			edges = append(edges, [2]string{verName(vu.val), verName(vv.val)})
+			wv, ok := vv.sole(false)
+			if !ok {
+				continue
+			}
 			// ww: writer of u installed the version v's writer replaced.
-			if u != nilVer {
-				if wu, ok := a.writer[verKey{k, u}]; ok {
-					if wv, ok := a.writer[verKey{k, v}]; ok {
-						deps = append(deps, graph.Edge{From: wu, To: wv, Kind: graph.WW})
-					}
-				}
+			if wu, ok := vu.sole(false); ok && u != 0 {
+				deps = append(deps, graph.Edge{From: wu, To: wv, Kind: graph.WW})
 			}
 			// rw: every reader of u anti-depends on the writer of its
 			// successor v.
-			if wv, ok := a.writer[verKey{k, v}]; ok {
-				for _, r := range a.readersOf(k, u, oks) {
-					deps = append(deps, graph.Edge{From: r, To: wv, Kind: graph.RW})
-				}
+			for _, r := range vu.readers {
+				deps = append(deps, graph.Edge{From: r, To: wv, Kind: graph.RW})
 			}
 		}
 	}
 	return edges, deps
 }
 
-// readersOf returns ok transactions that read version v of key k; v may
-// be nilVer.
-func (a *analyzer) readersOf(k history.KeyID, v int, oks []op.Op) []int {
-	if v != nilVer {
-		return a.readers[verKey{k, v}]
-	}
-	kname := a.in.Key(k)
-	var out []int
-	for _, o := range oks {
-		for _, m := range o.Mops {
-			if m.F == op.FRead && m.Key == kname && m.RegKnown && m.RegNil {
-				out = append(out, o.Index)
-				break
+// emitWR adds write-read dependencies, which need no version order: a
+// reader of value v depends on v's unique writer. Keys go in name
+// order, values ascending, readers in index order.
+func (a *analyzer) emitWR(g *graph.Graph, keys []history.KeyID) {
+	for _, k := range keys {
+		ks := a.keyst[k]
+		for _, row := range ks.res.order {
+			vs := &ks.tab[row]
+			if w, ok := vs.sole(false); ok {
+				for _, r := range vs.readers {
+					g.AddEdge(w, r, graph.WR)
+				}
 			}
 		}
 	}
-	sort.Ints(out)
-	return out
-}
-
-// emitWR adds write-read dependencies, which need no version order: a
-// reader of value v depends on v's unique writer.
-func (a *analyzer) emitWR(g *graph.Graph) {
-	var vks []verKey
-	for vk := range a.readers {
-		vks = append(vks, vk)
-	}
-	sort.Slice(vks, func(i, j int) bool {
-		if vks[i].key != vks[j].key {
-			return a.in.Less(vks[i].key, vks[j].key)
-		}
-		return vks[i].val < vks[j].val
-	})
-	for _, vk := range vks {
-		w, ok := a.writer[vk]
-		if !ok {
-			continue
-		}
-		for _, r := range a.readers[vk] {
-			g.AddEdge(w, r, graph.WR)
-		}
-	}
-}
-
-func allNodes(vg map[int]map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(vg))
-	for v := range vg {
-		out[v] = true
-	}
-	return out
 }
 
 func verName(v int) string {
 	if v == nilVer {
 		return "nil"
 	}
-	return fmt.Sprintf("%d", v)
+	return strconv.Itoa(v)
 }
 
 func formatVersionCycle(cyc []int) string {
@@ -411,31 +281,4 @@ func formatVersionCycle(cyc []int) string {
 	}
 	parts = append(parts, verName(cyc[0]))
 	return strings.Join(parts, " < ")
-}
-
-func (a *analyzer) keys() []history.KeyID {
-	seen := make([]bool, a.in.Len())
-	for vk := range a.writeCount {
-		seen[vk.key] = true
-	}
-	for vk := range a.readers {
-		seen[vk.key] = true
-	}
-	for k := range a.byKey {
-		if len(a.byKey[k]) > 0 {
-			seen[k] = true
-		}
-	}
-	var out []history.KeyID
-	for k, s := range seen {
-		if s {
-			out = append(out, history.KeyID(k))
-		}
-	}
-	a.in.SortKeyIDs(out)
-	return out
-}
-
-func (a *analyzer) report(an anomaly.Anomaly) {
-	a.anomalies = append(a.anomalies, an)
 }

@@ -60,11 +60,19 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		writer:       map[elemKey]int{},
 		failedWriter: map[elemKey]int{},
 		attempts:     map[elemKey]int{},
+		crashed:      map[elemKey]bool{},
 	}
 	for _, o := range h.Completions() {
 		a.ops[o.Index] = o
 		if o.Type == op.OK {
 			a.oks = append(a.oks, o)
+		}
+	}
+	for _, o := range h.Crashed() {
+		for _, m := range o.Mops {
+			if m.F == op.FAdd {
+				a.crashed[elemKey{a.kid(m.Key), m.Arg}] = true
+			}
 		}
 	}
 	a.indexAdds()
@@ -83,6 +91,7 @@ type analyzer struct {
 	writer       map[elemKey]int
 	failedWriter map[elemKey]int
 	attempts     map[elemKey]int
+	crashed      map[elemKey]bool // adds of invocations that never completed: not garbage when read, but nobody's writer
 	anomalies    []anomaly.Anomaly
 }
 
@@ -251,7 +260,7 @@ func (a *analyzer) buildGraph() *graph.Graph {
 				}
 				w, ok := a.writer[ek]
 				if !ok {
-					if a.attempts[ek] == 0 {
+					if a.attempts[ek] == 0 && !a.crashed[ek] {
 						r.anoms = append(r.anoms, anomaly.Anomaly{
 							Type: anomaly.GarbageRead,
 							Ops:  []op.Op{o},

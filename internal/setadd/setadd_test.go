@@ -146,3 +146,24 @@ func TestFailedReadersIgnored(t *testing.T) {
 		t.Error("aborted reader should have no edges")
 	}
 }
+
+// TestCrashedClientAddIsNotGarbage: an add whose invocation never
+// completed (a crashed client, or the tail of a log still being
+// written) may have taken effect, so reading its element is not
+// garbage. The crashed add is nobody's writer: it seeds no edge and no
+// duplicate count, and an element nobody even attempted stays garbage.
+func TestCrashedClientAddIsNotGarbage(t *testing.T) {
+	h := history.MustNew([]op.Op{
+		{Index: 0, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Add("x", 1)}},
+		{Index: 1, Process: 1, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
+		{Index: 2, Process: 1, Type: op.OK, Mops: []op.Mop{op.ReadList("x", []int{1, 2})}},
+	})
+	a := Analyze(h, workload.Opts{})
+	if len(a.Anomalies) != 1 || a.Anomalies[0].Type != anomaly.GarbageRead ||
+		a.Anomalies[0].Explanation != "T2 read set x containing element 2, which no transaction ever added" {
+		t.Fatalf("want one garbage read, of element 2 only: %v", a.Anomalies)
+	}
+	if n := a.Graph.NumEdges(); n != 0 {
+		t.Fatalf("a crashed add seeded %d edges", n)
+	}
+}
