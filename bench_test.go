@@ -276,7 +276,8 @@ func figure2History() *history.History {
 
 // BenchmarkAblationWorkloads compares the cost of dependency inference
 // per workload type on equal-size histories: list-append (traceable,
-// full inference) vs registers (partial version orders).
+// full inference) vs registers (partial version orders) vs sets
+// (recoverable but order-free: wr and rw edges only).
 func BenchmarkAblationWorkloads(b *testing.B) {
 	const n, c = 5000, 10
 	b.Run("list-append", func(b *testing.B) {
@@ -298,6 +299,18 @@ func BenchmarkAblationWorkloads(b *testing.B) {
 			Source: g, Seed: 1, Register: true,
 		})
 		opts := core.OptsFor(core.Register, consistency.StrictSerializable)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			core.Check(h, opts)
+		}
+	})
+	b.Run("set-add", func(b *testing.B) {
+		g := gen.New(gen.Config{Workload: gen.Set, ActiveKeys: 20, MaxWritesPerKey: 100}, 1)
+		h := memdb.Run(memdb.RunConfig{
+			Clients: c, Txns: n, Isolation: memdb.StrictSerializable,
+			Source: g, Seed: 1, Workload: memdb.WorkloadSet,
+		})
+		opts := core.OptsFor(core.SetAdd, consistency.StrictSerializable)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			core.Check(h, opts)

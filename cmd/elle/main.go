@@ -365,7 +365,7 @@ func runFollow(in io.Reader, fromFile bool, idle time.Duration, info workload.In
 		return 2
 	}
 	fmt.Fprintf(out.stderr, "elle: stream complete: %d ops\n", st.Ops())
-	if rs, ok := st.RetireStats(); ok && rs.Stream.RetiredOps > 0 {
+	if rs := st.RetireStats(); rs.Stream.RetiredOps > 0 {
 		fmt.Fprintf(out.stderr,
 			"elle: memory budget: %d ops resident, %d retired in %d segments (%d bytes encoded, %d spilled)\n",
 			rs.Stream.ResidentOps, rs.Stream.RetiredOps, rs.Stream.Segments,

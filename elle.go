@@ -174,11 +174,11 @@ type (
 
 // CheckStream begins an incremental check: the streaming counterpart of
 // Check, for histories that are still being produced — a live test run,
-// a tailed log — or too large to hold before analyzing. Workloads with
-// native incremental analyzers (list-append, rw-register) maintain
-// per-key version orders and dependency edges across feeds and surface
-// anomalies as chunks prove them; every other workload streams through
-// a buffer-then-batch adapter and reports everything at Finish.
+// a tailed log — or too large to hold before analyzing. Workloads
+// registered with streaming hooks (list-append, rw-register, set-add)
+// maintain their per-key inference state across feeds and surface
+// anomalies as chunks prove them; every other workload is validated and
+// buffered as it streams and reports everything at Finish.
 func CheckStream(opts CheckOpts) *Stream { return core.CheckStream(opts) }
 
 // OptsFor returns the options the paper's methodology implies for

@@ -11,10 +11,10 @@ import (
 // Stream is an in-progress incremental check: a history is fed in
 // chunks, in ascending index order, and anomalies surface as they
 // become provable instead of only after the run ends. Feed validates
-// each chunk, routes it to the workload's streaming session (native
-// incremental for analyzers that implement workload.Incremental,
-// buffer-then-batch otherwise), and returns the chunk's Delta of
-// provisional findings. Finish completes the stream and produces the
+// each chunk, routes it to the workload's streaming session (natively
+// incremental for workloads registered with workload.Hooks, buffering
+// for Finish otherwise), and returns the chunk's Delta of provisional
+// findings. Finish completes the stream and produces the
 // definitive CheckResult — byte-identical to core.Check over the
 // concatenation of every chunk, at every Parallelism setting.
 //
@@ -24,7 +24,7 @@ import (
 // does.
 type Stream struct {
 	opts Opts
-	sess workload.Session
+	sess *workload.Session
 	h    *history.History
 	ops  int
 	done bool
@@ -89,15 +89,9 @@ func (s *Stream) Finish() (*CheckResult, error) {
 // result.
 func (s *Stream) History() *history.History { return s.h }
 
-// RetireStats reports the session's resident/retired memory counters.
-// The second result is false when the session does not track retirement
-// (a workload session predating memory budgets).
-func (s *Stream) RetireStats() (workload.RetireStats, bool) {
-	if r, ok := s.sess.(workload.Retirer); ok {
-		return r.RetireStats(), true
-	}
-	return workload.RetireStats{}, false
-}
+// RetireStats reports the session's resident/retired memory counters;
+// nothing retires unless Opts.MemoryBudget is set.
+func (s *Stream) RetireStats() workload.RetireStats { return s.sess.RetireStats() }
 
 // Ops returns the number of completion ops ingested so far.
 func (s *Stream) Ops() int { return s.ops }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/anomaly"
@@ -15,10 +16,9 @@ import (
 
 // The streaming checker's contract is that Finish is byte-identical to
 // the batch Check over the concatenation of every chunk — for every
-// registered workload (native incremental sessions and the
-// buffer-then-batch adapter alike), at every chunk size, at every
-// parallelism level. Mid-stream deltas are provisional findings whose
-// type must be confirmed by the final report.
+// registered workload (with streaming hooks or finishing in batch), at
+// every chunk size, at every parallelism level. Mid-stream deltas are
+// provisional findings whose type must be confirmed by the final report.
 
 // genHistory builds the same seeded history the parallelism tests use.
 func genHistory(t *testing.T, w Workload, iso memdb.Isolation, f memdb.Faults, seed int64, txns int) *history.History {
@@ -154,7 +154,8 @@ func confirmed(final map[anomaly.Type]bool, tp anomaly.Type) bool {
 // feeds) must equal the batch check of an empty history.
 func TestStreamEmptyHistory(t *testing.T) {
 	h := history.MustNew(nil)
-	for _, w := range []Workload{ListAppend, Register, SetAdd, Counter, Bank} {
+	for _, info := range workload.All() {
+		w := Workload(info.Name)
 		opts := OptsFor(w, consistency.StrictSerializable)
 		want := renderFull(Check(h, opts))
 
@@ -322,15 +323,17 @@ func findType(res *CheckResult, tp anomaly.Type) anomaly.Anomaly {
 	return anomaly.Anomaly{}
 }
 
-// TestStreamAdapterFallback: workloads without a native session stream
-// through the buffer-then-batch adapter — empty deltas, batch-identical
-// finish.
+// TestStreamAdapterFallback: the workloads registered without streaming
+// hooks — exactly counter, bank and katomic — finish in batch: empty
+// deltas, batch-identical finish.
 func TestStreamAdapterFallback(t *testing.T) {
-	for _, w := range []Workload{SetAdd, Counter, Bank} {
-		info, _ := workload.Lookup(string(w))
+	var hookless []string
+	for _, info := range workload.All() {
 		if info.Incremental != nil {
-			t.Fatalf("%s unexpectedly registered a native session; this test covers the adapter", w)
+			continue
 		}
+		w := Workload(info.Name)
+		hookless = append(hookless, string(w))
 		h := genHistory(t, w, memdb.ReadUncommitted, memdb.Faults{}, 3, 200)
 		opts := OptsFor(w, consistency.StrictSerializable)
 		want := renderFull(Check(h, opts))
@@ -346,6 +349,9 @@ func TestStreamAdapterFallback(t *testing.T) {
 		if deltas[len(deltas)-1].Ops != len(h.Completions()) {
 			t.Fatalf("%s: final delta op count %d != %d", w, deltas[len(deltas)-1].Ops, len(h.Completions()))
 		}
+	}
+	if want := []string{"bank", "counter", "katomic"}; !reflect.DeepEqual(hookless, want) {
+		t.Fatalf("workloads registered to finish in batch: %v, want %v", hookless, want)
 	}
 }
 
@@ -373,7 +379,7 @@ func TestStreamMisuse(t *testing.T) {
 }
 
 // TestStreamFinishAfterFailedFeed: once a chunk is rejected, Finish
-// must refuse too — for every session kind — rather than bless the
+// must refuse too — for every workload — rather than bless the
 // accepted prefix as a definitive verdict the batch validator would
 // never issue. The rejected op must also not leak into the history.
 func TestStreamFinishAfterFailedFeed(t *testing.T) {
@@ -381,7 +387,8 @@ func TestStreamFinishAfterFailedFeed(t *testing.T) {
 		{Index: 0, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
 		{Index: 1, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}}, // double invocation
 	}
-	for _, w := range []Workload{ListAppend, Register, Bank} { // native ×2 + adapter
+	for _, info := range workload.All() { // with hooks and without
+		w := Workload(info.Name)
 		st := CheckStream(OptsFor(w, consistency.Serializable))
 		if _, err := st.Feed(bad); err == nil {
 			t.Fatalf("%s: malformed feed should fail", w)

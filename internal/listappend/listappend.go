@@ -71,9 +71,10 @@ func (a *Analysis) VersionOrder(key string) []int {
 // keyRead is one committed read of a known list value, filed under its
 // key in op order.
 type keyRead struct {
-	o    op.Op
-	list []int
-	dup  bool // the value repeats an element: it contributes no version order
+	o      op.Op
+	invoke int // index of o's invocation
+	list   []int
+	dup    bool // the value repeats an element: it contributes no version order
 }
 
 // analyzer carries the indices built over one history. Everything known
@@ -87,16 +88,9 @@ type analyzer struct {
 	in   *history.Interner
 
 	ops       map[int]op.Op // completion ops by index
-	oks       []op.Op
-	spanOf    map[int][2]int // op index -> [invoke index, complete index]
-	keyst     []*keyState    // per-key state by KeyID; nil for keys never appended to or read
+	oks       []op.Op       // committed ops, once finish has the whole history
+	keyst     []*keyState   // per-key state by KeyID; nil for keys never appended to or read
 	anomalies []anomaly.Anomaly
-
-	// windowed marks a memory-budgeted streaming session: oks is not
-	// accumulated (it would grow with the history, and the budgeted
-	// Finish re-analyzes the rehydrated history from scratch instead of
-	// reading it).
-	windowed bool
 }
 
 // newAnalyzer returns an analyzer with empty indices over the given
@@ -104,7 +98,7 @@ type analyzer struct {
 // history itself is attached by Analyze (batch) or at Finish (streaming
 // sessions).
 func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
-	return &analyzer{opts: opts, in: in, ops: map[int]op.Op{}, spanOf: map[int][2]int{}}
+	return &analyzer{opts: opts, in: in, ops: map[int]op.Op{}}
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
@@ -151,6 +145,7 @@ type keyState struct {
 	dups map[int][]int // every attempt on an element appended more than once
 
 	reads   []keyRead
+	folded  int     // reads a streaming session has folded into the trace so far
 	longest keyRead // the trace; longest.list is nil until a clean read exists
 
 	// Per trace position, rebuilt by index from the element table: the
@@ -307,18 +302,9 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	a := newAnalyzer(opts, h.Keys())
 	a.h = h
 	for pos, o := range h.Ops {
-		if o.Type == op.Invoke {
-			continue
-		}
-		inv, comp := h.Span(pos)
-		a.addOp(o, [2]int{inv, comp})
-		if o.Type != op.OK {
-			continue
-		}
-		for _, m := range o.Mops {
-			if m.ListKnown() {
-				a.addRead(o, m)
-			}
+		if o.Type != op.Invoke {
+			inv, _ := h.Span(pos)
+			a.addOp(o, inv)
 		}
 	}
 	// Per-key inference: each key's reads fold into its trace, the
@@ -330,6 +316,11 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 			}
 		}
 	})
+	return a.finish()
+}
+
+// tracedKeys names the keys with a trace, in name order.
+func (a *analyzer) tracedKeys() []history.KeyID {
 	var keys []history.KeyID
 	for k, ks := range a.keyst {
 		if ks != nil && ks.longest.list != nil {
@@ -337,20 +328,20 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		}
 	}
 	a.in.SortKeyIDs(keys)
-	return a.finish(keys)
+	return keys
 }
 
 // finish is the analysis's one phase sequence, shared by the batch
 // Analyze and the streaming session's Finish so the two agree by
-// construction: over the per-key state addOp and observe built (keys
-// names the keys with a trace, name-sorted) it derives each key's
-// per-position facts and dependency edges, runs the per-transaction
-// checks, merges per-key findings and edges in key order, and ends with
-// the checks that need the final write indices and version orders. The
-// per-key state is complete before the first per-transaction fan-out
-// and immutable from then on.
-func (a *analyzer) finish(keys []history.KeyID) *Analysis {
-	p := a.opts.Parallelism
+// construction: over the per-key state addOp and observe built it derives
+// each traced key's per-position facts and dependency edges, runs the
+// per-transaction checks, merges per-key findings and edges in key-name
+// order, and ends with the checks that need the final write indices and
+// version orders. The per-key state is complete before the first
+// per-transaction fan-out and immutable from then on.
+func (a *analyzer) finish() *Analysis {
+	p, keys := a.opts.Parallelism, a.tracedKeys()
+	a.oks = a.h.OKs()
 	a.markCrashed()
 	par.Do(p, len(keys), func(i int) {
 		ks := a.keyst[keys[i]]
@@ -382,7 +373,7 @@ func (a *analyzer) finish(keys []history.KeyID) *Analysis {
 		g.AddEdges(a.keyst[k].edges)
 	}
 
-	a.finishAnomalies(keys, orders)
+	a.finishAnomalies(keys)
 	return &Analysis{
 		Graph:         g,
 		Anomalies:     a.anomalies,
@@ -403,7 +394,7 @@ func (an *Analysis) workloadAnalysis() workload.Analysis {
 
 // finishAnomalies runs the checks that need the final write indices and
 // version orders: G1a/G1b, dirty updates, lost updates.
-func (a *analyzer) finishAnomalies(keys []history.KeyID, orders [][]int) {
+func (a *analyzer) finishAnomalies(keys []history.KeyID) {
 	p := a.opts.Parallelism
 	a.anomalies = append(a.anomalies, a.abortedReadAnomalies()...)
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
@@ -413,7 +404,7 @@ func (a *analyzer) finishAnomalies(keys []history.KeyID, orders [][]int) {
 		return a.dirtyUpdateAnomalies(keys[i])
 	}))
 	if a.opts.DetectLostUpdates {
-		a.checkLostUpdates(orders)
+		a.checkLostUpdates(keys)
 	}
 }
 
@@ -421,18 +412,19 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 	a.anomalies = anomaly.AppendGroups(a.anomalies, groups)
 }
 
-// addOp indexes one completion op: the op and span indices every check
-// reads, and each appended element's row in its key's table with its
-// recoverability transitions — the first attempt on an element is its
-// writer, a second destroys recoverability (§4.2.3). Ops must be added
-// in ascending index order.
-func (a *analyzer) addOp(o op.Op, span [2]int) {
+// addOp indexes one completion op: the op index every check reads, each
+// committed read of a known list value filed under its key, and each
+// appended element's row in its key's table with its recoverability
+// transitions — the first attempt on an element is its writer, a second
+// destroys recoverability (§4.2.3). Ops must be added in ascending index
+// order; invoke is the index of o's invocation.
+func (a *analyzer) addOp(o op.Op, invoke int) {
 	a.ops[o.Index] = o
-	a.spanOf[o.Index] = span
-	if o.Type == op.OK && !a.windowed {
-		a.oks = append(a.oks, o)
-	}
 	for _, m := range o.Mops {
+		if o.Type == op.OK && m.ListKnown() {
+			ks := a.key(a.kid(m.Key))
+			ks.reads = append(ks.reads, keyRead{o: o, invoke: invoke, list: m.List})
+		}
 		if m.F != op.FAppend {
 			continue
 		}
@@ -451,13 +443,6 @@ func (a *analyzer) addOp(o op.Op, span [2]int) {
 		}
 		ks.dups[m.Arg] = append(ks.dups[m.Arg], o.Index)
 	}
-}
-
-// addRead files one committed read of a known list value under its key.
-func (a *analyzer) addRead(o op.Op, m op.Mop) (*keyState, *keyRead) {
-	ks := a.key(a.kid(m.Key))
-	ks.reads = append(ks.reads, keyRead{o: o, list: m.List})
-	return ks, &ks.reads[len(ks.reads)-1]
 }
 
 // markCrashed records the appends of invocations that never completed.
@@ -767,82 +752,50 @@ func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID) []anomaly.Anomaly {
 // appends, σ-filtered to those that completed before the long read was
 // invoked, anti-joined (▷) against the elements the read observed —
 // every surviving append is a lost update.
-func (a *analyzer) checkLostUpdates(orders [][]int) {
-	// Locate the longest read op per key (the one whose value is the
-	// version order) and its invocation index. Both indices are dense
-	// KeyID-indexed slices: by the time this runs (batch Analyze or a
-	// session's Finish) the interner is complete.
-	type longRead struct {
-		o      op.Op
-		invoke int
-		elems  []int
-		ok     bool
-	}
-	longReads := make([]longRead, a.in.Len())
-	for _, o := range a.oks {
-		for _, m := range o.Mops {
-			if !m.ListKnown() {
-				continue
-			}
-			k := a.kid(m.Key)
-			elems := orders[k]
-			if elems == nil || len(m.List) != len(elems) || !op.IsPrefix(m.List, elems) {
-				continue
-			}
-			if longReads[k].ok {
-				continue
-			}
-			longReads[k] = longRead{o: o, invoke: a.spanOf[o.Index][0], elems: elems, ok: true}
-		}
-	}
+func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 	// Index committed appends by key once; scanning all transactions per
-	// key would make this check quadratic in history length.
+	// key would make this check quadratic in history length. The index is
+	// a dense KeyID-indexed slice: by the time this runs (batch Analyze or
+	// a session's Finish) the interner is complete.
 	type keyAppend struct {
-		o         op.Op
-		elem      int
-		completed int
+		o    op.Op
+		elem int
 	}
 	appendsByKey := make([][]keyAppend, a.in.Len())
 	for _, w := range a.oks {
 		for _, m := range w.Mops {
 			if m.F == op.FAppend {
 				k := a.kid(m.Key)
-				appendsByKey[k] = append(appendsByKey[k],
-					keyAppend{o: w, elem: m.Arg, completed: a.spanOf[w.Index][1]})
+				appendsByKey[k] = append(appendsByKey[k], keyAppend{o: w, elem: m.Arg})
 			}
 		}
 	}
-	var keys []history.KeyID
-	for k := range longReads {
-		if longReads[k].ok {
-			keys = append(keys, history.KeyID(k))
-		}
-	}
-	a.in.SortKeyIDs(keys)
 	a.collect(par.Map(a.opts.Parallelism, len(keys), func(i int) []anomaly.Anomaly {
 		k := keys[i]
 		kname := a.in.Key(k)
-		lr := longReads[k]
+		// The long read is the trace: the key's first read of its version
+		// order's full length.
+		lr := a.keyst[k].longest
 		kas := appendsByKey[k]
 
 		// observed(elem): the elements of the long read's value.
 		observedIx := rel.BuildIndex(rel.NewRelation([]string{"elem"},
 			func(yield func(rel.Tuple) bool) {
 				t := make(rel.Tuple, 1)
-				for _, e := range lr.elems {
+				for _, e := range lr.list {
 					t[0] = rel.Int(e)
 					if !yield(t) {
 						return
 					}
 				}
 			}), "elem")
-		// committed_append(pos, elem, completed, txn) for this key, in
-		// completion order.
-		appends := rel.NewRelation([]string{"pos", "elem", "completed", "txn"},
+		// committed_append(pos, elem, txn) for this key, in completion
+		// order; a transaction completes at its own index.
+		appends := rel.NewRelation([]string{"pos", "elem", "txn"},
 			func(yield func(rel.Tuple) bool) {
-				t := make(rel.Tuple, 4)
+				t := make(rel.Tuple, 3)
 				for pos, ka := range kas {
-					t[0], t[1], t[2], t[3] = rel.Int(pos), rel.Int(ka.elem), rel.Int(ka.completed), rel.Int(ka.o.Index)
+					t[0], t[1], t[2] = rel.Int(pos), rel.Int(ka.elem), rel.Int(ka.o.Index)
 					if !yield(t) {
 						return
 					}
@@ -851,9 +804,7 @@ func (a *analyzer) checkLostUpdates(orders [][]int) {
 
 		var out []anomaly.Anomaly
 		appends.
-			Select(func(t rel.Tuple) bool {
-				return int(t[3].Num()) != lr.o.Index && int(t[2].Num()) < lr.invoke
-			}).
+			Select(func(t rel.Tuple) bool { return int(t[2].Num()) < lr.invoke }).
 			AntiJoin(observedIx).
 			Each(func(t rel.Tuple) bool {
 				ka := kas[t[0].Num()]

@@ -13,7 +13,7 @@ func init() {
 		Aliases:     []string{"list"},
 		Gen:         gen.ListAppend,
 		DB:          memdb.WorkloadList,
-		Incremental: workload.IncrementalFunc(beginSession),
+		Incremental: begin,
 		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
 			return Analyze(h, opts).workloadAnalysis()
 		}),

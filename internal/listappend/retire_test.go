@@ -33,7 +33,7 @@ func TestBudgetedSessionDropsSettledCycles(t *testing.T) {
 		skews = append(skews, [2]int{a, b})
 		// Filler up to the next scan point: writer/reader pairs on fresh
 		// keys, so the graph keeps gaining wr-linked nodes to drop.
-		for i := 0; len(ops) < (round+1)*scanEvery; i++ {
+		for i := 0; len(ops) < (round+1)*workload.ScanEvery; i++ {
 			f := fmt.Sprintf("f%d.%d", round, i/2)
 			if i%2 == 0 {
 				txn(op.Append(f, 1))
@@ -44,17 +44,25 @@ func TestBudgetedSessionDropsSettledCycles(t *testing.T) {
 	}
 
 	opts := workload.Opts{Parallelism: 1, MemoryBudget: window}
-	s := beginSession(opts).(*session)
+	// The session under test is the registered one; the test keeps a
+	// handle on its hooks to inspect the state they maintain.
+	info, _ := workload.Lookup(string(workload.ListAppend))
+	var st *stream
+	info.Incremental = func(opts workload.Opts, keys *history.Interner) workload.Hooks {
+		st = begin(opts, keys).(*stream)
+		return st
+	}
+	s := workload.BeginSession(info, opts)
 	for _, o := range ops {
 		d, err := s.Feed([]op.Op{o})
 		if err != nil {
 			t.Fatalf("feed %d: %v", o.Index, err)
 		}
-		if (o.Index+1)%scanEvery != 0 {
+		if (o.Index+1)%workload.ScanEvery != 0 {
 			continue
 		}
 		// This feed scanned, then swept.
-		skew := skews[o.Index/scanEvery]
+		skew := skews[o.Index/workload.ScanEvery]
 		surfaced := false
 		for _, an := range d.Anomalies {
 			if nodes := an.Cycle.Nodes(); len(nodes) == 2 &&
@@ -65,18 +73,18 @@ func TestBudgetedSessionDropsSettledCycles(t *testing.T) {
 		if !surfaced {
 			t.Fatalf("scan at op %d did not surface the T%d/T%d cycle: %v", o.Index, skew[0], skew[1], d.Anomalies)
 		}
-		g := s.incr.Graph()
+		g := st.incr.Graph()
 		if g.HasNode(skew[0]) || g.HasNode(skew[1]) {
 			t.Fatalf("sweep at op %d kept the settled cycle's nodes", o.Index)
 		}
 		for _, n := range g.Nodes() {
-			if !s.rt.LiveOp(n) {
+			if _, pinned := st.a.ops[n]; !pinned {
 				t.Fatalf("sweep at op %d kept node %d, which no live key pins", o.Index, n)
 			}
 		}
-		if n := g.NumNodes(); n == 0 || n > len(s.a.ops) || n > 2*window {
+		if n := g.NumNodes(); n == 0 || n > len(st.a.ops) || n > 2*window {
 			t.Fatalf("after the sweep at op %d the graph holds %d nodes; %d ops are pinned, window %d",
-				o.Index, n, len(s.a.ops), window)
+				o.Index, n, len(st.a.ops), window)
 		}
 	}
 	if st := s.RetireStats(); st.RetiredKeys == 0 || st.Stream.RetiredOps == 0 {

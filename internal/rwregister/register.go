@@ -14,7 +14,7 @@ func init() {
 		RegisterReads: true,
 		Gen:           gen.Register,
 		DB:            memdb.WorkloadRegister,
-		Incremental:   workload.IncrementalFunc(beginSession),
+		Incremental:   begin,
 		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
 			return Analyze(h, opts).workloadAnalysis()
 		}),

@@ -25,7 +25,7 @@ func TestBudgetedSessionRetiresQuiescentKeys(t *testing.T) {
 	}
 	txn(op.OK, op.Write("x", 1))
 	txn(op.OK, op.ReadReg("x", 1))
-	for len(ops) < scanEvery {
+	for len(ops) < workload.ScanEvery {
 		txn(op.OK, op.Write(fmt.Sprintf("f%d", len(ops)), 1))
 	}
 	txn(op.Fail, op.Write("x", 7))
@@ -33,7 +33,16 @@ func TestBudgetedSessionRetiresQuiescentKeys(t *testing.T) {
 	txn(op.OK, op.ReadReg("x", 7))
 
 	opts := workload.Opts{Parallelism: 1, InitialState: true, MemoryBudget: window}
-	s := beginSession(opts).(*session)
+	// The session under test is the registered one; the test keeps a
+	// handle on its hooks to inspect the state they maintain.
+	info, _ := workload.Lookup(string(workload.RWRegister))
+	var a *analyzer
+	info.Incremental = func(opts workload.Opts, keys *history.Interner) workload.Hooks {
+		st := begin(opts, keys).(stream)
+		a = st.a
+		return st
+	}
+	s := workload.BeginSession(info, opts)
 	feed := func(o op.Op) workload.Delta {
 		t.Helper()
 		d, err := s.Feed([]op.Op{o})
@@ -42,37 +51,37 @@ func TestBudgetedSessionRetiresQuiescentKeys(t *testing.T) {
 		}
 		return d
 	}
-	for _, o := range ops[:scanEvery-1] {
+	for _, o := range ops[:workload.ScanEvery-1] {
 		feed(o)
 	}
-	x := s.a.kid("x")
-	if ks := s.a.keyst[x]; ks == nil || len(ks.tab) != 2 || len(ks.tab[1].readers) != 1 {
+	x := a.kid("x")
+	if ks := a.keyst[x]; ks == nil || len(ks.tab) != 2 || len(ks.tab[1].readers) != 1 {
 		t.Fatalf("before the sweep x's table should hold nil and 1 with one reader: %+v", ks)
 	}
 	if st := s.RetireStats(); st.RetiredKeys != 0 {
 		t.Fatalf("retired %d keys before the first sweep", st.RetiredKeys)
 	}
 
-	feed(ops[scanEvery-1]) // scans, then sweeps
-	if s.a.keyst[x] != nil {
-		t.Fatalf("the sweep kept quiescent x's state: %+v", s.a.keyst[x])
+	feed(ops[workload.ScanEvery-1]) // scans, then sweeps
+	if a.keyst[x] != nil {
+		t.Fatalf("the sweep kept quiescent x's state: %+v", a.keyst[x])
 	}
 	for _, i := range []int{0, 1} {
-		if _, pinned := s.a.ops[i]; pinned {
+		if _, pinned := a.ops[i]; pinned {
 			t.Fatalf("the sweep kept op %d, which only retired x pinned", i)
 		}
 	}
 	gone := 0
-	for _, ks := range s.a.keyst {
+	for _, ks := range a.keyst {
 		if ks == nil {
 			gone++
 		}
 	}
-	if st := s.RetireStats(); gone < scanEvery-2*window || st.RetiredKeys != gone {
-		t.Fatalf("RetiredKeys = %d with %d of %d key states dropped", st.RetiredKeys, gone, len(s.a.keyst))
+	if st := s.RetireStats(); gone < workload.ScanEvery-2*window || st.RetiredKeys != gone {
+		t.Fatalf("RetiredKeys = %d with %d of %d key states dropped", st.RetiredKeys, gone, len(a.keyst))
 	}
-	if len(s.a.ops) > 2*window {
-		t.Fatalf("%d ops stay pinned after the sweep, window %d", len(s.a.ops), window)
+	if len(a.ops) > 2*window {
+		t.Fatalf("%d ops stay pinned after the sweep, window %d", len(a.ops), window)
 	}
 
 	// x again: brand new, and the aborted read still surfaces.
@@ -83,7 +92,7 @@ func TestBudgetedSessionRetiresQuiescentKeys(t *testing.T) {
 	if len(d.Anomalies) != 1 || d.Anomalies[0].Type != anomaly.G1a {
 		t.Fatalf("retired x touched again did not surface its aborted read: %v", d.Anomalies)
 	}
-	ks := s.a.keyst[x]
+	ks := a.keyst[x]
 	if _, met := ks.ix[1]; met || len(ks.tab) != 2 || ks.tab[1].val != 7 {
 		t.Fatalf("retired x did not restart from an empty table: %+v", ks)
 	}

@@ -78,16 +78,11 @@ type analyzer struct {
 	opts workload.Opts
 	in   *history.Interner
 
-	ops       map[int]op.Op // completion ops by index
-	oks       []op.Op
+	ops       map[int]op.Op   // completion ops by index
+	oks       []op.Op         // committed ops, once finish has the whole history
 	keyst     []*keyState     // per-key state by KeyID; nil for keys never written or read
 	stale     []history.KeyID // keys whose tables changed since their last inference
 	anomalies []anomaly.Anomaly
-
-	// windowed marks a memory-budgeted streaming session: oks is not
-	// accumulated (the budgeted Finish re-analyzes the rehydrated
-	// history instead of reading it).
-	windowed bool
 }
 
 // newAnalyzer returns an analyzer with empty indices over the given
@@ -200,6 +195,7 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 // and read-only from then on.
 func (a *analyzer) finish(h *history.History) *Analysis {
 	p := a.opts.Parallelism
+	a.oks = h.OKs()
 	a.refresh()
 	// A write whose invocation never completed may still have taken
 	// effect: reading it is not garbage. It gains no writer and no edge.
@@ -287,9 +283,6 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 // ascending index order; invoke is the index of o's invocation.
 func (a *analyzer) addOp(o op.Op, invoke int) {
 	a.ops[o.Index] = o
-	if o.Type == op.OK && !a.windowed {
-		a.oks = append(a.oks, o)
-	}
 	for _, m := range o.Mops {
 		write := m.F == op.FWrite
 		if !write && !(m.F == op.FRead && o.Type == op.OK && m.RegKnown) {

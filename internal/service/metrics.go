@@ -113,11 +113,10 @@ func (s *Service) memStats() (resident, retired int, spilled int64) {
 	for _, j := range s.snapshot() {
 		j.mu.Lock()
 		if j.opts.MemoryBudget > 0 {
-			if rs, ok := j.stream.RetireStats(); ok {
-				resident += rs.Stream.ResidentOps
-				retired += rs.Stream.RetiredOps
-				spilled += rs.Stream.SpilledBytes
-			}
+			rs := j.stream.RetireStats()
+			resident += rs.Stream.ResidentOps
+			retired += rs.Stream.RetiredOps
+			spilled += rs.Stream.SpilledBytes
 		}
 		j.mu.Unlock()
 	}

@@ -544,17 +544,16 @@ func (j *job) statusLocked() jobJSON {
 		st.WALBytes = j.wal.Size()
 	}
 	if j.opts.MemoryBudget > 0 {
-		if rs, ok := j.stream.RetireStats(); ok {
-			st.Memory = &memoryJSON{
-				Budget:       j.opts.MemoryBudget,
-				ResidentOps:  rs.Stream.ResidentOps,
-				RetiredOps:   rs.Stream.RetiredOps,
-				Segments:     rs.Stream.Segments,
-				RetiredBytes: rs.Stream.RetiredBytes,
-				SpilledBytes: rs.Stream.SpilledBytes,
-				RetiredKeys:  rs.RetiredKeys,
-				Degraded:     rs.Stream.Degraded,
-			}
+		rs := j.stream.RetireStats()
+		st.Memory = &memoryJSON{
+			Budget:       j.opts.MemoryBudget,
+			ResidentOps:  rs.Stream.ResidentOps,
+			RetiredOps:   rs.Stream.RetiredOps,
+			Segments:     rs.Stream.Segments,
+			RetiredBytes: rs.Stream.RetiredBytes,
+			SpilledBytes: rs.Stream.SpilledBytes,
+			RetiredKeys:  rs.RetiredKeys,
+			Degraded:     rs.Stream.Degraded,
 		}
 	}
 	return st

@@ -1,7 +1,6 @@
 package setadd
 
 import (
-	"repro/internal/explain"
 	"repro/internal/gen"
 	"repro/internal/history"
 	"repro/internal/memdb"
@@ -10,17 +9,13 @@ import (
 
 func init() {
 	workload.Register(workload.Info{
-		Name:    workload.SetAdd,
-		Aliases: []string{"set"},
-		Gen:     gen.Set,
-		DB:      memdb.WorkloadSet,
+		Name:        workload.SetAdd,
+		Aliases:     []string{"set"},
+		Gen:         gen.Set,
+		DB:          memdb.WorkloadSet,
+		Incremental: begin,
 		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
-			an := Analyze(h, opts)
-			return workload.Analysis{
-				Graph:     an.Graph,
-				Anomalies: an.Anomalies,
-				Explainer: &explain.Explainer{Ops: an.Ops},
-			}
+			return Analyze(h, opts).workloadAnalysis()
 		}),
 	})
 }

@@ -19,10 +19,12 @@
 package setadd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/anomaly"
+	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
@@ -40,263 +42,321 @@ type Analysis struct {
 	Ops map[int]op.Op
 }
 
-type elemKey struct {
-	key  history.KeyID
-	elem int
-}
-
-// Analyze infers dependencies and anomalies for a set-add history.
-// Set reads are carried in Mop.List; element order is ignored. Of the
-// shared options only Parallelism applies.
-//
-// Inference is independent per committed transaction once the element
-// indices are built, so the per-transaction checks and edge emission fan
-// out across opts.Parallelism workers with ordered collection.
-func Analyze(h *history.History, opts workload.Opts) *Analysis {
-	a := &analyzer{
-		opts:         opts,
-		in:           h.Keys(),
-		ops:          map[int]op.Op{},
-		writer:       map[elemKey]int{},
-		failedWriter: map[elemKey]int{},
-		attempts:     map[elemKey]int{},
-		crashed:      map[elemKey]bool{},
-	}
-	for _, o := range h.Completions() {
-		a.ops[o.Index] = o
-		if o.Type == op.OK {
-			a.oks = append(a.oks, o)
-		}
-	}
-	for _, o := range h.Crashed() {
-		for _, m := range o.Mops {
-			if m.F == op.FAdd {
-				a.crashed[elemKey{a.kid(m.Key), m.Arg}] = true
-			}
-		}
-	}
-	a.indexAdds()
-	a.collect(par.Map(opts.Parallelism, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.internalAnomalies(a.oks[i])
-	}))
-	g := a.buildGraph()
-	return &Analysis{Graph: g, Anomalies: a.anomalies, Ops: a.ops}
-}
-
+// analyzer carries the indices built over one history. Everything known
+// about a key — its element table and its reads — lives in one keyState
+// indexed by the history interner's dense KeyID (see history.Interner),
+// so the inference loops hash small ints within one key, never (key,
+// element) pairs.
 type analyzer struct {
-	opts         workload.Opts
-	in           *history.Interner
-	ops          map[int]op.Op
-	oks          []op.Op
-	writer       map[elemKey]int
-	failedWriter map[elemKey]int
-	attempts     map[elemKey]int
-	crashed      map[elemKey]bool // adds of invocations that never completed: not garbage when read, but nobody's writer
-	anomalies    []anomaly.Anomaly
+	opts workload.Opts
+	in   *history.Interner
+
+	ops   map[int]op.Op // completion ops by index
+	keyst []*keyState   // per-key state by KeyID; nil for keys never added to or read
+	reads int           // reads filed so far, over all keys
 }
 
-func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
-	a.anomalies = anomaly.AppendGroups(a.anomalies, groups)
+// newAnalyzer returns an analyzer with empty indices over the given
+// interner (the history's in batch runs, the stream's in sessions).
+func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
+	return &analyzer{opts: opts, in: in, ops: map[int]op.Op{}}
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
 
-func (a *analyzer) indexAdds() {
-	var dups []elemKey
-	for _, o := range a.ops {
+// key returns k's state, creating it on first use.
+func (a *analyzer) key(k history.KeyID) *keyState {
+	a.keyst = history.GrowKeyed(a.keyst, k)
+	if a.keyst[k] == nil {
+		a.keyst[k] = &keyState{ix: map[int]int32{}}
+	}
+	return a.keyst[k]
+}
+
+// elemState is one row of a key's element table: who tried to add the
+// element, and the last read to contain it.
+type elemState struct {
+	elem     int
+	first    int   // op index of the first completed attempt, once attempts > 0
+	attempts int32 // completed add attempts; exactly one keeps the element recoverable
+	failed   bool  // the first attempt aborted
+	crashed  bool  // an invocation that never completed tried to add it: not garbage when read, but nobody's writer
+	seen     int   // serial of the last read marked as containing it
+}
+
+// keyRead is one committed read of a known set value — mop pos of o —
+// filed under its key in op order.
+type keyRead struct {
+	o   op.Op
+	pos int
+	// serial is the read's 1-based rank among all the history's reads, in
+	// op then mop order: its mark on the rows of the elements it holds,
+	// and its findings' place in the report.
+	serial int
+}
+
+// keyState is one key's inference state: its element table and its
+// committed reads in op order. A read is tested against the table, not
+// against a set of its own: marking its elements' rows with its serial
+// makes "does this read hold e" one comparison on e's row. Analyze
+// builds it for every key at once; a streaming session maintains it
+// across feeds.
+type keyState struct {
+	ix      map[int]int32 // element -> row of tab
+	tab     []elemState
+	reads   []keyRead
+	checked int // reads a streaming session has marked and checked so far
+}
+
+// find returns e's row, or nil if the key has never met e. The pointer
+// is valid until the next elem call.
+func (ks *keyState) find(e int) *elemState {
+	if i, ok := ks.ix[e]; ok {
+		return &ks.tab[i]
+	}
+	return nil
+}
+
+// elem returns e's row, adding it on first sight.
+func (ks *keyState) elem(e int) *elemState {
+	i, ok := ks.ix[e]
+	if !ok {
+		i = int32(len(ks.tab))
+		ks.ix[e] = i
+		ks.tab = append(ks.tab, elemState{elem: e})
+	}
+	return &ks.tab[i]
+}
+
+// Analyze infers dependencies and anomalies for a set-add history.
+// Set reads are carried in Mop.List; element order is ignored. Of the
+// shared options only Parallelism applies.
+func Analyze(h *history.History, opts workload.Opts) *Analysis {
+	a := newAnalyzer(opts, h.Keys())
+	for _, o := range h.Ops {
+		if o.Type != op.Invoke {
+			a.addOp(o)
+		}
+	}
+	return a.finish(h)
+}
+
+// addOp indexes one completion op: the op index every check reads, each
+// added element's row in its key's table with its recoverability
+// transitions — the first attempt on an element is its writer, a second
+// destroys recoverability — and each committed read filed under its key.
+// Ops must be added in ascending index order.
+func (a *analyzer) addOp(o op.Op) {
+	a.ops[o.Index] = o
+	for pos, m := range o.Mops {
+		switch {
+		case m.F == op.FAdd:
+			es := a.key(a.kid(m.Key)).elem(m.Arg)
+			if es.attempts++; es.attempts == 1 {
+				es.first, es.failed = o.Index, o.Type == op.Fail
+			}
+		case o.Type == op.OK && m.ListKnown():
+			ks := a.key(a.kid(m.Key))
+			a.reads++
+			ks.reads = append(ks.reads, keyRead{o: o, pos: pos, serial: a.reads})
+		}
+	}
+}
+
+// readFindings is what one read contributes to the analysis, collected
+// by serial so the report and the graph keep op-then-mop order however
+// the per-key work was scheduled.
+type readFindings struct {
+	internal []anomaly.Anomaly
+	anoms    []anomaly.Anomaly
+	edges    []graph.Edge
+}
+
+// finish is the analysis's one phase sequence, shared by the batch
+// Analyze and the streaming session's Finish so the two agree by
+// construction: over the per-key state addOp built it reports duplicate
+// adds in (key name, element) order, checks and explodes every read —
+// independently per key, across opts.Parallelism workers — and merges
+// the per-read results in op order, so the graph and anomaly list are
+// identical at every parallelism level.
+func (a *analyzer) finish(h *history.History) *Analysis {
+	// An add whose invocation never completed may still have taken
+	// effect: reading it is not garbage. It gains no writer and no edge.
+	for _, o := range h.Crashed() {
 		for _, m := range o.Mops {
-			if m.F != op.FAdd {
-				continue
-			}
-			ek := elemKey{a.kid(m.Key), m.Arg}
-			a.attempts[ek]++
-			if a.attempts[ek] > 1 {
-				if a.attempts[ek] == 2 {
-					dups = append(dups, ek)
-				}
-				continue
-			}
-			if o.Type == op.Fail {
-				a.failedWriter[ek] = o.Index
-			} else {
-				a.writer[ek] = o.Index
+			if m.F == op.FAdd {
+				a.key(a.kid(m.Key)).elem(m.Arg).crashed = true
 			}
 		}
 	}
-	sort.Slice(dups, func(i, j int) bool {
-		if dups[i].key != dups[j].key {
-			return a.in.Less(dups[i].key, dups[j].key)
+	var keys []history.KeyID
+	for k, ks := range a.keyst {
+		if ks != nil {
+			keys = append(keys, history.KeyID(k))
 		}
-		return dups[i].elem < dups[j].elem
-	})
-	for _, ek := range dups {
-		delete(a.writer, ek)
-		delete(a.failedWriter, ek)
-		kname := a.in.Key(ek.key)
-		a.anomalies = append(a.anomalies, anomaly.Anomaly{
-			Type: anomaly.DuplicateAppends,
-			Key:  kname,
-			Explanation: fmt.Sprintf(
-				"element %d was added to set %s by %d transactions; adds must be unique for versions to be recoverable",
-				ek.elem, kname, a.attempts[ek]),
-		})
 	}
-}
+	a.in.SortKeyIDs(keys)
 
-// internalAnomalies verifies grow-only set semantics within one committed
-// transaction: reads must include every element the transaction itself
-// added, and repeated reads must never shrink.
-func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
-	var out []anomaly.Anomaly
-	have := map[history.KeyID]map[int]bool{} // lower bound per key
-	ensure := func(k string) map[int]bool {
-		id := a.kid(k)
-		s, ok := have[id]
-		if !ok {
-			s = map[int]bool{}
-			have[id] = s
-		}
-		return s
-	}
-	for _, m := range o.Mops {
-		switch m.F {
-		case op.FAdd:
-			ensure(m.Key)[m.Arg] = true
-		case op.FRead:
-			if m.List == nil {
-				continue
-			}
-			got := map[int]bool{}
-			for _, e := range m.List {
-				got[e] = true
-			}
-			// Report the smallest missing element so the rendered
-			// explanation is deterministic.
-			for _, e := range sortedElems(ensure(m.Key)) {
-				if !got[e] {
-					out = append(out, anomaly.Anomaly{
-						Type: anomaly.Internal,
-						Ops:  []op.Op{o},
-						Key:  m.Key,
-						Explanation: fmt.Sprintf(
-							"%s read set %s without element %d, which its own prior operations guarantee: an internal inconsistency",
-							o.Name(), m.Key, e),
-					})
-					break
-				}
-			}
-			// Everything observed is now a lower bound.
-			for e := range got {
-				ensure(m.Key)[e] = true
+	var anomalies []anomaly.Anomaly
+	for _, k := range keys {
+		var dups []*elemState
+		for i := range a.keyst[k].tab {
+			if es := &a.keyst[k].tab[i]; es.attempts > 1 {
+				dups = append(dups, es)
 			}
 		}
+		slices.SortFunc(dups, func(x, y *elemState) int { return cmp.Compare(x.elem, y.elem) })
+		for _, es := range dups {
+			anomalies = append(anomalies, dupAnomaly(a.in.Key(k), es))
+		}
 	}
-	return out
-}
 
-func (a *analyzer) buildGraph() *graph.Graph {
+	res := make([]readFindings, a.reads)
+	par.Do(a.opts.Parallelism, len(keys), func(i int) { a.keyFindings(keys[i], res) })
+
+	// Every committed transaction is a vertex, even if it has no edges.
 	g := graph.New()
-	for _, o := range a.oks {
-		g.Ensure(o.Index)
-	}
-	// Committed elements per key: any element added by a committed
-	// transaction is eventually in the set (grow-only), so a committed
-	// read that misses it anti-depends on its writer. The index is a
-	// dense KeyID-indexed slice.
-	committed := make([][]elemKey, a.in.Len())
-	var vks []elemKey
-	for ek, w := range a.writer {
-		if a.ops[w].Type == op.OK {
-			vks = append(vks, ek)
+	for _, o := range h.Ops {
+		if o.Type == op.OK {
+			g.Ensure(o.Index)
 		}
 	}
-	sort.Slice(vks, func(i, j int) bool {
-		if vks[i].key != vks[j].key {
-			return a.in.Less(vks[i].key, vks[j].key)
-		}
-		return vks[i].elem < vks[j].elem
-	})
-	for _, ek := range vks {
-		committed[ek.key] = append(committed[ek.key], ek)
+	for i := range res {
+		anomalies = append(anomalies, res[i].internal...)
 	}
-
-	// Each committed transaction's reads are checked and exploded into
-	// edges independently; results merge in index order.
-	type okResult struct {
-		anoms []anomaly.Anomaly
-		edges []graph.Edge
+	for i := range res {
+		anomalies = append(anomalies, res[i].anoms...)
+		g.AddEdges(res[i].edges)
 	}
-	perOK := par.Map(a.opts.Parallelism, len(a.oks), func(i int) okResult {
-		o := a.oks[i]
-		var r okResult
-		for _, m := range o.Mops {
-			if m.F != op.FRead || m.List == nil {
-				continue
-			}
-			k := a.kid(m.Key)
-			got := map[int]bool{}
-			for _, e := range m.List {
-				got[e] = true
-			}
-			ownAdds := map[int]bool{}
-			for _, mm := range o.Mops {
-				if mm.F == op.FAdd && mm.Key == m.Key {
-					ownAdds[mm.Arg] = true
-				}
-			}
-			for _, e := range m.List {
-				ek := elemKey{k, e}
-				if w, ok := a.failedWriter[ek]; ok {
-					r.anoms = append(r.anoms, anomaly.Anomaly{
-						Type: anomaly.G1a,
-						Ops:  []op.Op{o, a.ops[w]},
-						Key:  m.Key,
-						Explanation: fmt.Sprintf(
-							"%s read set %s containing element %d added by aborted %s: an aborted read",
-							o.Name(), m.Key, e, a.ops[w].Name()),
-					})
-					continue
-				}
-				w, ok := a.writer[ek]
-				if !ok {
-					if a.attempts[ek] == 0 && !a.crashed[ek] {
-						r.anoms = append(r.anoms, anomaly.Anomaly{
-							Type: anomaly.GarbageRead,
-							Ops:  []op.Op{o},
-							Key:  m.Key,
-							Explanation: fmt.Sprintf(
-								"%s read set %s containing element %d, which no transaction ever added",
-								o.Name(), m.Key, e),
-						})
-					}
-					continue
-				}
-				r.edges = append(r.edges, graph.Edge{From: w, To: o.Index, Kind: graph.WR})
-			}
-			// Anti-dependencies: committed elements missing from the
-			// read. Skip the transaction's own adds: a read before its
-			// own add is not an anti-dependency on itself.
-			for _, ek := range committed[k] {
-				if !got[ek.elem] && !ownAdds[ek.elem] {
-					r.edges = append(r.edges, graph.Edge{From: o.Index, To: a.writer[ek], Kind: graph.RW})
-				}
-			}
-		}
-		return r
-	})
-	for _, r := range perOK {
-		a.anomalies = append(a.anomalies, r.anoms...)
-		g.AddEdges(r.edges)
-	}
-	return g
+	return &Analysis{Graph: g, Anomalies: anomalies, Ops: a.ops}
 }
 
-func sortedElems(s map[int]bool) []int {
-	out := make([]int, 0, len(s))
-	for e := range s {
-		out = append(out, e)
+// workloadAnalysis is the registry-facing view of an Analysis.
+func (an *Analysis) workloadAnalysis() workload.Analysis {
+	return workload.Analysis{
+		Graph:     an.Graph,
+		Anomalies: an.Anomalies,
+		Explainer: &explain.Explainer{Ops: an.Ops},
 	}
-	sort.Ints(out)
-	return out
+}
+
+// keyFindings checks every read of key k against the key's element
+// table and explodes it into edges, filing the results under the read's
+// serial. Per element in read order: an aborted sole adder is a G1a, any
+// other sole adder a wr edge, and an element nobody attempted to add —
+// crashed clients included — a garbage read.
+func (a *analyzer) keyFindings(k history.KeyID, res []readFindings) {
+	ks, kname := a.keyst[k], a.in.Key(k)
+	// Committed elements, ascending: any element added by a committed
+	// transaction is eventually in the set (grow-only), so a committed
+	// read that misses it anti-depends on its writer.
+	var committed []int32
+	for i := range ks.tab {
+		if es := &ks.tab[i]; es.attempts == 1 && !es.failed && a.ops[es.first].Type == op.OK {
+			committed = append(committed, int32(i))
+		}
+	}
+	slices.SortFunc(committed, func(x, y int32) int { return cmp.Compare(ks.tab[x].elem, ks.tab[y].elem) })
+
+	for i := range ks.reads {
+		r := &ks.reads[i]
+		out := &res[r.serial-1]
+		for _, e := range r.o.Mops[r.pos].List {
+			es := ks.elem(e)
+			es.seen = r.serial
+			switch {
+			case es.attempts == 1 && es.failed:
+				out.anoms = append(out.anoms, g1aAnomaly(r.o, kname, e, a.ops[es.first]))
+			case es.attempts == 1:
+				out.edges = append(out.edges, graph.Edge{From: es.first, To: r.o.Index, Kind: graph.WR})
+			case es.attempts == 0 && !es.crashed:
+				out.anoms = append(out.anoms, anomaly.Anomaly{
+					Type: anomaly.GarbageRead,
+					Ops:  []op.Op{r.o},
+					Key:  kname,
+					Explanation: fmt.Sprintf(
+						"%s read set %s containing element %d, which no transaction ever added",
+						r.o.Name(), kname, e),
+				})
+			}
+		}
+		if e, ok := ks.missing(r); ok {
+			out.internal = []anomaly.Anomaly{internalAnomaly(r.o, kname, e)}
+		}
+		// Anti-dependencies: committed elements missing from the read.
+		// Skip the transaction's own adds: a read before its own add is
+		// not an anti-dependency on itself.
+		for _, row := range committed {
+			if es := &ks.tab[row]; es.seen != r.serial && es.first != r.o.Index {
+				out.edges = append(out.edges, graph.Edge{From: r.o.Index, To: es.first, Kind: graph.RW})
+			}
+		}
+	}
+}
+
+// missing verifies grow-only set semantics within r's transaction: r —
+// whose elements are marked — must hold every element the transaction
+// itself added to the key before it, and everything its earlier reads of
+// the key observed. It returns the smallest element r lacks, so the
+// rendered explanation is deterministic.
+func (ks *keyState) missing(r *keyRead) (missing int, found bool) {
+	lacks := func(e int) {
+		if ks.find(e).seen != r.serial && (!found || e < missing) {
+			missing, found = e, true
+		}
+	}
+	key := r.o.Mops[r.pos].Key
+	for _, m := range r.o.Mops[:r.pos] {
+		if m.Key != key {
+			continue
+		}
+		switch {
+		case m.F == op.FAdd:
+			lacks(m.Arg)
+		case m.ListKnown():
+			for _, e := range m.List {
+				lacks(e)
+			}
+		}
+	}
+	return missing, found
+}
+
+// dupAnomaly renders one duplicate-add finding; the streaming session
+// uses the same rendering for mid-stream surfacing.
+func dupAnomaly(k string, es *elemState) anomaly.Anomaly {
+	return anomaly.Anomaly{
+		Type: anomaly.DuplicateAppends,
+		Key:  k,
+		Explanation: fmt.Sprintf(
+			"element %d was added to set %s by %d transactions; adds must be unique for versions to be recoverable",
+			es.elem, k, es.attempts),
+	}
+}
+
+// internalAnomaly renders one internal inconsistency: o read key without
+// element e, which its own prior operations guarantee.
+func internalAnomaly(o op.Op, key string, e int) anomaly.Anomaly {
+	return anomaly.Anomaly{
+		Type: anomaly.Internal,
+		Ops:  []op.Op{o},
+		Key:  key,
+		Explanation: fmt.Sprintf(
+			"%s read set %s without element %d, which its own prior operations guarantee: an internal inconsistency",
+			o.Name(), key, e),
+	}
+}
+
+// g1aAnomaly renders one aborted-read finding: reader observed element e
+// of key, added by the aborted writer.
+func g1aAnomaly(reader op.Op, key string, e int, writer op.Op) anomaly.Anomaly {
+	return anomaly.Anomaly{
+		Type: anomaly.G1a,
+		Ops:  []op.Op{reader, writer},
+		Key:  key,
+		Explanation: fmt.Sprintf(
+			"%s read set %s containing element %d added by aborted %s: an aborted read",
+			reader.Name(), key, e, writer.Name()),
+	}
 }

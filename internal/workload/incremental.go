@@ -37,89 +37,159 @@ type Delta struct {
 	Ops int
 }
 
-// Session is one in-progress incremental analysis. Ops are fed in
-// chunks, in ascending index order across all feeds; each feed
-// validates the chunk, updates the session's per-key version orders,
-// indices, and dependency edges rather than recomputing them from
-// scratch, and reports the anomalies the chunk made provable. Finish
-// completes the stream and returns the full Analysis — byte-identical
-// to running the batch Analyzer over the concatenation of every chunk.
-// History exposes the session's validated accumulation, so callers
-// (core.Stream) need not keep — and re-validate — a second copy of the
-// ops; call it once, after Finish.
+// ScanEvery is how many completions a session ingests between scans.
+// Per-op findings surface on the feed that proves them; whatever an
+// analyzer derives in batches (edge syncs and cycle search, per-key
+// inference refreshes) surfaces at the next scan, so a hot key's rebuild
+// is amortized over a batch of ops.
+const ScanEvery = 128
+
+// Hooks is the per-analyzer half of a streaming session: what a
+// workload must supply to be natively incremental. The Session owns
+// everything workloads have in common — the validated stream, the scan
+// clock, the emitted-set, key quiescence, the budget decision — and
+// calls the hooks, from one goroutine, with each completion in
+// ascending index order. The state a hook set maintains is its own.
+type Hooks interface {
+	// Ingest indexes one completion op — invoke is the index of its
+	// invocation — and surfaces the findings the op itself proves.
+	Ingest(o op.Op, invoke int, out *Findings)
+	// Scan brings what the analyzer derives in batches up to date with
+	// the ops ingested so far, and surfaces what that proves.
+	Scan(out *Findings)
+	// Retire drops the state of keys quiescent for a full budget window,
+	// and the ops no live key pins any longer. A retired key seen again
+	// is brand new. It runs only under a budget, and only right after a
+	// Scan, so whatever the retiring state could prove is already out.
+	Retire(keys []history.KeyID, ops []int)
+	// Finish completes an unbudgeted stream from the maintained state.
+	// h is the whole history; the result must equal the workload's
+	// Analyzer's over h, byte for byte.
+	Finish(h *history.History) Analysis
+}
+
+// Incremental opens a workload's Hooks for one session, over the
+// session's options and its stream's live key interner.
+type Incremental func(opts Opts, keys *history.Interner) Hooks
+
+// Findings is where hooks surface provisional anomalies: the session's
+// one emitted-set, and the anomalies of the Feed in progress.
+type Findings struct {
+	emitted map[string]bool
+	fresh   []anomaly.Anomaly
+}
+
+// Emit surfaces one finding unless an earlier Emit under the same key —
+// in this feed or any before it — already did. Evidence that outlives
+// the op that completed it (a late abort's readers, a cycle, a key's
+// version order) is re-derived by later ingests and scans; the key is
+// what keeps it from resurfacing.
+func (f *Findings) Emit(key string, an anomaly.Anomaly) {
+	if f.emitted[key] {
+		return
+	}
+	f.emitted[key] = true
+	f.fresh = append(f.fresh, an)
+}
+
+// Add surfaces findings that cannot repeat: the ones an op proves by
+// itself, on the one Ingest that sees it.
+func (f *Findings) Add(ans ...anomaly.Anomaly) { f.fresh = append(f.fresh, ans...) }
+
+// Session is one in-progress streaming analysis, the same type for
+// every workload. Ops are fed in chunks, in ascending index order
+// across all feeds; each feed validates the chunk and, for a workload
+// with Hooks, updates the analyzer's per-key state rather than
+// recomputing it and reports the anomalies the chunk made provable.
+// Finish completes the stream and returns the full Analysis —
+// byte-identical to running the batch Analyzer over the concatenation
+// of every chunk. History exposes the session's validated accumulation,
+// so callers (core.Stream) need not keep — and re-validate — a second
+// copy of the ops; call it once feeding is over.
+//
+// Memory budgets (Opts.MemoryBudget) bound the feed phase. The op stream
+// retires settled prefixes into compact segments for every workload;
+// with Hooks, the state of keys untouched for a full window goes too, so
+// mid-stream findings are a subset of the unbudgeted session's —
+// retired evidence cannot be cited, which the Delta contract permits.
+// Finish then rehydrates the stream and pays the batch analyzer's
+// O(history) cost.
 //
 // Sessions are single-goroutine: Feed and Finish must not be called
 // concurrently. Internally they may fan work out across
 // Opts.Parallelism workers, with the same determinism contract as the
 // batch analyzers.
-type Session interface {
-	Feed(ops []op.Op) (Delta, error)
-	Finish() (Analysis, error)
-	History() *history.History
-}
-
-// Incremental is the optional extension a workload analyzer implements
-// to support streaming: Begin opens a Session that ingests the history
-// chunk by chunk. Analyzers that do not implement it are still
-// streamable through BeginSession's buffer-then-batch adapter; they
-// simply do all their work at Finish.
-type Incremental interface {
-	Begin(opts Opts) Session
-}
-
-// IncrementalFunc adapts a session constructor to Incremental.
-type IncrementalFunc func(opts Opts) Session
-
-// Begin calls f.
-func (f IncrementalFunc) Begin(opts Opts) Session { return f(opts) }
-
-// BeginSession opens a streaming session for a registered workload:
-// the native incremental implementation when the registration carries
-// one, and the generic buffer-then-batch adapter otherwise. Either way
-// the Finish result is byte-identical to the batch Analyzer's.
-func BeginSession(info Info, opts Opts) Session {
-	if info.Incremental != nil {
-		return info.Incremental.Begin(opts)
-	}
-	hs := history.NewStream()
-	hs.SetBudget(StreamBudget(opts))
-	return &batchSession{analyzer: info.Analyzer, opts: opts, hs: hs}
-}
-
-// ErrSessionFinished is returned by Feed after Finish.
-var ErrSessionFinished = errors.New("workload: session already finished")
-
-// batchSession is the generic fallback: it validates and buffers the
-// stream, then runs the batch analyzer once at Finish. No mid-stream
-// anomalies are surfaced — every Delta is empty but for the op count.
-//
-// Memory budgets apply only partially here — the documented "cannot
-// retire" escape hatch. The adapter keeps no analyzer state to retire;
-// what a budget bounds is the op buffer itself: settled prefixes are
-// encoded into compact segments (a few bytes per op) and optionally
-// spilled to disk, so feed-phase memory is O(window) with a spill dir
-// and O(encoded history) without. Finish then rehydrates the whole
-// history and pays the batch analyzer's full O(history) cost — the
-// adapter has no way to analyze incrementally. Workloads that need a
-// genuinely bounded finish must register a native Incremental.
-type batchSession struct {
+type Session struct {
 	analyzer Analyzer
 	opts     Opts
 	hs       *history.Stream
-	done     bool
+	hooks    Hooks       // nil: the workload finishes in batch
+	rt       *KeyTracker // key quiescence; nil without both hooks and a budget
+	out      Findings
+
+	sinceScan int
+	done      bool
 }
 
-func (s *batchSession) Feed(ops []op.Op) (Delta, error) {
+// BeginSession opens a streaming session for a registered workload.
+func BeginSession(info Info, opts Opts) *Session {
+	hs := history.NewStream()
+	hs.SetBudget(StreamBudget(opts))
+	s := &Session{analyzer: info.Analyzer, opts: opts, hs: hs}
+	if info.Incremental != nil {
+		s.hooks = info.Incremental(opts, hs.Keys())
+		s.out.emitted = map[string]bool{}
+		if opts.MemoryBudget > 0 {
+			s.rt = NewKeyTracker(opts.MemoryBudget)
+		}
+	}
+	return s
+}
+
+// ErrSessionFinished is returned by Feed and Finish after Finish.
+var ErrSessionFinished = errors.New("workload: session already finished")
+
+// Feed validates and ingests one chunk and returns the anomalies it
+// made provable (see Delta for the provisional-findings contract). A
+// rejected op fails this and every later call; the hooks never see it.
+func (s *Session) Feed(ops []op.Op) (Delta, error) {
 	if s.done {
 		return Delta{}, ErrSessionFinished
 	}
-	if err := s.hs.AddAll(ops); err != nil {
-		return Delta{}, err
+	s.out.fresh = nil
+	for _, o := range ops {
+		if err := s.hs.Add(o); err != nil {
+			return Delta{}, err
+		}
+		if o.Type == op.Invoke || s.hooks == nil {
+			continue
+		}
+		s.sinceScan++
+		// An op touching no keys pins nothing and can never be cited: a
+		// budgeted session does not index what it would drop at once.
+		if s.rt != nil && !s.rt.NoteOp(o, s.hs.Keys()) {
+			continue
+		}
+		s.hooks.Ingest(o, s.hs.SpanOf(o.Index)[0], &s.out)
 	}
-	return Delta{Ops: s.hs.Completions()}, nil
+	if s.sinceScan >= ScanEvery {
+		s.sinceScan = 0
+		s.hooks.Scan(&s.out)
+		if s.rt != nil {
+			// Sweep after the scan: what the retiring keys and ops could
+			// prove is out before the state backing it goes.
+			if keys, dead := s.rt.Sweep(); len(keys) > 0 {
+				s.hooks.Retire(keys, dead)
+			}
+		}
+	}
+	return Delta{Anomalies: s.out.fresh, Ops: s.hs.Completions()}, nil
 }
 
-func (s *batchSession) Finish() (Analysis, error) {
+// Finish completes the stream. A session without hooks has only
+// buffered: it runs the batch analyzer now. So does a budgeted one — its
+// hooks hold a window, not the history — over the rehydrated stream.
+func (s *Session) Finish() (Analysis, error) {
 	if s.done {
 		return Analysis{}, ErrSessionFinished
 	}
@@ -129,13 +199,23 @@ func (s *batchSession) Finish() (Analysis, error) {
 		// the batch validator refuses.
 		return Analysis{}, err
 	}
-	return s.analyzer.Analyze(s.hs.History(), s.opts), nil
+	h := s.hs.History()
+	if s.hooks == nil || s.rt != nil {
+		return s.analyzer.Analyze(h, s.opts), nil
+	}
+	return s.hooks.Finish(h), nil
 }
 
-func (s *batchSession) History() *history.History { return s.hs.History() }
+// History returns the session's validated accumulation, rehydrating any
+// retired prefix. It aliases live state: call it once feeding is over.
+func (s *Session) History() *history.History { return s.hs.History() }
 
-// RetireStats implements Retirer: only the op stream retires here (see
-// the type comment's escape hatch).
-func (s *batchSession) RetireStats() RetireStats {
-	return RetireStats{Stream: s.hs.RetireStats()}
+// RetireStats reports how much of the session is resident and how much
+// has been retired; nothing retires without a budget.
+func (s *Session) RetireStats() RetireStats {
+	st := RetireStats{Stream: s.hs.RetireStats()}
+	if s.rt != nil {
+		st.RetiredKeys = s.rt.RetiredKeys()
+	}
+	return st
 }

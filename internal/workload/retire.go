@@ -12,17 +12,12 @@ import (
 type RetireStats struct {
 	// Stream is the underlying op stream's retirement counters.
 	Stream history.RetireStats
-	// RetiredKeys counts keys whose per-key analyzer state (version
-	// orders, clean-read caches) has been released. A key seen again
-	// after retirement is treated as brand new and counted again.
+	// RetiredKeys counts keys whose per-key analyzer state (the key's
+	// element or value table, its reads, its inferred order and edges)
+	// has been released. A key seen again after retirement is treated as
+	// brand new and counted again. Always 0 for a workload without Hooks,
+	// which keeps no analyzer state to release.
 	RetiredKeys int
-}
-
-// Retirer is the optional Session extension a budget-aware session
-// implements so callers (core.Stream, the service's status endpoint)
-// can report resident/retired progress without knowing the workload.
-type Retirer interface {
-	RetireStats() RetireStats
 }
 
 // StreamBudget translates Opts memory settings into a history.Budget
@@ -39,14 +34,14 @@ func StreamBudget(opts Opts) history.Budget {
 	}
 }
 
-// KeyTracker is the quiescence bookkeeping shared by the native
-// budget-aware sessions: it timestamps every key's last touch in
-// completion counts, refcounts which ops each live key pins, and sweeps
-// out keys untouched for a full window. The session applies the sweep
-// result to its own per-key caches and op indices; the tracker itself
-// holds only ints. A retired key seen again is simply re-tracked from
-// zero — sessions treat resurrected keys as brand new, which is sound
-// for provisional findings (Finish re-analyzes the full history).
+// KeyTracker is a budgeted Session's quiescence bookkeeping: it
+// timestamps every key's last touch in completion counts, refcounts
+// which ops each live key pins, and sweeps out keys untouched for a full
+// window. The session hands the sweep result to its Hooks' Retire; the
+// tracker itself holds only ints. A retired key seen again is simply
+// re-tracked from zero — hooks treat resurrected keys as brand new,
+// which is sound for provisional findings (Finish re-analyzes the full
+// history).
 type KeyTracker struct {
 	window    int
 	comps     int
@@ -92,14 +87,10 @@ func (t *KeyTracker) NoteOp(o op.Op, in *history.Interner) bool {
 	return true
 }
 
-// LiveOp reports whether any live key still pins op index — the keep
-// predicate for graph retirement.
-func (t *KeyTracker) LiveOp(index int) bool { return t.refs[index] > 0 }
-
 // Sweep retires every key untouched for a full window, returning the
 // retired keys and the ops no longer pinned by any live key (both nil
-// when a window hasn't elapsed since the last sweep). The caller drops
-// its own state for exactly those keys and ops.
+// when a window hasn't elapsed since the last sweep). Dead ops come only
+// with dead keys.
 func (t *KeyTracker) Sweep() (dead []history.KeyID, deadOps []int) {
 	if t.comps-t.lastSweep < t.window {
 		return nil, nil

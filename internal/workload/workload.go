@@ -158,9 +158,11 @@ type Info struct {
 	Aliases []string
 	// Analyzer performs dependency inference for the workload.
 	Analyzer Analyzer
-	// Incremental, when non-nil, supplies native streaming sessions for
-	// the workload (see BeginSession). Workloads without one stream
-	// through the generic buffer-then-batch adapter.
+	// Incremental, when non-nil, opens the Hooks that make the workload's
+	// streaming sessions natively incremental. Leaving it nil is a
+	// decision, not a default: it registers the workload as one that
+	// finishes in batch — its sessions validate and buffer the stream,
+	// surface nothing mid-stream, and run Analyzer at Finish.
 	Incremental Incremental
 	// RegisterReads selects register decoding for JSON read values
 	// (scalar rather than list observations).
