@@ -203,8 +203,7 @@ func (g *Graph) addMask(a, b int, ks KindSet) {
 
 // addKindDense records kind k on edge ai→bi (dense ids, ai != bi),
 // reporting whether k was newly added — the fused lookup-or-insert
-// graph.Incr drives, which re-feeds mostly-present edge lists after
-// every streaming scan.
+// graph.Incr drives: only a new kind can change the components.
 func (g *Graph) addKindDense(ai, bi int32, k Kind) bool {
 	out := g.adj[ai]
 	i := searchHalf(out, bi)

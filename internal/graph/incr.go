@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Incr maintains the strongly connected components of a growing
 // dependency graph under append-only edge insertion — the graph half of
@@ -33,11 +36,16 @@ type Incr struct {
 	rank   []int32
 	ord    []int64 // topological position; meaningful for roots only
 
-	nextOrd int64
-	members map[int32][]int32        // root -> member dense ids (only for size >= 2)
-	out     map[int32]map[int32]bool // condensation out-edges between roots
-	in      map[int32]map[int32]bool // condensation in-edges between roots
-	dirty   map[int32]bool           // roots whose components changed since the last drain
+	// Condensation edges by root, both directions. An entry names the
+	// root its component had when the edge arrived — resolve it through
+	// find — and repeats when several node pairs span the same two
+	// components; searches visit a component once either way.
+	out, in [][]int32
+
+	members map[int32][]int32 // root -> member dense ids (only for size >= 2)
+	dirty   map[int32]bool    // roots whose components changed since the last drain
+
+	restores int // order-violating inserts so far: what seeding ord from node ids avoids
 }
 
 // NewIncr returns an empty incremental SCC maintainer over edges whose
@@ -47,8 +55,6 @@ func NewIncr(mask KindSet) *Incr {
 		g:       New(),
 		mask:    mask,
 		members: map[int32][]int32{},
-		out:     map[int32]map[int32]bool{},
-		in:      map[int32]map[int32]bool{},
 		dirty:   map[int32]bool{},
 	}
 }
@@ -63,13 +69,19 @@ func (x *Incr) Ensure(n int) {
 	x.ensure(n)
 }
 
+// ensure adds node n if absent. Its topological position starts at its
+// own id — unique by construction, and Pearce-Kelly is indifferent to
+// where an edgeless node starts. Callers number transactions by
+// completion, the order a serializable history's dependencies already
+// follow, so on clean input edges arrive order-respecting and restore
+// never runs.
 func (x *Incr) ensure(n int) int32 {
 	id := x.g.Ensure(n)
-	for int(id) >= len(x.parent) {
-		x.parent = append(x.parent, int32(len(x.parent)))
+	if int(id) == len(x.parent) {
+		x.parent = append(x.parent, id)
 		x.rank = append(x.rank, 0)
-		x.ord = append(x.ord, x.nextOrd)
-		x.nextOrd++
+		x.ord = append(x.ord, int64(n))
+		x.out, x.in = append(x.out, nil), append(x.in, nil)
 	}
 	return id
 }
@@ -89,9 +101,9 @@ func (x *Incr) AddEdges(edges []Edge) {
 	}
 }
 
-// AddEdge inserts one edge, updating the component partition. Edges the
-// graph already holds are no-ops, so re-feeding a recomputed edge list
-// is cheap and idempotent.
+// AddEdge inserts one edge, updating the component partition. An edge
+// the graph already holds is a no-op: two keys, or two reads in one
+// transaction, can imply the same dependency.
 func (x *Incr) AddEdge(a, b int, k Kind) {
 	ai, bi := x.ensure(a), x.ensure(b)
 	if a == b {
@@ -110,25 +122,11 @@ func (x *Incr) AddEdge(a, b int, k Kind) {
 		x.dirty[ra] = true
 		return
 	}
-	if x.out[ra][rb] {
-		return // the condensation already has this edge
-	}
-	x.link(ra, rb)
+	x.out[ra], x.in[rb] = append(x.out[ra], rb), append(x.in[rb], ra)
 	if x.ord[ra] < x.ord[rb] {
 		return // topological order undisturbed: no cycle possible
 	}
 	x.restore(ra, rb)
-}
-
-func (x *Incr) link(ra, rb int32) {
-	if x.out[ra] == nil {
-		x.out[ra] = map[int32]bool{}
-	}
-	x.out[ra][rb] = true
-	if x.in[rb] == nil {
-		x.in[rb] = map[int32]bool{}
-	}
-	x.in[rb][ra] = true
 }
 
 // restore repairs the topological order after inserting the
@@ -139,6 +137,7 @@ func (x *Incr) link(ra, rb int32) {
 // either way the affected components are reassigned the same order
 // slots so every condensation edge points forward again.
 func (x *Incr) restore(from, to int32) {
+	x.restores++
 	lb, ub := x.ord[to], x.ord[from]
 
 	// Forward from "to", visiting only components ordered before "from".
@@ -149,8 +148,8 @@ func (x *Incr) restore(from, to int32) {
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for nb := range x.out[c] {
-			if nb == from {
+		for _, nb := range x.out[c] {
+			if nb = x.find(nb); nb == from {
 				cycle = true
 				continue
 			}
@@ -168,8 +167,8 @@ func (x *Incr) restore(from, to int32) {
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for nb := range x.in[c] {
-			if !seenB[nb] && x.ord[nb] > lb {
+		for _, nb := range x.in[c] {
+			if nb = x.find(nb); !seenB[nb] && x.ord[nb] > lb {
 				seenB[nb] = true
 				deltaB = append(deltaB, nb)
 				stack = append(stack, nb)
@@ -255,8 +254,9 @@ func (x *Incr) restore(from, to int32) {
 	}
 }
 
-// merge collapses the given component roots into one, rewiring the
-// condensation and marking the survivor dirty. It returns the survivor.
+// merge collapses the given component roots into one, which inherits
+// their edges to the components left outside, and marks the survivor
+// dirty. It returns the survivor.
 func (x *Incr) merge(roots []int32) int32 {
 	// Pick the highest-rank root as the survivor.
 	nr := roots[0]
@@ -266,14 +266,7 @@ func (x *Incr) merge(roots []int32) int32 {
 		}
 	}
 	x.rank[nr]++
-	merged := map[int32]bool{}
-	for _, r := range roots {
-		merged[r] = true
-	}
-	// Collect members and external adjacency of the merged components.
 	var ms []int32
-	outs := map[int32]bool{}
-	ins := map[int32]bool{}
 	for _, r := range roots {
 		if mem := x.members[r]; mem != nil {
 			ms = append(ms, mem...)
@@ -281,40 +274,16 @@ func (x *Incr) merge(roots []int32) int32 {
 		} else {
 			ms = append(ms, r)
 		}
-		for nb := range x.out[r] {
-			if !merged[nb] {
-				outs[nb] = true
-			}
-		}
-		for nb := range x.in[r] {
-			if !merged[nb] {
-				ins[nb] = true
-			}
-		}
-		delete(x.out, r)
-		delete(x.in, r)
 		delete(x.dirty, r)
 		x.parent[r] = nr
+		if r != nr {
+			x.out[nr], x.in[nr] = append(x.out[nr], x.out[r]...), append(x.in[nr], x.in[r]...)
+			x.out[r], x.in[r] = nil, nil
+		}
 	}
-	x.parent[nr] = nr
 	x.members[nr] = ms
-	// Rewire neighbors: their edges to any merged root now point at nr.
-	for nb := range outs {
-		x.link(nr, nb)
-		for _, r := range roots {
-			if r != nr {
-				delete(x.in[nb], r)
-			}
-		}
-	}
-	for nb := range ins {
-		x.link(nb, nr)
-		for _, r := range roots {
-			if r != nr {
-				delete(x.out[nb], r)
-			}
-		}
-	}
+	internal := func(nb int32) bool { return x.find(nb) == nr }
+	x.out[nr], x.in[nr] = slices.DeleteFunc(x.out[nr], internal), slices.DeleteFunc(x.in[nr], internal)
 	x.dirty[nr] = true
 	return nr
 }
@@ -377,23 +346,26 @@ func (x *Incr) DirtySCCs() [][]int {
 // exist were searched and surfaced before retirement).
 func (x *Incr) Retire(keep func(int) bool) {
 	old := x.g
-	// Survivors re-enter in the old topological order of their
-	// components (ties broken by dense id, which keeps each old SCC
-	// contiguous). Re-fed that way, every cross-component edge is
-	// order-respecting — an O(1) insert for Pearce-Kelly — and only
-	// within-SCC edges pay for restoration, which re-merges exactly the
-	// components that must collapse anyway. Feeding in dense-id order
-	// instead makes the rebuild quadratic-ish in practice: dense ids
-	// are arrival order, not topological order, so a large share of
-	// edges lands order-violating and triggers region reorderings.
+	// Survivors re-enter in the old topological order of their components
+	// (ties broken by dense id, which keeps each old SCC contiguous) and
+	// take, in that order, the survivors' own ids ascending as positions:
+	// the identity unless restore had reordered something, and a set no
+	// later node's seed can collide with. Re-fed that way, every
+	// cross-component edge is order-respecting — an O(1) insert for
+	// Pearce-Kelly — and only within-SCC edges pay for restoration, which
+	// re-merges exactly the components that must collapse anyway; left at
+	// their seeds, survivors would replay every reordering the old graph
+	// had already paid for.
 	type survivor struct {
 		ai  int32
 		ord int64
 	}
 	var survivors []survivor
+	var ids []int
 	for ai, n := range old.nodes {
 		if keep(n) {
 			survivors = append(survivors, survivor{int32(ai), x.ord[x.find(int32(ai))]})
+			ids = append(ids, n)
 		}
 	}
 	sort.Slice(survivors, func(i, j int) bool {
@@ -402,10 +374,12 @@ func (x *Incr) Retire(keep func(int) bool) {
 		}
 		return survivors[i].ai < survivors[j].ai
 	})
+	sort.Ints(ids)
 
 	*x = *NewIncr(x.mask)
-	for _, s := range survivors {
-		x.ensure(old.nodes[s.ai]) // survivors keep their nodes even when isolated
+	for i, s := range survivors {
+		// Survivors keep their nodes even when isolated.
+		x.ord[x.ensure(old.nodes[s.ai])] = int64(ids[i])
 	}
 	for _, s := range survivors {
 		a := old.nodes[s.ai]

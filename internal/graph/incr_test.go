@@ -3,7 +3,13 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/memdb"
+	"repro/internal/op"
 )
 
 // sccSetsEqual compares two component partitions (each a list of sorted
@@ -32,22 +38,53 @@ func sccSetsEqual(a, b [][]int) bool {
 }
 
 // checkOrder verifies the maintained topological invariant: every
-// condensation edge points from a lower-ordered root to a higher one.
+// condensation edge, resolved to current roots, leaves a live root for a
+// different, higher-ordered one, and the two directions mirror each other.
 func checkOrder(t *testing.T, x *Incr) {
 	t.Helper()
-	for r, outs := range x.out {
-		if x.find(r) != r {
-			t.Fatalf("condensation adjacency keyed by non-root %d", r)
+	type edge struct{ from, to int32 }
+	fwd, back := map[edge]bool{}, map[edge]bool{}
+	for r := range x.out {
+		r := int32(r)
+		if x.find(r) != r && len(x.out[r])+len(x.in[r]) > 0 {
+			t.Fatalf("condensation adjacency kept by non-root %d", r)
 		}
-		for nb := range outs {
-			if x.find(nb) != nb {
-				t.Fatalf("condensation edge %d->%d targets non-root", r, nb)
-			}
+		for _, nb := range x.out[r] {
+			nb = x.find(nb)
 			if x.ord[r] >= x.ord[nb] {
 				t.Fatalf("order violated: edge %d->%d but ord %d >= %d", r, nb, x.ord[r], x.ord[nb])
 			}
+			fwd[edge{r, nb}] = true
+		}
+		for _, nb := range x.in[r] {
+			back[edge{x.find(nb), r}] = true
 		}
 	}
+	if !reflect.DeepEqual(fwd, back) {
+		t.Fatalf("condensation out-edges %v, in-edges %v", fwd, back)
+	}
+}
+
+// idAssignments are ways to name the i'th of n nodes: the seeded order
+// must hold its invariant for any of them, not just ids that ascend in
+// arrival order.
+var idAssignments = map[string]func(rng *rand.Rand, n int) []int{
+	"dense":      func(_ *rand.Rand, n int) []int { return ids(n, func(i int) int { return i }) },
+	"sparse":     func(_ *rand.Rand, n int) []int { return ids(n, func(i int) int { return 1000 + 7919*i }) },
+	"descending": func(_ *rand.Rand, n int) []int { return ids(n, func(i int) int { return 3 * (n - i) }) },
+	"shuffled": func(rng *rand.Rand, n int) []int {
+		out := ids(n, func(i int) int { return 5 * i })
+		rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	},
+}
+
+func ids(n int, f func(int) int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = f(i)
+	}
+	return out
 }
 
 // TestIncrMatchesTarjan inserts random edges one at a time and checks
@@ -56,21 +93,24 @@ func checkOrder(t *testing.T, x *Incr) {
 // and dense regimes both: the sparse one exercises long merge chains,
 // the dense one repeated intra-component insertion.
 func TestIncrMatchesTarjan(t *testing.T) {
-	for _, nodes := range []int{20, 60, 200} {
-		for seed := int64(0); seed < 3; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			x := NewIncr(KSDep)
-			for i := 0; i < 500; i++ {
-				a, b := rng.Intn(nodes), rng.Intn(nodes)
-				k := Kind(rng.Intn(3)) // WW, WR, RW
-				x.AddEdge(a, b, k)
-				got := x.SCCs()
-				want := x.Graph().sortedSCCs(KSDep)
-				if !sccSetsEqual(got, want) {
-					t.Fatalf("nodes %d seed %d, after %d edges (+%d->%d): incr %v, tarjan %v",
-						nodes, seed, i+1, a, b, got, want)
+	for name, assign := range idAssignments {
+		for _, nodes := range []int{20, 60, 200} {
+			for seed := int64(0); seed < 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				id := assign(rng, nodes)
+				x := NewIncr(KSDep)
+				for i := 0; i < 500; i++ {
+					a, b := id[rng.Intn(nodes)], id[rng.Intn(nodes)]
+					k := Kind(rng.Intn(3)) // WW, WR, RW
+					x.AddEdge(a, b, k)
+					got := x.SCCs()
+					want := x.Graph().sortedSCCs(KSDep)
+					if !sccSetsEqual(got, want) {
+						t.Fatalf("%s ids, nodes %d seed %d, after %d edges (+%d->%d): incr %v, tarjan %v",
+							name, nodes, seed, i+1, a, b, got, want)
+					}
+					checkOrder(t, x)
 				}
-				checkOrder(t, x)
 			}
 		}
 	}
@@ -151,43 +191,56 @@ func randomEdges(r *rand.Rand, n, m int) []Edge {
 }
 
 // TestIncrRetire: after Retire the Incr behaves like a fresh one fed
-// only the live edges — immediately and after further insertions — and
-// no retired node remains in its graph.
+// only the live edges, no retired node left in its graph, and goes on
+// behaving like it through further insertions — among live nodes, nodes
+// it has never seen, and retired nodes coming back.
 func TestIncrRetire(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		before := randomEdges(r, 24, 80)
-		after := randomEdges(r, 24, 60)
-		keep := func(n int) bool { return n >= 8 }
-
-		x := NewIncr(KSDep)
-		x.AddEdges(before)
-		x.DirtySCCs() // drain, as a session would before retiring
-		x.Retire(keep)
-
-		fresh := NewIncr(KSDep)
-		for _, e := range before {
-			if keep(e.From) && keep(e.To) {
-				fresh.AddEdge(e.From, e.To, e.Kind)
+	for name, assign := range idAssignments {
+		r := rand.New(rand.NewSource(23))
+		for trial := 0; trial < 10; trial++ {
+			id := assign(r, 32)
+			rename := func(edges []Edge) []Edge {
+				for i, e := range edges {
+					edges[i].From, edges[i].To = id[e.From], id[e.To]
+				}
+				return edges
 			}
-		}
-		if !sccSetsEqual(x.SCCs(), fresh.SCCs()) {
-			t.Fatalf("trial %d: retired incr SCCs diverge from fresh rebuild", trial)
-		}
-		checkOrder(t, x)
-		for _, e := range after {
-			if keep(e.From) && keep(e.To) {
+			before := rename(randomEdges(r, 24, 80))
+			after := rename(randomEdges(r, 32, 80))
+			retired := map[int]bool{}
+			for _, n := range id[:8] {
+				retired[n] = true
+			}
+			keep := func(n int) bool { return !retired[n] }
+
+			x := NewIncr(KSDep)
+			x.AddEdges(before)
+			x.DirtySCCs() // drain, as a session would before retiring
+			x.Retire(keep)
+
+			fresh := NewIncr(KSDep)
+			for _, e := range before {
+				if keep(e.From) && keep(e.To) {
+					fresh.AddEdge(e.From, e.To, e.Kind)
+				}
+			}
+			if !sccSetsEqual(x.SCCs(), fresh.SCCs()) {
+				t.Fatalf("%s ids, trial %d: retired incr SCCs diverge from fresh rebuild", name, trial)
+			}
+			checkOrder(t, x)
+			for _, n := range x.Graph().Nodes() {
+				if !keep(n) {
+					t.Fatalf("%s ids, trial %d: retired node %d still in live graph", name, trial, n)
+				}
+			}
+			// A retired node that comes back is brand new.
+			for _, e := range after {
 				x.AddEdge(e.From, e.To, e.Kind)
 				fresh.AddEdge(e.From, e.To, e.Kind)
+				checkOrder(t, x)
 			}
-		}
-		if !sccSetsEqual(x.SCCs(), fresh.SCCs()) {
-			t.Fatalf("trial %d: retired incr SCCs diverge from fresh rebuild after further inserts", trial)
-		}
-		checkOrder(t, x)
-		for _, n := range x.Graph().Nodes() {
-			if !keep(n) {
-				t.Fatalf("trial %d: retired node %d still in live graph", trial, n)
+			if !sccSetsEqual(x.SCCs(), fresh.SCCs()) {
+				t.Fatalf("%s ids, trial %d: retired incr SCCs diverge from fresh rebuild after further inserts", name, trial)
 			}
 		}
 	}
@@ -214,4 +267,98 @@ func TestSubgraph(t *testing.T) {
 	if sub.Label(1, 9) != 0 {
 		t.Fatal("subgraph kept an external edge")
 	}
+}
+
+// TestIncrSeededOrderSkipsRestore pins what seeding a node's position
+// from its id buys. Transactions are numbered by completion, and a
+// strict-serializable history's dependencies overwhelmingly follow that
+// order, so list-append's edges over a clean history — fed as a session
+// meets them, each once both its ends have completed — arrive
+// order-respecting: restore runs for the few that race, not for every
+// reader that meets an already-placed writer.
+func TestIncrSeededOrderSkipsRestore(t *testing.T) {
+	h := memdb.Run(memdb.RunConfig{
+		Clients: 10, Txns: 3000, Isolation: memdb.StrictSerializable,
+		Source: gen.New(gen.Config{ActiveKeys: 10, MaxWritesPerKey: 100}, 3), Seed: 3,
+		Workload: memdb.WorkloadList,
+	})
+	// List-append's inference, as far as a clean history needs it (the
+	// analyzer itself imports this package): a key's longest read is its
+	// version order, an element's appender its writer.
+	type elem struct {
+		key string
+		e   int
+	}
+	writer, order := map[elem]int{}, map[string][]int{}
+	for _, o := range h.OKs() {
+		for _, m := range o.Mops {
+			if m.F == op.FAppend {
+				writer[elem{m.Key, m.Arg}] = o.Index
+			} else if len(m.List) > len(order[m.Key]) {
+				order[m.Key] = m.List
+			}
+		}
+	}
+	var edges []Edge
+	edge := func(from, to int, fromOK, toOK bool, k Kind) {
+		if fromOK && toOK && from != to {
+			edges = append(edges, Edge{From: from, To: to, Kind: k})
+		}
+	}
+	for _, o := range h.OKs() {
+		for _, m := range o.Mops {
+			if m.F == op.FAppend {
+				continue
+			}
+			n, trace := len(m.List), order[m.Key]
+			if n > 0 {
+				w, ok := writer[elem{m.Key, trace[n-1]}]
+				edge(w, o.Index, ok, true, WR)
+			}
+			if n < len(trace) {
+				w, ok := writer[elem{m.Key, trace[n]}]
+				edge(o.Index, w, true, ok, RW)
+			}
+			if n == len(trace) {
+				for i := 0; i+1 < n; i++ {
+					a, aok := writer[elem{m.Key, trace[i]}]
+					b, bok := writer[elem{m.Key, trace[i+1]}]
+					edge(a, b, aok, bok, WW)
+				}
+			}
+		}
+	}
+	sort.SliceStable(edges, func(i, j int) bool {
+		return max(edges[i].From, edges[i].To) < max(edges[j].From, edges[j].To)
+	})
+
+	x := NewIncr(KSDep)
+	x.AddEdges(edges)
+	if len(x.SCCs()) != 0 {
+		t.Fatalf("a strict-serializable history has dependency cycles: %v", x.SCCs())
+	}
+	if len(edges) < 3000 || x.restores*20 >= len(edges) {
+		t.Errorf("%d of %d edges arrived against the seeded order", x.restores, len(edges))
+	}
+}
+
+// TestIncrRetireKeepsOrder: what restore reordered, Retire keeps. The
+// survivors of a graph that is acyclic against the order of its ids
+// re-enter without a single restore.
+func TestIncrRetireKeepsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	topo := rng.Perm(200)
+	x := NewIncr(KSDep)
+	for i := 0; i < 600; i++ {
+		a, b := rng.Intn(len(topo)), rng.Intn(len(topo))
+		x.AddEdge(topo[min(a, b)], topo[max(a, b)], Kind(rng.Intn(3)))
+	}
+	if len(x.SCCs()) != 0 || x.restores == 0 {
+		t.Fatalf("want an acyclic graph that took restores to order: %d SCCs, %d restores", len(x.SCCs()), x.restores)
+	}
+	x.Retire(func(n int) bool { return n%4 != 0 })
+	if n := x.Graph().NumNodes(); n == 0 || x.restores != 0 {
+		t.Errorf("re-entering %d acyclic survivors took %d restores", n, x.restores)
+	}
+	checkOrder(t, x)
 }

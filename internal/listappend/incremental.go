@@ -16,10 +16,12 @@ import (
 // maintains across feeds and the four steps the session drives. It keeps
 // every index the batch analyzer builds up front — the op map and the
 // per-key state: each key's element table, reads, and trace (replaced
-// only by a strictly longer clean read), plus a per-key dependency-edge
-// cache that is rebuilt only for keys touched since the last scan. A
-// graph.Incr ingests the refreshed edges and yields the dirty
-// components, which are re-searched for new cycle witnesses.
+// only by a strictly longer clean read) — plus, per key, the writer of
+// each trace position and the compatible reads by length. Those let
+// Ingest hand a graph.Incr each dependency edge once, the moment its
+// second endpoint is known (the rules are keyEdges's, read off as
+// deltas); Scan only drains the components the new edges dirtied and
+// re-searches them for new cycle witnesses.
 //
 // Finish hands the maintained state to the same phase sequence Analyze
 // runs (analyzer.finish), so its Analysis is byte-identical to Analyze
@@ -30,12 +32,54 @@ type stream struct {
 	orders [][]int // current version orders: each key's trace
 
 	incr     *graph.Incr
-	touched  map[history.KeyID]bool // keys whose edge caches are stale
-	poisoned bool                   // evidence was retracted; rebuild incr at next scan
+	offered  int  // edges handed to incr one by one, for the cost test
+	poisoned bool // evidence was retracted; rebuild incr at next scan
 }
 
 func begin(opts workload.Opts, keys *history.Interner) workload.Hooks {
-	return &stream{a: newAnalyzer(opts, keys), incr: graph.NewIncr(graph.KSDep), touched: map[history.KeyID]bool{}}
+	return &stream{a: newAnalyzer(opts, keys), incr: graph.NewIncr(graph.KSDep)}
+}
+
+// emit offers incr one edge. A poisoned graph is about to be rebuilt
+// from the state the edge was read off.
+func (s *stream) emit(from, to int, k graph.Kind) {
+	if !s.poisoned {
+		s.offered++
+		s.incr.AddEdge(from, to, k)
+	}
+}
+
+// placed emits what trace position p's writer, just learned, completes
+// towards the positions before it: the ww from its predecessor, the rw
+// of every read that stopped short of p and the wr to every read that
+// ended on it.
+func (s *stream) placed(ks *keyState, p int) {
+	w := ks.writers
+	if p > 0 && w[p-1] >= 0 {
+		s.emit(w[p-1], w[p], graph.WW)
+	}
+	for i := *ks.group(p); i > 0; i = ks.reads[i-1].next {
+		s.emit(ks.reads[i-1].o.Index, w[p], graph.RW)
+	}
+	for i := *ks.group(p + 1); i > 0; i = ks.reads[i-1].next {
+		s.emit(w[p], ks.reads[i-1].o.Index, graph.WR)
+	}
+}
+
+// file adds ks.reads[i], compatible with the trace, to its length's
+// group and emits its edges to the writers already known; placed emits
+// the rest as they become known.
+func (s *stream) file(ks *keyState, i int) {
+	r, w := &ks.reads[i], ks.writers
+	n := len(r.list)
+	head := ks.group(n)
+	r.next, *head = *head, int32(i+1)
+	if n > 0 && w[n-1] >= 0 {
+		s.emit(w[n-1], r.o.Index, graph.WR)
+	}
+	if n < len(w) && w[n] >= 0 {
+		s.emit(r.o.Index, w[n], graph.RW)
+	}
 }
 
 // Ingest indexes one completion and surfaces its per-op findings
@@ -50,31 +94,17 @@ func (s *stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 			continue
 		}
 		k := a.kid(m.Key)
-		s.touched[k] = true
 		ks := a.keyst[k]
-		switch es := ks.find(m.Arg); es.attempts {
-		case 1:
-			if o.Type != op.Fail || !es.observed {
-				break
-			}
-			// Readers that already observed this element read state that
-			// is now known to be aborted: the key's reads holding it, in
-			// ingestion order. A reader is cited once, with its first such
-			// read: the emitted-set drops its later ones.
-			if es.pos >= 0 {
-				ks.aborted = append(ks.aborted, int(es.pos))
-				slices.Sort(ks.aborted)
-			}
-			for _, r := range ks.reads {
-				if slices.Contains(r.list, m.Arg) {
-					out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r.o.Index, o.Index),
-						g1aAnomaly(r.o, m.Key, r.list, m.Arg, o))
-				}
-			}
-		case 2:
+		es := ks.find(m.Arg)
+		switch p := int(es.pos); {
+		case es.attempts > 1:
 			// The evicted writer's edges may already be in the
-			// incremental graph; they are no longer evidence.
-			s.poisoned = true
+			// incremental graph; they are no longer evidence. Past the
+			// second attempt there is a writer left to evict only when
+			// one op brought both.
+			if es.attempts == 2 || p >= 0 && ks.writers[p] >= 0 {
+				s.poisoned = true
+			}
 			out.Emit(fmt.Sprintf("dup|%d|%d", k, m.Arg), anomaly.Anomaly{
 				Type: anomaly.DuplicateAppends,
 				Ops:  []op.Op{a.ops[es.first], o},
@@ -83,6 +113,31 @@ func (s *stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 					"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
 					m.Arg, m.Key, es.attempts),
 			})
+		case o.Type != op.Fail:
+			// The writer of a position reads reached first. Its ww
+			// successor is the one edge placed leaves to the later position.
+			if w := ks.writers; p >= 0 {
+				w[p] = o.Index
+				s.placed(ks, p)
+				if p+1 < len(w) && w[p+1] >= 0 {
+					s.emit(w[p], w[p+1], graph.WW)
+				}
+			}
+		case es.observed:
+			// Readers that already observed this element read state that
+			// is now known to be aborted: the key's reads holding it, in
+			// ingestion order. A reader is cited once, with its first such
+			// read: the emitted-set drops its later ones.
+			if p >= 0 {
+				ks.aborted = append(ks.aborted, p)
+				slices.Sort(ks.aborted)
+			}
+			for _, r := range ks.reads {
+				if slices.Contains(r.list, m.Arg) {
+					out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r.o.Index, o.Index),
+						g1aAnomaly(r.o, m.Key, r.list, m.Arg, o))
+				}
+			}
 		}
 	}
 	if o.Type != op.OK {
@@ -107,7 +162,8 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 	ks := s.a.keyst[k]
 	// Reads are filed and folded in the same order, so the key's first
 	// unfolded read is this mop's.
-	r := &ks.reads[ks.folded]
+	ri := ks.folded
+	r := &ks.reads[ri]
 	ks.folded++
 	old := ks.longest
 	change := ks.observe(r)
@@ -123,46 +179,60 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 				g1aAnomaly(o, m.Key, m.List, e, s.a.ops[w]))
 		}
 	}
-	if change == duplicated {
-		return // not a clean read; contributes no version order
-	}
-	s.touched[k] = true
-	s.orders = history.GrowKeyed(s.orders, k)
-	s.orders[k] = ks.longest.list
 	switch change {
-	case replaced:
-		// Replacing the trace retracts the edges inferred from it.
-		s.poisoned = true
-		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.o.Index, o.Index),
-			incompatAnomaly(m.Key, old, *r))
+	case duplicated:
+		return // not a clean read; contributes no version order
 	case incompatible:
 		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, o.Index, ks.longest.o.Index),
 			incompatAnomaly(m.Key, *r, ks.longest))
+		return // and no edges
+	case replaced:
+		// Replacing the trace retracts the edges inferred from it, and
+		// regroups the key's reads around the new one.
+		s.poisoned = true
+		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.o.Index, o.Index),
+			incompatAnomaly(m.Key, old, *r))
+		ks.writers, ks.byLen = ks.writers[:0], ks.byLen[:0]
 	}
-}
-
-// Scan syncs the edge caches of every touched key into the incremental
-// graph and re-searches only the components the new edges dirtied.
-func (s *stream) Scan(out *workload.Findings) {
-	for _, k := range s.drainTouched() {
-		ks := s.a.keyst[k]
-		ks.edges = keyEdges(ks)
-		if !s.poisoned {
-			s.incr.AddEdges(ks.edges)
+	s.orders = history.GrowKeyed(s.orders, k)
+	s.orders[k] = ks.longest.list
+	// The positions the trace gained, in order: each sees its predecessor
+	// and the reads that stopped just short of it.
+	for p := len(ks.writers); p < len(r.list); p++ {
+		w, ok := ks.sole(r.list[p], false)
+		if !ok {
+			w = -1
+		}
+		ks.writers = append(ks.writers, w)
+		if ok {
+			s.placed(ks, p)
 		}
 	}
+	if change == replaced {
+		for i := range ks.reads[:ri] {
+			if op.IsPrefix(ks.reads[i].list, r.list) {
+				s.file(ks, i)
+			}
+		}
+	}
+	s.file(ks, ri)
+}
+
+// Scan re-searches the components the edges emitted since the last scan
+// dirtied.
+func (s *stream) Scan(out *workload.Findings) {
 	if s.poisoned {
 		// Evidence was retracted since the last scan — a duplicate
 		// append evicted a writer, or an incompatible read replaced a
 		// trace — and the append-only graph would keep the stale edges
 		// alive, seeding phantom provisional cycles. Rebuild it from
-		// the current caches; only structurally broken histories pay
-		// this, and the emitted-set keeps prior findings from
-		// resurfacing.
+		// the current state, by the batch rules; only structurally broken
+		// histories pay this, and the emitted-set keeps prior findings
+		// from resurfacing.
 		s.poisoned = false
 		s.incr = graph.NewIncr(graph.KSDep)
 		for _, k := range s.a.tracedKeys() {
-			s.incr.AddEdges(s.a.keyst[k].edges)
+			s.incr.AddEdges(keyEdges(s.a.keyst[k]))
 		}
 	}
 	dirty := s.incr.DirtySCCs()
@@ -189,18 +259,8 @@ func (s *stream) Scan(out *workload.Findings) {
 	}
 }
 
-func (s *stream) drainTouched() []history.KeyID {
-	keys := make([]history.KeyID, 0, len(s.touched))
-	for k := range s.touched {
-		keys = append(keys, k)
-	}
-	s.a.in.SortKeyIDs(keys)
-	s.touched = map[history.KeyID]bool{}
-	return keys
-}
-
 // Retire drops each quiescent key's one per-key state (element table,
-// reads, trace, edge cache) and its version order, then the ops no live
+// reads, trace, writers and read groups) and its version order, then the ops no live
 // key pins, then the graph region those ops spanned: nodes the analyzer
 // no longer indexes can gain no further edges from maintained state, and
 // the scan just before searched and surfaced their components'

@@ -74,7 +74,8 @@ type keyRead struct {
 	o      op.Op
 	invoke int // index of o's invocation
 	list   []int
-	dup    bool // the value repeats an element: it contributes no version order
+	dup    bool  // the value repeats an element: it contributes no version order
+	next   int32 // a session's chain of same-length compatible reads (keyState.byLen)
 }
 
 // analyzer carries the indices built over one history. Everything known
@@ -149,15 +150,30 @@ type keyState struct {
 	longest keyRead // the trace; longest.list is nil until a clean read exists
 
 	// Per trace position, rebuilt by index from the element table: the
-	// recoverable writer's op index or -1; the ascending positions whose
-	// only writer aborted (a session also grows it between rebuilds, so
-	// entries are re-verified against the table before use); the first
-	// position nobody attempted to append, len(trace) if none.
+	// recoverable writer's op index or -1 (a session keeps it current
+	// between rebuilds, to emit each edge as its writer becomes known);
+	// the ascending positions whose only writer aborted (a session also
+	// grows it between rebuilds, so entries are re-verified against the
+	// table before use); the first position nobody attempted to append,
+	// len(trace) if none.
 	writers []int
 	aborted []int
 	garbage int
 
-	edges []graph.Edge
+	edges []graph.Edge // finish's slot between inferring keys in parallel and merging them in order
+
+	// A session's compatible reads grouped by length: byLen[n] is 1 + the
+	// index in reads of the newest one of length n, chained through
+	// keyRead.next; 0 ends a chain.
+	byLen []int32
+}
+
+// group returns the head of the chain of compatible reads of length n.
+func (ks *keyState) group(n int) *int32 {
+	for len(ks.byLen) <= n {
+		ks.byLen = append(ks.byLen, 0)
+	}
+	return &ks.byLen[n]
 }
 
 // find returns e's row, or nil if the key has never met e. The pointer

@@ -233,8 +233,9 @@ var listInfo = func() workload.Info {
 	return info
 }()
 
-// checkAgainstReference asserts reference ≡ Analyze on h, and
-// session.Finish ≡ Analyze at each chunk size.
+// checkAgainstReference asserts reference ≡ Analyze on h, and at each
+// chunk size session.Finish ≡ Analyze and, step by step, the session's
+// emitted edges ≡ keyEdges (see oracle_test.go).
 func checkAgainstReference(t *testing.T, h *history.History, chunks ...int) {
 	t.Helper()
 	opts := workload.Opts{Parallelism: 1, DetectLostUpdates: true}
@@ -266,10 +267,11 @@ func checkAgainstReference(t *testing.T, h *history.History, chunks ...int) {
 	}
 }
 
-// streamed feeds ops through a list-append session in chunks.
+// streamed feeds ops through a list-append session in chunks, the
+// edge-set oracle riding along.
 func streamed(t *testing.T, ops []op.Op, opts workload.Opts, chunk int) workload.Analysis {
 	t.Helper()
-	s := workload.BeginSession(listInfo, opts)
+	s := workload.BeginSession(listappend.OracleInfo(t), opts)
 	for len(ops) > 0 {
 		n := min(max(chunk, 1), len(ops))
 		if _, err := s.Feed(ops[:n]); err != nil {
@@ -304,7 +306,7 @@ func TestReferenceOnEngineHistories(t *testing.T) {
 					AbortProb: plan.AbortProb, InfoProb: plan.InfoProb, CrashProb: plan.CrashProb,
 					Workload: memdb.WorkloadList,
 				})
-				checkAgainstReference(t, h, 1, 2, len(h.Ops))
+				checkAgainstReference(t, h, 1, 2, 7, len(h.Ops))
 			})
 		}
 	}
@@ -373,8 +375,50 @@ func TestReferenceOnHandWrittenHistories(t *testing.T) {
 		{Index: 5, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
 		{Index: 6, Process: 0, Type: ok, Mops: r("x", 1)},
 	}
+	// The shapes the session's edge emitter meets evidence in an order
+	// keyEdges never sees (every one also runs the edge-set oracle).
+	cases["writers learned after their elements were read, between known neighbours and at the end"] = txns(
+		appends("x", 1), r("x", 1, 2, 3), r("x", 1, 2), appends("x", 3), r("x", 1), appends("x", 2), r("x", 1, 2, 3, 4), appends("x", 4))
+	cases["late fail on an observed element"] = []op.Op{
+		op.Txn(0, 0, ok, appends("x", 1)...),
+		op.Txn(1, 1, ok, r("x", 1, 2, 3)...),
+		op.Txn(2, 2, ok, appends("x", 3)...),
+		op.Txn(3, 0, fail, op.Append("x", 2)),
+		op.Txn(4, 1, ok, r("x", 1, 2)...),
+	}
+	cases["info writer, before and after its element is read"] = []op.Op{
+		op.Txn(0, 0, op.Info, op.Append("x", 1)),
+		op.Txn(1, 1, ok, r("x", 1, 2)...),
+		op.Txn(2, 2, op.Info, op.Append("x", 2)),
+		op.Txn(3, 0, ok, r("x", 1)...),
+	}
+	cases["readers that are their own writers"] = txns(
+		appends("x", 1), append(appends("x", 2), r("x", 1, 2)...), r("x", 1, 2, 3), append(r("x", 1, 2, 3), appends("x", 3)...),
+		append(r("x", 1, 2, 3), appends("x", 4)...), r("x", 1, 2, 3, 4))
+	cases["reads of the empty list before the first append"] = txns(
+		r("x"), r("x"), appends("x", 1), r("x"), r("x", 1), r("y"), r("y", 5), appends("y", 5))
+	cases["one transaction brings an element's second and third append"] = txns(
+		appends("x", 1, 2), r("x", 1, 2), appends("x", 2, 2), r("x", 1), r("x", 1, 2))
+	// Evidence retracted mid-stream, then a scan point: the rebuilt graph
+	// has to pick the deltas up again where the rebuild left them.
+	for name, c := range map[string]struct{ retract, after [][]op.Mop }{
+		"duplicate append, then a scan and more of the key": {
+			[][]op.Mop{appends("x", 2)},
+			[][]op.Mop{appends("x", 4), r("x", 1), r("x", 1, 2, 3, 4, 5), appends("x", 5), r("x", 1, 2, 3, 4)}},
+		"replaced trace, then a scan and more of the key": {
+			[][]op.Mop{r("x", 1, 3, 2, 4)},
+			[][]op.Mop{appends("x", 4), r("x", 1), r("x", 1, 3, 2, 4, 5), appends("x", 5), r("x", 1, 3), r("x", 1, 2, 3)}},
+	} {
+		rows := append([][]op.Mop{appends("x", 1, 2), appends("x", 3), r("x", 1, 2, 3), r("x", 1, 2)}, c.retract...)
+		var filler []int
+		for i := 0; i < workload.ScanEvery; i++ {
+			filler = append(filler, i)
+			rows = append(rows, appends("filler", i), r("filler", filler...))
+		}
+		cases[name] = txns(append(rows, c.after...)...)
+	}
 	for name, ops := range cases {
-		t.Run(name, func(t *testing.T) { checkAgainstReference(t, history.MustNew(ops), 1, 2, len(ops)) })
+		t.Run(name, func(t *testing.T) { checkAgainstReference(t, history.MustNew(ops), 1, 2, 7, len(ops)) })
 	}
 }
 

@@ -46,13 +46,8 @@ func TestBudgetedSessionDropsSettledCycles(t *testing.T) {
 	opts := workload.Opts{Parallelism: 1, MemoryBudget: window}
 	// The session under test is the registered one; the test keeps a
 	// handle on its hooks to inspect the state they maintain.
-	info, _ := workload.Lookup(string(workload.ListAppend))
 	var st *stream
-	info.Incremental = func(opts workload.Opts, keys *history.Interner) workload.Hooks {
-		st = begin(opts, keys).(*stream)
-		return st
-	}
-	s := workload.BeginSession(info, opts)
+	s := workload.BeginSession(hookedInfo(t, func(s *stream) workload.Hooks { st = s; return s }), opts)
 	for _, o := range ops {
 		d, err := s.Feed([]op.Op{o})
 		if err != nil {

@@ -39,9 +39,10 @@ type Delta struct {
 
 // ScanEvery is how many completions a session ingests between scans.
 // Per-op findings surface on the feed that proves them; whatever an
-// analyzer derives in batches (edge syncs and cycle search, per-key
-// inference refreshes) surfaces at the next scan, so a hot key's rebuild
-// is amortized over a batch of ops.
+// analyzer derives in batches surfaces at the next scan: rw-register
+// re-infers a hot key once per batch of ops; list-append emits its edges
+// as ops arrive and has nothing to rebuild, so for it the constant only
+// paces cycle search over the components the new edges dirtied.
 const ScanEvery = 128
 
 // Hooks is the per-analyzer half of a streaming session: what a
