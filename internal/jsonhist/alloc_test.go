@@ -2,6 +2,7 @@ package jsonhist
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -58,5 +59,58 @@ func TestDecodeChunkingAllocsAmortize(t *testing.T) {
 	// chunk, independent of the lines inside it.
 	if perExtraChunk > 12 {
 		t.Fatalf("each chunk boundary costs %.2f allocations; want O(1) per chunk (<= 12)", perExtraChunk)
+	}
+}
+
+// TestBytesDecoderAllocatesNoReadBuffer pins what the in-place entry is
+// for: decoding an uploaded chunk allocates in proportion to the chunk —
+// its ops, and a share of the parser's arena slabs — not the megabyte of
+// read buffer (plus a copy of the body) the reader entry costs per call.
+func TestBytesDecoderAllocatesNoReadBuffer(t *testing.T) {
+	line := `{"index":0,"type":"ok","process":3,"value":[["append",8,117],["r",9,[1,2,3,4,5]],["append",8,118]]}`
+	input := []byte(strings.Repeat(line+"\n", 100)) // ~10 KB
+	const runs = 64
+	perDecode := func(newDecoder func() *StreamDecoder) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := drain(newDecoder()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	opts := DecodeOpts{Parallelism: 1}
+	reader := perDecode(func() *StreamDecoder { return NewStreamDecoder(bytes.NewReader(input), opts) })
+	inPlace := perDecode(func() *StreamDecoder { return NewBytesDecoder(input, opts) })
+	t.Logf("bytes allocated per %d-byte chunk: reader %d, in place %d", len(input), reader, inPlace)
+	if inPlace > 1<<18 {
+		t.Fatalf("an in-place chunk decode allocates %d bytes; want well under the 1 MiB read buffer", inPlace)
+	}
+}
+
+// BenchmarkParseLine is the scanner alone, per line shape, in MB/s: no
+// reader, no chunking, one parser reused as within a chunk.
+func BenchmarkParseLine(b *testing.B) {
+	for _, c := range []struct {
+		name, line string
+		register   bool
+	}{
+		{"list-read", `{"index":1041,"type":"ok","process":3,"time":88213,"value":[["r",9,[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32]],["append",8,117],["r",7,[101,102,103,104,105,106,107,108,109,110,111,112]]]}`, false},
+		{"write-only", `{"index":1040,"type":"invoke","process":3,"time":88101,"value":[["append",8,117],["append",9,33],["append",11,2048],["append",8,118]]}`, false},
+		{"register", `{"index":1042,"type":"ok","process":5,"time":88377,"value":[["w",4,19],["r",6,12],["r",4,null],["w",7,20]]}`, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			text := []byte(c.line)
+			p := new(lineParser)
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.parse(text, c.register); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

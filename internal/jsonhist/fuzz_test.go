@@ -20,6 +20,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(``)
 	f.Add(`garbage`)
 	f.Add(`{"index":0,"type":"ok","process":0,"value":[["r","x",{"bad":1}]]}`)
+	// The oracle corpus: a line per exit of the fast "value" path, so
+	// what either path emits goes on to the encoder and the analyzers.
+	seedScannerLines(f)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		h, err := Decode(strings.NewReader(input), false)

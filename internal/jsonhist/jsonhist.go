@@ -61,16 +61,24 @@ func Decode(r io.Reader, register bool) (*history.History, error) {
 const chunkTarget = 1 << 20
 
 // chunk is one parse unit: a run of consecutive lines, copied out of the
-// read buffer so decoding never retains the underlying stream. Lines are
-// packed back to back in one contiguous buffer with recorded end
-// offsets — one allocation per chunk rather than one per line — and the
-// buffers (and the parser's scratch space) recycle through chunkPool
-// once parsed.
+// read buffer so decoding never retains the underlying stream — or, for
+// a source already in memory, a window of it. Lines are packed back to
+// back in one contiguous buffer with recorded end offsets — one
+// allocation per chunk rather than one per line — and the buffers (and
+// the parser's scratch space) recycle through chunkPool once parsed.
 type chunk struct {
 	firstLine int
-	buf       []byte // line bytes, concatenated (newlines included)
-	ends      []int  // end offset of each line within buf
+	text      []byte // line bytes, concatenated (newlines included): buf, or the window
+	ends      []int  // end offset of each line within text
+	buf       []byte // the chunk's own buffer, which a reader's lines are copied into
 	parser    *lineParser
+}
+
+// release returns c to the pool, letting go of text first: a window
+// belongs to the caller, and the pool must not keep it alive.
+func (c *chunk) release() {
+	c.text = nil
+	chunkPool.Put(c)
 }
 
 // chunkPool recycles chunk buffers between reads; a decode of an n-line
@@ -94,26 +102,26 @@ type parsed struct {
 //
 // DecodeWith is NewStreamDecoder + collect-everything; callers that
 // want the ops as they parse (the incremental checker) drive the
-// StreamDecoder directly. When the source reports its size (bytes and
-// strings readers do), the collected slice is presized from the
-// observed bytes-per-line ratio instead of growing by doubling.
+// StreamDecoder directly. The rounds are kept as Next returns them and
+// joined once, at their exact total, whatever the source is.
 func DecodeWith(r io.Reader, opts DecodeOpts) (*history.History, error) {
 	d := NewStreamDecoder(r, opts)
-	var ops []op.Op
+	var rounds [][]op.Op
+	total := 0
 	for {
-		chunk, err := d.Next()
+		round, err := d.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if ops == nil {
-			if est := d.sizeEstimate(); est > len(chunk) {
-				ops = make([]op.Op, 0, est)
-			}
-		}
-		ops = append(ops, chunk...)
+		rounds = append(rounds, round)
+		total += len(round)
+	}
+	ops := make([]op.Op, 0, total)
+	for _, round := range rounds {
+		ops = append(ops, round...)
 	}
 	return history.New(ops)
 }

@@ -272,6 +272,93 @@ var scannerLines = []string{
 	`{"type":"invoke","value":[["r","x",null]]}`,
 	`{"type":"ok","value":"mops"}`,
 	`{"type":"ok","value":[17]}`,
+	// The fast "value" path and each of its exits to the span path (see
+	// scan.go): every line below either stays on the fast path or leaves
+	// it at a different byte.
+	`{"value":[["r","x",null]],"type":"ok"}`, // "value" before "type"
+	`{"value":[["r","x",null]],"type":"invoke"}`,
+	`{"type":"ok","value":[["r","x",null]],"type":"invoke"}`,
+	`{"type":"invoke","value":[["r","x",null],["r","y",4]],"type":"ok"}`,
+	`{"type":"ok","value":[["r","x",null]],"value":[["r"]]}`,    // good, then bad
+	`{"type":"ok","value":[["nope"]],"value":[["w","x",1]]}`,    // bad, then good
+	`{"type":"ok","value":[["w","x",1]],"value":null}`,          // good, then null
+	`{"type":"ok","value":[["w","x",1]],"value":[["w","y",2]]}`, // good, then good
+	`{"type":"ok","value":[["w","x",1]],"value":[]}`,            // good, then empty
+	`{"type":"ok","value":[["w","x",1]],"value":[["w","x",1]`,   // good, then truncated
+	`{"type":"ok","value":[["\u0072","x",null]]}`,               // escaped fun
+	`{"type":"ok","value":[["\u0077","x",3]]}`,
+	`{"type":"ok","value":[["R","x",null]]}`,
+	`{"type":"ok","value":[["",1,1]]}`,
+	`{"type":"ok","value":[["w","k\n",1]]}`, // escaped key
+	`{"type":"ok","value":[["w","ké",1]]}`,  // non-ASCII key
+	"{\"type\":\"ok\",\"value\":[[\"w\",\"del\x7f\",1]]}",
+	`{"type":"ok","value":[["w","",1]]}`,
+	`{"type":"ok","value":[["w",12,1],["append",-7,2],["r",0,null]]}`, // numeric keys
+	`{"type":"ok","value":[["r",-0,null]]}`,
+	`{"type":"ok","value":[["w","x",-0]]}`,
+	`{"type":"ok","value":[["r","x",[-0,-1]]]}`,
+	`{"type":"ok","value":[["r","x",-0]]}`,
+	`{"type":"ok","value":[["w",01,1]]}`, // 01, 1.0, 1e3 in every slot
+	`{"type":"ok","value":[["w","x",01]]}`,
+	`{"type":"ok","value":[["r","x",[01]]]}`,
+	`{"type":"ok","value":[["r","x",01]]}`,
+	`{"type":"ok","value":[["w",1.0,1]]}`,
+	`{"type":"ok","value":[["w","x",1.0]]}`,
+	`{"type":"ok","value":[["r","x",[1.0]]]}`,
+	`{"type":"ok","value":[["r","x",1.0]]}`,
+	`{"type":"ok","value":[["w",1e3,1]]}`,
+	`{"type":"ok","value":[["w","x",1e3]]}`,
+	`{"type":"ok","value":[["r","x",[1e3]]]}`,
+	`{"type":"ok","value":[["r","x",1E3]]}`,
+	`{"type":"ok","value":[["w",999999999999999999,-999999999999999999]]}`, // 18 digits
+	`{"type":"ok","value":[["w",1234567890123456789,1]]}`,                  // 19 digits
+	`{"type":"ok","value":[["w","x",-1234567890123456789]]}`,
+	`{"type":"ok","value":[["r","x",[9223372036854775807]]]}`,
+	`{"type":"ok","value":[["r","x",-9223372036854775808]]}`,
+	`{"type":"ok","value":[["w",9223372036854775808,1]]}`, // overflow
+	`{"type":"ok","value":[["w","x",-9223372036854775809]]}`,
+	`{"type":"ok","value":[["r","x",[9223372036854775808]]]}`,
+	`{"type":"ok","value":[["r","x",18446744073709551616]]}`,
+	`{"type":"ok","value":[["r","x",0000000000000000000001]]}`,
+	`{"type":"ok","value":[["w","x",-]]}`,
+	`{"type":"ok","value":[["w","x",--1]]}`,
+	`{"type":"ok","value":[["w","x",+1]]}`,
+	`{"type":"ok","value":[["r","x",nul]]}`, // nul and truncation
+	`{"type":"ok","value":[["r","x",nullx]]}`,
+	`{"type":"ok","value":[["r","x",nul`,
+	`{"type":"ok","value":[["r","x",null]`,
+	`{"type":"ok","value":[["r","x",[1,2`,
+	`{"type":"ok","value":[["r","x",[1,2]`,
+	`{"type":"ok","value":[["r","x`,
+	`{"type":"ok","value":[["r`,
+	`{"type":"ok","value":[[`,
+	`{"type":"ok","value":[`,
+	`{"type":"ok","value":nul}`,
+	`{"type":"ok","value":[[]]}`, // arity
+	`{"type":"ok","value":[["r","x"]]}`,
+	`{"type":"ok","value":[["w","x",1,2]]}`,
+	`{"type":"ok","value":[["w","x",1],["r","x"]]}`,
+	`{"type":"ok","value":[["r","x",[null]]]}`, // null list elements
+	`{"type":"ok","value":[["r","x",[1]]]}`,    // a register read of [1]
+	`{"type":"ok","value":[["r","x",[]]]}`,
+	`{"type":"ok","value":[["r","x","5"]]}`,
+	`{"type":"ok","value":[["r","x",true]]}`,
+	`{"type":"ok","value":[["w","x",[1]]]}`,
+	`{"type":"ok","value":[["w","x",1],]}`, // separators
+	`{"type":"ok","value":[,["w","x",1]]}`,
+	`{"type":"ok","value":[["w","x",1]["w","x",2]]}`,
+	`{"type":"ok","value":[["w","x",1,]]}`,
+	`{"type":"ok","value":[["w",,1]]}`,
+	`{"type":"ok","value":[["w" "x" 1]]}`,
+	`{"type":"ok","value":[["r","x",[1,]]]}`,
+	`{"type":"ok","value":[["r","x",[,1]]]}`,
+	`{"type":"ok","value":[["r","x",[1 2]]]}`,
+	`{"type":"ok","value":[["r","x",[1,2]],null]}`,
+	`{"type":"ok","value":[null]}`,
+	"\t{ \"type\" : \"ok\" , \"value\" : [ [ \"r\" , \"x\" , [ 1 ,\t2 , -3 ] ] , [ \"append\" , 5 , 3 ] , [ \"r\" , \"y\" , null ] , [ \"r\" , \"z\" , [ ] ] ] } \r", // whitespace in every gap
+	"{\"type\":\"ok\",\"value\":\t[\r[\"w\"\t,\r\"x\" , 7 ]\t]\r}",
+	"{\"type\":\"ok\",\"value\":[ ]}",
+	"{\"type\":\"ok\",\"value\":[[\"w\",\"x\",\v1]]}", // not JSON whitespace
 	// Syntax probes.
 	`{"type":"ok",}`,
 	`{"type" "ok"}`,
@@ -283,6 +370,16 @@ var scannerLines = []string{
 	// Deep nesting around the stdlib's 10000 cap.
 	`{"deep":` + strings.Repeat("[", 9998) + strings.Repeat("]", 9998) + `,"type":"ok"}`,
 	`{"deep":` + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + `,"type":"ok"}`,
+}
+
+// seedScannerLines adds the corpus to a fuzz target's seeds; the two
+// deep-nesting lines, 20 KB each, would only slow mutation down.
+func seedScannerLines(f *testing.F) {
+	for _, line := range scannerLines {
+		if len(line) < 1000 {
+			f.Add(line)
+		}
+	}
 }
 
 // TestScannerMatchesOracle pins scanner/oracle agreement — acceptance
@@ -304,6 +401,39 @@ func TestScannerMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFastPathEqualsSpanPath pins the fast "value" path to the span
+// path it stands in front of: over the corpus and both read modes, a
+// parser allowed the fast path and one held to the spans return the same
+// op and the same error text, so the fast path decides nothing about
+// what is rejected or how. It also checks the corpus does reach the fast
+// path, and does leave it.
+func TestFastPathEqualsSpanPath(t *testing.T) {
+	p, span := new(lineParser), &lineParser{spanOnly: true}
+	took, left := 0, 0
+	for _, line := range scannerLines {
+		for _, register := range []bool{false, true} {
+			got, gerr := p.parse([]byte(line), register)
+			want, werr := span.parse([]byte(line), register)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Errorf("register=%v line %q:\n  span err: %v\n  fast err: %v", register, line, werr, gerr)
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("register=%v line %q:\n  span: %+v\n  fast: %+v", register, line, want, got)
+			}
+			if p.fast {
+				took++
+			} else {
+				left++
+			}
+		}
+	}
+	if took == 0 || left == 0 {
+		t.Fatalf("corpus took the fast path %d times and the span path %d times; want both", took, left)
+	}
+	t.Logf("fast path %d, span path %d", took, left)
 }
 
 // TestEncodeMatchesOracle pins byte-identical encoding on a history

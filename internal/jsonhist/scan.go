@@ -18,12 +18,24 @@ import (
 // in oracle_test.go); only the error *text* for rejected lines is its
 // own.
 //
-// The envelope pass walks the object once, validating syntax and
-// recording the byte span of each element of the "value" array; the mop
-// pass then re-parses just those spans semantically. Member names are
-// matched with the same Unicode simple folding encoding/json uses, null
-// member values are no-ops, duplicate members last-win, and unknown
-// members are skipped after full structural validation.
+// The envelope pass walks the object once. Member names are matched
+// with the same Unicode simple folding encoding/json uses, null member
+// values are no-ops, duplicate members last-win, and unknown members are
+// skipped after full structural validation.
+//
+// The "value" array — three quarters of a history's bytes — has two
+// readers. The fast path (fastValue) parses it in the same pass straight
+// into mops, under a grammar in which nothing can be invalid: mops of
+// exactly three elements, a known fun, the key an escape-free ASCII
+// string or a canonical integer, numbers integral and at most 18
+// digits, null only as a read's value, whitespace wherever JSON allows
+// it. It has no error of its own: at the first byte outside that
+// grammar it gives up, and the span path starts over from the same '[',
+// validating syntax and recording each element's byte span for buildOp
+// to parse once the whole line is known well-formed. So the span path
+// alone decides what is rejected and how the error reads; the fast path
+// only has to agree with it on what both accept, which
+// TestFastPathEqualsSpanPath and the oracle fuzz target pin.
 
 // maxNestingDepth mirrors encoding/json's composite-value depth cap so
 // the scanner accepts exactly the nesting the stdlib decoder accepted.
@@ -53,7 +65,8 @@ type lineParser struct {
 	register bool
 
 	mops  []op.Mop          // mop scratch, copied out per op
-	elems [][2]int          // "value" element spans
+	elems [][2]int          // "value" element spans (span path)
+	fast  bool              // the winning "value" member is already in mops
 	ints  []int             // list-read scratch, copied out per mop
 	str   []byte            // string unquote scratch
 	keys  map[string]string // interned key cache
@@ -65,6 +78,10 @@ type lineParser struct {
 	// slab may serve ops of several histories without overlap.
 	mopArena []op.Mop
 	intArena []int
+
+	// spanOnly keeps "value" off the fast path. Only tests set it, to hold
+	// the two paths against each other.
+	spanOnly bool
 }
 
 const arenaSlab = 4096
@@ -110,7 +127,7 @@ type envelope struct {
 // blank lines).
 func (p *lineParser) parse(text []byte, register bool) (op.Op, error) {
 	p.buf, p.pos, p.depth, p.register = text, 0, 0, register
-	p.elems = p.elems[:0]
+	p.elems, p.fast = p.elems[:0], false
 	var env envelope
 	p.skipWS()
 	if p.pos >= len(p.buf) {
@@ -249,13 +266,16 @@ func (p *lineParser) memberType(env *envelope) error {
 	return nil
 }
 
-// memberValue records the span of each element of the "value" array; a
-// repeated member last-wins. Unlike the scalar members, null is not a
-// no-op here: unmarshaling null into a slice sets it to nil.
+// memberValue reads the "value" array: into mops when the fast path
+// takes it, else as the span of each element; a repeated member
+// last-wins, whichever path read the earlier one. Unlike the scalar
+// members, null is not a no-op here: unmarshaling null into a slice sets
+// it to nil.
 func (p *lineParser) memberValue() error {
 	if p.pos >= len(p.buf) {
 		return p.errUnexpectedEnd()
 	}
+	p.fast = false
 	switch p.buf[p.pos] {
 	case 'n':
 		p.elems = p.elems[:0]
@@ -263,6 +283,10 @@ func (p *lineParser) memberValue() error {
 	case '[':
 	default:
 		return p.errSyntax("op value must be an array")
+	}
+	if !p.spanOnly && p.fastValue() {
+		p.fast = true
+		return nil
 	}
 	p.pos++
 	if err := p.push(); err != nil {
@@ -299,7 +323,8 @@ func (p *lineParser) memberValue() error {
 	}
 }
 
-// buildOp resolves the envelope and parses the recorded mop spans.
+// buildOp resolves the envelope and the winning "value" member: the
+// fast path's mops as they stand, or the recorded spans parsed now.
 func (p *lineParser) buildOp(env *envelope) (op.Op, error) {
 	if !env.typeSet {
 		return op.Op{}, fmt.Errorf("unknown op type %q", "")
@@ -313,25 +338,38 @@ func (p *lineParser) buildOp(env *envelope) (op.Op, error) {
 		Time:    env.time,
 		Type:    env.typ,
 	}
-	if len(p.elems) == 0 {
-		return o, nil
-	}
-	p.mops = p.mops[:0]
-	for i, span := range p.elems {
-		m, err := p.parseMop(span, env.typ)
-		if err != nil {
-			return op.Op{}, fmt.Errorf("mop %d: %w", i, err)
+	if !p.fast {
+		p.mops = p.mops[:0]
+		for i, span := range p.elems {
+			m, err := p.parseMop(span)
+			if err != nil {
+				return op.Op{}, fmt.Errorf("mop %d: %w", i, err)
+			}
+			p.mops = append(p.mops, m)
 		}
-		p.mops = append(p.mops, m)
+	}
+	if len(p.mops) == 0 {
+		return o, nil
 	}
 	o.Mops = p.allocMops(len(p.mops))
 	copy(o.Mops, p.mops)
+	if p.register && env.typ == op.OK {
+		// A null register read in a completed (ok) op means the read
+		// observed the initial nil version; anywhere else the result is
+		// simply unknown. Both paths leave it unknown, since "type" may
+		// come after — or again after — "value".
+		for i, m := range o.Mops {
+			if m.F == op.FRead && !m.RegKnown {
+				o.Mops[i] = op.ReadNil(m.Key)
+			}
+		}
+	}
 	return o, nil
 }
 
 // parseMop semantically parses one already-validated element span as a
 // [fun, key, value] micro-op.
-func (p *lineParser) parseMop(span [2]int, t op.Type) (op.Mop, error) {
+func (p *lineParser) parseMop(span [2]int) (op.Mop, error) {
 	p.pos, p.depth = span[0], 0
 	if p.buf[p.pos] != '[' {
 		return op.Mop{}, fmt.Errorf("micro-op must be a 3-element array")
@@ -374,22 +412,7 @@ func (p *lineParser) parseMop(span [2]int, t op.Type) (op.Mop, error) {
 	}
 	// The fun scratch must outlive the key's string scan; the five
 	// valid funs resolve to a constant before that.
-	var f op.Fun
-	known := true
-	switch string(fun) {
-	case "append":
-		f = op.FAppend
-	case "add":
-		f = op.FAdd
-	case "increment":
-		f = op.FIncrement
-	case "w":
-		f = op.FWrite
-	case "r":
-		f = op.FRead
-	default:
-		known = false
-	}
+	f, known := funOf(fun)
 
 	key, err := p.parseKey(parts[1])
 	if err != nil {
@@ -412,13 +435,9 @@ func (p *lineParser) parseMop(span [2]int, t op.Type) (op.Mop, error) {
 		return op.Mop{F: f, Key: key, Arg: int(arg)}, nil
 	}
 	if p.buf[p.pos] == 'n' {
-		// A null register read in a completed (ok) op means the read
-		// observed the initial nil version; anywhere else the result
-		// is simply unknown. Null list reads are always unknown — an
-		// observed empty list is encoded as [].
-		if p.register && t == op.OK {
-			return op.ReadNil(key), nil
-		}
+		// Unknown, until buildOp resolves a register read against the op
+		// type. Null list reads stay unknown — an observed empty list is
+		// encoded as [].
 		return op.Read(key), nil
 	}
 	if p.register {
@@ -458,6 +477,194 @@ func (p *lineParser) parseMop(span [2]int, t op.Type) (op.Mop, error) {
 	list := p.allocInts(len(p.ints))
 	copy(list, p.ints)
 	return op.ReadList(key, list), nil
+}
+
+// funOf resolves a micro-op fun name.
+func funOf(s []byte) (op.Fun, bool) {
+	switch string(s) {
+	case "append":
+		return op.FAppend, true
+	case "add":
+		return op.FAdd, true
+	case "increment":
+		return op.FIncrement, true
+	case "w":
+		return op.FWrite, true
+	case "r":
+		return op.FRead, true
+	}
+	return 0, false
+}
+
+// fastValue parses the "value" array at pos — p.buf[p.pos] is '[' — into
+// p.mops when all of it fits the fast grammar (see the file comment),
+// leaving pos after the closing ']'. Otherwise it reports false with pos
+// unmoved; what it had put in p.mops, p.ints and the arenas is scratch.
+func (p *lineParser) fastValue() bool {
+	b := p.buf
+	p.mops = p.mops[:0]
+	i := skipWS(b, p.pos+1)
+	if at(b, i) != ']' {
+		for {
+			if i = p.fastMop(i); i < 0 {
+				return false
+			}
+			if i = skipWS(b, i); at(b, i) == ']' {
+				break
+			}
+			if i = comma(b, i); i < 0 {
+				return false
+			}
+		}
+	}
+	p.pos = i + 1
+	return true
+}
+
+// fastMop appends the [fun, key, val] micro-op at b[i] to p.mops and
+// returns the offset after its ']', or -1 if it is not in the fast
+// grammar.
+func (p *lineParser) fastMop(i int) int {
+	b := p.buf
+	if at(b, i) != '[' {
+		return -1
+	}
+	i = skipWS(b, i+1)
+
+	end := plainEnd(b, i)
+	if end < 0 {
+		return -1
+	}
+	f, known := funOf(b[i+1 : end])
+	if !known {
+		return -1
+	}
+	if i = comma(b, end+1); i < 0 {
+		return -1
+	}
+
+	var key string
+	if end = plainEnd(b, i); end >= 0 {
+		key = p.intern(b[i+1 : end])
+		end++
+	} else {
+		// An integer key is its own canonical decimal — except "-0",
+		// which the span path renders as "0".
+		var ok bool
+		if _, end, ok = fastInt(b, i); !ok || (b[i] == '-' && b[i+1] == '0') {
+			return -1
+		}
+		key = p.intern(b[i:end])
+	}
+	if i = comma(b, end); i < 0 {
+		return -1
+	}
+
+	m := op.Mop{F: f, Key: key}
+	switch c := at(b, i); {
+	case c == 'n' && f == op.FRead:
+		if len(b)-i < 4 || string(b[i:i+4]) != "null" {
+			return -1
+		}
+		i += 4
+	case f != op.FRead || p.register:
+		v, next, ok := fastInt(b, i)
+		if !ok {
+			return -1
+		}
+		if i = next; f != op.FRead {
+			m.Arg = v
+		} else {
+			m.Reg, m.RegKnown = v, true
+		}
+	case c == '[':
+		ints := p.ints[:0]
+		i = skipWS(b, i+1)
+		if at(b, i) != ']' {
+			for {
+				v, next, ok := fastInt(b, i)
+				if !ok {
+					return -1
+				}
+				ints = append(ints, v)
+				if i = skipWS(b, next); at(b, i) == ']' {
+					break
+				}
+				if i = comma(b, i); i < 0 {
+					return -1
+				}
+			}
+		}
+		i++
+		p.ints = ints
+		m.List = p.allocInts(len(ints))
+		copy(m.List, ints)
+	default:
+		return -1
+	}
+	if i = skipWS(b, i); at(b, i) != ']' {
+		return -1
+	}
+	p.mops = append(p.mops, m)
+	return i + 1
+}
+
+// at is b[i], or 0 — which no grammar position expects — past the end.
+func at(b []byte, i int) byte {
+	if i < len(b) {
+		return b[i]
+	}
+	return 0
+}
+
+// comma steps over optional whitespace, a ',' and more whitespace,
+// returning the offset after them, or -1 if no ',' is there.
+func comma(b []byte, i int) int {
+	if i = skipWS(b, i); at(b, i) != ',' {
+		return -1
+	}
+	return skipWS(b, i+1)
+}
+
+// plainEnd returns the offset of the closing quote of the string opening
+// at b[i] if all between the quotes is plain — ASCII, no escape, no
+// control character — and -1 otherwise, or if b[i] is not a quote.
+func plainEnd(b []byte, i int) int {
+	if at(b, i) != '"' {
+		return -1
+	}
+	for i++; i < len(b); i++ {
+		c := b[i]
+		if c == '"' {
+			return i
+		}
+		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
+			break
+		}
+	}
+	return -1
+}
+
+// fastInt parses a canonical integer of at most 18 digits — no leading
+// zero, no overflow — returning the offset after it. The caller checks
+// what follows: a '.', an exponent or a further digit is no delimiter,
+// so such a number goes to the span path like any shape declined here.
+func fastInt(b []byte, i int) (n, end int, ok bool) {
+	neg := at(b, i) == '-'
+	if neg {
+		i++
+	}
+	start := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		n = n*10 + int(b[i]-'0')
+	}
+	if digits := i - start; digits == 0 || digits > 18 || (digits > 1 && b[start] == '0') {
+		return 0, 0, false
+	}
+	if neg {
+		n = -n
+	}
+	return n, i, true
 }
 
 // parseKey decodes a mop key span: a string, or an integer rendered in
@@ -666,21 +873,14 @@ func (p *lineParser) skipArray() error {
 // the next scanString call.
 func (p *lineParser) scanString() ([]byte, error) {
 	b := p.buf
-	i := p.pos + 1
-	start := i
-	for i < len(b) {
-		c := b[i]
-		if c == '"' {
-			p.pos = i + 1
-			return b[start:i], nil
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			break
-		}
-		i++
+	if end := plainEnd(b, p.pos); end >= 0 {
+		s := b[p.pos+1 : end]
+		p.pos = end + 1
+		return s, nil
 	}
 	// Slow path: escapes, control characters, or non-ASCII bytes.
-	s := append(p.str[:0], b[start:i]...)
+	i := p.pos + 1
+	s := p.str[:0]
 	for i < len(b) {
 		switch c := b[i]; {
 		case c == '"':
@@ -875,13 +1075,16 @@ func (p *lineParser) push() error {
 	return nil
 }
 
-func (p *lineParser) skipWS() {
-	b := p.buf
-	i := p.pos
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+func (p *lineParser) skipWS() { p.pos = skipWS(p.buf, p.pos) }
+
+// skipWS returns the offset of the first byte at or after i that is not
+// JSON whitespace. All four whitespace bytes are <= ' ', so the usual
+// case — none to skip — is one comparison.
+func skipWS(b []byte, i int) int {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
 		i++
 	}
-	p.pos = i
+	return i
 }
 
 func (p *lineParser) errSyntax(format string, args ...any) error {

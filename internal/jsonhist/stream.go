@@ -2,6 +2,7 @@ package jsonhist
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 
@@ -27,15 +28,14 @@ import (
 type StreamDecoder struct {
 	opts DecodeOpts
 	p    int
-	br   *bufio.Reader
+	br   *bufio.Reader // the source, or nil when decoding data in place
+	data []byte        // what is left of an in-memory source
 
-	line      int
-	bytesRead int
-	sizeHint  int
-	readErr   error
-	readDone  bool
-	pending   chan []parsed
-	err       error // sticky terminal state, io.EOF included
+	line     int
+	readErr  error
+	readDone bool
+	pending  chan []parsed
+	err      error // sticky terminal state, io.EOF included
 }
 
 // NewStreamDecoder returns a decoder reading from r under opts.
@@ -46,27 +46,26 @@ func NewStreamDecoder(r io.Reader, opts DecodeOpts) *StreamDecoder {
 		// adds copy slack.
 		bufSize = 1 << 16
 	}
-	d := &StreamDecoder{
+	return &StreamDecoder{
 		opts: opts,
 		p:    par.Procs(opts.Parallelism),
 		br:   bufio.NewReaderSize(r, bufSize),
 	}
-	// In-memory sources report their size; DecodeWith presizes its
-	// collected ops slice from it.
-	if l, ok := r.(interface{ Len() int }); ok {
-		d.sizeHint = l.Len()
-	}
-	return d
 }
 
-// sizeEstimate projects the total line count of the stream from the
-// source's size (when known) and the bytes-per-line ratio observed so
-// far. Zero means no estimate.
-func (d *StreamDecoder) sizeEstimate() int {
-	if d.sizeHint <= 0 || d.bytesRead <= 0 || d.line <= 0 {
-		return 0
+// NewBytesDecoder returns a decoder over a history (or a chunk of one)
+// already in memory. It is NewStreamDecoder(bytes.NewReader(data), opts)
+// without the read buffer and without the copies: chunks are windows of
+// data, parsed where they lie. Nothing Next returns aliases data, but
+// data must not change until Next has returned an error (io.EOF
+// included).
+func NewBytesDecoder(data []byte, opts DecodeOpts) *StreamDecoder {
+	return &StreamDecoder{
+		opts:     opts,
+		p:        par.Procs(opts.Parallelism),
+		data:     data,
+		readDone: len(data) == 0,
 	}
-	return int(int64(d.line)*int64(d.sizeHint)/int64(d.bytesRead)) + 1
 }
 
 // Next returns the next chunk of decoded ops, in input order. It
@@ -102,7 +101,7 @@ func (d *StreamDecoder) Next() ([]op.Op, error) {
 				d.err = res.err
 				return nil, d.err
 			}
-			ops = append(ops, res.ops...)
+			ops = concat(ops, res.ops)
 		}
 		if len(ops) > 0 {
 			return ops, nil
@@ -132,16 +131,30 @@ func (d *StreamDecoder) chunkBytes() int {
 	return chunkTarget
 }
 
-// nextChunk gathers whole lines (of any length — long lines are
-// reassembled across buffer refills) until the chunk target. Lines are
-// copied into the chunk's pooled contiguous buffer as they are read, so
-// the chunk never aliases the bufio window and a chunk of n lines costs
-// no per-line allocations.
+// nextChunk gathers whole lines until the chunk target: copied out of
+// the reader, or as a window of the in-memory source.
 func (d *StreamDecoder) nextChunk() (*chunk, bool) {
 	c := chunkPool.Get().(*chunk)
 	c.firstLine = d.line + 1
-	c.buf = c.buf[:0]
 	c.ends = c.ends[:0]
+	if d.br != nil {
+		d.readChunk(c)
+	} else {
+		d.sliceChunk(c)
+	}
+	if len(c.ends) == 0 {
+		c.release()
+		return nil, false
+	}
+	return c, true
+}
+
+// readChunk fills c from the reader. Lines (of any length — long lines
+// are reassembled across buffer refills) are copied into the chunk's
+// pooled contiguous buffer as they are read, so the chunk never aliases
+// the bufio window and a chunk of n lines costs no per-line allocations.
+func (d *StreamDecoder) readChunk(c *chunk) {
+	c.buf = c.buf[:0]
 	target := d.chunkBytes()
 	for len(c.buf) < target && !d.readDone {
 		lineStart := len(c.buf)
@@ -175,12 +188,25 @@ func (d *StreamDecoder) nextChunk() (*chunk, bool) {
 		d.line++
 		c.ends = append(c.ends, len(c.buf))
 	}
-	if len(c.ends) == 0 {
-		chunkPool.Put(c)
-		return nil, false
+	c.text = c.buf
+}
+
+// sliceChunk is readChunk for an in-memory source: the same lines, but
+// c's text is a window of the source rather than a copy of it.
+func (d *StreamDecoder) sliceChunk(c *chunk) {
+	target := d.chunkBytes()
+	n := 0
+	for n < target && n < len(d.data) {
+		if nl := bytes.IndexByte(d.data[n:], '\n'); nl >= 0 {
+			n += nl + 1
+		} else {
+			n = len(d.data) // a final unterminated line is still a line
+		}
+		d.line++
+		c.ends = append(c.ends, n)
 	}
-	d.bytesRead += len(c.buf)
-	return c, true
+	c.text, d.data = d.data[:n], d.data[n:]
+	d.readDone = len(d.data) == 0
 }
 
 // readRound gathers up to one worker's worth of chunks (one chunk when
@@ -220,24 +246,33 @@ func (d *StreamDecoder) parseRoundInline(round []*chunk) parsed {
 		if res.err != nil {
 			return res
 		}
-		all.ops = append(all.ops, res.ops...)
+		all.ops = concat(all.ops, res.ops)
 	}
 	return all
 }
 
+// concat is append(ops, more...), except that the first non-empty slice
+// is passed through rather than copied — the usual round is one chunk.
+func concat(ops, more []op.Op) []op.Op {
+	if len(ops) == 0 {
+		return more
+	}
+	return append(ops, more...)
+}
+
 // parseChunk decodes one chunk's lines with the chunk's own scan-first
 // parser (scan.go), returning its buffers to the pool when done:
-// nothing the parser produces aliases the chunk buffer (keys are
-// interned copies, mop slices are copied out of scratch).
+// nothing the parser produces aliases the chunk text (keys are interned
+// copies, mop slices are copied out of scratch).
 func (d *StreamDecoder) parseChunk(c *chunk) parsed {
-	defer chunkPool.Put(c)
+	defer c.release()
 	if c.parser == nil {
 		c.parser = new(lineParser)
 	}
 	out := make([]op.Op, 0, len(c.ends))
 	start := 0
 	for j, end := range c.ends {
-		text := c.buf[start:end]
+		text := c.text[start:end]
 		start = end
 		if len(trimSpace(text)) == 0 {
 			continue

@@ -50,8 +50,8 @@ func drain(d *StreamDecoder) ([]op.Op, error) {
 
 // FuzzStreamDecoder holds two differential properties on arbitrary
 // input: (1) every tuning — sequential, tiny parallel chunks, tail
-// mode — decodes the same ops and reports the same first error as the
-// plain sequential decode; (2) the scan-first parser agrees with the
+// mode, each from a reader and in place — decodes the same ops and
+// reports the same first error as the plain sequential decode; (2) the scan-first parser agrees with the
 // preserved encoding/json oracle on acceptance, on the decoded ops,
 // and on which line is the first bad one (error *text* is the
 // scanner's own and is not compared).
@@ -65,6 +65,9 @@ func FuzzStreamDecoder(f *testing.F) {
 	f.Add("garbage\n" + `{"index":1,"type":"ok","process":0,"value":[]}`)
 	f.Add(`{"index":0,"type":"ok","process":0,"value":[["r","x",{"bad":1}]]}`)
 	f.Add(strings.Repeat(`{"index":0,"type":"ok","process":0,"value":[]}`+"\n", 4))
+	// The oracle corpus, which has a line per exit of the fast "value"
+	// path.
+	seedScannerLines(f)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		for _, register := range []bool{false, true} {
@@ -109,6 +112,16 @@ func FuzzStreamDecoder(f *testing.F) {
 				if !reflect.DeepEqual(got, base) {
 					t.Fatalf("opts %+v: decoded %d ops, want %d (first divergence matters)",
 						opts, len(got), len(base))
+				}
+			}
+			// The in-place entry is the same decoder minus the reader.
+			for _, opts := range append(tunings, DecodeOpts{Register: register, Parallelism: 1}) {
+				got, err := drain(NewBytesDecoder([]byte(input), opts))
+				if fmt.Sprint(err) != fmt.Sprint(baseErr) {
+					t.Fatalf("in place, opts %+v: error %v, want %v", opts, err, baseErr)
+				}
+				if err == nil && !reflect.DeepEqual(got, base) {
+					t.Fatalf("in place, opts %+v: decoded %d ops, want %d", opts, len(got), len(base))
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package jsonhist
 
 import (
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,5 +121,61 @@ func TestStreamDecoderBlankAndUnterminated(t *testing.T) {
 	}
 	if _, err := d.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
+	}
+}
+
+// TestBytesDecoderMatchesReader holds the in-place entry to the reader
+// entry: same ops in the same rounds, same error text, same sticky end,
+// under every tuning — and the input comes back untouched.
+func TestBytesDecoderMatchesReader(t *testing.T) {
+	line := func(i int) string {
+		return `{"index":` + itoa(i) + `,"type":"ok","process":0,"value":[["append","k",` + itoa(i) + `],["r","k",[1,2]]]}`
+	}
+	var many strings.Builder
+	for i := 0; i < 300; i++ {
+		many.WriteString(line(i) + "\n")
+	}
+	inputs := []string{
+		"",
+		"\n",
+		" \r\n\n",
+		line(0),
+		line(0) + "\n",
+		"\n\n" + line(0) + "\r\n\r\n" + line(1),
+		many.String(),
+		many.String() + line(300),
+		line(0) + "\nnot json\n" + line(2) + "\n",
+		many.String() + `{"index":1,"type":"ok","value":[["r"]]}`,
+	}
+	for _, input := range inputs {
+		for _, opts := range []DecodeOpts{
+			{Parallelism: 1},
+			{Parallelism: 1, ChunkBytes: 1},
+			{Parallelism: 4, ChunkBytes: 128},
+			{Parallelism: 3, ChunkBytes: 1000},
+			{Parallelism: 4, Tail: true},
+		} {
+			data := []byte(input)
+			rd, bd := NewStreamDecoder(strings.NewReader(input), opts), NewBytesDecoder(data, opts)
+			for round := 0; ; round++ {
+				want, werr := rd.Next()
+				got, gerr := bd.Next()
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("%+v, %d input bytes, round %d: error %v, reader's %v", opts, len(input), round, gerr, werr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v, %d input bytes, round %d: %d ops, reader's %d", opts, len(input), round, len(got), len(want))
+				}
+				if werr != nil {
+					break
+				}
+			}
+			if _, err := bd.Next(); err == nil {
+				t.Fatalf("%+v: the end is not sticky", opts)
+			}
+			if string(data) != input {
+				t.Fatalf("%+v: decoding changed the input", opts)
+			}
+		}
 	}
 }

@@ -50,18 +50,23 @@ func BuildIndex(r Relation, keyCols ...string) *Index {
 	// Tuple copies and single-tuple buckets come from chunked slabs:
 	// an index over n tuples costs O(n/chunk) allocations instead of
 	// O(n), which keeps materialization cheap on the classifier hot
-	// paths. Purely an allocation strategy — bucket contents and
-	// build order are exactly those of per-tuple cloning.
+	// paths. Slabs start small and double up to a cap, so an index over
+	// a handful of tuples — the classifiers build one per history key —
+	// does not pay for a relation-sized first slab. Purely an allocation
+	// strategy — bucket contents and build order are exactly those of
+	// per-tuple cloning.
 	var key []byte
 	var vslab []Value
 	var bslab []Tuple
+	vnext, bnext := 32, 16
 	r.Each(func(t Tuple) bool {
 		key = key[:0]
 		for _, j := range idx.keyIdx {
 			key = appendKey(key, t[j])
 		}
 		if len(vslab) < len(t) {
-			vslab = make([]Value, max(1024, len(t)))
+			vslab = make([]Value, max(vnext, len(t)))
+			vnext = min(2*vnext, 1024)
 		}
 		n := copy(vslab, t)
 		cp := Tuple(vslab[:n:n])
@@ -70,7 +75,8 @@ func BuildIndex(r Relation, keyCols ...string) *Index {
 			idx.buckets[string(key)] = append(b, cp)
 		} else {
 			if len(bslab) == 0 {
-				bslab = make([]Tuple, 256)
+				bslab = make([]Tuple, bnext)
+				bnext = min(2*bnext, 256)
 			}
 			b = bslab[0:0:1]
 			bslab = bslab[1:]

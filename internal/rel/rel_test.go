@@ -147,6 +147,35 @@ func TestIndexLookupAndAntiJoin(t *testing.T) {
 	}
 }
 
+// TestIndexAcrossSlabs builds an index large enough to take the value
+// and bucket slabs through every size they grow to: each bucket must
+// hold exactly its tuples, in build order, with no slab region shared.
+func TestIndexAcrossSlabs(t *testing.T) {
+	const n, keys = 6000, 700
+	tuples := make([]Tuple, n)
+	want := map[int][]int{}
+	for i := range tuples {
+		k := i * 7919 % keys
+		tuples[i] = Tuple{Int(k), Int(i), Str("pad")}
+		want[k] = append(want[k], i)
+	}
+	ix := BuildIndex(FromRows([]string{"k", "i", "pad"}, tuples), "k")
+	if ix.Len() != keys {
+		t.Fatalf("Len = %d, want %d", ix.Len(), keys)
+	}
+	for k, is := range want {
+		got := ix.Lookup(Int(k))
+		if len(got) != len(is) {
+			t.Fatalf("key %d: %d tuples, want %d", k, len(got), len(is))
+		}
+		for j, tup := range got {
+			if len(tup) != 3 || tup[0].Num() != int64(k) || tup[1].Num() != int64(is[j]) || tup[2].Text() != "pad" {
+				t.Fatalf("key %d, tuple %d: %v, want [%d %d pad]", k, j, tup, k, is[j])
+			}
+		}
+	}
+}
+
 // testHistory is a small compact list-append history with one aborted
 // write observed by a later read (G1a-shaped).
 func testHistory(t *testing.T) *history.History {

@@ -78,7 +78,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -807,7 +806,7 @@ func (j *job) ingestLocked(format string, body []byte, delta *deltaJSON) error {
 		j.pinShard(ops)
 		return nil
 	}
-	dec := jsonhist.NewStreamDecoder(bytes.NewReader(body), jsonhist.DecodeOpts{
+	dec := jsonhist.NewBytesDecoder(body, jsonhist.DecodeOpts{
 		Register:    j.info.RegisterReads,
 		Parallelism: j.opts.Parallelism,
 	})
