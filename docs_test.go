@@ -1,6 +1,9 @@
 package repro_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -83,4 +86,34 @@ func hasAnchor(t *testing.T, file, anchor string) bool {
 		}
 	}
 	return false
+}
+
+// TestVerdictPathDoesNotImportRel keeps internal/rel what
+// docs/ARCHITECTURE.md says it is — the query engine, and nothing the
+// verdict depends on: among the non-test files under internal/, only
+// internal/core (the CheckResult.Query surface) and rel itself may
+// import it. A query is then a derivation that shares no code with the
+// classifiers it is checked against.
+func TestVerdictPathDoesNotImportRel(t *testing.T) {
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		if pkg := filepath.ToSlash(filepath.Dir(path)); pkg == "internal/core" || pkg == "internal/rel" {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/internal/rel"` {
+				t.Errorf("%s imports repro/internal/rel: the verdict path reads its own tables", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

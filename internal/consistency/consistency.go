@@ -151,10 +151,17 @@ var violates = map[anomaly.Type][]Model{
 
 // Violated returns every model ruled out by the given anomaly types,
 // sorted by position in All. A model is ruled out if any anomaly violates
-// it directly or violates a model it implies.
+// it directly or violates a model it implies. types may hold one entry
+// per anomaly instance — tens of thousands, a handful distinct — so each
+// distinct type is folded once.
 func Violated(types []anomaly.Type) []Model {
 	out := map[Model]bool{}
+	seen := map[anomaly.Type]bool{}
 	for _, t := range types {
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
 		for _, weak := range violates[t] {
 			for _, m := range All {
 				if Implies(m, weak) {

@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/anomaly"
@@ -181,5 +182,34 @@ func TestEveryAnomalyTypeHasAMapping(t *testing.T) {
 		if v := Violated([]anomaly.Type{typ}); len(v) == 0 {
 			t.Errorf("anomaly %s rules out no models", typ)
 		}
+	}
+}
+
+// TestRepeatedTypesFoldOnce: the checker hands the lattice one type per
+// anomaly instance, so a faulted history is tens of thousands of entries
+// over a handful of distinct types, in runs (the report is sorted) or
+// not. The verdict is that of the deduplicated slice.
+func TestRepeatedTypesFoldOnce(t *testing.T) {
+	distinct := []anomaly.Type{anomaly.GSingleRealtime, anomaly.LostUpdate, anomaly.G2ItemProcess, anomaly.CyclicVersionOrder}
+	var runs, mixed []anomaly.Type
+	for i := 0; i < 20000; i++ {
+		runs = append(runs, distinct[i*len(distinct)/20000])
+		mixed = append(mixed, distinct[i*7%len(distinct)])
+	}
+	for name, repeated := range map[string][]anomaly.Type{"runs": runs, "interleaved": mixed} {
+		if got, want := Violated(repeated), Violated(distinct); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Violated = %v, want %v", name, got, want)
+		}
+		if got, want := Strongest(repeated), Strongest(distinct); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Strongest = %v, want %v", name, got, want)
+		}
+		for _, m := range All {
+			if got, want := Holds(m, repeated), Holds(m, distinct); got != want {
+				t.Errorf("%s: Holds(%s) = %v, want %v", name, m, got, want)
+			}
+		}
+	}
+	if v := Violated(distinct); len(v) == 0 || len(v) == len(All) {
+		t.Fatalf("the fixture should rule out some models and leave some: %v", v)
 	}
 }

@@ -3,6 +3,11 @@
 // of each dependency edge around a cycle and why the cycle is a
 // contradiction) and Figure 3 (the same cycle as a Graphviz plot with
 // wr / rw / ww / rt / process edge labels).
+//
+// An edge's justification is searched for in the two transactions' own
+// micro-ops and the version orders of the keys they touch, in a fixed
+// order, so a report cites the same witness for the same edge at every
+// parallelism and on every surface.
 package explain
 
 import (
@@ -10,12 +15,10 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
-	"repro/internal/rel"
 )
 
 // Explainer renders cycles against the ops and version orders of one
@@ -36,18 +39,6 @@ type Explainer struct {
 	// order, indexed by KeyID, as "u" -> "v" value strings with "nil"
 	// for the initial version (rw-register and bank workloads).
 	RegOrders [][][2]string
-
-	// sortedIDs caches Keys.SortedIDs(): the interner is immutable by
-	// the time an Explainer exists, and cycle rendering (parallel across
-	// cycles) walks the sorted key list once per ww witness.
-	sortedOnce sync.Once
-	sortedIDs  []history.KeyID
-}
-
-// keyIDsByName returns every KeyID ordered by key name, computed once.
-func (e *Explainer) keyIDsByName() []history.KeyID {
-	e.sortedOnce.Do(func() { e.sortedIDs = e.Keys.SortedIDs() })
-	return e.sortedIDs
 }
 
 // ListOrder returns the inferred element order for key, or nil if none
@@ -82,7 +73,7 @@ func (e *Explainer) ListOrderKeys() []string {
 	if e.Keys == nil {
 		return out
 	}
-	for _, id := range e.keyIDsByName() {
+	for _, id := range e.Keys.SortedIDs() {
 		if int(id) < len(e.ListOrders) && len(e.ListOrders[id]) > 0 {
 			out = append(out, e.Keys.Key(id))
 		}
@@ -168,78 +159,44 @@ func (e *Explainer) edgeReason(s graph.Step) string {
 	}
 }
 
-// Witness scans are relational semijoins over internal/rel: the probe
-// side streams candidate facts in the order the old nested loops
-// visited them, the build side is an index over one transaction's
-// writes, and the first joined row is exactly the witness the
-// sequential scan produced. The probes carry every output column, and
-// the indexes key on all their columns, so each join filters without
-// widening the tuple.
+// A witness search walks the facts one transaction offers — its reads in
+// program order, or the version orders of the keys both transactions
+// wrote, by key name — and cites the first one the other transaction's
+// writes match, so the same edge gets the same witness in every report.
 
-// firstRow evaluates r just far enough to return its first tuple.
-func firstRow(r rel.Relation) (rel.Tuple, bool) {
-	var out rel.Tuple
-	r.Each(func(t rel.Tuple) bool {
-		out = t.Clone()
-		return false
-	})
-	return out, out != nil
+// wrote reports whether o holds the micro-op fun(key, arg).
+func wrote(o op.Op, fun op.Fun, key string, arg int) bool {
+	for i := range o.Mops {
+		if m := &o.Mops[i]; m.F == fun && m.Arg == arg && m.Key == key {
+			return true
+		}
+	}
+	return false
 }
 
-// appendIx indexes append(key, <col>) over o's list appends; the
-// caller names the element column so the index binds against the
-// matching probe column (e.g. a version pair's e1 vs e2).
-func appendIx(o op.Op, col string) *rel.Index {
-	r := rel.NewRelation([]string{"key", col}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 2)
-		for _, m := range o.Mops {
-			if m.F != op.FAppend {
-				continue
-			}
-			t[0], t[1] = rel.Str(m.Key), rel.Int(m.Arg)
-			if !yield(t) {
-				return
-			}
-		}
-	})
-	return rel.BuildIndex(r, "key", col)
+// wroteVersion is wrote for a register version as version orders spell
+// it: a decimal value, or "nil" — the initial version, nobody's write.
+func wroteVersion(o op.Op, key, version string) bool {
+	v, err := strconv.Atoi(version)
+	return err == nil && wrote(o, op.FWrite, key, v)
 }
 
-// setWriteIx indexes o's non-register writes (append and add mops) on
-// (key, elem) — the build side of the set-add wr fallback.
-func setWriteIx(o op.Op) *rel.Index {
-	r := rel.NewRelation([]string{"key", "elem"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 2)
-		for _, m := range o.Mops {
-			if !m.IsWrite() || m.F == op.FWrite {
-				continue
-			}
-			t[0], t[1] = rel.Str(m.Key), rel.Int(m.Arg)
-			if !yield(t) {
-				return
-			}
+// sharedKeys returns, in name order, the keys both transactions wrote
+// with fun: only those can witness a ww edge.
+func (e *Explainer) sharedKeys(from, to op.Op, fun op.Fun) []history.KeyID {
+	if e.Keys == nil {
+		return nil
+	}
+	var shared []history.KeyID
+	for _, m := range from.Mops {
+		id, ok := e.Keys.ID(m.Key)
+		if ok && m.F == fun && !slices.Contains(shared, id) &&
+			slices.ContainsFunc(to.Mops, func(w op.Mop) bool { return w.F == fun && w.Key == m.Key }) {
+			shared = append(shared, id)
 		}
-	})
-	return rel.BuildIndex(r, "key", "elem")
-}
-
-// regWriteIx indexes write(key, <col>) over o's register writes, the
-// value rendered as a decimal string exactly as version-order edges
-// store versions.
-func regWriteIx(o op.Op, col string) *rel.Index {
-	r := rel.NewRelation([]string{"key", col}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 2)
-		for _, m := range o.Mops {
-			if m.F != op.FWrite {
-				continue
-			}
-			t[0], t[1] = rel.Str(m.Key), rel.Str(strconv.Itoa(m.Arg))
-			if !yield(t) {
-				return
-			}
-		}
-	})
-	return rel.BuildIndex(r, "key", col)
+	}
+	e.Keys.SortKeyIDs(shared)
+	return shared
 }
 
 // wrWitness finds a key and element proving a list (or set) wr edge:
@@ -247,81 +204,46 @@ func regWriteIx(o op.Op, col string) *rel.Index {
 // list-append wr definition), falling back to any observed element (the
 // set-add definition).
 func (e *Explainer) wrWitness(from, to op.Op) (string, int, bool) {
-	finals := rel.NewRelation([]string{"key", "elem"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 2)
-		for _, m := range to.Mops {
-			if !m.ListKnown() || len(m.List) == 0 {
-				continue
-			}
-			t[0], t[1] = rel.Str(m.Key), rel.Int(m.List[len(m.List)-1])
-			if !yield(t) {
-				return
-			}
+	for _, m := range to.Mops {
+		if n := len(m.List); m.ListKnown() && n > 0 && wrote(from, op.FAppend, m.Key, m.List[n-1]) {
+			return m.Key, m.List[n-1], true
 		}
-	})
-	if t, ok := firstRow(finals.LookupJoin(appendIx(from, "elem"))); ok {
-		return t[0].Text(), int(t[1].Num()), true
 	}
-	observed := rel.NewRelation([]string{"key", "elem"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 2)
-		for _, m := range to.Mops {
-			if !m.ListKnown() {
-				continue
-			}
-			for _, elem := range m.List {
-				t[0], t[1] = rel.Str(m.Key), rel.Int(elem)
-				if !yield(t) {
-					return
-				}
+	for _, m := range to.Mops {
+		if !m.ListKnown() {
+			continue
+		}
+		for _, elem := range m.List {
+			if wrote(from, op.FAppend, m.Key, elem) || wrote(from, op.FAdd, m.Key, elem) {
+				return m.Key, elem, true
 			}
 		}
-	})
-	if t, ok := firstRow(observed.LookupJoin(setWriteIx(from))); ok {
-		return t[0].Text(), int(t[1].Num()), true
 	}
 	return "", 0, false
 }
 
+// wrRegWitness proves a register wr edge: `to` read a value `from` wrote.
 func (e *Explainer) wrRegWitness(from, to op.Op) (string, int, bool) {
-	reads := rel.NewRelation([]string{"key", "reg", "value"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 3)
-		for _, m := range to.Mops {
-			if m.F != op.FRead || !m.RegKnown || m.RegNil {
-				continue
-			}
-			t[0], t[1], t[2] = rel.Str(m.Key), rel.Int(m.Reg), rel.Str(strconv.Itoa(m.Reg))
-			if !yield(t) {
-				return
-			}
+	for _, m := range to.Mops {
+		if m.F == op.FRead && m.RegKnown && !m.RegNil && wrote(from, op.FWrite, m.Key, m.Reg) {
+			return m.Key, m.Reg, true
 		}
-	})
-	if t, ok := firstRow(reads.LookupJoin(regWriteIx(from, "value"))); ok {
-		return t[0].Text(), int(t[1].Num()), true
 	}
 	return "", 0, false
 }
 
 // rwWitness finds a key and element proving an rw edge: `from` read a
-// version of key k that did not yet include `to`'s append.
+// version of key k that did not yet include `to`'s append, the next in
+// k's element order.
 func (e *Explainer) rwWitness(from, to op.Op) (string, int, bool) {
-	nexts := rel.NewRelation([]string{"key", "elem"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 2)
-		for _, m := range from.Mops {
-			if !m.ListKnown() {
-				continue
-			}
-			order := e.ListOrder(m.Key)
-			if len(m.List) >= len(order) {
-				continue
-			}
-			t[0], t[1] = rel.Str(m.Key), rel.Int(order[len(m.List)])
-			if !yield(t) {
-				return
-			}
+	for _, m := range from.Mops {
+		if !m.ListKnown() {
+			continue
 		}
-	})
-	if t, ok := firstRow(nexts.LookupJoin(appendIx(to, "elem"))); ok {
-		return t[0].Text(), int(t[1].Num()), true
+		order := e.ListOrder(m.Key)
+		if n := len(m.List); n < len(order) && wrote(to, op.FAppend, m.Key, order[n]) {
+			return m.Key, order[n], true
+		}
 	}
 	return "", 0, false
 }
@@ -329,97 +251,53 @@ func (e *Explainer) rwWitness(from, to op.Op) (string, int, bool) {
 // rwRegWitness proves a register rw edge: `from` read version prev of a
 // key whose inferred successor next was written by `to`.
 func (e *Explainer) rwRegWitness(from, to op.Op) (key, prev, next string, ok bool) {
-	succs := rel.NewRelation([]string{"key", "prev", "next"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 3)
-		for _, m := range from.Mops {
-			if m.F != op.FRead || !m.RegKnown {
-				continue
-			}
-			observed := "nil"
-			if !m.RegNil {
-				observed = strconv.Itoa(m.Reg)
-			}
-			for _, edge := range e.RegOrder(m.Key) {
-				if edge[0] != observed {
-					continue
-				}
-				t[0], t[1], t[2] = rel.Str(m.Key), rel.Str(observed), rel.Str(edge[1])
-				if !yield(t) {
-					return
-				}
+	for _, m := range from.Mops {
+		if m.F != op.FRead || !m.RegKnown {
+			continue
+		}
+		observed := "nil"
+		if !m.RegNil {
+			observed = strconv.Itoa(m.Reg)
+		}
+		for _, edge := range e.RegOrder(m.Key) {
+			if edge[0] == observed && wroteVersion(to, m.Key, edge[1]) {
+				return m.Key, observed, edge[1], true
 			}
 		}
-	})
-	if t, found := firstRow(succs.LookupJoin(regWriteIx(to, "next"))); found {
-		return t[0].Text(), t[1].Text(), t[2].Text(), true
 	}
 	return "", "", "", false
 }
 
 // wwRegWitness proves a register ww edge: an inferred version edge
-// prev -> next where `from` wrote prev and `to` wrote next. Keys are
-// tried in sorted order so the witness is deterministic.
+// prev -> next where `from` wrote prev and `to` wrote next.
 func (e *Explainer) wwRegWitness(from, to op.Op) (key, prev, next string, ok bool) {
-	if e.Keys == nil {
-		return "", "", "", false
-	}
-	pairs := rel.NewRelation([]string{"key", "prev", "next"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 3)
-		for _, id := range e.keyIDsByName() {
-			if int(id) >= len(e.RegOrders) {
-				continue
-			}
-			k := rel.Str(e.Keys.Key(id))
-			for _, edge := range e.RegOrders[id] {
-				t[0], t[1], t[2] = k, rel.Str(edge[0]), rel.Str(edge[1])
-				if !yield(t) {
-					return
-				}
+	for _, id := range e.sharedKeys(from, to, op.FWrite) {
+		if int(id) >= len(e.RegOrders) {
+			continue
+		}
+		key := e.Keys.Key(id)
+		for _, edge := range e.RegOrders[id] {
+			if wroteVersion(from, key, edge[0]) && wroteVersion(to, key, edge[1]) {
+				return key, edge[0], edge[1], true
 			}
 		}
-	})
-	r := pairs.LookupJoin(regWriteIx(from, "prev")).LookupJoin(regWriteIx(to, "next"))
-	if t, found := firstRow(r); found {
-		return t[0].Text(), t[1].Text(), t[2].Text(), true
 	}
 	return "", "", "", false
 }
 
-// wwWitness finds a key and adjacent elements proving a ww edge. Only a
-// key both transactions appended to can join, so that selection runs
-// below the joins: adjacent pairs are generated for those keys alone,
-// not for every version order of the analysis. Keys are tried in sorted
-// order so the same edge always gets the same witness, whatever order
-// the analyzer stored them in.
+// wwWitness finds a key and two elements adjacent in its order proving
+// a ww edge: `from` appended the first and `to` the second.
 func (e *Explainer) wwWitness(from, to op.Op) (string, int, int, bool) {
-	if e.Keys == nil {
-		return "", 0, 0, false
-	}
-	var shared []history.KeyID
-	for _, m := range from.Mops {
-		id, ok := e.Keys.ID(m.Key)
-		if ok && m.F == op.FAppend && int(id) < len(e.ListOrders) && !slices.Contains(shared, id) &&
-			slices.ContainsFunc(to.Mops, func(w op.Mop) bool { return w.F == op.FAppend && w.Key == m.Key }) {
-			shared = append(shared, id)
+	for _, id := range e.sharedKeys(from, to, op.FAppend) {
+		if int(id) >= len(e.ListOrders) {
+			continue
 		}
-	}
-	e.Keys.SortKeyIDs(shared)
-	pairs := rel.NewRelation([]string{"key", "e1", "e2"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 3)
-		for _, id := range shared {
-			key := rel.Str(e.Keys.Key(id))
-			order := e.ListOrders[id]
-			for i := 0; i+1 < len(order); i++ {
-				t[0], t[1], t[2] = key, rel.Int(order[i]), rel.Int(order[i+1])
-				if !yield(t) {
-					return
-				}
+		key, order := e.Keys.Key(id), e.ListOrders[id]
+		for i := 0; i+1 < len(order); i++ {
+			if wrote(from, op.FAppend, key, order[i]) && wrote(to, op.FAppend, key, order[i+1]) {
+				return key, order[i], order[i+1], true
 			}
 		}
-	})
-	r := pairs.LookupJoin(appendIx(from, "e1")).LookupJoin(appendIx(to, "e2"))
-	if t, found := firstRow(r); found {
-		return t[0].Text(), int(t[1].Num()), int(t[2].Num()), true
 	}
 	return "", 0, 0, false
 }

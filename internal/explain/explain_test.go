@@ -175,3 +175,219 @@ func TestWWReason(t *testing.T) {
 		t.Errorf("ww reason without a shared key = %q, want %q", got, want)
 	}
 }
+
+// TestWitnessChoice pins which witness each dependency kind cites when
+// several qualify, and the sentence it falls back to when none does.
+// Keys are interned in reverse name order throughout, so a search that
+// walked ids instead of names would cite the wrong key.
+func TestWitnessChoice(t *testing.T) {
+	keys := history.NewInterner()
+	c, b, a := keys.Intern("c"), keys.Intern("b"), keys.Intern("a")
+	lists := make([][]int, 3)
+	lists[a] = []int{1, 2, 3, 4}
+	lists[b] = []int{10, 11}
+	lists[c] = []int{20, 21, 22}
+	regs := make([][][2]string, 3)
+	regs[a] = [][2]string{{"nil", "1"}, {"1", "2"}, {"1", "3"}}
+	regs[b] = [][2]string{{"nil", "10"}, {"10", "11"}}
+
+	ok := op.OK
+	cases := []struct {
+		name     string
+		via      graph.Kind
+		from, to op.Op // T1, T2
+		want     string
+	}{
+		{
+			name: "wr: a read's final element beats an earlier read's merely observed one",
+			via:  graph.WR,
+			from: op.Txn(1, 1, ok, op.Append("a", 1), op.Append("b", 11)),
+			to:   op.Txn(2, 2, ok, op.ReadList("a", []int{1, 2}), op.ReadList("b", []int{10, 11})),
+			want: "T2 observed T1's append of 11 to key b",
+		},
+		{
+			name: "wr: the reader's first qualifying read in program order, not in key order",
+			via:  graph.WR,
+			from: op.Txn(1, 1, ok, op.Append("a", 2), op.Append("c", 21)),
+			to:   op.Txn(2, 2, ok, op.ReadList("b", []int{10}), op.ReadList("c", []int{20, 21}), op.ReadList("a", []int{1, 2})),
+			want: "T2 observed T1's append of 21 to key c",
+		},
+		{
+			name: "wr: set-add falls back to the first observed element the writer added",
+			via:  graph.WR,
+			from: op.Txn(1, 1, ok, op.Add("a", 3), op.Add("b", 10)),
+			to:   op.Txn(2, 2, ok, op.ReadList("c", []int{}), op.ReadList("b", []int{11, 10}), op.ReadList("a", []int{1, 3})),
+			want: "T2 observed T1's append of 10 to key b",
+		},
+		{
+			name: "wr: an add is no final-element witness, only an observed one",
+			via:  graph.WR,
+			from: op.Txn(1, 1, ok, op.Add("a", 2), op.Add("a", 1)),
+			to:   op.Txn(2, 2, ok, op.ReadList("a", []int{1, 2})),
+			want: "T2 observed T1's append of 1 to key a",
+		},
+		{
+			name: "wr: register, the first read in program order whose value the writer wrote",
+			via:  graph.WR,
+			from: op.Txn(1, 1, ok, op.Write("a", 2), op.Write("b", 11)),
+			to:   op.Txn(2, 2, ok, op.ReadNil("c"), op.ReadReg("b", 10), op.ReadReg("b", 11), op.ReadReg("a", 2)),
+			want: "T2 observed T1's write of 11 to key b",
+		},
+		{
+			name: "wr: lists are searched before registers",
+			via:  graph.WR,
+			from: op.Txn(1, 1, ok, op.Write("b", 11), op.Append("a", 2)),
+			to:   op.Txn(2, 2, ok, op.ReadReg("b", 11), op.ReadList("a", []int{1, 2})),
+			want: "T2 observed T1's append of 2 to key a",
+		},
+		{
+			name: "wr: no witness",
+			via:  graph.WR,
+			from: op.Txn(1, 1, ok, op.Append("a", 4), op.Write("b", 10)),
+			to:   op.Txn(2, 2, ok, op.ReadList("a", []int{1, 2}), op.ReadList("b", []int{}), op.ReadNil("b"), op.Read("a")),
+			want: "T2 read a version T1 installed",
+		},
+		{
+			name: "rw: the reader's first read in program order whose successor the writer appended",
+			via:  graph.RW,
+			from: op.Txn(1, 1, ok, op.ReadList("c", []int{20, 21, 22}), op.ReadList("b", []int{10}), op.ReadList("a", []int{})),
+			to:   op.Txn(2, 2, ok, op.Append("a", 1), op.Append("b", 11)),
+			want: "T1 did not observe T2's append of 11 to key b",
+		},
+		{
+			name: "rw: only the element right after the read, not a later one",
+			via:  graph.RW,
+			from: op.Txn(1, 1, ok, op.ReadList("a", []int{1})),
+			to:   op.Txn(2, 2, ok, op.Append("a", 3)),
+			want: "T1 read a version which T2 overwrote",
+		},
+		{
+			name: "rw: register, from an observed nil",
+			via:  graph.RW,
+			from: op.Txn(1, 1, ok, op.ReadNil("b")),
+			to:   op.Txn(2, 2, ok, op.Write("b", 11), op.Write("b", 10)),
+			want: "T1 read key b = nil, which T2 overwrote with 10",
+		},
+		{
+			name: "rw: register, the first successor in version-order order the writer wrote",
+			via:  graph.RW,
+			from: op.Txn(1, 1, ok, op.ReadReg("b", 11), op.ReadReg("a", 1)),
+			to:   op.Txn(2, 2, ok, op.Write("a", 3), op.Write("a", 2)),
+			want: "T1 read key a = 1, which T2 overwrote with 2",
+		},
+		{
+			name: "rw: lists are searched before registers",
+			via:  graph.RW,
+			from: op.Txn(1, 1, ok, op.ReadNil("b"), op.ReadList("a", []int{1, 2})),
+			to:   op.Txn(2, 2, ok, op.Write("b", 10), op.Append("a", 3)),
+			want: "T1 did not observe T2's append of 3 to key a",
+		},
+		{
+			name: "rw: no witness",
+			via:  graph.RW,
+			from: op.Txn(1, 1, ok, op.ReadList("a", []int{1, 2, 3, 4}), op.ReadReg("b", 11), op.Read("a")),
+			to:   op.Txn(2, 2, ok, op.Append("a", 4), op.Write("b", 11)),
+			want: "T1 read a version which T2 overwrote",
+		},
+		{
+			name: "ww: of two shared keys the name-first one, and its first adjacent pair",
+			via:  graph.WW,
+			from: op.Txn(1, 1, ok, op.Append("c", 20), op.Append("a", 3), op.Append("a", 1)),
+			to:   op.Txn(2, 2, ok, op.Append("c", 21), op.Append("a", 4), op.Append("a", 2)),
+			want: "T2 appended 2 after T1 appended 1 to key a",
+		},
+		{
+			name: "ww: a shared key without an adjacent pair yields to the next by name",
+			via:  graph.WW,
+			from: op.Txn(1, 1, ok, op.Append("a", 1), op.Append("c", 21)),
+			to:   op.Txn(2, 2, ok, op.Append("a", 3), op.Append("c", 22)),
+			want: "T2 appended 22 after T1 appended 21 to key c",
+		},
+		{
+			name: "ww: elements of one key that are not adjacent are no witness",
+			via:  graph.WW,
+			from: op.Txn(1, 1, ok, op.Append("a", 1), op.Append("a", 4)),
+			to:   op.Txn(2, 2, ok, op.Append("a", 3)),
+			want: "T2 overwrote a version T1 installed",
+		},
+		{
+			name: "ww: register, of two shared keys the name-first one",
+			via:  graph.WW,
+			from: op.Txn(1, 1, ok, op.Write("b", 10), op.Write("a", 1)),
+			to:   op.Txn(2, 2, ok, op.Write("b", 11), op.Write("a", 3)),
+			want: "T2 wrote key a = 3, replacing T1's write of 1",
+		},
+		{
+			name: "ww: register, only a direct version edge",
+			via:  graph.WW,
+			from: op.Txn(1, 1, ok, op.Write("b", 10), op.Write("a", 2)),
+			to:   op.Txn(2, 2, ok, op.Write("a", 3), op.Write("b", 11)),
+			want: "T2 wrote key b = 11, replacing T1's write of 10",
+		},
+		{
+			name: "ww: lists are searched before registers",
+			via:  graph.WW,
+			from: op.Txn(1, 1, ok, op.Write("a", 1), op.Append("b", 10)),
+			to:   op.Txn(2, 2, ok, op.Write("a", 2), op.Append("b", 11)),
+			want: "T2 appended 11 after T1 appended 10 to key b",
+		},
+		{
+			name: "ww: no witness",
+			via:  graph.WW,
+			from: op.Txn(1, 1, ok, op.Write("a", 2), op.Append("b", 11)),
+			to:   op.Txn(2, 2, ok, op.Write("a", 1), op.Append("b", 10)),
+			want: "T2 overwrote a version T1 installed",
+		},
+		{
+			name: "process",
+			via:  graph.Process,
+			from: op.Txn(1, 7, ok),
+			to:   op.Txn(2, 7, ok),
+			want: "process 7 executed T1 before T2",
+		},
+		{
+			name: "realtime",
+			via:  graph.Realtime,
+			from: op.Txn(1, 1, ok),
+			to:   op.Txn(2, 2, ok),
+			want: "T1 completed before T2 was invoked",
+		},
+		{
+			name: "timestamp",
+			via:  graph.Timestamp,
+			from: op.Txn(1, 1, ok),
+			to:   op.Txn(2, 2, ok),
+			want: "the database's own timestamps say T1 committed before T2 began",
+		},
+		{
+			name: "a kind with no sentence of its own",
+			via:  graph.Kind(99),
+			from: op.Txn(1, 1, ok),
+			to:   op.Txn(2, 2, ok),
+			want: "T1 precedes T2 in the inferred version order",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := &Explainer{Ops: map[int]op.Op{1: tc.from, 2: tc.to}, Keys: keys, ListOrders: lists, RegOrders: regs}
+			if got := e.edgeReason(graph.Step{From: 1, To: 2, Via: tc.via}); got != tc.want {
+				t.Errorf("reason = %q\n      want %q", got, tc.want)
+			}
+		})
+	}
+
+	// An explainer without version orders still cites what the ops alone
+	// show (wr), and falls back for what needs an order.
+	w := op.Txn(1, 1, ok, op.Append("a", 2), op.Write("b", 5))
+	r := op.Txn(2, 2, ok, op.ReadList("a", []int{1, 2}), op.ReadReg("b", 5))
+	bare := &Explainer{Ops: map[int]op.Op{1: w, 2: r}}
+	for via, want := range map[graph.Kind]string{
+		graph.WR: "T2 observed T1's append of 2 to key a",
+		graph.RW: "T1 read a version which T2 overwrote",
+		graph.WW: "T2 overwrote a version T1 installed",
+	} {
+		if got := bare.edgeReason(graph.Step{From: 1, To: 2, Via: via}); got != want {
+			t.Errorf("without orders, %v reason = %q, want %q", via, got, want)
+		}
+	}
+}

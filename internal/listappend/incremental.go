@@ -171,13 +171,9 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 		dup, _ := duplicateElements(o, m)
 		out.Add(dup)
 	}
-	// Suspects are only candidates (a second append since may have made
-	// an aborted position unrecoverable): the table has the last word.
-	for e := range ks.suspects(m.List) {
-		if w, ok := ks.sole(e, true); ok {
-			out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, e, o.Index, w),
-				g1aAnomaly(o, m.Key, m.List, e, s.a.ops[w]))
-		}
+	for e, w := range ks.abortedReads(m.List) {
+		out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, e, o.Index, w),
+			g1aAnomaly(o, m.Key, m.List, e, s.a.ops[w]))
 	}
 	switch change {
 	case duplicated:

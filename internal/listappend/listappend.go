@@ -36,7 +36,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/par"
-	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
@@ -293,18 +292,29 @@ func (ks *keyState) index() {
 	}
 }
 
-// suspects yields, in list order, the elements of list — a read of the
-// key — that can have an aborted writer: for a prefix of the trace, those
-// at the trace's aborted positions below its length; for any other
-// read, every element.
-func (ks *keyState) suspects(list []int) iter.Seq[int] {
-	return func(yield func(int) bool) {
+// abortedReads yields, in list order, each element of list — a committed
+// read of the key — whose only append attempt aborted, with that
+// attempt's op index: an aborted read (G1a). In a prefix of the trace
+// only the trace's aborted positions can qualify; any other read is
+// examined element by element. Either way the table has the last word:
+// a session grows ks.aborted between rebuilds, and a second append may
+// since have made a position unrecoverable.
+func (ks *keyState) abortedReads(list []int) iter.Seq2[int, int] {
+	return func(yield func(e, w int) bool) {
+		check := func(e int) bool {
+			w, ok := ks.sole(e, true)
+			return !ok || yield(e, w)
+		}
 		if !op.IsPrefix(list, ks.longest.list) {
-			slices.Values(list)(yield)
+			for _, e := range list {
+				if !check(e) {
+					return
+				}
+			}
 			return
 		}
 		for _, p := range ks.aborted {
-			if p >= len(list) || !yield(list[p]) {
+			if p >= len(list) || !check(list[p]) {
 				return
 			}
 		}
@@ -629,85 +639,29 @@ func keyEdges(ks *keyState) []graph.Edge {
 	return out
 }
 
-// failedAppends is the relation failed_append(key, elem, writer): one
-// tuple per recoverable element whose only writer aborted — selected
-// down to the elements some read observed, since no other can join. A
-// clean history yields none.
-func (a *analyzer) failedAppends() rel.Relation {
-	return rel.NewRelation([]string{"key", "elem", "writer"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 3)
-		for k, ks := range a.keyst {
-			if ks == nil {
+// abortedReadAnomalies finds G1a — reads of versions containing
+// elements written by aborted transactions — in transaction, then
+// program and list order.
+func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
+	var out []anomaly.Anomaly
+	for _, o := range a.oks {
+		for _, m := range o.Mops {
+			if !m.ListKnown() {
 				continue
 			}
-			for _, es := range ks.tab {
-				if !es.observed || es.attempts != 1 || !es.failed {
-					continue
-				}
-				t[0], t[1], t[2] = rel.Int(k), rel.Int(es.elem), rel.Int(es.first)
-				if !yield(t) {
-					return
-				}
+			for e, w := range a.keyst[a.kid(m.Key)].abortedReads(m.List) {
+				out = append(out, g1aAnomaly(o, m.Key, m.List, e, a.ops[w]))
 			}
 		}
-	})
-}
-
-// suspectReadElems is the relation read_elem(key, elem, txn, mop) over
-// every committed transaction, in transaction, program, and list order
-// — the probe side of the relational G1a scan — selected down to the
-// elements that could have an aborted writer (keyState.suspects). One
-// relation spans the whole history so the join pipeline is constructed
-// once per analysis, not once per transaction.
-func (a *analyzer) suspectReadElems() rel.Relation {
-	return rel.NewRelation([]string{"key", "elem", "txn", "mop"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 4)
-		for oi, o := range a.oks {
-			for pos, m := range o.Mops {
-				if !m.ListKnown() {
-					continue
-				}
-				k := a.kid(m.Key)
-				t[0], t[2], t[3] = rel.Int(int(k)), rel.Int(oi), rel.Int(pos)
-				for e := range a.keyst[k].suspects(m.List) {
-					if t[1] = rel.Int(e); !yield(t) {
-						return
-					}
-				}
-			}
-		}
-	})
-}
-
-// abortedReadAnomalies finds G1a — reads of versions containing
-// elements written by aborted transactions — in one relational pass
-// over the whole history: read_elem(key, elem, txn, mop) ⋈ an index
-// over failed_append(key, elem, writer), each joined row one aborted
-// read. The lookup join streams reads in transaction-then-program-and-
-// list order, so that is the report's order.
-func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
-	failedIx := rel.BuildIndex(a.failedAppends(), "key", "elem")
-	if failedIx.Len() == 0 {
-		// A lookup join against an empty failed_append index is empty
-		// by definition.
-		return nil
 	}
-	var out []anomaly.Anomaly
-	a.suspectReadElems().LookupJoin(failedIx).Each(func(t rel.Tuple) bool {
-		o := a.oks[t[2].Num()]
-		m := o.Mops[t[3].Num()]
-		out = append(out, g1aAnomaly(o, m.Key, m.List, int(t[1].Num()), a.ops[int(t[4].Num())]))
-		return true
-	})
 	return out
 }
 
 // intermediateReadAnomalies finds G1b (reads whose final element was
-// an intermediate write) for one committed transaction. Its sibling
-// G1a scan runs once for the whole history in abortedReadAnomalies;
-// the final report survives the split because classification
-// stable-sorts by (severity, type), separating the two types however
-// they interleave in the raw list.
+// an intermediate write) for one committed transaction. G1a is
+// abortedReadAnomalies' pass; classification stable-sorts by (severity,
+// type), so the report separates the two however they interleave in the
+// raw list.
 func (a *analyzer) intermediateReadAnomalies(o op.Op) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
 	for _, m := range o.Mops {
@@ -764,10 +718,7 @@ func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID) []anomaly.Anomaly {
 
 // checkLostUpdates reports committed appends that are absent from a
 // longest read invoked strictly after the append's transaction
-// completed. The per-key scan is relational: the key's committed
-// appends, σ-filtered to those that completed before the long read was
-// invoked, anti-joined (▷) against the elements the read observed —
-// every surviving append is a lost update.
+// completed, per key in completion order.
 func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 	// Index committed appends by key once; scanning all transactions per
 	// key would make this check quadratic in history length. The index is
@@ -788,42 +739,14 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 	}
 	a.collect(par.Map(a.opts.Parallelism, len(keys), func(i int) []anomaly.Anomaly {
 		k := keys[i]
-		kname := a.in.Key(k)
+		ks, kname := a.keyst[k], a.in.Key(k)
 		// The long read is the trace: the key's first read of its version
-		// order's full length.
-		lr := a.keyst[k].longest
-		kas := appendsByKey[k]
-
-		// observed(elem): the elements of the long read's value.
-		observedIx := rel.BuildIndex(rel.NewRelation([]string{"elem"},
-			func(yield func(rel.Tuple) bool) {
-				t := make(rel.Tuple, 1)
-				for _, e := range lr.list {
-					t[0] = rel.Int(e)
-					if !yield(t) {
-						return
-					}
-				}
-			}), "elem")
-		// committed_append(pos, elem, txn) for this key, in completion
-		// order; a transaction completes at its own index.
-		appends := rel.NewRelation([]string{"pos", "elem", "txn"},
-			func(yield func(rel.Tuple) bool) {
-				t := make(rel.Tuple, 3)
-				for pos, ka := range kas {
-					t[0], t[1], t[2] = rel.Int(pos), rel.Int(ka.elem), rel.Int(ka.o.Index)
-					if !yield(t) {
-						return
-					}
-				}
-			})
-
+		// order's full length. A transaction completes at its own index,
+		// and an element is in the trace exactly when it has a position.
+		lr := ks.longest
 		var out []anomaly.Anomaly
-		appends.
-			Select(func(t rel.Tuple) bool { return int(t[2].Num()) < lr.invoke }).
-			AntiJoin(observedIx).
-			Each(func(t rel.Tuple) bool {
-				ka := kas[t[0].Num()]
+		for _, ka := range appendsByKey[k] {
+			if ka.o.Index < lr.invoke && ks.find(ka.elem).pos < 0 {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.LostUpdate,
 					Ops:  []op.Op{ka.o, lr.o},
@@ -832,8 +755,8 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 						"%s committed an append of %d to key %s before %s began, yet %s read %s without it: the update was lost",
 						ka.o.Name(), ka.elem, kname, lr.o.Name(), lr.o.Name(), op.FormatList(lr.o.Mops[readPos(lr.o, kname)].List)),
 				})
-				return true
-			})
+			}
+		}
 		return out
 	}))
 }

@@ -503,3 +503,82 @@ func TestReadCostIndependentOfLength(t *testing.T) {
 		t.Errorf("Analyze allocates %.0f times at 200 writes per key against %.0f at 50: reads cost by their length", long, short)
 	}
 }
+
+// TestAbortedReadAndLostUpdateOrder pins the report order of the two
+// findings read straight off the per-key tables. G1a follows the reader:
+// transactions in completion order, their reads in program order, each
+// read's aborted elements in list order — a prefix of the trace (T6, T8)
+// and a read that is not (T7) alike — and an element whose aborted
+// append was followed by a second one (5) is nobody's recoverable write,
+// so reading it is no G1a. Lost updates follow the key's committed
+// appends in completion, then program, order. A session, however it is
+// chunked, surfaces the same aborted reads provisionally, citing a
+// reader once per element.
+func TestAbortedReadAndLostUpdateOrder(t *testing.T) {
+	ok, fail := op.OK, op.Fail
+	ops := []op.Op{
+		op.Txn(0, 0, ok, op.Append("x", 1), op.Append("x", 3), op.Append("y", 10)),
+		op.Txn(1, 1, fail, op.Append("x", 2)),
+		op.Txn(2, 2, fail, op.Append("x", 4)),
+		op.Txn(3, 0, fail, op.Append("y", 11)),
+		op.Txn(4, 1, fail, op.Append("x", 5)),
+		op.Txn(5, 2, ok, op.Append("x", 5)),
+		op.Txn(6, 0, ok, op.ReadList("x", []int{1, 2, 3, 4, 5}), op.ReadList("y", []int{10, 11}), op.ReadList("x", []int{1, 2})),
+		op.Txn(7, 1, ok, op.ReadList("x", []int{2, 1, 4, 5})),
+		op.Txn(8, 2, ok, op.ReadList("x", []int{1, 2, 3})),
+		op.Txn(9, 0, ok, op.Append("z", 1), op.Append("z", 4)),
+		op.Txn(10, 1, ok, op.Append("z", 2)),
+		op.Txn(11, 2, ok, op.Append("z", 3)),
+		op.Txn(12, 0, ok, op.ReadList("z", []int{2})),
+	}
+	g1a := func(reader int, key, list string, e, writer int) string {
+		return fmt.Sprintf("T%d read key %s as %s, but element %d was appended by T%d, which aborted: an aborted read", reader, key, list, e, writer)
+	}
+	lost := func(writer, e int) string {
+		return fmt.Sprintf("T%d committed an append of %d to key z before T12 began, yet T12 read [2] without it: the update was lost", writer, e)
+	}
+	want := []string{
+		g1a(6, "x", "[1 2 3 4 5]", 2, 1), g1a(6, "x", "[1 2 3 4 5]", 4, 2), g1a(6, "y", "[10 11]", 11, 3), g1a(6, "x", "[1 2]", 2, 1),
+		g1a(7, "x", "[2 1 4 5]", 2, 1), g1a(7, "x", "[2 1 4 5]", 4, 2),
+		g1a(8, "x", "[1 2 3]", 2, 1),
+		lost(9, 1), lost(9, 4), lost(11, 3),
+	}
+	h := history.MustNew(ops)
+	cited := map[string]bool{} // key, reader, aborted writer
+	for _, p := range []int{1, 4} {
+		var got []string
+		for _, a := range listappend.Analyze(h, workload.Opts{Parallelism: p, DetectLostUpdates: true}).Anomalies {
+			switch a.Type {
+			case anomaly.G1a:
+				cited[fmt.Sprint(a.Key, a.Ops[0].Index, a.Ops[1].Index)] = true
+				fallthrough
+			case anomaly.LostUpdate:
+				got = append(got, a.Explanation)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("G1a and lost updates at parallelism %d:\n got %q\nwant %q", p, got, want)
+		}
+	}
+
+	chunks := []int{1, 2, 7, len(ops)}
+	checkAgainstReference(t, h, chunks...)
+	for _, chunk := range chunks {
+		s := workload.BeginSession(listInfo, workload.Opts{Parallelism: 1, DetectLostUpdates: true})
+		provisional := map[string]bool{}
+		for rest := ops; len(rest) > 0; rest = rest[min(chunk, len(rest)):] {
+			d, err := s.Feed(rest[:min(chunk, len(rest))])
+			if err != nil {
+				t.Fatalf("feed: %v", err)
+			}
+			for _, a := range d.Anomalies {
+				if a.Type == anomaly.G1a {
+					provisional[fmt.Sprint(a.Key, a.Ops[0].Index, a.Ops[1].Index)] = true
+				}
+			}
+		}
+		if !reflect.DeepEqual(provisional, cited) {
+			t.Errorf("chunk size %d: provisional aborted reads %v, the report cites %v", chunk, provisional, cited)
+		}
+	}
+}

@@ -12,9 +12,7 @@ import (
 // Source is everything one analysis exposes to the relational layer:
 // the history, the final dependency graph, the classified anomalies,
 // and the inferred version orders in the analyzers' compact
-// KeyID-indexed form (the same shape explain.Explainer carries — rel
-// takes the fields rather than the struct so explain can itself build
-// on rel).
+// KeyID-indexed form (the same shape explain.Explainer carries).
 type Source struct {
 	History *history.History
 	Graph   *graph.Graph

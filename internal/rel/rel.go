@@ -1,24 +1,25 @@
-// Package rel is the checker's relational layer: a small streaming
-// relational-algebra core plus a catalog of relations derived lazily
-// from one analysis (catalog.go) and a pattern query front-end over
-// them (query.go). It is the shared substrate the anomaly classifiers
-// and the explain witness scans run on, and the engine behind
-// `elle -query`, elled's query endpoint, and explain provenance (see
-// docs/QUERY.md).
+// Package rel is the checker's query engine: a small streaming
+// relational-algebra core, a catalog of relations derived lazily from
+// one finished analysis (catalog.go), and a pattern query front-end over
+// them (query.go) — what `elle -query`, elled's query endpoint and
+// CheckResult.Query evaluate (see docs/QUERY.md). Nothing on the verdict
+// path imports it: the analyzers classify anomalies and explain renders
+// witnesses from their own per-key tables, which makes a query over the
+// catalog an independent second derivation of what the report says
+// (TestRelationalQueriesMatchReport holds the two to each other).
 //
 // The design follows the "Datalog as pure relational algebra" pattern:
 // a Relation is a column schema plus a lazy tuple generator, operators
-// (σ selection, π projection, ⋈ natural join, γ grouping) compose
-// functionally into new relations without evaluating anything, and a
-// pattern query compiles to nothing but σ/⋈ over catalog relations —
-// no specialized machinery.
+// (σ selection, π projection, ⋈ natural join) compose functionally into
+// new relations without evaluating anything, and a pattern query
+// compiles to nothing but σ/π/⋈ over catalog relations — no specialized
+// machinery.
 //
 // Determinism is a contract, not an accident: every operator is
-// order-preserving over its (left) input, joins probe materialized
-// indexes whose per-key buckets keep build order, and Sort/Distinct
-// give query surfaces a canonical output order. Deterministic inputs
-// therefore produce byte-identical output at any parallelism — the
-// property the classifier refactors lean on.
+// order-preserving over its (left) input, joins probe a materialized
+// index whose per-key buckets keep build order, and Sort/Distinct give
+// query surfaces a canonical output order. Deterministic inputs
+// therefore produce byte-identical output on every surface.
 package rel
 
 import (
@@ -96,7 +97,7 @@ func Compare(v, w Value) int {
 
 // Tuple is one row. Streaming relations may yield a reused backing
 // slice — a consumer that holds a tuple past the callback must Clone
-// it; the materializing operators (Sort, Distinct, Index, GroupCount)
+// it; the materializing operators (Sort, Distinct, Join's build side)
 // do so themselves.
 type Tuple []Value
 
@@ -183,15 +184,6 @@ func (r Relation) Select(pred func(Tuple) bool) Relation {
 	}}
 }
 
-// Eq is the constant-selection shorthand σ_{col = v}(r).
-func (r Relation) Eq(col string, v Value) Relation {
-	i := r.col(col)
-	if i < 0 {
-		return FromRows(r.cols, nil)
-	}
-	return r.Select(func(t Tuple) bool { return t[i].Equal(v) })
-}
-
 // Project is π: keep exactly cols, in the given order, preserving row
 // order (no implicit deduplication — compose with Distinct for set
 // semantics). Unknown columns make the relation empty.
@@ -214,17 +206,6 @@ func (r Relation) Project(cols ...string) Relation {
 	}}
 }
 
-// Rename returns r with column from renamed to to.
-func (r Relation) Rename(from, to string) Relation {
-	cols := append([]string(nil), r.cols...)
-	for i, c := range cols {
-		if c == from {
-			cols[i] = to
-		}
-	}
-	return Relation{cols: cols, seq: r.seq}
-}
-
 // Join is ⋈: the natural join of r and s on their shared column names,
 // order-preserving over r — s is materialized into a hash index once
 // (build side), then r streams through it in order (probe side), each
@@ -232,9 +213,7 @@ func (r Relation) Rename(from, to string) Relation {
 // columns it degenerates to the cross product. Deterministic inputs
 // produce deterministic output.
 func (r Relation) Join(s Relation) Relation {
-	shared := sharedCols(r.cols, s.cols)
-	idx := BuildIndex(s, shared...)
-	return r.LookupJoin(idx)
+	return r.lookupJoin(buildIndex(s, sharedCols(r.cols, s.cols)))
 }
 
 // sharedCols returns the column names present in both schemas, in a's
@@ -250,48 +229,6 @@ func sharedCols(a, b []string) []string {
 		}
 	}
 	return out
-}
-
-// GroupCount is γ with a count aggregate: one row per distinct value
-// of the `by` columns (in first-seen order) with an appended count
-// column named `as`.
-func (r Relation) GroupCount(by []string, as string) Relation {
-	idx := make([]int, len(by))
-	for i, c := range by {
-		idx[i] = r.col(c)
-		if idx[i] < 0 {
-			return FromRows(append(append([]string(nil), by...), as), nil)
-		}
-	}
-	cols := append(append([]string(nil), by...), as)
-	return Relation{cols: cols, seq: func(yield func(Tuple) bool) {
-		counts := map[string]int{}
-		var order []Tuple
-		var key []byte
-		r.Each(func(t Tuple) bool {
-			key = key[:0]
-			g := make(Tuple, 0, len(idx))
-			for _, j := range idx {
-				key = appendKey(key, t[j])
-				g = append(g, t[j])
-			}
-			if _, seen := counts[string(key)]; !seen {
-				order = append(order, g.Clone())
-			}
-			counts[string(key)]++
-			return true
-		})
-		key = key[:0]
-		for _, g := range order {
-			key = key[:0]
-			for _, v := range g {
-				key = appendKey(key, v)
-			}
-			if !yield(append(g, Int(counts[string(key)]))) {
-				return
-			}
-		}
-	}}
 }
 
 // Distinct deduplicates, keeping the first occurrence of each tuple in

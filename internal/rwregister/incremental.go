@@ -58,14 +58,9 @@ func (s stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 	if o.Type != op.OK {
 		return
 	}
-	for _, m := range o.Mops {
-		if m.F == op.FRead && m.RegKnown && !m.RegNil {
-			k := a.kid(m.Key)
-			if w, ok := a.find(k, m.Reg).sole(true); ok {
-				out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Reg, o.Index, w),
-					g1aAnomaly(o, m.Key, m.Reg, a.ops[w]))
-			}
-		}
+	for m, w := range a.abortedReads(o) {
+		out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", a.kid(m.Key), m.Reg, o.Index, w),
+			g1aAnomaly(o, m.Key, m.Reg, a.ops[w]))
 	}
 	out.Add(a.internalAnomalies(o)...)
 }

@@ -482,3 +482,70 @@ func TestAbortedReadDeltaOrder(t *testing.T) {
 	}
 	checkAgainstOracles(t, h, opts, 1, 2, len(ops))
 }
+
+// TestAbortedReadOrder pins the report order of G1a, read straight off
+// the per-key value tables: transactions in completion order, their
+// reads in program order, one finding per read — T5 reads x = 2 twice
+// and is cited twice — wherever the abort falls relative to the reader
+// (T9's comes after T8). A value whose aborted write was followed by a
+// second write (x = 3) is nobody's recoverable write, so reading it is
+// no G1a. A session, however it is chunked, surfaces the same aborted
+// reads provisionally, citing a reader once per value.
+func TestAbortedReadOrder(t *testing.T) {
+	ok, fail := op.OK, op.Fail
+	ops := []op.Op{
+		op.Txn(0, 0, ok, op.Write("x", 1)),
+		op.Txn(1, 1, fail, op.Write("x", 2)),
+		op.Txn(2, 2, fail, op.Write("y", 5)),
+		op.Txn(3, 0, fail, op.Write("x", 3)),
+		op.Txn(4, 1, ok, op.Write("x", 3)),
+		op.Txn(5, 2, ok, op.ReadReg("x", 2), op.ReadReg("y", 5), op.ReadReg("x", 2)),
+		op.Txn(6, 0, ok, op.ReadReg("x", 3)),
+		op.Txn(7, 1, ok, op.ReadReg("x", 2)),
+		op.Txn(8, 2, ok, op.ReadReg("y", 6), op.ReadReg("x", 1)),
+		op.Txn(9, 0, fail, op.Write("y", 6)),
+	}
+	g1a := func(reader int, key string, v, writer int) string {
+		return fmt.Sprintf("T%d read key %s = %d, which was written by T%d, which aborted: an aborted read", reader, key, v, writer)
+	}
+	want := []string{g1a(5, "x", 2, 1), g1a(5, "y", 5, 2), g1a(5, "x", 2, 1), g1a(7, "x", 2, 1), g1a(8, "y", 6, 9)}
+	h := history.MustNew(ops)
+	cited := map[string]bool{} // key, reader, aborted writer
+	for _, p := range []int{1, 4} {
+		opts := workload.DefaultOpts()
+		opts.Parallelism = p
+		var got []string
+		for _, a := range rwregister.Analyze(h, opts).Anomalies {
+			if a.Type == anomaly.G1a {
+				cited[fmt.Sprint(a.Key, a.Ops[0].Index, a.Ops[1].Index)] = true
+				got = append(got, a.Explanation)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("G1a at parallelism %d:\n got %q\nwant %q", p, got, want)
+		}
+	}
+
+	opts := workload.DefaultOpts()
+	opts.Parallelism = 1
+	chunks := []int{1, 2, 7, len(ops)}
+	checkAgainstOracles(t, h, opts, chunks...)
+	for _, chunk := range chunks {
+		s := workload.BeginSession(registerInfo, opts)
+		provisional := map[string]bool{}
+		for rest := ops; len(rest) > 0; rest = rest[min(chunk, len(rest)):] {
+			d, err := s.Feed(rest[:min(chunk, len(rest))])
+			if err != nil {
+				t.Fatalf("feed: %v", err)
+			}
+			for _, a := range d.Anomalies {
+				if a.Type == anomaly.G1a {
+					provisional[fmt.Sprint(a.Key, a.Ops[0].Index, a.Ops[1].Index)] = true
+				}
+			}
+		}
+		if !reflect.DeepEqual(provisional, cited) {
+			t.Errorf("chunk size %d: provisional aborted reads %v, the report cites %v", chunk, provisional, cited)
+		}
+	}
+}

@@ -26,6 +26,7 @@ package rwregister
 
 import (
 	"fmt"
+	"iter"
 	"math"
 
 	"repro/internal/anomaly"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/par"
-	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
@@ -364,83 +364,39 @@ func cvoAnomaly(k string, cyc []int) anomaly.Anomaly {
 	}
 }
 
-// failedWrites is the relation failed_write(key, value, writer): one
-// tuple per recoverable value whose only writer aborted, in key-then-row
-// order — selected down to the values some transaction read, since no
-// other can join.
-func (a *analyzer) failedWrites() rel.Relation {
-	return rel.NewRelation([]string{"key", "value", "writer"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 3)
-		for k, ks := range a.keyst {
-			if ks == nil {
+// abortedReads yields, in program order, each read of committed o that
+// observed a value whose only write aborted, with that write's op index:
+// an aborted read (G1a).
+func (a *analyzer) abortedReads(o op.Op) iter.Seq2[op.Mop, int] {
+	return func(yield func(op.Mop, int) bool) {
+		for _, m := range o.Mops {
+			if m.F != op.FRead || !m.RegKnown || m.RegNil {
 				continue
 			}
-			for i := range ks.tab {
-				vs := &ks.tab[i]
-				if w, ok := vs.sole(true); ok && len(vs.readers) > 0 {
-					t[0], t[1], t[2] = rel.Int(k), rel.Int(vs.val), rel.Int(w)
-					if !yield(t) {
-						return
-					}
-				}
+			if w, ok := a.find(a.kid(m.Key), m.Reg).sole(true); ok && !yield(m, w) {
+				return
 			}
 		}
-	})
-}
-
-// allReadRegs is the relation read_reg(key, value, txn, mop) over
-// every committed transaction: every known non-nil register read, in
-// transaction and program order — the probe side of the relational
-// G1a scan. One relation spans the whole history so the join pipeline
-// is constructed once per analysis, not once per transaction.
-func (a *analyzer) allReadRegs() rel.Relation {
-	return rel.NewRelation([]string{"key", "value", "txn", "mop"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 4)
-		for oi, o := range a.oks {
-			for pos, m := range o.Mops {
-				if m.F != op.FRead || !m.RegKnown || m.RegNil {
-					continue
-				}
-				t[0], t[1], t[2], t[3] = rel.Int(int(a.kid(m.Key))), rel.Int(m.Reg), rel.Int(oi), rel.Int(pos)
-				if !yield(t) {
-					return
-				}
-			}
-		}
-	})
+	}
 }
 
 // abortedReadAnomalies finds G1a — reads of values written by aborted
-// transactions — in one relational pass over the whole history:
-// read_reg(key, value, txn, mop) ⋈ an index over failed_write(key,
-// value, writer), each joined row one aborted read. The lookup join
-// streams reads in transaction-then-program order, so that is the
-// report's order.
+// transactions — in transaction, then program order.
 func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
-	failedIx := rel.BuildIndex(a.failedWrites(), "key", "value")
-	if failedIx.Len() == 0 {
-		// A lookup join against an empty failed_write index is empty
-		// by definition.
-		return nil
-	}
 	var out []anomaly.Anomaly
-	a.allReadRegs().LookupJoin(failedIx).Each(func(t rel.Tuple) bool {
-		o := a.oks[t[2].Num()]
-		m := o.Mops[t[3].Num()]
-		out = append(out, g1aAnomaly(o, m.Key, m.Reg, a.ops[int(t[4].Num())]))
-		return true
-	})
+	for _, o := range a.oks {
+		for m, w := range a.abortedReads(o) {
+			out = append(out, g1aAnomaly(o, m.Key, m.Reg, a.ops[w]))
+		}
+	}
 	return out
 }
 
 // readAnomalies detects garbage reads (values nobody wrote, crashed
 // clients included) and G1b (intermediate values) in one committed
-// transaction. Its sibling G1a scan runs once for the whole history in
-// abortedReadAnomalies; a garbage-read value has no writer at all,
-// failed or otherwise, so that join cannot produce a G1a row for it,
-// and the final report survives the split because classification
-// stable-sorts by (severity, type), separating garbage reads, G1a, and
-// G1b however they interleave in the raw list.
+// transaction. G1a is abortedReadAnomalies' pass; classification
+// stable-sorts by (severity, type), so the report separates garbage
+// reads, G1a and G1b however they interleave in the raw list.
 func (a *analyzer) readAnomalies(o op.Op) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
 	for _, m := range o.Mops {
