@@ -3,12 +3,13 @@
 // allocs/op, B/op, and MB/s per benchmark plus host metadata. The CI
 // perf-regression gate runs it with -baseline against the committed
 // BENCH_*.json and fails on >20% ns/op or allocs/op regressions; the
-// README bench table is refreshed from the same artifact.
+// "Current numbers" table in docs/BENCHMARKS.md is refreshed from the
+// same artifact.
 //
 // Usage:
 //
 //	ellebench [-runs N] [-bench substr] [-out BENCH.json]
-//	          [-baseline BENCH_4.json] [-threshold 0.20] [-list]
+//	          [-baseline BENCH_23.json] [-threshold 0.20] [-list]
 package main
 
 import (

@@ -69,9 +69,6 @@ type KindSet uint8
 // Mask returns the singleton set {k}.
 func (k Kind) Mask() KindSet { return 1 << k }
 
-// Union returns s ∪ t.
-func (s KindSet) Union(t KindSet) KindSet { return s | t }
-
 // Has reports whether k ∈ s.
 func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestKindSet(t *testing.T) {
-	s := WW.Mask().Union(RW.Mask())
+	s := WW.Mask() | RW.Mask()
 	if !s.Has(WW) || !s.Has(RW) || s.Has(WR) {
 		t.Errorf("KindSet membership wrong: %v", s)
 	}

@@ -37,10 +37,44 @@ func opsFromBytes(data []byte) []op.Op {
 	return ops
 }
 
-// FuzzHistoryNew: New must never panic, and Stream fed the same ops in
-// sorted order must agree with it — same acceptance, same error, and
-// the same validated history. This is the batch/stream parity contract
-// the incremental checker rests on.
+// referenceSpans is New's former two-pass check, kept here as a statement
+// of the rules that shares no code with Stream: sorted must hold unique
+// indices and, unless no op is an invocation, pair each completion with
+// its process's one outstanding invocation. It returns the first bound
+// History.Span should report at each position, or false on rejection.
+func referenceSpans(sorted []op.Op) ([]int, bool) {
+	hasInvoke := false
+	for i, o := range sorted {
+		if i > 0 && o.Index == sorted[i-1].Index {
+			return nil, false
+		}
+		hasInvoke = hasInvoke || o.Type == op.Invoke
+	}
+	starts := make([]int, len(sorted))
+	open := map[int]int{} // process -> index of its outstanding invoke
+	for i, o := range sorted {
+		starts[i] = o.Index
+		if !hasInvoke {
+			continue
+		}
+		inv, ok := open[o.Process]
+		if ok == (o.Type == op.Invoke) {
+			return nil, false // a second invocation, or a completion with none
+		}
+		if o.Type == op.Invoke {
+			open[o.Process] = o.Index
+		} else {
+			delete(open, o.Process)
+			starts[i] = inv
+		}
+	}
+	return starts, true
+}
+
+// FuzzHistoryNew: New must never panic, must report exactly the error a
+// Stream fed the same ops in sorted order reports, and must accept
+// exactly what referenceSpans accepts, pairing as it does. This is the
+// batch/stream parity contract the incremental checker rests on.
 func FuzzHistoryNew(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 1, 1, 1, 2, 1, 2})          // ok/ok/fail compact
@@ -58,20 +92,15 @@ func FuzzHistoryNew(f *testing.F) {
 		copy(sorted, ops)
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
 		s := NewStream()
-		var serr error
-		for _, o := range sorted {
-			if serr = s.Add(o); serr != nil {
-				break
-			}
+		serr := s.AddAll(sorted)
+		if (err == nil) != (serr == nil) || err != nil && err.Error() != serr.Error() {
+			t.Fatalf("New err=%v, Stream err=%v", err, serr)
 		}
-
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("parity broken: New err=%v, Stream err=%v", err, serr)
+		starts, ok := referenceSpans(sorted)
+		if ok != (err == nil) {
+			t.Fatalf("New err=%v, but the reference accepts=%v", err, ok)
 		}
 		if err != nil {
-			// Both reject. The messages may legitimately differ: New
-			// validates in passes (all duplicate indices first), while a
-			// stream must reject at the first offending op it sees.
 			return
 		}
 		sh := s.History()
@@ -85,9 +114,9 @@ func FuzzHistoryNew(f *testing.F) {
 			}
 			hi, hc := h.Span(pos)
 			si, sc := sh.Span(pos)
-			if hi != si || hc != sc {
-				t.Fatalf("span diverged at position %d: New [%d,%d], Stream [%d,%d]",
-					pos, hi, hc, si, sc)
+			if hi != starts[pos] || si != starts[pos] || hc != h.Ops[pos].Index || sc != hc {
+				t.Fatalf("span at position %d: New [%d,%d], Stream [%d,%d], reference starts at %d",
+					pos, hi, hc, si, sc, starts[pos])
 			}
 		}
 		// The interners must assign identical IDs: analyzers index

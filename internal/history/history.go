@@ -17,12 +17,16 @@
 // The package validates structural well-formedness, pairs invocations with
 // completions, and exposes the derived views every analyzer needs: the
 // completion list, per-process sequences, and the invoke/complete index
-// mapping used to build the real-time precedence order.
+// mapping used to build the real-time precedence order. Stream is the one
+// implementation of the structural rules: New feeds it a sorted batch, so
+// both report the first defect in index order. (Completions ahead of the
+// first invocation are only defects once it arrives; they are named then.)
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/op"
@@ -33,8 +37,9 @@ type History struct {
 	// Ops is the full event sequence sorted by Index.
 	Ops []op.Op
 
-	// complete[i] holds, for the invoke op at Ops position i, the position
-	// of its completion (or -1). For compact histories it is nil.
+	// completion[i] holds, for the invoke op at Ops position i, the
+	// position of its completion (or -1); invocation is the inverse. Both
+	// are nil for compact histories.
 	completion []int
 	invocation []int
 	compact    bool
@@ -55,61 +60,28 @@ func (e *Error) Error() string {
 }
 
 // New validates ops and builds a History. Ops may be given in any order;
-// they are sorted by Index. If no op has type Invoke, the history is
-// treated as compact.
+// they are sorted by Index, ops sharing an Index keeping their given
+// order. If no op has type Invoke, the history is treated as compact.
 //
 // New returns an error if indices repeat, if a process has two outstanding
 // invocations, or if a completion arrives for a process with no outstanding
-// invocation.
+// invocation. Of several defects it reports the first in index order,
+// exactly as a Stream fed the sorted ops does. Invocations still open at
+// the end (crashed clients, a truncated tail) are tolerated.
 func New(ops []op.Op) (*History, error) {
 	sorted := make([]op.Op, len(ops))
 	copy(sorted, ops)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-
-	hasInvoke := false
-	for i := range sorted {
-		if i > 0 && sorted[i].Index == sorted[i-1].Index {
-			return nil, &Error{Index: sorted[i].Index, Msg: "duplicate index"}
-		}
-		if sorted[i].Type == op.Invoke {
-			hasInvoke = true
+	byIndex := func(a, b op.Op) int { return cmp.Compare(a.Index, b.Index) }
+	if !slices.IsSortedFunc(sorted, byIndex) {
+		slices.SortStableFunc(sorted, byIndex)
+	}
+	s := batchStream(sorted[:0]) // each op is appended back into its own slot
+	for _, o := range sorted {
+		if err := s.add(o); err != nil {
+			return nil, err
 		}
 	}
-
-	h := &History{Ops: sorted, compact: !hasInvoke, keys: internAll(sorted)}
-	if h.compact {
-		return h, nil
-	}
-
-	h.completion = make([]int, len(sorted))
-	h.invocation = make([]int, len(sorted))
-	for i := range h.completion {
-		h.completion[i] = -1
-		h.invocation[i] = -1
-	}
-	open := map[int]int{} // process -> position of outstanding invoke
-	for i, o := range sorted {
-		if o.Type == op.Invoke {
-			if prev, ok := open[o.Process]; ok {
-				return nil, &Error{Index: o.Index,
-					Msg: fmt.Sprintf("process %d invoked while op index %d is outstanding", o.Process, sorted[prev].Index)}
-			}
-			open[o.Process] = i
-			continue
-		}
-		inv, ok := open[o.Process]
-		if !ok {
-			return nil, &Error{Index: o.Index,
-				Msg: fmt.Sprintf("completion for process %d with no outstanding invocation", o.Process)}
-		}
-		delete(open, o.Process)
-		h.completion[inv] = i
-		h.invocation[i] = inv
-	}
-	// Invocations still open at the end of the history are treated as
-	// crashed clients; Jepsen records an Info for them, but we tolerate a
-	// truncated tail.
-	return h, nil
+	return s.History(), nil
 }
 
 // MustNew is New but panics on error; for tests and examples.
@@ -121,27 +93,22 @@ func MustNew(ops []op.Op) *History {
 	return h
 }
 
-// internAll interns every mop key of ops, in op order — invocations
-// included, since analyzers consult crashed clients' attempted writes.
-func internAll(ops []op.Op) *Interner {
-	in := NewInterner()
-	for _, o := range ops {
-		for _, m := range o.Mops {
-			in.Intern(m.Key)
-		}
-	}
-	return in
-}
-
-// Keys returns the history-wide key interner: every key any op touches,
-// assigned dense KeyIDs in first-appearance (index) order. New and
-// Stream build it during ingestion; a History assembled some other way
-// gets one lazily on first call. The interner must be treated as
-// read-only.
+// Keys returns the history-wide key interner: every key any op touches —
+// invocations included, since analyzers consult crashed clients'
+// attempted writes — assigned dense KeyIDs in first-appearance (index)
+// order. New and Stream build it during ingestion; a History assembled
+// some other way gets one lazily on first call. The interner must be
+// treated as read-only.
 func (h *History) Keys() *Interner {
 	h.keysOnce.Do(func() {
-		if h.keys == nil {
-			h.keys = internAll(h.Ops)
+		if h.keys != nil {
+			return
+		}
+		h.keys = NewInterner()
+		for _, o := range h.Ops {
+			for _, m := range o.Mops {
+				h.keys.Intern(m.Key)
+			}
 		}
 	})
 	return h.keys
@@ -192,17 +159,15 @@ func (h *History) Crashed() []op.Op {
 }
 
 // Span returns the invoke and completion indices bounding the transaction
-// completed at position pos within Ops. For compact histories (or
-// unpaired ops) both bounds equal the op's own index.
+// completed at position pos within Ops. For compact histories (and for
+// an invocation itself) both bounds equal the op's own index; in a
+// complete history every completion is paired.
 func (h *History) Span(pos int) (invokeIdx, completeIdx int) {
 	o := h.Ops[pos]
 	if h.compact || o.Type == op.Invoke {
 		return o.Index, o.Index
 	}
-	if inv := h.invocation[pos]; inv >= 0 {
-		return h.Ops[inv].Index, o.Index
-	}
-	return o.Index, o.Index
+	return h.Ops[h.invocation[pos]].Index, o.Index
 }
 
 // ByProcess groups completion ops by process, preserving index order

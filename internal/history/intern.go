@@ -9,9 +9,6 @@ import "sort"
 // KeyID-indexed state line up byte-for-byte with the batch analyzers'.
 type KeyID int32
 
-// NoKey is the sentinel for "key not interned".
-const NoKey KeyID = -1
-
 // Interner maps string object keys to dense KeyIDs and back. Analyzers
 // index their per-key state by KeyID — a slice index instead of a
 // string-keyed map — so the hot inference loops never hash a key

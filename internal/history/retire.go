@@ -81,12 +81,6 @@ type retired struct {
 	degraded string
 }
 
-func (r *retired) closeSpill() {
-	if r.spill != nil {
-		r.spill.Close()
-	}
-}
-
 // SetBudget configures retirement. Call it before feeding ops;
 // enabling it mid-stream affects only ops accepted afterwards (nothing
 // already accepted is retroactively retired until the next sweep).
@@ -169,7 +163,6 @@ func (s *Stream) retire(drop int) {
 	for _, o := range prefix {
 		if o.Type != op.Invoke {
 			seg.ncomps++
-			delete(s.spans, o.Index)
 		}
 	}
 	if s.budget.SpillDir != "" {
@@ -195,16 +188,14 @@ func (s *Stream) retire(drop int) {
 // lazily. Any I/O failure downgrades to in-memory segments for the rest
 // of the stream.
 func (s *Stream) spillSegment(data []byte) (SpillRef, bool) {
+	var err error
 	if s.retired.spill == nil {
-		sp, err := NewSpill(s.budget.SpillDir)
-		if err != nil {
-			s.budget.SpillDir = ""
-			s.retired.degraded = "spill disabled: " + err.Error()
-			return SpillRef{}, false
-		}
-		s.retired.spill = sp
+		s.retired.spill, err = NewSpill(s.budget.SpillDir)
 	}
-	ref, err := s.retired.spill.Append(data)
+	var ref SpillRef
+	if err == nil {
+		ref, err = s.retired.spill.Append(data)
+	}
 	if err != nil {
 		s.budget.SpillDir = ""
 		s.retired.degraded = "spill disabled: " + err.Error()

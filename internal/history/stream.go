@@ -8,11 +8,11 @@ import (
 
 // Stream incrementally validates and accumulates an observation that
 // arrives in chunks — the history-side half of the streaming checker.
-// It enforces the same structural rules as New (index uniqueness,
-// invoke/completion pairing, one outstanding invocation per process)
-// as each op arrives, so a malformed stream fails at the offending
-// chunk instead of at the end, and maintains the invoke/completion
-// index spans analyzers need without re-walking the prefix.
+// It is the implementation of the structural rules (index uniqueness,
+// invoke/completion pairing, one outstanding invocation per process),
+// New included: it checks them as each op arrives, so a malformed stream
+// fails at the offending chunk instead of at the end, and pairs each
+// completion with its invocation without re-walking the prefix.
 //
 // One streaming-only restriction applies: ops must arrive in strictly
 // ascending Index order. New can sort a batch before validating;
@@ -33,8 +33,7 @@ type Stream struct {
 	base       int
 	completion []int
 	invocation []int
-	open       map[int]int    // process -> global position of outstanding invoke
-	spans      map[int][2]int // completion op index -> [invoke index, completion index]
+	open       map[int]int // process -> global position of outstanding invoke
 
 	keys *Interner
 
@@ -42,6 +41,7 @@ type Stream struct {
 	firstComp     int // op index of the first completion accepted in compact mode
 	firstCompProc int // its process, for the retroactive pairing error
 	lastIndex     int // Index of the most recently accepted op, -1 when none
+	lastInvoke    int // Index of the invocation it pairs with (see LastInvoke)
 	completions   int
 
 	budget  Budget
@@ -54,6 +54,17 @@ type Stream struct {
 // NewStream returns an empty Stream.
 func NewStream() *Stream {
 	return &Stream{open: map[int]int{}, firstComp: -1, lastIndex: -1, keys: NewInterner()}
+}
+
+// batchStream returns a Stream that appends into ops — empty, with room
+// for the whole batch — and sizes its pairing arrays to match. A batch
+// drives add directly: it has nothing to retire.
+func batchStream(ops []op.Op) *Stream {
+	s := NewStream()
+	s.ops = ops
+	s.completion = make([]int, 0, cap(ops))
+	s.invocation = make([]int, 0, cap(ops))
+	return s
 }
 
 // Keys returns the stream's live key interner: every key of every
@@ -72,7 +83,6 @@ func (s *Stream) Add(o op.Op) error {
 		s.err = err
 		return err
 	}
-	s.lastIndex = o.Index
 	s.maybeRetire()
 	return nil
 }
@@ -103,8 +113,8 @@ func (s *Stream) add(o op.Op) error {
 
 	if o.Type == op.Invoke {
 		if !s.hasInvoke && s.firstComp >= 0 {
-			// The stream looked compact until now; New over the same ops
-			// would have rejected its first completion.
+			// The stream looked compact until now: every completion so
+			// far lacks an invocation, and the first is the defect named.
 			return &Error{Index: s.firstComp,
 				Msg: fmt.Sprintf("completion for process %d with no outstanding invocation", s.firstCompProc)}
 		}
@@ -125,7 +135,6 @@ func (s *Stream) add(o op.Op) error {
 			s.firstComp = o.Index
 			s.firstCompProc = o.Process
 		}
-		s.setSpan(o.Index, o.Index, o.Index)
 		return nil
 	}
 	inv, ok := s.open[o.Process]
@@ -138,7 +147,7 @@ func (s *Stream) add(o op.Op) error {
 	delete(s.open, o.Process)
 	s.completion[inv-s.base] = pos
 	s.invocation[pos-s.base] = inv
-	s.setSpan(o.Index, s.ops[inv-s.base].Index, o.Index)
+	s.lastInvoke = s.ops[inv-s.base].Index
 	return nil
 }
 
@@ -152,14 +161,8 @@ func (s *Stream) append(o op.Op) int {
 	s.ops = append(s.ops, o)
 	s.completion = append(s.completion, -1)
 	s.invocation = append(s.invocation, -1)
+	s.lastIndex, s.lastInvoke = o.Index, o.Index
 	return pos
-}
-
-func (s *Stream) setSpan(index, invoke, complete int) {
-	if s.spans == nil {
-		s.spans = map[int][2]int{}
-	}
-	s.spans[index] = [2]int{invoke, complete}
 }
 
 // Len returns the number of ops ingested (including invokes and ops
@@ -172,15 +175,12 @@ func (s *Stream) Completions() int { return s.completions }
 // Err returns the sticky error, if any.
 func (s *Stream) Err() error { return s.err }
 
-// SpanOf returns the invoke and completion indices bounding the
-// completion op with the given index, matching History.Span. It returns
-// [index, index] for unknown indices, which is also the compact answer.
-func (s *Stream) SpanOf(index int) [2]int {
-	if sp, ok := s.spans[index]; ok {
-		return sp
-	}
-	return [2]int{index, index}
-}
+// LastInvoke returns the index of the invocation the last accepted op
+// pairs with — History.Span's first bound for that op: its invoke's index
+// for a paired completion, the op's own index for an invoke or a compact
+// completion. Read right after Add, it holds even when that Add retired
+// the invocation.
+func (s *Stream) LastInvoke() int { return s.lastInvoke }
 
 // History returns the accumulated ops as a validated History. It is
 // equivalent to New over the same ops (which a streaming caller must
@@ -189,11 +189,11 @@ func (s *Stream) SpanOf(index int) [2]int {
 // the stream is complete, and do not Add afterwards.
 //
 // If retirement has released any prefix (see SetBudget), History
-// rehydrates it: every segment is decoded back, the full op sequence is
-// re-validated through New, and the result is cached — an O(history)
-// operation in time and memory, paid once at finish rather than
-// throughout the stream's life. It panics if a spilled segment can no
-// longer be read (the spill file lives unlinked on local disk for
+// rehydrates it — every segment is decoded back into a fresh stream,
+// which re-validates the full op sequence — and caches the result: an
+// O(history) operation in time and memory, paid once at finish rather
+// than throughout the stream's life. It panics if a spilled segment can
+// no longer be read (the spill file lives unlinked on local disk for
 // exactly the stream's lifetime, so this indicates hardware-level I/O
 // failure).
 func (s *Stream) History() *History {
@@ -208,20 +208,15 @@ func (s *Stream) History() *History {
 	if s.hist != nil {
 		return s.hist
 	}
-	ops := make([]op.Op, 0, s.retired.ops+len(s.ops))
-	if err := s.Replay(func(o op.Op) error {
-		ops = append(ops, o)
-		return nil
-	}); err != nil {
+	r := batchStream(make([]op.Op, 0, s.Len()))
+	if err := s.Replay(r.add); err != nil {
+		// Every op was validated on the way in: this is a spill read
+		// failure, or a codec that decodes to what the rules reject.
 		panic(fmt.Sprintf("history: rehydrating retired segments: %v", err))
 	}
-	h, err := New(ops)
-	if err != nil {
-		// Every op was validated incrementally on the way in; a segment
-		// that decodes to something New rejects is a codec bug.
-		panic(fmt.Sprintf("history: rehydrated stream failed validation: %v", err))
+	s.hist = r.History()
+	if s.retired.spill != nil {
+		s.retired.spill.Close()
 	}
-	s.hist = h
-	s.retired.closeSpill()
-	return h
+	return s.hist
 }

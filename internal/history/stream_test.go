@@ -53,10 +53,6 @@ func TestStreamMatchesNew(t *testing.T) {
 				if wi != gi || wc != gc {
 					t.Fatalf("span at pos %d: stream (%d,%d), batch (%d,%d)", pos, gi, gc, wi, wc)
 				}
-				sp := s.SpanOf(want.Ops[pos].Index)
-				if sp[0] != wi || sp[1] != wc {
-					t.Fatalf("SpanOf(%d) = %v, batch (%d,%d)", want.Ops[pos].Index, sp, wi, wc)
-				}
 			}
 			if len(got.Completions()) != len(want.Completions()) {
 				t.Fatal("completions diverge")
@@ -74,9 +70,9 @@ func TestStreamMatchesNew(t *testing.T) {
 	}
 }
 
-// TestStreamErrors checks the structural rejections: each error matches
-// what New reports for the same malformed batch, plus the
-// streaming-only ordering rule, and errors are sticky.
+// TestStreamErrors checks the structural rejections: each names the
+// defect it should, New reports it byte for byte (New validates through
+// a Stream), plus the streaming-only ordering rule, and errors are sticky.
 func TestStreamErrors(t *testing.T) {
 	invoke := func(idx, proc int) op.Op {
 		return op.Op{Index: idx, Process: proc, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}}
@@ -85,52 +81,42 @@ func TestStreamErrors(t *testing.T) {
 		return op.Op{Index: idx, Process: proc, Type: op.OK, Mops: []op.Mop{op.ReadNil("x")}}
 	}
 
-	t.Run("duplicate index", func(t *testing.T) {
-		s := NewStream()
-		if err := s.AddAll([]op.Op{okOp(0, 0), okOp(0, 1)}); err == nil {
-			t.Fatal("expected duplicate-index error")
-		}
-	})
-	t.Run("out of order", func(t *testing.T) {
-		s := NewStream()
-		if err := s.AddAll([]op.Op{okOp(5, 0), okOp(2, 1)}); err == nil {
-			t.Fatal("expected ordering error")
-		}
-	})
-	t.Run("double invocation", func(t *testing.T) {
-		s := NewStream()
-		err := s.AddAll([]op.Op{invoke(0, 3), invoke(1, 3)})
-		if err == nil {
-			t.Fatal("expected double-invocation error")
-		}
-		if _, werr := New([]op.Op{invoke(0, 3), invoke(1, 3)}); werr == nil || werr.Error() != err.Error() {
-			t.Fatalf("stream error %q != batch error %q", err, werr)
-		}
-	})
-	t.Run("completion without invocation", func(t *testing.T) {
-		ops := []op.Op{invoke(0, 1), okOp(1, 1), okOp(2, 2)}
-		s := NewStream()
-		err := s.AddAll(ops)
-		if err == nil {
-			t.Fatal("expected pairing error")
-		}
-		if _, werr := New(ops); werr == nil || werr.Error() != err.Error() {
-			t.Fatalf("stream error %q != batch error %q", err, werr)
-		}
-	})
-	t.Run("retroactive compact violation", func(t *testing.T) {
-		// A completion accepted in compact mode becomes invalid the
-		// moment an invoke appears; New rejects the same batch.
-		ops := []op.Op{okOp(0, 0), invoke(1, 1)}
-		s := NewStream()
-		err := s.AddAll(ops)
-		if err == nil {
-			t.Fatal("expected retroactive pairing error")
-		}
-		if _, werr := New(ops); werr == nil || werr.Error() != err.Error() {
-			t.Fatalf("stream error %q != batch error %q", err, werr)
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		ops  []op.Op
+		want string
+	}{
+		{"duplicate index", []op.Op{okOp(0, 0), okOp(0, 1)},
+			"history: op index 0: duplicate index"},
+		{"out of order", []op.Op{okOp(5, 0), okOp(2, 1)},
+			"history: op index 2: arrived after index 5: a stream must be index-ordered"},
+		{"double invocation", []op.Op{invoke(0, 3), invoke(1, 3)},
+			"history: op index 1: process 3 invoked while op index 0 is outstanding"},
+		{"completion without invocation", []op.Op{invoke(0, 1), okOp(1, 1), okOp(2, 2)},
+			"history: op index 2: completion for process 2 with no outstanding invocation"},
+		// A completion accepted in compact mode becomes invalid the moment
+		// an invoke appears.
+		{"retroactive compact violation", []op.Op{okOp(0, 0), invoke(1, 1)},
+			"history: op index 0: completion for process 0 with no outstanding invocation"},
+		// Of two defects, the first in index order is the one reported —
+		// by New too, which once checked every index before any pairing.
+		{"pairing defect before duplicate index", []op.Op{invoke(0, 1), okOp(1, 2), okOp(3, 1), okOp(3, 1)},
+			"history: op index 1: completion for process 2 with no outstanding invocation"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStream()
+			err := s.AddAll(tc.ops)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("stream error %v, want %q", err, tc.want)
+			}
+			if tc.name == "out of order" {
+				return // New sorts a batch first
+			}
+			if _, werr := New(tc.ops); werr == nil || werr.Error() != err.Error() {
+				t.Fatalf("stream error %q != batch error %v", err, werr)
+			}
+		})
+	}
 	t.Run("sticky", func(t *testing.T) {
 		s := NewStream()
 		first := s.AddAll([]op.Op{okOp(0, 0), okOp(0, 1)})

@@ -29,8 +29,6 @@ import (
 type stream struct {
 	a *analyzer // a.keyst is the per-key maintained state
 
-	orders [][]int // current version orders: each key's trace
-
 	incr     *graph.Incr
 	offered  int  // edges handed to incr one by one, for the cost test
 	poisoned bool // evidence was retracted; rebuild incr at next scan
@@ -190,8 +188,6 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 			incompatAnomaly(m.Key, old, *r))
 		ks.writers, ks.byLen = ks.writers[:0], ks.byLen[:0]
 	}
-	s.orders = history.GrowKeyed(s.orders, k)
-	s.orders[k] = ks.longest.list
 	// The positions the trace gained, in order: each sees its predecessor
 	// and the reads that stopped just short of it.
 	for p := len(ks.writers); p < len(r.list); p++ {
@@ -245,7 +241,7 @@ func (s *stream) Scan(out *workload.Findings) {
 	if len(cycles) == 0 {
 		return
 	}
-	expl := &explain.Explainer{Ops: s.a.ops, Keys: s.a.in, ListOrders: s.orders}
+	expl := &explain.Explainer{Ops: s.a.ops, Keys: s.a.in, ListOrders: s.a.versionOrders()}
 	for _, c := range cycles {
 		out.Emit("cycle|"+graph.CycleKey(c), anomaly.Anomaly{
 			Type:        anomaly.CycleType(c),
@@ -256,20 +252,16 @@ func (s *stream) Scan(out *workload.Findings) {
 }
 
 // Retire drops each quiescent key's one per-key state (element table,
-// reads, trace, writers and read groups) and its version order, then the ops no live
-// key pins, then the graph region those ops spanned: nodes the analyzer
-// no longer indexes can gain no further edges from maintained state, and
-// the scan just before searched and surfaced their components'
-// witnesses.
+// reads, trace, writers and read groups), then the ops no live key pins,
+// then the graph region those ops spanned: nodes the analyzer no longer
+// indexes can gain no further edges from maintained state, and the scan
+// just before searched and surfaced their components' witnesses.
 func (s *stream) Retire(keys []history.KeyID, ops []int) {
 	a := s.a
 	for _, k := range keys {
 		// Keys only failed or unknown reads touched never got a state.
 		if int(k) < len(a.keyst) {
 			a.keyst[k] = nil
-		}
-		if int(k) < len(s.orders) {
-			s.orders[k] = nil
 		}
 	}
 	for _, i := range ops {

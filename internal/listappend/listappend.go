@@ -345,6 +345,18 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	return a.finish()
 }
 
+// versionOrders returns each key's trace, indexed by KeyID: the version
+// orders (§4.3.2). A key without a trace has none.
+func (a *analyzer) versionOrders() [][]int {
+	orders := make([][]int, a.in.Len())
+	for k, ks := range a.keyst {
+		if ks != nil {
+			orders[k] = ks.longest.list
+		}
+	}
+	return orders
+}
+
 // tracedKeys names the keys with a trace, in name order.
 func (a *analyzer) tracedKeys() []history.KeyID {
 	var keys []history.KeyID
@@ -393,9 +405,7 @@ func (a *analyzer) finish() *Analysis {
 	for _, o := range a.oks {
 		g.Ensure(o.Index)
 	}
-	orders := make([][]int, a.in.Len())
 	for _, k := range keys {
-		orders[k] = a.keyst[k].longest.list
 		g.AddEdges(a.keyst[k].edges)
 	}
 
@@ -404,7 +414,7 @@ func (a *analyzer) finish() *Analysis {
 		Graph:         g,
 		Anomalies:     a.anomalies,
 		Keys:          a.in,
-		VersionOrders: orders,
+		VersionOrders: a.versionOrders(),
 		Ops:           a.ops,
 	}
 }

@@ -167,6 +167,21 @@ func FormatList(v []int) string {
 	return b.String()
 }
 
+// IsPrefix reports whether a is a prefix of b. It is the traceability
+// test for list versions: if every committed read of x is a prefix of the
+// longest read, the observation is consistent (§4.2.1).
+func IsPrefix(a, b []int) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Type is the completion type of an observed operation.
 type Type uint8
 

@@ -64,9 +64,6 @@ type Query struct {
 	vars []string
 }
 
-// Vars returns the output variables in first-appearance order.
-func (q *Query) Vars() []string { return append([]string(nil), q.vars...) }
-
 // Parse parses a pattern query. It does not consult a catalog: unknown
 // relations and arity mismatches surface at Eval, with the same
 // ParseError type and clause positions.

@@ -171,7 +171,7 @@ func (s *Session) Feed(ops []op.Op) (Delta, error) {
 		if s.rt != nil && !s.rt.NoteOp(o, s.hs.Keys()) {
 			continue
 		}
-		s.hooks.Ingest(o, s.hs.SpanOf(o.Index)[0], &s.out)
+		s.hooks.Ingest(o, s.hs.LastInvoke(), &s.out)
 	}
 	if s.sinceScan >= ScanEvery {
 		s.sinceScan = 0
