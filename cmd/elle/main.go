@@ -105,6 +105,22 @@ type output struct {
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	// One buffer for all of stdout: a prose report is two writes per
+	// anomaly. A failed write sticks in the buffer, so the final flush
+	// sees it whichever mode wrote, and the exit status says so.
+	out := bufio.NewWriter(stdout)
+	code := runMode(args, stdin, out, stderr)
+	if err := out.Flush(); err != nil && code != 2 {
+		// Exit 2 has already printed its error, a failed write included.
+		fmt.Fprintf(stderr, "elle: %v\n", err)
+		return 2
+	}
+	return code
+}
+
+// runMode parses the flags and runs the mode they select, writing its
+// results to stdout.
+func runMode(args []string, stdin io.Reader, stdout *bufio.Writer, stderr io.Writer) int {
 	fs := flag.NewFlagSet("elle", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	workloadFlag := fs.String("workload", "list",

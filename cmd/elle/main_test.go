@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -226,4 +228,83 @@ func TestStatsFlag(t *testing.T) {
 	if !strings.Contains(out.String(), "attempts") {
 		t.Errorf("stats missing:\n%s", out.String())
 	}
+}
+
+// fullWriter fails every write, as stdout redirected to /dev/full does.
+type fullWriter struct{ writes int }
+
+var errNoSpace = errors.New("no space left on device")
+
+func (w *fullWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return 0, errNoSpace
+}
+
+// TestFailedStdoutWriteExitsTwo: in every mode, output that never
+// reached stdout is an error, reported once on stderr with exit 2 — the
+// prose report as much as the JSON one — and stdout sees one write, not
+// one per line of the report.
+func TestFailedStdoutWriteExitsTwo(t *testing.T) {
+	faulted := write(t, encodeFaultedListHistory(t, 300))
+	cases := map[string][]string{
+		"prose":          {faulted},
+		"quiet":          {"-q", faulted},
+		"stats":          {"-stats", write(t, cleanHistory)},
+		"json":           {"-json", faulted},
+		"json-small":     {"-json", write(t, cleanHistory)},
+		"follow":         {"-follow", "-"},
+		"follow-json":    {"-follow", "-json", "-"},
+		"query":          {"-query", "(cycle ?c _ ?t _)", faulted},
+		"query-explain":  {"-query", "(cycle ?c _ ?t _)", "-explain", faulted},
+		"convert-json":   {"-convert", "json", faulted},
+		"convert-binary": {"-convert", "binary", faulted},
+	}
+	for name, args := range cases {
+		stdin := strings.NewReader("")
+		if args[len(args)-1] == "-" {
+			stdin = strings.NewReader(encodeFaultedListHistory(t, 300))
+		}
+		var w fullWriter
+		var errb bytes.Buffer
+		if code := run(args, stdin, &w, &errb); code != 2 {
+			t.Errorf("%s: exit = %d, want 2; stderr: %s", name, code, errb.String())
+			continue
+		}
+		if n := strings.Count(errb.String(), errNoSpace.Error()); n != 1 {
+			t.Errorf("%s: stderr names the write error %d times, want once:\n%s", name, n, errb.String())
+		}
+		if w.writes != 1 {
+			t.Errorf("%s: %d writes to stdout, want 1 (buffered, and none after the failure)", name, w.writes)
+		}
+	}
+}
+
+// TestStdoutBuffered: a successful run's stdout is unchanged by the
+// buffer, and arrives in few writes.
+func TestStdoutBuffered(t *testing.T) {
+	path := write(t, encodeFaultedListHistory(t, 300))
+	var direct bytes.Buffer
+	if code := run([]string{path}, strings.NewReader(""), &direct, io.Discard); code != 1 {
+		t.Fatalf("exit = %d, want 1", code)
+	}
+	var counted countingWriter
+	if code := run([]string{path}, strings.NewReader(""), &counted, io.Discard); code != 1 {
+		t.Fatalf("exit = %d, want 1", code)
+	}
+	if counted.buf.String() != direct.String() {
+		t.Fatal("output differs between runs")
+	}
+	if max := direct.Len()/4096 + 1; counted.writes > max {
+		t.Errorf("%d writes for %d bytes, want at most %d", counted.writes, direct.Len(), max)
+	}
+}
+
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
 }

@@ -3,9 +3,10 @@
 // gate (see cmd/ellebench and docs/BENCHMARKS.md).
 //
 // The cases cover the hot path end to end at p=1 — batch check,
-// streaming check, register and bank inference, JSON-lines decode —
-// so a regression in allocation behavior or single-core throughput
-// anywhere in the pipeline moves at least one number. Parallel speedup
+// streaming check, register and bank inference, a faulted check with
+// its report, JSON-lines decode — so a regression in allocation
+// behavior or single-core throughput anywhere in the pipeline moves at
+// least one number. Parallel speedup
 // is deliberately not gated: it depends on the runner's core count,
 // where ns/op at p=1 and allocs/op at any p are stable properties of
 // the code.
@@ -14,6 +15,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -27,6 +29,7 @@ import (
 	"repro/internal/jsonhist"
 	"repro/internal/memdb"
 	"repro/internal/perf"
+	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -79,7 +82,8 @@ var (
 		return chunks
 	})
 	// faultedListHistory plants retry-stomp and stale-read faults so the
-	// analysis carries cycles for the query benchmark to find.
+	// analysis carries findings and cycles for the faulted check and the
+	// query benchmark.
 	faultedListHistory = sync.OnceValue(func() *history.History {
 		g := gen.New(gen.Config{ActiveKeys: 10, MaxWritesPerKey: 50}, 1)
 		return memdb.Run(memdb.RunConfig{
@@ -242,6 +246,24 @@ func Cases() []Case {
 				svc.ServeHTTP(rec, httptest.NewRequest("DELETE", "/v1/jobs/"+job.ID, nil))
 				if rec.Code != 204 {
 					b.Fatalf("delete: %d", rec.Code)
+				}
+			}
+		}},
+		{Name: "check-faulted/n=20000/p=1", F: func(b *testing.B) {
+			// The anomaly-heavy path: a faulted check carrying thousands
+			// of findings and hundreds of cycles, then the JSON report
+			// rendered from it. Gates cycle search, explanation and report
+			// writing, which a clean history barely exercises.
+			h := faultedListHistory()
+			opts := checkOpts(core.ListAppend)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := core.Check(h, opts)
+				if res.Valid {
+					b.Fatal("faulted history checked valid")
+				}
+				if err := report.New(h, core.ListAppend, res).Write(io.Discard); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}},

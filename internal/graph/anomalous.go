@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,37 +17,61 @@ import (
 // in every search; anomaly classification downgrades cycles that need
 // them to the -process / -realtime / -timestamp variants.
 //
-// The four searches are independent reads of the finished graph, so
-// they run concurrently (each additionally fanning out per SCC);
-// deduplication walks the results in fixed search order, keeping the
-// report identical at every parallelism level. The worker budget is
-// split across the two levels — outer searches × inner per-SCC workers
-// <= p — so the search never runs more goroutines than p allows.
+// One Tarjan over the full mask finds every component any search can
+// find a cycle in: a component over the ww or ww+wr mask lies inside
+// one over the full mask. Each full component becomes a view; G-single
+// and G2 search it directly, and G0 and G1c search the components of
+// their masks inside it. The views are searched concurrently across p
+// workers; deduplication walks the results in fixed search order,
+// keeping the report identical at every parallelism level.
 //
 // Both the batch checker and the streaming sessions call this: the
 // batch path over the whole graph, the streaming path over the induced
 // subgraph of the components a chunk dirtied.
 func (g *Graph) AnomalousCycles(extra KindSet, p int) []Cycle {
-	budget := par.Procs(p)
-	outer := budget
-	if outer > 4 {
-		outer = 4
+	full := KSDep | extra
+	nested := [2]KindSet{KSWW | extra, KSWWWR | extra}
+	type found struct {
+		nested     [2][]Cycle // G0 and G1c witnesses in this view
+		single, g2 foundCycle
 	}
-	inner := budget / outer
-	if inner < 1 {
-		inner = 1
+	views := g.views(full)
+	per := par.Map(p, len(views), func(i int) found {
+		v := views[i]
+		var f found
+		for j, mask := range nested {
+			for _, sub := range split(v.nodes, v.adj, tarjan(v.adj, mask), mask) {
+				if c := sub.loop(mask); c.ok {
+					f.nested[j] = append(f.nested[j], c.c)
+				}
+			}
+		}
+		f.single = v.through(RW, KSWWWR|extra)
+		f.g2 = v.through(RW, full)
+		return f
+	})
+
+	var searches [4][]Cycle
+	for j := range nested {
+		// Each witness starts at its component's smallest node, which
+		// puts the components of every view back in one order.
+		for _, f := range per {
+			searches[j] = append(searches[j], f.nested[j]...)
+		}
+		slices.SortFunc(searches[j], func(a, b Cycle) int { return cmp.Compare(a.Steps[0].From, b.Steps[0].From) })
 	}
-	searches := []func() []Cycle{
-		func() []Cycle { return g.FindCyclesP(KSWW|extra, inner) },
-		func() []Cycle { return g.FindCyclesP(KSWWWR|extra, inner) },
-		func() []Cycle { return g.FindCyclesWithExactlyOneP(RW, KSWWWR|extra, inner) },
-		func() []Cycle { return g.FindCyclesWithAtLeastOneP(RW, KSDep|extra, inner) },
+	for _, f := range per {
+		if f.single.ok {
+			searches[2] = append(searches[2], f.single.c)
+		}
+		if f.g2.ok {
+			searches[3] = append(searches[3], f.g2.c)
+		}
 	}
-	found := par.Map(outer, len(searches), func(i int) []Cycle { return searches[i]() })
 
 	seen := map[cycleSig]bool{}
 	var out []Cycle
-	for _, cs := range found {
+	for _, cs := range searches {
 		for _, c := range cs {
 			sig := sigOf(c)
 			if !seen[sig] {

@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"repro/internal/par"
@@ -97,11 +98,9 @@ func (g *Graph) FindCycles(mask KindSet) []Cycle {
 // each search runs in isolation; results are collected in sorted-SCC
 // order, making the output identical at every parallelism level.
 func (g *Graph) FindCyclesP(mask KindSet, p int) []Cycle {
-	sccs := g.sortedSCCs(mask)
-	return gatherCycles(par.Map(p, len(sccs), func(i int) foundCycle {
-		scc := sccs[i]
-		c, ok := g.bfsCycle(scc[0], scc[0], mask, memberSet(scc), Step{})
-		return foundCycle{c, ok}
+	views := g.views(mask)
+	return gatherCycles(par.Map(p, len(views), func(i int) foundCycle {
+		return views[i].loop(mask)
 	}))
 }
 
@@ -134,36 +133,10 @@ func (g *Graph) FindCyclesWithExactlyOne(one Kind, rest KindSet) []Cycle {
 // FindCyclesWithExactlyOneP is FindCyclesWithExactlyOne with per-SCC
 // searches fanned out across p workers; see FindCyclesP.
 func (g *Graph) FindCyclesWithExactlyOneP(one Kind, rest KindSet, p int) []Cycle {
-	full := one.Mask() | rest
-	sccs := g.sortedSCCs(full)
-	return gatherCycles(par.Map(p, len(sccs), func(i int) foundCycle {
-		scc := sccs[i]
-		c, ok := g.cycleWithOne(scc, memberSet(scc), one, rest)
-		return foundCycle{c, ok}
+	views := g.views(one.Mask() | rest)
+	return gatherCycles(par.Map(p, len(views), func(i int) foundCycle {
+		return views[i].through(one, rest)
 	}))
-}
-
-func (g *Graph) cycleWithOne(scc []int, in map[int]bool, one Kind, rest KindSet) (Cycle, bool) {
-	for _, u := range scc {
-		var found Cycle
-		ok := false
-		g.OutSorted(u, one.Mask(), func(v int, label KindSet) {
-			if ok || !in[v] {
-				return
-			}
-			first := Step{From: u, To: v, Label: label, Via: one}
-			if v == u {
-				return // self-edges are never stored, but be safe
-			}
-			if c, hit := g.bfsCycle(v, u, rest, in, first); hit {
-				found, ok = c, true
-			}
-		})
-		if ok {
-			return found, true
-		}
-	}
-	return Cycle{}, false
 }
 
 // FindCyclesWithAtLeastOne returns, per SCC of the masked graph, a cycle
@@ -177,85 +150,160 @@ func (g *Graph) FindCyclesWithAtLeastOne(req Kind, mask KindSet) []Cycle {
 // searches fanned out across p workers; see FindCyclesP.
 func (g *Graph) FindCyclesWithAtLeastOneP(req Kind, mask KindSet, p int) []Cycle {
 	full := req.Mask() | mask
-	sccs := g.sortedSCCs(full)
-	return gatherCycles(par.Map(p, len(sccs), func(i int) foundCycle {
-		scc := sccs[i]
-		in := memberSet(scc)
-		var out foundCycle
-		for _, u := range scc {
-			if out.ok {
-				break
-			}
-			g.OutSorted(u, req.Mask(), func(v int, label KindSet) {
-				if out.ok || !in[v] {
-					return
-				}
-				first := Step{From: u, To: v, Label: label, Via: req}
-				if c, hit := g.bfsCycle(v, u, full, in, first); hit {
-					out = foundCycle{c, true}
-				}
-			})
-		}
-		return out
+	views := g.views(full)
+	return gatherCycles(par.Map(p, len(views), func(i int) foundCycle {
+		return views[i].through(req, full)
 	}))
 }
 
-// bfsCycle finds a shortest path from start to goal using edges
-// intersecting mask and restricted to nodes in the member set, then closes
-// it into a cycle. If prefix is a non-zero Step, it is prepended (its From
-// must be goal and its To must be start). When start == goal the search
-// looks for a non-trivial loop back to goal.
-func (g *Graph) bfsCycle(start, goal int, mask KindSet, in map[int]bool, prefix Step) (Cycle, bool) {
-	type cameFrom struct {
-		prev int
-		via  Kind
-		lab  KindSet
+// view is one strongly connected component as a graph of its own: local
+// ids number the members in ascending external order, and each member's
+// out-edges — only those to members and intersecting the mask the view
+// was cut with, each keeping its full label — are sorted by target. A
+// search therefore visits neighbours in ascending external order with no
+// map probe, filter or sort per visit, and keeps its state in slices.
+type view struct {
+	nodes []int        // local id -> external id, ascending
+	adj   [][]halfEdge // per local id; targets are local ids
+	bfs   []visit      // breadth-first search state, by local id
+	gen   uint32       // the current search's visit stamp
+	queue []int32
+}
+
+// visit is one node's breadth-first search state: reached in the search
+// stamped seen, from parent, over an edge labeled label.
+type visit struct {
+	seen   uint32
+	parent int32
+	label  KindSet
+}
+
+// views cuts g's components over mask into views, in order of their
+// smallest node.
+func (g *Graph) views(mask KindSet) []*view {
+	return split(g.nodes, g.adj, tarjan(g.adj, mask), mask)
+}
+
+// split cuts the components comps of a graph — nodes maps its ids to
+// external ids, adj is its adjacency — into views over edges
+// intersecting mask, ordered by smallest member. It serves the whole
+// graph and, one level down, a view itself.
+func split(nodes []int, adj [][]halfEdge, comps [][]int32, mask KindSet) []*view {
+	if len(comps) == 0 {
+		return nil
 	}
-	parent := map[int]cameFrom{}
-	queue := []int{start}
-	visited := map[int]bool{start: true}
-	reached := false
-	for len(queue) > 0 && !reached {
-		u := queue[0]
-		queue = queue[1:]
-		g.OutSorted(u, mask, func(v int, label KindSet) {
-			if reached || !in[v] {
-				return
-			}
-			if v == goal {
-				parent[goal] = cameFrom{prev: u, via: firstKind(label, mask), lab: label}
-				reached = true
-				return
-			}
-			if !visited[v] {
-				visited[v] = true
-				parent[v] = cameFrom{prev: u, via: firstKind(label, mask), lab: label}
-				queue = append(queue, v)
-			}
-		})
+	byNode := func(a, b int32) int { return cmp.Compare(nodes[a], nodes[b]) }
+	for _, comp := range comps {
+		slices.SortFunc(comp, byNode)
 	}
-	if !reached {
-		return Cycle{}, false
-	}
-	// Reconstruct goal <- ... <- start.
-	var rev []Step
-	at := goal
-	for {
-		cf := parent[at]
-		rev = append(rev, Step{From: cf.prev, To: at, Label: cf.lab, Via: cf.via})
-		at = cf.prev
-		if at == start {
-			break
+	slices.SortFunc(comps, func(a, b []int32) int { return byNode(a[0], b[0]) })
+	// Each node's component (1-based; 0 for none) and local id in it.
+	type locus struct{ comp, local int32 }
+	where := make([]locus, len(nodes))
+	for ci, comp := range comps {
+		for li, v := range comp {
+			where[v] = locus{int32(ci + 1), int32(li)}
 		}
 	}
-	steps := make([]Step, 0, len(rev)+1)
-	if prefix.From != prefix.To || prefix.Label != 0 {
-		steps = append(steps, prefix)
+	views := make([]*view, len(comps))
+	for ci, comp := range comps {
+		v := &view{nodes: make([]int, len(comp)), adj: make([][]halfEdge, len(comp)), bfs: make([]visit, len(comp))}
+		ends := make([]int, len(comp))
+		var edges []halfEdge
+		for li, u := range comp {
+			v.nodes[li] = nodes[u]
+			for _, e := range adj[u] {
+				if at := where[e.to]; at.comp == int32(ci+1) && e.ks.Intersects(mask) {
+					edges = append(edges, halfEdge{to: at.local, ks: e.ks})
+				}
+			}
+			ends[li] = len(edges)
+		}
+		start := 0
+		for li, end := range ends {
+			out := edges[start:end:end]
+			slices.SortFunc(out, func(a, b halfEdge) int { return cmp.Compare(a.to, b.to) })
+			v.adj[li], start = out, end
+		}
+		views[ci] = v
 	}
-	for i := len(rev) - 1; i >= 0; i-- {
-		steps = append(steps, rev[i])
+	return views
+}
+
+// loop searches for a shortest cycle over mask through the view's
+// smallest node.
+func (v *view) loop(mask KindSet) foundCycle {
+	c, ok := v.path(0, 0, mask, Step{})
+	return foundCycle{c, ok}
+}
+
+// through searches for a cycle whose first step is an edge of kind one,
+// closed by a shortest path over mask: the first such edge out of each
+// member in ascending (member, target) order that any path closes. With
+// mask excluding one it is the exactly-one search; with mask the full
+// mask, the at-least-one search.
+func (v *view) through(one Kind, mask KindSet) foundCycle {
+	for u, out := range v.adj {
+		for _, e := range out {
+			if !e.ks.Has(one) {
+				continue
+			}
+			first := Step{From: v.nodes[u], To: v.nodes[e.to], Label: e.ks, Via: one}
+			if c, ok := v.path(e.to, int32(u), mask, first); ok {
+				return foundCycle{c, true}
+			}
+		}
 	}
-	return Cycle{Steps: steps}, true
+	return foundCycle{}
+}
+
+// path finds a shortest path from start to goal over edges intersecting
+// mask, breadth first in ascending order, and closes it into a cycle
+// behind first, if first has a label. When start == goal the search
+// looks for a non-trivial loop back to goal.
+func (v *view) path(start, goal int32, mask KindSet, first Step) (Cycle, bool) {
+	v.gen++
+	bfs, gen := v.bfs, v.gen
+	bfs[start].seen = gen
+	v.queue = append(v.queue[:0], start)
+	for head := 0; head < len(v.queue); head++ {
+		u := v.queue[head]
+		for _, e := range v.adj[u] {
+			if !e.ks.Intersects(mask) {
+				continue
+			}
+			if e.to == goal {
+				bfs[goal].parent, bfs[goal].label = u, e.ks
+				return v.cycle(start, goal, mask, first), true
+			}
+			if bfs[e.to].seen != gen {
+				bfs[e.to] = visit{seen: gen, parent: u, label: e.ks}
+				v.queue = append(v.queue, e.to)
+			}
+		}
+	}
+	return Cycle{}, false
+}
+
+// cycle reads the path path found back from goal to start, behind first
+// if first has a label.
+func (v *view) cycle(start, goal int32, mask KindSet, first Step) Cycle {
+	lead := 0
+	if first.Label != 0 {
+		lead = 1
+	}
+	n := lead + 1
+	for at := v.bfs[goal].parent; at != start; at = v.bfs[at].parent {
+		n++
+	}
+	steps := make([]Step, n)
+	steps[0] = first // the path's own first step overwrites it when lead is 0
+	for i, at := n-1, goal; i >= lead; i-- {
+		b := v.bfs[at]
+		steps[i] = Step{From: v.nodes[b.parent], To: v.nodes[at], Label: b.label, Via: firstKind(b.label, mask)}
+		at = b.parent
+	}
+	return Cycle{Steps: steps}
 }
 
 // firstKind picks the lowest-numbered kind present in both label and mask.
@@ -268,21 +316,4 @@ func firstKind(label, mask KindSet) Kind {
 		}
 	}
 	return 0
-}
-
-func (g *Graph) sortedSCCs(mask KindSet) [][]int {
-	sccs := g.SCCs(mask)
-	for _, scc := range sccs {
-		sort.Ints(scc)
-	}
-	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
-	return sccs
-}
-
-func memberSet(nodes []int) map[int]bool {
-	in := make(map[int]bool, len(nodes))
-	for _, n := range nodes {
-		in[n] = true
-	}
-	return in
 }

@@ -283,15 +283,14 @@ func (g *Graph) Out(a int, mask KindSet, f func(b int, label KindSet)) {
 	}
 }
 
-// scratchPool recycles the per-call target buffers of OutSorted, the
-// innermost loop of every BFS cycle search; without it each visit of a
-// node allocates a fresh slice.
+// scratchPool recycles the per-call target buffers of OutSorted; without
+// it each call allocates a fresh slice.
 var scratchPool = sync.Pool{New: func() any { return new([]halfEdge) }}
 
 // OutSorted is Out with callbacks in ascending node order; used where
-// deterministic traversal matters (cycle searches, explanations, tests).
-// The callback may re-enter OutSorted (nested searches each draw their
-// own scratch buffer from the pool).
+// deterministic traversal matters (the relational catalog, tests). The
+// callback may re-enter OutSorted (nested walks each draw their own
+// scratch buffer from the pool).
 func (g *Graph) OutSorted(a int, mask KindSet, f func(b int, label KindSet)) {
 	ai, ok := g.ids[a]
 	if !ok {

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // SCCs computes the strongly connected components of the subgraph induced
 // by edges whose label intersects mask, using an iterative Tarjan so that
 // histories of hundreds of thousands of transactions don't overflow the
@@ -10,7 +12,23 @@ package graph
 // Tarjan's algorithm runs in O(nodes + edges) time (§2 of the paper cites
 // this as the reason cycle detection is tractable).
 func (g *Graph) SCCs(mask KindSet) [][]int {
-	n := len(g.nodes)
+	comps := tarjan(g.adj, mask)
+	sccs := make([][]int, len(comps))
+	for i, comp := range comps {
+		sccs[i] = make([]int, len(comp))
+		for j, v := range comp {
+			sccs[i][j] = g.nodes[v]
+		}
+	}
+	return sccs
+}
+
+// tarjan returns the components of size ≥ 2 of the adjacency adj over
+// edges intersecting mask, as slices of adj's indices. It serves both
+// the whole graph and the component views the cycle searches split it
+// into.
+func tarjan(adj [][]halfEdge, mask KindSet) [][]int32 {
+	n := len(adj)
 	const unvisited = -1
 	index := make([]int32, n)
 	low := make([]int32, n)
@@ -21,7 +39,7 @@ func (g *Graph) SCCs(mask KindSet) [][]int {
 	var (
 		next    int32
 		stack   []int32 // Tarjan's component stack
-		sccs    [][]int
+		sccs    [][]int32
 		callers []frame // explicit DFS stack
 	)
 
@@ -44,7 +62,7 @@ func (g *Graph) SCCs(mask KindSet) [][]int {
 				next++
 				stack = append(stack, v)
 				onStack[v] = true
-				f.out = g.adj[v]
+				f.out = adj[v]
 			}
 			descended := false
 			for f.i < len(f.out) {
@@ -70,19 +88,17 @@ func (g *Graph) SCCs(mask KindSet) [][]int {
 			}
 			// All neighbors done: maybe emit a component, then return.
 			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
+				top := len(stack) - 1
+				for stack[top] != v {
+					top--
+				}
+				for _, w := range stack[top:] {
 					onStack[w] = false
-					comp = append(comp, g.nodes[w])
-					if w == v {
-						break
-					}
 				}
-				if len(comp) >= 2 {
-					sccs = append(sccs, comp)
+				if len(stack)-top >= 2 {
+					sccs = append(sccs, slices.Clone(stack[top:]))
 				}
+				stack = stack[:top]
 			}
 			callers = callers[:len(callers)-1]
 			if len(callers) > 0 {

@@ -178,14 +178,14 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 		return // not a clean read; contributes no version order
 	case incompatible:
 		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, o.Index, ks.longest.o.Index),
-			incompatAnomaly(m.Key, *r, ks.longest))
+			incompatAnomaly(new(text), m.Key, *r, ks.longest, op.FormatList(ks.longest.list)))
 		return // and no edges
 	case replaced:
 		// Replacing the trace retracts the edges inferred from it, and
 		// regroups the key's reads around the new one.
 		s.poisoned = true
 		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.o.Index, o.Index),
-			incompatAnomaly(m.Key, old, *r))
+			incompatAnomaly(new(text), m.Key, old, *r, op.FormatList(r.list)))
 		ks.writers, ks.byLen = ks.writers[:0], ks.byLen[:0]
 	}
 	// The positions the trace gained, in order: each sees its predecessor

@@ -29,6 +29,7 @@ import (
 	"iter"
 	"maps"
 	"slices"
+	"strconv"
 
 	"repro/internal/anomaly"
 	"repro/internal/explain"
@@ -593,26 +594,33 @@ func duplicateElements(o op.Op, m op.Mop) (anomaly.Anomaly, bool) {
 // "Inconsistent Observations").
 func (a *analyzer) incompatAnomalies(k history.KeyID) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
+	var buf text
 	ks, kname := a.keyst[k], a.in.Key(k)
+	trace := "" // rendered once, for the key's first finding
 	for _, r := range ks.reads {
 		if !r.dup && !op.IsPrefix(r.list, ks.longest.list) {
-			out = append(out, incompatAnomaly(kname, r, ks.longest))
+			if trace == "" {
+				trace = op.FormatList(ks.longest.list)
+			}
+			out = append(out, incompatAnomaly(&buf, kname, r, ks.longest, trace))
 		}
 	}
 	return out
 }
 
-// incompatAnomaly renders one incompatible-order finding; the streaming
-// session uses the same rendering for mid-stream surfacing.
-func incompatAnomaly(k string, r, longest keyRead) anomaly.Anomaly {
+// incompatAnomaly renders one incompatible-order finding: r's read of k
+// against the trace longest, whose value trace renders. buf is scratch
+// the caller may reuse across findings. The streaming session uses the
+// same rendering for mid-stream surfacing.
+func incompatAnomaly(buf *text, k string, r, longest keyRead, trace string) anomaly.Anomaly {
+	*buf = (*buf)[:0].name(r.o).str(" read key ").str(k).str(" as ").list(r.list).
+		str(" but ").name(longest.o).str(" read it as ").str(trace).
+		str("; neither is a prefix of the other, so at least one observed an aborted version")
 	return anomaly.Anomaly{
-		Type: anomaly.IncompatibleOrder,
-		Ops:  []op.Op{r.o, longest.o},
-		Key:  k,
-		Explanation: fmt.Sprintf(
-			"%s read key %s as %s but %s read it as %s; neither is a prefix of the other, so at least one observed an aborted version",
-			r.o.Name(), k, op.FormatList(r.list),
-			longest.o.Name(), op.FormatList(longest.list)),
+		Type:        anomaly.IncompatibleOrder,
+		Ops:         []op.Op{r.o, longest.o},
+		Key:         k,
+		Explanation: string(*buf),
 	}
 }
 
@@ -704,20 +712,26 @@ func (a *analyzer) intermediateReadAnomalies(o op.Op) []anomaly.Anomaly {
 // "Via Traces").
 func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
+	var buf text
 	ks := a.keyst[k]
 	elems := ks.longest.list
+	trace := "" // rendered once, for the key's first finding
 	for _, i := range ks.aborted {
 		fw, _ := ks.sole(elems[i], true)
 		for _, cw := range ks.writers[i+1:] {
 			if cw >= 0 && a.ops[cw].Type == op.OK {
 				kname := a.in.Key(k)
+				if trace == "" {
+					trace = op.FormatList(elems)
+				}
+				buf = buf[:0].str("key ").str(kname).str("'s version history ").str(trace).
+					str(" includes element ").int(elems[i]).str(" from aborted ").name(a.ops[fw]).
+					str(", later built upon by committed ").name(a.ops[cw]).str(": a dirty update")
 				out = append(out, anomaly.Anomaly{
-					Type: anomaly.DirtyUpdate,
-					Ops:  []op.Op{a.ops[fw], a.ops[cw]},
-					Key:  kname,
-					Explanation: fmt.Sprintf(
-						"key %s's version history %s includes element %d from aborted %s, later built upon by committed %s: a dirty update",
-						kname, op.FormatList(elems), elems[i], a.ops[fw].Name(), a.ops[cw].Name()),
+					Type:        anomaly.DirtyUpdate,
+					Ops:         []op.Op{a.ops[fw], a.ops[cw]},
+					Key:         kname,
+					Explanation: string(buf),
 				})
 				break
 			}
@@ -755,15 +769,21 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 		// and an element is in the trace exactly when it has a position.
 		lr := ks.longest
 		var out []anomaly.Anomaly
+		var buf text
+		read := "" // the long read's value, rendered once, for the key's first finding
 		for _, ka := range appendsByKey[k] {
 			if ka.o.Index < lr.invoke && ks.find(ka.elem).pos < 0 {
+				if read == "" {
+					read = op.FormatList(lr.o.Mops[readPos(lr.o, kname)].List)
+				}
+				buf = buf[:0].name(ka.o).str(" committed an append of ").int(ka.elem).str(" to key ").str(kname).
+					str(" before ").name(lr.o).str(" began, yet ").name(lr.o).str(" read ").str(read).
+					str(" without it: the update was lost")
 				out = append(out, anomaly.Anomaly{
-					Type: anomaly.LostUpdate,
-					Ops:  []op.Op{ka.o, lr.o},
-					Key:  kname,
-					Explanation: fmt.Sprintf(
-						"%s committed an append of %d to key %s before %s began, yet %s read %s without it: the update was lost",
-						ka.o.Name(), ka.elem, kname, lr.o.Name(), lr.o.Name(), op.FormatList(lr.o.Mops[readPos(lr.o, kname)].List)),
+					Type:        anomaly.LostUpdate,
+					Ops:         []op.Op{ka.o, lr.o},
+					Key:         kname,
+					Explanation: string(buf),
 				})
 			}
 		}
@@ -815,4 +835,29 @@ func hasDuplicates(v []int) bool {
 		seen[e] = true
 	}
 	return false
+}
+
+// text is an explanation under construction: strings and numbers are
+// appended straight into one buffer, which a caller reuses across its
+// findings, so a finding costs the one allocation of its final string
+// rather than fmt's formatting and growth.
+type text []byte
+
+func (t text) str(s string) text { return append(t, s...) }
+
+func (t text) int(n int) text { return strconv.AppendInt(t, int64(n), 10) }
+
+// name appends o's label as op.Op.Name renders it: "T42".
+func (t text) name(o op.Op) text { return append(t, 'T').int(o.Index) }
+
+// list appends a list value as op.FormatList renders it: "[1 2 3]".
+func (t text) list(v []int) text {
+	t = append(t, '[')
+	for i, e := range v {
+		if i > 0 {
+			t = append(t, ' ')
+		}
+		t = t.int(e)
+	}
+	return append(t, ']')
 }

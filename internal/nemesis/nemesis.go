@@ -27,6 +27,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/history"
 	"repro/internal/memdb"
 	"repro/internal/workload"
 )
@@ -125,75 +126,11 @@ type Verdict struct {
 
 // Run executes one campaign under one seed and evaluates its verdict.
 func Run(c Campaign, cfg Config) (*Verdict, error) {
-	info, ok := workload.Lookup(string(c.Workload))
-	if !ok {
-		return nil, fmt.Errorf("nemesis: workload %q not registered (registered: %s)",
-			c.Workload, workload.NameList())
-	}
-	plan, err := NewPlan(c.Faults)
+	_, res, err := Check(c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	model := c.Model
-	if model == "" {
-		model = consistency.StrictSerializable
-	}
-	clients := cfg.Clients
-	if c.Clients > 0 {
-		clients = c.Clients
-	}
-	if clients <= 0 {
-		clients = 10
-	}
-	txns := cfg.Txns
-	if c.Txns > 0 {
-		txns = c.Txns
-	}
-	if txns <= 0 {
-		txns = 1000
-	}
-
-	g := gen.New(gen.Config{
-		Workload: info.Gen, ActiveKeys: 5, MaxWritesPerKey: 60, MinOps: 1, MaxOps: 5,
-		NoReadAfterWrite: c.NoReadAfterWrite,
-	}, cfg.Seed)
-	h := memdb.Run(memdb.RunConfig{
-		Clients: clients, Txns: txns,
-		Isolation: c.Isolation, Faults: plan.Faults,
-		Source: g, Seed: cfg.Seed,
-		AbortProb: plan.AbortProb, InfoProb: plan.InfoProb, CrashProb: plan.CrashProb,
-		ClockSkewProb: plan.ClockSkewProb, ClockSkewMax: plan.ClockSkewMax,
-		ExposeTimestamps: plan.Timestamps,
-		Workload:         info.DB,
-	})
-
-	opts := core.OptsFor(c.Workload, model)
-	opts.Parallelism = cfg.Parallelism
-	opts.MemoryBudget = cfg.MemoryBudget
-	opts.TimestampEdges = plan.Timestamps
-
-	var res *core.CheckResult
-	if cfg.Stream {
-		s := core.CheckStream(opts)
-		ops := h.Ops
-		for len(ops) > 0 {
-			n := streamChunk
-			if n > len(ops) {
-				n = len(ops)
-			}
-			if _, err := s.Feed(ops[:n]); err != nil {
-				return nil, fmt.Errorf("nemesis: stream feed: %w", err)
-			}
-			ops = ops[n:]
-		}
-		res, err = s.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("nemesis: stream finish: %w", err)
-		}
-	} else {
-		res = core.Check(h, opts)
-	}
-
+	model, clients, txns := c.shape(cfg)
 	v := &Verdict{
 		Campaign:    c.Name,
 		Workload:    string(c.Workload),
@@ -261,6 +198,88 @@ func Run(c Campaign, cfg Config) (*Verdict, error) {
 	}
 	v.Pass = len(v.Missing) == 0 && len(v.MissingAny) == 0 && len(v.Unexpected) == 0
 	return v, nil
+}
+
+// shape resolves the campaign's model and run size against cfg's
+// defaults.
+func (c Campaign) shape(cfg Config) (model consistency.Model, clients, txns int) {
+	model = c.Model
+	if model == "" {
+		model = consistency.StrictSerializable
+	}
+	clients = cfg.Clients
+	if c.Clients > 0 {
+		clients = c.Clients
+	}
+	if clients <= 0 {
+		clients = 10
+	}
+	txns = cfg.Txns
+	if c.Txns > 0 {
+		txns = c.Txns
+	}
+	if txns <= 0 {
+		txns = 1000
+	}
+	return model, clients, txns
+}
+
+// Check runs the campaign's engine under cfg and checks the history it
+// recorded, returning both: the input Run's verdict is evaluated from,
+// and what a report of the run renders.
+func Check(c Campaign, cfg Config) (*history.History, *core.CheckResult, error) {
+	info, ok := workload.Lookup(string(c.Workload))
+	if !ok {
+		return nil, nil, fmt.Errorf("nemesis: workload %q not registered (registered: %s)",
+			c.Workload, workload.NameList())
+	}
+	plan, err := NewPlan(c.Faults)
+	if err != nil {
+		return nil, nil, err
+	}
+	model, clients, txns := c.shape(cfg)
+	g := gen.New(gen.Config{
+		Workload: info.Gen, ActiveKeys: 5, MaxWritesPerKey: 60, MinOps: 1, MaxOps: 5,
+		NoReadAfterWrite: c.NoReadAfterWrite,
+	}, cfg.Seed)
+	h := memdb.Run(memdb.RunConfig{
+		Clients: clients, Txns: txns,
+		Isolation: c.Isolation, Faults: plan.Faults,
+		Source: g, Seed: cfg.Seed,
+		AbortProb: plan.AbortProb, InfoProb: plan.InfoProb, CrashProb: plan.CrashProb,
+		ClockSkewProb: plan.ClockSkewProb, ClockSkewMax: plan.ClockSkewMax,
+		ExposeTimestamps: plan.Timestamps,
+		Workload:         info.DB,
+	})
+
+	opts := core.OptsFor(c.Workload, model)
+	opts.Parallelism = cfg.Parallelism
+	opts.MemoryBudget = cfg.MemoryBudget
+	opts.TimestampEdges = plan.Timestamps
+
+	var res *core.CheckResult
+	if cfg.Stream {
+		s := core.CheckStream(opts)
+		ops := h.Ops
+		for len(ops) > 0 {
+			n := streamChunk
+			if n > len(ops) {
+				n = len(ops)
+			}
+			if _, err := s.Feed(ops[:n]); err != nil {
+				return nil, nil, fmt.Errorf("nemesis: stream feed: %w", err)
+			}
+			ops = ops[n:]
+		}
+		res, err = s.Finish()
+		if err != nil {
+			return nil, nil, fmt.Errorf("nemesis: stream finish: %w", err)
+		}
+	} else {
+		res = core.Check(h, opts)
+	}
+
+	return h, res, nil
 }
 
 func sortedClasses(in []anomaly.Class) []anomaly.Class {

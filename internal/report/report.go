@@ -5,7 +5,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -90,8 +89,11 @@ func New(h *history.History, workload core.Workload, res *core.CheckResult) Repo
 	for _, m := range res.Strongest {
 		r.Strongest = append(r.Strongest, string(m))
 	}
-	for _, a := range res.Anomalies {
-		r.Anomalies = append(r.Anomalies, FromAnomaly(a))
+	if len(res.Anomalies) > 0 {
+		r.Anomalies = make([]Anomaly, len(res.Anomalies))
+		for i, a := range res.Anomalies {
+			r.Anomalies[i] = FromAnomaly(a)
+		}
 	}
 	return r
 }
@@ -109,9 +111,10 @@ func FromAnomaly(a anomaly.Anomaly) Anomaly {
 	if len(a.Cycle.Steps) > 0 {
 		ra.Cycle = a.Cycle.String()
 		ra.Txns = a.Cycle.Nodes()
-	} else {
-		for _, o := range a.Ops {
-			ra.Txns = append(ra.Txns, o.Index)
+	} else if len(a.Ops) > 0 {
+		ra.Txns = make([]int, len(a.Ops))
+		for i, o := range a.Ops {
+			ra.Txns[i] = o.Index
 		}
 	}
 	return ra
@@ -144,11 +147,4 @@ func Prose(w io.Writer, res *core.CheckResult, o ProseOpts) {
 			fmt.Fprintln(w, res.Explainer.DOT(a.Cycle))
 		}
 	}
-}
-
-// Write emits the report as indented JSON.
-func (r Report) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
