@@ -11,13 +11,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/anomaly"
 	"repro/internal/consistency"
 	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/history"
+	"repro/internal/op"
 	"repro/internal/par"
 	"repro/internal/txngraph"
 	"repro/internal/workload"
@@ -61,28 +61,26 @@ type Opts struct {
 	// Model is the consistency model the database under test claims.
 	// Default: strict-serializable.
 	Model consistency.Model
-	// ProcessEdges merges per-process session order into the dependency
+	// ProcessEdges adds per-process session order to the dependency
 	// graph before cycle search.
 	ProcessEdges bool
-	// RealtimeEdges merges the real-time precedence order into the
+	// RealtimeEdges adds the real-time precedence order to the
 	// dependency graph before cycle search.
 	RealtimeEdges bool
-	// TimestampEdges merges the database's own claimed transaction
-	// timestamps (carried in Op.Time, §5.1) into the dependency graph.
-	// Only meaningful when the system under test exposes start/commit
-	// timestamps; off by default.
+	// TimestampEdges adds the order the database's own claimed
+	// transaction timestamps imply (carried in Op.Time, §5.1) to the
+	// dependency graph. Only meaningful when the system under test
+	// exposes start/commit timestamps; off by default.
 	TimestampEdges bool
 	// Opts carries the analyzer options shared by every workload —
 	// inference rules, workload parameters, and Parallelism, which caps
 	// the worker pools used throughout the check: per-key dependency
-	// inference, per-transaction anomaly checks, per-SCC cycle search
-	// (budgeted across the four concurrent searches), and explanation
-	// rendering. Values <= 0 mean one worker per CPU
+	// inference, per-transaction anomaly checks, per-SCC cycle search,
+	// and explanation rendering. Values <= 0 mean one worker per CPU
 	// (runtime.GOMAXPROCS(0)), the default; 1 runs the whole pipeline
-	// sequentially on the calling goroutine. When Parallelism > 1 the
-	// process/real-time/timestamp ordering graphs also build
-	// concurrently with inference, briefly adding up to three more
-	// goroutines. Results are byte-identical at every setting.
+	// sequentially on the calling goroutine. The ordering edges are
+	// added in one sequential pass between inference and cycle search.
+	// Results are byte-identical at every setting.
 	workload.Opts
 }
 
@@ -210,18 +208,15 @@ func joinModels(ms []consistency.Model) string {
 
 // Check analyzes h under opts. It never modifies h.
 //
-// The pipeline is parallel end to end (see Opts.Parallelism): the extra
-// ordering graphs build concurrently with dependency inference, inference
-// itself shards per key and per transaction inside the workload analyzer,
-// cycle search fans out per strongly connected component, and every stage
-// merges its results in a deterministic order, so two checks of the same
-// history produce identical reports at any parallelism level.
+// Inference shards per key and per transaction inside the workload
+// analyzer, and cycle search fans out per strongly connected component
+// (see Opts.Parallelism); the ordering edges the model asks for go into
+// the analyzer's graph in one sequential pass between the two. Every
+// parallel stage merges its results in a deterministic order, so two
+// checks of the same history produce identical reports at any
+// parallelism level.
 func Check(h *history.History, opts Opts) *CheckResult {
 	opts = opts.withDefaults()
-
-	// The process, real-time, and timestamp orders depend only on the
-	// history, not on inference, so they build while the analyzer runs.
-	orders := startOrderGraphs(h, opts)
 
 	// The analyzer comes from the registry: core neither knows nor
 	// cares which datatype it is checking. Every analyzer receives the
@@ -229,7 +224,7 @@ func Check(h *history.History, opts Opts) *CheckResult {
 	// its non-cycle anomalies, and an explainer.
 	info := lookup(opts.Workload)
 	an := info.Analyzer.Analyze(h, opts.Opts)
-	return classify(h, opts, an, orders)
+	return classify(h, opts, an)
 }
 
 // lookup resolves a workload name or panics with the registered set; a
@@ -243,64 +238,25 @@ func lookup(w Workload) workload.Info {
 	return info
 }
 
-// orderGraphs carries the in-flight builds of the §5.1 ordering graphs;
-// wait joins them.
-type orderGraphs struct {
-	proc, rt, ts *graph.Graph
-	wg           sync.WaitGroup
-}
-
-// startOrderGraphs kicks off the process/real-time/timestamp graph
-// builds opts asks for, concurrently when the parallelism budget allows
-// it, so they overlap with dependency inference (batch) or with the
-// streaming session's own finish work.
-func startOrderGraphs(h *history.History, opts Opts) *orderGraphs {
-	o := &orderGraphs{}
-	build := func(dst **graph.Graph, f func(*history.History) *graph.Graph) {
-		if par.Procs(opts.Parallelism) == 1 {
-			*dst = f(h)
-			return
-		}
-		o.wg.Add(1)
-		go func() {
-			defer o.wg.Done()
-			*dst = f(h)
-		}()
-	}
-	if opts.ProcessEdges {
-		build(&o.proc, txngraph.ProcessGraph)
-	}
-	if opts.RealtimeEdges {
-		build(&o.rt, txngraph.RealtimeGraph)
-	}
-	if opts.TimestampEdges {
-		build(&o.ts, txngraph.TimestampGraph)
-	}
-	return o
-}
-
 // classify is the back half of a check, shared by the batch Check and
-// the streaming Stream.Finish: merge the extra ordering graphs into the
+// the streaming Stream.Finish: add the §5.1 orders opts asks for to the
 // inferred dependency graph, search for anomalous cycles, classify
 // every anomaly, and evaluate the consistency lattice.
-func classify(h *history.History, opts Opts, an workload.Analysis, orders *orderGraphs) *CheckResult {
+func classify(h *history.History, opts Opts, an workload.Analysis) *CheckResult {
 	p := opts.Parallelism
 	g, anoms, expl := an.Graph, an.Anomalies, an.Explainer
 
-	orders.wg.Wait()
 	var extra graph.KindSet
 	if opts.ProcessEdges {
-		g.Merge(orders.proc)
 		extra |= graph.Process.Mask()
 	}
 	if opts.RealtimeEdges {
-		g.Merge(orders.rt)
 		extra |= graph.Realtime.Mask()
 	}
 	if opts.TimestampEdges {
-		g.Merge(orders.ts)
 		extra |= graph.Timestamp.Mask()
 	}
+	txngraph.AddOrders(g, h, extra)
 
 	cycles := g.AnomalousCycles(extra, p)
 	anoms = append(anoms, par.Map(p, len(cycles), func(i int) anomaly.Anomaly {
@@ -317,24 +273,28 @@ func classify(h *history.History, opts Opts, an workload.Analysis, orders *order
 	for i, a := range anoms {
 		types[i] = a.Type
 	}
-	violated := consistency.Violated(types)
-	res := &CheckResult{
+	completions := 0
+	for i := range h.Ops {
+		if h.Ops[i].Type != op.Invoke {
+			completions++
+		}
+	}
+	return &CheckResult{
 		Valid:     consistency.Holds(opts.Model, types),
 		Expected:  opts.Model,
 		Anomalies: anoms,
-		Violated:  violated,
+		Violated:  consistency.Violated(types),
 		Strongest: consistency.Strongest(types),
 		Graph:     g,
 		Explainer: expl,
 		Stats: Stats{
-			Ops:       len(h.Completions()),
+			Ops:       completions,
 			Nodes:     g.NumNodes(),
 			Edges:     g.NumEdges(),
 			SCCs:      len(g.SCCs(graph.KSDep | extra)),
 			ExtraKind: extra,
 		},
 	}
-	return res
 }
 
 func sortAnomalies(as []anomaly.Anomaly) {

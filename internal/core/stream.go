@@ -63,25 +63,20 @@ func (s *Stream) Feed(ops []op.Op) (workload.Delta, error) {
 	return d, nil
 }
 
-// Finish completes the stream: the session finalizes its analysis
-// while the §5.1 ordering graphs build concurrently, and the shared
-// back half of the checker (merge, cycle search, classification,
-// lattice evaluation) runs over the result.
+// Finish completes the stream: the session finalizes its analysis, and
+// the shared back half of the checker (ordering edges, cycle search,
+// classification, lattice evaluation) runs over the result.
 func (s *Stream) Finish() (*CheckResult, error) {
 	if s.done {
 		return nil, ErrStreamFinished
 	}
 	s.done = true
-	// Feeding is over, so the session's accumulation is complete: the
-	// ordering graphs can build while the session finalizes.
 	s.h = s.sess.History()
-	orders := startOrderGraphs(s.h, s.opts)
 	an, err := s.sess.Finish()
 	if err != nil {
-		orders.wg.Wait() // don't leave builder goroutines running
 		return nil, err
 	}
-	return classify(s.h, s.opts, an, orders), nil
+	return classify(s.h, s.opts, an), nil
 }
 
 // History returns the accumulated history; valid after Finish, for

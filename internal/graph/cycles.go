@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-
-	"repro/internal/par"
 )
 
 // Step is one edge of a cycle witness: From depends-on... To via the kinds
@@ -90,35 +88,7 @@ func itoa(n int) string {
 // cycle searches of §6 (G0 with mask=ww; G1c with mask=ww|wr; G2 candidates
 // with the full mask).
 func (g *Graph) FindCycles(mask KindSet) []Cycle {
-	return g.FindCyclesP(mask, 1)
-}
-
-// FindCyclesP is FindCycles with the per-SCC searches fanned out across p
-// workers (p <= 0 meaning one per CPU). Components are independent, so
-// each search runs in isolation; results are collected in sorted-SCC
-// order, making the output identical at every parallelism level.
-func (g *Graph) FindCyclesP(mask KindSet, p int) []Cycle {
-	views := g.views(mask)
-	return gatherCycles(par.Map(p, len(views), func(i int) foundCycle {
-		return views[i].loop(mask)
-	}))
-}
-
-// foundCycle is one per-SCC search outcome; gatherCycles keeps the hits
-// in component order.
-type foundCycle struct {
-	c  Cycle
-	ok bool
-}
-
-func gatherCycles(found []foundCycle) []Cycle {
-	var out []Cycle
-	for _, f := range found {
-		if f.ok {
-			out = append(out, f.c)
-		}
-	}
-	return out
+	return search(g.views(mask), func(v *view) foundCycle { return v.loop(mask) })
 }
 
 // FindCyclesWithExactlyOne returns, per SCC, a cycle containing exactly one
@@ -127,33 +97,32 @@ func gatherCycles(found []foundCycle) []Cycle {
 // one read-write edge, then complete the cycle using only write-write and
 // write-read edges.
 func (g *Graph) FindCyclesWithExactlyOne(one Kind, rest KindSet) []Cycle {
-	return g.FindCyclesWithExactlyOneP(one, rest, 1)
-}
-
-// FindCyclesWithExactlyOneP is FindCyclesWithExactlyOne with per-SCC
-// searches fanned out across p workers; see FindCyclesP.
-func (g *Graph) FindCyclesWithExactlyOneP(one Kind, rest KindSet, p int) []Cycle {
-	views := g.views(one.Mask() | rest)
-	return gatherCycles(par.Map(p, len(views), func(i int) foundCycle {
-		return views[i].through(one, rest)
-	}))
+	return search(g.views(one.Mask()|rest), func(v *view) foundCycle { return v.through(one, rest) })
 }
 
 // FindCyclesWithAtLeastOne returns, per SCC of the masked graph, a cycle
 // containing at least one edge of kind req (the G2 search: one or more
 // anti-dependency edges, with any other dependencies completing the cycle).
 func (g *Graph) FindCyclesWithAtLeastOne(req Kind, mask KindSet) []Cycle {
-	return g.FindCyclesWithAtLeastOneP(req, mask, 1)
+	full := req.Mask() | mask
+	return search(g.views(full), func(v *view) foundCycle { return v.through(req, full) })
 }
 
-// FindCyclesWithAtLeastOneP is FindCyclesWithAtLeastOne with per-SCC
-// searches fanned out across p workers; see FindCyclesP.
-func (g *Graph) FindCyclesWithAtLeastOneP(req Kind, mask KindSet, p int) []Cycle {
-	full := req.Mask() | mask
-	views := g.views(full)
-	return gatherCycles(par.Map(p, len(views), func(i int) foundCycle {
-		return views[i].through(req, full)
-	}))
+// foundCycle is one per-SCC search outcome.
+type foundCycle struct {
+	c  Cycle
+	ok bool
+}
+
+// search runs find over views in order and keeps the hits.
+func search(views []*view, find func(*view) foundCycle) []Cycle {
+	var out []Cycle
+	for _, v := range views {
+		if f := find(v); f.ok {
+			out = append(out, f.c)
+		}
+	}
+	return out
 }
 
 // view is one strongly connected component as a graph of its own: local

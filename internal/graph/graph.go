@@ -312,21 +312,3 @@ func (g *Graph) OutSorted(a int, mask KindSet, f func(b int, label KindSet)) {
 	*bufp = targets[:0]
 	scratchPool.Put(bufp)
 }
-
-// Filter returns a new graph containing only edges whose label intersects
-// mask (labels are narrowed to the intersection). All nodes are preserved.
-func (g *Graph) Filter(mask KindSet) *Graph {
-	out := New()
-	for _, n := range g.nodes {
-		out.Ensure(n)
-	}
-	for ai, adj := range g.adj {
-		a := g.nodes[ai]
-		for _, e := range adj {
-			if inter := e.ks & mask; inter != 0 {
-				out.addMask(a, g.nodes[e.to], inter)
-			}
-		}
-	}
-	return out
-}

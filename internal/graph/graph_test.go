@@ -84,23 +84,6 @@ func TestOutFiltering(t *testing.T) {
 	g.Out(99, KSDep, func(int, KindSet) { t.Error("unexpected callback") })
 }
 
-func TestFilter(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2, WW)
-	g.AddEdge(2, 3, RW)
-	g.AddEdge(3, 1, WR)
-	f := g.Filter(KSWWWR)
-	if f.NumEdges() != 2 {
-		t.Errorf("filtered edges = %d", f.NumEdges())
-	}
-	if f.NumNodes() != 3 {
-		t.Errorf("filter should keep all nodes, got %d", f.NumNodes())
-	}
-	if f.Label(2, 3) != 0 {
-		t.Error("rw edge should be gone")
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := New()
 	a.AddEdge(1, 2, WW)
@@ -438,9 +421,9 @@ func fmtStd(n int) string {
 	return s
 }
 
-// TestFilterMergeProperties: filtering to the full mask is the identity;
-// merging a graph into an empty graph reproduces it; merge is idempotent.
-func TestFilterMergeProperties(t *testing.T) {
+// TestMergeProperties: merging a graph into an empty graph reproduces it;
+// merge is idempotent.
+func TestMergeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	allKinds := KSDep | KSOrders | Version.Mask() | Timestamp.Mask()
 	for trial := 0; trial < 40; trial++ {
@@ -465,9 +448,6 @@ func TestFilterMergeProperties(t *testing.T) {
 				}
 			}
 			return true
-		}
-		if f := g.Filter(allKinds); !same(g, f) {
-			t.Fatalf("trial %d: Filter(all) is not the identity", trial)
 		}
 		m := New()
 		m.Merge(g)

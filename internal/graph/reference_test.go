@@ -234,28 +234,28 @@ func sameCycles(t *testing.T, what string, got, want []Cycle) {
 	}
 }
 
-// checkAgainstReference runs every search on g at p 1 and 4 and
-// requires the reference's exact cycles.
+// checkAgainstReference runs every search on g, AnomalousCycles at p 1
+// and 4, and requires the reference's exact cycles.
 func checkAgainstReference(t *testing.T, g *Graph, what string) {
 	t.Helper()
 	masks := []KindSet{KSWW, KSWWWR, KSDep, KSDep | KSOrders, KSWW | Timestamp.Mask(), RW.Mask() | Process.Mask()}
-	for _, p := range []int{1, 4} {
-		for _, m := range masks {
-			sameCycles(t, fmt.Sprintf("%s: FindCyclesP(%v, %d)", what, m, p), g.FindCyclesP(m, p), g.refFindCycles(m))
-		}
-		for _, extra := range extras {
-			rest := KSWWWR | extra
-			sameCycles(t, fmt.Sprintf("%s: FindCyclesWithExactlyOneP(rw, %v, %d)", what, rest, p),
-				g.FindCyclesWithExactlyOneP(RW, rest, p), g.refFindCyclesWithExactlyOne(RW, rest))
-			sameCycles(t, fmt.Sprintf("%s: FindCyclesWithAtLeastOneP(rw, %v, %d)", what, KSDep|extra, p),
-				g.FindCyclesWithAtLeastOneP(RW, KSDep|extra, p), g.refFindCyclesWithAtLeastOne(RW, KSDep|extra))
+	for _, m := range masks {
+		sameCycles(t, fmt.Sprintf("%s: FindCycles(%v)", what, m), g.FindCycles(m), g.refFindCycles(m))
+	}
+	for _, extra := range extras {
+		rest := KSWWWR | extra
+		sameCycles(t, fmt.Sprintf("%s: FindCyclesWithExactlyOne(rw, %v)", what, rest),
+			g.FindCyclesWithExactlyOne(RW, rest), g.refFindCyclesWithExactlyOne(RW, rest))
+		sameCycles(t, fmt.Sprintf("%s: FindCyclesWithAtLeastOne(rw, %v)", what, KSDep|extra),
+			g.FindCyclesWithAtLeastOne(RW, KSDep|extra), g.refFindCyclesWithAtLeastOne(RW, KSDep|extra))
+		for _, p := range []int{1, 4} {
 			sameCycles(t, fmt.Sprintf("%s: AnomalousCycles(%v, %d)", what, extra, p),
 				g.AnomalousCycles(extra, p), g.refAnomalousCycles(extra))
 		}
-		// A kind outside the rest mask, and one inside it.
-		sameCycles(t, what+": FindCyclesWithExactlyOneP(wr, ww)", g.FindCyclesWithExactlyOneP(WR, KSWW, p), g.refFindCyclesWithExactlyOne(WR, KSWW))
-		sameCycles(t, what+": FindCyclesWithAtLeastOneP(ww, dep)", g.FindCyclesWithAtLeastOneP(WW, KSDep, p), g.refFindCyclesWithAtLeastOne(WW, KSDep))
 	}
+	// A kind outside the rest mask, and one inside it.
+	sameCycles(t, what+": FindCyclesWithExactlyOne(wr, ww)", g.FindCyclesWithExactlyOne(WR, KSWW), g.refFindCyclesWithExactlyOne(WR, KSWW))
+	sameCycles(t, what+": FindCyclesWithAtLeastOne(ww, dep)", g.FindCyclesWithAtLeastOne(WW, KSDep), g.refFindCyclesWithAtLeastOne(WW, KSDep))
 }
 
 func TestCycleSearchMatchesReference(t *testing.T) {

@@ -38,15 +38,13 @@ type Stats struct {
 
 // Compute gathers statistics for h.
 func Compute(h *history.History) Stats {
-	s := Stats{Ops: h.Len(), MinTxnLen: -1}
+	// The history's interner holds every key of every op, invocations
+	// included.
+	s := Stats{Ops: h.Len(), Keys: h.Keys().Len(), MinTxnLen: -1}
 	procs := map[int]bool{}
-	keys := map[string]bool{}
 	open := 0
 	for _, o := range h.Ops {
 		procs[o.Process] = true
-		for _, m := range o.Mops {
-			keys[m.Key] = true
-		}
 		switch o.Type {
 		case op.Invoke:
 			open++
@@ -87,7 +85,6 @@ func Compute(h *history.History) Stats {
 		s.MaxConcurrent = 1
 	}
 	s.Processes = len(procs)
-	s.Keys = len(keys)
 	return s
 }
 

@@ -52,6 +52,19 @@ func TestComputeConcurrency(t *testing.T) {
 	}
 }
 
+// TestComputeKeysCountInvocations: a key only a crashed invocation
+// touched still counts.
+func TestComputeKeysCountInvocations(t *testing.T) {
+	h := history.MustNew([]op.Op{
+		{Index: 0, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Append("x", 1)}},
+		{Index: 1, Process: 0, Type: op.OK, Mops: []op.Mop{op.Append("x", 1)}},
+		{Index: 2, Process: 1, Type: op.Invoke, Mops: []op.Mop{op.Append("y", 2)}},
+	})
+	if s := Compute(h); s.Keys != 2 {
+		t.Errorf("keys = %d, want 2", s.Keys)
+	}
+}
+
 func TestComputeEmptyHistory(t *testing.T) {
 	s := Compute(history.MustNew(nil))
 	if s.Ops != 0 || s.MinTxnLen != 0 || s.MaxConcurrent != 0 {

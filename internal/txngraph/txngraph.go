@@ -1,6 +1,7 @@
 // Package txngraph derives the transaction orderings of §5.1 that do not
-// depend on object values: the per-process (session) order and the
-// real-time precedence order.
+// depend on object values: the per-process (session) order, the
+// real-time precedence order, and the order the database's own exposed
+// timestamps claim.
 //
 // Process order encodes a constraint akin to sequential consistency: each
 // single-threaded client should observe a logically monotonic view of the
@@ -17,151 +18,118 @@ import (
 	"repro/internal/op"
 )
 
-// ProcessGraph links consecutive completions of each process with Process
-// edges. Only ops that may have committed (OK or Info) participate:
-// a definitely-aborted transaction imposes no session ordering on the
-// versions other transactions observe.
+// AddOrders adds the orders kinds names — any of graph.Process,
+// graph.Realtime and graph.Timestamp — to g, in one pass over h's ops.
+// Only completions that may have committed (OK or Info) participate: a
+// definitely-aborted transaction imposes no order on the versions other
+// transactions observe.
+//
+// Process order links consecutive participating completions of each
+// process. Real-time order links A to B whenever A's completion precedes
+// B's invocation in the history. Timestamp order links A to B whenever
+// A's completion carries a commit timestamp (its Op.Time) earlier than
+// the start timestamp on B's invocation: the time-precedes order of
+// Adya's snapshot-isolation formalization. The last two are one
+// relation, interval precedence, over two clocks; they differ exactly
+// when the database's clock claims contradict what the history observed.
+// Both add every participating transaction as a node, even one no edge
+// touches. Compact histories invoke and complete each op at its own
+// index and time, so their real-time order is a chain. Where a
+// transaction claims to start after it commits, the claimed relation is
+// not transitive and the timestamp order may miss some of it; every
+// edge it adds is still one the claims imply.
+func AddOrders(g *graph.Graph, h *history.History, kinds graph.KindSet) {
+	if kinds == 0 {
+		return
+	}
+	type session struct {
+		invoke  int   // the open invocation's index
+		start   int64 // and its Time
+		last    int   // the last participating completion's index
+		chained bool  // whether last is set
+	}
+	sessions := map[int]*session{}
+	var rt, ts []interval
+	for i := range h.Ops {
+		o := &h.Ops[i]
+		s := sessions[o.Process]
+		if s == nil {
+			s = &session{}
+			sessions[o.Process] = s
+		}
+		if o.Type == op.Invoke || h.Compact() {
+			s.invoke, s.start = o.Index, o.Time
+		}
+		if !o.MayHaveCommitted() {
+			continue
+		}
+		if s.chained && kinds.Has(graph.Process) {
+			g.AddEdge(s.last, o.Index, graph.Process)
+		}
+		s.last, s.chained = o.Index, true
+		if kinds.Has(graph.Realtime) {
+			rt = append(rt, interval{o.Index, int64(s.invoke), int64(o.Index)})
+		}
+		if kinds.Has(graph.Timestamp) {
+			ts = append(ts, interval{o.Index, s.start, o.Time})
+		}
+	}
+	precedence(g, rt, graph.Realtime)
+	precedence(g, ts, graph.Timestamp)
+}
+
+// interval is one transaction on one clock: node began at start and
+// ended at end.
+type interval struct {
+	node       int
+	start, end int64
+}
+
+// precedence adds to g, as edges of kind k, a transitive reduction of
+// interval precedence over txns: A precedes B when A ended before B
+// started, and equal bounds are concurrent. The sweep is O(n·p) for n
+// transactions and p concurrent processes, as in the paper: it visits
+// starts in order against the frontier of ended transactions no later
+// one covers. Each start depends on exactly the frontier, and each end
+// evicts every frontier member that ended before the new one started.
+// It reorders txns.
+func precedence(g *graph.Graph, txns []interval, k graph.Kind) {
+	sort.Slice(txns, func(i, j int) bool { return txns[i].start < txns[j].start })
+	byEnd := make([]interval, len(txns))
+	copy(byEnd, txns)
+	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].end < byEnd[j].end })
+
+	var frontier []interval
+	ei := 0
+	for _, t := range txns {
+		for ei < len(byEnd) && byEnd[ei].end < t.start {
+			c := byEnd[ei]
+			ei++
+			kept := frontier[:0]
+			for _, f := range frontier {
+				if f.end >= c.start {
+					kept = append(kept, f)
+				}
+			}
+			frontier = append(kept, c)
+		}
+		for _, f := range frontier {
+			g.AddEdge(f.node, t.node, k)
+		}
+		g.Ensure(t.node)
+	}
+}
+
+// ProcessGraph returns the process order alone, as a graph of its own.
 func ProcessGraph(h *history.History) *graph.Graph {
 	g := graph.New()
-	for _, ops := range h.ByProcess() {
-		var prev *op.Op
-		for i := range ops {
-			o := ops[i]
-			if !o.MayHaveCommitted() {
-				continue
-			}
-			if prev != nil {
-				g.AddEdge(prev.Index, o.Index, graph.Process)
-			}
-			prev = &ops[i]
-		}
-	}
+	AddOrders(g, h, graph.Process.Mask())
 	return g
 }
 
-// TimestampGraph links transaction A to transaction B whenever the
-// database's own exposed timestamps order them: A's completion carries a
-// commit timestamp earlier than the start timestamp on B's invocation
-// (§5.1: the time-precedes order of Adya's snapshot-isolation
-// formalization). Timestamps ride in Op.Time; ops with equal timestamps
-// are treated as concurrent. The same O(n·p) frontier reduction as
-// RealtimeGraph applies, but over the claimed time order rather than the
-// observed index order — the two differ exactly when the database's
-// clock claims contradict reality.
-func TimestampGraph(h *history.History) *graph.Graph {
-	g := graph.New()
-	type txn struct {
-		opIndex int
-		start   int64 // invoke op's Time: the claimed start timestamp
-		commit  int64 // completion op's Time: the claimed commit timestamp
-	}
-	var txns []txn
-	for pos, o := range h.Ops {
-		if o.Type == op.Invoke || !o.MayHaveCommitted() {
-			continue
-		}
-		invPos := -1
-		inv, _ := h.Span(pos)
-		// Locate the invoke op to read its Time. Spans return indices;
-		// in well-formed histories the op at that index is the invoke.
-		for p := pos; p >= 0; p-- {
-			if h.Ops[p].Index == inv {
-				invPos = p
-				break
-			}
-		}
-		start := o.Time
-		if invPos >= 0 {
-			start = h.Ops[invPos].Time
-		}
-		txns = append(txns, txn{opIndex: o.Index, start: start, commit: o.Time})
-	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i].start < txns[j].start })
-	byCommit := make([]txn, len(txns))
-	copy(byCommit, txns)
-	sort.Slice(byCommit, func(i, j int) bool { return byCommit[i].commit < byCommit[j].commit })
-
-	var frontier []txn
-	ci := 0
-	for _, t := range txns {
-		for ci < len(byCommit) && byCommit[ci].commit < t.start {
-			c := byCommit[ci]
-			ci++
-			kept := frontier[:0]
-			for _, f := range frontier {
-				if f.commit >= c.start {
-					kept = append(kept, f)
-				}
-			}
-			frontier = append(kept, c)
-		}
-		for _, f := range frontier {
-			g.AddEdge(f.opIndex, t.opIndex, graph.Timestamp)
-		}
-		g.Ensure(t.opIndex)
-	}
-	return g
-}
-
-// RealtimeGraph links transaction A to transaction B whenever A's
-// completion precedes B's invocation in the history, emitting (a
-// transitive reduction of) the real-time precedence order. The sweep is
-// O(n·p) for n ops and p concurrent processes, as in the paper: it
-// maintains the frontier of completed transactions not yet transitively
-// covered; each invocation depends on exactly the frontier, and each new
-// completion evicts every frontier member that completed before the new
-// transaction was invoked.
-//
-// Only OK and Info completions participate. Compact histories degenerate
-// to a total order (every op completes before the next begins), which the
-// reduction renders as a simple chain.
+// RealtimeGraph returns the real-time order alone, as a graph of its own.
 func RealtimeGraph(h *history.History) *graph.Graph {
 	g := graph.New()
-	type txn struct {
-		opIndex  int // completion op index (node id)
-		invoke   int // history index of invocation
-		complete int // history index of completion
-	}
-	var txns []txn
-	for pos, o := range h.Ops {
-		if o.Type == op.Invoke || !o.MayHaveCommitted() {
-			continue
-		}
-		inv, comp := h.Span(pos)
-		txns = append(txns, txn{opIndex: o.Index, invoke: inv, complete: comp})
-	}
-	// Process events in time order: a txn "begins" at invoke and "ends" at
-	// complete. Sorting by completion then sweeping invocations against
-	// the frontier implements the reduction.
-	sort.Slice(txns, func(i, j int) bool { return txns[i].invoke < txns[j].invoke })
-
-	// frontier holds completed txns none of which is transitively covered
-	// by a later one. Bounded by the number of concurrent processes.
-	var frontier []txn
-	// completions sorted by complete index, consumed as invocations pass.
-	byComplete := make([]txn, len(txns))
-	copy(byComplete, txns)
-	sort.Slice(byComplete, func(i, j int) bool { return byComplete[i].complete < byComplete[j].complete })
-
-	ci := 0
-	for _, t := range txns {
-		// Retire every txn that completed before t was invoked into the
-		// frontier, evicting members it transitively covers.
-		for ci < len(byComplete) && byComplete[ci].complete < t.invoke {
-			c := byComplete[ci]
-			ci++
-			kept := frontier[:0]
-			for _, f := range frontier {
-				if f.complete >= c.invoke {
-					kept = append(kept, f)
-				}
-			}
-			frontier = append(kept, c)
-		}
-		for _, f := range frontier {
-			g.AddEdge(f.opIndex, t.opIndex, graph.Realtime)
-		}
-		g.Ensure(t.opIndex)
-	}
+	AddOrders(g, h, graph.Realtime.Mask())
 	return g
 }

@@ -2,6 +2,7 @@ package txngraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -122,55 +123,83 @@ func TestRealtimeGraphSkipsFailed(t *testing.T) {
 }
 
 // TestRealtimeReductionCorrect cross-checks the frontier sweep against the
-// full O(n²) realtime relation on random histories: the reduction must
-// have exactly the same transitive closure.
+// full O(n²) precedence relation on random histories, over both clocks:
+// the real-time reduction, and the timestamp reduction wherever every
+// transaction claims to start no later than it commits, must have
+// exactly the relation's transitive closure. Where a claimed start
+// follows its own commit, the claimed relation is not transitive and the
+// sweep may miss some of it, but every timestamp edge it adds is still
+// one the claims imply.
 func TestRealtimeReductionCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		b := history.NewBuilder()
-		const procs = 4
-		outstanding := map[int]bool{}
-		for step := 0; step < 60; step++ {
-			p := rng.Intn(procs)
-			if outstanding[p] {
-				b.Complete(p, op.OK, nil)
-				outstanding[p] = false
-			} else {
-				b.Invoke(p, nil)
-				outstanding[p] = true
+	for _, clock := range clockNames {
+		for trial := 0; trial < 40; trial++ {
+			b := history.NewBuilder()
+			const procs = 4
+			outstanding := map[int]bool{}
+			for step := 0; step < 60; step++ {
+				p := rng.Intn(procs)
+				if outstanding[p] {
+					b.Complete(p, op.OK, nil)
+					outstanding[p] = false
+				} else {
+					b.Invoke(p, nil)
+					outstanding[p] = true
+				}
 			}
-		}
-		h := b.MustHistory()
-		g := RealtimeGraph(h)
+			h := b.MustHistory()
+			for i := range h.Ops {
+				h.Ops[i].Time = clocks[clock](rng, i, h.Ops[i].Process)
+			}
+			g := graph.New()
+			AddOrders(g, h, graph.Realtime.Mask()|graph.Timestamp.Mask())
 
-		// Full relation.
-		type txn struct{ inv, comp int }
-		var txns []txn
-		for pos, o := range h.Ops {
-			if o.Type == op.Invoke {
-				continue
+			// Full relations.
+			type txn struct {
+				inv, comp     int
+				start, commit int64
 			}
-			inv, comp := h.Span(pos)
-			txns = append(txns, txn{inv, comp})
-		}
-		closure := reachability(g, h)
-		for i, a := range txns {
-			for j, c := range txns {
-				if i == j {
+			var txns []txn
+			honest := true
+			for pos, o := range h.Ops {
+				if o.Type == op.Invoke {
 					continue
 				}
-				want := a.comp < c.inv
-				got := closure[[2]int{a.comp, c.comp}]
-				if want != got {
-					t.Fatalf("trial %d: realtime(%d -> %d): closure=%v, want %v",
-						trial, a.comp, c.comp, got, want)
+				inv, comp := h.Span(pos)
+				start := h.Ops[slices.IndexFunc(h.Ops, func(x op.Op) bool { return x.Index == inv })].Time
+				txns = append(txns, txn{inv, comp, start, o.Time})
+				honest = honest && start <= o.Time
+			}
+			rt := reachability(g, graph.Realtime)
+			ts := reachability(g, graph.Timestamp)
+			for i, a := range txns {
+				for j, c := range txns {
+					if i == j {
+						continue
+					}
+					if want, got := a.comp < c.inv, rt[[2]int{a.comp, c.comp}]; want != got {
+						t.Fatalf("%s trial %d: realtime(%d -> %d): closure=%v, want %v",
+							clock, trial, a.comp, c.comp, got, want)
+					}
+					want, got := a.commit < c.start, ts[[2]int{a.comp, c.comp}]
+					if honest && want != got {
+						t.Fatalf("%s trial %d: timestamp(%d -> %d): closure=%v, want %v",
+							clock, trial, a.comp, c.comp, got, want)
+					}
+					if edge := g.Label(a.comp, c.comp).Has(graph.Timestamp); edge && !want {
+						t.Fatalf("%s trial %d: timestamp edge %d -> %d, but %d does not precede %d",
+							clock, trial, a.comp, c.comp, a.commit, c.start)
+					}
 				}
+			}
+			if clock != "skewed" && !honest {
+				t.Fatalf("%s trial %d: a transaction claims to start after it commits", clock, trial)
 			}
 		}
 	}
 }
 
-func reachability(g *graph.Graph, h *history.History) map[[2]int]bool {
+func reachability(g *graph.Graph, k graph.Kind) map[[2]int]bool {
 	out := map[[2]int]bool{}
 	for _, n := range g.Nodes() {
 		stack := []int{n}
@@ -178,7 +207,7 @@ func reachability(g *graph.Graph, h *history.History) map[[2]int]bool {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			g.Out(u, graph.Realtime.Mask(), func(v int, _ graph.KindSet) {
+			g.Out(u, k.Mask(), func(v int, _ graph.KindSet) {
 				if !seen[v] {
 					seen[v] = true
 					out[[2]int{n, v}] = true
