@@ -39,11 +39,13 @@
 //	                          and key caches for quiescent keys released,
 //	                          letting elle follow histories larger than
 //	                          RAM (0 = keep everything; the final report
-//	                          is byte-identical either way)
+//	                          is byte-identical either way). Negative, or
+//	                          without -follow, is a usage error
 //	-mem-spill DIR            with -mem-budget, spill retired segments to
 //	                          an unlinked temporary file in DIR (created
 //	                          if missing) instead of holding their
-//	                          encoded bytes in memory
+//	                          encoded bytes in memory; a usage error
+//	                          without -mem-budget
 //	-convert FORMAT           do not check: decode the input (either
 //	                          format) and write it to stdout as FORMAT —
 //	                          json or binary (-workload still selects
@@ -186,6 +188,17 @@ func runMode(args []string, stdin io.Reader, stdout *bufio.Writer, stderr io.Wri
 	}
 	if *explainQ && *query == "" {
 		fmt.Fprintln(stderr, "elle: -explain requires -query")
+		return 2
+	}
+	switch {
+	case *memBudget < 0:
+		fmt.Fprintf(stderr, "elle: -mem-budget must be >= 0, got %d\n", *memBudget)
+		return 2
+	case (*memBudget != 0 || *memSpill != "") && !*follow:
+		fmt.Fprintln(stderr, "elle: -mem-budget and -mem-spill require -follow")
+		return 2
+	case *memSpill != "" && *memBudget == 0:
+		fmt.Fprintln(stderr, "elle: -mem-spill requires -mem-budget")
 		return 2
 	}
 

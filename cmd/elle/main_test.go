@@ -198,6 +198,36 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestMemoryFlagErrors: a memory flag elle would ignore or misread is a
+// usage error, and a refused -mem-spill creates no directory.
+func TestMemoryFlagErrors(t *testing.T) {
+	path := write(t, cleanHistory)
+	spill := filepath.Join(t.TempDir(), "spill")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-follow", "-mem-budget", "-5"}, "-mem-budget must be >= 0"},
+		{[]string{"-mem-budget", "-5"}, "-mem-budget must be >= 0"},
+		{[]string{"-mem-budget", "64"}, "require -follow"},
+		{[]string{"-mem-budget", "64", "-mem-spill", spill}, "require -follow"},
+		{[]string{"-mem-spill", spill}, "require -follow"},
+		{[]string{"-follow", "-mem-spill", spill}, "-mem-spill requires -mem-budget"},
+	}
+	for _, c := range cases {
+		var out, errb bytes.Buffer
+		if code := run(append(c.args, path), strings.NewReader(""), &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", c.args, code)
+		}
+		if !strings.Contains(errb.String(), c.want) {
+			t.Errorf("%v: stderr = %q, want %q", c.args, errb.String(), c.want)
+		}
+		if _, err := os.Stat(spill); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%v: refused -mem-spill left %s behind (%v)", c.args, spill, err)
+		}
+	}
+}
+
 func TestMalformedInputExitsTwo(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{write(t, "not json\n")}, strings.NewReader(""), &out, &errb)

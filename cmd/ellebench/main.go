@@ -9,7 +9,7 @@
 // Usage:
 //
 //	ellebench [-runs N] [-bench substr] [-out BENCH.json]
-//	          [-baseline BENCH_26.json] [-threshold 0.20] [-list]
+//	          [-baseline BENCH_28.json] [-threshold 0.20] [-list]
 package main
 
 import (

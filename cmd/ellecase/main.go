@@ -30,9 +30,10 @@
 //	-list          list nemesis campaigns and the fault catalog
 //	-json          emit nemesis verdicts as JSON (deterministic per seed)
 //	-stream        check through the incremental API instead of batch
-//	-mem-budget N  cap the stream's resident completed ops (0 = unbounded);
-//	               tiny budgets force retirement mid-campaign and must not
-//	               change any verdict byte
+//	-mem-budget N  cap the stream's resident completed ops (0 = unbounded;
+//	               negative is a usage error); tiny budgets force
+//	               retirement mid-campaign and must not change any
+//	               verdict byte
 //	-p N           checker parallelism (0 = one worker per CPU)
 //	-clients N     concurrent client threads (default 10)
 //	-txns N        transactions per campaign (default 2000)
@@ -76,6 +77,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "run seed")
 	verbose := fs.Bool("v", false, "print every anomaly explanation")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *memBudget < 0 {
+		fmt.Fprintf(stderr, "ellecase: -mem-budget must be >= 0, got %d\n", *memBudget)
 		return 2
 	}
 

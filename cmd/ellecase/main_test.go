@@ -124,6 +124,27 @@ func TestDBAndCampaignExclusive(t *testing.T) {
 	}
 }
 
+// TestNegativeMemoryBudget: a negative budget is refused in every mode,
+// not run unbudgeted.
+func TestNegativeMemoryBudget(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mem-budget", "-5"},
+		{"-campaign", "g1a", "-stream", "-mem-budget", "-5"},
+		{"-db", "tidb", "-mem-budget", "-1"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
+		if !strings.Contains(errb.String(), "-mem-budget must be >= 0") {
+			t.Errorf("%v: stderr = %q", args, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: ran anyway:\n%s", args, out.String())
+		}
+	}
+}
+
 func TestUnknownDatabase(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-db", "oracle"}, &out, &errb); code != 2 {

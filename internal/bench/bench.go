@@ -82,8 +82,8 @@ var (
 		return chunks
 	})
 	// faultedListHistory plants retry-stomp and stale-read faults so the
-	// analysis carries findings and cycles for the faulted check and the
-	// query benchmark.
+	// analysis carries findings and cycles for the faulted checks, batch
+	// and streaming, and the query benchmark.
 	faultedListHistory = sync.OnceValue(func() *history.History {
 		g := gen.New(gen.Config{ActiveKeys: 10, MaxWritesPerKey: 50}, 1)
 		return memdb.Run(memdb.RunConfig{
@@ -180,6 +180,32 @@ func Cases() []Case {
 				}
 				if !r.Valid {
 					b.Fatalf("clean history invalid: %v", r.AnomalyTypes())
+				}
+			}
+		}},
+		{Name: "check-stream-faulted/n=20000/p=1", F: func(b *testing.B) {
+			// The streaming check where its graph half works: on a faulted
+			// history edges arrive against the seeded order, so restore
+			// runs and scans re-search dirty components, explaining each
+			// new cycle — none of which a clean stream ever does.
+			h := faultedListHistory()
+			opts := checkOpts(core.ListAppend)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := core.CheckStream(opts)
+				for ops := h.Ops; len(ops) > 0; {
+					n := min(1000, len(ops))
+					if _, err := st.Feed(ops[:n]); err != nil {
+						b.Fatal(err)
+					}
+					ops = ops[n:]
+				}
+				r, err := st.Finish()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Valid {
+					b.Fatal("faulted history checked valid")
 				}
 			}
 		}},

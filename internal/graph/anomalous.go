@@ -24,18 +24,21 @@ import (
 // their masks inside it. The views are searched concurrently across p
 // workers; deduplication walks the results in fixed search order,
 // keeping the report identical at every parallelism level.
-//
-// Both the batch checker and the streaming sessions call this: the
-// batch path over the whole graph, the streaming path over the induced
-// subgraph of the components a chunk dirtied.
 func (g *Graph) AnomalousCycles(extra KindSet, p int) []Cycle {
+	return anomalous(g.views(KSDep|extra), extra, p)
+}
+
+// anomalous runs the AnomalousCycles searches over views, the
+// components over KSDep|extra. The batch checker hands it every
+// component of the whole graph; the streaming sessions, through
+// Incr.DirtyCycles, the components a chunk dirtied.
+func anomalous(views []*view, extra KindSet, p int) []Cycle {
 	full := KSDep | extra
 	nested := [2]KindSet{KSWW | extra, KSWWWR | extra}
 	type found struct {
 		nested     [2][]Cycle // G0 and G1c witnesses in this view
 		single, g2 foundCycle
 	}
-	views := g.views(full)
 	per := par.Map(p, len(views), func(i int) found {
 		v := views[i]
 		var f found

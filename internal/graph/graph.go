@@ -198,25 +198,24 @@ func (g *Graph) addMask(a, b int, ks KindSet) {
 	g.edges++
 }
 
-// addKindDense records kind k on edge ai→bi (dense ids, ai != bi),
-// reporting whether k was newly added — the fused lookup-or-insert
-// graph.Incr drives: only a new kind can change the components.
-func (g *Graph) addKindDense(ai, bi int32, k Kind) bool {
+// addKindDense records kind k on edge ai→bi (dense ids, ai != bi) and
+// returns the edge's label before, 0 for a new edge — the fused
+// lookup-or-insert graph.Incr drives: only a new kind can change the
+// components, and only an edge's first KSDep kind enters an in-list.
+func (g *Graph) addKindDense(ai, bi int32, k Kind) KindSet {
 	out := g.adj[ai]
 	i := searchHalf(out, bi)
 	if i < len(out) && out[i].to == bi {
-		if out[i].ks.Has(k) {
-			return false
-		}
+		was := out[i].ks
 		out[i].ks |= k.Mask()
-		return true
+		return was
 	}
 	out = append(out, halfEdge{})
 	copy(out[i+1:], out[i:])
 	out[i] = halfEdge{to: bi, ks: k.Mask()}
 	g.adj[ai] = out
 	g.edges++
-	return true
+	return 0
 }
 
 // Merge adds every node and edge of o into g.

@@ -1,20 +1,23 @@
 package graph
 
-import (
-	"slices"
-	"sort"
-)
+import "sort"
 
 // Incr maintains the strongly connected components of a growing
 // dependency graph under append-only edge insertion — the graph half of
-// the streaming checker. Instead of re-running Tarjan over the whole
-// graph after every chunk, it keeps three structures in lockstep:
+// the streaming checker. It is an index over one Graph, which holds the
+// edges; beside it Incr keeps
 //
-//   - a union-find partition of the nodes into components,
-//   - the condensation (the DAG of components) with adjacency in both
-//     directions, and
-//   - a topological order of the condensation, maintained with the
+//   - a union-find partition of the nodes into components over the
+//     edges intersecting KSDep,
+//   - each node's in-list, the sources of its KSDep edges: the graph's
+//     adjacency reversed, so a component's edges can be walked both
+//     ways through its members, and
+//   - a topological order of the components, maintained with the
 //     Pearce-Kelly dynamic topological-sort algorithm.
+//
+// The condensation (the DAG of components) is implicit: an edge whose
+// ends lie in two components is a condensation edge, and no second
+// adjacency records it.
 //
 // The order is what bounds the work. An inserted edge a -> b whose
 // components already satisfy ord(a) < ord(b) cannot create a cycle and
@@ -24,23 +27,16 @@ import (
 // reordered (still acyclic) or the components on the new cycle collapse
 // into one. Either way, untouched parts of the graph are never visited.
 //
-// DirtySCCs drains the components touched since the last call, which is
-// exactly the work-list for limited cycle recomputation: the caller
-// re-runs the (parallel) cycle searches on the induced subgraph of the
-// dirty components only, reusing the same machinery as the batch path.
+// DirtyCycles drains the components touched since the last call, which
+// are exactly the work-list for limited cycle recomputation, and runs
+// the batch searches over them in place.
 type Incr struct {
-	g    *Graph
-	mask KindSet
+	g *Graph
 
 	parent []int32
 	rank   []int32
-	ord    []int64 // topological position; meaningful for roots only
-
-	// Condensation edges by root, both directions. An entry names the
-	// root its component had when the edge arrived — resolve it through
-	// find — and repeats when several node pairs span the same two
-	// components; searches visit a component once either way.
-	out, in [][]int32
+	ord    []int64   // topological position; meaningful for roots only
+	in     [][]int32 // per node, the sources of its KSDep edges, once each
 
 	members map[int32][]int32 // root -> member dense ids (only for size >= 2)
 	dirty   map[int32]bool    // roots whose components changed since the last drain
@@ -49,25 +45,19 @@ type Incr struct {
 }
 
 // NewIncr returns an empty incremental SCC maintainer over edges whose
-// kind intersects mask.
-func NewIncr(mask KindSet) *Incr {
+// kind is in KSDep.
+func NewIncr() *Incr {
 	return &Incr{
 		g:       New(),
-		mask:    mask,
 		members: map[int32][]int32{},
 		dirty:   map[int32]bool{},
 	}
 }
 
 // Graph returns the underlying graph. It grows monotonically until
-// Retire replaces it: the caller may read it (searches, subgraphs) but
-// must add edges through Incr so the component index stays consistent.
+// Retire replaces it: the caller may read it but must add edges through
+// Incr so the component index stays consistent.
 func (x *Incr) Graph() *Graph { return x.g }
-
-// Ensure adds node n if absent.
-func (x *Incr) Ensure(n int) {
-	x.ensure(n)
-}
 
 // ensure adds node n if absent. Its topological position starts at its
 // own id — unique by construction, and Pearce-Kelly is indifferent to
@@ -81,7 +71,7 @@ func (x *Incr) ensure(n int) int32 {
 		x.parent = append(x.parent, id)
 		x.rank = append(x.rank, 0)
 		x.ord = append(x.ord, int64(n))
-		x.out, x.in = append(x.out, nil), append(x.in, nil)
+		x.in = append(x.in, nil)
 	}
 	return id
 }
@@ -109,11 +99,12 @@ func (x *Incr) AddEdge(a, b int, k Kind) {
 	if a == b {
 		return
 	}
-	if !x.g.addKindDense(ai, bi, k) {
-		return // the graph already held this edge kind
+	was := x.g.addKindDense(ai, bi, k)
+	if was.Has(k) || !KSDep.Has(k) {
+		return // the graph already held this edge kind, or it joins no components
 	}
-	if !x.mask.Has(k) {
-		return
+	if !was.Intersects(KSDep) {
+		x.in[bi] = append(x.in[bi], ai)
 	}
 	ra, rb := x.find(ai), x.find(bi)
 	if ra == rb {
@@ -122,11 +113,37 @@ func (x *Incr) AddEdge(a, b int, k Kind) {
 		x.dirty[ra] = true
 		return
 	}
-	x.out[ra], x.in[rb] = append(x.out[ra], rb), append(x.in[rb], ra)
 	if x.ord[ra] < x.ord[rb] {
 		return // topological order undisturbed: no cycle possible
 	}
 	x.restore(ra, rb)
+}
+
+// neighbours calls f with the root of the component at the far end of
+// every KSDep edge leaving component c (fwd) or entering it, walked
+// through c's members — forward over the graph's adjacency, backward
+// over the in-lists — and skipping the edges inside c. A component
+// several edges reach is passed once per edge.
+func (x *Incr) neighbours(c int32, fwd bool, f func(int32)) {
+	mem := x.members[c]
+	if mem == nil {
+		mem = []int32{c}
+	}
+	for _, m := range mem {
+		if !fwd {
+			for _, u := range x.in[m] {
+				if r := x.find(u); r != c {
+					f(r)
+				}
+			}
+			continue
+		}
+		for _, e := range x.g.adj[m] {
+			if r := x.find(e.to); r != c && e.ks.Intersects(KSDep) {
+				f(r)
+			}
+		}
+	}
 }
 
 // restore repairs the topological order after inserting the
@@ -148,17 +165,15 @@ func (x *Incr) restore(from, to int32) {
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, nb := range x.out[c] {
-			if nb = x.find(nb); nb == from {
+		x.neighbours(c, true, func(nb int32) {
+			if nb == from {
 				cycle = true
-				continue
-			}
-			if !seenF[nb] && x.ord[nb] < ub {
+			} else if !seenF[nb] && x.ord[nb] < ub {
 				seenF[nb] = true
 				deltaF = append(deltaF, nb)
 				stack = append(stack, nb)
 			}
-		}
+		})
 	}
 	// Backward from "from", visiting only components ordered after "to".
 	seenB := map[int32]bool{from: true}
@@ -167,13 +182,13 @@ func (x *Incr) restore(from, to int32) {
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, nb := range x.in[c] {
-			if nb = x.find(nb); !seenB[nb] && x.ord[nb] > lb {
+		x.neighbours(c, false, func(nb int32) {
+			if !seenB[nb] && x.ord[nb] > lb {
 				seenB[nb] = true
 				deltaB = append(deltaB, nb)
 				stack = append(stack, nb)
 			}
-		}
+		})
 	}
 
 	// The affected components' order slots, redistributed below. A
@@ -254,9 +269,9 @@ func (x *Incr) restore(from, to int32) {
 	}
 }
 
-// merge collapses the given component roots into one, which inherits
-// their edges to the components left outside, and marks the survivor
-// dirty. It returns the survivor.
+// merge collapses the given component roots into one and marks the
+// survivor dirty. It returns the survivor. The merged component's edges
+// need no bookkeeping: they stay where they are, on its members.
 func (x *Incr) merge(roots []int32) int32 {
 	// Pick the highest-rank root as the survivor.
 	nr := roots[0]
@@ -276,64 +291,24 @@ func (x *Incr) merge(roots []int32) int32 {
 		}
 		delete(x.dirty, r)
 		x.parent[r] = nr
-		if r != nr {
-			x.out[nr], x.in[nr] = append(x.out[nr], x.out[r]...), append(x.in[nr], x.in[r]...)
-			x.out[r], x.in[r] = nil, nil
-		}
 	}
 	x.members[nr] = ms
-	internal := func(nb int32) bool { return x.find(nb) == nr }
-	x.out[nr], x.in[nr] = slices.DeleteFunc(x.out[nr], internal), slices.DeleteFunc(x.in[nr], internal)
 	x.dirty[nr] = true
 	return nr
 }
 
-// SCCs returns every current component of size >= 2 as sorted node
-// slices in sorted order, without touching the dirty set — the full
-// partition, for inspection and for differential tests against the
-// batch Tarjan.
-func (x *Incr) SCCs() [][]int {
-	var out [][]int
-	for r, mem := range x.members {
-		if x.find(r) != r || len(mem) < 2 {
-			continue
-		}
-		scc := make([]int, len(mem))
-		for i, m := range mem {
-			scc[i] = x.g.nodes[m]
-		}
-		sort.Ints(scc)
-		out = append(out, scc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// DirtySCCs drains and returns the components (of size >= 2, the only
-// ones that can contain a cycle) touched since the last call: each as a
-// sorted slice of external node ids, the slices sorted by first node.
-// This is the work-list for limited cycle recomputation after a chunk
-// of edge insertions.
-func (x *Incr) DirtySCCs() [][]int {
-	if len(x.dirty) == 0 {
-		return nil
-	}
-	var out [][]int
+// DirtyCycles drains the components touched since the last call and
+// returns what AnomalousCycles(0, p) would find on the subgraph they
+// induce. A component of the graph is a component of every induced
+// subgraph holding it, so each is cut straight from the graph's
+// adjacency into the view the batch searches walk, with no Tarjan pass.
+func (x *Incr) DirtyCycles(p int) []Cycle {
+	comps := make([][]int32, 0, len(x.dirty))
 	for r := range x.dirty {
-		mem := x.members[r]
-		if len(mem) < 2 {
-			continue
-		}
-		scc := make([]int, len(mem))
-		for i, m := range mem {
-			scc[i] = x.g.nodes[m]
-		}
-		sort.Ints(scc)
-		out = append(out, scc)
+		comps = append(comps, x.members[r])
 	}
-	x.dirty = map[int32]bool{}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	clear(x.dirty)
+	return anomalous(split(x.g.nodes, x.g.adj, comps, KSDep), 0, p)
 }
 
 // Retire drops every node for which keep returns false, with all its
@@ -376,7 +351,7 @@ func (x *Incr) Retire(keep func(int) bool) {
 	})
 	sort.Ints(ids)
 
-	*x = *NewIncr(x.mask)
+	*x = *NewIncr()
 	for i, s := range survivors {
 		// Survivors keep their nodes even when isolated.
 		x.ord[x.ensure(old.nodes[s.ai])] = int64(ids[i])
@@ -393,33 +368,4 @@ func (x *Incr) Retire(keep func(int) bool) {
 			}
 		}
 	}
-}
-
-// Subgraph returns the subgraph of g induced by the given nodes,
-// preserving every edge kind among them. Nodes absent from g are
-// ignored. The streaming checker searches induced subgraphs of dirty
-// components: any cycle found there is a cycle of the full graph.
-func (g *Graph) Subgraph(nodes []int) *Graph {
-	out := New()
-	in := make(map[int]bool, len(nodes))
-	for _, n := range nodes {
-		if g.HasNode(n) {
-			in[n] = true
-			out.Ensure(n)
-		}
-	}
-	for _, n := range nodes {
-		ai, ok := g.ids[n]
-		if !ok {
-			continue
-		}
-		for _, e := range g.adj[ai] {
-			b := g.nodes[e.to]
-			if !in[b] {
-				continue
-			}
-			out.addMask(n, b, e.ks)
-		}
-	}
-	return out
 }

@@ -29,13 +29,14 @@ import (
 type stream struct {
 	a *analyzer // a.keyst is the per-key maintained state
 
-	incr     *graph.Incr
-	offered  int  // edges handed to incr one by one, for the cost test
-	poisoned bool // evidence was retracted; rebuild incr at next scan
+	incr      *graph.Incr
+	offered   int  // edges handed to incr one by one, for the cost test
+	explained int  // cycles Scan rendered, likewise
+	poisoned  bool // evidence was retracted; rebuild incr at next scan
 }
 
 func begin(opts workload.Opts, keys *history.Interner) workload.Hooks {
-	return &stream{a: newAnalyzer(opts, keys), incr: graph.NewIncr(graph.KSDep)}
+	return &stream{a: newAnalyzer(opts, keys), incr: graph.NewIncr()}
 }
 
 // emit offers incr one edge. A poisoned graph is about to be rebuilt
@@ -222,32 +223,25 @@ func (s *stream) Scan(out *workload.Findings) {
 		// histories pay this, and the emitted-set keeps prior findings
 		// from resurfacing.
 		s.poisoned = false
-		s.incr = graph.NewIncr(graph.KSDep)
+		s.incr = graph.NewIncr()
 		for _, k := range s.a.tracedKeys() {
 			s.incr.AddEdges(keyEdges(s.a.keyst[k]))
 		}
 	}
-	dirty := s.incr.DirtySCCs()
-	if len(dirty) == 0 {
-		return
-	}
-	var nodes []int
-	for _, scc := range dirty {
-		nodes = append(nodes, scc...)
-	}
-	// Search the induced subgraph: walked from the dirty node list, so
-	// the cost is O(edges incident to the dirty components), not O(graph).
-	cycles := s.incr.Graph().Subgraph(nodes).AnomalousCycles(0, s.a.opts.Parallelism)
-	if len(cycles) == 0 {
-		return
-	}
-	expl := &explain.Explainer{Ops: s.a.ops, Keys: s.a.in, ListOrders: s.a.versionOrders()}
-	for _, c := range cycles {
-		out.Emit("cycle|"+graph.CycleKey(c), anomaly.Anomaly{
-			Type:        anomaly.CycleType(c),
-			Cycle:       c,
-			Explanation: expl.Cycle(c),
-		})
+	// A re-searched component mostly yields the witnesses it did before:
+	// only a cycle not yet surfaced is worth an explanation, and the
+	// explainer's version orders are built for the first such cycle.
+	var expl *explain.Explainer
+	for _, c := range s.incr.DirtyCycles(s.a.opts.Parallelism) {
+		key := "cycle|" + graph.CycleKey(c)
+		if out.Emitted(key) {
+			continue
+		}
+		if expl == nil {
+			expl = &explain.Explainer{Ops: s.a.ops, Keys: s.a.in, ListOrders: s.a.versionOrders()}
+		}
+		s.explained++
+		out.Emit(key, anomaly.Anomaly{Type: anomaly.CycleType(c), Cycle: c, Explanation: expl.Cycle(c)})
 	}
 }
 

@@ -162,3 +162,36 @@ func TestScanCostIndependentOfKeyAge(t *testing.T) {
 		}
 	}
 }
+
+// TestScanExplainsOnlyNewCycles pins what checking the emitted-set first
+// buys: a component a scan re-searches mostly yields the witnesses an
+// earlier scan surfaced, and Scan renders an explanation only for the
+// cycles it surfaces — across a faulted session, exactly as many.
+func TestScanExplainsOnlyNewCycles(t *testing.T) {
+	h := memdb.Run(memdb.RunConfig{
+		Clients: 10, Txns: 3000, Isolation: memdb.SnapshotIsolation,
+		Faults: memdb.Faults{RetryStompProb: 0.5, StaleReadProb: 0.3},
+		Source: gen.New(gen.Config{ActiveKeys: 10, MaxWritesPerKey: 50}, 1), Seed: 1,
+		Workload: memdb.WorkloadList,
+	})
+	var st *stream
+	info := hookedInfo(t, func(s *stream) workload.Hooks { st = s; return s })
+	s := workload.BeginSession(info, workload.Opts{Parallelism: 1})
+	surfaced := 0
+	for ops := h.Ops; len(ops) > 0; {
+		n := min(100, len(ops))
+		d, err := s.Feed(ops[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range d.Anomalies {
+			if len(a.Cycle.Steps) > 0 {
+				surfaced++
+			}
+		}
+		ops = ops[n:]
+	}
+	if surfaced < 20 || st.explained != surfaced {
+		t.Errorf("Scan explained %d cycles and surfaced %d", st.explained, surfaced)
+	}
+}

@@ -93,6 +93,10 @@ func (f *Findings) Emit(key string, an anomaly.Anomaly) {
 	f.fresh = append(f.fresh, an)
 }
 
+// Emitted reports whether a finding under key has already surfaced, so
+// a hook can skip rendering one Emit would drop.
+func (f *Findings) Emitted(key string) bool { return f.emitted[key] }
+
 // Add surfaces findings that cannot repeat: the ones an op proves by
 // itself, on the one Ingest that sees it.
 func (f *Findings) Add(ans ...anomaly.Anomaly) { f.fresh = append(f.fresh, ans...) }
