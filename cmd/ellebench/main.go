@@ -2,7 +2,8 @@
 // emits a machine-readable BENCH_*.json (schema elle-bench/v1): ns/op,
 // allocs/op, B/op, and MB/s per benchmark plus host metadata. The CI
 // perf-regression gate runs it with -baseline against the committed
-// BENCH_*.json and fails on >20% ns/op or allocs/op regressions; the
+// BENCH_*.json and fails on >20% ns/op or allocs/op regressions (allocs/op
+// excepted for a case that states why its count does not repeat); the
 // "Current numbers" table in docs/BENCHMARKS.md is refreshed from the
 // same artifact.
 //

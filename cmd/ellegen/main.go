@@ -34,6 +34,7 @@ import (
 	"os"
 
 	"repro/internal/binhist"
+	"repro/internal/casestudy"
 	"repro/internal/gen"
 	"repro/internal/history"
 	"repro/internal/jsonhist"
@@ -44,6 +45,10 @@ import (
 	// built-in analyzer.
 	_ "repro/internal/workload/all"
 )
+
+// faultAliases names the §7 case studies by the fault each plants; the
+// case studies' own names resolve through casestudy.Find directly.
+var faultAliases = map[string]string{"retry": "tidb", "nilreads": "dgraph"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -110,21 +115,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var f memdb.Faults
 	switch *faults {
 	case "none", "":
-	case "tidb", "retry":
-		f = memdb.Faults{RetryStompProb: 0.4, RetryRebaseProb: 1}
-	case "yugabyte":
-		f = memdb.Faults{SkipReadValidationProb: 0.3}
-	case "fauna":
-		f = memdb.Faults{SkipOwnWriteProb: 0.1}
-	case "dgraph", "nilreads":
-		f = memdb.Faults{NilReadProb: 0.08}
 	case "stale":
 		f = memdb.Faults{StaleReadProb: 0.3}
 	case "dup":
 		f = memdb.Faults{DuplicateAppendProb: 0.1}
 	default:
-		fmt.Fprintf(stderr, "ellegen: unknown fault campaign %q\n", *faults)
-		return 2
+		name := *faults
+		if study, ok := faultAliases[name]; ok {
+			name = study
+		}
+		s, ok := casestudy.Find(name)
+		if !ok {
+			fmt.Fprintf(stderr, "ellegen: unknown fault campaign %q\n", *faults)
+			return 2
+		}
+		f = s.Faults
 	}
 
 	g := gen.New(gen.Config{

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/binhist"
+	"repro/internal/casestudy"
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/jsonhist"
@@ -52,8 +53,11 @@ func TestGenerateToFile(t *testing.T) {
 	}
 }
 
+// TestFaultCampaignsAccepted: every documented -faults name generates,
+// and so does every §7 case study by its own name.
 func TestFaultCampaignsAccepted(t *testing.T) {
-	for _, f := range []string{"none", "tidb", "yugabyte", "fauna", "dgraph", "retry", "stale", "nilreads", "dup"} {
+	names := append([]string{"none", "tidb", "yugabyte", "fauna", "dgraph", "retry", "stale", "nilreads", "dup"}, casestudy.Names()...)
+	for _, f := range names {
 		var out, errb bytes.Buffer
 		if code := run([]string{"-txns", "10", "-faults", f}, &out, &errb); code != 0 {
 			t.Errorf("faults=%s: exit %d", f, code)

@@ -39,6 +39,13 @@
 // Failed transactions are ignored entirely: a failed transfer's write
 // mops carry unresolved deltas, not balances, so indexing them would
 // fabricate values. The cost is that bank histories cannot witness G1a.
+//
+// A transfer whose invocation never completed (a crashed client, or the
+// tail of a log still being written) may have taken effect, and what it
+// installed is unknowable for the same reason: its writes are deltas.
+// Every account such an invocation wrote therefore loses its balance
+// inference — no garbage reads, and no wr, ww or rw edge derived from
+// its balances. The invariant checks still cover it.
 package bank
 
 import (
@@ -112,6 +119,10 @@ type analyzer struct {
 	readers    map[verKey][]int // committed readers of (key, val)
 	nilReaders [][]int          // committed readers of each key's nil version, by KeyID
 	overwrites [][]overwrite    // observed direct version transitions, by KeyID
+	// unknowable marks, by KeyID, the accounts a never-completed
+	// invocation wrote: its deltas resolved against balances nobody
+	// recorded, so no balance of such an account has a known writer.
+	unknowable []bool
 	accounts   []string
 	total      int
 	totalKnown bool
@@ -134,6 +145,14 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		readers:    map[verKey][]int{},
 		nilReaders: make([][]int, h.Keys().Len()),
 		overwrites: make([][]overwrite, h.Keys().Len()),
+		unknowable: make([]bool, h.Keys().Len()),
+	}
+	for _, o := range h.Crashed() {
+		for _, m := range o.Mops {
+			if m.F == op.FWrite {
+				a.unknowable[a.kid(m.Key)] = true
+			}
+		}
 	}
 	for _, o := range h.Completions() {
 		a.ops[o.Index] = o
@@ -346,7 +365,7 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 						o.Name(), m.Reg, m.Key),
 				})
 			}
-			if !m.RegNil && a.writeCount[verKey{a.kid(m.Key), m.Reg}] == 0 {
+			if k := a.kid(m.Key); !m.RegNil && !a.unknowable[k] && a.writeCount[verKey{k, m.Reg}] == 0 {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.GarbageRead,
 					Ops:  []op.Op{o},
@@ -411,8 +430,9 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 // read observed the balance it installed (a unique write that was read
 // must have happened). Without that gate, an indeterminate transfer
 // whose commit actually failed would collect anti-dependency edges that
-// hold in no interpretation, seeding false cycles. It also returns the
-// version edges for explanations.
+// hold in no interpretation, seeding false cycles. An account a crashed
+// transfer wrote gets no edges at all. It also returns the version edges
+// for explanations.
 func (a *analyzer) keyEdges(k history.KeyID) ([][2]string, []graph.Edge) {
 	var verEdges [][2]string
 	var deps []graph.Edge
@@ -423,7 +443,7 @@ func (a *analyzer) keyEdges(k history.KeyID) ([][2]string, []graph.Edge) {
 			seenVer[ve] = true
 			verEdges = append(verEdges, ve)
 		}
-		if !a.opts.WritesFollowReads {
+		if !a.opts.WritesFollowReads || a.unknowable[k] {
 			continue
 		}
 		if !a.provenCommitted(k, ow) {
@@ -473,11 +493,13 @@ func (a *analyzer) provenCommitted(k history.KeyID, ow overwrite) bool {
 }
 
 // emitWR adds write-read dependencies: a committed reader of balance v
-// depends on v's unique writer.
+// depends on v's unique writer, on accounts no crashed transfer wrote.
 func (a *analyzer) emitWR(g *graph.Graph) {
 	vks := make([]verKey, 0, len(a.readers))
 	for vk := range a.readers {
-		vks = append(vks, vk)
+		if !a.unknowable[vk.key] {
+			vks = append(vks, vk)
+		}
 	}
 	sort.Slice(vks, func(i, j int) bool {
 		if vks[i].key != vks[j].key {

@@ -169,6 +169,57 @@ func TestFailedTransfersIgnored(t *testing.T) {
 	}
 }
 
+// invoke is the invocation of a transaction by process p.
+func invoke(index, p int, mops ...op.Mop) op.Op {
+	return op.Op{Index: index, Process: p, Type: op.Invoke, Mops: mops}
+}
+
+// transferInvoke is the invocation of a transfer of amt from one account
+// to another: reads of both, then both writes as deltas.
+func transferInvoke(index, p int, from, to string, amt int) op.Op {
+	return invoke(index, p, op.Read(from), op.Read(to), op.Write(from, -amt), op.Write(to, amt))
+}
+
+// TestCrashedTransferIsNotGarbage: a transfer whose invocation never
+// completed may have taken effect, and the balances it installed are
+// unknowable, so reading them is not garbage.
+func TestCrashedTransferIsNotGarbage(t *testing.T) {
+	a := analyze(t, workload.DefaultOpts(),
+		invoke(0, 0, op.Write("a", 10), op.Write("b", 10)),
+		op.Txn(1, 0, op.OK, op.Write("a", 10), op.Write("b", 10)),
+		transferInvoke(2, 1, "a", "b", 3),
+		invoke(3, 2, op.Read("a"), op.Read("b")),
+		op.Txn(4, 2, op.OK, op.ReadReg("a", 7), op.ReadReg("b", 13)),
+	)
+	if len(a.Anomalies) != 0 {
+		t.Fatalf("a crashed transfer's balances read as garbage: %v", a.Anomalies)
+	}
+}
+
+// TestCrashedTransferSeedsNoEdges: a crashed transfer can install a
+// balance another transfer also wrote, so on an account it wrote no
+// balance names its writer — no wr, ww or rw edge comes from them.
+func TestCrashedTransferSeedsNoEdges(t *testing.T) {
+	a := analyze(t, workload.DefaultOpts(),
+		invoke(0, 0, op.Write("a", 10), op.Write("b", 10)),
+		op.Txn(1, 0, op.OK, op.Write("a", 10), op.Write("b", 10)),
+		// a: 10 -> 7 -> 10, then the crashed transfer takes it to 7 again.
+		transferInvoke(2, 1, "a", "b", 3),
+		op.Txn(3, 1, op.OK, op.ReadReg("a", 10), op.ReadReg("b", 10), op.Write("a", 7), op.Write("b", 13)),
+		transferInvoke(4, 1, "b", "a", 3),
+		op.Txn(5, 1, op.OK, op.ReadReg("a", 7), op.ReadReg("b", 13), op.Write("a", 10), op.Write("b", 10)),
+		transferInvoke(6, 2, "a", "b", 3),
+		invoke(7, 3, op.Read("a"), op.Read("b")),
+		op.Txn(8, 3, op.OK, op.ReadReg("a", 7), op.ReadReg("b", 13)),
+	)
+	if len(a.Anomalies) != 0 {
+		t.Fatalf("anomalies: %v", a.Anomalies)
+	}
+	if n := a.Graph.NumEdges(); n != 0 {
+		t.Fatalf("balances a crashed transfer may have installed seeded %d edges", n)
+	}
+}
+
 // TestExplainerRendersBankCycle: a lost-update pair produces a cycle the
 // explainer can justify with balance witnesses.
 func TestExplainerRendersBankCycle(t *testing.T) {

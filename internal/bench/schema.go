@@ -125,9 +125,10 @@ func (r Regression) String() string {
 
 // Compare gates cur against base: any benchmark present in both whose
 // ns/op or allocs/op grew by more than threshold (0.20 = 20%) is a
-// regression. Benchmarks present only on one side are reported in
-// missing (gate-neutral: the suite may gain cases before the baseline
-// is refreshed).
+// regression, except allocs/op of a case whose AllocsUngated gives the
+// reason they do not repeat. Benchmarks present only on one side are
+// reported in missing (gate-neutral: the suite may gain cases before the
+// baseline is refreshed).
 func Compare(base, cur Result, threshold float64) (regs []Regression, missing []string) {
 	baseBy := map[string]Point{}
 	for _, p := range base.Benchmarks {
@@ -144,7 +145,7 @@ func Compare(base, cur Result, threshold float64) (regs []Regression, missing []
 		if b.NsPerOp > 0 && p.NsPerOp > b.NsPerOp*(1+threshold) {
 			regs = append(regs, Regression{Name: p.Name, Metric: "ns/op", Base: b.NsPerOp, New: p.NsPerOp})
 		}
-		if b.AllocsPerOp > 0 && float64(p.AllocsPerOp) > float64(b.AllocsPerOp)*(1+threshold) {
+		if b.AllocsPerOp > 0 && float64(p.AllocsPerOp) > float64(b.AllocsPerOp)*(1+threshold) && !allocsUngated(p.Name) {
 			regs = append(regs, Regression{
 				Name: p.Name, Metric: "allocs/op",
 				Base: float64(b.AllocsPerOp), New: float64(p.AllocsPerOp),
@@ -158,6 +159,13 @@ func Compare(base, cur Result, threshold float64) (regs []Regression, missing []
 	}
 	sort.Strings(missing)
 	return regs, missing
+}
+
+// allocsUngated reports whether the named case's allocs/op stay out of
+// the gate.
+func allocsUngated(name string) bool {
+	c, ok := Find(name)
+	return ok && c.AllocsUngated != ""
 }
 
 // Table renders the comparison side by side for the CI log.
@@ -176,10 +184,13 @@ func Table(base, cur Result) string {
 				p.Name, "-", p.NsPerOp, "-", "-", p.AllocsPerOp, "-")
 			continue
 		}
-		fmt.Fprintf(&b, "%-32s %14.0f %14.0f %+7.1f%% | %12d %12d %+7.1f%%\n",
+		allocsDelta := fmt.Sprintf("%+7.1f%%", 100*float64(p.AllocsPerOp-bp.AllocsPerOp)/float64(bp.AllocsPerOp))
+		if allocsUngated(p.Name) {
+			allocsDelta = "ungated"
+		}
+		fmt.Fprintf(&b, "%-32s %14.0f %14.0f %+7.1f%% | %12d %12d %8s\n",
 			p.Name, bp.NsPerOp, p.NsPerOp, 100*(p.NsPerOp-bp.NsPerOp)/bp.NsPerOp,
-			bp.AllocsPerOp, p.AllocsPerOp,
-			100*float64(p.AllocsPerOp-bp.AllocsPerOp)/float64(bp.AllocsPerOp))
+			bp.AllocsPerOp, p.AllocsPerOp, allocsDelta)
 	}
 	return b.String()
 }

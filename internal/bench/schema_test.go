@@ -63,6 +63,24 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 }
 
+// TestCompareSkipsUngatedAllocs: decode's allocs/op depend on what its
+// buffer pool kept, so only its ns/op gate.
+func TestCompareSkipsUngatedAllocs(t *testing.T) {
+	base := sample()
+	cur := sample()
+	cur.Benchmarks[1].AllocsPerOp *= 2
+	if regs, _ := Compare(base, cur, 0.20); len(regs) != 0 {
+		t.Fatalf("decode allocs/op gated: %v", regs)
+	}
+	if tb := Table(base, cur); !strings.Contains(tb, "ungated") {
+		t.Errorf("table does not mark decode's allocs/op ungated:\n%s", tb)
+	}
+	cur.Benchmarks[1].NsPerOp *= 1.5
+	if regs, _ := Compare(base, cur, 0.20); len(regs) != 1 || regs[0].Metric != "ns/op" {
+		t.Fatalf("want decode's ns/op regression alone, got %v", regs)
+	}
+}
+
 func TestCompareImprovementsPass(t *testing.T) {
 	base := sample()
 	cur := sample()

@@ -258,7 +258,7 @@ func classify(h *history.History, opts Opts, an workload.Analysis) *CheckResult 
 	}
 	txngraph.AddOrders(g, h, extra)
 
-	cycles := g.AnomalousCycles(extra, p)
+	cycles, sccs := g.AnomalousComponents(extra, p)
 	anoms = append(anoms, par.Map(p, len(cycles), func(i int) anomaly.Anomaly {
 		c := cycles[i]
 		return anomaly.Anomaly{
@@ -291,7 +291,7 @@ func classify(h *history.History, opts Opts, an workload.Analysis) *CheckResult 
 			Ops:       completions,
 			Nodes:     g.NumNodes(),
 			Edges:     g.NumEdges(),
-			SCCs:      len(g.SCCs(graph.KSDep | extra)),
+			SCCs:      sccs,
 			ExtraKind: extra,
 		},
 	}

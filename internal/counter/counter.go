@@ -7,8 +7,9 @@
 //
 //   - Bounds: every committed read must lie between the sum of definitely
 //     committed increments visible in some interpretation and the sum of
-//     all possibly-committed increments. Reads outside those bounds are
-//     impossible in every interpretation.
+//     all possibly-committed increments, those of invocations that never
+//     completed included. Reads outside those bounds are impossible in
+//     every interpretation.
 //   - Session monotonicity: with only non-negative increments, a single
 //     process must never observe the counter go backwards.
 //
@@ -56,8 +57,9 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	nonNegative := make([]bool, n)
 	ops := map[int]op.Op{}
 	kid := in.MustID
-	for _, o := range h.Completions() {
-		ops[o.Index] = o
+	// attempt notes o's increments; those that may have taken effect
+	// widen the envelope.
+	attempt := func(o op.Op, mayHaveTakenEffect bool) {
 		for _, m := range o.Mops {
 			if m.F != op.FIncrement {
 				continue
@@ -70,7 +72,7 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 			if m.Arg < 0 {
 				nonNegative[k] = false
 			}
-			if !o.MayHaveCommitted() {
+			if !mayHaveTakenEffect {
 				continue
 			}
 			if m.Arg >= 0 {
@@ -79,6 +81,17 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 				lo[k] += m.Arg
 			}
 		}
+	}
+	for _, o := range h.Completions() {
+		ops[o.Index] = o
+		attempt(o, o.MayHaveCommitted())
+	}
+	// An increment whose invocation never completed (a crashed client,
+	// or the tail of a log still being written) may have taken effect
+	// all the same, and its delta is known: it widens the envelope as an
+	// indeterminate one does.
+	for _, o := range h.Crashed() {
+		attempt(o, true)
 	}
 
 	a := &Analysis{Bounds: map[string][2]int{}, Ops: ops}

@@ -120,3 +120,20 @@ func TestNilReadIsZero(t *testing.T) {
 		t.Fatalf("anomalies: %v", a.Anomalies)
 	}
 }
+
+// TestCrashedIncrementWidensEnvelope: an increment whose invocation
+// never completed may have taken effect, and its delta is known, so a
+// read that includes it is no garbage read.
+func TestCrashedIncrementWidensEnvelope(t *testing.T) {
+	a := Analyze(history.MustNew([]op.Op{
+		{Index: 0, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Increment("c", 5)}},
+		{Index: 1, Process: 1, Type: op.Invoke, Mops: []op.Mop{op.Read("c")}},
+		op.Txn(2, 1, op.OK, op.ReadReg("c", 5)),
+	}), workload.Opts{})
+	if len(a.Anomalies) != 0 {
+		t.Fatalf("a crashed increment's effect read as garbage: %v", a.Anomalies)
+	}
+	if b := a.Bounds["c"]; b != [2]int{0, 5} {
+		t.Errorf("bounds = %v, want [0 5]", b)
+	}
+}

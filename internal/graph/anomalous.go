@@ -25,7 +25,16 @@ import (
 // workers; deduplication walks the results in fixed search order,
 // keeping the report identical at every parallelism level.
 func (g *Graph) AnomalousCycles(extra KindSet, p int) []Cycle {
-	return anomalous(g.views(KSDep|extra), extra, p)
+	cycles, _ := g.AnomalousComponents(extra, p)
+	return cycles
+}
+
+// AnomalousComponents is AnomalousCycles, also returning how many
+// components over KSDep|extra it searched: the count of cyclic
+// components a report states, taken from the search's own Tarjan.
+func (g *Graph) AnomalousComponents(extra KindSet, p int) (cycles []Cycle, components int) {
+	views := g.views(KSDep | extra)
+	return anomalous(views, extra, p), len(views)
 }
 
 // anomalous runs the AnomalousCycles searches over views, the

@@ -279,6 +279,10 @@ func checkAgainstReference(t *testing.T, g *Graph, what string) {
 			sameCycles(t, fmt.Sprintf("%s: AnomalousCycles(%v, %d)", what, extra, p),
 				g.AnomalousCycles(extra, p), g.refAnomalousCycles(extra))
 		}
+		if _, n := g.AnomalousComponents(extra, 1); n != len(g.sortedSCCs(KSDep|extra)) {
+			t.Fatalf("%s: AnomalousComponents(%v) counts %d components, Tarjan finds %d",
+				what, extra, n, len(g.sortedSCCs(KSDep|extra)))
+		}
 	}
 	// A kind outside the rest mask, and one inside it.
 	sameCycles(t, what+": FindCyclesWithExactlyOne(wr, ww)", g.FindCyclesWithExactlyOne(WR, KSWW), g.refFindCyclesWithExactlyOne(WR, KSWW))

@@ -163,7 +163,7 @@ func appendOp(dst []byte, o *op.Op) ([]byte, error) {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(o.Index), 10)
 	dst = append(dst, `,"type":`...)
-	dst = appendJSONString(dst, o.Type.String())
+	dst = AppendString(dst, o.Type.String())
 	dst = append(dst, `,"process":`...)
 	dst = strconv.AppendInt(dst, int64(o.Process), 10)
 	if o.Time != 0 {
@@ -208,7 +208,7 @@ func appendMop(dst []byte, m op.Mop) ([]byte, error) {
 	dst = append(dst, '[', '"')
 	dst = append(dst, fun...)
 	dst = append(dst, '"', ',')
-	dst = appendJSONString(dst, m.Key)
+	dst = AppendString(dst, m.Key)
 	dst = append(dst, ',')
 	switch {
 	case m.F != op.FRead:
@@ -230,25 +230,44 @@ func appendMop(dst []byte, m op.Mop) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
-const hexDigits = "0123456789abcdef"
+// jsonSafe marks the ASCII bytes encoding/json copies into a string
+// unescaped with HTML escaping on: printable, and none of " \ < > &.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		safe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return safe
+}()
 
-// appendJSONString appends s quoted and escaped exactly as
-// encoding/json does with its default HTML escaping: control
-// characters, quotes, backslashes, <, >, &, U+2028/U+2029 escaped, and
-// invalid UTF-8 replaced with �.
-func appendJSONString(dst []byte, s string) []byte {
+const hex = "0123456789abcdef"
+
+// AppendString appends s as a JSON string escaped the way encoding/json
+// escapes it: \" \\ \b \f \n \r \t, \u00XX in lowercase hex for the
+// other control bytes and for < > &, \ufffd for each byte of invalid
+// UTF-8, and \u2028 and \u2029 for the line and paragraph separators.
+// It is the one JSON string escaper of the repository: Encode writes
+// keys with it, and package report every string of a report.
+func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+		if i = skipPlain(s, i); i == len(s) {
+			break
+		}
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if jsonSafe[b] {
 				i++
 				continue
 			}
 			dst = append(dst, s[start:i]...)
 			switch b {
-			case '"', '\\':
+			case '\\', '"':
 				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			case '\n':
 				dst = append(dst, '\\', 'n')
 			case '\r':
@@ -256,31 +275,52 @@ func appendJSONString(dst []byte, s string) []byte {
 			case '\t':
 				dst = append(dst, '\\', 't')
 			default:
-				// Other control characters, plus <, >, and & (HTML
-				// escaping), render as \u00xx.
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
 			}
 			i++
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
 			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			start = i + size
 		}
 		i += size
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// skipPlain returns i advanced over eight-byte groups of s that all copy
+// through unescaped, testing each group in one word: a group holding a
+// control byte, a non-ASCII byte, or one of " \ < > & stops it, and
+// AppendString's byte loop takes over there.
+func skipPlain(s string, i int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(s); i += 8 {
+		w := s[i : i+8]
+		x := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+			uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+		// A byte below 0x20 or at or above 0x80 sets its high bit here;
+		// so does, in zeroByte, a byte equal to the one its xor cancels.
+		if x&highs|(x-ones*0x20)&^x&highs|
+			zeroByte(x^(ones*'"'))|zeroByte(x^(ones*'\\'))|
+			zeroByte(x^(ones*'<'))|zeroByte(x^(ones*'>'))|zeroByte(x^(ones*'&')) != 0 {
+			break
+		}
+	}
+	return i
+}
+
+// zeroByte is nonzero when some byte of x is zero.
+func zeroByte(x uint64) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	return (x - ones) &^ x & highs
 }

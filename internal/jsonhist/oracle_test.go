@@ -436,6 +436,35 @@ func TestFastPathEqualsSpanPath(t *testing.T) {
 	t.Logf("fast path %d, span path %d", took, left)
 }
 
+// TestEncodeControlBytesMatchEncodingJSON: a key holding each control
+// byte, alone and inside plain text, encodes to encoding/json's bytes —
+// \b and \f included, which encoding/json writes as two-byte escapes.
+func TestEncodeControlBytesMatchEncodingJSON(t *testing.T) {
+	var ops []op.Op
+	for b := 0; b < 0x20; b++ {
+		c := string(rune(b))
+		ops = append(ops, op.Txn(len(ops), 0, op.OK,
+			op.Append(c, 1), op.Append("key "+c+" in the middle of a long key", 2)))
+	}
+	h := history.MustNew(ops)
+	var got, want bytes.Buffer
+	if err := Encode(&got, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracleEncode(&want, h); err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want.Bytes(), []byte("\n"))
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("Encode wrote %d lines, encoding/json %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Errorf("control byte %#02x:\n got: %s\nwant: %s", i, gotLines[i], wantLines[i])
+		}
+	}
+}
+
 // TestEncodeMatchesOracle pins byte-identical encoding on a history
 // that exercises every string-escaping and value shape.
 func TestEncodeMatchesOracle(t *testing.T) {

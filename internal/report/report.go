@@ -14,20 +14,23 @@ import (
 	"repro/internal/stats"
 )
 
-// Report is the JSON shape of one check.
+// Report is one check ready to render as JSON: the result as the
+// checker produced it, the workload it ran, and the statistics of its
+// history. Write turns each finding into text as it goes; nothing is
+// copied into a JSON-shaped value first.
 type Report struct {
-	Valid    bool     `json:"valid"`
-	Expected string   `json:"expected_model"`
-	Workload string   `json:"workload"`
-	Violated []string `json:"violated_models"`
-	// Strongest lists the maximal models the observation may satisfy.
-	Strongest []string  `json:"strongest_models"`
-	Anomalies []Anomaly `json:"anomalies"`
-	History   History   `json:"history"`
-	Graph     Graph     `json:"graph"`
+	res      *core.CheckResult
+	workload core.Workload
+	hist     stats.Stats
 }
 
-// Anomaly is one finding.
+// New assembles a Report from a check result and its history.
+func New(h *history.History, workload core.Workload, res *core.CheckResult) Report {
+	return Report{res: res, workload: workload, hist: stats.Compute(h)}
+}
+
+// Anomaly is one finding in the JSON shape elled's status and chunk
+// responses carry: the members a report writes for it.
 type Anomaly struct {
 	Type string `json:"type"`
 	Key  string `json:"key,omitempty"`
@@ -41,83 +44,36 @@ type Anomaly struct {
 	Explanation string `json:"explanation,omitempty"`
 }
 
-// History carries the history statistics.
-type History struct {
-	Ops           int `json:"ops"`
-	Attempts      int `json:"attempts"`
-	Committed     int `json:"committed"`
-	Aborted       int `json:"aborted"`
-	Indeterminate int `json:"indeterminate"`
-	Processes     int `json:"processes"`
-	Keys          int `json:"keys"`
-	MaxConcurrent int `json:"max_concurrent"`
-}
-
-// Graph carries the dependency-graph statistics.
-type Graph struct {
-	Nodes int `json:"nodes"`
-	Edges int `json:"edges"`
-	SCCs  int `json:"cyclic_components"`
-}
-
-// New assembles a Report from a check result and its history.
-func New(h *history.History, workload core.Workload, res *core.CheckResult) Report {
-	st := stats.Compute(h)
-	r := Report{
-		Valid:    res.Valid,
-		Expected: string(res.Expected),
-		Workload: workload.String(),
-		History: History{
-			Ops:           st.Ops,
-			Attempts:      st.Attempts,
-			Committed:     st.Committed,
-			Aborted:       st.Aborted,
-			Indeterminate: st.Indeterminate,
-			Processes:     st.Processes,
-			Keys:          st.Keys,
-			MaxConcurrent: st.MaxConcurrent,
-		},
-		Graph: Graph{
-			Nodes: res.Stats.Nodes,
-			Edges: res.Stats.Edges,
-			SCCs:  res.Stats.SCCs,
-		},
-	}
-	for _, m := range res.Violated {
-		r.Violated = append(r.Violated, string(m))
-	}
-	for _, m := range res.Strongest {
-		r.Strongest = append(r.Strongest, string(m))
-	}
-	if len(res.Anomalies) > 0 {
-		r.Anomalies = make([]Anomaly, len(res.Anomalies))
-		for i, a := range res.Anomalies {
-			r.Anomalies[i] = FromAnomaly(a)
-		}
-	}
-	return r
-}
-
-// FromAnomaly converts one detected anomaly to its JSON shape — shared
-// by the full Report and by elled's status endpoint, which exposes
-// provisional mid-stream findings in the same form.
+// FromAnomaly converts one detected anomaly to its JSON shape, for
+// elled's status endpoint, which exposes provisional mid-stream findings
+// in the form a report writes them.
 func FromAnomaly(a anomaly.Anomaly) Anomaly {
-	ra := Anomaly{
+	txns, cycle := witness(nil, a)
+	return Anomaly{
 		Type:        string(a.Type),
 		Key:         a.Key,
+		Txns:        txns,
+		Cycle:       cycle,
 		K:           a.K,
 		Explanation: a.Explanation,
 	}
+}
+
+// witness is the rule both JSON shapes of a finding follow: an anomaly
+// with a cycle lists the cycle's nodes as its txns and renders the
+// cycle; any other lists its ops' indices and has no cycle. The txns are
+// appended to dst.
+func witness(dst []int, a anomaly.Anomaly) (txns []int, cycle string) {
 	if len(a.Cycle.Steps) > 0 {
-		ra.Cycle = a.Cycle.String()
-		ra.Txns = a.Cycle.Nodes()
-	} else if len(a.Ops) > 0 {
-		ra.Txns = make([]int, len(a.Ops))
-		for i, o := range a.Ops {
-			ra.Txns[i] = o.Index
+		for _, s := range a.Cycle.Steps {
+			dst = append(dst, s.From)
 		}
+		return dst, a.Cycle.String()
 	}
-	return ra
+	for _, o := range a.Ops {
+		dst = append(dst, o.Index)
+	}
+	return dst, ""
 }
 
 // ProseOpts tunes the human-readable rendering.

@@ -221,7 +221,11 @@ func TestServiceReportJSON(t *testing.T) {
 	id := createJob(t, srv.Client(), srv.URL, `{"model":"read-committed","parallelism":1}`)
 	feedChunks(t, srv.Client(), srv.URL, id, g1aHistory, 1)
 
-	var rep report.Report
+	var rep struct {
+		Valid     bool             `json:"valid"`
+		Workload  string           `json:"workload"`
+		Anomalies []report.Anomaly `json:"anomalies"`
+	}
 	code, raw := do(t, srv.Client(), "GET", srv.URL+"/v1/jobs/"+id+"/report?format=json", "", &rep)
 	if code != http.StatusOK {
 		t.Fatalf("report: %d: %s", code, raw)
