@@ -1,6 +1,9 @@
 // Package repro_test holds the benchmark harness that regenerates every
-// figure in the paper's evaluation (§7):
+// figure in the paper's evaluation (§7), and runs the stable suite:
 //
+//   - BenchmarkSuite: internal/bench's cases, the suite cmd/ellebench
+//     records and CI gates on allocs/op (docs/BENCHMARKS.md). They are
+//     defined there, once; this runs them under `go test -bench`.
 //   - BenchmarkFigure4Elle / BenchmarkFigure4Knossos: runtime vs history
 //     length for various concurrencies (Figure 4). Run the full sweep
 //     with `go run ./cmd/elleperf`; these benches cover the same grid at
@@ -14,19 +17,17 @@
 package repro_test
 
 import (
-	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/casestudy"
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/history"
-	"repro/internal/jsonhist"
 	"repro/internal/memdb"
 	"repro/internal/op"
 	"repro/internal/perf"
@@ -35,6 +36,14 @@ import (
 	"repro/internal/txngraph"
 	"repro/internal/workload"
 )
+
+// BenchmarkSuite runs every internal/bench case as a sub-benchmark under
+// its BENCH_*.json name.
+func BenchmarkSuite(b *testing.B) {
+	for _, c := range bench.Cases() {
+		b.Run(c.Name, c.F)
+	}
+}
 
 // BenchmarkFigure4Elle measures Elle's checking time across the Figure 4
 // grid. Elle is near-linear in history length and effectively constant in
@@ -53,142 +62,6 @@ func BenchmarkFigure4Elle(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// parallelismLevels is the worker-count series the parallel benchmarks
-// sweep: 1 (the sequential baseline), 2, 4, and every available CPU.
-func parallelismLevels() []int {
-	ps := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		ps = append(ps, n)
-	}
-	return ps
-}
-
-// BenchmarkCheckParallel measures the parallel pipeline end to end: the
-// same 100k-transaction list-append check (inference, graph build, extra
-// orders, cycle search) at increasing worker counts. The p=1 case is the
-// sequential baseline the speedup figures in README.md divide by.
-func BenchmarkCheckParallel(b *testing.B) {
-	h := perf.GenerateHistory(100000, 20, 1)
-	for _, p := range parallelismLevels() {
-		opts := core.OptsFor(core.ListAppend, consistency.StrictSerializable)
-		opts.Parallelism = p
-		b.Run(fmt.Sprintf("n=100000/p=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := core.Check(h, opts)
-				if !r.Valid {
-					b.Fatalf("clean history invalid: %v", r.AnomalyTypes())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCheckParallelRegister is the same sweep through the register
-// analyzer, whose per-key version-graph inference is the heaviest of the
-// four.
-func BenchmarkCheckParallelRegister(b *testing.B) {
-	g := gen.New(gen.Config{Workload: gen.Register, ActiveKeys: 100, MaxWritesPerKey: 100}, 1)
-	h := memdb.Run(memdb.RunConfig{
-		Clients: 20, Txns: 50000, Isolation: memdb.StrictSerializable,
-		Source: g, Seed: 1, Workload: memdb.WorkloadRegister,
-	})
-	for _, p := range parallelismLevels() {
-		opts := core.OptsFor(core.Register, consistency.StrictSerializable)
-		opts.Parallelism = p
-		b.Run(fmt.Sprintf("n=50000/p=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.Check(h, opts)
-			}
-		})
-	}
-}
-
-// BenchmarkCheckBank measures the bank analyzer end to end — invariant
-// checks, overwrite-based inference, cycle search — on a 20k-transfer
-// history, at increasing worker counts.
-func BenchmarkCheckBank(b *testing.B) {
-	info, ok := workload.Lookup(string(workload.Bank))
-	if !ok {
-		b.Fatal("bank workload not registered")
-	}
-	g := gen.New(gen.Config{Workload: info.Gen, ActiveKeys: 10}, 1)
-	h := memdb.Run(memdb.RunConfig{
-		Clients: 20, Txns: 20000, Isolation: memdb.StrictSerializable,
-		Source: g, Seed: 1, Workload: info.DB,
-	})
-	for _, p := range parallelismLevels() {
-		opts := core.OptsFor(core.Bank, consistency.StrictSerializable)
-		opts.Parallelism = p
-		b.Run(fmt.Sprintf("n=20000/p=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := core.Check(h, opts)
-				if !r.Valid {
-					b.Fatalf("clean bank history invalid: %v", r.AnomalyTypes())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCheckStream measures the incremental checker end to end on
-// the BenchmarkCheckParallel history: the full op sequence fed in
-// 1000-op chunks through the streaming session (maintained indices,
-// per-key edge caches, incremental SCCs), then Finish. The comparison
-// against BenchmarkCheckParallel at the same p bounds the streaming
-// overhead over a one-shot batch check.
-func BenchmarkCheckStream(b *testing.B) {
-	h := perf.GenerateHistory(100000, 20, 1)
-	for _, p := range parallelismLevels() {
-		opts := core.OptsFor(core.ListAppend, consistency.StrictSerializable)
-		opts.Parallelism = p
-		b.Run(fmt.Sprintf("n=100000/p=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := core.CheckStream(opts)
-				ops := h.Ops
-				for len(ops) > 0 {
-					n := 1000
-					if n > len(ops) {
-						n = len(ops)
-					}
-					if _, err := st.Feed(ops[:n]); err != nil {
-						b.Fatal(err)
-					}
-					ops = ops[n:]
-				}
-				r, err := st.Finish()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !r.Valid {
-					b.Fatalf("clean history invalid: %v", r.AnomalyTypes())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDecodeParallel measures streaming JSON-lines decoding of a
-// 100k-transaction history at increasing parse worker counts.
-func BenchmarkDecodeParallel(b *testing.B) {
-	h := perf.GenerateHistory(100000, 20, 1)
-	var buf bytes.Buffer
-	if err := jsonhist.Encode(&buf, h); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for _, p := range parallelismLevels() {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			for i := 0; i < b.N; i++ {
-				if _, err := jsonhist.DecodeWith(bytes.NewReader(raw),
-					jsonhist.DecodeOpts{Parallelism: p}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -360,18 +233,6 @@ func BenchmarkAblationRealtimeReduction(b *testing.B) {
 				txngraph.RealtimeGraph(h)
 			}
 		})
-	}
-}
-
-// BenchmarkAblationTarjan measures SCC computation alone on the
-// dependency graph of a large history.
-func BenchmarkAblationTarjan(b *testing.B) {
-	h := perf.GenerateHistory(50000, 20, 1)
-	res := core.Check(h, core.OptsFor(core.ListAppend, consistency.StrictSerializable))
-	g := res.Graph
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.SCCs(graph.KSDep | graph.KSOrders)
 	}
 }
 

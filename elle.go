@@ -220,6 +220,7 @@ const (
 	ServiceCodeChunkRejected       = service.CodeChunkRejected
 	ServiceCodeBadCursor           = service.CodeBadCursor
 	ServiceCodeWALWrite            = service.CodeWALWrite
+	ServiceCodeInternal            = service.CodeInternal
 )
 
 // NewService builds the HTTP checking service under cfg, replays any

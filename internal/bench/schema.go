@@ -110,25 +110,25 @@ func DecodeResult(r io.Reader) (Result, error) {
 	return out, nil
 }
 
-// Regression is one gate violation.
+// Regression is one gate violation: a case whose allocs/op grew past
+// the threshold.
 type Regression struct {
-	Name   string
-	Metric string // "ns/op" or "allocs/op"
-	Base   float64
-	New    float64
+	Name      string
+	Base, New int64
 }
 
 func (r Regression) String() string {
-	return fmt.Sprintf("%s: %s regressed %.0f -> %.0f (%+.1f%%)",
-		r.Name, r.Metric, r.Base, r.New, 100*(r.New-r.Base)/r.Base)
+	return fmt.Sprintf("%s: allocs/op regressed %d -> %d (%+.1f%%)",
+		r.Name, r.Base, r.New, 100*float64(r.New-r.Base)/float64(r.Base))
 }
 
 // Compare gates cur against base: any benchmark present in both whose
-// ns/op or allocs/op grew by more than threshold (0.20 = 20%) is a
-// regression, except allocs/op of a case whose AllocsUngated gives the
-// reason they do not repeat. Benchmarks present only on one side are
-// reported in missing (gate-neutral: the suite may gain cases before the
-// baseline is refreshed).
+// allocs/op grew by more than threshold (0.20 = 20%) is a regression,
+// except a case whose AllocsUngated gives the reason its count does not
+// repeat. ns/op is not compared: it moves with the machine and with
+// run-to-run noise by more than any useful threshold. Benchmarks present
+// only on one side are reported in missing (gate-neutral: the suite may
+// gain cases before the baseline is refreshed).
 func Compare(base, cur Result, threshold float64) (regs []Regression, missing []string) {
 	baseBy := map[string]Point{}
 	for _, p := range base.Benchmarks {
@@ -142,14 +142,8 @@ func Compare(base, cur Result, threshold float64) (regs []Regression, missing []
 			missing = append(missing, "baseline lacks "+p.Name)
 			continue
 		}
-		if b.NsPerOp > 0 && p.NsPerOp > b.NsPerOp*(1+threshold) {
-			regs = append(regs, Regression{Name: p.Name, Metric: "ns/op", Base: b.NsPerOp, New: p.NsPerOp})
-		}
 		if b.AllocsPerOp > 0 && float64(p.AllocsPerOp) > float64(b.AllocsPerOp)*(1+threshold) && !allocsUngated(p.Name) {
-			regs = append(regs, Regression{
-				Name: p.Name, Metric: "allocs/op",
-				Base: float64(b.AllocsPerOp), New: float64(p.AllocsPerOp),
-			})
+			regs = append(regs, Regression{Name: p.Name, Base: b.AllocsPerOp, New: p.AllocsPerOp})
 		}
 	}
 	for name := range baseBy {
@@ -168,7 +162,8 @@ func allocsUngated(name string) bool {
 	return ok && c.AllocsUngated != ""
 }
 
-// Table renders the comparison side by side for the CI log.
+// Table renders the comparison side by side for the CI log: ns/op for
+// the record, marked not gated, then the allocs/op the gate reads.
 func Table(base, cur Result) string {
 	baseBy := map[string]Point{}
 	for _, p := range base.Benchmarks {
@@ -177,6 +172,7 @@ func Table(base, cur Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-32s %14s %14s %8s | %12s %12s %8s\n",
 		"benchmark", "base ns/op", "new ns/op", "Δ", "base allocs", "new allocs", "Δ")
+	fmt.Fprintf(&b, "%-32s %39s | %34s\n", "", "(not gated)", "(gated)")
 	for _, p := range cur.Benchmarks {
 		bp, ok := baseBy[p.Name]
 		if !ok {

@@ -40,44 +40,54 @@ func TestDecodeRejectsWrongSchema(t *testing.T) {
 func TestCompareFlagsRegressions(t *testing.T) {
 	base := sample()
 	cur := sample()
-	// 25% slower and 25% more allocations on the first bench: both gate.
-	cur.Benchmarks[0].NsPerOp *= 1.25
+	// 25% more allocations on the first bench: gates.
 	cur.Benchmarks[0].AllocsPerOp = 2_500_000
-	// 10% slower on the second: within the 20% threshold.
-	cur.Benchmarks[1].NsPerOp *= 1.10
+	// 10% more on the second: within the 20% threshold, and ungated anyway.
+	cur.Benchmarks[1].AllocsPerOp = 1_100_000
 
 	regs, missing := Compare(base, cur, 0.20)
 	if len(missing) != 0 {
 		t.Fatalf("unexpected missing: %v", missing)
 	}
-	if len(regs) != 2 {
-		t.Fatalf("want 2 regressions, got %v", regs)
+	if len(regs) != 1 || regs[0].Name != "check-parallel/n=100000/p=1" {
+		t.Fatalf("want one regression on check-parallel, got %v", regs)
 	}
-	for _, r := range regs {
-		if r.Name != "check-parallel/n=100000/p=1" {
-			t.Errorf("regression on wrong bench: %v", r)
-		}
-		if s := r.String(); !strings.Contains(s, "regressed") {
-			t.Errorf("unhelpful rendering %q", s)
-		}
+	if s := regs[0].String(); !strings.Contains(s, "allocs/op regressed") {
+		t.Errorf("unhelpful rendering %q", s)
+	}
+}
+
+// TestCompareGatesAllocsOnly: the gate reads allocs/op, the figure that
+// repeats; ns/op alone never fails it, however far it moves.
+func TestCompareGatesAllocsOnly(t *testing.T) {
+	base := sample()
+	slower := sample()
+	slower.Benchmarks[0].NsPerOp *= 1.5
+	if regs, _ := Compare(base, slower, 0.20); len(regs) != 0 {
+		t.Fatalf("+50%% ns/op alone gated: %v", regs)
+	}
+	if tb := Table(base, slower); !strings.Contains(tb, "+50.0%") || !strings.Contains(tb, "not gated") {
+		t.Errorf("table does not show the ns/op move as not gated:\n%s", tb)
+	}
+	heavier := sample()
+	heavier.Benchmarks[0].AllocsPerOp = base.Benchmarks[0].AllocsPerOp * 121 / 100
+	if regs, _ := Compare(base, heavier, 0.20); len(regs) != 1 {
+		t.Fatalf("+21%% allocs/op: want one regression, got %v", regs)
 	}
 }
 
 // TestCompareSkipsUngatedAllocs: decode's allocs/op depend on what its
-// buffer pool kept, so only its ns/op gate.
+// buffer pool kept, so nothing of it gates.
 func TestCompareSkipsUngatedAllocs(t *testing.T) {
 	base := sample()
 	cur := sample()
 	cur.Benchmarks[1].AllocsPerOp *= 2
+	cur.Benchmarks[1].NsPerOp *= 1.5
 	if regs, _ := Compare(base, cur, 0.20); len(regs) != 0 {
-		t.Fatalf("decode allocs/op gated: %v", regs)
+		t.Fatalf("decode gated: %v", regs)
 	}
 	if tb := Table(base, cur); !strings.Contains(tb, "ungated") {
 		t.Errorf("table does not mark decode's allocs/op ungated:\n%s", tb)
-	}
-	cur.Benchmarks[1].NsPerOp *= 1.5
-	if regs, _ := Compare(base, cur, 0.20); len(regs) != 1 || regs[0].Metric != "ns/op" {
-		t.Fatalf("want decode's ns/op regression alone, got %v", regs)
 	}
 }
 

@@ -59,7 +59,7 @@ func (r Report) Write(w io.Writer) error {
 				e.buf = append(e.buf, ',')
 			}
 			e.newline(2)
-			e.anomaly(a)
+			e.buf = AppendAnomaly(e.buf, a)
 			if len(e.buf) >= flushAt && !e.flush() {
 				return e.err
 			}
@@ -92,10 +92,9 @@ func (r Report) Write(w io.Writer) error {
 
 // encoder appends one report's JSON into buf, handing it to w in pieces.
 type encoder struct {
-	w    io.Writer
-	buf  []byte
-	err  error
-	txns []int // one anomaly's txns, reused across anomalies
+	w   io.Writer
+	buf []byte
+	err error
 }
 
 // flush writes the buffer out and empties it, reporting whether the
@@ -132,6 +131,14 @@ func (e *encoder) str(s string) { e.buf = jsonhist.AppendString(e.buf, s) }
 
 func (e *encoder) int(n int) { e.buf = strconv.AppendInt(e.buf, int64(n), 10) }
 
+// elem starts the i'th element of a list at depth.
+func (e *encoder) elem(depth, i int) {
+	if i > 0 {
+		e.buf = append(e.buf, ',')
+	}
+	e.newline(depth)
+}
+
 // models writes a list of models whose member line is at depth, or
 // null when it is empty.
 func (e *encoder) models(depth int, ms []consistency.Model) {
@@ -141,10 +148,7 @@ func (e *encoder) models(depth int, ms []consistency.Model) {
 	}
 	e.buf = append(e.buf, '[')
 	for i, m := range ms {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.newline(depth + 1)
+		e.elem(depth+1, i)
 		e.str(string(m))
 	}
 	e.newline(depth)
@@ -168,11 +172,14 @@ func (e *encoder) object(depth int, fs []field) {
 	e.buf = append(e.buf, '}')
 }
 
-// anomaly writes one element of the anomalies list, omitting the
-// members that are empty or zero.
-func (e *encoder) anomaly(a anomaly.Anomaly) {
-	txns, cycle := witness(e.txns[:0], a)
-	e.txns = txns
+// AppendAnomaly appends one finding's JSON object to dst, exactly as
+// Write writes it as an element of a report's anomalies list: type, then
+// key, txns, cycle, k and explanation, each omitted when empty or zero.
+// An anomaly with a cycle lists the cycle's nodes as its txns and
+// renders the cycle; any other lists its ops' indices. elled's status
+// and chunk responses carry these bytes for provisional findings.
+func AppendAnomaly(dst []byte, a anomaly.Anomaly) []byte {
+	e := encoder{buf: dst}
 	e.buf = append(e.buf, '{')
 	e.key(3, "type", true)
 	e.str(string(a.Type))
@@ -180,22 +187,28 @@ func (e *encoder) anomaly(a anomaly.Anomaly) {
 		e.key(3, "key", false)
 		e.str(a.Key)
 	}
-	if len(txns) > 0 {
+	if steps := a.Cycle.Steps; len(steps) > 0 {
 		e.key(3, "txns", false)
 		e.buf = append(e.buf, '[')
-		for i, t := range txns {
-			if i > 0 {
-				e.buf = append(e.buf, ',')
-			}
-			e.newline(4)
-			e.int(t)
+		for i, s := range steps {
+			e.elem(4, i)
+			e.int(s.From)
 		}
 		e.newline(3)
 		e.buf = append(e.buf, ']')
-	}
-	if cycle != "" {
-		e.key(3, "cycle", false)
-		e.str(cycle)
+		if cycle := a.Cycle.String(); cycle != "" {
+			e.key(3, "cycle", false)
+			e.str(cycle)
+		}
+	} else if len(a.Ops) > 0 {
+		e.key(3, "txns", false)
+		e.buf = append(e.buf, '[')
+		for i, o := range a.Ops {
+			e.elem(4, i)
+			e.int(o.Index)
+		}
+		e.newline(3)
+		e.buf = append(e.buf, ']')
 	}
 	if a.K != 0 {
 		e.key(3, "k", false)
@@ -206,5 +219,5 @@ func (e *encoder) anomaly(a anomaly.Anomaly) {
 		e.str(a.Explanation)
 	}
 	e.newline(2)
-	e.buf = append(e.buf, '}')
+	return append(e.buf, '}')
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -192,16 +191,25 @@ func TestCleanReport(t *testing.T) {
 	}
 }
 
-// TestFromAnomalyMatchesReport: elled's status shape of a finding is the
-// one a report writes for it.
-func TestFromAnomalyMatchesReport(t *testing.T) {
+// TestAppendAnomalyMatchesEncodingJSON: the bytes elled stores for a
+// provisional finding are the ones encoding/json writes for its shape,
+// once encoding/json compacts them as a json.RawMessage.
+func TestAppendAnomalyMatchesEncodingJSON(t *testing.T) {
 	for _, a := range []anomaly.Anomaly{
 		{},
-		{Type: "G1a", Key: "x", Ops: []op.Op{{Index: 4}, {Index: 9}}, Explanation: "e"},
+		{Type: "G1a", Key: "x", Ops: []op.Op{{Index: 4}, {Index: 9}}, Explanation: "e <&> \u2028"},
 		{Type: "G-single", Cycle: cycleOf(3, 4), Ops: []op.Op{{Index: 1}}, K: 2},
 	} {
-		if got, want := FromAnomaly(a), shapeOfAnomaly(a); !reflect.DeepEqual(jsonAnomaly(got), want) {
-			t.Errorf("FromAnomaly(%v) = %+v, want %+v", a, got, want)
+		got, err := json.Marshal(json.RawMessage(AppendAnomaly([]byte("prefix"), a)[len("prefix"):]))
+		if err != nil {
+			t.Fatalf("AppendAnomaly(%v) is not JSON: %v", a, err)
+		}
+		want, err := json.Marshal(shapeOfAnomaly(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendAnomaly(%v) = %s, want %s", a, got, want)
 		}
 	}
 }

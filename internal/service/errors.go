@@ -58,6 +58,9 @@ const (
 	// full, permissions). For chunks the job is intact and the chunk was
 	// not ingested — nothing unjournaled ever reaches a session.
 	CodeWALWrite = "wal_write"
+	// CodeInternal: the checker panicked on this job's chunk, report or
+	// query. The job is now failed; every other job is unaffected.
+	CodeInternal = "internal"
 )
 
 // ErrorBody is the one machine-readable error shape every non-2xx

@@ -25,6 +25,7 @@ type metrics struct {
 	walAppends  *promtext.Counter
 	walBytes    *promtext.Counter
 	walFsync    *promtext.Histogram
+	panics      *promtext.Counter
 }
 
 func newMetrics(s *Service) *metrics {
@@ -49,6 +50,8 @@ func newMetrics(s *Service) *metrics {
 		"Records appended to job WALs (meta and chunk records).")
 	m.walBytes = r.Counter("elled_wal_bytes_total",
 		"Bytes appended to job WALs.")
+	m.panics = r.Counter("elled_panics_total",
+		"Checker panics recovered into a failed job.")
 	m.walFsync = r.Histogram("elled_wal_fsync_seconds",
 		"WAL fsync latency.",
 		[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1})

@@ -60,8 +60,8 @@ func TestWALReplayTable(t *testing.T) {
 			t.Fatalf("replayed status: %+v", st)
 		}
 		// The replayed session picked up the provisional findings too.
-		if len(st.Anomalies) == 0 || st.Anomalies[0].Type != "G1a" {
-			t.Fatalf("replay lost provisional anomalies: %+v", st.Anomalies)
+		if types := anomalyTypes(t, st.Anomalies); len(types) == 0 || types[0] != "G1a" {
+			t.Fatalf("replay lost provisional anomalies: %s", st.Anomalies)
 		}
 		// And it finalizes normally.
 		if code, body := do(t, srv2.Client(), "GET", srv2.URL+"/v1/jobs/"+id+"/report", "", nil); code != http.StatusOK || !strings.Contains(body, "G1a") {
@@ -295,6 +295,11 @@ func TestErrorEnvelope(t *testing.T) {
 	feedChunks(t, c, srv.URL, id, g1aHistory, 2)
 	do(t, c, "GET", srv.URL+"/v1/jobs/"+id+"/report", "", nil)
 	expect("POST", srv.URL+"/v1/jobs/"+id+"/chunks", g1aHistory, 409, CodeJobDone)
+
+	// A checker panic answers 500 internal (panic_test.go plants it).
+	do(t, c, "DELETE", srv.URL+"/v1/jobs/"+id, "", nil)
+	pid := createJob(t, c, srv.URL, `{"workload":"`+panicWorkload+`"}`)
+	expect("POST", srv.URL+"/v1/jobs/"+pid+"/chunks", boomChunk, 500, CodeInternal)
 }
 
 // TestListFilterAndPagination: ?state= filters, limit/next pages in

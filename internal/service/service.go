@@ -82,9 +82,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"mime"
 	"net/http"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,6 +100,7 @@ import (
 	"repro/internal/jsonhist"
 	"repro/internal/op"
 	"repro/internal/par"
+	"repro/internal/promtext"
 	"repro/internal/report"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -318,6 +321,7 @@ func (s *Service) replayWALs() error {
 			createdAt: r.Meta.CreatedAt,
 			resumed:   true,
 			nshards:   s.pool.size(),
+			panics:    s.met.panics,
 		}
 		j.shard.Store(int32(j.seq % s.pool.size()))
 		j.touch()
@@ -417,9 +421,10 @@ type job struct {
 	createdAt time.Time
 	resumed   bool
 	nshards   int
-	shard     atomic.Int32 // home inference shard
-	active    atomic.Int64 // unix nanos of the last request that touched the job
-	fin       atomic.Int64 // unix nanos of entering a finished state; 0 while accepting
+	panics    *promtext.Counter // the service's elled_panics_total
+	shard     atomic.Int32      // home inference shard
+	active    atomic.Int64      // unix nanos of the last request that touched the job
+	fin       atomic.Int64      // unix nanos of entering a finished state; 0 while accepting
 
 	mu     sync.Mutex
 	stream *core.Stream
@@ -427,7 +432,7 @@ type job struct {
 	ops    int
 	chunks int // accepted chunk uploads — the resume protocol's cursor
 	keyed  bool
-	anoms  []report.Anomaly // provisional findings, accumulated across chunks
+	anoms  []json.RawMessage // provisional findings as report.AppendAnomaly writes them
 	result *core.CheckResult
 	errMsg string
 	wal    *wal.Journal // nil when the service runs without a WAL
@@ -477,6 +482,32 @@ func (j *job) fail(err error) {
 	j.fin.Store(time.Now().UnixNano())
 }
 
+// internalError is a checker panic, recovered into a failed job.
+type internalError struct{ v any }
+
+func (e internalError) Error() string { return fmt.Sprintf("internal error: %v", e.v) }
+
+// contain recovers a checker panic into a failed job, so that one bad
+// analyzer run costs its job and not the process with every resident
+// job in it: the job fails with an internalError, which becomes *err,
+// the stack goes to the log, and elled_panics_total counts it. The
+// session may be half-updated, which is why the job accepts nothing
+// more. ingestLocked and finalizeLocked defer it.
+func (j *job) contain(err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	log.Printf("elled: job %s: panic: %v\n%s", j.id, v, debug.Stack())
+	j.panics.Inc()
+	ie := internalError{v}
+	j.fail(ie)
+	*err = ie
+}
+
+// isInternal reports whether err is a recovered checker panic.
+func isInternal(err error) bool { return errors.As(err, new(internalError)) }
+
 // jobJSON is the wire shape of a job's status.
 type jobJSON struct {
 	ID        string    `json:"id"`
@@ -500,8 +531,8 @@ type jobJSON struct {
 	// Anomalies are the provisional mid-stream findings surfaced so far
 	// (see workload.Delta for their contract); the report endpoint has
 	// the definitive set.
-	Anomalies []report.Anomaly `json:"anomalies,omitempty"`
-	Error     string           `json:"error,omitempty"`
+	Anomalies []json.RawMessage `json:"anomalies,omitempty"`
+	Error     string            `json:"error,omitempty"`
 }
 
 // memoryJSON is the wire shape of a budgeted job's memory counters.
@@ -536,7 +567,7 @@ func (j *job) statusLocked() jobJSON {
 		Ops:       j.ops,
 		Chunks:    j.chunks,
 		Resumed:   j.resumed,
-		Anomalies: append([]report.Anomaly(nil), j.anoms...),
+		Anomalies: append([]json.RawMessage(nil), j.anoms...),
 		Error:     j.errMsg,
 	}
 	if j.wal != nil {
@@ -560,9 +591,9 @@ func (j *job) statusLocked() jobJSON {
 
 // deltaJSON is the wire shape of one chunk's outcome.
 type deltaJSON struct {
-	Ops       int              `json:"ops"`
-	Chunks    int              `json:"chunks"`
-	Anomalies []report.Anomaly `json:"anomalies,omitempty"`
+	Ops       int               `json:"ops"`
+	Chunks    int               `json:"chunks"`
+	Anomalies []json.RawMessage `json:"anomalies,omitempty"`
 }
 
 // createRequest is the body of POST /v1/jobs. Omitted fields default
@@ -634,6 +665,7 @@ func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 		state:     stateAccepting,
 		createdAt: time.Now().UTC(),
 		nshards:   s.pool.size(),
+		panics:    s.met.panics,
 	}
 	j.shard.Store(int32(j.seq % s.pool.size()))
 	j.touch()
@@ -774,6 +806,9 @@ func (s *Service) processChunk(j *job, format string, body []byte, delta *deltaJ
 	j.format = format
 	prevOps := j.ops
 	if err := j.ingestLocked(format, body, delta); err != nil {
+		if isInternal(err) {
+			return http.StatusInternalServerError, CodeInternal, err.Error()
+		}
 		return http.StatusBadRequest, CodeChunkRejected, err.Error()
 	}
 	j.chunks++
@@ -789,8 +824,10 @@ func (s *Service) processChunk(j *job, format string, body []byte, delta *deltaJ
 // job's stream, failing the job on decode or stream errors. It is the
 // shared ingest path: live uploads run it on the job's shard after the
 // WAL append; startup replay runs it directly on already-journaled
-// chunks. Callers hold j.mu.
-func (j *job) ingestLocked(format string, body []byte, delta *deltaJSON) error {
+// chunks, so a chunk that panics the checker fails its job on replay
+// too instead of the restart. Callers hold j.mu.
+func (j *job) ingestLocked(format string, body []byte, delta *deltaJSON) (err error) {
+	defer j.contain(&err)
 	if format == formatBinary {
 		if j.bin == nil {
 			j.bin = new(binhist.ChunkDecoder)
@@ -873,7 +910,10 @@ func (j *job) feedLocked(ops []op.Op, delta *deltaJSON) error {
 	}
 	j.ops = d.Ops
 	for _, a := range d.Anomalies {
-		ra := report.FromAnomaly(a)
+		// Bytes, not the anomaly: its Ops would pin their mops for the
+		// life of a budgeted job. encoding/json compacts and re-indents
+		// them, so the wire bytes are the report's for the same finding.
+		ra := json.RawMessage(report.AppendAnomaly(nil, a))
 		j.anoms = append(j.anoms, ra)
 		delta.Anomalies = append(delta.Anomalies, ra)
 	}
@@ -904,7 +944,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.finalizeLocked(); err != nil {
-		writeErr(w, http.StatusConflict, CodeJobFailed, err.Error())
+		writeFinalizeErr(w, err)
 		return
 	}
 	w.Header().Set("X-Elle-Valid", fmt.Sprintf("%t", j.result.Valid))
@@ -928,8 +968,10 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 // uploads stopped mid-record must not finalize — the tail of the
 // history never arrived, and a report or query now would silently
 // cover a prefix; the framing error names the cut and fails the job.
-// Callers hold j.mu. On nil return the job is done and j.result set.
-func (j *job) finalizeLocked() error {
+// A checker panic fails the job with an internalError. Callers hold
+// j.mu. On nil return the job is done and j.result set.
+func (j *job) finalizeLocked() (err error) {
+	defer j.contain(&err)
 	if j.state == stateFailed {
 		return fmt.Errorf("job failed: %s", j.errMsg)
 	}
@@ -953,6 +995,16 @@ func (j *job) finalizeLocked() error {
 	return nil
 }
 
+// writeFinalizeErr answers a job that could not finalize: 500 internal
+// when the checker panicked, 409 job_failed otherwise.
+func writeFinalizeErr(w http.ResponseWriter, err error) {
+	if isInternal(err) {
+		writeErr(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return
+	}
+	writeErr(w, http.StatusConflict, CodeJobFailed, err.Error())
+}
+
 // handleQuery evaluates a docs/QUERY.md pattern query against a job's
 // finished analysis: GET /v1/jobs/{id}/query?q=PATTERN. Asking for a
 // query finalizes an accepting job exactly as asking for its report
@@ -974,7 +1026,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.finalizeLocked(); err != nil {
-		writeErr(w, http.StatusConflict, CodeJobFailed, err.Error())
+		writeFinalizeErr(w, err)
 		return
 	}
 	res, err := j.result.Query(j.stream.History(), q)

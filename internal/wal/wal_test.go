@@ -267,3 +267,124 @@ func TestSizeTracksBytes(t *testing.T) {
 		t.Fatalf("Size() = %d, file is %d", j.Size(), fi.Size())
 	}
 }
+
+// FuzzReadFile holds replay to its contract on three kinds of input.
+//
+//   - Arbitrary bytes: ReadFile never panics, and either refuses the
+//     file as ErrCorrupt or accounts for every byte — the valid prefix
+//     plus Torn is the file's length.
+//   - A journal of fuzzed chunk bodies and formats, cut at a fuzzed
+//     offset past its meta record: replay yields exactly the chunks
+//     whose records end at or before the cut, byte for byte.
+//   - That cut journal reopened with OpenAppend and given one more
+//     chunk: replay yields the prefix plus the new chunk, with Torn 0.
+//
+// The journal carries no checksums, so "replay never yields a chunk
+// that was not appended" is a property of truncation — a crash cutting
+// the file short — and this target claims nothing about journals whose
+// bytes were altered in place.
+func FuzzReadFile(f *testing.F) {
+	dir := f.TempDir()
+	j, err := Create(dir, Options{Mode: SyncNone}, testMeta("j1", 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	j.AppendChunk(FormatJSON, []byte(`{"index":0,"type":"ok"}`+"\n"))
+	j.AppendChunk(FormatBinary, []byte{0xEB, 1, 2})
+	j.Close()
+	whole, err := os.ReadFile(j.Path())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole, []byte("a\x00bb\x00"), uint8(2), uint32(0))
+	f.Add(whole[:len(whole)-1], []byte("line\n"), uint8(1), uint32(7))
+	f.Add(whole[:headerLen], []byte{}, uint8(0), uint32(1))
+	f.Add([]byte{}, []byte("\x00\x00\x00"), uint8(5), uint32(1<<20))
+	f.Add([]byte("not a journal at all"), []byte("x"), uint8(0), uint32(3))
+
+	f.Fuzz(func(t *testing.T, raw, bodies []byte, formats uint8, cut uint32) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "raw.wal")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := ReadFile(path); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadFile error is not ErrCorrupt: %v", err)
+			}
+		} else if r.valid+r.Torn != int64(len(raw)) {
+			t.Fatalf("valid %d + torn %d != file length %d", r.valid, r.Torn, len(raw))
+		}
+
+		chunks := bytes.Split(bodies, []byte{0})
+		if len(chunks) > 8 {
+			chunks = chunks[:8]
+		}
+		format := func(i int) byte {
+			if formats>>i&1 == 1 {
+				return FormatBinary
+			}
+			return FormatJSON
+		}
+		j, err := Create(dir, Options{Mode: SyncNone}, testMeta("j2", 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		metaEnd := j.Size()
+		ends := make([]int64, len(chunks))
+		for i, c := range chunks {
+			if err := j.AppendChunk(format(i), c); err != nil {
+				t.Fatal(err)
+			}
+			ends[i] = j.Size()
+		}
+		j.Close()
+		whole, err := os.ReadFile(j.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := metaEnd + int64(cut)%(int64(len(whole))-metaEnd+1)
+		if err := os.WriteFile(j.Path(), whole[:at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadFile(j.Path())
+		if err != nil {
+			t.Fatalf("cut at %d of %d: %v", at, len(whole), err)
+		}
+		kept, lastEnd := 0, metaEnd
+		for kept < len(ends) && ends[kept] <= at {
+			lastEnd = ends[kept]
+			kept++
+		}
+		if len(r.Chunks) != kept || r.Torn != at-lastEnd {
+			t.Fatalf("cut at %d: replayed %d chunks with %d torn, want %d with %d", at, len(r.Chunks), r.Torn, kept, at-lastEnd)
+		}
+		for i, c := range r.Chunks {
+			if c.Format != format(i) || !bytes.Equal(c.Body, chunks[i]) {
+				t.Fatalf("cut at %d: chunk %d = %c %q, want %c %q", at, i, c.Format, c.Body, format(i), chunks[i])
+			}
+		}
+
+		ja, err := r.OpenAppend(Options{Mode: SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ja.AppendChunk(FormatJSON, []byte("appended after the cut\n")); err != nil {
+			t.Fatal(err)
+		}
+		ja.Close()
+		again, err := ReadFile(j.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again.Chunks) != kept+1 || again.Torn != 0 ||
+			string(again.Chunks[kept].Body) != "appended after the cut\n" {
+			t.Fatalf("cut at %d, then append: %d chunks, torn %d", at, len(again.Chunks), again.Torn)
+		}
+		for i := 0; i < kept; i++ {
+			if !bytes.Equal(again.Chunks[i].Body, chunks[i]) {
+				t.Fatalf("cut at %d, then append: chunk %d changed", at, i)
+			}
+		}
+	})
+}
