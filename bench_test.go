@@ -8,8 +8,8 @@
 //     length for various concurrencies (Figure 4). Run the full sweep
 //     with `go run ./cmd/elleperf`; these benches cover the same grid at
 //     benchmark-friendly sizes.
-//   - BenchmarkCase*: the §7.1–§7.4 case-study campaigns (history
-//     generation + checking).
+//   - BenchmarkCase: the §7.1–§7.4 case-study campaigns (history
+//     generation + checking), one sub-benchmark per nemesis campaign.
 //   - BenchmarkFigure2Explain: rendering a Figure 2-style counterexample.
 //   - BenchmarkAblation*: costs of the design choices DESIGN.md calls
 //     out — per-analyzer inference, cycle-search masks, and the
@@ -22,13 +22,13 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/casestudy"
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/memdb"
+	"repro/internal/nemesis"
 	"repro/internal/op"
 	"repro/internal/perf"
 	"repro/internal/rwregister"
@@ -86,27 +86,29 @@ func BenchmarkFigure4Knossos(b *testing.B) {
 	}
 }
 
-// BenchmarkCase* regenerate the four §7 campaigns end to end (workload
-// execution with fault injection, then checking).
-func benchmarkCase(b *testing.B, name string) {
-	s, ok := casestudy.Find(name)
-	if !ok {
-		b.Fatalf("unknown scenario %s", name)
-	}
-	cfg := casestudy.Config{Clients: 10, Txns: 1000, Seed: 1}
-	for i := 0; i < b.N; i++ {
-		r := casestudy.Run(s, cfg)
-		if !r.Reproduced {
-			b.Fatalf("%s signature not reproduced: missing %v, forbidden %v",
-				name, r.MissingExpected, r.FoundForbidden)
+// BenchmarkCase regenerates the four §7 campaigns end to end (workload
+// execution with fault injection, then checking), one sub-benchmark
+// each, and fails unless every verdict passes.
+func BenchmarkCase(b *testing.B) {
+	for _, name := range []string{"tidb", "yugabyte", "fauna", "dgraph"} {
+		c, ok := nemesis.Find(name)
+		if !ok {
+			b.Fatalf("unknown campaign %s", name)
 		}
+		b.Run(name, func(b *testing.B) {
+			cfg := nemesis.Config{Clients: 10, Txns: 1000, Seed: 1}
+			for i := 0; i < b.N; i++ {
+				v, err := nemesis.Run(c, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !v.Pass {
+					b.Fatalf("%s verdict failed: missing %v, unexpected %v", name, v.Missing, v.Unexpected)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkCaseTiDB(b *testing.B)     { benchmarkCase(b, "tidb") }
-func BenchmarkCaseYugaByte(b *testing.B) { benchmarkCase(b, "yugabyte") }
-func BenchmarkCaseFauna(b *testing.B)    { benchmarkCase(b, "fauna") }
-func BenchmarkCaseDgraph(b *testing.B)   { benchmarkCase(b, "dgraph") }
 
 // BenchmarkFigure2Explain measures producing a Figure 2-style textual
 // counterexample plus the Figure 3 DOT rendering for a detected cycle.

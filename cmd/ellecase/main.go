@@ -2,33 +2,28 @@
 // checks the resulting histories with Elle, and reports whether each run
 // matched its expected anomaly signature.
 //
-// It has two campaign tables:
-//
-//   - the paper's §7 case studies (-db): four database bug
-//     reproductions, judged by the anomaly families the paper reports;
-//   - the nemesis campaign table (-campaign): composable named faults
-//     paired with every registered workload, judged by machine-checkable
-//     verdicts — soundness campaigns must check clean, planted-bug
-//     campaigns must surface their class and nothing unrelated.
-//
-// Both tables are derived from their packages (casestudy, nemesis) and
-// the workload registry, so new scenarios, campaigns, faults, and
-// workloads show up here with no CLI edits.
+// The campaign table is the nemesis package's: composable named faults
+// paired with every registered workload, ending with the paper's §7
+// case studies (tidb, yugabyte, fauna, dgraph). Each is judged by a
+// machine-checkable verdict — soundness campaigns must check clean,
+// planted-bug campaigns must surface their classes and nothing outside
+// the ones they allow. The table is derived from the nemesis package
+// and the workload registry, so new campaigns, faults, and workloads
+// show up here with no CLI edits.
 //
 // Usage:
 //
-//	ellecase                       run every §7 case study
-//	ellecase -db tidb              run one case study
-//	ellecase -campaign all -json   run the nemesis table, JSON verdicts
+//	ellecase                       run every campaign
+//	ellecase -campaign tidb -v     one campaign, with every explanation
+//	ellecase -campaign all -json   JSON verdicts
 //	ellecase -campaign k-atomicity -seed 7 -stream
 //	ellecase -list                 list campaigns and faults
 //
 // Flags:
 //
-//	-db NAME       one case study (tidb, yugabyte, fauna, dgraph, …) or all
-//	-campaign NAME one nemesis campaign, or all
-//	-list          list nemesis campaigns and the fault catalog
-//	-json          emit nemesis verdicts as JSON (deterministic per seed)
+//	-campaign NAME one campaign, or all (default)
+//	-list          list campaigns and the fault catalog
+//	-json          emit verdicts as JSON (deterministic per seed)
 //	-stream        check through the incremental API instead of batch
 //	-mem-budget N  cap the stream's resident completed ops (0 = unbounded;
 //	               negative is a usage error); tiny budgets force
@@ -38,7 +33,7 @@
 //	-clients N     concurrent client threads (default 10)
 //	-txns N        transactions per campaign (default 2000)
 //	-seed N        run seed (default 1)
-//	-v             print every anomaly explanation (-db mode)
+//	-v             print every anomaly explanation (text mode)
 //
 // Exit status: 0 if every selected campaign matched, 1 otherwise, 2 on
 // usage errors.
@@ -52,9 +47,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/casestudy"
 	"repro/internal/nemesis"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -62,20 +55,18 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	names := casestudy.Names()
 	fs := flag.NewFlagSet("ellecase", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	db := fs.String("db", "", "case study: "+strings.Join(names, ", ")+", or all")
-	campaign := fs.String("campaign", "", "nemesis campaign: "+strings.Join(nemesis.Names(), ", ")+", or all")
-	list := fs.Bool("list", false, "list nemesis campaigns and the fault catalog")
-	jsonOut := fs.Bool("json", false, "emit nemesis verdicts as JSON")
+	campaign := fs.String("campaign", "all", "campaign: "+strings.Join(nemesis.Names(), ", ")+", or all")
+	list := fs.Bool("list", false, "list campaigns and the fault catalog")
+	jsonOut := fs.Bool("json", false, "emit verdicts as JSON")
 	stream := fs.Bool("stream", false, "check through the incremental API")
 	memBudget := fs.Int("mem-budget", 0, "stream resident completed-op cap (0 = unbounded)")
 	par := fs.Int("p", 0, "checker parallelism (0 = one worker per CPU)")
 	clients := fs.Int("clients", 10, "concurrent client threads")
 	txns := fs.Int("txns", 2000, "transactions per campaign")
 	seed := fs.Int64("seed", 1, "run seed")
-	verbose := fs.Bool("v", false, "print every anomaly explanation")
+	verbose := fs.Bool("v", false, "print every anomaly explanation (text mode)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -95,59 +86,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *campaign != "" && *db != "" {
-		fmt.Fprintln(stderr, "ellecase: -db and -campaign are mutually exclusive")
-		return 2
-	}
-	if *campaign != "" {
-		return runCampaigns(*campaign, nemesis.Config{
-			Seed: *seed, Clients: *clients, Txns: *txns,
-			Parallelism: *par, Stream: *stream, MemoryBudget: *memBudget,
-		}, *jsonOut, stdout, stderr)
-	}
-	if *db == "" {
-		*db = "all"
-	}
 
-	var scenarios []casestudy.Scenario
-	if *db == "all" {
-		scenarios = casestudy.Scenarios()
-	} else {
-		s, ok := casestudy.Find(*db)
+	campaigns := nemesis.Campaigns()
+	if *campaign != "all" {
+		c, ok := nemesis.Find(*campaign)
 		if !ok {
-			fmt.Fprintf(stderr, "ellecase: unknown database %q (%s, all)\n",
-				*db, strings.Join(names, ", "))
+			fmt.Fprintf(stderr, "ellecase: unknown campaign %q (%s, all)\n",
+				*campaign, strings.Join(nemesis.Names(), ", "))
 			return 2
 		}
-		scenarios = []casestudy.Scenario{s}
+		campaigns = []nemesis.Campaign{c}
 	}
-	// Every scenario's analyzer must come from the live registry; a
-	// scenario naming a workload nothing registered is a configuration
-	// error worth a clear message, not a core panic.
-	for _, s := range scenarios {
-		if _, ok := workload.Lookup(string(s.Workload)); !ok {
-			fmt.Fprintf(stderr, "ellecase: campaign %s needs workload %q, which is not registered (have: %s)\n",
-				s.Name, s.Workload, workload.NameList())
-			return 2
-		}
+	cfg := nemesis.Config{
+		Seed: *seed, Clients: *clients, Txns: *txns,
+		Parallelism: *par, Stream: *stream, MemoryBudget: *memBudget,
 	}
 
-	cfg := casestudy.Config{Clients: *clients, Txns: *txns, Seed: *seed}
+	verdicts := make([]*nemesis.Verdict, 0, len(campaigns))
 	allGood := true
-	for _, s := range scenarios {
-		r := casestudy.Run(s, cfg)
-		fmt.Fprint(stdout, r.Report())
+	for _, c := range campaigns {
+		_, res, err := nemesis.Check(c, cfg)
+		if err != nil {
+			fmt.Fprintf(stderr, "ellecase: campaign %s: %v\n", c.Name, err)
+			return 2
+		}
+		v := nemesis.Evaluate(c, cfg, res)
+		verdicts = append(verdicts, v)
+		allGood = allGood && v.Pass
+		if *jsonOut {
+			continue
+		}
+		writeVerdict(stdout, v)
 		if *verbose {
-			for i, a := range r.Check.Anomalies {
+			for i, a := range res.Anomalies {
 				fmt.Fprintf(stdout, "\n--- anomaly %d: %s ---\n", i+1, a.Type)
 				if a.Explanation != "" {
 					fmt.Fprintln(stdout, a.Explanation)
 				}
 			}
+			fmt.Fprintln(stdout)
 		}
-		fmt.Fprintln(stdout)
-		if !r.Reproduced {
-			allGood = false
+	}
+
+	if *jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(verdicts); err != nil {
+			fmt.Fprintf(stderr, "ellecase: %v\n", err)
+			return 2
 		}
 	}
 	if !allGood {
@@ -156,70 +142,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runCampaigns executes nemesis campaigns and renders verdicts, either
-// as a human-readable table or as a deterministic JSON array.
-func runCampaigns(name string, cfg nemesis.Config, jsonOut bool, stdout, stderr io.Writer) int {
-	var campaigns []nemesis.Campaign
-	if name == "all" {
-		campaigns = nemesis.Campaigns()
-	} else {
-		c, ok := nemesis.Find(name)
-		if !ok {
-			fmt.Fprintf(stderr, "ellecase: unknown campaign %q (%s, all)\n",
-				name, strings.Join(nemesis.Names(), ", "))
-			return 2
-		}
-		campaigns = []nemesis.Campaign{c}
+// writeVerdict renders one verdict as a single text line.
+func writeVerdict(w io.Writer, v *nemesis.Verdict) {
+	status := "PASS"
+	if !v.Pass {
+		status = "FAIL"
 	}
-
-	verdicts := make([]*nemesis.Verdict, 0, len(campaigns))
-	allGood := true
-	for _, c := range campaigns {
-		v, err := nemesis.Run(c, cfg)
-		if err != nil {
-			fmt.Fprintf(stderr, "ellecase: campaign %s: %v\n", c.Name, err)
-			return 2
-		}
-		verdicts = append(verdicts, v)
-		if !v.Pass {
-			allGood = false
-		}
+	fmt.Fprintf(w, "%-4s %-24s seed=%d", status, v.Campaign, v.Seed)
+	if len(v.Found) == 0 {
+		fmt.Fprint(w, " clean")
 	}
-
-	if jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(verdicts); err != nil {
-			fmt.Fprintf(stderr, "ellecase: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, v := range verdicts {
-			status := "PASS"
-			if !v.Pass {
-				status = "FAIL"
-			}
-			fmt.Fprintf(stdout, "%-4s %-24s seed=%d", status, v.Campaign, v.Seed)
-			if len(v.Found) == 0 {
-				fmt.Fprint(stdout, " clean")
-			}
-			for _, f := range v.Found {
-				fmt.Fprintf(stdout, " %s×%d", f.Class, f.Count)
-			}
-			if len(v.Missing) > 0 {
-				fmt.Fprintf(stdout, " MISSING=%v", v.Missing)
-			}
-			if len(v.MissingAny) > 0 {
-				fmt.Fprintf(stdout, " MISSING-ANY=%v", v.MissingAny)
-			}
-			if len(v.Unexpected) > 0 {
-				fmt.Fprintf(stdout, " UNEXPECTED=%v", v.Unexpected)
-			}
-			fmt.Fprintln(stdout)
-		}
+	for _, f := range v.Found {
+		fmt.Fprintf(w, " %s×%d", f.Class, f.Count)
 	}
-	if !allGood {
-		return 1
+	if len(v.Missing) > 0 {
+		fmt.Fprintf(w, " MISSING=%v", v.Missing)
 	}
-	return 0
+	if len(v.MissingAny) > 0 {
+		fmt.Fprintf(w, " MISSING-ANY=%v", v.MissingAny)
+	}
+	if len(v.Unexpected) > 0 {
+		fmt.Fprintf(w, " UNEXPECTED=%v", v.Unexpected)
+	}
+	fmt.Fprintln(w)
 }

@@ -5,44 +5,52 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/casestudy"
 	"repro/internal/nemesis"
 )
 
 func TestSingleCampaign(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-db", "fauna", "-txns", "600", "-clients", "8"}, &out, &errb)
+	code := run([]string{"-campaign", "fauna", "-txns", "600", "-clients", "8"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit = %d\n%s\n%s", code, out.String(), errb.String())
 	}
-	for _, want := range []string{"fauna", "§7.3", "internal", "reproduced"} {
+	for _, want := range []string{"PASS", "fauna", "internal×"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
+	if strings.Count(out.String(), "\n") != 1 {
+		t.Errorf("want one verdict line:\n%s", out.String())
+	}
 }
 
+// TestAllCampaigns: with no -campaign, the whole table runs, §7 case
+// studies included.
 func TestAllCampaigns(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-txns", "800"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit = %d\n%s", code, out.String())
 	}
-	for _, want := range []string{"tidb", "yugabyte", "fauna", "dgraph"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("campaign %q missing from output", want)
+	for _, c := range nemesis.Campaigns() {
+		if !strings.Contains(out.String(), c.Name) {
+			t.Errorf("campaign %q missing from output", c.Name)
 		}
 	}
 }
 
+// TestVerboseExplanations: -v follows a verdict line with every
+// anomaly's explanation, in any campaign.
 func TestVerboseExplanations(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-db", "tidb", "-txns", "400", "-v"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d", code)
-	}
-	if !strings.Contains(out.String(), "--- anomaly") {
-		t.Errorf("verbose output missing explanations:\n%s", out.String())
+	for _, name := range []string{"tidb", "g1a"} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-campaign", name, "-txns", "400", "-v"}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("%s: exit = %d", name, code)
+		}
+		if !strings.HasPrefix(out.String(), "PASS "+name) || !strings.Contains(out.String(), "\n--- anomaly 1: ") {
+			t.Errorf("%s: verbose output missing explanations:\n%s", name, out.String())
+		}
 	}
 }
 
@@ -114,23 +122,13 @@ func TestUnknownNemesisCampaign(t *testing.T) {
 	}
 }
 
-func TestDBAndCampaignExclusive(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-db", "tidb", "-campaign", "g1a"}, &out, &errb); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "mutually exclusive") {
-		t.Errorf("stderr = %q", errb.String())
-	}
-}
-
 // TestNegativeMemoryBudget: a negative budget is refused in every mode,
 // not run unbudgeted.
 func TestNegativeMemoryBudget(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mem-budget", "-5"},
 		{"-campaign", "g1a", "-stream", "-mem-budget", "-5"},
-		{"-db", "tidb", "-mem-budget", "-1"},
+		{"-campaign", "tidb", "-mem-budget", "-1"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {
@@ -141,23 +139,6 @@ func TestNegativeMemoryBudget(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("%v: ran anyway:\n%s", args, out.String())
-		}
-	}
-}
-
-func TestUnknownDatabase(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-db", "oracle"}, &out, &errb); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "unknown database") {
-		t.Errorf("stderr = %q", errb.String())
-	}
-	// The offered campaign list is derived from the scenario table, not
-	// hard-coded.
-	for _, name := range casestudy.Names() {
-		if !strings.Contains(errb.String(), name) {
-			t.Errorf("error message missing campaign %q:\n%s", name, errb.String())
 		}
 	}
 }

@@ -11,17 +11,21 @@
 //
 //	-workload KIND   any registered workload: list-append (default),
 //	                 rw-register, set-add, counter, bank, or an alias
-//	-iso LEVEL       read-uncommitted, read-committed, snapshot-isolation,
-//	                 serializable, strict-serializable (default)
-//	-faults NAME     none (default), tidb, yugabyte, fauna, dgraph, retry,
-//	                 stale, nilreads, dup
+//	-iso LEVEL       read-uncommitted, read-committed, snapshot-isolation
+//	                 (or si), serializable, strict-serializable (default)
+//	-faults NAME     none (default); a nemesis campaign (tidb, yugabyte,
+//	                 fauna, dgraph, … — see `ellecase -list`) for its
+//	                 faults, or one catalog fault (stale-read, dup-delta,
+//	                 …); aliases retry (tidb), nilreads (dgraph), stale
+//	                 (stale-read), dup (dup-delta)
 //	-clients N       concurrent client threads (default 10)
 //	-txns N          transactions to run (default 1000)
 //	-keys N          active keys (default 5)
 //	-writes-per-key N  key retirement width (default 100)
-//	-abort P         spontaneous abort probability (default 0)
-//	-info P          lost-commit-ack probability (default 0)
-//	-timestamps      expose engine timestamps in op times
+//	-abort P         spontaneous abort probability (default: the faults')
+//	-info P          lost-commit-ack probability (default: the faults')
+//	-timestamps      expose engine timestamps in op times (default: the
+//	                 faults')
 //	-seed N          run seed (default 1)
 //	-format FORMAT   output format: json (default) or binary (ellebin)
 //	-o FILE          output path (default stdout)
@@ -34,11 +38,11 @@ import (
 	"os"
 
 	"repro/internal/binhist"
-	"repro/internal/casestudy"
 	"repro/internal/gen"
 	"repro/internal/history"
 	"repro/internal/jsonhist"
 	"repro/internal/memdb"
+	"repro/internal/nemesis"
 	"repro/internal/workload"
 
 	// Populate the workload registry so -workload resolves every
@@ -46,9 +50,11 @@ import (
 	_ "repro/internal/workload/all"
 )
 
-// faultAliases names the §7 case studies by the fault each plants; the
-// case studies' own names resolve through casestudy.Find directly.
-var faultAliases = map[string]string{"retry": "tidb", "nilreads": "dgraph"}
+// faultAliases are the short -faults names: two §7 campaigns named by
+// the fault each plants, and two catalog faults.
+var faultAliases = map[string]string{
+	"retry": "tidb", "nilreads": "dgraph", "stale": "stale-read", "dup": "dup-delta",
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -60,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workloadFlag := fs.String("workload", "list",
 		"workload: "+workload.NameList()+" (or an alias)")
 	iso := fs.String("iso", "strict-serializable", "engine isolation level")
-	faults := fs.String("faults", "none", "fault campaign: none, tidb, yugabyte, fauna, dgraph, retry, stale, nilreads, dup")
+	faults := fs.String("faults", "none", "none, a nemesis campaign (tidb, yugabyte, fauna, dgraph, …), a catalog fault, or an alias (retry, nilreads, stale, dup)")
 	clients := fs.Int("clients", 10, "concurrent client threads")
 	txns := fs.Int("txns", 1000, "transactions to run")
 	keys := fs.Int("keys", 5, "active keys")
@@ -95,51 +101,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var level memdb.Isolation
-	switch *iso {
-	case "read-uncommitted":
-		level = memdb.ReadUncommitted
-	case "read-committed":
-		level = memdb.ReadCommitted
-	case "snapshot-isolation", "si":
-		level = memdb.SnapshotIsolation
-	case "serializable":
-		level = memdb.Serializable
-	case "strict-serializable":
-		level = memdb.StrictSerializable
-	default:
-		fmt.Fprintf(stderr, "ellegen: unknown isolation %q\n", *iso)
+	level, ok := lookupIsolation(*iso)
+	if !ok {
+		fmt.Fprintf(stderr, "ellegen: unknown isolation %q; choose from:\n", *iso)
+		for l := memdb.ReadUncommitted; l <= memdb.StrictSerializable; l++ {
+			fmt.Fprintf(stderr, "  %s\n", l)
+		}
 		return 2
 	}
 
-	var f memdb.Faults
-	switch *faults {
-	case "none", "":
-	case "stale":
-		f = memdb.Faults{StaleReadProb: 0.3}
-	case "dup":
-		f = memdb.Faults{DuplicateAppendProb: 0.1}
-	default:
-		name := *faults
-		if study, ok := faultAliases[name]; ok {
-			name = study
-		}
-		s, ok := casestudy.Find(name)
-		if !ok {
-			fmt.Fprintf(stderr, "ellegen: unknown fault campaign %q\n", *faults)
-			return 2
-		}
-		f = s.Faults
+	plan, err := faultPlan(*faults)
+	if err != nil {
+		fmt.Fprintf(stderr, "ellegen: %v\n", err)
+		return 2
 	}
+	// An explicit client-side flag overrides what the faults set.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "abort":
+			plan.AbortProb = *abort
+		case "info":
+			plan.InfoProb = *infoProb
+		case "timestamps":
+			plan.Timestamps = *timestamps
+		}
+	})
 
 	g := gen.New(gen.Config{
 		Workload: info.Gen, ActiveKeys: *keys, MaxWritesPerKey: *width,
 	}, *seed)
-	h := memdb.Run(memdb.RunConfig{
-		Clients: *clients, Txns: *txns, Isolation: level, Faults: f,
+	rc := memdb.RunConfig{
+		Clients: *clients, Txns: *txns, Isolation: level,
 		Source: g, Seed: *seed, Workload: info.DB,
-		AbortProb: *abort, InfoProb: *infoProb, ExposeTimestamps: *timestamps,
-	})
+	}
+	plan.Configure(&rc)
+	h := memdb.Run(rc)
 
 	w := stdout
 	if *out != "" {
@@ -158,4 +154,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "ellegen: wrote %d ops (%d transactions, %s, %s, faults=%s)\n",
 		h.Len(), *txns, info.Name, level, *faults)
 	return 0
+}
+
+// lookupIsolation resolves an engine level by its String name, or si.
+func lookupIsolation(name string) (memdb.Isolation, bool) {
+	if name == "si" {
+		return memdb.SnapshotIsolation, true
+	}
+	for l := memdb.ReadUncommitted; l <= memdb.StrictSerializable; l++ {
+		if l.String() == name {
+			return l, true
+		}
+	}
+	return 0, false
+}
+
+// faultPlan resolves -faults: none, a campaign's fault list, or one
+// catalog fault, after aliases.
+func faultPlan(name string) (nemesis.Plan, error) {
+	if name == "none" || name == "" {
+		return nemesis.Plan{}, nil
+	}
+	if full, ok := faultAliases[name]; ok {
+		name = full
+	}
+	if c, ok := nemesis.Find(name); ok {
+		return nemesis.NewPlan(c.Faults)
+	}
+	if _, ok := nemesis.LookupFault(name); ok {
+		return nemesis.NewPlan([]string{name})
+	}
+	return nemesis.Plan{}, fmt.Errorf("unknown faults %q (none, a campaign from `ellecase -list`, a catalog fault, or an alias: retry, nilreads, stale, dup)", name)
 }

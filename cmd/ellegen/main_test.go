@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/binhist"
-	"repro/internal/casestudy"
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/jsonhist"
+	"repro/internal/memdb"
+	"repro/internal/nemesis"
 	"repro/internal/workload"
 )
 
@@ -54,13 +55,71 @@ func TestGenerateToFile(t *testing.T) {
 }
 
 // TestFaultCampaignsAccepted: every documented -faults name generates,
-// and so does every §7 case study by its own name.
+// and so does every nemesis campaign and catalog fault by its own name.
 func TestFaultCampaignsAccepted(t *testing.T) {
-	names := append([]string{"none", "tidb", "yugabyte", "fauna", "dgraph", "retry", "stale", "nilreads", "dup"}, casestudy.Names()...)
+	names := append([]string{"none", "retry", "stale", "nilreads", "dup"}, nemesis.Names()...)
+	for _, f := range nemesis.FaultCatalog() {
+		names = append(names, f.Name)
+	}
 	for _, f := range names {
 		var out, errb bytes.Buffer
 		if code := run([]string{"-txns", "10", "-faults", f}, &out, &errb); code != 0 {
-			t.Errorf("faults=%s: exit %d", f, code)
+			t.Errorf("faults=%s: exit %d: %s", f, code, errb.String())
+		}
+	}
+}
+
+// TestFaultsResolveThroughNemesis: a campaign name generates exactly
+// what its fault list does, an alias what its target does, and an
+// explicit client-side flag overrides the plan's value.
+func TestFaultsResolveThroughNemesis(t *testing.T) {
+	generate := func(args ...string) string {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"-txns", "200", "-iso", "si"}, args...), &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+		}
+		return out.String()
+	}
+	if generate("-faults", "tidb") != generate("-faults", "retry") {
+		t.Error("retry alias differs from tidb")
+	}
+	if generate("-faults", "stale") != generate("-faults", "stale-read") {
+		t.Error("stale alias differs from stale-read")
+	}
+	if generate("-faults", "g1a") != generate("-faults", "abort") {
+		t.Error("campaign g1a differs from its fault abort")
+	}
+	if generate("-faults", "abort") == generate("-faults", "none") {
+		t.Error("abort fault changed nothing")
+	}
+	if generate("-faults", "abort", "-abort", "0") != generate("-faults", "none") {
+		t.Error("-abort 0 did not override the abort fault")
+	}
+	if generate("-faults", "clock-skew", "-timestamps=false") == generate("-faults", "clock-skew") {
+		t.Error("-timestamps=false did not override clock-skew's timestamps")
+	}
+}
+
+// TestIsolationNames: every engine level is accepted by its String
+// name, and a bad name lists them all.
+func TestIsolationNames(t *testing.T) {
+	for l := memdb.ReadUncommitted; l <= memdb.StrictSerializable; l++ {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-txns", "10", "-iso", l.String()}, &out, &errb); code != 0 {
+			t.Errorf("iso=%s: exit %d: %s", l, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), ", "+l.String()+",") {
+			t.Errorf("iso=%s: summary names another level: %s", l, errb.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-iso", "bogus"}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
+	}
+	for l := memdb.ReadUncommitted; l <= memdb.StrictSerializable; l++ {
+		if !strings.Contains(errb.String(), l.String()) {
+			t.Errorf("error message missing level %q:\n%s", l, errb.String())
 		}
 	}
 }

@@ -2,10 +2,8 @@ package graph
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
-	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/par"
 )
@@ -137,10 +135,11 @@ func sigOf(c Cycle) cycleSig {
 // non-cycle findings in one table.
 func CycleKey(c Cycle) string {
 	nodes := c.Nodes()
-	sort.Ints(nodes)
-	var b strings.Builder
+	slices.Sort(nodes)
+	b := make([]byte, 0, 8*len(nodes))
 	for _, n := range nodes {
-		fmt.Fprintf(&b, "%d,", n)
+		b = strconv.AppendInt(b, int64(n), 10)
+		b = append(b, ',')
 	}
-	return b.String()
+	return string(b)
 }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -59,5 +62,31 @@ func TestSigOfAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("sigOf dedup allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestCycleKeyMatchesFmtForm pins CycleKey's bytes to the fmt form it
+// replaced, on cycles of 1–12 steps: inline-signature lengths and the
+// spill path past eight.
+func TestCycleKeyMatchesFmtForm(t *testing.T) {
+	fmtKey := func(c Cycle) string {
+		nodes := c.Nodes()
+		sort.Ints(nodes)
+		var b strings.Builder
+		for _, n := range nodes {
+			fmt.Fprintf(&b, "%d,", n)
+		}
+		return b.String()
+	}
+	for n := 1; n <= 12; n++ {
+		nodes := make([]int, n)
+		for i := range nodes {
+			nodes[i] = (i*7919 + 13) % 100003 * (1 + i%3) // unsorted, mixed widths
+		}
+		nodes[n-1] = 0
+		c := sigCycle(nodes...)
+		if got, want := CycleKey(c), fmtKey(c); got != want {
+			t.Errorf("%d steps: CycleKey = %q, want %q", n, got, want)
+		}
 	}
 }

@@ -78,7 +78,7 @@ var faults = []Fault{
 	{
 		Name:  "retry-stomp",
 		Doc:   "a conflicting commit re-applies its writes from the stale snapshot",
-		Apply: func(p *Plan) { p.Faults.RetryStompProb = 0.5 },
+		Apply: func(p *Plan) { p.Faults.RetryStompProb = 0.4 },
 	},
 	{
 		Name:  "retry-rebase",
@@ -123,6 +123,14 @@ func LookupFault(name string) (Fault, bool) {
 		}
 	}
 	return Fault{}, false
+}
+
+// Configure copies the plan's knobs into an engine run configuration.
+func (p Plan) Configure(rc *memdb.RunConfig) {
+	rc.Faults = p.Faults
+	rc.AbortProb, rc.InfoProb, rc.CrashProb = p.AbortProb, p.InfoProb, p.CrashProb
+	rc.ClockSkewProb, rc.ClockSkewMax = p.ClockSkewProb, p.ClockSkewMax
+	rc.ExposeTimestamps = p.Timestamps
 }
 
 // NewPlan composes the named faults into one Plan. Unknown names are an
