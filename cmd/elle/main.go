@@ -71,7 +71,11 @@
 // stopped framing correctly at the reader's offset, the signature of a
 // rotation that regrew past it. Either way the report would have
 // covered a history that is not the one on disk, so the run fails
-// loudly instead.
+// loudly instead. Exit status 4 means the checker itself panicked: elle
+// prints "elle: internal error: <value>" and the stack to stderr, and
+// drops whatever of the report it had not yet written. A panic on one
+// of the -parallelism worker goroutines still ends the process with Go's
+// own trace.
 package main
 
 import (
@@ -81,6 +85,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -106,12 +111,21 @@ type output struct {
 	stdout, stderr                 io.Writer
 }
 
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
+	// A checker panic is a bug, not a verdict or an input error: it gets
+	// an exit status of its own, and what it left in the stdout buffer is
+	// dropped rather than passed off as a report.
+	defer func() {
+		if v := recover(); v != nil {
+			fmt.Fprintf(stderr, "elle: internal error: %v\n%s", v, debug.Stack())
+			code = 4
+		}
+	}()
 	// One buffer for all of stdout: a prose report is two writes per
 	// anomaly. A failed write sticks in the buffer, so the final flush
 	// sees it whichever mode wrote, and the exit status says so.
 	out := bufio.NewWriter(stdout)
-	code := runMode(args, stdin, out, stderr)
+	code = runMode(args, stdin, out, stderr)
 	if err := out.Flush(); err != nil && code != 2 {
 		// Exit 2 has already printed its error, a failed write included.
 		fmt.Fprintf(stderr, "elle: %v\n", err)

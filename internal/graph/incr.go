@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Incr maintains the strongly connected components of a growing
 // dependency graph under append-only edge insertion — the graph half of
@@ -44,14 +47,43 @@ type Incr struct {
 	restores int // order-violating inserts so far: what seeding ord from node ids avoids
 }
 
-// NewIncr returns an empty incremental SCC maintainer over edges whose
-// kind is in KSDep.
-func NewIncr() *Incr {
-	return &Incr{
-		g:       New(),
-		members: map[int32][]int32{},
-		dirty:   map[int32]bool{},
+// NewIncr takes g over and indexes it over edges whose kind is in
+// KSDep, in one Tarjan pass: each component's members share a root, and
+// the components take, in the reverse of Tarjan's emission order (a
+// topological order), g's smallest node ids ascending as positions. A
+// node ensured later is seeded with its own id, which no loaded node
+// holds, so positions never collide. Every cyclic component starts
+// dirty, as it would had g's edges been added one by one.
+func NewIncr(g *Graph) *Incr {
+	n := len(g.nodes)
+	x := &Incr{g: g, parent: make([]int32, n), rank: make([]int32, n), ord: make([]int64, n),
+		in: make([][]int32, n), members: map[int32][]int32{}, dirty: map[int32]bool{}}
+	var roots []int32 // one per component, sinks first
+	components(g.adj, KSDep, func(comp []int32) {
+		r := comp[0]
+		for _, v := range comp {
+			x.parent[v] = r
+		}
+		if len(comp) >= 2 {
+			x.rank[r] = 1
+			x.members[r] = slices.Clone(comp)
+			x.dirty[r] = true
+		}
+		roots = append(roots, r)
+	})
+	ids := slices.Clone(g.nodes)
+	slices.Sort(ids)
+	for i, r := range roots {
+		x.ord[r] = int64(ids[len(roots)-1-i])
 	}
+	for a, out := range g.adj {
+		for _, e := range out {
+			if e.ks.Intersects(KSDep) {
+				x.in[e.to] = append(x.in[e.to], int32(a))
+			}
+		}
+	}
+	return x
 }
 
 // Graph returns the underlying graph. It grows monotonically until
@@ -82,13 +114,6 @@ func (x *Incr) find(v int32) int32 {
 		v = x.parent[v]
 	}
 	return v
-}
-
-// AddEdges inserts every edge in order.
-func (x *Incr) AddEdges(edges []Edge) {
-	for _, e := range edges {
-		x.AddEdge(e.From, e.To, e.Kind)
-	}
 }
 
 // AddEdge inserts one edge, updating the component partition. An edge
@@ -320,52 +345,23 @@ func (x *Incr) DirtyCycles(p int) []Cycle {
 // making such cycles impossible by the time Retire runs — any that did
 // exist were searched and surfaced before retirement).
 func (x *Incr) Retire(keep func(int) bool) {
-	old := x.g
-	// Survivors re-enter in the old topological order of their components
-	// (ties broken by dense id, which keeps each old SCC contiguous) and
-	// take, in that order, the survivors' own ids ascending as positions:
-	// the identity unless restore had reordered something, and a set no
-	// later node's seed can collide with. Re-fed that way, every
-	// cross-component edge is order-respecting — an O(1) insert for
-	// Pearce-Kelly — and only within-SCC edges pay for restoration, which
-	// re-merges exactly the components that must collapse anyway; left at
-	// their seeds, survivors would replay every reordering the old graph
-	// had already paid for.
-	type survivor struct {
-		ai  int32
-		ord int64
-	}
-	var survivors []survivor
-	var ids []int
+	old, g := x.g, New()
+	id := make([]int32, len(old.nodes)) // old dense id -> new, -1 if retired
 	for ai, n := range old.nodes {
+		id[ai] = -1
 		if keep(n) {
-			survivors = append(survivors, survivor{int32(ai), x.ord[x.find(int32(ai))]})
-			ids = append(ids, n)
+			id[ai] = g.Ensure(n) // survivors keep their nodes even when isolated
 		}
 	}
-	sort.Slice(survivors, func(i, j int) bool {
-		if survivors[i].ord != survivors[j].ord {
-			return survivors[i].ord < survivors[j].ord
-		}
-		return survivors[i].ai < survivors[j].ai
-	})
-	sort.Ints(ids)
-
-	*x = *NewIncr()
-	for i, s := range survivors {
-		// Survivors keep their nodes even when isolated.
-		x.ord[x.ensure(old.nodes[s.ai])] = int64(ids[i])
-	}
-	for _, s := range survivors {
-		a := old.nodes[s.ai]
-		for _, e := range old.adj[s.ai] {
-			b := old.nodes[e.to]
-			if !keep(b) {
-				continue
-			}
-			for _, k := range e.ks.Kinds() {
-				x.AddEdge(a, b, k)
+	// Survivors keep their relative dense order, so each adjacency stays
+	// sorted by target.
+	for ai, out := range old.adj {
+		for _, e := range out {
+			if a, b := id[ai], id[e.to]; a >= 0 && b >= 0 {
+				g.adj[a] = append(g.adj[a], halfEdge{to: b, ks: e.ks})
+				g.edges++
 			}
 		}
 	}
+	*x = *NewIncr(g)
 }

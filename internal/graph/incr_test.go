@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestIncrMatchesTarjan(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				id := assign(rng, nodes)
-				x := NewIncr()
+				x := NewIncr(New())
 				for i := 0; i < 500; i++ {
 					a, b := id[rng.Intn(nodes)], id[rng.Intn(nodes)]
 					k := Kind(rng.Intn(3)) // WW, WR, RW
@@ -164,7 +165,7 @@ func TestIncrMatchesTarjan(t *testing.T) {
 // TestIncrDirtyTracking checks that the dirty set holds exactly the
 // components new edges touched, and that DirtyCycles drains it.
 func TestIncrDirtyTracking(t *testing.T) {
-	x := NewIncr()
+	x := NewIncr(New())
 	x.AddEdge(1, 2, WW)
 	x.AddEdge(2, 1, WW)
 	dirty := drainSCCs(x)
@@ -219,7 +220,7 @@ func TestDirtyCyclesMatchesInducedSubgraph(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			nodes := 8 + rng.Intn(40)
 			id := assign(rng, nodes)
-			x := NewIncr()
+			x := NewIncr(New())
 			for i := 0; i < 300; i++ {
 				x.AddEdge(id[rng.Intn(nodes)], id[rng.Intn(nodes)], kinds[rng.Intn(len(kinds))])
 				if rng.Intn(15) != 0 {
@@ -247,7 +248,7 @@ func TestDirtyCyclesMatchesInducedSubgraph(t *testing.T) {
 // reachability: closing a cycle through components that are themselves
 // multi-node must swallow them all.
 func TestIncrMergesThroughIntermediates(t *testing.T) {
-	x := NewIncr()
+	x := NewIncr(New())
 	// Two 2-cycles linked by a path, then close the loop.
 	x.AddEdge(0, 1, WW)
 	x.AddEdge(1, 0, WW)
@@ -302,12 +303,14 @@ func TestIncrRetire(t *testing.T) {
 			}
 			keep := func(n int) bool { return !retired[n] }
 
-			x := NewIncr()
-			x.AddEdges(before)
+			x := NewIncr(New())
+			for _, e := range before {
+				x.AddEdge(e.From, e.To, e.Kind)
+			}
 			x.DirtyCycles(1) // drain, as a session would before retiring
 			x.Retire(keep)
 
-			fresh := NewIncr()
+			fresh := NewIncr(New())
 			for _, e := range before {
 				if keep(e.From) && keep(e.To) {
 					fresh.AddEdge(e.From, e.To, e.Kind)
@@ -398,8 +401,10 @@ func TestIncrSeededOrderSkipsRestore(t *testing.T) {
 		return max(edges[i].From, edges[i].To) < max(edges[j].From, edges[j].To)
 	})
 
-	x := NewIncr()
-	x.AddEdges(edges)
+	x := NewIncr(New())
+	for _, e := range edges {
+		x.AddEdge(e.From, e.To, e.Kind)
+	}
 	if len(x.SCCs()) != 0 {
 		t.Fatalf("a strict-serializable history has dependency cycles: %v", x.SCCs())
 	}
@@ -414,7 +419,7 @@ func TestIncrSeededOrderSkipsRestore(t *testing.T) {
 func TestIncrRetireKeepsOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	topo := rng.Perm(200)
-	x := NewIncr()
+	x := NewIncr(New())
 	for i := 0; i < 600; i++ {
 		a, b := rng.Intn(len(topo)), rng.Intn(len(topo))
 		x.AddEdge(topo[min(a, b)], topo[max(a, b)], Kind(rng.Intn(3)))
@@ -427,4 +432,112 @@ func TestIncrRetireKeepsOrder(t *testing.T) {
 		t.Errorf("re-entering %d acyclic survivors took %d restores", n, x.restores)
 	}
 	checkOrder(t, x)
+}
+
+// TestNewIncrMatchesAddEdge: indexing a graph in one pass with NewIncr
+// gives the Incr its edges build one AddEdge at a time. Both have the
+// same partition, every cyclic component dirty and no other, and a valid
+// order. They stay equal through a second batch of inserts that brings
+// nodes the loaded graph never held, with ids below and above its own.
+func TestNewIncrMatchesAddEdge(t *testing.T) {
+	const nodes = 60
+	for name, assign := range idAssignments {
+		for _, m := range []int{30, 90, 400} {
+			for seed := int64(0); seed < 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				id := assign(rng, nodes)
+				g, fed := New(), NewIncr(New())
+				for _, e := range randomEdges(rng, nodes, m) {
+					g.AddEdge(id[e.From], id[e.To], e.Kind)
+					fed.AddEdge(id[e.From], id[e.To], e.Kind)
+				}
+				loaded := NewIncr(g)
+				check := func(phase string) {
+					t.Helper()
+					where := fmt.Sprintf("%s ids, %d edges, seed %d, %s", name, m, seed, phase)
+					if got, want := loaded.SCCs(), fed.SCCs(); !sccSetsEqual(got, want) {
+						t.Fatalf("%s: loaded %v, fed %v", where, got, want)
+					}
+					for _, x := range []*Incr{loaded, fed} {
+						for r := range x.members {
+							if !x.dirty[r] {
+								t.Fatalf("%s: cyclic component %v not dirty", where, x.component(r))
+							}
+						}
+						if len(x.dirty) != len(x.members) {
+							t.Fatalf("%s: %d dirty roots, %d cyclic components", where, len(x.dirty), len(x.members))
+						}
+						checkOrder(t, x)
+					}
+				}
+				check("after the load")
+
+				// The smallest free ids lie below sparse loaded ones, and
+				// collide with any position not taken from the graph's ids.
+				all := slices.Clone(id)
+				for n := 0; len(all) < nodes+5; n++ {
+					if !slices.Contains(id, n) {
+						all = append(all, n)
+					}
+				}
+				top := slices.Max(id)
+				for j := 1; j <= 5; j++ {
+					all = append(all, top+7*j)
+				}
+				for _, e := range randomEdges(rng, len(all), m) {
+					loaded.AddEdge(all[e.From], all[e.To], e.Kind)
+					fed.AddEdge(all[e.From], all[e.To], e.Kind)
+				}
+				check("after a second batch")
+			}
+		}
+	}
+}
+
+// FuzzIncr drives an Incr through every way it is built: edges over at
+// most 32 nodes one at a time, a rebuild by NewIncr from its own graph at
+// a fuzzed cut, the remaining edges, a Retire of the nodes a fuzzed mask
+// names, and the first edges again, bringing retired nodes back. After
+// each phase the partition is Tarjan's over the graph and the order
+// holds.
+func FuzzIncr(f *testing.F) {
+	f.Add(uint8(0), uint32(0), []byte{})
+	f.Add(uint8(2), uint32(0b1010), []byte{1, 2, 2, 3, 3, 1, 3, 4, 4, 3, 0, 1})
+	f.Add(uint8(5), uint32(0xf0f0f0f0), []byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox"))
+	f.Fuzz(func(t *testing.T, cut uint8, mask uint32, data []byte) {
+		var edges []Edge
+		for i := 0; i+1 < len(data); i += 2 {
+			edges = append(edges, Edge{From: int(data[i] % 32), To: int(data[i+1] % 32), Kind: Kind(data[i] / 32 % 3)})
+		}
+		c := int(cut) % (len(edges) + 1)
+		x := NewIncr(New())
+		feed := func(es []Edge) {
+			for _, e := range es {
+				x.AddEdge(e.From, e.To, e.Kind)
+			}
+		}
+		check := func(phase string) {
+			t.Helper()
+			if got, want := x.SCCs(), x.Graph().sortedSCCs(KSDep); !sccSetsEqual(got, want) {
+				t.Fatalf("%s: incr %v, tarjan %v", phase, got, want)
+			}
+			checkOrder(t, x)
+		}
+		feed(edges[:c])
+		check("before the cut")
+		x = NewIncr(x.Graph())
+		check("rebuilt at the cut")
+		feed(edges[c:])
+		check("after the cut")
+		keep := func(n int) bool { return mask&(1<<n) == 0 }
+		x.Retire(keep)
+		check("retired")
+		for _, n := range x.Graph().Nodes() {
+			if !keep(n) {
+				t.Fatalf("retired node %d still in the graph", n)
+			}
+		}
+		feed(edges[:c])
+		check("re-fed after retiring")
+	})
 }

@@ -28,6 +28,21 @@ func (g *Graph) SCCs(mask KindSet) [][]int {
 // the whole graph and the component views the cycle searches split it
 // into.
 func tarjan(adj [][]halfEdge, mask KindSet) [][]int32 {
+	var sccs [][]int32
+	components(adj, mask, func(comp []int32) {
+		if len(comp) >= 2 {
+			sccs = append(sccs, slices.Clone(comp))
+		}
+	})
+	return sccs
+}
+
+// components calls emit with every component of adj over edges
+// intersecting mask, singletons included, in Tarjan's emission order: a
+// component is emitted only after every component it reaches, so the
+// order is a reverse topological order of the condensation. comp is
+// valid only during the call.
+func components(adj [][]halfEdge, mask KindSet, emit func(comp []int32)) {
 	n := len(adj)
 	const unvisited = -1
 	index := make([]int32, n)
@@ -39,7 +54,6 @@ func tarjan(adj [][]halfEdge, mask KindSet) [][]int32 {
 	var (
 		next    int32
 		stack   []int32 // Tarjan's component stack
-		sccs    [][]int32
 		callers []frame // explicit DFS stack
 	)
 
@@ -95,9 +109,7 @@ func tarjan(adj [][]halfEdge, mask KindSet) [][]int32 {
 				for _, w := range stack[top:] {
 					onStack[w] = false
 				}
-				if len(stack)-top >= 2 {
-					sccs = append(sccs, slices.Clone(stack[top:]))
-				}
+				emit(stack[top:])
 				stack = stack[:top]
 			}
 			callers = callers[:len(callers)-1]
@@ -109,7 +121,6 @@ func tarjan(adj [][]halfEdge, mask KindSet) [][]int32 {
 			}
 		}
 	}
-	return sccs
 }
 
 type frame struct {

@@ -36,7 +36,7 @@ type stream struct {
 }
 
 func begin(opts workload.Opts, keys *history.Interner) workload.Hooks {
-	return &stream{a: newAnalyzer(opts, keys), incr: graph.NewIncr()}
+	return &stream{a: newAnalyzer(opts, keys), incr: graph.NewIncr(graph.New())}
 }
 
 // emit offers incr one edge. A poisoned graph is about to be rebuilt
@@ -223,10 +223,11 @@ func (s *stream) Scan(out *workload.Findings) {
 		// histories pay this, and the emitted-set keeps prior findings
 		// from resurfacing.
 		s.poisoned = false
-		s.incr = graph.NewIncr()
+		g := graph.New()
 		for _, k := range s.a.tracedKeys() {
-			s.incr.AddEdges(keyEdges(s.a.keyst[k]))
+			g.AddEdges(keyEdges(s.a.keyst[k]))
 		}
+		s.incr = graph.NewIncr(g)
 	}
 	// A re-searched component mostly yields the witnesses it did before:
 	// only a cycle not yet surfaced is worth an explanation, and the

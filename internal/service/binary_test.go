@@ -13,7 +13,7 @@ import (
 )
 
 // binHistory re-encodes a JSON-lines history as an ellebin stream.
-func binHistory(t *testing.T, jsonl string) []byte {
+func binHistory(t testing.TB, jsonl string) []byte {
 	t.Helper()
 	h, err := jsonhist.Decode(strings.NewReader(jsonl), false)
 	if err != nil {
@@ -29,11 +29,18 @@ func binHistory(t *testing.T, jsonl string) []byte {
 // doBin posts one ellebin chunk, returning the status and raw body.
 func doBin(t *testing.T, client *http.Client, url string, body []byte) (int, string) {
 	t.Helper()
+	return postChunk(t, client, url, binhist.ContentType, body)
+}
+
+// postChunk posts one chunk with the given Content-Type, returning the
+// status and raw body.
+func postChunk(t *testing.T, client *http.Client, url, contentType string, body []byte) (int, string) {
+	t.Helper()
 	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", binhist.ContentType)
+	req.Header.Set("Content-Type", contentType)
 	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)

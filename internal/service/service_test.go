@@ -28,7 +28,7 @@ const g1aHistory = `{"index":0,"type":"fail","process":0,"value":[["append","x",
 
 // faultedHistory generates a JSON-lines history with planted anomalies
 // for the given workload.
-func faultedHistory(t *testing.T, w string, seed int64, txns int) string {
+func faultedHistory(t testing.TB, w string, seed int64, txns int) string {
 	t.Helper()
 	cfg := memdb.RunConfig{Clients: 10, Txns: txns, Isolation: memdb.SnapshotIsolation, Seed: seed}
 	switch w {
@@ -125,7 +125,7 @@ func feedChunks(t *testing.T, client *http.Client, base, id, jsonl string, n int
 	return deltas
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	svc, err := New(cfg)
 	if err != nil {
