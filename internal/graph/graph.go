@@ -120,16 +120,70 @@ type halfEdge struct {
 // Graph is a directed multigraph over int-identified nodes (transaction
 // indices). Parallel edges of different kinds between the same pair are
 // merged into one adjacency entry with a KindSet label.
+//
+// Node ids, nearly dense, resolve through a direct table over a window of
+// ids (n-base wraps, so a window may run past MaxInt). The window grows
+// either way only while it spans at most 4 entries per node plus 4096, so
+// memory is linear in nodes for any ids; ids outside it live in far, and
+// move in when it reaches them.
 type Graph struct {
-	ids   map[int]int32 // external node id -> dense id
+	base  int           // the external id tab[0] stands for
+	tab   []int32       // id n - base -> dense id + 1, 0 if absent
+	far   map[int]int32 // external ids outside the window -> dense id
 	nodes []int         // dense id -> external node id
 	adj   [][]halfEdge  // per-node out-edges, sorted by target dense id
 	edges int
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{ids: map[int]int32{}}
+func New() *Graph { return &Graph{} }
+
+// lookup returns n's dense id, if n is a node.
+func (g *Graph) lookup(n int) (int32, bool) {
+	if i := uint(n - g.base); i < uint(len(g.tab)) {
+		return g.tab[i] - 1, g.tab[i] != 0
+	}
+	id, ok := g.far[n]
+	return id, ok
+}
+
+// place records node n's dense id in the window, growing it to reach n
+// if the bound allows (by at least doubling, so growth is amortized), or
+// else in far.
+func (g *Graph) place(n int, id int32) {
+	if len(g.tab) == 0 {
+		g.base = n
+	}
+	size, limit := uint(len(g.tab)), uint(4*len(g.nodes)+4096)
+	if up := uint(n - g.base); up < limit {
+		if up >= size {
+			g.tab = append(g.tab, make([]int32, max(up+1, min(limit, 2*size))-size)...)
+			g.adopt()
+		}
+		g.tab[up] = id + 1
+	} else if down := uint(g.base - n); down <= limit-size {
+		grow := max(down, min(limit-size, size))
+		tab := make([]int32, size+grow)
+		copy(tab[grow:], g.tab)
+		g.base, g.tab = g.base-int(grow), tab
+		g.adopt()
+		g.tab[grow-down] = id + 1
+	} else {
+		if g.far == nil {
+			g.far = map[int]int32{}
+		}
+		g.far[n] = id
+	}
+}
+
+// adopt moves into the window every far id it now covers.
+func (g *Graph) adopt() {
+	for n, id := range g.far {
+		if i := uint(n - g.base); i < uint(len(g.tab)) {
+			g.tab[i] = id + 1
+			delete(g.far, n)
+		}
+	}
 }
 
 // searchHalf returns the position of to in out, or the insertion point
@@ -149,13 +203,13 @@ func searchHalf(out []halfEdge, to int32) int {
 
 // Ensure adds node n if absent and returns its dense id.
 func (g *Graph) Ensure(n int) int32 {
-	if id, ok := g.ids[n]; ok {
+	if id, ok := g.lookup(n); ok {
 		return id
 	}
 	id := int32(len(g.nodes))
-	g.ids[n] = id
 	g.nodes = append(g.nodes, n)
 	g.adj = append(g.adj, nil)
+	g.place(n, id)
 	return id
 }
 
@@ -247,17 +301,17 @@ func (g *Graph) Nodes() []int {
 
 // HasNode reports whether n is in the graph.
 func (g *Graph) HasNode(n int) bool {
-	_, ok := g.ids[n]
+	_, ok := g.lookup(n)
 	return ok
 }
 
 // Label returns the kind set on edge a→b, or 0 if absent.
 func (g *Graph) Label(a, b int) KindSet {
-	ai, ok := g.ids[a]
+	ai, ok := g.lookup(a)
 	if !ok {
 		return 0
 	}
-	bi, ok := g.ids[b]
+	bi, ok := g.lookup(b)
 	if !ok {
 		return 0
 	}
@@ -271,7 +325,7 @@ func (g *Graph) Label(a, b int) KindSet {
 // Out calls f for every out-edge of node a whose label intersects mask.
 // Iteration order is unspecified.
 func (g *Graph) Out(a int, mask KindSet, f func(b int, label KindSet)) {
-	ai, ok := g.ids[a]
+	ai, ok := g.lookup(a)
 	if !ok {
 		return
 	}
@@ -291,7 +345,7 @@ var scratchPool = sync.Pool{New: func() any { return new([]halfEdge) }}
 // callback may re-enter OutSorted (nested walks each draw their own
 // scratch buffer from the pool).
 func (g *Graph) OutSorted(a int, mask KindSet, f func(b int, label KindSet)) {
-	ai, ok := g.ids[a]
+	ai, ok := g.lookup(a)
 	if !ok {
 		return
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -122,6 +123,16 @@ var idAssignments = map[string]func(rng *rand.Rand, n int) []int{
 		out := ids(n, func(i int) int { return 5 * i })
 		rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
 		return out
+	},
+	// Negative ids and ids near MaxInt: one side lies outside the
+	// graph's direct-table window, in far.
+	"extreme": func(_ *rand.Rand, n int) []int {
+		return ids(n, func(i int) int {
+			if i%2 == 0 {
+				return -1 - 3*i
+			}
+			return math.MaxInt - 5*i
+		})
 	},
 }
 

@@ -38,7 +38,7 @@ func (g *Graph) subgraph(nodes []int) *Graph {
 		}
 	}
 	for _, n := range nodes {
-		ai, ok := g.ids[n]
+		ai, ok := g.lookup(n)
 		if !ok {
 			continue
 		}

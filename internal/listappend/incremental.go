@@ -36,7 +36,7 @@ type stream struct {
 }
 
 func begin(opts workload.Opts, keys *history.Interner) workload.Hooks {
-	return &stream{a: newAnalyzer(opts, keys), incr: graph.NewIncr(graph.New())}
+	return &stream{a: newAnalyzer(opts, keys, 0), incr: graph.NewIncr(graph.New())}
 }
 
 // emit offers incr one edge. A poisoned graph is about to be rebuilt

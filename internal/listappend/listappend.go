@@ -95,11 +95,12 @@ type analyzer struct {
 }
 
 // newAnalyzer returns an analyzer with empty indices over the given
-// interner (the history's in batch runs, the stream's in sessions); the
+// interner (the history's in batch runs, the stream's in sessions), its
+// op index sized for size completions (0 when unknown, in sessions); the
 // history itself is attached by Analyze (batch) or at Finish (streaming
 // sessions).
-func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
-	return &analyzer{opts: opts, in: in, ops: map[int]op.Op{}}
+func newAnalyzer(opts workload.Opts, in *history.Interner, size int) *analyzer {
+	return &analyzer{opts: opts, in: in, ops: make(map[int]op.Op, size)}
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
@@ -326,7 +327,13 @@ func (ks *keyState) abortedReads(list []int) iter.Seq2[int, int] {
 // Of the shared options it consumes Parallelism and DetectLostUpdates
 // (see workload.Opts).
 func Analyze(h *history.History, opts workload.Opts) *Analysis {
-	a := newAnalyzer(opts, h.Keys())
+	n := 0 // completions: what the op index will hold
+	for _, o := range h.Ops {
+		if o.Type != op.Invoke {
+			n++
+		}
+	}
+	a := newAnalyzer(opts, h.Keys(), n)
 	a.h = h
 	for pos, o := range h.Ops {
 		if o.Type != op.Invoke {

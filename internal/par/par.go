@@ -30,6 +30,11 @@ func Procs(p int) int {
 // inline on the calling goroutine, so sequential checking allocates
 // nothing and appears in profiles undisturbed. f must be safe to call
 // concurrently for distinct i.
+//
+// A panic in f reaches the caller's goroutine either way, so the
+// caller's recover contains it: a worker recovers it and takes no
+// further items, the other workers finish the items they hold, and Do
+// re-panics with the first value recovered.
 func Do(p, n int, f func(i int)) {
 	if n <= 0 {
 		return
@@ -46,11 +51,18 @@ func Do(p, n int, f func(i int)) {
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
+	var panicked atomic.Bool
+	var first any // the first recovered value, written by the worker that set panicked
 	wg.Add(p)
 	for w := 0; w < p; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			defer func() {
+				if v := recover(); v != nil && panicked.CompareAndSwap(false, true) {
+					first = v
+				}
+			}()
+			for !panicked.Load() {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
 					return
@@ -60,6 +72,9 @@ func Do(p, n int, f func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if panicked.Load() {
+		panic(first)
+	}
 }
 
 // Map runs f over [0, n) with Do and returns the results in index order:

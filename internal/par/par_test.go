@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -39,6 +40,37 @@ func TestMapOrder(t *testing.T) {
 			if v != i*i {
 				t.Fatalf("p=%d: out[%d] = %d, want %d", p, i, v, i*i)
 			}
+		}
+	}
+}
+
+// TestDoRepanicsOnCaller: a panic in f, inline or on a worker, reaches
+// Do's caller with its value, where recover contains it, and only after
+// the other workers have finished the items they started.
+func TestDoRepanicsOnCaller(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		var started, finished atomic.Int32
+		release := make(chan struct{})
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Do(p, 100, func(i int) {
+				started.Add(1)
+				defer finished.Add(1)
+				if i == 3 {
+					close(release)
+					panic(fmt.Sprintf("item %d", i))
+				}
+				if i > 3 {
+					<-release
+				}
+			})
+			return nil
+		}()
+		if got != "item 3" {
+			t.Fatalf("p=%d: recovered %v, want the panic's value", p, got)
+		}
+		if s, f := started.Load(), finished.Load(); s != f {
+			t.Errorf("p=%d: %d items started, %d finished", p, s, f)
 		}
 	}
 }

@@ -10,38 +10,54 @@ import (
 	"repro/internal/history"
 	"repro/internal/jsonhist"
 	"repro/internal/op"
+	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
 
 // panicWorkload is registered by this test binary alone: its hooks panic
 // on any op touching the key "boom", and its Finish and batch analyzer
-// panic always. It stands in for an analyzer bug.
+// panic always. It stands in for an analyzer bug. Each panic is planted
+// inside a par.Do at the job's parallelism, so above 1 it starts on a
+// worker goroutine.
 const panicWorkload = "panic-for-tests"
 
 func init() {
 	workload.Register(workload.Info{
 		Name: panicWorkload,
-		Analyzer: workload.AnalyzerFunc(func(*history.History, workload.Opts) workload.Analysis {
-			panic("analyzer panic planted by the test")
+		Analyzer: workload.AnalyzerFunc(func(_ *history.History, opts workload.Opts) workload.Analysis {
+			plant(opts.Parallelism, "analyzer panic planted by the test")
+			return workload.Analysis{} // unreachable: plant panics
 		}),
-		Incremental: func(workload.Opts, *history.Interner) workload.Hooks { return panicHooks{} },
+		Incremental: func(opts workload.Opts, _ *history.Interner) workload.Hooks {
+			return panicHooks{opts.Parallelism}
+		},
 	})
 }
 
-type panicHooks struct{}
+// plant panics with msg on the second of two par.Do items.
+func plant(p int, msg string) {
+	par.Do(p, 2, func(i int) {
+		if i == 1 {
+			panic(msg)
+		}
+	})
+}
 
-func (panicHooks) Ingest(o op.Op, _ int, _ *workload.Findings) {
+type panicHooks struct{ p int }
+
+func (x panicHooks) Ingest(o op.Op, _ int, _ *workload.Findings) {
 	for _, m := range o.Mops {
 		if m.Key == "boom" {
-			panic("ingest panic planted by the test")
+			plant(x.p, "ingest panic planted by the test")
 		}
 	}
 }
 func (panicHooks) Scan(*workload.Findings)       {}
 func (panicHooks) Retire([]history.KeyID, []int) {}
-func (panicHooks) Finish(*history.History) workload.Analysis {
-	panic("finish panic planted by the test")
+func (x panicHooks) Finish(*history.History) workload.Analysis {
+	plant(x.p, "finish panic planted by the test")
+	return workload.Analysis{} // unreachable: plant panics
 }
 
 const (
@@ -137,5 +153,38 @@ func TestPanicContained(t *testing.T) {
 	feedChunks(t, c, srv2.URL, fresh, g1aHistory, 1)
 	if code, got := do(t, c, "GET", srv2.URL+"/v1/jobs/"+fresh+"/report", "", nil); code != http.StatusOK || !strings.Contains(got, "G1a") {
 		t.Fatalf("new job after the restart: %d: %s", code, got)
+	}
+}
+
+// TestWorkerPanicContained: at parallelism 4 the planted panics start on
+// par.Do worker goroutines, and are contained all the same: the chunk
+// and the report that hit them fail their jobs with 500 internal, the
+// service keeps serving, and elled_panics_total counts both.
+func TestWorkerPanicContained(t *testing.T) {
+	_, srv, _ := startServer(t, Config{Shards: 1})
+	c := srv.Client()
+	body := `{"workload":"` + panicWorkload + `","model":"serializable","parallelism":4}`
+	expectInternal := func(method, url, body string) {
+		t.Helper()
+		var env ErrorEnvelope
+		code, raw := do(t, c, method, url, body, &env)
+		if code != http.StatusInternalServerError || env.Err.Code != CodeInternal ||
+			!strings.Contains(env.Err.Message, "planted by the test") {
+			t.Fatalf("%s %s: %d %+v, want 500 %s: %s", method, url, code, env.Err, CodeInternal, raw)
+		}
+	}
+	boom := createJob(t, c, srv.URL, body)
+	expectInternal("POST", srv.URL+"/v1/jobs/"+boom+"/chunks", boomChunk)
+	calm := createJob(t, c, srv.URL, body)
+	feedChunks(t, c, srv.URL, calm, calmChunk, 1)
+	expectInternal("GET", srv.URL+"/v1/jobs/"+calm+"/report", "")
+
+	fresh := createJob(t, c, srv.URL, `{"model":"read-committed","parallelism":4}`)
+	feedChunks(t, c, srv.URL, fresh, g1aHistory, 1)
+	if code, got := do(t, c, "GET", srv.URL+"/v1/jobs/"+fresh+"/report", "", nil); code != http.StatusOK || !strings.Contains(got, "G1a") {
+		t.Fatalf("list-append job after the panics: %d: %s", code, got)
+	}
+	if _, metrics := do(t, c, "GET", srv.URL+"/metrics", "", nil); !strings.Contains(metrics, "elled_panics_total 2\n") {
+		t.Errorf("exposition does not count two panics:\n%s", grepLines(metrics, "panics"))
 	}
 }

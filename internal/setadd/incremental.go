@@ -22,7 +22,7 @@ type stream struct {
 }
 
 func begin(opts workload.Opts, keys *history.Interner) workload.Hooks {
-	return stream{newAnalyzer(opts, keys)}
+	return stream{newAnalyzer(opts, keys, 0)}
 }
 
 // Ingest indexes one completion and surfaces its per-op findings.

@@ -57,9 +57,10 @@ type analyzer struct {
 }
 
 // newAnalyzer returns an analyzer with empty indices over the given
-// interner (the history's in batch runs, the stream's in sessions).
-func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
-	return &analyzer{opts: opts, in: in, ops: map[int]op.Op{}}
+// interner (the history's in batch runs, the stream's in sessions), its
+// op index sized for size completions (0 when unknown, in sessions).
+func newAnalyzer(opts workload.Opts, in *history.Interner, size int) *analyzer {
+	return &analyzer{opts: opts, in: in, ops: make(map[int]op.Op, size)}
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
@@ -133,7 +134,13 @@ func (ks *keyState) elem(e int) *elemState {
 // Set reads are carried in Mop.List; element order is ignored. Of the
 // shared options only Parallelism applies.
 func Analyze(h *history.History, opts workload.Opts) *Analysis {
-	a := newAnalyzer(opts, h.Keys())
+	n := 0 // completions: what the op index will hold
+	for _, o := range h.Ops {
+		if o.Type != op.Invoke {
+			n++
+		}
+	}
+	a := newAnalyzer(opts, h.Keys(), n)
 	for _, o := range h.Ops {
 		if o.Type != op.Invoke {
 			a.addOp(o)

@@ -144,8 +144,8 @@ var clockNames = []string{"index", "coarse", "offset", "skewed"}
 // randomHistory builds a complete history — invocations interleaved with
 // OK, Fail and Info completions, some invocations crashed (their process
 // retires and a fresh one takes its slot) — or a compact one, over gappy
-// indices, with times from clock.
-func randomHistory(rng *rand.Rand, compact bool, clock string) *history.History {
+// indices from origin on, with times from clock.
+func randomHistory(rng *rand.Rand, compact bool, clock string, origin int) *history.History {
 	outcomes := []op.Type{op.OK, op.OK, op.OK, op.Fail, op.Info}
 	slots := 1 + rng.Intn(5)
 	procs := make([]int, slots)
@@ -155,7 +155,7 @@ func randomHistory(rng *rand.Rand, compact bool, clock string) *history.History 
 	nextProc := slots
 	open := map[int]bool{}
 	var ops []op.Op
-	index := rng.Intn(3)
+	index := origin + rng.Intn(3)
 	for step, n := 0, rng.Intn(50); step < n; step++ {
 		slot := rng.Intn(slots)
 		p := procs[slot]
@@ -212,18 +212,20 @@ func sameGraph(t *testing.T, what string, got, want *graph.Graph) {
 
 // dependencies returns a graph holding a few ww edges between
 // consecutive completions, so that order edges land on pairs that
-// already carry a label.
+// already carry a label. Its first node is 0, so at an index origin far
+// from 0 every transaction lies outside the graph's direct-table window.
 func dependencies(h *history.History) *graph.Graph {
 	g := graph.New()
-	prev := -1
+	g.Ensure(0)
+	prev, chained := 0, false
 	for _, o := range h.Ops {
 		if o.Type == op.Invoke {
 			continue
 		}
-		if prev >= 0 && o.Index%3 == 0 {
+		if chained && o.Index%3 == 0 {
 			g.AddEdge(prev, o.Index, graph.WW)
 		}
-		prev = o.Index
+		prev, chained = o.Index, true
 	}
 	return g
 }
@@ -231,24 +233,26 @@ func dependencies(h *history.History) *graph.Graph {
 func TestAddOrdersMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	edges := map[graph.Kind]int{}
-	for _, compact := range []bool{false, true} {
-		for _, clock := range clockNames {
-			for trial := 0; trial < 150; trial++ {
-				h := randomHistory(rng, compact, clock)
-				for subset := 0; subset < 1<<len(orderKinds); subset++ {
-					var kinds graph.KindSet
-					want := dependencies(h)
-					for i, k := range orderKinds {
-						if subset&(1<<i) != 0 {
-							kinds |= k.Mask()
-							ref := refBuilders[k](h)
-							edges[k] += ref.NumEdges()
-							want.Merge(ref)
+	for _, origin := range []int{0, -1 << 40, 1 << 40} {
+		for _, compact := range []bool{false, true} {
+			for _, clock := range clockNames {
+				for trial := 0; trial < 150; trial++ {
+					h := randomHistory(rng, compact, clock, origin)
+					for subset := 0; subset < 1<<len(orderKinds); subset++ {
+						var kinds graph.KindSet
+						want := dependencies(h)
+						for i, k := range orderKinds {
+							if subset&(1<<i) != 0 {
+								kinds |= k.Mask()
+								ref := refBuilders[k](h)
+								edges[k] += ref.NumEdges()
+								want.Merge(ref)
+							}
 						}
+						got := dependencies(h)
+						AddOrders(got, h, kinds)
+						sameGraph(t, fmt.Sprintf("origin=%d compact=%v clock=%s trial %d kinds %v", origin, compact, clock, trial, kinds), got, want)
 					}
-					got := dependencies(h)
-					AddOrders(got, h, kinds)
-					sameGraph(t, fmt.Sprintf("compact=%v clock=%s trial %d kinds %v", compact, clock, trial, kinds), got, want)
 				}
 			}
 		}

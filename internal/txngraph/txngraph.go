@@ -11,6 +11,7 @@
 package txngraph
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -74,8 +75,9 @@ func AddOrders(g *graph.Graph, h *history.History, kinds graph.KindSet) {
 			ts = append(ts, interval{o.Index, s.start, o.Time})
 		}
 	}
-	precedence(g, rt, graph.Realtime)
-	precedence(g, ts, graph.Timestamp)
+	// rt intervals end at their own, ascending, index: rt is in end order.
+	precedence(g, rt, slices.Clone(rt), graph.Realtime)
+	precedence(g, ts, nil, graph.Timestamp)
 }
 
 // interval is one transaction on one clock: node began at start and
@@ -92,12 +94,14 @@ type interval struct {
 // starts in order against the frontier of ended transactions no later
 // one covers. Each start depends on exactly the frontier, and each end
 // evicts every frontier member that ended before the new one started.
-// It reorders txns.
-func precedence(g *graph.Graph, txns []interval, k graph.Kind) {
+// byEnd is txns in end order, or nil to sort a copy of txns, whose ties
+// then fall as the start sort left them. It reorders txns.
+func precedence(g *graph.Graph, txns, byEnd []interval, k graph.Kind) {
 	sort.Slice(txns, func(i, j int) bool { return txns[i].start < txns[j].start })
-	byEnd := make([]interval, len(txns))
-	copy(byEnd, txns)
-	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].end < byEnd[j].end })
+	if byEnd == nil {
+		byEnd = slices.Clone(txns)
+		sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].end < byEnd[j].end })
+	}
 
 	var frontier []interval
 	ei := 0
