@@ -171,7 +171,7 @@ func BenchmarkAblationWorkloads(b *testing.B) {
 		g := gen.New(gen.Config{Workload: gen.Register, ActiveKeys: 20, MaxWritesPerKey: 100}, 1)
 		h := memdb.Run(memdb.RunConfig{
 			Clients: c, Txns: n, Isolation: memdb.StrictSerializable,
-			Source: g, Seed: 1, Register: true,
+			Source: g, Seed: 1, Workload: memdb.WorkloadRegister,
 		})
 		opts := core.OptsFor(core.Register, consistency.StrictSerializable)
 		b.ResetTimer()

@@ -73,9 +73,7 @@
 // covered a history that is not the one on disk, so the run fails
 // loudly instead. Exit status 4 means the checker itself panicked: elle
 // prints "elle: internal error: <value>" and the stack to stderr, and
-// drops whatever of the report it had not yet written. A panic on one
-// of the -parallelism worker goroutines still ends the process with Go's
-// own trace.
+// drops whatever of the report it had not yet written.
 package main
 
 import (

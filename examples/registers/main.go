@@ -39,7 +39,7 @@ func main() {
 		Faults:    memdb.Faults{NilReadProb: 0.08},
 		Source:    g,
 		Seed:      11,
-		Register:  true,
+		Workload:  memdb.WorkloadRegister,
 	})
 
 	opts := core.OptsFor(core.Register, consistency.SnapshotIsolation)

@@ -54,6 +54,7 @@ import (
 	"sort"
 
 	"repro/internal/anomaly"
+	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
@@ -63,38 +64,6 @@ import (
 
 // nilVer stands in for the initial (nil) version of an account.
 const nilVer = math.MinInt64
-
-// Analysis is the result of bank dependency inference.
-type Analysis struct {
-	// Graph holds the inferred ww, wr, and rw transaction dependencies.
-	Graph *graph.Graph
-	// Anomalies are the non-cycle anomalies found during inference.
-	Anomalies []anomaly.Anomaly
-	// Keys is the history's key interner; VersionOrders is indexed by
-	// its KeyIDs.
-	Keys *history.Interner
-	// VersionOrders holds, per account KeyID, the direct balance-version
-	// edges observed through overwrites, in explain.RegOrders format
-	// ("nil" encodes the initial version).
-	VersionOrders [][][2]string
-	// Ops indexes analyzed completion ops by index.
-	Ops map[int]op.Op
-	// Accounts is the recovered account set, sorted.
-	Accounts []string
-	// Total is the invariant total balance; valid when TotalKnown.
-	Total      int
-	TotalKnown bool
-}
-
-// VersionOrder returns the direct version edges observed for account
-// key, or nil.
-func (a *Analysis) VersionOrder(key string) [][2]string {
-	id, ok := a.Keys.ID(key)
-	if !ok || int(id) >= len(a.VersionOrders) {
-		return nil
-	}
-	return a.VersionOrders[id]
-}
 
 type verKey struct {
 	key history.KeyID
@@ -135,8 +104,13 @@ func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
 // Analyze infers dependencies and checks invariants for a bank history.
 // Of the shared options it consumes Parallelism, WritesFollowReads
 // (gating overwrite-derived ww/rw edges), and BankTotal.
-func Analyze(h *history.History, opts workload.Opts) *Analysis {
-	a := &analyzer{
+func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
+	return newAnalyzer(h, opts).run(h)
+}
+
+// newAnalyzer returns an analyzer with empty indices over h's keys.
+func newAnalyzer(h *history.History, opts workload.Opts) *analyzer {
+	return &analyzer{
 		opts:       opts,
 		in:         h.Keys(),
 		ops:        map[int]op.Op{},
@@ -147,6 +121,11 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		overwrites: make([][]overwrite, h.Keys().Len()),
 		unknowable: make([]bool, h.Keys().Len()),
 	}
+}
+
+// run indexes h, infers the invariant total, checks every committed
+// transfer, and infers the dependency graph.
+func (a *analyzer) run(h *history.History) workload.Analysis {
 	for _, o := range h.Crashed() {
 		for _, m := range o.Mops {
 			if m.F == op.FWrite {
@@ -163,7 +142,7 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	a.index()
 	a.inferInvariant()
 
-	p := opts.Parallelism
+	p := a.opts.Parallelism
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
 		return a.checkOp(a.oks[i])
 	}))
@@ -191,15 +170,10 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	}
 	a.emitWR(g)
 
-	return &Analysis{
-		Graph:         g,
-		Anomalies:     a.anomalies,
-		Keys:          a.in,
-		VersionOrders: orders,
-		Ops:           a.ops,
-		Accounts:      a.accounts,
-		Total:         a.total,
-		TotalKnown:    a.totalKnown,
+	return workload.Analysis{
+		Graph:     g,
+		Anomalies: a.anomalies,
+		Explainer: &explain.Explainer{Ops: a.ops, Keys: a.in, RegOrders: orders},
 	}
 }
 

@@ -5,19 +5,27 @@ import (
 	"testing"
 
 	"repro/internal/anomaly"
-	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/workload"
 )
 
-func analyze(t *testing.T, opts workload.Opts, ops ...op.Op) *Analysis {
+func analyze(t *testing.T, opts workload.Opts, ops ...op.Op) workload.Analysis {
 	t.Helper()
 	return Analyze(history.MustNew(ops), opts)
 }
 
-func hasType(a *Analysis, typ anomaly.Type) bool {
+// run analyzes ops and also returns the analyzer, whose inferred total
+// and account set the analysis does not carry.
+func run(t *testing.T, opts workload.Opts, ops ...op.Op) (*analyzer, workload.Analysis) {
+	t.Helper()
+	h := history.MustNew(ops)
+	a := newAnalyzer(h, opts)
+	return a, a.run(h)
+}
+
+func hasType(a workload.Analysis, typ anomaly.Type) bool {
 	for _, an := range a.Anomalies {
 		if an.Type == typ {
 			return true
@@ -36,7 +44,7 @@ func deposit(index int) op.Op {
 }
 
 func TestCleanTransferHistory(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	b, a := run(t, workload.DefaultOpts(),
 		deposit(0),
 		// Transfer 5 from a to b.
 		op.Txn(1, 1, op.OK,
@@ -48,10 +56,10 @@ func TestCleanTransferHistory(t *testing.T) {
 	if len(a.Anomalies) != 0 {
 		t.Fatalf("clean history produced %v", a.Anomalies)
 	}
-	if !a.TotalKnown || a.Total != 200 {
-		t.Fatalf("total = %d known=%v, want 200", a.Total, a.TotalKnown)
+	if !b.totalKnown || b.total != 200 {
+		t.Fatalf("total = %d known=%v, want 200", b.total, b.totalKnown)
 	}
-	if got := a.Accounts; len(got) != 2 || got[0] != "a" || got[1] != "b" {
+	if got := b.accounts; len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("accounts = %v", got)
 	}
 	// wr: T1 read the deposit's balances; T2 read T1's.
@@ -119,12 +127,12 @@ func TestBankTotalOverride(t *testing.T) {
 	opts := workload.DefaultOpts()
 	opts.BankTotal = 200
 	// No opening deposit in the history; the invariant comes from opts.
-	a := analyze(t, opts,
+	b, a := run(t, opts,
 		op.Txn(0, 0, op.OK, op.Write("a", 150), op.Write("b", 40), op.ReadReg("a", 150)),
 		op.Txn(1, 1, op.OK, op.ReadReg("a", 150), op.ReadReg("b", 40)),
 	)
-	if !a.TotalKnown || a.Total != 200 {
-		t.Fatalf("total = %d known=%v, want 200 from opts", a.Total, a.TotalKnown)
+	if !b.totalKnown || b.total != 200 {
+		t.Fatalf("total = %d known=%v, want 200 from opts", b.total, b.totalKnown)
 	}
 	if !hasType(a, anomaly.TotalMismatch) {
 		t.Fatalf("no total-mismatch in %v", a.Anomalies)
@@ -238,11 +246,10 @@ func TestExplainerRendersBankCycle(t *testing.T) {
 	if !hasEdge(an.Graph, 1, 2, graph.RW) || !hasEdge(an.Graph, 2, 1, graph.RW) {
 		t.Fatalf("missing rw edges for the lost update")
 	}
-	if len(an.VersionOrder("a")) == 0 {
+	if len(an.Explainer.RegOrder("a")) == 0 {
 		t.Fatal("no version edges recorded for account a")
 	}
-	expl := &explain.Explainer{Ops: an.Ops, Keys: an.Keys, RegOrders: an.VersionOrders}
-	text := expl.Cycle(graph.Cycle{Steps: []graph.Step{
+	text := an.Explainer.Cycle(graph.Cycle{Steps: []graph.Step{
 		{From: 1, To: 2, Via: graph.RW},
 		{From: 2, To: 1, Via: graph.RW},
 	}})

@@ -1,9 +1,7 @@
 package bank
 
 import (
-	"repro/internal/explain"
 	"repro/internal/gen"
-	"repro/internal/history"
 	"repro/internal/memdb"
 	"repro/internal/workload"
 )
@@ -14,13 +12,6 @@ func init() {
 		RegisterReads: true,
 		Gen:           gen.Bank,
 		DB:            memdb.WorkloadBank,
-		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
-			an := Analyze(h, opts)
-			return workload.Analysis{
-				Graph:     an.Graph,
-				Anomalies: an.Anomalies,
-				Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, RegOrders: an.VersionOrders},
-			}
-		}),
+		Analyzer:      workload.AnalyzerFunc(Analyze),
 	})
 }

@@ -135,7 +135,7 @@ func TestSoundnessRegisterWorkload(t *testing.T) {
 		g := gen.New(gen.Config{Workload: gen.Register, ActiveKeys: 5, MaxWritesPerKey: 40}, seed)
 		h := memdb.Run(memdb.RunConfig{
 			Clients: 8, Txns: 300, Isolation: memdb.StrictSerializable,
-			Source: g, Seed: seed, Register: true,
+			Source: g, Seed: seed, Workload: memdb.WorkloadRegister,
 		})
 		r := Check(h, OptsFor(Register, consistency.StrictSerializable))
 		if len(r.Anomalies) != 0 {

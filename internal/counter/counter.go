@@ -23,14 +23,16 @@ import (
 	"sort"
 
 	"repro/internal/anomaly"
+	"repro/internal/explain"
+	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/par"
 	"repro/internal/workload"
 )
 
-// Analysis is the result of counter checking.
-type Analysis struct {
+// result is the outcome of counter checking.
+type result struct {
 	// Anomalies found (garbage reads, non-monotonic session reads).
 	Anomalies []anomaly.Anomaly
 	// Bounds per key: the [lo, hi] envelope of possible counter values
@@ -42,7 +44,20 @@ type Analysis struct {
 
 // Analyze checks a counter history. Of the shared options only
 // Parallelism applies.
-func Analyze(h *history.History, opts workload.Opts) *Analysis {
+func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
+	r := check(h, opts)
+	// Counters are unrecoverable (§3): no dependencies can be inferred,
+	// so the graph is empty and only the bounds and session checks'
+	// anomalies flow out.
+	return workload.Analysis{
+		Graph:     graph.New(),
+		Anomalies: r.Anomalies,
+		Explainer: &explain.Explainer{Ops: r.Ops},
+	}
+}
+
+// check runs the bounds and session-monotonicity checks.
+func check(h *history.History, opts workload.Opts) *result {
 	// Possible value envelope per key, over all interpretations: an
 	// increment by a committed or indeterminate transaction may or may
 	// not be visible to any given read (we have no ordering), so the
@@ -94,7 +109,7 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		attempt(o, true)
 	}
 
-	a := &Analysis{Bounds: map[string][2]int{}, Ops: ops}
+	a := &result{Bounds: map[string][2]int{}, Ops: ops}
 	for _, k := range in.SortedIDs() {
 		if incremented[k] {
 			a.Bounds[in.Key(k)] = [2]int{lo[k], hi[k]}

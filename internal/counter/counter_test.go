@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-func hasAnomaly(a *Analysis, typ anomaly.Type) bool {
+func hasAnomaly(a *result, typ anomaly.Type) bool {
 	for _, an := range a.Anomalies {
 		if an.Type == typ {
 			return true
@@ -19,7 +19,7 @@ func hasAnomaly(a *Analysis, typ anomaly.Type) bool {
 }
 
 func TestCleanCounterHistory(t *testing.T) {
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.OK, op.Increment("c", 1)),
 		op.Txn(1, 0, op.OK, op.Increment("c", 2)),
 		op.Txn(2, 0, op.OK, op.ReadReg("c", 3)),
@@ -33,7 +33,7 @@ func TestCleanCounterHistory(t *testing.T) {
 }
 
 func TestReadAboveEnvelope(t *testing.T) {
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.OK, op.Increment("c", 1)),
 		op.Txn(1, 1, op.OK, op.ReadReg("c", 5)),
 	}), workload.Opts{})
@@ -43,7 +43,7 @@ func TestReadAboveEnvelope(t *testing.T) {
 }
 
 func TestReadBelowEnvelope(t *testing.T) {
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.OK, op.Increment("c", -2)),
 		op.Txn(1, 1, op.OK, op.ReadReg("c", -5)),
 	}), workload.Opts{})
@@ -54,7 +54,7 @@ func TestReadBelowEnvelope(t *testing.T) {
 
 func TestAbortedIncrementsExcluded(t *testing.T) {
 	// A failed increment never counts toward the envelope.
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.Fail, op.Increment("c", 10)),
 		op.Txn(1, 1, op.OK, op.ReadReg("c", 10)),
 	}), workload.Opts{})
@@ -65,7 +65,7 @@ func TestAbortedIncrementsExcluded(t *testing.T) {
 
 func TestIndeterminateIncrementsIncluded(t *testing.T) {
 	// An info increment may have committed; reads including it are fine.
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.Info, op.Increment("c", 10)),
 		op.Txn(1, 1, op.OK, op.ReadReg("c", 10)),
 	}), workload.Opts{})
@@ -76,7 +76,7 @@ func TestIndeterminateIncrementsIncluded(t *testing.T) {
 
 func TestSessionMonotonicity(t *testing.T) {
 	// A single process observing 5 then 3 with only positive increments.
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.OK, op.Increment("c", 5)),
 		op.Txn(1, 1, op.OK, op.ReadReg("c", 5)),
 		op.Txn(2, 1, op.OK, op.ReadReg("c", 3)),
@@ -87,7 +87,7 @@ func TestSessionMonotonicity(t *testing.T) {
 }
 
 func TestMonotonicityNotAppliedAcrossProcesses(t *testing.T) {
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.OK, op.Increment("c", 5)),
 		op.Txn(1, 1, op.OK, op.ReadReg("c", 5)),
 		op.Txn(2, 2, op.OK, op.ReadReg("c", 3)),
@@ -100,7 +100,7 @@ func TestMonotonicityNotAppliedAcrossProcesses(t *testing.T) {
 }
 
 func TestMonotonicitySkippedWithNegativeIncrements(t *testing.T) {
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.OK, op.Increment("c", 5), op.Increment("c", -1)),
 		op.Txn(1, 1, op.OK, op.ReadReg("c", 5)),
 		op.Txn(2, 1, op.OK, op.ReadReg("c", 4)),
@@ -112,7 +112,7 @@ func TestMonotonicitySkippedWithNegativeIncrements(t *testing.T) {
 
 func TestNilReadIsZero(t *testing.T) {
 	// Counters start at 0; a nil read is treated as 0.
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		op.Txn(0, 0, op.OK, op.Increment("c", 1)),
 		op.Txn(1, 1, op.OK, op.ReadNil("c")),
 	}), workload.Opts{})
@@ -125,7 +125,7 @@ func TestNilReadIsZero(t *testing.T) {
 // never completed may have taken effect, and its delta is known, so a
 // read that includes it is no garbage read.
 func TestCrashedIncrementWidensEnvelope(t *testing.T) {
-	a := Analyze(history.MustNew([]op.Op{
+	a := check(history.MustNew([]op.Op{
 		{Index: 0, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Increment("c", 5)}},
 		{Index: 1, Process: 1, Type: op.Invoke, Mops: []op.Mop{op.Read("c")}},
 		op.Txn(2, 1, op.OK, op.ReadReg("c", 5)),

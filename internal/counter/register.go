@@ -1,10 +1,7 @@
 package counter
 
 import (
-	"repro/internal/explain"
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/history"
 	"repro/internal/memdb"
 	"repro/internal/workload"
 )
@@ -15,16 +12,6 @@ func init() {
 		RegisterReads: true,
 		Gen:           gen.Counter,
 		DB:            memdb.WorkloadCounter,
-		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
-			an := Analyze(h, opts)
-			// Counters are unrecoverable (§3): no dependencies can be
-			// inferred, so the graph is empty and only the bounds and
-			// session checks' anomalies flow out.
-			return workload.Analysis{
-				Graph:     graph.New(),
-				Anomalies: an.Anomalies,
-				Explainer: &explain.Explainer{Ops: an.Ops},
-			}
-		}),
+		Analyzer:      workload.AnalyzerFunc(Analyze),
 	})
 }

@@ -34,7 +34,7 @@ type StreamDecoder struct {
 	line     int
 	readErr  error
 	readDone bool
-	pending  chan []parsed
+	pending  chan parsedRound
 	err      error // sticky terminal state, io.EOF included
 }
 
@@ -92,11 +92,14 @@ func (d *StreamDecoder) Next() ([]op.Op, error) {
 		}
 		results := <-d.pending
 		d.pending = nil
+		if results.panicked != nil {
+			panic(results.panicked)
+		}
 		if len(next) > 0 {
 			d.launch(next)
 		}
 		var ops []op.Op
-		for _, res := range results {
+		for _, res := range results.chunks {
 			if res.err != nil {
 				d.err = res.err
 				return nil, d.err
@@ -225,15 +228,30 @@ func (d *StreamDecoder) readRound() []*chunk {
 	return round
 }
 
+// parsedRound is one launched round's outcome: its chunks' results, or
+// the value its parse panicked with.
+type parsedRound struct {
+	chunks   []parsed
+	panicked any
+}
+
 // launch starts parsing a round: inline for sequential or single-chunk
-// rounds, across the worker pool otherwise.
+// rounds, across the worker pool otherwise. A pool round runs on a
+// goroutine of its own, where par.Map's re-panic would end the process:
+// it recovers the value and hands it to Next, which re-panics on its
+// caller's goroutine.
 func (d *StreamDecoder) launch(round []*chunk) {
-	ch := make(chan []parsed, 1)
+	ch := make(chan parsedRound, 1)
 	if d.p <= 1 || len(round) == 1 {
-		ch <- []parsed{d.parseRoundInline(round)}
+		ch <- parsedRound{chunks: []parsed{d.parseRoundInline(round)}}
 	} else {
 		go func(rd []*chunk) {
-			ch <- par.Map(d.p, len(rd), func(i int) parsed { return d.parseChunk(rd[i]) })
+			defer func() {
+				if v := recover(); v != nil {
+					ch <- parsedRound{panicked: v}
+				}
+			}()
+			ch <- parsedRound{chunks: par.Map(d.p, len(rd), func(i int) parsed { return d.parseChunk(rd[i]) })}
 		}(round)
 	}
 	d.pending = ch

@@ -179,3 +179,25 @@ func TestBytesDecoderMatchesReader(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundPanicReachesNext: a panic while a round parses on the worker
+// pool reaches Next's caller with its value, where recover contains it,
+// rather than ending the process on the round's own goroutine.
+func TestRoundPanicReachesNext(t *testing.T) {
+	d := NewBytesDecoder(nil, DecodeOpts{Parallelism: 2})
+	want := recovered(func() { d.parseChunk(nil) })
+	if want == nil {
+		t.Fatal("parsing a nil chunk did not panic")
+	}
+	d.launch([]*chunk{nil, nil}) // two chunks at p = 2: the pool path
+	if got := recovered(func() { d.Next() }); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Next panicked with %v, want %v", got, want)
+	}
+}
+
+// recovered runs f and returns the value it panicked with, or nil.
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}

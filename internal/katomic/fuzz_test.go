@@ -7,7 +7,6 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/history"
 	"repro/internal/op"
-	"repro/internal/workload"
 )
 
 // decodeFuzzHistory turns raw bytes into a well-formed (possibly
@@ -69,8 +68,7 @@ func decodeFuzzHistory(data []byte) []op.Op {
 // FuzzKAtomicCheck drives the zone analysis with arbitrary histories
 // and checks its invariants: no panics, determinism, the lower bound
 // never exceeds the certified K, K >= 2 exactly when a violation is
-// reported (per key, with the anomaly carrying that K), and AtomicAt
-// is monotone.
+// reported (per key, with the anomaly carrying that K).
 func FuzzKAtomicCheck(f *testing.F) {
 	f.Add([]byte{})
 	// Sequential write 1, write 2, then a stale read of 1.
@@ -85,8 +83,8 @@ func FuzzKAtomicCheck(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzHistory(data)
 		h := history.MustNew(ops)
-		a := Analyze(h, workload.Opts{})
-		b := Analyze(history.MustNew(ops), workload.Opts{})
+		a := check(h)
+		b := check(history.MustNew(ops))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("nondeterministic analysis:\n%+v\n%+v", a, b)
 		}
@@ -130,12 +128,7 @@ func FuzzKAtomicCheck(f *testing.F) {
 			}
 		}
 		if a.K != maxK {
-			t.Fatalf("Analysis.K = %d, want max per-key %d", a.K, maxK)
-		}
-		for k := 0; k < 8; k++ {
-			if a.AtomicAt(k) && !a.AtomicAt(k+1) {
-				t.Fatalf("AtomicAt not monotone at %d", k)
-			}
+			t.Fatalf("result.K = %d, want max per-key %d", a.K, maxK)
 		}
 	})
 }

@@ -53,6 +53,8 @@ import (
 	"strconv"
 
 	"repro/internal/anomaly"
+	"repro/internal/explain"
+	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/workload"
@@ -63,8 +65,8 @@ const (
 	posInf = math.MaxInt64 / 4 // completion of indeterminate writes
 )
 
-// KeyResult is the per-register outcome.
-type KeyResult struct {
+// keyResult is the per-register outcome.
+type keyResult struct {
 	Key string
 	// Writes counts the committed and indeterminate writes analyzed;
 	// Reads the committed reads (nil observations included).
@@ -83,25 +85,20 @@ type KeyResult struct {
 	Skipped bool
 }
 
-// Analysis is the result of k-atomicity checking.
-type Analysis struct {
+// result is the outcome of k-atomicity checking.
+type result struct {
 	// K is the largest certified minimal k across keys: 1 means every
 	// analyzed register is atomic, 0 means no register data was
 	// analyzed (or every key was skipped). Meaningful only when no
 	// structural anomalies were reported.
 	K int
 	// PerKey holds each analyzed register's result.
-	PerKey map[string]KeyResult
+	PerKey map[string]keyResult
 	// Anomalies in deterministic report order.
 	Anomalies []anomaly.Anomaly
 	// Ops indexes analyzed completion ops by index, for explanations.
 	Ops map[int]op.Op
 }
-
-// AtomicAt reports whether the analysis certified every register
-// k-atomic at the given k. It is monotone: AtomicAt(k) implies
-// AtomicAt(k+1).
-func (a *Analysis) AtomicAt(k int) bool { return a.K <= k }
 
 // obs is one committed read observation.
 type obs struct {
@@ -173,7 +170,22 @@ func (a *keyAgg) addRead(v int, start, end int64, o op.Op) {
 // Analyze checks a register history for atomicity and k-atomicity. The
 // analysis is sequential and deterministic; of the shared options none
 // apply (Parallelism is honored trivially).
-func Analyze(h *history.History, opts workload.Opts) *Analysis {
+func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
+	r := check(h)
+	// The k-atomicity test is a real-time interval analysis, not a
+	// dependency inference: there are no ww/wr/rw edges to hand the
+	// cycle search, so the graph is empty and the verdict flows out
+	// entirely through anomalies (KAtomicViolation carries the certified
+	// minimal k).
+	return workload.Analysis{
+		Graph:     graph.New(),
+		Anomalies: r.Anomalies,
+		Explainer: &explain.Explainer{Ops: r.Ops},
+	}
+}
+
+// check runs the zone test over every register of h.
+func check(h *history.History) *result {
 	in := h.Keys()
 	aggs := make([]*keyAgg, in.Len())
 	ops := map[int]op.Op{}
@@ -233,7 +245,7 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 		}
 	}
 
-	out := &Analysis{PerKey: map[string]KeyResult{}, Ops: ops}
+	out := &result{PerKey: map[string]keyResult{}, Ops: ops}
 	for _, id := range in.SortedIDs() {
 		a := aggs[id]
 		if a == nil {
@@ -257,9 +269,9 @@ func spanOf(h *history.History, pos int) (int64, int64) {
 }
 
 // analyzeKey runs the zone test over one register's accumulated ops.
-func analyzeKey(key string, a *keyAgg) (KeyResult, []anomaly.Anomaly) {
+func analyzeKey(key string, a *keyAgg) (keyResult, []anomaly.Anomaly) {
 	var anoms []anomaly.Anomaly
-	res := KeyResult{Key: key, Writes: a.writes, Reads: a.reads}
+	res := keyResult{Key: key, Writes: a.writes, Reads: a.reads}
 
 	// Well-formedness: reads of unwritten values are aborted reads when
 	// the only known writer aborted, garbage otherwise; reads completing

@@ -9,15 +9,14 @@ import (
 	"repro/internal/history"
 	"repro/internal/memdb"
 	"repro/internal/op"
-	"repro/internal/workload"
 )
 
-func analyze(t *testing.T, ops ...op.Op) *Analysis {
+func analyze(t *testing.T, ops ...op.Op) *result {
 	t.Helper()
-	return Analyze(history.MustNew(ops), workload.Opts{})
+	return check(history.MustNew(ops))
 }
 
-func hasAnomaly(a *Analysis, typ anomaly.Type) bool {
+func hasAnomaly(a *result, typ anomaly.Type) bool {
 	for _, an := range a.Anomalies {
 		if an.Type == typ {
 			return true
@@ -37,7 +36,7 @@ func TestAtomicSequential(t *testing.T) {
 	if len(a.Anomalies) != 0 {
 		t.Fatalf("unexpected anomalies: %v", a.Anomalies)
 	}
-	if a.K != 1 || !a.AtomicAt(1) {
+	if a.K != 1 {
 		t.Fatalf("K = %d, want 1", a.K)
 	}
 	kr := a.PerKey["x"]
@@ -66,9 +65,6 @@ func TestStaleReadK2(t *testing.T) {
 	}
 	if a.Anomalies[0].K != 2 {
 		t.Fatalf("anomaly K = %d, want 2", a.Anomalies[0].K)
-	}
-	if a.AtomicAt(1) || !a.AtomicAt(2) || !a.AtomicAt(3) {
-		t.Fatalf("AtomicAt not monotone around K=2")
 	}
 }
 
@@ -214,7 +210,7 @@ func TestDuplicateWrite(t *testing.T) {
 	}
 }
 
-// TestMultiKey: keys are independent; Analysis.K is the worst key.
+// TestMultiKey: keys are independent; result.K is the worst key.
 func TestMultiKey(t *testing.T) {
 	a := analyze(t,
 		op.Txn(0, 0, op.OK, op.Write("x", 1)),
@@ -232,7 +228,7 @@ func TestMultiKey(t *testing.T) {
 // anomalies.
 func TestEmptyHistory(t *testing.T) {
 	a := analyze(t)
-	if a.K != 0 || len(a.Anomalies) != 0 || !a.AtomicAt(1) {
+	if a.K != 0 || len(a.Anomalies) != 0 {
 		t.Fatalf("empty history: %+v", a)
 	}
 }
@@ -245,8 +241,8 @@ func TestDeterminism(t *testing.T) {
 		op.Txn(2, 1, op.OK, op.ReadReg("x", 1)),
 		op.Txn(3, 2, op.OK, op.ReadReg("x", 99)),
 	}
-	a := Analyze(history.MustNew(ops), workload.Opts{})
-	b := Analyze(history.MustNew(ops), workload.Opts{})
+	a := check(history.MustNew(ops))
+	b := check(history.MustNew(ops))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("nondeterministic analysis:\n%+v\n%+v", a, b)
 	}
@@ -271,7 +267,7 @@ func engineHistory(t *testing.T, iso memdb.Isolation, faults memdb.Faults, seed 
 func TestEngineCleanSerializable(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		h := engineHistory(t, memdb.Serializable, memdb.Faults{}, seed)
-		a := Analyze(h, workload.Opts{})
+		a := check(h)
 		if len(a.Anomalies) != 0 || a.K > 1 {
 			t.Fatalf("seed %d: K = %d, anomalies %v; want clean", seed, a.K, a.Anomalies)
 		}
@@ -282,7 +278,7 @@ func TestEngineCleanSerializable(t *testing.T) {
 // few commits back; real-time analysis must convict it.
 func TestEngineStaleReads(t *testing.T) {
 	h := engineHistory(t, memdb.Serializable, memdb.Faults{StaleReadProb: 0.5}, 1)
-	a := Analyze(h, workload.Opts{})
+	a := check(h)
 	if !hasAnomaly(a, anomaly.KAtomicViolation) {
 		t.Fatalf("expected %s, got %v", anomaly.KAtomicViolation, a.Anomalies)
 	}

@@ -1,10 +1,7 @@
 package katomic
 
 import (
-	"repro/internal/explain"
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/history"
 	"repro/internal/memdb"
 	"repro/internal/workload"
 )
@@ -16,18 +13,6 @@ func init() {
 		RegisterReads: true,
 		Gen:           gen.KAtomic,
 		DB:            memdb.WorkloadRegister,
-		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
-			an := Analyze(h, opts)
-			// The k-atomicity test is a real-time interval analysis, not a
-			// dependency inference: there are no ww/wr/rw edges to hand the
-			// cycle search, so the graph is empty and the verdict flows out
-			// entirely through anomalies (KAtomicViolation carries the
-			// certified minimal k).
-			return workload.Analysis{
-				Graph:     graph.New(),
-				Anomalies: an.Anomalies,
-				Explainer: &explain.Explainer{Ops: an.Ops},
-			}
-		}),
+		Analyzer:      workload.AnalyzerFunc(Analyze),
 	})
 }

@@ -31,7 +31,7 @@ func TestWriteOnlyHistory(t *testing.T) {
 	if a.Graph.NumEdges() != 0 {
 		t.Error("write-only history should have no edges")
 	}
-	if len(a.VersionOrder("x")) != 0 {
+	if len(a.Explainer.ListOrder("x")) != 0 {
 		t.Error("no reads should mean no version order")
 	}
 }

@@ -272,5 +272,5 @@ func (s *stream) Retire(keys []history.KeyID, ops []int) {
 // read costing one comparison against its key's trace.
 func (s *stream) Finish(h *history.History) workload.Analysis {
 	s.a.h = h
-	return s.a.finish().workloadAnalysis()
+	return s.a.finish()
 }

@@ -40,34 +40,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Analysis is the result of dependency inference over one history.
-type Analysis struct {
-	// Graph holds the inferred ww, wr, and rw edges (the IDSG of §4.3.2,
-	// before process/real-time augmentation).
-	Graph *graph.Graph
-	// Anomalies are the non-cycle anomalies discovered during inference.
-	Anomalies []anomaly.Anomaly
-	// Keys is the history's key interner; VersionOrders is indexed by
-	// its KeyIDs.
-	Keys *history.Interner
-	// VersionOrders holds, per KeyID, the inferred order of the key's
-	// elements: the trace of the longest committed read, a prefix of ≪x.
-	// The initial (empty) version is implicit; keys without clean reads
-	// have a nil entry.
-	VersionOrders [][]int
-	// Ops indexes every analyzed completion op by op index.
-	Ops map[int]op.Op
-}
-
-// VersionOrder returns the inferred element order for key, or nil.
-func (a *Analysis) VersionOrder(key string) []int {
-	id, ok := a.Keys.ID(key)
-	if !ok || int(id) >= len(a.VersionOrders) {
-		return nil
-	}
-	return a.VersionOrders[id]
-}
-
 // keyRead is one committed read of a known list value, filed under its
 // key in op order.
 type keyRead struct {
@@ -326,7 +298,7 @@ func (ks *keyState) abortedReads(list []int) iter.Seq2[int, int] {
 // Analyze infers the dependency graph and non-cycle anomalies for h.
 // Of the shared options it consumes Parallelism and DetectLostUpdates
 // (see workload.Opts).
-func Analyze(h *history.History, opts workload.Opts) *Analysis {
+func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	n := 0 // completions: what the op index will hold
 	for _, o := range h.Ops {
 		if o.Type != op.Invoke {
@@ -385,7 +357,7 @@ func (a *analyzer) tracedKeys() []history.KeyID {
 // order, and ends with the checks that need the final write indices and
 // version orders. The per-key state is complete before the first
 // per-transaction fan-out and immutable from then on.
-func (a *analyzer) finish() *Analysis {
+func (a *analyzer) finish() workload.Analysis {
 	p, keys := a.opts.Parallelism, a.tracedKeys()
 	a.oks = a.h.OKs()
 	a.markCrashed()
@@ -418,21 +390,10 @@ func (a *analyzer) finish() *Analysis {
 	}
 
 	a.finishAnomalies(keys)
-	return &Analysis{
-		Graph:         g,
-		Anomalies:     a.anomalies,
-		Keys:          a.in,
-		VersionOrders: a.versionOrders(),
-		Ops:           a.ops,
-	}
-}
-
-// workloadAnalysis is the registry-facing view of an Analysis.
-func (an *Analysis) workloadAnalysis() workload.Analysis {
 	return workload.Analysis{
-		Graph:     an.Graph,
-		Anomalies: an.Anomalies,
-		Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, ListOrders: an.VersionOrders},
+		Graph:     g,
+		Anomalies: a.anomalies,
+		Explainer: &explain.Explainer{Ops: a.ops, Keys: a.in, ListOrders: a.versionOrders()},
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-func analyze(t *testing.T, ops ...op.Op) *Analysis {
+func analyze(t *testing.T, ops ...op.Op) workload.Analysis {
 	t.Helper()
 	return Analyze(history.MustNew(ops), workload.Opts{})
 }
 
-func hasAnomaly(a *Analysis, typ anomaly.Type) bool {
+func hasAnomaly(a workload.Analysis, typ anomaly.Type) bool {
 	for _, an := range a.Anomalies {
 		if an.Type == typ {
 			return true
@@ -24,7 +24,7 @@ func hasAnomaly(a *Analysis, typ anomaly.Type) bool {
 	return false
 }
 
-func anomalyCount(a *Analysis, typ anomaly.Type) int {
+func anomalyCount(a workload.Analysis, typ anomaly.Type) int {
 	n := 0
 	for _, an := range a.Anomalies {
 		if an.Type == typ {
@@ -51,7 +51,7 @@ func TestCleanSequentialHistory(t *testing.T) {
 	if !a.Graph.Label(1, 2).Has(graph.WR) {
 		t.Error("missing wr edge T1 -> T2")
 	}
-	if got := a.VersionOrder("x"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := a.Explainer.ListOrder("x"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("version order = %v", got)
 	}
 }
@@ -432,9 +432,9 @@ func TestMultipleKeysIndependentOrders(t *testing.T) {
 	if len(a.Anomalies) != 0 {
 		t.Fatalf("unexpected anomalies: %v", a.Anomalies)
 	}
-	if len(a.VersionOrder("x")) != 2 || len(a.VersionOrder("y")) != 2 {
+	if len(a.Explainer.ListOrder("x")) != 2 || len(a.Explainer.ListOrder("y")) != 2 {
 		t.Errorf("expected 2-element version orders for x and y, got %v and %v",
-			a.VersionOrder("x"), a.VersionOrder("y"))
+			a.Explainer.ListOrder("x"), a.Explainer.ListOrder("y"))
 	}
 	if !a.Graph.Label(0, 1).Has(graph.WW) {
 		t.Error("agreeing keys should still give ww edge")

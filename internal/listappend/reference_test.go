@@ -252,8 +252,8 @@ func checkAgainstReference(t *testing.T, h *history.History, chunks ...int) {
 	if !reflect.DeepEqual(got, want.anomalies) {
 		t.Errorf("anomalies diverge from the element-wise reference:\n got %v\nwant %v", got, want.anomalies)
 	}
-	if !reflect.DeepEqual(an.VersionOrders, want.orders) {
-		t.Errorf("version orders diverge from the reference:\n got %#v\nwant %#v", an.VersionOrders, want.orders)
+	if !reflect.DeepEqual(an.Explainer.ListOrders, want.orders) {
+		t.Errorf("version orders diverge from the reference:\n got %#v\nwant %#v", an.Explainer.ListOrders, want.orders)
 	}
 	if got := graphEdges(an.Graph); !reflect.DeepEqual(got, want.edges) {
 		t.Errorf("edges diverge from the reference:\n got %v\nwant %v", got, want.edges)

@@ -2,7 +2,6 @@ package listappend
 
 import (
 	"repro/internal/gen"
-	"repro/internal/history"
 	"repro/internal/memdb"
 	"repro/internal/workload"
 )
@@ -14,8 +13,6 @@ func init() {
 		Gen:         gen.ListAppend,
 		DB:          memdb.WorkloadList,
 		Incremental: begin,
-		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
-			return Analyze(h, opts).workloadAnalysis()
-		}),
+		Analyzer:    workload.AnalyzerFunc(Analyze),
 	})
 }

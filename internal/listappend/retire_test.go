@@ -90,7 +90,7 @@ func TestBudgetedSessionDropsSettledCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Analyze(history.MustNew(ops), opts).workloadAnalysis()
+	want := Analyze(history.MustNew(ops), opts)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("budgeted Finish diverges from Analyze:\n got %+v\nwant %+v", got, want)
 	}

@@ -85,9 +85,6 @@ type RunConfig struct {
 	// to clients (§5.1). Times are offset by one so the zero value never
 	// collides with the builder's defaulting.
 	ExposeTimestamps bool
-	// Register selects register read semantics for read mops; a legacy
-	// shorthand for Workload = WorkloadRegister.
-	Register bool
 	// Workload selects read semantics (default WorkloadList).
 	Workload Workload
 }
@@ -110,9 +107,6 @@ func Run(cfg RunConfig) *history.History {
 func RunOnDB(cfg RunConfig) (*history.History, *DB) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
-	}
-	if cfg.Register {
-		cfg.Workload = WorkloadRegister
 	}
 	db := New(cfg.Isolation, cfg.Faults, cfg.Seed+1)
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -96,5 +96,5 @@ func (s stream) Retire(keys []history.KeyID, ops []int) {
 // Finish runs the shared phase sequence over the maintained state; it
 // refreshes the keys touched since the last scan first.
 func (s stream) Finish(h *history.History) workload.Analysis {
-	return s.a.finish(h).workloadAnalysis()
+	return s.a.finish(h)
 }

@@ -69,7 +69,7 @@ func (ix refIndex) writer(v refVer) (int, bool) {
 }
 
 // explode derives the dependency edges the version orders imply.
-func explode(h *history.History, an *rwregister.Analysis) map[[2]int]graph.KindSet {
+func explode(h *history.History, an workload.Analysis) map[[2]int]graph.KindSet {
 	ix := index(h)
 	edges := map[[2]int]graph.KindSet{}
 	edge := func(from, to int, k graph.Kind) {
@@ -77,8 +77,8 @@ func explode(h *history.History, an *rwregister.Analysis) map[[2]int]graph.KindS
 			edges[[2]int{from, to}] |= k.Mask()
 		}
 	}
-	for k, order := range an.VersionOrders {
-		key := an.Keys.Key(history.KeyID(k))
+	for k, order := range an.Explainer.RegOrders {
+		key := an.Explainer.Keys.Key(history.KeyID(k))
 		for _, e := range order {
 			wv, ok := ix.writer(refVer{key, e[1]})
 			if !ok {
@@ -113,11 +113,11 @@ func graphEdges(g *graph.Graph) map[[2]int]graph.KindSet {
 }
 
 // checkOrders is the order oracle.
-func checkOrders(t *testing.T, h *history.History, an *rwregister.Analysis) {
+func checkOrders(t *testing.T, h *history.History, an workload.Analysis) {
 	t.Helper()
 	ix := index(h)
-	for k, order := range an.VersionOrders {
-		key := an.Keys.Key(history.KeyID(k))
+	for k, order := range an.Explainer.RegOrders {
+		key := an.Explainer.Keys.Key(history.KeyID(k))
 		ids := map[string]int{}
 		id := func(v string) int {
 			if _, ok := ids[v]; !ok {
@@ -182,7 +182,7 @@ var registerInfo = func() workload.Info {
 
 // checkAgainstOracles asserts both oracles on Analyze(h), and
 // session.Finish ≡ Analyze at each chunk size.
-func checkAgainstOracles(t *testing.T, h *history.History, opts workload.Opts, chunks ...int) *rwregister.Analysis {
+func checkAgainstOracles(t *testing.T, h *history.History, opts workload.Opts, chunks ...int) workload.Analysis {
 	t.Helper()
 	an := rwregister.Analyze(h, opts)
 	if got, want := graphEdges(an.Graph), explode(h, an); !reflect.DeepEqual(got, want) {
@@ -253,7 +253,7 @@ func TestOraclesOnEngineHistories(t *testing.T) {
 }
 
 // explanations lists an analysis's anomalies as "type: explanation".
-func explanations(an *rwregister.Analysis) []string {
+func explanations(an workload.Analysis) []string {
 	var out []string
 	for _, a := range an.Anomalies {
 		out = append(out, fmt.Sprintf("%s: %s", a.Type, a.Explanation))
@@ -366,7 +366,7 @@ func TestOraclesOnHandWrittenHistories(t *testing.T) {
 			if got := explanations(an); !reflect.DeepEqual(got, c.want) {
 				t.Errorf("anomalies:\n got %q\nwant %q", got, c.want)
 			}
-			if got := an.VersionOrder("x"); !reflect.DeepEqual(got, c.orders) {
+			if got := an.Explainer.RegOrder("x"); !reflect.DeepEqual(got, c.orders) {
 				t.Errorf("version order of x:\n got %v\nwant %v", got, c.orders)
 			}
 			if got := graphEdges(an.Graph); !reflect.DeepEqual(got, c.edges) {
@@ -404,7 +404,7 @@ func TestCrashedClientWriteIsNotGarbage(t *testing.T) {
 	if len(batch.Anomalies) != 0 {
 		t.Errorf("batch: a crashed client's write misreported: %v", batch.Anomalies)
 	}
-	if got, want := batch.VersionOrder("x"), [][2]string{{"nil", "1"}}; !reflect.DeepEqual(got, want) {
+	if got, want := batch.Explainer.RegOrder("x"), [][2]string{{"nil", "1"}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("version order of x = %v, want %v", got, want)
 	}
 	if batch.Graph.HasNode(0) || batch.Graph.NumEdges() != 0 {

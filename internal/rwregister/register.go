@@ -2,7 +2,6 @@ package rwregister
 
 import (
 	"repro/internal/gen"
-	"repro/internal/history"
 	"repro/internal/memdb"
 	"repro/internal/workload"
 )
@@ -15,8 +14,6 @@ func init() {
 		Gen:           gen.Register,
 		DB:            memdb.WorkloadRegister,
 		Incremental:   begin,
-		Analyzer: workload.AnalyzerFunc(func(h *history.History, opts workload.Opts) workload.Analysis {
-			return Analyze(h, opts).workloadAnalysis()
-		}),
+		Analyzer:      workload.AnalyzerFunc(Analyze),
 	})
 }

@@ -42,33 +42,6 @@ import (
 // it is the value of row 0 of every key's table, and sorts first.
 const nilVer = math.MinInt64
 
-// Analysis is the result of register dependency inference.
-type Analysis struct {
-	// Graph holds inferred ww, wr, and rw transaction dependencies.
-	Graph *graph.Graph
-	// Anomalies are non-cycle anomalies found during inference.
-	Anomalies []anomaly.Anomaly
-	// Keys is the history's key interner; VersionOrders is indexed by
-	// its KeyIDs.
-	Keys *history.Interner
-	// VersionOrders holds, per KeyID, the direct edges of the reduced
-	// version order actually used for inference (nil encoded as "nil");
-	// keys with a cyclic or empty order have a nil entry.
-	VersionOrders [][][2]string
-	// Ops indexes analyzed completion ops by index.
-	Ops map[int]op.Op
-}
-
-// VersionOrder returns the direct version edges inferred for key, or
-// nil.
-func (a *Analysis) VersionOrder(key string) [][2]string {
-	id, ok := a.Keys.ID(key)
-	if !ok || int(id) >= len(a.VersionOrders) {
-		return nil
-	}
-	return a.VersionOrders[id]
-}
-
 // analyzer carries the indices built over one history. Everything known
 // about a key — its value table, the transactions that touched it, its
 // inferred version order — lives in one keyState indexed by the history
@@ -175,7 +148,7 @@ func (ks *keyState) row(v int) int32 {
 // inference rules (InitialState, WritesFollowReads, LinearizableKeys,
 // SequentialKeys); workload.DefaultOpts enables every rule, matching
 // the paper's Dgraph analysis.
-func Analyze(h *history.History, opts workload.Opts) *Analysis {
+func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	n := 0 // completions: what the op index will hold
 	for _, o := range h.Ops {
 		if o.Type != op.Invoke {
@@ -200,7 +173,7 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 // graph and anomaly list are identical at every parallelism level. The
 // per-key state is complete before the first per-transaction fan-out
 // and read-only from then on.
-func (a *analyzer) finish(h *history.History) *Analysis {
+func (a *analyzer) finish(h *history.History) workload.Analysis {
 	p := a.opts.Parallelism
 	a.oks = h.OKs()
 	a.refresh()
@@ -251,7 +224,11 @@ func (a *analyzer) finish(h *history.History) *Analysis {
 		g.AddEdges(r.edges)
 	}
 	a.emitWR(g, keys)
-	return &Analysis{Graph: g, Anomalies: a.anomalies, Keys: a.in, VersionOrders: orders, Ops: a.ops}
+	return workload.Analysis{
+		Graph:     g,
+		Anomalies: a.anomalies,
+		Explainer: &explain.Explainer{Ops: a.ops, Keys: a.in, RegOrders: orders},
+	}
 }
 
 // refresh re-runs per-key inference — building, cycle-checking, reducing
@@ -267,15 +244,6 @@ func (a *analyzer) refresh() []history.KeyID {
 		ks.res, ks.stale = a.analyzeKey(ks), false
 	})
 	return keys
-}
-
-// workloadAnalysis is the registry-facing view of an Analysis.
-func (an *Analysis) workloadAnalysis() workload.Analysis {
-	return workload.Analysis{
-		Graph:     an.Graph,
-		Anomalies: an.Anomalies,
-		Explainer: &explain.Explainer{Ops: an.Ops, Keys: an.Keys, RegOrders: an.VersionOrders},
-	}
 }
 
 func (a *analyzer) collect(groups [][]anomaly.Anomaly) {

@@ -10,12 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-func analyze(t *testing.T, opts workload.Opts, ops ...op.Op) *Analysis {
+func analyze(t *testing.T, opts workload.Opts, ops ...op.Op) workload.Analysis {
 	t.Helper()
 	return Analyze(history.MustNew(ops), opts)
 }
 
-func hasAnomaly(a *Analysis, typ anomaly.Type) bool {
+func hasAnomaly(a workload.Analysis, typ anomaly.Type) bool {
 	for _, an := range a.Anomalies {
 		if an.Type == typ {
 			return true
@@ -239,7 +239,7 @@ func TestVersionOrdersReported(t *testing.T) {
 	a := analyze(t, workload.Opts{InitialState: true},
 		op.Txn(0, 0, op.OK, op.Write("x", 5)),
 	)
-	edges := a.VersionOrder("x")
+	edges := a.Explainer.RegOrder("x")
 	if len(edges) != 1 {
 		t.Fatalf("version order edges = %v", edges)
 	}

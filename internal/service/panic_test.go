@@ -188,3 +188,23 @@ func TestWorkerPanicContained(t *testing.T) {
 		t.Errorf("exposition does not count two panics:\n%s", grepLines(metrics, "panics"))
 	}
 }
+
+// TestShardPoolTaskPanic: a panicking task re-panics on run's caller
+// with its value, where recover contains it, and its shard's worker
+// lives on to run the next task.
+func TestShardPoolTaskPanic(t *testing.T) {
+	p := newShardPool(1, 1)
+	defer p.stop()
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		p.run(0, func() { panic("task panic planted by the test") })
+		return nil
+	}()
+	if got != "task panic planted by the test" {
+		t.Fatalf("run's caller recovered %v, want the task's panic value", got)
+	}
+	ran := false
+	if !p.run(0, func() { ran = true }) || !ran {
+		t.Fatal("the shard did not run the task after a panic")
+	}
+}

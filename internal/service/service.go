@@ -494,15 +494,19 @@ func (e internalError) Error() string { return fmt.Sprintf("internal error: %v",
 // session may be half-updated, which is why the job accepts nothing
 // more. ingestLocked and finalizeLocked defer it.
 func (j *job) contain(err *error) {
-	v := recover()
-	if v == nil {
-		return
+	if v := recover(); v != nil {
+		*err = j.failPanic(v)
 	}
+}
+
+// failPanic fails the job with the recovered panic value v, logging the
+// stack and counting it. Callers hold j.mu.
+func (j *job) failPanic(v any) error {
 	log.Printf("elled: job %s: panic: %v\n%s", j.id, v, debug.Stack())
 	j.panics.Inc()
 	ie := internalError{v}
 	j.fail(ie)
-	*err = ie
+	return ie
 }
 
 // isInternal reports whether err is a recovered checker panic.
@@ -749,14 +753,9 @@ func (s *Service) handleChunk(w http.ResponseWriter, r *http.Request) {
 	// one task on the job's home shard; the handler just waits for the
 	// verdict. One job, one shard, one worker goroutine: feed order is
 	// upload order, whatever the shard count.
-	var (
-		status    int
-		code, msg string
-		delta     deltaJSON
-	)
-	if !s.pool.run(j.homeShard(), func() {
-		status, code, msg = s.processChunk(j, format, body, &delta)
-	}) {
+	var delta deltaJSON
+	status, code, msg, ran := s.ingestChunk(j, format, body, &delta)
+	if !ran {
 		s.met.refused.With(CodeShardBusy).Inc()
 		writeErrRetry(w, http.StatusTooManyRequests, CodeShardBusy,
 			"inference shard queue is full; retry this chunk", 1)
@@ -767,6 +766,26 @@ func (s *Service) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, delta)
+}
+
+// ingestChunk runs processChunk as a task on j's home shard and returns
+// its verdict; ran is false when the shard's queue refused the task. A
+// panic processChunk did not contain itself — ingestLocked contains the
+// checker's, so this is the WAL append around it — reaches this
+// goroutine through shardPool.run and fails the job as contain would,
+// with 500 internal; the shard's worker lives on.
+func (s *Service) ingestChunk(j *job, format string, body []byte, delta *deltaJSON) (status int, code, msg string, ran bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			j.mu.Lock()
+			defer j.mu.Unlock()
+			status, code, msg, ran = http.StatusInternalServerError, CodeInternal, j.failPanic(v).Error(), true
+		}
+	}()
+	ran = s.pool.run(j.homeShard(), func() {
+		status, code, msg = s.processChunk(j, format, body, delta)
+	})
+	return status, code, msg, ran
 }
 
 // processChunk ingests one chunk body on the job's shard: journal

@@ -54,11 +54,14 @@ func (p *shardPool) work(q chan func()) {
 }
 
 // run executes f on the given shard and waits for it to finish,
-// returning false without running it when the shard's queue is full.
+// returning false without running it when the shard's queue is full. A
+// panic in f does not end the shard's worker: run re-panics with its
+// value on the caller's goroutine, where recover contains it, and the
+// shard goes on to its next task.
 func (p *shardPool) run(shard int, f func()) bool {
-	fin := make(chan struct{})
+	fin := make(chan any) // the task's panic value; nil when it returned
 	task := func() {
-		defer close(fin)
+		defer func() { fin <- recover() }()
 		f()
 	}
 	select {
@@ -66,7 +69,9 @@ func (p *shardPool) run(shard int, f func()) bool {
 	default:
 		return false
 	}
-	<-fin
+	if v := <-fin; v != nil {
+		panic(v)
+	}
 	return true
 }
 

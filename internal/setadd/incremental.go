@@ -85,5 +85,5 @@ func (s stream) Retire(keys []history.KeyID, ops []int) {
 
 // Finish runs the shared phase sequence over the maintained state.
 func (s stream) Finish(h *history.History) workload.Analysis {
-	return s.a.finish(h).workloadAnalysis()
+	return s.a.finish(h)
 }

@@ -195,7 +195,7 @@ var setInfo = func() workload.Info {
 // checkAgainstReference asserts reference ≡ Analyze on h, and
 // session.Finish ≡ Analyze at each chunk size, with a memory budget and
 // without.
-func checkAgainstReference(t *testing.T, h *history.History, chunks ...int) *setadd.Analysis {
+func checkAgainstReference(t *testing.T, h *history.History, chunks ...int) workload.Analysis {
 	t.Helper()
 	opts := workload.Opts{Parallelism: 1}
 	an := setadd.Analyze(h, opts)
@@ -282,7 +282,7 @@ func TestReferenceOnEngineHistories(t *testing.T) {
 }
 
 // explanations lists an analysis's anomalies as "type: explanation".
-func explanations(an *setadd.Analysis) []string {
+func explanations(an workload.Analysis) []string {
 	var out []string
 	for _, a := range an.Anomalies {
 		out = append(out, fmt.Sprintf("%s: %s", a.Type, a.Explanation))

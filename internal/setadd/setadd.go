@@ -32,16 +32,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Analysis is the result of set dependency inference.
-type Analysis struct {
-	// Graph holds wr and rw transaction dependencies.
-	Graph *graph.Graph
-	// Anomalies are the non-cycle anomalies found during inference.
-	Anomalies []anomaly.Anomaly
-	// Ops indexes analyzed completion ops by index.
-	Ops map[int]op.Op
-}
-
 // analyzer carries the indices built over one history. Everything known
 // about a key — its element table and its reads — lives in one keyState
 // indexed by the history interner's dense KeyID (see history.Interner),
@@ -133,7 +123,7 @@ func (ks *keyState) elem(e int) *elemState {
 // Analyze infers dependencies and anomalies for a set-add history.
 // Set reads are carried in Mop.List; element order is ignored. Of the
 // shared options only Parallelism applies.
-func Analyze(h *history.History, opts workload.Opts) *Analysis {
+func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	n := 0 // completions: what the op index will hold
 	for _, o := range h.Ops {
 		if o.Type != op.Invoke {
@@ -187,7 +177,7 @@ type readFindings struct {
 // independently per key, across opts.Parallelism workers — and merges
 // the per-read results in op order, so the graph and anomaly list are
 // identical at every parallelism level.
-func (a *analyzer) finish(h *history.History) *Analysis {
+func (a *analyzer) finish(h *history.History) workload.Analysis {
 	// An add whose invocation never completed may still have taken
 	// effect: reading it is not garbage. It gains no writer and no edge.
 	for _, o := range h.Crashed() {
@@ -236,16 +226,7 @@ func (a *analyzer) finish(h *history.History) *Analysis {
 		anomalies = append(anomalies, res[i].anoms...)
 		g.AddEdges(res[i].edges)
 	}
-	return &Analysis{Graph: g, Anomalies: anomalies, Ops: a.ops}
-}
-
-// workloadAnalysis is the registry-facing view of an Analysis.
-func (an *Analysis) workloadAnalysis() workload.Analysis {
-	return workload.Analysis{
-		Graph:     an.Graph,
-		Anomalies: an.Anomalies,
-		Explainer: &explain.Explainer{Ops: an.Ops},
-	}
+	return workload.Analysis{Graph: g, Anomalies: anomalies, Explainer: &explain.Explainer{Ops: a.ops}}
 }
 
 // keyFindings checks every read of key k against the key's element

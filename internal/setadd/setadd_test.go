@@ -10,12 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-func analyze(t *testing.T, ops ...op.Op) *Analysis {
+func analyze(t *testing.T, ops ...op.Op) workload.Analysis {
 	t.Helper()
 	return Analyze(history.MustNew(ops), workload.Opts{})
 }
 
-func hasAnomaly(a *Analysis, typ anomaly.Type) bool {
+func hasAnomaly(a workload.Analysis, typ anomaly.Type) bool {
 	for _, an := range a.Anomalies {
 		if an.Type == typ {
 			return true
