@@ -30,6 +30,11 @@
 // rotation that regrew past a tail reader's offset — sees a length,
 // kind, type, or KeyID violation within one record and fails with an
 // error wrapping ErrFraming instead of mis-parsing silently.
+//
+// A decoded list read is read-only, and may share memory with other
+// reads of its key: the decoder keeps one trace buffer per KeyID,
+// reset with the dictionary, and hands out prefixes of it
+// (op.ShareList).
 package binhist
 
 import (

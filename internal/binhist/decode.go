@@ -9,15 +9,18 @@ import (
 	"repro/internal/op"
 )
 
-// decoder holds the cross-record decode state: the key dictionary and
-// whether the current stream segment's header has been consumed. Mop
-// and list slices are carved out of slab arenas — the slices retain
-// their slab, so nothing is copied out, but a million-op decode makes
-// hundreds of slice allocations instead of millions.
+// decoder holds the cross-record decode state: the key dictionary, each
+// key's trace — the buffer its list reads share (see op.ShareList) —
+// and whether the current stream segment's header has been consumed.
+// Mop slices and lists are carved out of slab arenas — the slices
+// retain their slab, so nothing is copied out, but a million-op decode
+// makes hundreds of slice allocations instead of millions.
 type decoder struct {
 	keys   []string
+	traces [][]int // by KeyID, like keys
 	opened bool
 
+	ints     []int // list-read scratch, stored out per mop (op.ShareList)
 	mopArena []op.Mop
 	intArena []int
 }
@@ -35,23 +38,6 @@ func (d *decoder) allocMops(n int) []op.Mop {
 	// Every region is carved exactly once from a fresh slab, so the
 	// mops are already zero.
 	return d.mopArena[start : start+n : start+n]
-}
-
-// emptyInts backs every observed-empty list read: a shared non-nil
-// zero-length slice is indistinguishable from a fresh one.
-var emptyInts = make([]int, 0)
-
-// allocInts returns an n-int slice carved from the arena.
-func (d *decoder) allocInts(n int) []int {
-	if n == 0 {
-		return emptyInts
-	}
-	if cap(d.intArena)-len(d.intArena) < n {
-		d.intArena = make([]int, 0, max(arenaSlab, n))
-	}
-	start := len(d.intArena)
-	d.intArena = d.intArena[:start+n]
-	return d.intArena[start : start+n : start+n]
 }
 
 // decodeAll consumes every complete record in buf, appending decoded
@@ -85,6 +71,8 @@ func (d *decoder) decodeAll(buf []byte, dst []op.Op) ([]op.Op, int, error) {
 			pos += headerLen
 			d.opened = true
 			d.keys = d.keys[:0]
+			clear(d.traces)
+			d.traces = d.traces[:0]
 			continue
 		}
 		if pos == len(buf) {
@@ -108,6 +96,7 @@ func (d *decoder) decodeAll(buf []byte, dst []op.Op) ([]op.Op, int, error) {
 		case recDict:
 			// Copy: payload aliases the caller's (reused) buffer.
 			d.keys = append(d.keys, string(payload[1:]))
+			d.traces = append(d.traces, nil)
 		case recOp:
 			o, err := d.decodeOp(payload[1:])
 			if err != nil {
@@ -214,16 +203,17 @@ func (d *decoder) decodeOp(b []byte) (op.Op, error) {
 				// legitimate observed-empty list).
 				return o, framingErr("mop %d: list length %d exceeds record size", i, n)
 			}
-			list := d.allocInts(int(n))
-			for j := range list {
+			list := d.ints[:0]
+			for range n {
 				v, rest, err := uvarint(b)
 				if err != nil {
 					return o, err
 				}
 				b = rest
-				list[j] = int(unzigzag(v))
+				list = append(list, int(unzigzag(v)))
 			}
-			m.List = list
+			d.ints = list
+			m.List = op.ShareList(&d.traces[kid], &d.intArena, list)
 		}
 	}
 	if len(b) != 0 {

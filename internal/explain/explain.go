@@ -83,80 +83,127 @@ func (e *Explainer) ListOrderKeys() []string {
 
 // Cycle renders a Figure 2-style explanation: the transactions involved,
 // then one line per edge justifying the dependency, ending with the
-// contradiction.
+// contradiction. It is built in one buffer with strconv appends, no fmt:
+// a faulted history's report renders thousands of these.
 func (e *Explainer) Cycle(c graph.Cycle) string {
-	var b strings.Builder
-	b.WriteString("Let:\n")
+	t := make(text, 0, 256).str("Let:\n")
 	for _, n := range c.Nodes() {
-		fmt.Fprintf(&b, "  %s\n", e.Ops[n].String())
+		t = t.str("  ").op(e.Ops[n]).str("\n")
 	}
-	b.WriteString("\nThen:\n")
+	t = t.str("\nThen:\n")
 	for i, s := range c.Steps {
-		reason := e.edgeReason(s)
-		if i == len(c.Steps)-1 {
-			fmt.Fprintf(&b, "  - However, %s < %s, because %s: a contradiction!\n",
-				e.name(s.From), e.name(s.To), reason)
+		last := i == len(c.Steps)-1
+		t = t.str("  - ")
+		if last {
+			t = t.str("However, ")
+		}
+		t = e.edgeReason(t.name(e.index(s.From)).str(" < ").name(e.index(s.To)).str(", because "), s)
+		if last {
+			t = t.str(": a contradiction!\n")
 		} else {
-			fmt.Fprintf(&b, "  - %s < %s, because %s.\n",
-				e.name(s.From), e.name(s.To), reason)
+			t = t.str(".\n")
 		}
 	}
-	return b.String()
+	return string(t)
 }
 
-func (e *Explainer) name(n int) string {
+// index is node n's transaction index, as its op names it.
+func (e *Explainer) index(n int) int {
 	if o, ok := e.Ops[n]; ok {
-		return o.Name()
+		return o.Index
 	}
-	return fmt.Sprintf("T%d", n)
+	return n
 }
 
-// edgeReason justifies one dependency edge in terms of the values the
-// transactions read and wrote.
-func (e *Explainer) edgeReason(s graph.Step) string {
+// edgeReason appends the justification of one dependency edge, in terms
+// of the values the transactions read and wrote.
+func (e *Explainer) edgeReason(t text, s graph.Step) text {
 	from, to := e.Ops[s.From], e.Ops[s.To]
+	f, g := from.Index, to.Index
 	switch s.Via {
 	case graph.WR:
 		if key, elem, ok := e.wrWitness(from, to); ok {
-			return fmt.Sprintf("%s observed %s's append of %d to key %s",
-				to.Name(), from.Name(), elem, key)
+			return t.name(g).str(" observed ").name(f).str("'s append of ").int(elem).str(" to key ").str(key)
 		}
 		if key, v, ok := e.wrRegWitness(from, to); ok {
-			return fmt.Sprintf("%s observed %s's write of %d to key %s",
-				to.Name(), from.Name(), v, key)
+			return t.name(g).str(" observed ").name(f).str("'s write of ").int(v).str(" to key ").str(key)
 		}
-		return fmt.Sprintf("%s read a version %s installed", to.Name(), from.Name())
+		return t.name(g).str(" read a version ").name(f).str(" installed")
 	case graph.RW:
 		if key, elem, ok := e.rwWitness(from, to); ok {
-			return fmt.Sprintf("%s did not observe %s's append of %d to key %s",
-				from.Name(), to.Name(), elem, key)
+			return t.name(f).str(" did not observe ").name(g).str("'s append of ").int(elem).str(" to key ").str(key)
 		}
 		if key, prev, next, ok := e.rwRegWitness(from, to); ok {
-			return fmt.Sprintf("%s read key %s = %s, which %s overwrote with %s",
-				from.Name(), key, prev, to.Name(), next)
+			return t.name(f).str(" read key ").str(key).str(" = ").str(prev).
+				str(", which ").name(g).str(" overwrote with ").str(next)
 		}
-		return fmt.Sprintf("%s read a version which %s overwrote", from.Name(), to.Name())
+		return t.name(f).str(" read a version which ").name(g).str(" overwrote")
 	case graph.WW:
 		if key, e1, e2, ok := e.wwWitness(from, to); ok {
-			return fmt.Sprintf("%s appended %d after %s appended %d to key %s",
-				to.Name(), e2, from.Name(), e1, key)
+			return t.name(g).str(" appended ").int(e2).str(" after ").name(f).str(" appended ").int(e1).
+				str(" to key ").str(key)
 		}
 		if key, prev, next, ok := e.wwRegWitness(from, to); ok {
-			return fmt.Sprintf("%s wrote key %s = %s, replacing %s's write of %s",
-				to.Name(), key, next, from.Name(), prev)
+			return t.name(g).str(" wrote key ").str(key).str(" = ").str(next).
+				str(", replacing ").name(f).str("'s write of ").str(prev)
 		}
-		return fmt.Sprintf("%s overwrote a version %s installed", to.Name(), from.Name())
+		return t.name(g).str(" overwrote a version ").name(f).str(" installed")
 	case graph.Process:
-		return fmt.Sprintf("process %d executed %s before %s",
-			from.Process, from.Name(), to.Name())
+		return t.str("process ").int(from.Process).str(" executed ").name(f).str(" before ").name(g)
 	case graph.Realtime:
-		return fmt.Sprintf("%s completed before %s was invoked", from.Name(), to.Name())
+		return t.name(f).str(" completed before ").name(g).str(" was invoked")
 	case graph.Timestamp:
-		return fmt.Sprintf("the database's own timestamps say %s committed before %s began",
-			from.Name(), to.Name())
+		return t.str("the database's own timestamps say ").name(f).str(" committed before ").name(g).str(" began")
 	default:
-		return fmt.Sprintf("%s precedes %s in the inferred version order", from.Name(), to.Name())
+		return t.name(f).str(" precedes ").name(g).str(" in the inferred version order")
 	}
+}
+
+// text is an explanation under construction: strings and numbers are
+// appended straight into one buffer.
+type text []byte
+
+func (t text) str(s string) text { return append(t, s...) }
+
+func (t text) int(n int) text { return strconv.AppendInt(t, int64(n), 10) }
+
+// name appends the label op.Op.Name renders for index i: "T42".
+func (t text) name(i int) text { return append(t, 'T').int(i) }
+
+// op appends o as op.Op.String renders it:
+// "T42(ok): append(3, 837), r(4, [874 877 883])".
+func (t text) op(o op.Op) text {
+	t = t.name(o.Index).str("(").str(o.Type.String()).str("): ")
+	for i, m := range o.Mops {
+		if i > 0 {
+			t = t.str(", ")
+		}
+		t = t.mop(m)
+	}
+	return t
+}
+
+// mop appends m as op.Mop.String renders it: "r(4, [874 877])".
+func (t text) mop(m op.Mop) text {
+	t = t.str(m.F.String()).str("(").str(m.Key)
+	switch {
+	case m.F != op.FRead:
+		t = t.str(", ").int(m.Arg)
+	case m.List != nil:
+		t = t.str(", [")
+		for i, v := range m.List {
+			if i > 0 {
+				t = t.str(" ")
+			}
+			t = t.int(v)
+		}
+		t = t.str("]")
+	case m.RegKnown && m.RegNil:
+		t = t.str(", nil")
+	case m.RegKnown:
+		t = t.str(", ").int(m.Reg)
+	}
+	return t.str(")")
 }
 
 // A witness search walks the facts one transaction offers — its reads in

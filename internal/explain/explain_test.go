@@ -49,7 +49,7 @@ func TestCycleExplanationFormat(t *testing.T) {
 func TestWRReason(t *testing.T) {
 	e, _ := fixture()
 	s := graph.Step{From: 2, To: 3, Via: graph.WR}
-	got := e.edgeReason(s)
+	got := reason(e, s)
 	if !strings.Contains(got, "T3 observed T2's append of 5 to key 34") {
 		t.Errorf("wr reason = %q", got)
 	}
@@ -59,7 +59,7 @@ func TestRegisterWRReason(t *testing.T) {
 	w := op.Txn(0, 0, op.OK, op.Write("x", 7))
 	r := op.Txn(1, 1, op.OK, op.ReadReg("x", 7))
 	e := &Explainer{Ops: map[int]op.Op{0: w, 1: r}}
-	got := e.edgeReason(graph.Step{From: 0, To: 1, Via: graph.WR})
+	got := reason(e, graph.Step{From: 0, To: 1, Via: graph.WR})
 	if !strings.Contains(got, "T1 observed T0's write of 7 to key x") {
 		t.Errorf("register wr reason = %q", got)
 	}
@@ -69,10 +69,10 @@ func TestOrderingReasons(t *testing.T) {
 	a := op.Txn(0, 3, op.OK)
 	b := op.Txn(1, 3, op.OK)
 	e := &Explainer{Ops: map[int]op.Op{0: a, 1: b}}
-	if got := e.edgeReason(graph.Step{From: 0, To: 1, Via: graph.Process}); !strings.Contains(got, "process 3 executed") {
+	if got := reason(e, graph.Step{From: 0, To: 1, Via: graph.Process}); !strings.Contains(got, "process 3 executed") {
 		t.Errorf("process reason = %q", got)
 	}
-	if got := e.edgeReason(graph.Step{From: 0, To: 1, Via: graph.Realtime}); !strings.Contains(got, "completed before") {
+	if got := reason(e, graph.Step{From: 0, To: 1, Via: graph.Realtime}); !strings.Contains(got, "completed before") {
 		t.Errorf("realtime reason = %q", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestFallbackReasons(t *testing.T) {
 		graph.WW: "overwrote a version",
 	}
 	for kind, want := range cases {
-		got := e.edgeReason(graph.Step{From: 0, To: 1, Via: kind})
+		got := reason(e, graph.Step{From: 0, To: 1, Via: kind})
 		if !strings.Contains(got, want) {
 			t.Errorf("%v fallback = %q, want substring %q", kind, got, want)
 		}
@@ -124,7 +124,7 @@ func TestDOTEscapesQuotes(t *testing.T) {
 
 func TestUnknownNodeName(t *testing.T) {
 	e := &Explainer{Ops: map[int]op.Op{}}
-	if got := e.name(42); got != "T42" {
+	if got := string(text(nil).name(e.index(42))); got != "T42" {
 		t.Errorf("name(42) = %q", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestRegisterRWReason(t *testing.T) {
 		Keys:      keys,
 		RegOrders: regOrders,
 	}
-	got := e.edgeReason(graph.Step{From: 1, To: 2, Via: graph.RW})
+	got := reason(e, graph.Step{From: 1, To: 2, Via: graph.RW})
 	if !strings.Contains(got, "T1 read key 2434 = nil, which T2 overwrote with 10") {
 		t.Errorf("register rw reason = %q", got)
 	}
@@ -160,17 +160,17 @@ func TestWWReason(t *testing.T) {
 	orders[keys.Intern("b")] = []int{10, 11}
 	orders[keys.Intern("a")] = []int{1, 2, 3, 4}
 	e := &Explainer{Ops: map[int]op.Op{1: t1, 2: t2, 3: t3}, Keys: keys, ListOrders: orders}
-	got := e.edgeReason(graph.Step{From: 1, To: 2, Via: graph.WW})
+	got := reason(e, graph.Step{From: 1, To: 2, Via: graph.WW})
 	if want := "T2 appended 2 after T1 appended 1 to key a"; got != want {
 		t.Errorf("ww reason = %q, want %q", got, want)
 	}
 	// T3 and T2 share only key c.
-	got = e.edgeReason(graph.Step{From: 3, To: 2, Via: graph.WW})
+	got = reason(e, graph.Step{From: 3, To: 2, Via: graph.WW})
 	if want := "T2 appended 21 after T3 appended 20 to key c"; got != want {
 		t.Errorf("ww reason = %q, want %q", got, want)
 	}
 	// T1 and T3 share no key: the pair on c is no witness for them.
-	got = e.edgeReason(graph.Step{From: 1, To: 3, Via: graph.WW})
+	got = reason(e, graph.Step{From: 1, To: 3, Via: graph.WW})
 	if want := "T3 overwrote a version T1 installed"; got != want {
 		t.Errorf("ww reason without a shared key = %q, want %q", got, want)
 	}
@@ -370,7 +370,7 @@ func TestWitnessChoice(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := &Explainer{Ops: map[int]op.Op{1: tc.from, 2: tc.to}, Keys: keys, ListOrders: lists, RegOrders: regs}
-			if got := e.edgeReason(graph.Step{From: 1, To: 2, Via: tc.via}); got != tc.want {
+			if got := reason(e, graph.Step{From: 1, To: 2, Via: tc.via}); got != tc.want {
 				t.Errorf("reason = %q\n      want %q", got, tc.want)
 			}
 		})
@@ -386,8 +386,29 @@ func TestWitnessChoice(t *testing.T) {
 		graph.RW: "T1 read a version which T2 overwrote",
 		graph.WW: "T2 overwrote a version T1 installed",
 	} {
-		if got := bare.edgeReason(graph.Step{From: 1, To: 2, Via: via}); got != want {
+		if got := reason(bare, graph.Step{From: 1, To: 2, Via: via}); got != want {
 			t.Errorf("without orders, %v reason = %q, want %q", via, got, want)
+		}
+	}
+}
+
+// reason renders one edge's justification on its own.
+func reason(e *Explainer, s graph.Step) string { return string(e.edgeReason(nil, s)) }
+
+// TestOpRenderingMatchesString holds the explanation's op renderer to
+// op.Op.String over every mop shape and op type.
+func TestOpRenderingMatchesString(t *testing.T) {
+	mops := []op.Mop{
+		op.Append("x", -3), op.Add("s", 7), op.Increment("c", 2), op.Write("r", 0),
+		op.Read("x"), op.ReadList("x", nil), op.ReadList("x", []int{1, -2, 3}),
+		op.ReadReg("r", -9), op.ReadNil("r"),
+	}
+	for _, typ := range []op.Type{op.Invoke, op.OK, op.Fail, op.Info} {
+		for i := 0; i <= len(mops); i++ {
+			o := op.Txn(10*i-5, 1, typ, mops[:i]...)
+			if got, want := string(text(nil).op(o)), o.String(); got != want {
+				t.Errorf("rendered %q, want %q", got, want)
+			}
 		}
 	}
 }

@@ -124,7 +124,13 @@ func (h *History) Len() int { return len(h.Ops) }
 // order. These are the units of analysis: each one is an observed
 // transaction Tˆi.
 func (h *History) Completions() []op.Op {
-	out := make([]op.Op, 0, len(h.Ops))
+	n := 0
+	for i := range h.Ops {
+		if h.Ops[i].Type != op.Invoke {
+			n++
+		}
+	}
+	out := make([]op.Op, 0, n)
 	for _, o := range h.Ops {
 		if o.Type != op.Invoke {
 			out = append(out, o)
@@ -133,9 +139,20 @@ func (h *History) Completions() []op.Op {
 	return out
 }
 
-// OKs returns the committed transactions in index order.
+// OKs returns the committed transactions in index order, or nil if
+// there are none. Like Completions and Crashed it counts before it
+// allocates: one exact slice, no growth.
 func (h *History) OKs() []op.Op {
-	var out []op.Op
+	n := 0
+	for i := range h.Ops {
+		if h.Ops[i].Type == op.OK {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]op.Op, 0, n)
 	for _, o := range h.Ops {
 		if o.Type == op.OK {
 			out = append(out, o)
@@ -145,13 +162,24 @@ func (h *History) OKs() []op.Op {
 }
 
 // Crashed returns the invocations that never completed — crashed
-// clients, or the tail of a log still being written — in index order.
-// What they attempted may have taken effect all the same, so analyzers
-// consult them before calling an observed value garbage.
+// clients, or the tail of a log still being written — in index order,
+// or nil if there are none. What they attempted may have taken effect
+// all the same, so analyzers consult them before calling an observed
+// value garbage.
 func (h *History) Crashed() []op.Op {
-	var out []op.Op
+	crashed := func(pos, c int) bool { return c < 0 && h.Ops[pos].Type == op.Invoke }
+	n := 0
 	for pos, c := range h.completion {
-		if c < 0 && h.Ops[pos].Type == op.Invoke {
+		if crashed(pos, c) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]op.Op, 0, n)
+	for pos, c := range h.completion {
+		if crashed(pos, c) {
 			out = append(out, h.Ops[pos])
 		}
 	}

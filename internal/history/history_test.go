@@ -204,3 +204,56 @@ func TestRandomWellFormedHistories(t *testing.T) {
 		}
 	}
 }
+
+// TestFiltersAllocateOnce pins Completions, OKs and Crashed to one
+// exact-size allocation each, and their contents to a plain filter.
+func TestFiltersAllocateOnce(t *testing.T) {
+	var ops []op.Op
+	types := []op.Type{op.OK, op.Fail, op.Info, op.OK}
+	for i := 0; i < 200; i++ {
+		p := i % 7
+		ops = append(ops, op.Op{Index: 2 * i, Process: p + 10*(i/7), Type: op.Invoke})
+		if i%13 != 0 { // every thirteenth invocation never completes
+			ops = append(ops, op.Op{Index: 2*i + 1, Process: p + 10*(i/7), Type: types[i%len(types)]})
+		}
+	}
+	h := MustNew(ops)
+	var wantComp, wantOK, wantCrashed []int
+	for i, o := range h.Ops {
+		switch {
+		case o.Type == op.OK:
+			wantOK = append(wantOK, o.Index)
+			fallthrough
+		case o.Type != op.Invoke:
+			wantComp = append(wantComp, o.Index)
+		case i+1 == len(h.Ops) || h.Ops[i+1].Type == op.Invoke:
+			wantCrashed = append(wantCrashed, o.Index)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		f    func() []op.Op
+		want []int
+	}{
+		{"Completions", h.Completions, wantComp},
+		{"OKs", h.OKs, wantOK},
+		{"Crashed", h.Crashed, wantCrashed},
+	} {
+		got := c.f()
+		if len(got) != len(c.want) || cap(got) != len(got) {
+			t.Fatalf("%s: len %d cap %d, want %d", c.name, len(got), cap(got), len(c.want))
+		}
+		for i, o := range got {
+			if o.Index != c.want[i] {
+				t.Fatalf("%s[%d] = op %d, want %d", c.name, i, o.Index, c.want[i])
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.f() }); allocs != 1 {
+			t.Errorf("%s allocates %v times, want 1", c.name, allocs)
+		}
+	}
+	empty := MustNew(nil)
+	if empty.OKs() != nil || empty.Crashed() != nil || empty.Completions() == nil {
+		t.Error("an empty history: OKs and Crashed must be nil, Completions empty")
+	}
+}

@@ -14,6 +14,11 @@
 // times the throughput, while accepting exactly the same lines (pinned
 // by the differential oracle in oracle_test.go). See docs/FORMATS.md;
 // for a binary format that is faster still, see package binhist.
+//
+// A decoded list read is read-only, and may share memory with other
+// reads of its key: a decoder keeps one trace buffer per key and hands
+// out prefixes of it (op.ShareList). Nothing a decoder returns shares
+// memory with what another decoder returns.
 package jsonhist
 
 import (

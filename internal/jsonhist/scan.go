@@ -46,6 +46,13 @@ const maxNestingDepth = 10000
 // inputs, where the cache resets rather than growing without bound.
 const maxKeyCache = 4096
 
+// keyEntry is one interned key and its trace: the buffer its list reads
+// share (see op.ShareList).
+type keyEntry struct {
+	key   string
+	trace []int
+}
+
 var (
 	nameIndex   = []byte("index")
 	nameType    = []byte("type")
@@ -64,18 +71,24 @@ type lineParser struct {
 	depth    int
 	register bool
 
-	mops  []op.Mop          // mop scratch, copied out per op
-	elems [][2]int          // "value" element spans (span path)
-	fast  bool              // the winning "value" member is already in mops
-	ints  []int             // list-read scratch, copied out per mop
-	str   []byte            // string unquote scratch
-	keys  map[string]string // interned key cache
+	mops    []op.Mop         // mop scratch, copied out per op
+	elems   [][2]int         // "value" element spans (span path)
+	fast    bool             // the winning "value" member is already in mops
+	ints    []int            // list-read scratch, stored out per mop (op.ShareList)
+	str     []byte           // string unquote scratch
+	keys    map[string]int32 // interned key cache: key -> entry
+	entries []keyEntry
 
-	// Copied-out Mops and list slices are carved from slab arenas: the
-	// slices retain their slab, so nothing is copied twice, but a
-	// million-op decode makes hundreds of slice allocations instead of
-	// millions. Regions are carved exactly once from fresh slabs, so a
-	// slab may serve ops of several histories without overlap.
+	// owner is the decoder whose chunks the traces hold lists of: a
+	// pooled parser drops them before parsing for another (see
+	// StreamDecoder.parseChunk).
+	owner uint64
+
+	// Copied-out Mops and lists are carved from slab arenas: the slices
+	// retain their slab, so nothing is copied twice, but a million-op
+	// decode makes hundreds of slice allocations instead of millions.
+	// Regions are carved exactly once from fresh slabs, so a slab may
+	// serve ops of several histories without overlap.
 	mopArena []op.Mop
 	intArena []int
 
@@ -95,19 +108,11 @@ func (p *lineParser) allocMops(n int) []op.Mop {
 	return p.mopArena[start : start+n : start+n]
 }
 
-// emptyInts backs every observed-empty list read.
-var emptyInts = make([]int, 0)
-
-func (p *lineParser) allocInts(n int) []int {
-	if n == 0 {
-		return emptyInts
+// dropTraces lets go of every key's trace, keeping the interned keys.
+func (p *lineParser) dropTraces() {
+	for i := range p.entries {
+		p.entries[i].trace = nil
 	}
-	if cap(p.intArena)-len(p.intArena) < n {
-		p.intArena = make([]int, 0, max(arenaSlab, n))
-	}
-	start := len(p.intArena)
-	p.intArena = p.intArena[:start+n]
-	return p.intArena[start : start+n : start+n]
 }
 
 // envelope is the decoded top-level object, the scanner's stand-in for
@@ -414,10 +419,11 @@ func (p *lineParser) parseMop(span [2]int) (op.Mop, error) {
 	// valid funs resolve to a constant before that.
 	f, known := funOf(fun)
 
-	key, err := p.parseKey(parts[1])
+	e, err := p.parseKey(parts[1])
 	if err != nil {
 		return op.Mop{}, err
 	}
+	key := e.key
 	if !known {
 		return op.Mop{}, fmt.Errorf("unknown micro-op fun %q", fun)
 	}
@@ -474,9 +480,7 @@ func (p *lineParser) parseMop(span [2]int) (op.Mop, error) {
 			p.skipWS()
 		}
 	}
-	list := p.allocInts(len(p.ints))
-	copy(list, p.ints)
-	return op.ReadList(key, list), nil
+	return op.ReadList(key, op.ShareList(&e.trace, &p.intArena, p.ints)), nil
 }
 
 // funOf resolves a micro-op fun name.
@@ -500,6 +504,10 @@ func funOf(s []byte) (op.Fun, bool) {
 // p.mops when all of it fits the fast grammar (see the file comment),
 // leaving pos after the closing ']'. Otherwise it reports false with pos
 // unmoved; what it had put in p.mops, p.ints and the arenas is scratch.
+// A list it appended to its key's trace stays there: ShareList only
+// ever hands out windows equal to the read, so the span path's parse of
+// the same list gets a window of it, and a later read a window only if
+// it equals one.
 func (p *lineParser) fastValue() bool {
 	b := p.buf
 	p.mops = p.mops[:0]
@@ -543,9 +551,9 @@ func (p *lineParser) fastMop(i int) int {
 		return -1
 	}
 
-	var key string
+	var e *keyEntry
 	if end = plainEnd(b, i); end >= 0 {
-		key = p.intern(b[i+1 : end])
+		e = p.intern(b[i+1 : end])
 		end++
 	} else {
 		// An integer key is its own canonical decimal — except "-0",
@@ -554,13 +562,13 @@ func (p *lineParser) fastMop(i int) int {
 		if _, end, ok = fastInt(b, i); !ok || (b[i] == '-' && b[i+1] == '0') {
 			return -1
 		}
-		key = p.intern(b[i:end])
+		e = p.intern(b[i:end])
 	}
 	if i = comma(b, end); i < 0 {
 		return -1
 	}
 
-	m := op.Mop{F: f, Key: key}
+	m := op.Mop{F: f, Key: e.key}
 	switch c := at(b, i); {
 	case c == 'n' && f == op.FRead:
 		if len(b)-i < 4 || string(b[i:i+4]) != "null" {
@@ -597,8 +605,7 @@ func (p *lineParser) fastMop(i int) int {
 		}
 		i++
 		p.ints = ints
-		m.List = p.allocInts(len(ints))
-		copy(m.List, ints)
+		m.List = op.ShareList(&e.trace, &p.intArena, ints)
 	default:
 		return -1
 	}
@@ -669,13 +676,13 @@ func fastInt(b []byte, i int) (n, end int, ok bool) {
 
 // parseKey decodes a mop key span: a string, or an integer rendered in
 // canonical decimal (so numeric keys match their string spellings).
-func (p *lineParser) parseKey(span [2]int) (string, error) {
+func (p *lineParser) parseKey(span [2]int) (*keyEntry, error) {
 	p.pos = span[0]
 	c := p.buf[p.pos]
 	if c == '"' {
 		s, err := p.scanString()
 		if err != nil {
-			return "", fmt.Errorf("key: %w", err)
+			return nil, fmt.Errorf("key: %w", err)
 		}
 		return p.intern(s), nil
 	}
@@ -688,7 +695,7 @@ func (p *lineParser) parseKey(span [2]int) (string, error) {
 		}
 	}
 	raw := p.buf[span[0]:span[1]]
-	return "", fmt.Errorf("key: key must be a string or integer: %s", raw)
+	return nil, fmt.Errorf("key: key must be a string or integer: %s", raw)
 }
 
 // parseInt parses an integral number token at pos.
@@ -747,20 +754,22 @@ func (p *lineParser) scanInt() (int64, []byte, error) {
 	return int64(u), tok, nil
 }
 
-// intern returns b as a cached string, allocating only on first sight
-// of a key.
-func (p *lineParser) intern(b []byte) string {
-	if s, ok := p.keys[string(b)]; ok {
-		return s
+// intern returns b's cache entry, allocating only on first sight of a
+// key. The entry is valid until the next intern.
+func (p *lineParser) intern(b []byte) *keyEntry {
+	if i, ok := p.keys[string(b)]; ok {
+		return &p.entries[i]
 	}
 	if p.keys == nil {
-		p.keys = make(map[string]string, 64)
+		p.keys = make(map[string]int32, 64)
 	} else if len(p.keys) >= maxKeyCache {
 		clear(p.keys)
+		clear(p.entries)
+		p.entries = p.entries[:0]
 	}
-	s := string(b)
-	p.keys[s] = s
-	return s
+	p.entries = append(p.entries, keyEntry{key: string(b)})
+	p.keys[p.entries[len(p.entries)-1].key] = int32(len(p.entries) - 1)
+	return &p.entries[len(p.entries)-1]
 }
 
 // skipValue structurally validates one JSON value of any shape.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,13 +49,48 @@ func drain(d *StreamDecoder) ([]op.Op, error) {
 	}
 }
 
-// FuzzStreamDecoder holds two differential properties on arbitrary
-// input: (1) every tuning — sequential, tiny parallel chunks, tail
-// mode, each from a reader and in place — decodes the same ops and
-// reports the same first error as the plain sequential decode; (2) the scan-first parser agrees with the
-// preserved encoding/json oracle on acceptance, on the decoded ops,
-// and on which line is the first bad one (error *text* is the
-// scanner's own and is not compared).
+// drainStable is drain, also holding the decoder to the contract on
+// shared lists: every list a Next returned reads the same once the rest
+// of the input has decoded. The decoder shares one trace buffer among a
+// key's reads, and must never write below its length.
+func drainStable(t *testing.T, d *StreamDecoder) ([]op.Op, error) {
+	t.Helper()
+	var ops []op.Op
+	var lists, want [][]int
+	defer func() {
+		for i, l := range lists {
+			if !slices.Equal(l, want[i]) {
+				t.Fatalf("list %d read %v when decoded, %v at the end", i, want[i], l)
+			}
+		}
+	}()
+	for {
+		chunk, err := d.Next()
+		if err == io.EOF {
+			return ops, nil
+		}
+		if err != nil {
+			return ops, err
+		}
+		for _, o := range chunk {
+			for _, m := range o.Mops {
+				if len(m.List) > 0 {
+					lists, want = append(lists, m.List), append(want, slices.Clone(m.List))
+				}
+			}
+		}
+		ops = append(ops, chunk...)
+	}
+}
+
+// FuzzStreamDecoder holds three properties on arbitrary input: (1)
+// every tuning — sequential, tiny parallel chunks, tail mode, each from
+// a reader and in place — decodes the same ops and reports the same
+// first error as the plain sequential decode; (2) the scan-first parser
+// agrees with the preserved encoding/json oracle on acceptance, on the
+// decoded ops, and on which line is the first bad one (error *text* is
+// the scanner's own and is not compared); (3) under every tuning, no
+// list an earlier Next returned changes while the rest decodes.
 func FuzzStreamDecoder(f *testing.F) {
 	f.Add("")
 	f.Add("\n\n")
@@ -65,13 +101,23 @@ func FuzzStreamDecoder(f *testing.F) {
 	f.Add("garbage\n" + `{"index":1,"type":"ok","process":0,"value":[]}`)
 	f.Add(`{"index":0,"type":"ok","process":0,"value":[["r","x",{"bad":1}]]}`)
 	f.Add(strings.Repeat(`{"index":0,"type":"ok","process":0,"value":[]}`+"\n", 4))
+	// Reads of one key that share its trace: prefixes, extensions,
+	// divergent reads, one on the span path (an escaped key); then the
+	// same with a rejected line after them.
+	shared := `{"index":0,"type":"ok","process":0,"value":[["r","x",[1]],["r","x",[1,2]]]}
+{"index":1,"type":"ok","process":1,"value":[["r","x",[1]],["r","x",[1,2,3,4]],["r","y",[]]]}
+{"index":2,"type":"ok","process":0,"value":[["r","x",[1,5]],["r","\u0078",[1,2,3,4,5]],["r","x",[1,2]]]}
+{"index":3,"type":"ok","process":1,"value":[["r","x",[1,5,6,7,8,9]],["r","x",[1,2,3,4,5,6,7,8]]]}
+{"index":4,"type":"ok","process":0,"value":[["r","x",[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17]]]}`
+	f.Add(shared)
+	f.Add(shared + "\n" + `{"index":5,"type":"ok","process":1,"value":[["r","x",[9}]]}`)
 	// The oracle corpus, which has a line per exit of the fast "value"
 	// path.
 	seedScannerLines(f)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		for _, register := range []bool{false, true} {
-			base, baseErr := drain(NewStreamDecoder(strings.NewReader(input),
+			base, baseErr := drainStable(t, NewStreamDecoder(strings.NewReader(input),
 				DecodeOpts{Register: register, Parallelism: 1}))
 
 			oracleOps, oracleLine, oracleErr := oracleDecode(input, register)
@@ -98,7 +144,7 @@ func FuzzStreamDecoder(f *testing.F) {
 				{Register: register, Parallelism: 1, Tail: true},
 			}
 			for _, opts := range tunings {
-				got, err := drain(NewStreamDecoder(strings.NewReader(input), opts))
+				got, err := drainStable(t, NewStreamDecoder(strings.NewReader(input), opts))
 				if (err == nil) != (baseErr == nil) {
 					t.Fatalf("opts %+v: error presence diverged: %v vs %v", opts, err, baseErr)
 				}
@@ -116,7 +162,7 @@ func FuzzStreamDecoder(f *testing.F) {
 			}
 			// The in-place entry is the same decoder minus the reader.
 			for _, opts := range append(tunings, DecodeOpts{Register: register, Parallelism: 1}) {
-				got, err := drain(NewBytesDecoder([]byte(input), opts))
+				got, err := drainStable(t, NewBytesDecoder([]byte(input), opts))
 				if fmt.Sprint(err) != fmt.Sprint(baseErr) {
 					t.Fatalf("in place, opts %+v: error %v, want %v", opts, err, baseErr)
 				}

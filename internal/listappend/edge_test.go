@@ -2,6 +2,7 @@ package listappend
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/anomaly"
 	"repro/internal/graph"
@@ -188,5 +189,13 @@ func TestMixedMopsIgnoredGracefully(t *testing.T) {
 	)
 	if !a.Graph.Label(0, 1).Has(graph.WR) {
 		t.Error("list edges should still be inferred")
+	}
+}
+
+// TestKeyReadSize pins a filed read to its op's index, not a copy of
+// the op: a history files one keyRead per committed list read.
+func TestKeyReadSize(t *testing.T) {
+	if got := unsafe.Sizeof(keyRead{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(keyRead{}) = %d, want 48", got)
 	}
 }

@@ -58,10 +58,10 @@ func (s *stream) placed(ks *keyState, p int) {
 		s.emit(w[p-1], w[p], graph.WW)
 	}
 	for i := *ks.group(p); i > 0; i = ks.reads[i-1].next {
-		s.emit(ks.reads[i-1].o.Index, w[p], graph.RW)
+		s.emit(ks.reads[i-1].index, w[p], graph.RW)
 	}
 	for i := *ks.group(p + 1); i > 0; i = ks.reads[i-1].next {
-		s.emit(w[p], ks.reads[i-1].o.Index, graph.WR)
+		s.emit(w[p], ks.reads[i-1].index, graph.WR)
 	}
 }
 
@@ -74,10 +74,10 @@ func (s *stream) file(ks *keyState, i int) {
 	head := ks.group(n)
 	r.next, *head = *head, int32(i+1)
 	if n > 0 && w[n-1] >= 0 {
-		s.emit(w[n-1], r.o.Index, graph.WR)
+		s.emit(w[n-1], r.index, graph.WR)
 	}
 	if n < len(w) && w[n] >= 0 {
-		s.emit(r.o.Index, w[n], graph.RW)
+		s.emit(r.index, w[n], graph.RW)
 	}
 }
 
@@ -133,8 +133,8 @@ func (s *stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 			}
 			for _, r := range ks.reads {
 				if slices.Contains(r.list, m.Arg) {
-					out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r.o.Index, o.Index),
-						g1aAnomaly(r.o, m.Key, r.list, m.Arg, o))
+					out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r.index, o.Index),
+						g1aAnomaly(a.ops[r.index], m.Key, r.list, m.Arg, o))
 				}
 			}
 		}
@@ -178,15 +178,16 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 	case duplicated:
 		return // not a clean read; contributes no version order
 	case incompatible:
-		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, o.Index, ks.longest.o.Index),
-			incompatAnomaly(new(text), m.Key, *r, ks.longest, op.FormatList(ks.longest.list)))
+		lr := ks.longest
+		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, o.Index, lr.index),
+			incompatAnomaly(new(text), m.Key, o, r.list, s.a.ops[lr.index], op.FormatList(lr.list)))
 		return // and no edges
 	case replaced:
 		// Replacing the trace retracts the edges inferred from it, and
 		// regroups the key's reads around the new one.
 		s.poisoned = true
-		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.o.Index, o.Index),
-			incompatAnomaly(new(text), m.Key, old, *r, op.FormatList(r.list)))
+		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.index, o.Index),
+			incompatAnomaly(new(text), m.Key, s.a.ops[old.index], old.list, o, op.FormatList(r.list)))
 		ks.writers, ks.byLen = ks.writers[:0], ks.byLen[:0]
 	}
 	// The positions the trace gained, in order: each sees its predecessor

@@ -41,10 +41,11 @@ import (
 )
 
 // keyRead is one committed read of a known list value, filed under its
-// key in op order.
+// key in op order. It names its op by index: a finding resolves it
+// through the analyzer's op index when it renders.
 type keyRead struct {
-	o      op.Op
-	invoke int // index of o's invocation
+	index  int // the reading op's
+	invoke int // index of its invocation
 	list   []int
 	dup    bool  // the value repeats an element: it contributes no version order
 	next   int32 // a session's chain of same-length compatible reads (keyState.byLen)
@@ -428,7 +429,7 @@ func (a *analyzer) addOp(o op.Op, invoke int) {
 	for _, m := range o.Mops {
 		if o.Type == op.OK && m.ListKnown() {
 			ks := a.key(a.kid(m.Key))
-			ks.reads = append(ks.reads, keyRead{o: o, invoke: invoke, list: m.List})
+			ks.reads = append(ks.reads, keyRead{index: o.Index, invoke: invoke, list: m.List})
 		}
 		if m.F != op.FAppend {
 			continue
@@ -570,23 +571,23 @@ func (a *analyzer) incompatAnomalies(k history.KeyID) []anomaly.Anomaly {
 			if trace == "" {
 				trace = op.FormatList(ks.longest.list)
 			}
-			out = append(out, incompatAnomaly(&buf, kname, r, ks.longest, trace))
+			out = append(out, incompatAnomaly(&buf, kname, a.ops[r.index], r.list, a.ops[ks.longest.index], trace))
 		}
 	}
 	return out
 }
 
-// incompatAnomaly renders one incompatible-order finding: r's read of k
-// against the trace longest, whose value trace renders. buf is scratch
-// the caller may reuse across findings. The streaming session uses the
-// same rendering for mid-stream surfacing.
-func incompatAnomaly(buf *text, k string, r, longest keyRead, trace string) anomaly.Anomaly {
-	*buf = (*buf)[:0].name(r.o).str(" read key ").str(k).str(" as ").list(r.list).
-		str(" but ").name(longest.o).str(" read it as ").str(trace).
+// incompatAnomaly renders one incompatible-order finding: reader's read
+// of k as list against the trace, read by holder, whose value trace
+// renders. buf is scratch the caller may reuse across findings. The
+// streaming session uses the same rendering for mid-stream surfacing.
+func incompatAnomaly(buf *text, k string, reader op.Op, list []int, holder op.Op, trace string) anomaly.Anomaly {
+	*buf = (*buf)[:0].name(reader).str(" read key ").str(k).str(" as ").list(list).
+		str(" but ").name(holder).str(" read it as ").str(trace).
 		str("; neither is a prefix of the other, so at least one observed an aborted version")
 	return anomaly.Anomaly{
 		Type:        anomaly.IncompatibleOrder,
-		Ops:         []op.Op{r.o, longest.o},
+		Ops:         []op.Op{reader, holder},
 		Key:         k,
 		Explanation: string(*buf),
 	}
@@ -614,12 +615,12 @@ func keyEdges(ks *keyState) []graph.Edge {
 		// wr: the writer of the last element of the observed version
 		// installed the version this read observed.
 		if n > 0 && w[n-1] >= 0 {
-			out = append(out, graph.Edge{From: w[n-1], To: r.o.Index, Kind: graph.WR})
+			out = append(out, graph.Edge{From: w[n-1], To: r.index, Kind: graph.WR})
 		}
 		// rw: the writer of the next element in ≪x overwrote the
 		// version this read observed.
 		if n < len(w) && w[n] >= 0 {
-			out = append(out, graph.Edge{From: r.o.Index, To: w[n], Kind: graph.RW})
+			out = append(out, graph.Edge{From: r.index, To: w[n], Kind: graph.RW})
 		}
 	}
 	return out
@@ -714,18 +715,37 @@ func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID) []anomaly.Anomaly {
 func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 	// Index committed appends by key once; scanning all transactions per
 	// key would make this check quadratic in history length. The index is
-	// a dense KeyID-indexed slice: by the time this runs (batch Analyze or
-	// a session's Finish) the interner is complete.
+	// one slice in KeyID order, op order within a key — key k's appends
+	// are appends[start[k]:start[k+1]] — filled by a counting sort rather
+	// than grown key by key: by the time this runs (batch Analyze or a
+	// session's Finish) the interner is complete.
 	type keyAppend struct {
-		o    op.Op
-		elem int
+		index int // the appending op's
+		elem  int
 	}
-	appendsByKey := make([][]keyAppend, a.in.Len())
+	start := make([]int, a.in.Len()+1)
+	var kids []history.KeyID // each committed append's key, in op order
 	for _, w := range a.oks {
 		for _, m := range w.Mops {
 			if m.F == op.FAppend {
 				k := a.kid(m.Key)
-				appendsByKey[k] = append(appendsByKey[k], keyAppend{o: w, elem: m.Arg})
+				kids = append(kids, k)
+				start[k+1]++
+			}
+		}
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	appends, next := make([]keyAppend, len(kids)), slices.Clone(start)
+	i := 0
+	for _, w := range a.oks {
+		for _, m := range w.Mops {
+			if m.F == op.FAppend {
+				k := kids[i]
+				appends[next[k]] = keyAppend{index: w.Index, elem: m.Arg}
+				next[k]++
+				i++
 			}
 		}
 	}
@@ -738,18 +758,21 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 		lr := ks.longest
 		var out []anomaly.Anomaly
 		var buf text
-		read := "" // the long read's value, rendered once, for the key's first finding
-		for _, ka := range appendsByKey[k] {
-			if ka.o.Index < lr.invoke && ks.find(ka.elem).pos < 0 {
+		var lo op.Op // the long read's op and value, resolved for the key's first finding
+		read := ""
+		for _, ka := range appends[start[k]:start[k+1]] {
+			if ka.index < lr.invoke && ks.find(ka.elem).pos < 0 {
 				if read == "" {
-					read = op.FormatList(lr.o.Mops[readPos(lr.o, kname)].List)
+					lo = a.ops[lr.index]
+					read = op.FormatList(lo.Mops[readPos(lo, kname)].List)
 				}
-				buf = buf[:0].name(ka.o).str(" committed an append of ").int(ka.elem).str(" to key ").str(kname).
-					str(" before ").name(lr.o).str(" began, yet ").name(lr.o).str(" read ").str(read).
+				wo := a.ops[ka.index]
+				buf = buf[:0].name(wo).str(" committed an append of ").int(ka.elem).str(" to key ").str(kname).
+					str(" before ").name(lo).str(" began, yet ").name(lo).str(" read ").str(read).
 					str(" without it: the update was lost")
 				out = append(out, anomaly.Anomaly{
 					Type:        anomaly.LostUpdate,
-					Ops:         []op.Op{ka.o, lr.o},
+					Ops:         []op.Op{wo, lo},
 					Key:         kname,
 					Explanation: string(buf),
 				})

@@ -66,8 +66,10 @@ func (f Fun) IsWrite() bool { return f != FRead }
 //     non-nil List means the database returned the empty list.
 //   - FRead of a register or counter stores the observed value in Reg;
 //     RegKnown distinguishes "observed nil / zero" from "unknown".
+//
+// The three one-byte fields come last, so a Mop is 64 bytes with a
+// four-byte hole after them.
 type Mop struct {
-	F   Fun
 	Key string
 
 	// Arg is the argument of a write-like micro-op: the element appended
@@ -75,12 +77,16 @@ type Mop struct {
 	Arg int
 
 	// List is the observed value of a list or set read. nil = unknown.
+	// A decoded List is read-only: it may share memory with other reads
+	// of the same key (see ShareList).
 	List []int
 
 	// Reg is the observed value of a register or counter read, valid only
 	// when RegKnown is true. A register read that observed the initial
 	// (nil) version is encoded as RegKnown=true, RegNil=true.
-	Reg      int
+	Reg int
+
+	F        Fun
 	RegKnown bool
 	RegNil   bool
 }
@@ -174,12 +180,80 @@ func IsPrefix(a, b []int) bool {
 	if len(a) > len(b) {
 		return false
 	}
+	if len(a) > 0 && &a[0] == &b[0] {
+		// Two windows of one shared trace (see ShareList).
+		return true
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// ShareList stores v, an observed list value of one key held in the
+// caller's scratch, so that a list version is resident once however
+// many reads observe it (§3: every read of a list is a prefix of its
+// version order). trace is the key's append-only buffer of the longest
+// value seen so far. If v is a prefix of it, the result is a window of
+// it; if it is a prefix of v, v's new elements are appended first, and
+// a full buffer is replaced by one at least twice as large. Elements
+// below the buffer's length are never rewritten, so every window handed
+// out stays valid. Any other v — one diverging from the buffer — gets a
+// private copy. Buffers and copies are carved from arena, the caller's
+// slab of ints; each region is carved once, so one arena may serve many
+// keys. An empty v is a shared empty, non-nil slice.
+//
+// The result's capacity is its length, so appending to it copies; it
+// must never be written.
+func ShareList(trace, arena *[]int, v []int) []int {
+	t, n := *trace, len(v)
+	switch {
+	case n == 0:
+		return emptyList
+	case n <= len(t):
+		if IsPrefix(v, t) {
+			return t[:n:n]
+		}
+	case IsPrefix(t, v):
+		if n > cap(t) {
+			grown := carve(arena, len(t), max(2*cap(t), n, minTrace))
+			copy(grown, t)
+			t = grown
+		}
+		t = append(t, v[len(t):]...)
+		*trace = t
+		return t[:n:n]
+	}
+	l := carve(arena, n, n)
+	copy(l, v)
+	return l
+}
+
+// emptyList backs every observed-empty list ShareList stores.
+var emptyList = make([]int, 0)
+
+const (
+	// minTrace is the capacity of a key's first trace buffer.
+	minTrace = 16
+	// listSlab is the size of the slabs ShareList carves from; a region
+	// of more than a quarter of one is allocated on its own.
+	listSlab = 4096
+)
+
+// carve returns a region of n ints with capacity c, carved from arena.
+func carve(arena *[]int, n, c int) []int {
+	if c > listSlab/4 {
+		return make([]int, n, c)
+	}
+	a := *arena
+	if cap(a)-len(a) < c {
+		a = make([]int, 0, listSlab)
+	}
+	start := len(a)
+	*arena = a[:start+c]
+	return a[start : start+n : start+c]
 }
 
 // Type is the completion type of an observed operation.

@@ -1,8 +1,11 @@
 package op
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFunString(t *testing.T) {
@@ -152,6 +155,9 @@ func TestFormatList(t *testing.T) {
 	}
 }
 
+// shared backs TestIsPrefix's window cases.
+var shared = []int{1, 2, 3}
+
 func TestIsPrefix(t *testing.T) {
 	cases := []struct {
 		a, b []int
@@ -163,6 +169,10 @@ func TestIsPrefix(t *testing.T) {
 		{[]int{1, 2}, []int{1, 2}, true},
 		{[]int{2}, []int{1, 2}, false},
 		{[]int{1, 2, 3}, []int{1, 2}, false},
+		// Windows of one buffer, as ShareList hands them out.
+		{shared[:2:2], shared, true},
+		{shared, shared[:2:2], false},
+		{shared[1:], shared, false},
 	}
 	for _, c := range cases {
 		if got := IsPrefix(c.a, c.b); got != c.want {
@@ -188,5 +198,115 @@ func TestIsPrefixProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop2, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMopSize pins Mop's layout: the one-byte fields packed after Reg.
+func TestMopSize(t *testing.T) {
+	if got := unsafe.Sizeof(Mop{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Mop{}) = %d, want 64", got)
+	}
+}
+
+func TestShareList(t *testing.T) {
+	var trace, arena []int
+	scratch := []int{5, 6}
+	a := ShareList(&trace, &arena, scratch)
+	if !slices.Equal(a, []int{5, 6}) || cap(a) != 2 || &a[0] != &trace[0] {
+		t.Fatalf("first read: %v (cap %d), trace %v", a, cap(a), trace)
+	}
+	scratch[0] = 99 // scratch is the caller's to reuse
+	if a[0] != 5 {
+		t.Fatalf("window changed with the scratch: %v", a)
+	}
+	b := ShareList(&trace, &arena, []int{5})
+	if !slices.Equal(b, []int{5}) || &b[0] != &a[0] {
+		t.Fatalf("prefix: %v, shares %v", b, &b[0] == &a[0])
+	}
+	c := ShareList(&trace, &arena, []int{5, 6, 7})
+	if !slices.Equal(c, []int{5, 6, 7}) || &c[0] != &a[0] {
+		t.Fatalf("extension within capacity: %v", c)
+	}
+	if got := append(b, 8); &got[0] == &b[0] || c[1] != 6 {
+		t.Fatal("appending to a window wrote into the trace")
+	}
+	if e := ShareList(&trace, &arena, []int{}); e == nil || len(e) != 0 {
+		t.Fatalf("an empty read: %#v", e)
+	}
+	for _, v := range [][]int{{6}, {5, 6, 8}, {5, 7, 7, 7}} {
+		got := ShareList(&trace, &arena, v)
+		if !slices.Equal(got, v) || cap(got) != len(got) || &got[0] == &trace[0] {
+			t.Errorf("ShareList(%v) = %v (cap %d), want a private copy", v, got, cap(got))
+		}
+	}
+	if !slices.Equal(trace, []int{5, 6, 7}) {
+		t.Fatalf("a divergent read changed the trace: %v", trace)
+	}
+	long := make([]int, 40)
+	copy(long, []int{5, 6, 7})
+	d := ShareList(&trace, &arena, long)
+	if !slices.Equal(d, long) || cap(trace) < 2*minTrace {
+		t.Fatalf("growth: %v, cap %d", d, cap(trace))
+	}
+	if &d[0] == &a[0] || !slices.Equal(c, []int{5, 6, 7}) {
+		t.Fatal("growth moved or changed an earlier window")
+	}
+	huge := make([]int, listSlab)
+	if got := ShareList(new([]int), &arena, huge); len(got) != listSlab {
+		t.Fatalf("a read larger than a slab: len %d", len(got))
+	}
+}
+
+// TestShareListProperty feeds ShareList random reads of several keys —
+// prefixes, extensions and divergent values of one growing list per
+// key — over one arena, and checks that each result equals its read
+// and that nothing it handed out ever changes.
+func TestShareListProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	traces := make([][]int, 3)
+	versions := make([][]int, 3)
+	var arena []int
+	type handed struct{ got, want []int }
+	var out []handed
+	shared := 0
+	for i := 0; i < 5000; i++ {
+		k := rng.Intn(len(traces))
+		version := versions[k]
+		var v []int
+		switch rng.Intn(4) {
+		case 0: // a prefix of the version
+			v = slices.Clone(version[:rng.Intn(len(version)+1)])
+		case 1: // the version, extended
+			version = append(version, rng.Intn(1000))
+			versions[k] = version
+			v = slices.Clone(version)
+		case 2: // a divergent prefix
+			v = slices.Clone(version[:rng.Intn(len(version)+1)])
+			if len(v) > 0 {
+				v[rng.Intn(len(v))] = -1
+			}
+		default: // divergent and longer than the version
+			if len(version) == 0 {
+				continue
+			}
+			v = append(slices.Clone(version), -1, -2)
+			v[0] = -3
+		}
+		got := ShareList(&traces[k], &arena, v)
+		if !slices.Equal(got, v) || cap(got) != len(got) || got == nil {
+			t.Fatalf("read %d: ShareList(%v) = %v (cap %d)", i, v, got, cap(got))
+		}
+		if len(got) > 0 && &got[0] == &traces[k][0] {
+			shared++
+		}
+		out = append(out, handed{got, v})
+	}
+	for i, h := range out {
+		if !slices.Equal(h.got, h.want) {
+			t.Fatalf("result %d changed: %v, want %v", i, h.got, h.want)
+		}
+	}
+	if shared < 2000 {
+		t.Fatalf("only %d of 5000 reads shared a trace", shared)
 	}
 }
