@@ -63,7 +63,8 @@ import (
 // Micro-operations and operations.
 type (
 	// Mop is one micro-operation: a read, write, append, add, or
-	// increment on a single object.
+	// increment on a single object. A decoded Mop's List is read-only
+	// (see DecodeHistory).
 	Mop = op.Mop
 	// Op is one observed operation: a transaction attempt or completion.
 	Op = op.Op
@@ -277,6 +278,11 @@ func CheckSerializable(h *History, timeout time.Duration) *SerialCheckResult {
 
 // DecodeHistory reads a JSON-lines history; register selects register
 // read decoding. EncodeHistory writes one.
+//
+// A decoded list read (Mop.List) is read-only: it may share memory with
+// other reads of the same key, so writing into it changes those reads
+// too. Copy a list (slices.Clone) before sorting or otherwise changing
+// it. The same holds for DecodeHistoryWith and DecodeHistoryBinary.
 func DecodeHistory(r io.Reader, register bool) (*History, error) {
 	return jsonhist.Decode(r, register)
 }
@@ -287,7 +293,8 @@ type DecodeHistoryOpts = jsonhist.DecodeOpts
 
 // DecodeHistoryWith reads a JSON-lines history, streaming the input in
 // chunks and parsing them across opts.Parallelism workers (<= 0 meaning
-// one per CPU); the result is identical to DecodeHistory's.
+// one per CPU); the result is identical to DecodeHistory's. Its lists
+// are read-only, as DecodeHistory's are.
 func DecodeHistoryWith(r io.Reader, opts DecodeHistoryOpts) (*History, error) {
 	return jsonhist.DecodeWith(r, opts)
 }
@@ -299,7 +306,8 @@ func EncodeHistory(w io.Writer, h *History) error { return jsonhist.Encode(w, h)
 // format (docs/FORMATS.md); no register flag is needed, the format
 // records each read's kind explicitly. EncodeHistoryBinary writes one.
 // Decode errors from a structurally broken stream — a truncated file, a
-// bad length prefix — wrap ErrBinaryFraming.
+// bad length prefix — wrap ErrBinaryFraming. Its lists are read-only,
+// as DecodeHistory's are.
 func DecodeHistoryBinary(r io.Reader) (*History, error) { return binhist.Decode(r) }
 
 // EncodeHistoryBinary writes h as an ellebin stream.

@@ -86,22 +86,22 @@ func (e *Explainer) ListOrderKeys() []string {
 // contradiction. It is built in one buffer with strconv appends, no fmt:
 // a faulted history's report renders thousands of these.
 func (e *Explainer) Cycle(c graph.Cycle) string {
-	t := make(text, 0, 256).str("Let:\n")
+	t := make(Text, 0, 256).Str("Let:\n")
 	for _, n := range c.Nodes() {
-		t = t.str("  ").op(e.Ops[n]).str("\n")
+		t = t.Str("  ").Op(e.Ops[n]).Str("\n")
 	}
-	t = t.str("\nThen:\n")
+	t = t.Str("\nThen:\n")
 	for i, s := range c.Steps {
 		last := i == len(c.Steps)-1
-		t = t.str("  - ")
+		t = t.Str("  - ")
 		if last {
-			t = t.str("However, ")
+			t = t.Str("However, ")
 		}
-		t = e.edgeReason(t.name(e.index(s.From)).str(" < ").name(e.index(s.To)).str(", because "), s)
+		t = e.edgeReason(t.Name(e.index(s.From)).Str(" < ").Name(e.index(s.To)).Str(", because "), s)
 		if last {
-			t = t.str(": a contradiction!\n")
+			t = t.Str(": a contradiction!\n")
 		} else {
-			t = t.str(".\n")
+			t = t.Str(".\n")
 		}
 	}
 	return string(t)
@@ -117,94 +117,68 @@ func (e *Explainer) index(n int) int {
 
 // edgeReason appends the justification of one dependency edge, in terms
 // of the values the transactions read and wrote.
-func (e *Explainer) edgeReason(t text, s graph.Step) text {
+func (e *Explainer) edgeReason(t Text, s graph.Step) Text {
 	from, to := e.Ops[s.From], e.Ops[s.To]
 	f, g := from.Index, to.Index
 	switch s.Via {
 	case graph.WR:
 		if key, elem, ok := e.wrWitness(from, to); ok {
-			return t.name(g).str(" observed ").name(f).str("'s append of ").int(elem).str(" to key ").str(key)
+			return t.Name(g).Str(" observed ").Name(f).Str("'s append of ").Int(elem).Str(" to key ").Str(key)
 		}
 		if key, v, ok := e.wrRegWitness(from, to); ok {
-			return t.name(g).str(" observed ").name(f).str("'s write of ").int(v).str(" to key ").str(key)
+			return t.Name(g).Str(" observed ").Name(f).Str("'s write of ").Int(v).Str(" to key ").Str(key)
 		}
-		return t.name(g).str(" read a version ").name(f).str(" installed")
+		return t.Name(g).Str(" read a version ").Name(f).Str(" installed")
 	case graph.RW:
 		if key, elem, ok := e.rwWitness(from, to); ok {
-			return t.name(f).str(" did not observe ").name(g).str("'s append of ").int(elem).str(" to key ").str(key)
+			return t.Name(f).Str(" did not observe ").Name(g).Str("'s append of ").Int(elem).Str(" to key ").Str(key)
 		}
 		if key, prev, next, ok := e.rwRegWitness(from, to); ok {
-			return t.name(f).str(" read key ").str(key).str(" = ").str(prev).
-				str(", which ").name(g).str(" overwrote with ").str(next)
+			return t.Name(f).Str(" read key ").Str(key).Str(" = ").Str(prev).
+				Str(", which ").Name(g).Str(" overwrote with ").Str(next)
 		}
-		return t.name(f).str(" read a version which ").name(g).str(" overwrote")
+		return t.Name(f).Str(" read a version which ").Name(g).Str(" overwrote")
 	case graph.WW:
 		if key, e1, e2, ok := e.wwWitness(from, to); ok {
-			return t.name(g).str(" appended ").int(e2).str(" after ").name(f).str(" appended ").int(e1).
-				str(" to key ").str(key)
+			return t.Name(g).Str(" appended ").Int(e2).Str(" after ").Name(f).Str(" appended ").Int(e1).
+				Str(" to key ").Str(key)
 		}
 		if key, prev, next, ok := e.wwRegWitness(from, to); ok {
-			return t.name(g).str(" wrote key ").str(key).str(" = ").str(next).
-				str(", replacing ").name(f).str("'s write of ").str(prev)
+			return t.Name(g).Str(" wrote key ").Str(key).Str(" = ").Str(next).
+				Str(", replacing ").Name(f).Str("'s write of ").Str(prev)
 		}
-		return t.name(g).str(" overwrote a version ").name(f).str(" installed")
+		return t.Name(g).Str(" overwrote a version ").Name(f).Str(" installed")
 	case graph.Process:
-		return t.str("process ").int(from.Process).str(" executed ").name(f).str(" before ").name(g)
+		return t.Str("process ").Int(from.Process).Str(" executed ").Name(f).Str(" before ").Name(g)
 	case graph.Realtime:
-		return t.name(f).str(" completed before ").name(g).str(" was invoked")
+		return t.Name(f).Str(" completed before ").Name(g).Str(" was invoked")
 	case graph.Timestamp:
-		return t.str("the database's own timestamps say ").name(f).str(" committed before ").name(g).str(" began")
+		return t.Str("the database's own timestamps say ").Name(f).Str(" committed before ").Name(g).Str(" began")
 	default:
-		return t.name(f).str(" precedes ").name(g).str(" in the inferred version order")
+		return t.Name(f).Str(" precedes ").Name(g).Str(" in the inferred version order")
 	}
 }
 
-// text is an explanation under construction: strings and numbers are
-// appended straight into one buffer.
-type text []byte
+// Text is an explanation under construction: strings, numbers and op
+// renderings are appended straight into one buffer, which a caller may
+// reuse across its findings, so a finding costs the one allocation of
+// its final string rather than fmt's formatting and growth.
+type Text []byte
 
-func (t text) str(s string) text { return append(t, s...) }
+// Str appends s.
+func (t Text) Str(s string) Text { return append(t, s...) }
 
-func (t text) int(n int) text { return strconv.AppendInt(t, int64(n), 10) }
+// Int appends n in decimal.
+func (t Text) Int(n int) Text { return strconv.AppendInt(t, int64(n), 10) }
 
-// name appends the label op.Op.Name renders for index i: "T42".
-func (t text) name(i int) text { return append(t, 'T').int(i) }
+// Name appends the label op.Op.Name gives the op at index: "T42".
+func (t Text) Name(index int) Text { return op.AppendName(t, index) }
 
-// op appends o as op.Op.String renders it:
-// "T42(ok): append(3, 837), r(4, [874 877 883])".
-func (t text) op(o op.Op) text {
-	t = t.name(o.Index).str("(").str(o.Type.String()).str("): ")
-	for i, m := range o.Mops {
-		if i > 0 {
-			t = t.str(", ")
-		}
-		t = t.mop(m)
-	}
-	return t
-}
+// List appends a list value as op.FormatList renders it: "[1 2 3]".
+func (t Text) List(v []int) Text { return op.AppendList(t, v) }
 
-// mop appends m as op.Mop.String renders it: "r(4, [874 877])".
-func (t text) mop(m op.Mop) text {
-	t = t.str(m.F.String()).str("(").str(m.Key)
-	switch {
-	case m.F != op.FRead:
-		t = t.str(", ").int(m.Arg)
-	case m.List != nil:
-		t = t.str(", [")
-		for i, v := range m.List {
-			if i > 0 {
-				t = t.str(" ")
-			}
-			t = t.int(v)
-		}
-		t = t.str("]")
-	case m.RegKnown && m.RegNil:
-		t = t.str(", nil")
-	case m.RegKnown:
-		t = t.str(", ").int(m.Reg)
-	}
-	return t.str(")")
-}
+// Op appends o as op.Op.String renders it.
+func (t Text) Op(o op.Op) Text { return o.AppendTo(t) }
 
 // A witness search walks the facts one transaction offers — its reads in
 // program order, or the version orders of the keys both transactions

@@ -124,7 +124,7 @@ func TestDOTEscapesQuotes(t *testing.T) {
 
 func TestUnknownNodeName(t *testing.T) {
 	e := &Explainer{Ops: map[int]op.Op{}}
-	if got := string(text(nil).name(e.index(42))); got != "T42" {
+	if got := string(Text(nil).Name(e.index(42))); got != "T42" {
 		t.Errorf("name(42) = %q", got)
 	}
 }
@@ -394,21 +394,3 @@ func TestWitnessChoice(t *testing.T) {
 
 // reason renders one edge's justification on its own.
 func reason(e *Explainer, s graph.Step) string { return string(e.edgeReason(nil, s)) }
-
-// TestOpRenderingMatchesString holds the explanation's op renderer to
-// op.Op.String over every mop shape and op type.
-func TestOpRenderingMatchesString(t *testing.T) {
-	mops := []op.Mop{
-		op.Append("x", -3), op.Add("s", 7), op.Increment("c", 2), op.Write("r", 0),
-		op.Read("x"), op.ReadList("x", nil), op.ReadList("x", []int{1, -2, 3}),
-		op.ReadReg("r", -9), op.ReadNil("r"),
-	}
-	for _, typ := range []op.Type{op.Invoke, op.OK, op.Fail, op.Info} {
-		for i := 0; i <= len(mops); i++ {
-			o := op.Txn(10*i-5, 1, typ, mops[:i]...)
-			if got, want := string(text(nil).op(o)), o.String(); got != want {
-				t.Errorf("rendered %q, want %q", got, want)
-			}
-		}
-	}
-}

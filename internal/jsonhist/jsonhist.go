@@ -17,8 +17,9 @@
 //
 // A decoded list read is read-only, and may share memory with other
 // reads of its key: a decoder keeps one trace buffer per key and hands
-// out prefixes of it (op.ShareList). Nothing a decoder returns shares
-// memory with what another decoder returns.
+// out prefixes of it (op.ShareList). A JSON trace lives for one chunk's
+// parse, so reads in different chunks never share a list, and nothing a
+// decoder returns shares a list with what another decoder returns.
 package jsonhist
 
 import (
@@ -79,10 +80,15 @@ type chunk struct {
 	parser    *lineParser
 }
 
-// release returns c to the pool, letting go of text first: a window
-// belongs to the caller, and the pool must not keep it alive.
+// release returns c to the pool, letting go of text and of the parser's
+// traces first: a window belongs to the caller, and a trace holds lists
+// the caller's ops now own, so the pool must keep neither alive. A trace
+// thus lives for one chunk's parse.
 func (c *chunk) release() {
 	c.text = nil
+	if c.parser != nil {
+		c.parser.dropTraces()
+	}
 	chunkPool.Put(c)
 }
 

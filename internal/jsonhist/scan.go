@@ -47,7 +47,7 @@ const maxNestingDepth = 10000
 const maxKeyCache = 4096
 
 // keyEntry is one interned key and its trace: the buffer its list reads
-// share (see op.ShareList).
+// in the current chunk share (see op.ShareList and chunk.release).
 type keyEntry struct {
 	key   string
 	trace []int
@@ -78,11 +78,6 @@ type lineParser struct {
 	str     []byte           // string unquote scratch
 	keys    map[string]int32 // interned key cache: key -> entry
 	entries []keyEntry
-
-	// owner is the decoder whose chunks the traces hold lists of: a
-	// pooled parser drops them before parsing for another (see
-	// StreamDecoder.parseChunk).
-	owner uint64
 
 	// Copied-out Mops and lists are carved from slab arenas: the slices
 	// retain their slab, so nothing is copied twice, but a million-op

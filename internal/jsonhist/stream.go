@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/op"
 	"repro/internal/par"
@@ -29,7 +28,6 @@ import (
 type StreamDecoder struct {
 	opts DecodeOpts
 	p    int
-	id   uint64        // tells this decoder's chunks from another's to a pooled parser
 	br   *bufio.Reader // the source, or nil when decoding data in place
 	data []byte        // what is left of an in-memory source
 
@@ -51,13 +49,9 @@ func NewStreamDecoder(r io.Reader, opts DecodeOpts) *StreamDecoder {
 	return &StreamDecoder{
 		opts: opts,
 		p:    par.Procs(opts.Parallelism),
-		id:   decoders.Add(1),
 		br:   bufio.NewReaderSize(r, bufSize),
 	}
 }
-
-// decoders numbers StreamDecoders, from 1.
-var decoders atomic.Uint64
 
 // NewBytesDecoder returns a decoder over a history (or a chunk of one)
 // already in memory. It is NewStreamDecoder(bytes.NewReader(data), opts)
@@ -69,7 +63,6 @@ func NewBytesDecoder(data []byte, opts DecodeOpts) *StreamDecoder {
 	return &StreamDecoder{
 		opts:     opts,
 		p:        par.Procs(opts.Parallelism),
-		id:       decoders.Add(1),
 		data:     data,
 		readDone: len(data) == 0,
 	}
@@ -288,17 +281,11 @@ func concat(ops, more []op.Op) []op.Op {
 // parseChunk decodes one chunk's lines with the chunk's own scan-first
 // parser (scan.go), returning its buffers to the pool when done:
 // nothing the parser produces aliases the chunk text (keys are interned
-// copies, mop slices are copied out of scratch). A parser last used by
-// another decoder first drops its traces, so the lists of one decoder
-// never share, or pin, another's memory.
+// copies, mop slices are copied out of scratch).
 func (d *StreamDecoder) parseChunk(c *chunk) parsed {
 	defer c.release()
 	if c.parser == nil {
 		c.parser = new(lineParser)
-	}
-	if c.parser.owner != d.id {
-		c.parser.dropTraces()
-		c.parser.owner = d.id
 	}
 	out := make([]op.Op, 0, len(c.ends))
 	start := 0

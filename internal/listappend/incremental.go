@@ -180,14 +180,14 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 	case incompatible:
 		lr := ks.longest
 		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, o.Index, lr.index),
-			incompatAnomaly(new(text), m.Key, o, r.list, s.a.ops[lr.index], op.FormatList(lr.list)))
+			incompatAnomaly(new(explain.Text), m.Key, o, r.list, s.a.ops[lr.index], op.FormatList(lr.list)))
 		return // and no edges
 	case replaced:
 		// Replacing the trace retracts the edges inferred from it, and
 		// regroups the key's reads around the new one.
 		s.poisoned = true
 		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.index, o.Index),
-			incompatAnomaly(new(text), m.Key, s.a.ops[old.index], old.list, o, op.FormatList(r.list)))
+			incompatAnomaly(new(explain.Text), m.Key, s.a.ops[old.index], old.list, o, op.FormatList(r.list)))
 		ks.writers, ks.byLen = ks.writers[:0], ks.byLen[:0]
 	}
 	// The positions the trace gained, in order: each sees its predecessor

@@ -29,7 +29,6 @@ import (
 	"iter"
 	"maps"
 	"slices"
-	"strconv"
 
 	"repro/internal/anomaly"
 	"repro/internal/explain"
@@ -563,7 +562,7 @@ func duplicateElements(o op.Op, m op.Mop) (anomaly.Anomaly, bool) {
 // "Inconsistent Observations").
 func (a *analyzer) incompatAnomalies(k history.KeyID) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	var buf text
+	var buf explain.Text
 	ks, kname := a.keyst[k], a.in.Key(k)
 	trace := "" // rendered once, for the key's first finding
 	for _, r := range ks.reads {
@@ -581,10 +580,10 @@ func (a *analyzer) incompatAnomalies(k history.KeyID) []anomaly.Anomaly {
 // of k as list against the trace, read by holder, whose value trace
 // renders. buf is scratch the caller may reuse across findings. The
 // streaming session uses the same rendering for mid-stream surfacing.
-func incompatAnomaly(buf *text, k string, reader op.Op, list []int, holder op.Op, trace string) anomaly.Anomaly {
-	*buf = (*buf)[:0].name(reader).str(" read key ").str(k).str(" as ").list(list).
-		str(" but ").name(holder).str(" read it as ").str(trace).
-		str("; neither is a prefix of the other, so at least one observed an aborted version")
+func incompatAnomaly(buf *explain.Text, k string, reader op.Op, list []int, holder op.Op, trace string) anomaly.Anomaly {
+	*buf = (*buf)[:0].Name(reader.Index).Str(" read key ").Str(k).Str(" as ").List(list).
+		Str(" but ").Name(holder.Index).Str(" read it as ").Str(trace).
+		Str("; neither is a prefix of the other, so at least one observed an aborted version")
 	return anomaly.Anomaly{
 		Type:        anomaly.IncompatibleOrder,
 		Ops:         []op.Op{reader, holder},
@@ -681,7 +680,7 @@ func (a *analyzer) intermediateReadAnomalies(o op.Op) []anomaly.Anomaly {
 // "Via Traces").
 func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	var buf text
+	var buf explain.Text
 	ks := a.keyst[k]
 	elems := ks.longest.list
 	trace := "" // rendered once, for the key's first finding
@@ -693,9 +692,9 @@ func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID) []anomaly.Anomaly {
 				if trace == "" {
 					trace = op.FormatList(elems)
 				}
-				buf = buf[:0].str("key ").str(kname).str("'s version history ").str(trace).
-					str(" includes element ").int(elems[i]).str(" from aborted ").name(a.ops[fw]).
-					str(", later built upon by committed ").name(a.ops[cw]).str(": a dirty update")
+				buf = buf[:0].Str("key ").Str(kname).Str("'s version history ").Str(trace).
+					Str(" includes element ").Int(elems[i]).Str(" from aborted ").Name(a.ops[fw].Index).
+					Str(", later built upon by committed ").Name(a.ops[cw].Index).Str(": a dirty update")
 				out = append(out, anomaly.Anomaly{
 					Type:        anomaly.DirtyUpdate,
 					Ops:         []op.Op{a.ops[fw], a.ops[cw]},
@@ -757,7 +756,7 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 		// and an element is in the trace exactly when it has a position.
 		lr := ks.longest
 		var out []anomaly.Anomaly
-		var buf text
+		var buf explain.Text
 		var lo op.Op // the long read's op and value, resolved for the key's first finding
 		read := ""
 		for _, ka := range appends[start[k]:start[k+1]] {
@@ -767,9 +766,9 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 					read = op.FormatList(lo.Mops[readPos(lo, kname)].List)
 				}
 				wo := a.ops[ka.index]
-				buf = buf[:0].name(wo).str(" committed an append of ").int(ka.elem).str(" to key ").str(kname).
-					str(" before ").name(lo).str(" began, yet ").name(lo).str(" read ").str(read).
-					str(" without it: the update was lost")
+				buf = buf[:0].Name(wo.Index).Str(" committed an append of ").Int(ka.elem).Str(" to key ").Str(kname).
+					Str(" before ").Name(lo.Index).Str(" began, yet ").Name(lo.Index).Str(" read ").Str(read).
+					Str(" without it: the update was lost")
 				out = append(out, anomaly.Anomaly{
 					Type:        anomaly.LostUpdate,
 					Ops:         []op.Op{wo, lo},
@@ -826,29 +825,4 @@ func hasDuplicates(v []int) bool {
 		seen[e] = true
 	}
 	return false
-}
-
-// text is an explanation under construction: strings and numbers are
-// appended straight into one buffer, which a caller reuses across its
-// findings, so a finding costs the one allocation of its final string
-// rather than fmt's formatting and growth.
-type text []byte
-
-func (t text) str(s string) text { return append(t, s...) }
-
-func (t text) int(n int) text { return strconv.AppendInt(t, int64(n), 10) }
-
-// name appends o's label as op.Op.Name renders it: "T42".
-func (t text) name(o op.Op) text { return append(t, 'T').int(o.Index) }
-
-// list appends a list value as op.FormatList renders it: "[1 2 3]".
-func (t text) list(v []int) text {
-	t = append(t, '[')
-	for i, e := range v {
-		if i > 0 {
-			t = append(t, ' ')
-		}
-		t = t.int(e)
-	}
-	return append(t, ']')
 }

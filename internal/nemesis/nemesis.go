@@ -245,27 +245,11 @@ func (c Campaign) shape(cfg Config) (model consistency.Model, clients, txns int)
 // recorded, returning both: the input Run's verdict is evaluated from,
 // and what a report of the run renders.
 func Check(c Campaign, cfg Config) (*history.History, *core.CheckResult, error) {
-	info, ok := workload.Lookup(string(c.Workload))
-	if !ok {
-		return nil, nil, fmt.Errorf("nemesis: workload %q not registered (registered: %s)",
-			c.Workload, workload.NameList())
-	}
-	plan, err := NewPlan(c.Faults)
+	h, plan, err := c.record(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	model, clients, txns := c.shape(cfg)
-	g := gen.New(gen.Config{
-		Workload: info.Gen, ActiveKeys: 5, MaxWritesPerKey: 60, MinOps: 1, MaxOps: 5,
-		NoReadAfterWrite: c.NoReadAfterWrite,
-	}, cfg.Seed)
-	rc := memdb.RunConfig{
-		Clients: clients, Txns: txns, Isolation: c.Isolation,
-		Source: g, Seed: cfg.Seed, Workload: info.DB,
-	}
-	plan.Configure(&rc)
-	h := memdb.Run(rc)
-
+	model, _, _ := c.shape(cfg)
 	opts := core.OptsFor(c.Workload, model)
 	opts.DetectLostUpdates = opts.DetectLostUpdates || c.DetectLostUpdates
 	opts.LinearizableKeys = opts.LinearizableKeys || c.LinearizableKeys
@@ -296,6 +280,38 @@ func Check(c Campaign, cfg Config) (*history.History, *core.CheckResult, error) 
 	}
 
 	return h, res, nil
+}
+
+// Generate runs the campaign's engine under cfg and returns the history
+// it recorded, unchecked: the history Check would check.
+func Generate(c Campaign, cfg Config) (*history.History, error) {
+	h, _, err := c.record(cfg)
+	return h, err
+}
+
+// record runs the campaign's engine under cfg, returning the history
+// and the fault plan it ran under.
+func (c Campaign) record(cfg Config) (*history.History, Plan, error) {
+	info, ok := workload.Lookup(string(c.Workload))
+	if !ok {
+		return nil, Plan{}, fmt.Errorf("nemesis: workload %q not registered (registered: %s)",
+			c.Workload, workload.NameList())
+	}
+	plan, err := NewPlan(c.Faults)
+	if err != nil {
+		return nil, Plan{}, err
+	}
+	_, clients, txns := c.shape(cfg)
+	g := gen.New(gen.Config{
+		Workload: info.Gen, ActiveKeys: 5, MaxWritesPerKey: 60, MinOps: 1, MaxOps: 5,
+		NoReadAfterWrite: c.NoReadAfterWrite,
+	}, cfg.Seed)
+	rc := memdb.RunConfig{
+		Clients: clients, Txns: txns, Isolation: c.Isolation,
+		Source: g, Seed: cfg.Seed, Workload: info.DB,
+	}
+	plan.Configure(&rc)
+	return memdb.Run(rc), plan, nil
 }
 
 func sortedClasses(in []anomaly.Class) []anomaly.Class {

@@ -14,7 +14,6 @@ package op
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Fun identifies the function of a micro-operation.
@@ -138,39 +137,43 @@ func (m Mop) ListKnown() bool { return m.F == FRead && m.List != nil }
 // String renders m in the paper's compact notation, e.g.
 // "append(34, 5)" or "r(34, [2 1 5 4])".
 func (m Mop) String() string {
-	var b strings.Builder
-	b.WriteString(m.F.String())
-	b.WriteByte('(')
-	b.WriteString(m.Key)
+	var buf [64]byte
+	return string(m.AppendTo(buf[:0]))
+}
+
+// AppendTo appends m as String renders it to b and returns the result.
+func (m Mop) AppendTo(b []byte) []byte {
+	b = append(append(append(b, m.F.String()...), '('), m.Key...)
 	switch {
 	case m.F != FRead:
-		b.WriteString(", ")
-		b.WriteString(strconv.Itoa(m.Arg))
+		b = strconv.AppendInt(append(b, ", "...), int64(m.Arg), 10)
 	case m.List != nil:
-		b.WriteString(", ")
-		b.WriteString(FormatList(m.List))
+		b = AppendList(append(b, ", "...), m.List)
 	case m.RegKnown && m.RegNil:
-		b.WriteString(", nil")
+		b = append(b, ", nil"...)
 	case m.RegKnown:
-		b.WriteString(", ")
-		b.WriteString(strconv.Itoa(m.Reg))
+		b = strconv.AppendInt(append(b, ", "...), int64(m.Reg), 10)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 // FormatList renders a list value as "[1 2 3]".
 func FormatList(v []int) string {
-	var b strings.Builder
-	b.WriteByte('[')
+	var buf [64]byte
+	return string(AppendList(buf[:0], v))
+}
+
+// AppendList appends v as FormatList renders it to b and returns the
+// result.
+func AppendList(b []byte, v []int) []byte {
+	b = append(b, '[')
 	for i, e := range v {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		b.WriteString(strconv.Itoa(e))
+		b = strconv.AppendInt(b, int64(e), 10)
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(b, ']')
 }
 
 // IsPrefix reports whether a is a prefix of b. It is the traceability
@@ -352,16 +355,30 @@ func (o Op) Keys() []string {
 
 // String renders the op as "T42(ok): append(3, 837), r(4, [874 877 883])".
 func (o Op) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "T%d(%s): ", o.Index, o.Type)
+	var buf [128]byte
+	return string(o.AppendTo(buf[:0]))
+}
+
+// AppendTo appends o as String renders it to b and returns the result.
+func (o Op) AppendTo(b []byte) []byte {
+	b = append(append(append(AppendName(b, o.Index), '('), o.Type.String()...), "): "...)
 	for i, m := range o.Mops {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(m.String())
+		b = m.AppendTo(b)
 	}
-	return b.String()
+	return b
 }
 
 // Name returns the short transaction label used in explanations, e.g. "T42".
-func (o Op) Name() string { return "T" + strconv.Itoa(o.Index) }
+func (o Op) Name() string {
+	var buf [24]byte
+	return string(AppendName(buf[:0], o.Index))
+}
+
+// AppendName appends the label Name gives the op at index to b and
+// returns the result.
+func AppendName(b []byte, index int) []byte {
+	return strconv.AppendInt(append(b, 'T'), int64(index), 10)
+}

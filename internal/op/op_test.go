@@ -1,8 +1,10 @@
 package op
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -93,6 +95,9 @@ func TestMopString(t *testing.T) {
 		if got := c.m.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
+		if got := string(c.m.AppendTo([]byte("x: "))); got != "x: "+c.want {
+			t.Errorf("AppendTo = %q, want %q", got, "x: "+c.want)
+		}
 	}
 }
 
@@ -144,6 +149,15 @@ func TestOpString(t *testing.T) {
 	if o.Name() != "T42" {
 		t.Errorf("Name() = %q", o.Name())
 	}
+	if got := string(o.AppendTo([]byte("x: "))); got != "x: "+want {
+		t.Errorf("AppendTo = %q, want %q", got, "x: "+want)
+	}
+	// Longer than String's stack buffer.
+	long := Txn(-7, 0, Info, Append("k", -1), Append("k", -1), Append("k", -1), Append("k", -1),
+		Append("k", -1), Append("k", -1), Append("k", -1), Append("k", -1), Append("k", -1))
+	if got, want := long.String(), "T-7(info): "+strings.Repeat("append(k, -1), ", 8)+"append(k, -1)"; got != want {
+		t.Errorf("Op.String() = %q, want %q", got, want)
+	}
 }
 
 func TestFormatList(t *testing.T) {
@@ -152,6 +166,16 @@ func TestFormatList(t *testing.T) {
 	}
 	if got := FormatList([]int{1, 2, 3}); got != "[1 2 3]" {
 		t.Errorf("FormatList = %q", got)
+	}
+	long := make([]int, 40)
+	for i := range long {
+		long[i] = -1000 * i
+	}
+	if got, want := FormatList(long), fmt.Sprint(long); got != want {
+		t.Errorf("FormatList = %q, want %q", got, want)
+	}
+	if got := string(AppendList([]byte("x: "), []int{-4})); got != "x: [-4]" {
+		t.Errorf("AppendList = %q", got)
 	}
 }
 

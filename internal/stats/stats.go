@@ -41,11 +41,10 @@ func Compute(h *history.History) Stats {
 	// The history's interner holds every key of every op, invocations
 	// included.
 	s := Stats{Ops: h.Len(), Keys: h.Keys().Len(), MinTxnLen: -1}
-	var procs processSet
-	procs.dense = make([]bool, len(h.Ops))
+	procs := map[int]bool{}
 	open := 0
 	for _, o := range h.Ops {
-		procs.add(o.Process)
+		procs[o.Process] = true
 		switch o.Type {
 		case op.Invoke:
 			open++
@@ -85,35 +84,8 @@ func Compute(h *history.History) Stats {
 	if h.Compact() && s.Attempts > 0 {
 		s.MaxConcurrent = 1
 	}
-	s.Processes = procs.n
+	s.Processes = len(procs)
 	return s
-}
-
-// processSet counts distinct process ids. Clients number their
-// processes from 0, and a history of n ops has at most n of them, so
-// ids in [0, len(dense)) are flags in a slice; only other ids — negative
-// or huge — go to a map.
-type processSet struct {
-	dense []bool
-	other map[int]bool
-	n     int
-}
-
-func (ps *processSet) add(p int) {
-	if p >= 0 && p < len(ps.dense) {
-		if !ps.dense[p] {
-			ps.dense[p] = true
-			ps.n++
-		}
-		return
-	}
-	if !ps.other[p] {
-		if ps.other == nil {
-			ps.other = map[int]bool{}
-		}
-		ps.other[p] = true
-		ps.n++
-	}
 }
 
 // String renders a compact multi-line report.

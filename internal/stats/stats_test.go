@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -105,39 +103,6 @@ func TestStringRendering(t *testing.T) {
 	for _, want := range []string{"attempts", "processes", "micro-ops"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats string missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestProcessesMatchesMapReference holds the slice-backed process set
-// to the map it replaced, over dense, negative, huge and boundary ids.
-func TestProcessesMatchesMapReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, c := range []struct {
-		name string
-		id   func(i, n int) int
-	}{
-		{"dense", func(i, n int) int { return rng.Intn(20) }},
-		{"unique", func(i, n int) int { return i }},
-		{"negative", func(i, n int) int { return -1 - rng.Intn(20) }},
-		{"huge", func(i, n int) int { return math.MaxInt - rng.Intn(20) }},
-		{"extreme", func(i, n int) int {
-			return []int{math.MinInt, math.MaxInt, -1, 0, n - 1, n, n + 1}[rng.Intn(7)]
-		}},
-		{"mixed", func(i, n int) int { return rng.Intn(3*n) - n }},
-	} {
-		for _, n := range []int{1, 7, 300} {
-			ops := make([]op.Op, n)
-			for i := range ops {
-				ops[i] = op.Txn(i, c.id(i, n), op.OK, op.Append("x", i))
-			}
-			want := map[int]bool{}
-			for _, o := range ops {
-				want[o.Process] = true
-			}
-			if got := Compute(history.MustNew(ops)).Processes; got != len(want) {
-				t.Errorf("%s, %d ops: Processes = %d, want %d", c.name, n, got, len(want))
-			}
 		}
 	}
 }
