@@ -158,6 +158,11 @@ const (
 )
 
 // Check analyzes a history under the given options.
+//
+// A panic inside the checker (a checker defect) propagates to the
+// caller: the library has no recover boundary, so a caller that must
+// survive one recovers it itself. The elle CLI turns it into exit
+// status 4, and elled into a failed job (500 internal).
 func Check(h *History, opts CheckOpts) *CheckResult { return core.Check(h, opts) }
 
 // Streaming.
@@ -180,6 +185,9 @@ type (
 // maintain their per-key inference state across feeds and surface
 // anomalies as chunks prove them; every other workload is validated and
 // buffered as it streams and reports everything at Finish.
+//
+// A checker panic inside Feed or Finish propagates to the caller, as
+// it does from Check.
 func CheckStream(opts CheckOpts) *Stream { return core.CheckStream(opts) }
 
 // OptsFor returns the options the paper's methodology implies for

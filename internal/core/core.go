@@ -215,6 +215,11 @@ func joinModels(ms []consistency.Model) string {
 // parallel stage merges its results in a deterministic order, so two
 // checks of the same history produce identical reports at any
 // parallelism level.
+//
+// A panic inside the checker (an analyzer or hook defect) propagates
+// to the caller: core has no recover boundary of its own. The elle CLI
+// turns it into exit status 4, and elled into a failed job (500
+// internal, counted by elled_panics_total).
 func Check(h *history.History, opts Opts) *CheckResult {
 	opts = opts.withDefaults()
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/workload"
@@ -27,11 +25,7 @@ type Stream struct {
 	sess *workload.Session
 	h    *history.History
 	ops  int
-	done bool
 }
-
-// ErrStreamFinished is returned by Feed and Finish after Finish.
-var ErrStreamFinished = errors.New("core: stream already finished")
 
 // CheckStream begins an incremental check under opts. Like Check it
 // panics on an unregistered workload name; every other failure mode
@@ -50,11 +44,10 @@ func CheckStream(opts Opts) *Stream {
 // chunk made provable. The session validates as it ingests — the ops
 // are stored, validated, and indexed exactly once. Mid-stream
 // anomalies are provisional: evidence the final report will confirm,
-// not the final report itself (see workload.Delta).
+// not the final report itself (see workload.Delta). After Finish it
+// returns workload.ErrSessionFinished. A checker panic propagates to
+// the caller, as from Check.
 func (s *Stream) Feed(ops []op.Op) (workload.Delta, error) {
-	if s.done {
-		return workload.Delta{}, ErrStreamFinished
-	}
 	d, err := s.sess.Feed(ops)
 	if err != nil {
 		return d, err
@@ -65,12 +58,10 @@ func (s *Stream) Feed(ops []op.Op) (workload.Delta, error) {
 
 // Finish completes the stream: the session finalizes its analysis, and
 // the shared back half of the checker (ordering edges, cycle search,
-// classification, lattice evaluation) runs over the result.
+// classification, lattice evaluation) runs over the result. A second
+// Finish returns workload.ErrSessionFinished. A checker panic
+// propagates to the caller, as from Check.
 func (s *Stream) Finish() (*CheckResult, error) {
-	if s.done {
-		return nil, ErrStreamFinished
-	}
-	s.done = true
 	s.h = s.sess.History()
 	an, err := s.sess.Finish()
 	if err != nil {

@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"repro/internal/binhist"
+	"repro/internal/core"
 	"repro/internal/jsonhist"
+	"repro/internal/report"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -468,6 +470,78 @@ func TestShardBusy(t *testing.T) {
 	feedChunks(t, c, srv.URL, id, g1aHistory, 1)
 	if code, body := do(t, c, "GET", srv.URL+"/v1/jobs/"+id+"/report", "", nil); code != http.StatusOK || !strings.Contains(body, "G1a") {
 		t.Fatalf("report after shard_busy retry: %d: %s", code, body)
+	}
+}
+
+// key0History is a list-append history whose first key is "0", the
+// first key of every ellegen history at its default -keys: a committed
+// read of an aborted append, provable as G1a.
+const key0History = `{"index":0,"type":"ok","process":0,"value":[["append","0",1]]}
+{"index":1,"type":"ok","process":1,"value":[["r","0",[1]],["append","1",1]]}
+{"index":2,"type":"fail","process":0,"value":[["append","1",2]]}
+{"index":3,"type":"ok","process":2,"value":[["r","1",[1,2]]]}
+`
+
+// wedgeShard occupies shard i of svc's pool: one task holds its worker
+// and a second fills its single queue slot. The returned func releases
+// both and waits for them to finish.
+func wedgeShard(t *testing.T, svc *Service, i int) (release func()) {
+	t.Helper()
+	block := make(chan struct{})
+	started := make(chan struct{})
+	go svc.pool.run(i, func() { close(started); <-block })
+	<-started
+	drained := make(chan struct{})
+	go func() { svc.pool.run(i, func() {}); close(drained) }()
+	deadline := time.Now().Add(2 * time.Second)
+	for svc.pool.depth(i) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("queue slot never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() { close(block); <-drained }
+}
+
+// TestShardIsCreationOrder: a job's shard is its creation sequence
+// modulo the shard count, whatever keys its history holds. Two jobs
+// whose histories both begin with key "0" sit on shards 1 and 0, so
+// wedging the first job's shard refuses only the first job's chunks:
+// the second streams to the end and reports what batch reports.
+func TestShardIsCreationOrder(t *testing.T) {
+	svc, srv, _ := startServer(t, Config{Shards: 2, ShardQueue: 1})
+	c := srv.Client()
+	const body = `{"model":"serializable","parallelism":1}`
+	lines := strings.SplitAfter(key0History, "\n")
+	first, rest := lines[0], strings.Join(lines[1:], "")
+
+	j1 := createJob(t, c, srv.URL, body) // seq 1: shard 1
+	j2 := createJob(t, c, srv.URL, body) // seq 2: shard 0
+	feedChunks(t, c, srv.URL, j1, first, 1)
+	feedChunks(t, c, srv.URL, j2, first, 1)
+
+	release := wedgeShard(t, svc, 1)
+	var env ErrorEnvelope
+	if code, raw := do(t, c, "POST", srv.URL+"/v1/jobs/"+j1+"/chunks", rest, &env); code != http.StatusTooManyRequests || env.Err.Code != CodeShardBusy {
+		t.Fatalf("%s on the wedged shard: %d %s, want 429 %s", j1, code, raw, CodeShardBusy)
+	}
+	feedChunks(t, c, srv.URL, j2, rest, 1)
+
+	h, err := jsonhist.DecodeWith(strings.NewReader(key0History), jsonhist.DecodeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch bytes.Buffer
+	report.Prose(&batch, core.Check(h, core.OptsFor(core.ListAppend, "serializable")), report.ProseOpts{})
+	if code, got := do(t, c, "GET", srv.URL+"/v1/jobs/"+j2+"/report", "", nil); code != http.StatusOK || got != batch.String() {
+		t.Fatalf("%s beside the wedged shard: status %d, report:\n%s\nwant batch:\n%s", j2, code, got, batch.String())
+	}
+
+	// Once the shard drains, the refused chunk goes through on retry.
+	release()
+	feedChunks(t, c, srv.URL, j1, rest, 1)
+	if code, got := do(t, c, "GET", srv.URL+"/v1/jobs/"+j1+"/report", "", nil); code != http.StatusOK || got != batch.String() {
+		t.Fatalf("%s after the shard drained: status %d, report:\n%s", j1, code, got)
 	}
 }
 

@@ -29,11 +29,11 @@
 //
 //   - Inference sharding (shards.go): chunk ingest runs on a pool of N
 //     single-goroutine shard workers with bounded queues, decoupling
-//     handler goroutines from decode/feed work. A job is pinned to one
-//     shard — hashed from its first history key, the same keys the
-//     history interner densifies — so its chunks stay FIFO and reports
-//     are byte-identical to batch at any shard count; a full queue is
-//     429 shard_busy, not an unbounded queue.
+//     handler goroutines from decode/feed work. A job runs on one
+//     shard — its creation sequence modulo the shard count, so N jobs
+//     created in a row occupy N shards — and its chunks stay FIFO, so
+//     reports are byte-identical to batch at any shard count; a full
+//     queue is 429 shard_busy, not an unbounded queue.
 //
 //   - Metrics (metrics.go, internal/promtext): GET /metrics serves
 //     Prometheus text exposition — jobs by state, chunk/byte/op ingest
@@ -320,10 +320,8 @@ func (s *Service) replayWALs() error {
 			state:     stateAccepting,
 			createdAt: r.Meta.CreatedAt,
 			resumed:   true,
-			nshards:   s.pool.size(),
 			panics:    s.met.panics,
 		}
-		j.shard.Store(int32(j.seq % s.pool.size()))
 		j.touch()
 		j.mu.Lock()
 		for _, c := range r.Chunks {
@@ -420,9 +418,7 @@ type job struct {
 	opts      core.Opts
 	createdAt time.Time
 	resumed   bool
-	nshards   int
 	panics    *promtext.Counter // the service's elled_panics_total
-	shard     atomic.Int32      // home inference shard
 	active    atomic.Int64      // unix nanos of the last request that touched the job
 	fin       atomic.Int64      // unix nanos of entering a finished state; 0 while accepting
 
@@ -430,8 +426,7 @@ type job struct {
 	stream *core.Stream
 	state  string
 	ops    int
-	chunks int // accepted chunk uploads — the resume protocol's cursor
-	keyed  bool
+	chunks int               // accepted chunk uploads — the resume protocol's cursor
 	anoms  []json.RawMessage // provisional findings as report.AppendAnomaly writes them
 	result *core.CheckResult
 	errMsg string
@@ -449,10 +444,6 @@ type job struct {
 
 func (j *job) touch()             { j.active.Store(time.Now().UnixNano()) }
 func (j *job) touched() time.Time { return time.Unix(0, j.active.Load()) }
-
-// homeShard is the shard the job's chunks run on: its creation sequence
-// until the first keyed micro-op arrives, its data's hash after.
-func (j *job) homeShard() int { return int(j.shard.Load()) }
 
 // discardWAL removes the job's journal, if any: the job is gone and has
 // nothing to resume.
@@ -668,10 +659,8 @@ func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 		stream:    core.CheckStream(opts),
 		state:     stateAccepting,
 		createdAt: time.Now().UTC(),
-		nshards:   s.pool.size(),
 		panics:    s.met.panics,
 	}
-	j.shard.Store(int32(j.seq % s.pool.size()))
 	j.touch()
 	s.jobs[j.id] = j
 	s.mu.Unlock()
@@ -768,9 +757,10 @@ func (s *Service) handleChunk(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, delta)
 }
 
-// ingestChunk runs processChunk as a task on j's home shard and returns
-// its verdict; ran is false when the shard's queue refused the task. A
-// panic processChunk did not contain itself — ingestLocked contains the
+// ingestChunk runs processChunk as a task on j's home shard — its
+// creation sequence, modulo the shard count — and returns its verdict;
+// ran is false when the shard's queue refused the task. A panic
+// processChunk did not contain itself — ingestLocked contains the
 // checker's, so this is the WAL append around it — reaches this
 // goroutine through shardPool.run and fails the job as contain would,
 // with 500 internal; the shard's worker lives on.
@@ -782,7 +772,7 @@ func (s *Service) ingestChunk(j *job, format string, body []byte, delta *deltaJS
 			status, code, msg, ran = http.StatusInternalServerError, CodeInternal, j.failPanic(v).Error(), true
 		}
 	}()
-	ran = s.pool.run(j.homeShard(), func() {
+	ran = s.pool.run(j.seq, func() {
 		status, code, msg = s.processChunk(j, format, body, delta)
 	})
 	return status, code, msg, ran
@@ -856,11 +846,7 @@ func (j *job) ingestLocked(format string, body []byte, delta *deltaJSON) (err er
 			j.fail(err)
 			return err
 		}
-		if err := j.feedLocked(ops, delta); err != nil {
-			return err
-		}
-		j.pinShard(ops)
-		return nil
+		return j.feedLocked(ops, delta)
 	}
 	dec := jsonhist.NewBytesDecoder(body, jsonhist.DecodeOpts{
 		Register:    j.info.RegisterReads,
@@ -878,24 +864,8 @@ func (j *job) ingestLocked(format string, body []byte, delta *deltaJSON) (err er
 		if err := j.feedLocked(ops, delta); err != nil {
 			return err
 		}
-		j.pinShard(ops)
 	}
 	return nil
-}
-
-// pinShard fixes the job's home shard to the hash of its first history
-// key, once one arrives — after that, placement is a function of the
-// job's data, not its creation order. Chunks already dispatched keep
-// running where they are; j.mu (held here) is what feed order actually
-// hangs on, the shard is an affinity.
-func (j *job) pinShard(ops []op.Op) {
-	if j.keyed {
-		return
-	}
-	if k, ok := firstKey(ops); ok {
-		j.keyed = true
-		j.shard.Store(int32(shardFor(k, j.nshards)))
-	}
 }
 
 // Chunk upload formats, fixed per job by its first chunk.

@@ -1,19 +1,15 @@
 package service
 
-import (
-	"hash/fnv"
-
-	"repro/internal/op"
-)
-
 // shardPool is the inference pool: N single-goroutine workers, each
 // owning a bounded task queue. Chunk ingest — WAL append, decode, and
 // session Feed — runs as a task on the job's home shard, which decouples
 // HTTP handler goroutines (one per in-flight request, unbounded) from
 // inference (at most N chunks decoding/feeding at once), while keeping
-// every job's chunks strictly FIFO: one job always lands on one shard,
-// and a shard is one goroutine, so feed order is upload order and the
-// report stays byte-identical to batch at any shard count.
+// every job's chunks strictly FIFO: a job's shard is its creation
+// sequence modulo N, fixed for its life, and a shard is one goroutine,
+// so feed order is upload order and the report stays byte-identical to
+// batch at any shard count. Placement by creation order, not by the
+// job's data, puts N jobs created in a row on N distinct shards.
 //
 // A full queue refuses the task instead of blocking — the handler turns
 // that into 429 shard_busy, the same backpressure-not-queueing stance
@@ -53,19 +49,19 @@ func (p *shardPool) work(q chan func()) {
 	}
 }
 
-// run executes f on the given shard and waits for it to finish,
-// returning false without running it when the shard's queue is full. A
-// panic in f does not end the shard's worker: run re-panics with its
-// value on the caller's goroutine, where recover contains it, and the
-// shard goes on to its next task.
-func (p *shardPool) run(shard int, f func()) bool {
+// run executes f on shard n mod the pool's size and waits for it to
+// finish, returning false without running it when the shard's queue is
+// full. A panic in f does not end the shard's worker: run re-panics
+// with its value on the caller's goroutine, where recover contains it,
+// and the shard goes on to its next task.
+func (p *shardPool) run(n int, f func()) bool {
 	fin := make(chan any) // the task's panic value; nil when it returned
 	task := func() {
 		defer func() { fin <- recover() }()
 		f()
 	}
 	select {
-	case p.queues[shard%len(p.queues)] <- task:
+	case p.queues[n%len(p.queues)] <- task:
 	default:
 		return false
 	}
@@ -83,26 +79,3 @@ func (p *shardPool) depth(i int) int { return len(p.queues[i]) }
 // tasks enqueued concurrently with stop still run (the drain loop picks
 // them up), but new run calls may spuriously report a full queue.
 func (p *shardPool) stop() { close(p.done) }
-
-// shardFor maps a key to its home shard. The hash is FNV-1a over the
-// raw key bytes — the same keys the history interner densifies — so a
-// job's placement is a pure function of its data, stable across
-// restarts and shard-count-independent modulo n.
-func shardFor(key string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32()) % n
-}
-
-// firstKey returns the first keyed micro-op in ops, for pinning a job's
-// home shard to its data rather than its creation order.
-func firstKey(ops []op.Op) (string, bool) {
-	for _, o := range ops {
-		for _, m := range o.Mops {
-			if m.Key != "" {
-				return m.Key, true
-			}
-		}
-	}
-	return "", false
-}
