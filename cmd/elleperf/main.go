@@ -90,10 +90,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Parallelism:    *parallelism,
 		Workload:       string(info.Name),
 	}
-	fmt.Fprintln(stdout, "checker,ops,concurrency,seconds,outcome,anomalies,workload")
+	row, _ := perf.StartCSV(stdout)
 	perf.Sweep(cfg, func(p perf.Point) {
-		fmt.Fprintf(stdout, "%s,%d,%d,%.6f,%s,%d,%s\n",
-			p.Checker, p.Ops, p.Concurrency, p.Seconds, p.Outcome, p.Anomalies, p.Workload)
+		row(p)
 		fmt.Fprintf(stderr, "done: %s n=%d c=%d in %.3fs (%s)\n",
 			p.Checker, p.Ops, p.Concurrency, p.Seconds, p.Outcome)
 	})

@@ -70,7 +70,8 @@ type (
 	Op = op.Op
 	// OpType is the completion type of an observed operation.
 	OpType = op.Type
-	// History is a validated observation.
+	// History is a validated observation. Its Op method finds a
+	// completion by index; a check's explanations cite ops through it.
 	History = history.History
 )
 

@@ -44,8 +44,9 @@ func main() {
 
 	opts := core.OptsFor(core.Register, consistency.SnapshotIsolation)
 	// Dgraph claims per-key linearizability on top of SI, so real-time
-	// version inference is sound against its claims.
+	// and per-process version inference are sound against its claims.
 	opts.LinearizableKeys = true
+	opts.SequentialKeys = true
 	res := core.Check(h, opts)
 
 	fmt.Print(res.Summary())

@@ -79,9 +79,9 @@ type overwrite struct {
 
 type analyzer struct {
 	opts workload.Opts
+	h    *history.History // the ops findings cite
 	in   *history.Interner
 
-	ops        map[int]op.Op
 	oks        []op.Op
 	writeCount map[verKey]int   // writes by may-have-committed txns
 	writer     map[verKey]int   // unique such writer (writeCount == 1)
@@ -112,8 +112,8 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 func newAnalyzer(h *history.History, opts workload.Opts) *analyzer {
 	return &analyzer{
 		opts:       opts,
+		h:          h,
 		in:         h.Keys(),
-		ops:        map[int]op.Op{},
 		writeCount: map[verKey]int{},
 		writer:     map[verKey]int{},
 		readers:    map[verKey][]int{},
@@ -133,12 +133,7 @@ func (a *analyzer) run(h *history.History) workload.Analysis {
 			}
 		}
 	}
-	for _, o := range h.Completions() {
-		a.ops[o.Index] = o
-		if o.Type == op.OK {
-			a.oks = append(a.oks, o)
-		}
-	}
+	a.oks = h.OKs()
 	a.index()
 	a.inferInvariant()
 
@@ -173,7 +168,7 @@ func (a *analyzer) run(h *history.History) workload.Analysis {
 	return workload.Analysis{
 		Graph:     g,
 		Anomalies: a.anomalies,
-		Explainer: &explain.Explainer{Ops: a.ops, Keys: a.in, RegOrders: orders},
+		Explainer: &explain.Explainer{Ops: h, Keys: a.in, RegOrders: orders},
 	}
 }
 
@@ -186,13 +181,7 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 // reads. Failed ops are skipped entirely (their write mops carry
 // unresolved deltas).
 func (a *analyzer) index() {
-	idxs := make([]int, 0, len(a.ops))
-	for i := range a.ops {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		o := a.ops[i]
+	for _, o := range a.h.Ops {
 		if !o.MayHaveCommitted() {
 			continue
 		}
@@ -242,7 +231,10 @@ func (a *analyzer) index() {
 // the account set falls back to every key observed.
 func (a *analyzer) inferInvariant() {
 	set := map[string]bool{}
-	for _, o := range a.ops {
+	for _, o := range a.h.Ops {
+		if o.Type == op.Invoke {
+			continue
+		}
 		for _, m := range o.Mops {
 			set[m.Key] = true
 		}
@@ -458,7 +450,7 @@ func (a *analyzer) keyEdges(k history.KeyID) ([][2]string, []graph.Edge) {
 // the unique writer of the installed balance and a committed
 // transaction read that balance.
 func (a *analyzer) provenCommitted(k history.KeyID, ow overwrite) bool {
-	if a.ops[ow.txn].Type == op.OK {
+	if o, _ := a.h.Op(ow.txn); o.Type == op.OK {
 		return true
 	}
 	vk := verKey{k, ow.next}

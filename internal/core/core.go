@@ -87,8 +87,12 @@ type Opts struct {
 // OptsFor returns the options the paper's methodology implies for
 // checking workload w against model m: real-time edges (and lost-update
 // detection) for strict models, session edges for strong-session and
-// stricter models, and every register inference rule for register
-// workloads.
+// stricter models, and the register inference rules the model makes
+// sound: the initial-state and writes-follow-reads rules always,
+// sequential keys only where sessions are guaranteed (strong-session and
+// strict models), linearizable keys only for strict ones. A caller that
+// knows the database claims per-key linearizability may enable both key
+// rules on top of a weaker model.
 func OptsFor(w Workload, m consistency.Model) Opts {
 	strict := m == consistency.StrictSerializable
 	session := strict ||
@@ -96,6 +100,7 @@ func OptsFor(w Workload, m consistency.Model) Opts {
 		m == consistency.StrongSessionSI
 	wo := workload.DefaultOpts()
 	wo.LinearizableKeys = strict
+	wo.SequentialKeys = session
 	wo.DetectLostUpdates = strict
 	return Opts{
 		Workload:      w,

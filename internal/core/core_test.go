@@ -234,6 +234,34 @@ func TestOptsForModels(t *testing.T) {
 	}
 }
 
+// TestSequentialKeysOnlyWithSessions: inferring a key's version order
+// from each process's session order is sound only where sessions are
+// guaranteed. T0 T3 T1 T2 is a serial order of this history, so it is
+// valid from read-uncommitted through serializable; p1 reading x = 1 and
+// then x = 2, while T1 overwrote T0's 2 with 1, is what the
+// strong-session models rule out.
+func TestSequentialKeysOnlyWithSessions(t *testing.T) {
+	h := history.MustNew([]op.Op{
+		op.Txn(0, 0, op.OK, op.Write("x", 2), op.Write("y", 1)),
+		op.Txn(1, 2, op.OK, op.ReadReg("y", 1), op.Write("x", 1)),
+		op.Txn(2, 1, op.OK, op.ReadReg("x", 1)),
+		op.Txn(3, 1, op.OK, op.ReadReg("x", 2)),
+	})
+	for _, m := range []consistency.Model{
+		consistency.ReadUncommitted, consistency.ReadCommitted, consistency.RepeatableRead,
+		consistency.SnapshotIsolation, consistency.Serializable,
+	} {
+		if r := Check(h, OptsFor(Register, m)); !r.Valid {
+			t.Errorf("%s: a serializable history checked invalid: %v", m, r.AnomalyTypes())
+		}
+	}
+	for _, m := range []consistency.Model{consistency.StrongSessionSI, consistency.StrongSessionSerial} {
+		if r := Check(h, OptsFor(Register, m)); r.Valid {
+			t.Errorf("%s: p1's reads of x go back in the version order, yet the history checked valid", m)
+		}
+	}
+}
+
 func TestCheckDefaultsToStrictSerializable(t *testing.T) {
 	h := history.MustNew([]op.Op{op.Txn(0, 0, op.OK, op.Append("x", 1))})
 	r := Check(h, Opts{})

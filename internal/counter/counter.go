@@ -38,8 +38,6 @@ type result struct {
 	// Bounds per key: the [lo, hi] envelope of possible counter values
 	// over the whole history.
 	Bounds map[string][2]int
-	// Ops indexes analyzed completion ops by index, for explanations.
-	Ops map[int]op.Op
 }
 
 // Analyze checks a counter history. Of the shared options only
@@ -52,7 +50,7 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	return workload.Analysis{
 		Graph:     graph.New(),
 		Anomalies: r.Anomalies,
-		Explainer: &explain.Explainer{Ops: r.Ops},
+		Explainer: &explain.Explainer{Ops: h},
 	}
 }
 
@@ -70,7 +68,6 @@ func check(h *history.History, opts workload.Opts) *result {
 	hi := make([]int, n)
 	incremented := make([]bool, n)
 	nonNegative := make([]bool, n)
-	ops := map[int]op.Op{}
 	kid := in.MustID
 	// attempt notes o's increments; those that may have taken effect
 	// widen the envelope.
@@ -97,9 +94,10 @@ func check(h *history.History, opts workload.Opts) *result {
 			}
 		}
 	}
-	for _, o := range h.Completions() {
-		ops[o.Index] = o
-		attempt(o, o.MayHaveCommitted())
+	for _, o := range h.Ops {
+		if o.Type != op.Invoke {
+			attempt(o, o.MayHaveCommitted())
+		}
 	}
 	// An increment whose invocation never completed (a crashed client,
 	// or the tail of a log still being written) may have taken effect
@@ -109,7 +107,7 @@ func check(h *history.History, opts workload.Opts) *result {
 		attempt(o, true)
 	}
 
-	a := &result{Bounds: map[string][2]int{}, Ops: ops}
+	a := &result{Bounds: map[string][2]int{}}
 	for _, k := range in.SortedIDs() {
 		if incremented[k] {
 			a.Bounds[in.Key(k)] = [2]int{lo[k], hi[k]}
@@ -158,8 +156,7 @@ func check(h *history.History, opts workload.Opts) *result {
 	sort.Ints(procs)
 	a.Anomalies = anomaly.AppendGroups(a.Anomalies, par.Map(opts.Parallelism, len(procs), func(i int) []anomaly.Anomaly {
 		var out []anomaly.Anomaly
-		last := map[history.KeyID]int{}
-		lastOp := map[history.KeyID]op.Op{}
+		last := map[history.KeyID][2]int{} // per key: the last value read, and its reader's index
 		for _, o := range byProcess[procs[i]] {
 			if o.Type != op.OK {
 				continue
@@ -176,18 +173,18 @@ func check(h *history.History, opts workload.Opts) *result {
 				if !m.RegNil {
 					v = m.Reg
 				}
-				if prev, seen := last[k]; seen && v < prev {
+				if prev, seen := last[k]; seen && v < prev[0] {
+					po, _ := h.Op(prev[1])
 					out = append(out, anomaly.Anomaly{
 						Type: anomaly.Internal,
-						Ops:  []op.Op{lastOp[k], o},
+						Ops:  []op.Op{po, o},
 						Key:  m.Key,
 						Explanation: fmt.Sprintf(
 							"process %d observed counter %s fall from %d (%s) to %d (%s) despite only non-negative increments: a non-monotonic session read",
-							o.Process, m.Key, prev, lastOp[k].Name(), v, o.Name()),
+							o.Process, m.Key, prev[0], po.Name(), v, o.Name()),
 					})
 				}
-				last[k] = v
-				lastOp[k] = o
+				last[k] = [2]int{v, o.Index}
 			}
 		}
 		return out

@@ -27,8 +27,9 @@ import (
 // indexed by history.KeyID (entries may be nil; the slices may be
 // shorter than the key space).
 type Explainer struct {
-	// Ops maps transaction ids to their completion ops.
-	Ops map[int]op.Op
+	// Ops finds each transaction's completion op by its id, the op's
+	// index.
+	Ops history.Lookup
 	// Keys is the history's key interner; nil when the analysis carries
 	// no version orders.
 	Keys *history.Interner
@@ -88,7 +89,8 @@ func (e *Explainer) ListOrderKeys() []string {
 func (e *Explainer) Cycle(c graph.Cycle) string {
 	t := make(Text, 0, 256).Str("Let:\n")
 	for _, n := range c.Nodes() {
-		t = t.Str("  ").Op(e.Ops[n]).Str("\n")
+		o, _ := e.Ops.Op(n)
+		t = t.Str("  ").Op(o).Str("\n")
 	}
 	t = t.Str("\nThen:\n")
 	for i, s := range c.Steps {
@@ -97,7 +99,7 @@ func (e *Explainer) Cycle(c graph.Cycle) string {
 		if last {
 			t = t.Str("However, ")
 		}
-		t = e.edgeReason(t.Name(e.index(s.From)).Str(" < ").Name(e.index(s.To)).Str(", because "), s)
+		t = e.edgeReason(t.Name(s.From).Str(" < ").Name(s.To).Str(", because "), s)
 		if last {
 			t = t.Str(": a contradiction!\n")
 		} else {
@@ -107,18 +109,11 @@ func (e *Explainer) Cycle(c graph.Cycle) string {
 	return string(t)
 }
 
-// index is node n's transaction index, as its op names it.
-func (e *Explainer) index(n int) int {
-	if o, ok := e.Ops[n]; ok {
-		return o.Index
-	}
-	return n
-}
-
 // edgeReason appends the justification of one dependency edge, in terms
 // of the values the transactions read and wrote.
 func (e *Explainer) edgeReason(t Text, s graph.Step) Text {
-	from, to := e.Ops[s.From], e.Ops[s.To]
+	from, _ := e.Ops.Op(s.From)
+	to, _ := e.Ops.Op(s.To)
 	f, g := from.Index, to.Index
 	switch s.Via {
 	case graph.WR:
@@ -332,7 +327,7 @@ func (e *Explainer) DOT(c graph.Cycle) string {
 	b.WriteString("  rankdir=LR;\n")
 	b.WriteString("  node [shape=box, fontname=\"monospace\"];\n")
 	for _, n := range c.Nodes() {
-		o := e.Ops[n]
+		o, _ := e.Ops.Op(n)
 		label := strings.ReplaceAll(o.String(), `"`, `\"`)
 		fmt.Fprintf(&b, "  t%d [label=\"%s\"];\n", n, label)
 	}

@@ -19,7 +19,7 @@ func fixture() (*Explainer, graph.Cycle) {
 	orders := make([][]int, 1)
 	orders[keys.Intern("34")] = []int{2, 1, 5, 4}
 	e := &Explainer{
-		Ops:        map[int]op.Op{1: t1, 2: t2, 3: t3},
+		Ops:        history.MustNew([]op.Op{t1, t2, t3}),
 		Keys:       keys,
 		ListOrders: orders,
 	}
@@ -58,7 +58,7 @@ func TestWRReason(t *testing.T) {
 func TestRegisterWRReason(t *testing.T) {
 	w := op.Txn(0, 0, op.OK, op.Write("x", 7))
 	r := op.Txn(1, 1, op.OK, op.ReadReg("x", 7))
-	e := &Explainer{Ops: map[int]op.Op{0: w, 1: r}}
+	e := &Explainer{Ops: history.MustNew([]op.Op{w, r})}
 	got := reason(e, graph.Step{From: 0, To: 1, Via: graph.WR})
 	if !strings.Contains(got, "T1 observed T0's write of 7 to key x") {
 		t.Errorf("register wr reason = %q", got)
@@ -68,7 +68,7 @@ func TestRegisterWRReason(t *testing.T) {
 func TestOrderingReasons(t *testing.T) {
 	a := op.Txn(0, 3, op.OK)
 	b := op.Txn(1, 3, op.OK)
-	e := &Explainer{Ops: map[int]op.Op{0: a, 1: b}}
+	e := &Explainer{Ops: history.MustNew([]op.Op{a, b})}
 	if got := reason(e, graph.Step{From: 0, To: 1, Via: graph.Process}); !strings.Contains(got, "process 3 executed") {
 		t.Errorf("process reason = %q", got)
 	}
@@ -81,7 +81,7 @@ func TestFallbackReasons(t *testing.T) {
 	// Ops with no identifiable witness still get generic prose.
 	a := op.Txn(0, 0, op.OK)
 	b := op.Txn(1, 1, op.OK)
-	e := &Explainer{Ops: map[int]op.Op{0: a, 1: b}}
+	e := &Explainer{Ops: history.MustNew([]op.Op{a, b})}
 	cases := map[graph.Kind]string{
 		graph.WR: "read a version",
 		graph.RW: "overwrote",
@@ -112,7 +112,7 @@ func TestDOT(t *testing.T) {
 
 func TestDOTEscapesQuotes(t *testing.T) {
 	o := op.Txn(0, 0, op.OK, op.Append(`k"ey`, 1))
-	e := &Explainer{Ops: map[int]op.Op{0: o}}
+	e := &Explainer{Ops: history.MustNew([]op.Op{o})}
 	c := graph.Cycle{Steps: []graph.Step{
 		{From: 0, To: 0, Via: graph.WW},
 	}}
@@ -123,9 +123,10 @@ func TestDOTEscapesQuotes(t *testing.T) {
 }
 
 func TestUnknownNodeName(t *testing.T) {
-	e := &Explainer{Ops: map[int]op.Op{}}
-	if got := string(Text(nil).Name(e.index(42))); got != "T42" {
-		t.Errorf("name(42) = %q", got)
+	e := &Explainer{Ops: history.MustNew(nil)}
+	c := graph.Cycle{Steps: []graph.Step{{From: 42, To: 42, Via: graph.WW}}}
+	if got := e.Cycle(c); !strings.Contains(got, "T42 < T42") {
+		t.Errorf("an op the lookup lacks is not named by its id:\n%s", got)
 	}
 }
 
@@ -136,7 +137,7 @@ func TestRegisterRWReason(t *testing.T) {
 	regOrders := make([][][2]string, 1)
 	regOrders[keys.Intern("2434")] = [][2]string{{"nil", "10"}}
 	e := &Explainer{
-		Ops:       map[int]op.Op{1: r, 2: w},
+		Ops:       history.MustNew([]op.Op{r, w}),
 		Keys:      keys,
 		RegOrders: regOrders,
 	}
@@ -159,7 +160,7 @@ func TestWWReason(t *testing.T) {
 	orders[keys.Intern("c")] = []int{20, 21}
 	orders[keys.Intern("b")] = []int{10, 11}
 	orders[keys.Intern("a")] = []int{1, 2, 3, 4}
-	e := &Explainer{Ops: map[int]op.Op{1: t1, 2: t2, 3: t3}, Keys: keys, ListOrders: orders}
+	e := &Explainer{Ops: history.MustNew([]op.Op{t1, t2, t3}), Keys: keys, ListOrders: orders}
 	got := reason(e, graph.Step{From: 1, To: 2, Via: graph.WW})
 	if want := "T2 appended 2 after T1 appended 1 to key a"; got != want {
 		t.Errorf("ww reason = %q, want %q", got, want)
@@ -369,7 +370,7 @@ func TestWitnessChoice(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := &Explainer{Ops: map[int]op.Op{1: tc.from, 2: tc.to}, Keys: keys, ListOrders: lists, RegOrders: regs}
+			e := &Explainer{Ops: history.MustNew([]op.Op{tc.from, tc.to}), Keys: keys, ListOrders: lists, RegOrders: regs}
 			if got := reason(e, graph.Step{From: 1, To: 2, Via: tc.via}); got != tc.want {
 				t.Errorf("reason = %q\n      want %q", got, tc.want)
 			}
@@ -380,7 +381,7 @@ func TestWitnessChoice(t *testing.T) {
 	// show (wr), and falls back for what needs an order.
 	w := op.Txn(1, 1, ok, op.Append("a", 2), op.Write("b", 5))
 	r := op.Txn(2, 2, ok, op.ReadList("a", []int{1, 2}), op.ReadReg("b", 5))
-	bare := &Explainer{Ops: map[int]op.Op{1: w, 2: r}}
+	bare := &Explainer{Ops: history.MustNew([]op.Op{w, r})}
 	for via, want := range map[graph.Kind]string{
 		graph.WR: "T2 observed T1's append of 2 to key a",
 		graph.RW: "T1 read a version which T2 overwrote",

@@ -1,6 +1,8 @@
 package history
 
 import (
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -83,6 +85,8 @@ func FuzzHistoryNew(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 4, 1, 1, 1, 1, 2})          // completion before invoke
 	f.Add([]byte{4, 1, 0, 4, 1, 1})                   // double invoke, one process
 	f.Add([]byte{0, 1, 1, 4, 1, 0, 1, 1, 1, 2, 1, 2}) // compact turning complete
+	f.Add([]byte{1, 1, 0, 1, 1, 1, 1, 1, 2})          // dense compact
+	f.Add([]byte{0, 1, 0, 1, 2, 0, 0, 3, 1, 2, 1, 1}) // gapped, paired
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := opsFromBytes(data)
@@ -130,5 +134,47 @@ func FuzzHistoryNew(f *testing.F) {
 					id, h.Keys().Key(KeyID(id)), sh.Keys().Key(KeyID(id)))
 			}
 		}
+		// Op must equal a map of the completions by index, with the
+		// indices as generated (dense or gapped), and again shifted
+		// negative with the input reversed.
+		opMatchesMap(t, h, ops)
+		moved := make([]op.Op, len(ops))
+		for i, o := range ops {
+			o.Index -= 1 << 40
+			moved[len(ops)-1-i] = o
+		}
+		opMatchesMap(t, MustNew(moved), moved)
 	})
+}
+
+// opMatchesMap checks h.Op against a map of ops' completions, probing
+// every index from two below the least to two above the greatest, and
+// the ends of the int range.
+func opMatchesMap(t *testing.T, h *History, ops []op.Op) {
+	t.Helper()
+	want := map[int]op.Op{}
+	lo, hi := 0, 0
+	for i, o := range ops {
+		if o.Type != op.Invoke {
+			want[o.Index] = o
+		}
+		if i == 0 || o.Index < lo {
+			lo = o.Index
+		}
+		if i == 0 || o.Index > hi {
+			hi = o.Index
+		}
+	}
+	probe := func(i int) {
+		got, ok := h.Op(i)
+		w, wok := want[i]
+		if ok != wok || !reflect.DeepEqual(got, w) {
+			t.Fatalf("Op(%d) = %v, %v; the map holds %v, %v", i, got, ok, w, wok)
+		}
+	}
+	for i := lo - 2; i <= hi+2; i++ {
+		probe(i)
+	}
+	probe(math.MinInt)
+	probe(math.MaxInt)
 }

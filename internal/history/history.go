@@ -198,6 +198,37 @@ func (h *History) Span(pos int) (invokeIdx, completeIdx int) {
 	return h.Ops[h.invocation[pos]].Index, o.Index
 }
 
+// Lookup finds a completion op by its index, and reports whether there
+// is one: a *History finds every completion, a *Stream those of its live
+// tail, a budgeted session's KeyTracker those its live keys pin.
+// Analyzers and explanations name ops by index and cite them through it,
+// so each op is stored once.
+type Lookup interface {
+	Op(index int) (op.Op, bool)
+}
+
+// Op finds a completion (see Lookup). Ops are sorted by unique Index:
+// when the indices run densely from the first op's, as every generated
+// history's do, the op is at its offset; otherwise a binary search finds
+// it.
+func (h *History) Op(index int) (op.Op, bool) { return find(h.Ops, index) }
+
+// find is Op over ops sorted by unique Index.
+func find(ops []op.Op, index int) (op.Op, bool) {
+	var i int
+	if len(ops) > 0 {
+		i = index - ops[0].Index // may wrap; the check below then fails
+	}
+	ok := i >= 0 && i < len(ops) && ops[i].Index == index
+	if !ok {
+		i, ok = slices.BinarySearchFunc(ops, index, func(o op.Op, t int) int { return cmp.Compare(o.Index, t) })
+	}
+	if !ok || ops[i].Type == op.Invoke {
+		return op.Op{}, false
+	}
+	return ops[i], true
+}
+
 // ByProcess groups completion ops by process, preserving index order
 // within each process. The per-process sequences define the process
 // (session) order of §5.1.

@@ -2,10 +2,12 @@ package history_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/history"
 	"repro/internal/op"
+	"repro/internal/workload"
 )
 
 // retireOpsFromBytes derives an op sequence from fuzz input, the same
@@ -41,12 +43,27 @@ func retireOpsFromBytes(data []byte) []op.Op {
 	return ops
 }
 
+// lookupMatches checks l against the completions of want: probing each
+// of probe's indices, it must find exactly those, field for field.
+func lookupMatches(t *testing.T, name string, l history.Lookup, probe, want []op.Op) {
+	t.Helper()
+	for _, p := range probe {
+		w := slices.IndexFunc(want, func(o op.Op) bool { return o.Index == p.Index && o.Type != op.Invoke })
+		got, ok := l.Op(p.Index)
+		if ok != (w >= 0) || ok && !reflect.DeepEqual(got, want[w]) {
+			t.Fatalf("%s: Op(%d) = %v, %v; want found=%v", name, p.Index, got, ok, w >= 0)
+		}
+	}
+}
+
 // FuzzStreamRetirement: a stream under a tiny retirement budget must be
 // observationally identical to an unbudgeted stream fed the same ops —
 // same acceptance or rejection at the same op, same rehydrated history
 // (ops, spans, compactness), and a Replay that reproduces exactly the
 // accepted sequence. The budget only changes where bytes live, never
-// what the stream means.
+// what the stream means. Its op lookups find what each holds: every
+// completion, the resident tail's, and those a budgeted session's live
+// keys pin.
 func FuzzStreamRetirement(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 1, 0, 1, 1, 2, 1, 2, 3, 1, 0})            // compact mix
@@ -54,6 +71,7 @@ func FuzzStreamRetirement(f *testing.F) {
 	f.Add([]byte{2, 16, 1, 0, 20, 1, 1, 0, 1, 1, 16, 1, 2})      // interleaved processes
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0})                           // duplicate indices
 	f.Add([]byte{3, 1, 1, 2, 16, 1, 0, 1, 1, 1, 16, 1, 0, 1, 1}) // compact turning complete
+	f.Add([]byte{0, 1, 1, 2, 1, 1, 1})                           // an op outlives one of its keys
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -96,6 +114,46 @@ func FuzzStreamRetirement(f *testing.F) {
 		if st.ResidentOps+st.RetiredOps != accepted {
 			t.Fatalf("resident %d + retired %d != accepted %d",
 				st.ResidentOps, st.RetiredOps, accepted)
+		}
+
+		// The lookup: an unbudgeted stream finds every accepted
+		// completion, a budgeted one those of its resident tail.
+		lookupMatches(t, "plain stream", plain, ops[:accepted], ops[:accepted])
+		lookupMatches(t, "budgeted stream", budgeted, ops[:accepted], ops[accepted-st.ResidentOps:accepted])
+		// A budgeted session resolves what its hooks cite through a
+		// KeyTracker fed every completion and swept as it goes: it finds
+		// each op a live key pins, however much of the stream retired,
+		// and nothing for a dead one.
+		tracker := workload.NewKeyTracker(window)
+		pinnedBy := map[string][]int{} // live key -> the ops it pins
+		var noted []op.Op
+		for _, o := range ops[:accepted] {
+			if o.Type == op.Invoke {
+				continue
+			}
+			tracker.NoteOp(o, budgeted.Keys())
+			noted = append(noted, o)
+			for i, m := range o.Mops {
+				if !slices.ContainsFunc(o.Mops[:i], func(p op.Mop) bool { return p.Key == m.Key }) {
+					pinnedBy[m.Key] = append(pinnedBy[m.Key], o.Index)
+				}
+			}
+			for _, k := range tracker.Sweep() {
+				delete(pinnedBy, budgeted.Keys().Key(k))
+			}
+			live := map[int]bool{}
+			for _, idx := range pinnedBy {
+				for _, i := range idx {
+					live[i] = true
+				}
+			}
+			var pinned []op.Op
+			for _, n := range noted {
+				if live[n.Index] {
+					pinned = append(pinned, n)
+				}
+			}
+			lookupMatches(t, "key tracker", tracker, noted, pinned)
 		}
 
 		// Replay must reproduce exactly the accepted prefix, segment

@@ -165,6 +165,10 @@ func (s *Stream) append(o op.Op) int {
 	return pos
 }
 
+// Op returns the completion with the given index if the live tail still
+// holds it (see Lookup); a retired op is not found.
+func (s *Stream) Op(index int) (op.Op, bool) { return find(s.ops, index) }
+
 // Len returns the number of ops ingested (including invokes and ops
 // already retired into segments).
 func (s *Stream) Len() int { return s.base + len(s.ops) }
@@ -199,6 +203,7 @@ func (s *Stream) LastInvoke() int { return s.lastInvoke }
 func (s *Stream) History() *History {
 	if s.retired.ops == 0 {
 		h := &History{Ops: s.ops, compact: !s.hasInvoke, keys: s.keys}
+		h.keysOnce.Do(func() {}) // keys are built: History values compare equal either way
 		if !h.compact {
 			h.completion = s.completion
 			h.invocation = s.invocation

@@ -96,8 +96,6 @@ type result struct {
 	PerKey map[string]keyResult
 	// Anomalies in deterministic report order.
 	Anomalies []anomaly.Anomaly
-	// Ops indexes analyzed completion ops by index, for explanations.
-	Ops map[int]op.Op
 }
 
 // obs is one committed read observation.
@@ -180,7 +178,7 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	return workload.Analysis{
 		Graph:     graph.New(),
 		Anomalies: r.Anomalies,
-		Explainer: &explain.Explainer{Ops: r.Ops},
+		Explainer: &explain.Explainer{Ops: h},
 	}
 }
 
@@ -188,7 +186,6 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 func check(h *history.History) *result {
 	in := h.Keys()
 	aggs := make([]*keyAgg, in.Len())
-	ops := map[int]op.Op{}
 	agg := func(id history.KeyID) *keyAgg {
 		if aggs[id] == nil {
 			aggs[id] = &keyAgg{clusters: map[int]*cluster{}, aborted: map[int]op.Op{}}
@@ -201,7 +198,6 @@ func check(h *history.History) *result {
 		if o.Type == op.Invoke {
 			continue
 		}
-		ops[o.Index] = o
 		start64, end64 := spanOf(h, pos)
 		switch o.Type {
 		case op.OK:
@@ -245,7 +241,7 @@ func check(h *history.History) *result {
 		}
 	}
 
-	out := &result{PerKey: map[string]keyResult{}, Ops: ops}
+	out := &result{PerKey: map[string]keyResult{}}
 	for _, id := range in.SortedIDs() {
 		a := aggs[id]
 		if a == nil {

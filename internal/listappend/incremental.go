@@ -14,10 +14,10 @@ import (
 
 // stream is list-append's workload.Hooks: the state a streaming session
 // maintains across feeds and the four steps the session drives. It keeps
-// every index the batch analyzer builds up front — the op map and the
-// per-key state: each key's element table, reads, and trace (replaced
-// only by a strictly longer clean read) — plus, per key, the writer of
-// each trace position and the compatible reads by length. Those let
+// the per-key state the batch analyzer builds up front — each key's
+// element table, reads, and trace (replaced only by a strictly longer
+// clean read) — and cites ops through the session. Per key it adds the
+// writer of each trace position and the compatible reads by length. Those let
 // Ingest hand a graph.Incr each dependency edge once, the moment its
 // second endpoint is known (the rules are keyEdges's, read off as
 // deltas); Scan only drains the components the new edges dirtied and
@@ -35,8 +35,8 @@ type stream struct {
 	poisoned  bool // evidence was retracted; rebuild incr at next scan
 }
 
-func begin(opts workload.Opts, keys *history.Interner) workload.Hooks {
-	return &stream{a: newAnalyzer(opts, keys, 0), incr: graph.NewIncr(graph.New())}
+func begin(opts workload.Opts, keys *history.Interner, ops history.Lookup) workload.Hooks {
+	return &stream{a: &analyzer{opts: opts, in: keys, ops: ops}, incr: graph.NewIncr(graph.New())}
 }
 
 // emit offers incr one edge. A poisoned graph is about to be rebuilt
@@ -106,7 +106,7 @@ func (s *stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 			}
 			out.Emit(fmt.Sprintf("dup|%d|%d", k, m.Arg), anomaly.Anomaly{
 				Type: anomaly.DuplicateAppends,
-				Ops:  []op.Op{a.ops[es.first], o},
+				Ops:  []op.Op{a.op(es.first), o},
 				Key:  m.Key,
 				Explanation: fmt.Sprintf(
 					"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
@@ -134,7 +134,7 @@ func (s *stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 			for _, r := range ks.reads {
 				if slices.Contains(r.list, m.Arg) {
 					out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r.index, o.Index),
-						g1aAnomaly(a.ops[r.index], m.Key, r.list, m.Arg, o))
+						g1aAnomaly(a.op(r.index), m.Key, r.list, m.Arg, o))
 				}
 			}
 		}
@@ -172,7 +172,7 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 	}
 	for e, w := range ks.abortedReads(m.List) {
 		out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, e, o.Index, w),
-			g1aAnomaly(o, m.Key, m.List, e, s.a.ops[w]))
+			g1aAnomaly(o, m.Key, m.List, e, s.a.op(w)))
 	}
 	switch change {
 	case duplicated:
@@ -180,14 +180,14 @@ func (s *stream) ingestRead(o op.Op, m op.Mop, out *workload.Findings) {
 	case incompatible:
 		lr := ks.longest
 		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, o.Index, lr.index),
-			incompatAnomaly(new(explain.Text), m.Key, o, r.list, s.a.ops[lr.index], op.FormatList(lr.list)))
+			incompatAnomaly(new(explain.Text), m.Key, o, r.list, s.a.op(lr.index), op.FormatList(lr.list)))
 		return // and no edges
 	case replaced:
 		// Replacing the trace retracts the edges inferred from it, and
 		// regroups the key's reads around the new one.
 		s.poisoned = true
 		out.Emit(fmt.Sprintf("incompat|%s|%d|%d", m.Key, old.index, o.Index),
-			incompatAnomaly(new(explain.Text), m.Key, s.a.ops[old.index], old.list, o, op.FormatList(r.list)))
+			incompatAnomaly(new(explain.Text), m.Key, s.a.op(old.index), old.list, o, op.FormatList(r.list)))
 		ks.writers, ks.byLen = ks.writers[:0], ks.byLen[:0]
 	}
 	// The positions the trace gained, in order: each sees its predecessor
@@ -248,11 +248,11 @@ func (s *stream) Scan(out *workload.Findings) {
 }
 
 // Retire drops each quiescent key's one per-key state (element table,
-// reads, trace, writers and read groups), then the ops no live key pins,
-// then the graph region those ops spanned: nodes the analyzer no longer
-// indexes can gain no further edges from maintained state, and the scan
-// just before searched and surfaced their components' witnesses.
-func (s *stream) Retire(keys []history.KeyID, ops []int) {
+// reads, trace, writers and read groups), then the graph region of the
+// ops no live key pins any longer: nodes the session no longer resolves
+// can gain no further edges from maintained state, and the scan just
+// before searched and surfaced their components' witnesses.
+func (s *stream) Retire(keys []history.KeyID) {
 	a := s.a
 	for _, k := range keys {
 		// Keys only failed or unknown reads touched never got a state.
@@ -260,10 +260,7 @@ func (s *stream) Retire(keys []history.KeyID, ops []int) {
 			a.keyst[k] = nil
 		}
 	}
-	for _, i := range ops {
-		delete(a.ops, i)
-	}
-	s.incr.Retire(func(n int) bool { _, pinned := a.ops[n]; return pinned })
+	s.incr.Retire(func(n int) bool { _, pinned := a.ops.Op(n); return pinned })
 }
 
 // Finish runs the shared phase sequence over the maintained state. The
@@ -272,6 +269,5 @@ func (s *stream) Retire(keys []history.KeyID, ops []int) {
 // index, dirty and lost updates) run over the whole history there, each
 // read costing one comparison against its key's trace.
 func (s *stream) Finish(h *history.History) workload.Analysis {
-	s.a.h = h
-	return s.a.finish()
+	return s.a.finish(h)
 }

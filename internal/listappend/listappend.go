@@ -41,7 +41,7 @@ import (
 
 // keyRead is one committed read of a known list value, filed under its
 // key in op order. It names its op by index: a finding resolves it
-// through the analyzer's op index when it renders.
+// through the analyzer's op lookup when it renders.
 type keyRead struct {
 	index  int // the reading op's
 	invoke int // index of its invocation
@@ -57,22 +57,18 @@ type keyRead struct {
 // one key, never key strings or (key, element) pairs.
 type analyzer struct {
 	opts workload.Opts
-	h    *history.History
 	in   *history.Interner
 
-	ops       map[int]op.Op // completion ops by index
-	oks       []op.Op       // committed ops, once finish has the whole history
-	keyst     []*keyState   // per-key state by KeyID; nil for keys never appended to or read
+	ops       history.Lookup // the ops findings cite: the history, or a session's
+	oks       []op.Op        // committed ops, once finish has the whole history
+	keyst     []*keyState    // per-key state by KeyID; nil for keys never appended to or read
 	anomalies []anomaly.Anomaly
 }
 
-// newAnalyzer returns an analyzer with empty indices over the given
-// interner (the history's in batch runs, the stream's in sessions), its
-// op index sized for size completions (0 when unknown, in sessions); the
-// history itself is attached by Analyze (batch) or at Finish (streaming
-// sessions).
-func newAnalyzer(opts workload.Opts, in *history.Interner, size int) *analyzer {
-	return &analyzer{opts: opts, in: in, ops: make(map[int]op.Op, size)}
+// op is the completion op with index i.
+func (a *analyzer) op(i int) op.Op {
+	o, _ := a.ops.Op(i)
+	return o
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
@@ -299,14 +295,7 @@ func (ks *keyState) abortedReads(list []int) iter.Seq2[int, int] {
 // Of the shared options it consumes Parallelism and DetectLostUpdates
 // (see workload.Opts).
 func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
-	n := 0 // completions: what the op index will hold
-	for _, o := range h.Ops {
-		if o.Type != op.Invoke {
-			n++
-		}
-	}
-	a := newAnalyzer(opts, h.Keys(), n)
-	a.h = h
+	a := &analyzer{opts: opts, in: h.Keys(), ops: h}
 	for pos, o := range h.Ops {
 		if o.Type != op.Invoke {
 			inv, _ := h.Span(pos)
@@ -322,7 +311,7 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 			}
 		}
 	})
-	return a.finish()
+	return a.finish(h)
 }
 
 // versionOrders returns each key's trace, indexed by KeyID: the version
@@ -357,10 +346,10 @@ func (a *analyzer) tracedKeys() []history.KeyID {
 // order, and ends with the checks that need the final write indices and
 // version orders. The per-key state is complete before the first
 // per-transaction fan-out and immutable from then on.
-func (a *analyzer) finish() workload.Analysis {
+func (a *analyzer) finish(h *history.History) workload.Analysis {
 	p, keys := a.opts.Parallelism, a.tracedKeys()
-	a.oks = a.h.OKs()
-	a.markCrashed()
+	a.ops, a.oks = h, h.OKs()
+	a.markCrashed(h)
 	par.Do(p, len(keys), func(i int) {
 		ks := a.keyst[keys[i]]
 		ks.edges = keyEdges(ks)
@@ -393,7 +382,7 @@ func (a *analyzer) finish() workload.Analysis {
 	return workload.Analysis{
 		Graph:     g,
 		Anomalies: a.anomalies,
-		Explainer: &explain.Explainer{Ops: a.ops, Keys: a.in, ListOrders: a.versionOrders()},
+		Explainer: &explain.Explainer{Ops: h, Keys: a.in, ListOrders: a.versionOrders()},
 	}
 }
 
@@ -417,14 +406,13 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 	a.anomalies = anomaly.AppendGroups(a.anomalies, groups)
 }
 
-// addOp indexes one completion op: the op index every check reads, each
-// committed read of a known list value filed under its key, and each
-// appended element's row in its key's table with its recoverability
-// transitions — the first attempt on an element is its writer, a second
-// destroys recoverability (§4.2.3). Ops must be added in ascending index
-// order; invoke is the index of o's invocation.
+// addOp indexes one completion op: each committed read of a known list
+// value filed under its key, and each appended element's row in its
+// key's table with its recoverability transitions — the first attempt on
+// an element is its writer, a second destroys recoverability (§4.2.3).
+// Ops must be added in ascending index order; invoke is the index of o's
+// invocation.
 func (a *analyzer) addOp(o op.Op, invoke int) {
-	a.ops[o.Index] = o
 	for _, m := range o.Mops {
 		if o.Type == op.OK && m.ListKnown() {
 			ks := a.key(a.kid(m.Key))
@@ -453,8 +441,8 @@ func (a *analyzer) addOp(o op.Op, invoke int) {
 // markCrashed records the appends of invocations that never completed.
 // Crashed clients leave an invoke with no completion; their appends may
 // still have taken effect and are not garbage.
-func (a *analyzer) markCrashed() {
-	for _, o := range a.h.Crashed() {
+func (a *analyzer) markCrashed(h *history.History) {
+	for _, o := range h.Crashed() {
 		for _, m := range o.Mops {
 			if m.F == op.FAppend {
 				a.key(a.kid(m.Key)).elem(m.Arg).crashed = true
@@ -479,7 +467,7 @@ func (a *analyzer) duplicateAppendAnomalies() []anomaly.Anomaly {
 		for _, e := range slices.Sorted(maps.Keys(dups)) {
 			ops := make([]op.Op, len(dups[e]))
 			for i, ix := range dups[e] {
-				ops[i] = a.ops[ix]
+				ops[i] = a.op(ix)
 			}
 			out = append(out, anomaly.Anomaly{
 				Type: anomaly.DuplicateAppends,
@@ -570,7 +558,7 @@ func (a *analyzer) incompatAnomalies(k history.KeyID) []anomaly.Anomaly {
 			if trace == "" {
 				trace = op.FormatList(ks.longest.list)
 			}
-			out = append(out, incompatAnomaly(&buf, kname, a.ops[r.index], r.list, a.ops[ks.longest.index], trace))
+			out = append(out, incompatAnomaly(&buf, kname, a.op(r.index), r.list, a.op(ks.longest.index), trace))
 		}
 	}
 	return out
@@ -636,7 +624,7 @@ func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
 				continue
 			}
 			for e, w := range a.keyst[a.kid(m.Key)].abortedReads(m.List) {
-				out = append(out, g1aAnomaly(o, m.Key, m.List, e, a.ops[w]))
+				out = append(out, g1aAnomaly(o, m.Key, m.List, e, a.op(w)))
 			}
 		}
 	}
@@ -657,7 +645,7 @@ func (a *analyzer) intermediateReadAnomalies(o op.Op) []anomaly.Anomaly {
 		if n := len(m.List); n > 0 {
 			last := m.List[n-1]
 			if w, ok := a.keyst[a.kid(m.Key)].sole(last, false); ok && w != o.Index {
-				wo := a.ops[w]
+				wo := a.op(w)
 				if finalAppend(wo, m.Key) != last {
 					out = append(out, anomaly.Anomaly{
 						Type: anomaly.G1b,
@@ -687,17 +675,17 @@ func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID) []anomaly.Anomaly {
 	for _, i := range ks.aborted {
 		fw, _ := ks.sole(elems[i], true)
 		for _, cw := range ks.writers[i+1:] {
-			if cw >= 0 && a.ops[cw].Type == op.OK {
+			if cw >= 0 && a.op(cw).Type == op.OK {
 				kname := a.in.Key(k)
 				if trace == "" {
 					trace = op.FormatList(elems)
 				}
 				buf = buf[:0].Str("key ").Str(kname).Str("'s version history ").Str(trace).
-					Str(" includes element ").Int(elems[i]).Str(" from aborted ").Name(a.ops[fw].Index).
-					Str(", later built upon by committed ").Name(a.ops[cw].Index).Str(": a dirty update")
+					Str(" includes element ").Int(elems[i]).Str(" from aborted ").Name(a.op(fw).Index).
+					Str(", later built upon by committed ").Name(a.op(cw).Index).Str(": a dirty update")
 				out = append(out, anomaly.Anomaly{
 					Type:        anomaly.DirtyUpdate,
-					Ops:         []op.Op{a.ops[fw], a.ops[cw]},
+					Ops:         []op.Op{a.op(fw), a.op(cw)},
 					Key:         kname,
 					Explanation: string(buf),
 				})
@@ -762,10 +750,10 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 		for _, ka := range appends[start[k]:start[k+1]] {
 			if ka.index < lr.invoke && ks.find(ka.elem).pos < 0 {
 				if read == "" {
-					lo = a.ops[lr.index]
+					lo = a.op(lr.index)
 					read = op.FormatList(lo.Mops[readPos(lo, kname)].List)
 				}
-				wo := a.ops[ka.index]
+				wo := a.op(ka.index)
 				buf = buf[:0].Name(wo.Index).Str(" committed an append of ").Int(ka.elem).Str(" to key ").Str(kname).
 					Str(" before ").Name(lo.Index).Str(" began, yet ").Name(lo.Index).Str(" read ").Str(read).
 					Str(" without it: the update was lost")

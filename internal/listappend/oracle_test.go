@@ -102,8 +102,8 @@ func hookedInfo(t testing.TB, wrap func(*stream) workload.Hooks) workload.Info {
 	if !ok {
 		t.Fatal("list-append is not registered")
 	}
-	info.Incremental = func(opts workload.Opts, keys *history.Interner) workload.Hooks {
-		return wrap(begin(opts, keys).(*stream))
+	info.Incremental = func(opts workload.Opts, keys *history.Interner, ops history.Lookup) workload.Hooks {
+		return wrap(begin(opts, keys, ops).(*stream))
 	}
 	return info
 }

@@ -73,7 +73,8 @@ type Campaign struct {
 	// DetectLostUpdates and LinearizableKeys turn on the analyzer
 	// options of the same names even where the model alone would not:
 	// the paper's TiDB lost-update reports use real-time knowledge
-	// (§7.1), and Dgraph claimed per-key linearizability (§7.4).
+	// (§7.1), and Dgraph claimed per-key linearizability (§7.4), which
+	// turns on SequentialKeys too.
 	DetectLostUpdates, LinearizableKeys bool
 	// Clients and Txns override the run size; 0 means the Config's.
 	Clients, Txns int
@@ -252,7 +253,9 @@ func Check(c Campaign, cfg Config) (*history.History, *core.CheckResult, error) 
 	model, _, _ := c.shape(cfg)
 	opts := core.OptsFor(c.Workload, model)
 	opts.DetectLostUpdates = opts.DetectLostUpdates || c.DetectLostUpdates
+	// Per-key linearizability implies per-key sequential consistency.
 	opts.LinearizableKeys = opts.LinearizableKeys || c.LinearizableKeys
+	opts.SequentialKeys = opts.SequentialKeys || c.LinearizableKeys
 	opts.Parallelism = cfg.Parallelism
 	opts.MemoryBudget = cfg.MemoryBudget
 	opts.TimestampEdges = plan.Timestamps

@@ -66,20 +66,6 @@ type Config struct {
 	Workload string
 }
 
-// DefaultConfig mirrors Figure 4's axes at a scale that completes on a
-// laptop: lengths up to 100k ops, concurrencies 1–100.
-func DefaultConfig() Config {
-	return Config{
-		Lengths:        []int{1000, 2000, 5000, 10000, 20000, 50000, 100000},
-		Concurrencies:  []int{1, 5, 10, 20, 40, 100},
-		BaselineCap:    10 * time.Second,
-		BaselineMaxOps: 5000,
-		Seed:           1,
-		Elle:           true,
-		Baseline:       true,
-	}
-}
-
 // GenerateHistory builds one Figure 4 workload history: n list-append
 // transactions at concurrency c against the serializable engine.
 func GenerateHistory(n, c int, seed int64) *history.History {
@@ -168,14 +154,22 @@ func Sweep(cfg Config, report func(Point)) []Point {
 // WriteCSV renders points as CSV with a header, the format the paper's
 // Figure 4 was plotted from.
 func WriteCSV(w io.Writer, points []Point) error {
-	if _, err := fmt.Fprintln(w, "checker,ops,concurrency,seconds,outcome,anomalies,workload"); err != nil {
+	row, err := StartCSV(w)
+	for i := 0; err == nil && i < len(points); i++ {
+		err = row(points[i])
+	}
+	return err
+}
+
+// StartCSV writes WriteCSV's header to w and returns the writer of its
+// rows, one point per call, so a sweep can print each point as it
+// completes.
+func StartCSV(w io.Writer) (row func(Point) error, err error) {
+	row = func(p Point) error {
+		_, err := fmt.Fprintf(w, "%s,%d,%d,%.6f,%s,%d,%s\n",
+			p.Checker, p.Ops, p.Concurrency, p.Seconds, p.Outcome, p.Anomalies, p.Workload)
 		return err
 	}
-	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%.6f,%s,%d,%s\n",
-			p.Checker, p.Ops, p.Concurrency, p.Seconds, p.Outcome, p.Anomalies, p.Workload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = fmt.Fprintln(w, "checker,ops,concurrency,seconds,outcome,anomalies,workload")
+	return row, err
 }

@@ -11,8 +11,8 @@ import (
 // stream is rw-register's workload.Hooks. Register inference is per-key
 // and the rules are monotone — version graphs only gain edges as the
 // history grows — so it maintains exactly what the batch analyzer builds
-// up front (the op index and every key's state: value table, transaction
-// footprints, inference result) and re-runs the per-key pipeline only
+// up front (every key's state: value table, transaction footprints,
+// inference result) and re-runs the per-key pipeline only
 // for keys touched since the last scan. At Finish every untouched key's
 // result is what the batch analyzer would compute, and the same phase
 // sequence (analyzer.finish) merges them, so the Analysis is
@@ -25,8 +25,8 @@ type stream struct {
 	a *analyzer // a.keyst is the per-key maintained state
 }
 
-func begin(opts workload.Opts, keys *history.Interner) workload.Hooks {
-	return stream{newAnalyzer(opts, keys, 0)}
+func begin(opts workload.Opts, keys *history.Interner, ops history.Lookup) workload.Hooks {
+	return stream{&analyzer{opts: opts, in: keys, ops: ops}}
 }
 
 // Ingest indexes one completion and surfaces its per-op findings
@@ -48,7 +48,7 @@ func (s stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 				// that is now known to be aborted.
 				for _, r := range vs.readers {
 					out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r, o.Index),
-						g1aAnomaly(a.ops[r], m.Key, m.Arg, o))
+						g1aAnomaly(a.op(r), m.Key, m.Arg, o))
 				}
 			}
 		case 2:
@@ -60,7 +60,7 @@ func (s stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 	}
 	for m, w := range a.abortedReads(o) {
 		out.Emit(fmt.Sprintf("g1a|%d|%d|%d|%d", a.kid(m.Key), m.Reg, o.Index, w),
-			g1aAnomaly(o, m.Key, m.Reg, a.ops[w]))
+			g1aAnomaly(o, m.Key, m.Reg, a.op(w)))
 	}
 	out.Add(a.internalAnomalies(o)...)
 }
@@ -77,19 +77,15 @@ func (s stream) Scan(out *workload.Findings) {
 }
 
 // Retire drops each quiescent key's one per-key state (value table,
-// transaction footprints, inference result) and the ops no live key
-// pins. There is no cross-key graph to retire — dependencies are
-// exploded per key — and the scan just before left no retiring key
-// awaiting a refresh.
-func (s stream) Retire(keys []history.KeyID, ops []int) {
+// transaction footprints, inference result). There is no cross-key graph
+// to retire — dependencies are exploded per key — and the scan just
+// before left no retiring key awaiting a refresh.
+func (s stream) Retire(keys []history.KeyID) {
 	for _, k := range keys {
 		// Keys only failed or unknown reads touched never got a state.
 		if int(k) < len(s.a.keyst) {
 			s.a.keyst[k] = nil
 		}
-	}
-	for _, i := range ops {
-		delete(s.a.ops, i)
 	}
 }
 

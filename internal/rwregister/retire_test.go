@@ -37,8 +37,8 @@ func TestBudgetedSessionRetiresQuiescentKeys(t *testing.T) {
 	// handle on its hooks to inspect the state they maintain.
 	info, _ := workload.Lookup(string(workload.RWRegister))
 	var a *analyzer
-	info.Incremental = func(opts workload.Opts, keys *history.Interner) workload.Hooks {
-		st := begin(opts, keys).(stream)
+	info.Incremental = func(opts workload.Opts, keys *history.Interner, ops history.Lookup) workload.Hooks {
+		st := begin(opts, keys, ops).(stream)
 		a = st.a
 		return st
 	}
@@ -67,7 +67,7 @@ func TestBudgetedSessionRetiresQuiescentKeys(t *testing.T) {
 		t.Fatalf("the sweep kept quiescent x's state: %+v", a.keyst[x])
 	}
 	for _, i := range []int{0, 1} {
-		if _, pinned := a.ops[i]; pinned {
+		if _, pinned := a.ops.Op(i); pinned {
 			t.Fatalf("the sweep kept op %d, which only retired x pinned", i)
 		}
 	}
@@ -80,8 +80,14 @@ func TestBudgetedSessionRetiresQuiescentKeys(t *testing.T) {
 	if st := s.RetireStats(); gone < workload.ScanEvery-2*window || st.RetiredKeys != gone {
 		t.Fatalf("RetiredKeys = %d with %d of %d key states dropped", st.RetiredKeys, gone, len(a.keyst))
 	}
-	if len(a.ops) > 2*window {
-		t.Fatalf("%d ops stay pinned after the sweep, window %d", len(a.ops), window)
+	pinned := 0
+	for _, o := range ops[:workload.ScanEvery] {
+		if _, ok := a.ops.Op(o.Index); ok {
+			pinned++
+		}
+	}
+	if pinned > 2*window {
+		t.Fatalf("%d ops stay pinned after the sweep, window %d", pinned, window)
 	}
 
 	// x again: brand new, and the aborted read still surfaces.

@@ -51,18 +51,17 @@ type analyzer struct {
 	opts workload.Opts
 	in   *history.Interner
 
-	ops       map[int]op.Op   // completion ops by index
+	ops       history.Lookup  // the ops findings cite: the history, or a session's
 	oks       []op.Op         // committed ops, once finish has the whole history
 	keyst     []*keyState     // per-key state by KeyID; nil for keys never written or read
 	stale     []history.KeyID // keys whose tables changed since their last inference
 	anomalies []anomaly.Anomaly
 }
 
-// newAnalyzer returns an analyzer with empty indices over the given
-// interner (the history's in batch runs, the stream's in sessions), its
-// op index sized for size completions (0 when unknown, in sessions).
-func newAnalyzer(opts workload.Opts, in *history.Interner, size int) *analyzer {
-	return &analyzer{opts: opts, in: in, ops: make(map[int]op.Op, size)}
+// op is the completion op with index i.
+func (a *analyzer) op(i int) op.Op {
+	o, _ := a.ops.Op(i)
+	return o
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
@@ -149,13 +148,7 @@ func (ks *keyState) row(v int) int32 {
 // SequentialKeys); workload.DefaultOpts enables every rule, matching
 // the paper's Dgraph analysis.
 func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
-	n := 0 // completions: what the op index will hold
-	for _, o := range h.Ops {
-		if o.Type != op.Invoke {
-			n++
-		}
-	}
-	a := newAnalyzer(opts, h.Keys(), n)
+	a := &analyzer{opts: opts, in: h.Keys(), ops: h}
 	for pos, o := range h.Ops {
 		if o.Type != op.Invoke {
 			inv, _ := h.Span(pos)
@@ -175,7 +168,7 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 // and read-only from then on.
 func (a *analyzer) finish(h *history.History) workload.Analysis {
 	p := a.opts.Parallelism
-	a.oks = h.OKs()
+	a.ops, a.oks = h, h.OKs()
 	a.refresh()
 	// A write whose invocation never completed may still have taken
 	// effect: reading it is not garbage. It gains no writer and no edge.
@@ -227,7 +220,7 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 	return workload.Analysis{
 		Graph:     g,
 		Anomalies: a.anomalies,
-		Explainer: &explain.Explainer{Ops: a.ops, Keys: a.in, RegOrders: orders},
+		Explainer: &explain.Explainer{Ops: h, Keys: a.in, RegOrders: orders},
 	}
 }
 
@@ -250,14 +243,13 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 	a.anomalies = anomaly.AppendGroups(a.anomalies, groups)
 }
 
-// addOp indexes one completion op: the op index every check reads, and
-// per touched key the value-table rows of its writes — with their
-// recoverability transitions: the first write of a value is its writer,
-// a second destroys recoverability — and of its committed reads, plus
-// the transaction's footprint on the key. Ops must be added in
-// ascending index order; invoke is the index of o's invocation.
+// addOp indexes one completion op: per touched key the value-table rows
+// of its writes — with their recoverability transitions: the first write
+// of a value is its writer, a second destroys recoverability — and of
+// its committed reads, plus the transaction's footprint on the key. Ops
+// must be added in ascending index order; invoke is the index of o's
+// invocation.
 func (a *analyzer) addOp(o op.Op, invoke int) {
-	a.ops[o.Index] = o
 	for _, m := range o.Mops {
 		write := m.F == op.FWrite
 		if !write && !(m.F == op.FRead && o.Type == op.OK && m.RegKnown) {
@@ -361,7 +353,7 @@ func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
 	var out []anomaly.Anomaly
 	for _, o := range a.oks {
 		for m, w := range a.abortedReads(o) {
-			out = append(out, g1aAnomaly(o, m.Key, m.Reg, a.ops[w]))
+			out = append(out, g1aAnomaly(o, m.Key, m.Reg, a.op(w)))
 		}
 	}
 	return out
@@ -393,7 +385,7 @@ func (a *analyzer) readAnomalies(o op.Op) []anomaly.Anomaly {
 			continue
 		}
 		if w, ok := vs.sole(false); ok && w != o.Index {
-			wo := a.ops[w]
+			wo := a.op(w)
 			if fin, has := finalWrite(wo, m.Key); has && fin != m.Reg {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.G1b,

@@ -29,7 +29,7 @@ func init() {
 			plant(opts.Parallelism, "analyzer panic planted by the test")
 			return workload.Analysis{} // unreachable: plant panics
 		}),
-		Incremental: func(opts workload.Opts, _ *history.Interner) workload.Hooks {
+		Incremental: func(opts workload.Opts, _ *history.Interner, _ history.Lookup) workload.Hooks {
 			return panicHooks{opts.Parallelism}
 		},
 	})
@@ -53,8 +53,8 @@ func (x panicHooks) Ingest(o op.Op, _ int, _ *workload.Findings) {
 		}
 	}
 }
-func (panicHooks) Scan(*workload.Findings)       {}
-func (panicHooks) Retire([]history.KeyID, []int) {}
+func (panicHooks) Scan(*workload.Findings) {}
+func (panicHooks) Retire([]history.KeyID)  {}
 func (x panicHooks) Finish(*history.History) workload.Analysis {
 	plant(x.p, "finish panic planted by the test")
 	return workload.Analysis{} // unreachable: plant panics

@@ -9,10 +9,9 @@ import (
 )
 
 // stream is set-add's workload.Hooks: it maintains exactly what the
-// batch analyzer builds up front (the op index and every key's element
-// table and reads), so Finish is the same phase sequence
-// (analyzer.finish) over the same state and the Analysis is
-// byte-identical. Mid-stream it surfaces only what the table already
+// batch analyzer builds up front (every key's element table and reads),
+// so Finish is the same phase sequence (analyzer.finish) over the same
+// state and the Analysis is byte-identical. Mid-stream it surfaces only what the table already
 // proves when an op arrives — internal inconsistencies, duplicate adds,
 // and aborted reads whose failed add arrived first. An abort that lands
 // after its readers, garbage reads (the element may yet be added) and
@@ -21,8 +20,8 @@ type stream struct {
 	a *analyzer // a.keyst is the per-key maintained state
 }
 
-func begin(opts workload.Opts, keys *history.Interner) workload.Hooks {
-	return stream{newAnalyzer(opts, keys, 0)}
+func begin(opts workload.Opts, keys *history.Interner, ops history.Lookup) workload.Hooks {
+	return stream{&analyzer{opts: opts, in: keys, ops: ops}}
 }
 
 // Ingest indexes one completion and surfaces its per-op findings.
@@ -55,10 +54,10 @@ func (s stream) Ingest(o op.Op, _ int, out *workload.Findings) {
 			es := ks.elem(e)
 			es.seen = r.serial
 			if es.attempts == 1 && es.failed {
-				out.Emit(fmt.Sprintf("g1a|%d|%d|%d", k, e, o.Index), g1aAnomaly(o, m.Key, e, a.ops[es.first]))
+				out.Emit(fmt.Sprintf("g1a|%d|%d|%d", k, e, o.Index), g1aAnomaly(o, m.Key, e, a.op(es.first)))
 			}
 		}
-		if e, ok := ks.missing(r); ok {
+		if e, ok := ks.missing(o, r); ok {
 			out.Add(internalAnomaly(o, m.Key, e))
 		}
 	}
@@ -69,17 +68,13 @@ func (s stream) Ingest(o op.Op, _ int, out *workload.Findings) {
 // graph.Incr survives the streaming work (docs/STREAMING.md).
 func (s stream) Scan(*workload.Findings) {}
 
-// Retire drops each quiescent key's element table and reads, and the
-// ops no live key pins.
-func (s stream) Retire(keys []history.KeyID, ops []int) {
+// Retire drops each quiescent key's element table and reads.
+func (s stream) Retire(keys []history.KeyID) {
 	for _, k := range keys {
 		// Keys only failed or unknown reads touched never got a state.
 		if int(k) < len(s.a.keyst) {
 			s.a.keyst[k] = nil
 		}
-	}
-	for _, i := range ops {
-		delete(s.a.ops, i)
 	}
 }
 

@@ -41,16 +41,15 @@ type analyzer struct {
 	opts workload.Opts
 	in   *history.Interner
 
-	ops   map[int]op.Op // completion ops by index
-	keyst []*keyState   // per-key state by KeyID; nil for keys never added to or read
-	reads int           // reads filed so far, over all keys
+	ops   history.Lookup // the ops findings cite: the history, or a session's
+	keyst []*keyState    // per-key state by KeyID; nil for keys never added to or read
+	reads int            // reads filed so far, over all keys
 }
 
-// newAnalyzer returns an analyzer with empty indices over the given
-// interner (the history's in batch runs, the stream's in sessions), its
-// op index sized for size completions (0 when unknown, in sessions).
-func newAnalyzer(opts workload.Opts, in *history.Interner, size int) *analyzer {
-	return &analyzer{opts: opts, in: in, ops: make(map[int]op.Op, size)}
+// op is the completion op with index i.
+func (a *analyzer) op(i int) op.Op {
+	o, _ := a.ops.Op(i)
+	return o
 }
 
 // kid resolves an interned key (see history.Interner.MustID).
@@ -76,11 +75,11 @@ type elemState struct {
 	seen     int   // serial of the last read marked as containing it
 }
 
-// keyRead is one committed read of a known set value — mop pos of o —
-// filed under its key in op order.
+// keyRead is one committed read of a known set value — mop pos of the
+// op with that index — filed under its key in op order.
 type keyRead struct {
-	o   op.Op
-	pos int
+	index int
+	pos   int
 	// serial is the read's 1-based rank among all the history's reads, in
 	// op then mop order: its mark on the rows of the elements it holds,
 	// and its findings' place in the report.
@@ -124,13 +123,7 @@ func (ks *keyState) elem(e int) *elemState {
 // Set reads are carried in Mop.List; element order is ignored. Of the
 // shared options only Parallelism applies.
 func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
-	n := 0 // completions: what the op index will hold
-	for _, o := range h.Ops {
-		if o.Type != op.Invoke {
-			n++
-		}
-	}
-	a := newAnalyzer(opts, h.Keys(), n)
+	a := &analyzer{opts: opts, in: h.Keys(), ops: h}
 	for _, o := range h.Ops {
 		if o.Type != op.Invoke {
 			a.addOp(o)
@@ -139,13 +132,12 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	return a.finish(h)
 }
 
-// addOp indexes one completion op: the op index every check reads, each
-// added element's row in its key's table with its recoverability
-// transitions — the first attempt on an element is its writer, a second
-// destroys recoverability — and each committed read filed under its key.
-// Ops must be added in ascending index order.
+// addOp indexes one completion op: each added element's row in its
+// key's table with its recoverability transitions — the first attempt on
+// an element is its writer, a second destroys recoverability — and each
+// committed read filed under its key. Ops must be added in ascending
+// index order.
 func (a *analyzer) addOp(o op.Op) {
-	a.ops[o.Index] = o
 	for pos, m := range o.Mops {
 		switch {
 		case m.F == op.FAdd:
@@ -156,7 +148,7 @@ func (a *analyzer) addOp(o op.Op) {
 		case o.Type == op.OK && m.ListKnown():
 			ks := a.key(a.kid(m.Key))
 			a.reads++
-			ks.reads = append(ks.reads, keyRead{o: o, pos: pos, serial: a.reads})
+			ks.reads = append(ks.reads, keyRead{index: o.Index, pos: pos, serial: a.reads})
 		}
 	}
 }
@@ -178,6 +170,7 @@ type readFindings struct {
 // the per-read results in op order, so the graph and anomaly list are
 // identical at every parallelism level.
 func (a *analyzer) finish(h *history.History) workload.Analysis {
+	a.ops = h
 	// An add whose invocation never completed may still have taken
 	// effect: reading it is not garbage. It gains no writer and no edge.
 	for _, o := range h.Crashed() {
@@ -226,7 +219,7 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 		anomalies = append(anomalies, res[i].anoms...)
 		g.AddEdges(res[i].edges)
 	}
-	return workload.Analysis{Graph: g, Anomalies: anomalies, Explainer: &explain.Explainer{Ops: a.ops}}
+	return workload.Analysis{Graph: g, Anomalies: anomalies, Explainer: &explain.Explainer{Ops: h}}
 }
 
 // keyFindings checks every read of key k against the key's element
@@ -241,7 +234,7 @@ func (a *analyzer) keyFindings(k history.KeyID, res []readFindings) {
 	// read that misses it anti-depends on its writer.
 	var committed []int32
 	for i := range ks.tab {
-		if es := &ks.tab[i]; es.attempts == 1 && !es.failed && a.ops[es.first].Type == op.OK {
+		if es := &ks.tab[i]; es.attempts == 1 && !es.failed && a.op(es.first).Type == op.OK {
 			committed = append(committed, int32(i))
 		}
 	}
@@ -249,53 +242,53 @@ func (a *analyzer) keyFindings(k history.KeyID, res []readFindings) {
 
 	for i := range ks.reads {
 		r := &ks.reads[i]
-		out := &res[r.serial-1]
-		for _, e := range r.o.Mops[r.pos].List {
+		o, out := a.op(r.index), &res[r.serial-1]
+		for _, e := range o.Mops[r.pos].List {
 			es := ks.elem(e)
 			es.seen = r.serial
 			switch {
 			case es.attempts == 1 && es.failed:
-				out.anoms = append(out.anoms, g1aAnomaly(r.o, kname, e, a.ops[es.first]))
+				out.anoms = append(out.anoms, g1aAnomaly(o, kname, e, a.op(es.first)))
 			case es.attempts == 1:
-				out.edges = append(out.edges, graph.Edge{From: es.first, To: r.o.Index, Kind: graph.WR})
+				out.edges = append(out.edges, graph.Edge{From: es.first, To: o.Index, Kind: graph.WR})
 			case es.attempts == 0 && !es.crashed:
 				out.anoms = append(out.anoms, anomaly.Anomaly{
 					Type: anomaly.GarbageRead,
-					Ops:  []op.Op{r.o},
+					Ops:  []op.Op{o},
 					Key:  kname,
 					Explanation: fmt.Sprintf(
 						"%s read set %s containing element %d, which no transaction ever added",
-						r.o.Name(), kname, e),
+						o.Name(), kname, e),
 				})
 			}
 		}
-		if e, ok := ks.missing(r); ok {
-			out.internal = []anomaly.Anomaly{internalAnomaly(r.o, kname, e)}
+		if e, ok := ks.missing(o, r); ok {
+			out.internal = []anomaly.Anomaly{internalAnomaly(o, kname, e)}
 		}
 		// Anti-dependencies: committed elements missing from the read.
 		// Skip the transaction's own adds: a read before its own add is
 		// not an anti-dependency on itself.
 		for _, row := range committed {
-			if es := &ks.tab[row]; es.seen != r.serial && es.first != r.o.Index {
-				out.edges = append(out.edges, graph.Edge{From: r.o.Index, To: es.first, Kind: graph.RW})
+			if es := &ks.tab[row]; es.seen != r.serial && es.first != o.Index {
+				out.edges = append(out.edges, graph.Edge{From: o.Index, To: es.first, Kind: graph.RW})
 			}
 		}
 	}
 }
 
-// missing verifies grow-only set semantics within r's transaction: r —
+// missing verifies grow-only set semantics within r's transaction o: r —
 // whose elements are marked — must hold every element the transaction
 // itself added to the key before it, and everything its earlier reads of
 // the key observed. It returns the smallest element r lacks, so the
 // rendered explanation is deterministic.
-func (ks *keyState) missing(r *keyRead) (missing int, found bool) {
+func (ks *keyState) missing(o op.Op, r *keyRead) (missing int, found bool) {
 	lacks := func(e int) {
 		if ks.find(e).seen != r.serial && (!found || e < missing) {
 			missing, found = e, true
 		}
 	}
-	key := r.o.Mops[r.pos].Key
-	for _, m := range r.o.Mops[:r.pos] {
+	key := o.Mops[r.pos].Key
+	for _, m := range o.Mops[:r.pos] {
 		if m.Key != key {
 			continue
 		}

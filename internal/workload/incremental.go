@@ -58,11 +58,12 @@ type Hooks interface {
 	// Scan brings what the analyzer derives in batches up to date with
 	// the ops ingested so far, and surfaces what that proves.
 	Scan(out *Findings)
-	// Retire drops the state of keys quiescent for a full budget window,
-	// and the ops no live key pins any longer. A retired key seen again
-	// is brand new. It runs only under a budget, and only right after a
-	// Scan, so whatever the retiring state could prove is already out.
-	Retire(keys []history.KeyID, ops []int)
+	// Retire drops the state of keys quiescent for a full budget window;
+	// the ops only they pinned are already gone from the lookup. A retired
+	// key seen again is brand new. It runs only under a budget, and only
+	// right after a Scan, so whatever the retiring state could prove is
+	// already out.
+	Retire(keys []history.KeyID)
 	// Finish completes an unbudgeted stream from the maintained state.
 	// h is the whole history; the result must equal the workload's
 	// Analyzer's over h, byte for byte.
@@ -70,8 +71,10 @@ type Hooks interface {
 }
 
 // Incremental opens a workload's Hooks for one session, over the
-// session's options and its stream's live key interner.
-type Incremental func(opts Opts, keys *history.Interner) Hooks
+// session's options, its stream's live key interner, and the lookup of
+// the ops the hooks may cite: under a budget the KeyTracker's, which
+// holds the ops live keys pin, otherwise the stream's.
+type Incremental func(opts Opts, keys *history.Interner, ops history.Lookup) Hooks
 
 // Findings is where hooks surface provisional anomalies: the session's
 // one emitted-set, and the anomalies of the Feed in progress.
@@ -114,7 +117,8 @@ func (f *Findings) Add(ans ...anomaly.Anomaly) { f.fresh = append(f.fresh, ans..
 //
 // Memory budgets (Opts.MemoryBudget) bound the feed phase. The op stream
 // retires settled prefixes into compact segments for every workload;
-// with Hooks, the state of keys untouched for a full window goes too, so
+// with Hooks, the state of keys untouched for a full window goes too, as
+// do the ops only they pinned, held once by the KeyTracker; so
 // mid-stream findings are a subset of the unbudgeted session's —
 // retired evidence cannot be cited, which the Delta contract permits.
 // Finish then rehydrates the stream and pays the batch analyzer's
@@ -142,11 +146,13 @@ func BeginSession(info Info, opts Opts) *Session {
 	hs.SetBudget(StreamBudget(opts))
 	s := &Session{analyzer: info.Analyzer, opts: opts, hs: hs}
 	if info.Incremental != nil {
-		s.hooks = info.Incremental(opts, hs.Keys())
 		s.out.emitted = map[string]bool{}
+		var ops history.Lookup = hs
 		if opts.MemoryBudget > 0 {
 			s.rt = NewKeyTracker(opts.MemoryBudget)
+			ops = s.rt
 		}
+		s.hooks = info.Incremental(opts, hs.Keys(), ops)
 	}
 	return s
 }
@@ -183,8 +189,8 @@ func (s *Session) Feed(ops []op.Op) (Delta, error) {
 		if s.rt != nil {
 			// Sweep after the scan: what the retiring keys and ops could
 			// prove is out before the state backing it goes.
-			if keys, dead := s.rt.Sweep(); len(keys) > 0 {
-				s.hooks.Retire(keys, dead)
+			if keys := s.rt.Sweep(); len(keys) > 0 {
+				s.hooks.Retire(keys)
 			}
 		}
 	}

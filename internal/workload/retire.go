@@ -35,12 +35,13 @@ func StreamBudget(opts Opts) history.Budget {
 }
 
 // KeyTracker is a budgeted Session's quiescence bookkeeping: it
-// timestamps every key's last touch in completion counts, refcounts
-// which ops each live key pins, and sweeps out keys untouched for a full
-// window. The session hands the sweep result to its Hooks' Retire; the
-// tracker itself holds only ints. A retired key seen again is simply
-// re-tracked from zero — hooks treat resurrected keys as brand new,
-// which is sound for provisional findings (Finish re-analyzes the full
+// timestamps every key's last touch in completion counts, holds each op
+// a live key pins — once, with the count of keys pinning it — and sweeps
+// out keys untouched for a full window, with the ops only they pinned.
+// The session hands the swept keys to its Hooks' Retire and resolves the
+// ops its hooks cite through Op. A retired key seen again is simply
+// re-tracked from zero — hooks treat resurrected keys as brand new, which
+// is sound for provisional findings (Finish re-analyzes the full
 // history).
 type KeyTracker struct {
 	window    int
@@ -48,13 +49,19 @@ type KeyTracker struct {
 	lastSweep int
 	lastTouch []int   // per KeyID: comps at last touch; 0 = unseen or retired
 	opsOfKey  [][]int // per KeyID: op indices pinned by this key
-	refs      map[int]int
+	pins      map[int]pin
 	retired   int
+}
+
+// pin is one pinned op and the number of live keys pinning it.
+type pin struct {
+	o    op.Op
+	keys int
 }
 
 // NewKeyTracker tracks quiescence over the given completion window.
 func NewKeyTracker(window int) *KeyTracker {
-	return &KeyTracker{window: window, refs: map[int]int{}}
+	return &KeyTracker{window: window, pins: map[int]pin{}}
 }
 
 // NoteOp records one completion op, pinning it once per distinct key it
@@ -66,34 +73,35 @@ func (t *KeyTracker) NoteOp(o op.Op, in *history.Interner) bool {
 		return false
 	}
 	t.comps++
-	for i, m := range o.Mops {
-		dup := false
-		for _, p := range o.Mops[:i] {
-			if p.Key == m.Key {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
+	p := pin{o: o}
+	for _, m := range o.Mops {
 		k := in.MustID(m.Key)
 		t.lastTouch = history.GrowKeyed(t.lastTouch, k)
+		if t.lastTouch[k] == t.comps {
+			continue // an earlier mop of o touched k
+		}
 		t.opsOfKey = history.GrowKeyed(t.opsOfKey, k)
 		t.lastTouch[k] = t.comps
 		t.opsOfKey[k] = append(t.opsOfKey[k], o.Index)
-		t.refs[o.Index]++
+		p.keys++
 	}
+	t.pins[o.Index] = p
 	return true
 }
 
-// Sweep retires every key untouched for a full window, returning the
-// retired keys and the ops no longer pinned by any live key (both nil
-// when a window hasn't elapsed since the last sweep). Dead ops come only
-// with dead keys.
-func (t *KeyTracker) Sweep() (dead []history.KeyID, deadOps []int) {
+// Op returns the pinned op with the given index, if a live key pins it
+// (see history.Lookup).
+func (t *KeyTracker) Op(index int) (op.Op, bool) {
+	p, ok := t.pins[index]
+	return p.o, ok
+}
+
+// Sweep retires every key untouched for a full window and releases the
+// ops no live key pins any longer, returning the retired keys (nil when
+// a window hasn't elapsed since the last sweep). Ops die only with keys.
+func (t *KeyTracker) Sweep() (dead []history.KeyID) {
 	if t.comps-t.lastSweep < t.window {
-		return nil, nil
+		return nil
 	}
 	t.lastSweep = t.comps
 	horizon := t.comps - t.window
@@ -104,15 +112,17 @@ func (t *KeyTracker) Sweep() (dead []history.KeyID, deadOps []int) {
 		dead = append(dead, history.KeyID(k))
 		t.lastTouch[k] = 0
 		for _, i := range t.opsOfKey[k] {
-			if t.refs[i]--; t.refs[i] == 0 {
-				delete(t.refs, i)
-				deadOps = append(deadOps, i)
+			if p := t.pins[i]; p.keys > 1 {
+				p.keys--
+				t.pins[i] = p
+			} else {
+				delete(t.pins, i)
 			}
 		}
 		t.opsOfKey[k] = nil
 	}
 	t.retired += len(dead)
-	return dead, deadOps
+	return dead
 }
 
 // RetiredKeys returns the total keys retired over the tracker's life.

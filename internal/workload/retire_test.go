@@ -12,13 +12,15 @@ import (
 // TestKeyTracker walks the quiescence bookkeeping the budgeted sessions
 // share: a key untouched for a window retires, an op pinned by two keys
 // dies only with the second, a re-touched key is tracked from zero, and
-// Sweep does nothing inside a window.
+// Sweep does nothing inside a window. Op finds exactly the pinned ops,
+// as noted.
 func TestKeyTracker(t *testing.T) {
 	in := history.NewInterner()
 	x, y := in.Intern("x"), in.Intern("y")
 	in.Intern("z")
 	tr := workload.NewKeyTracker(4)
 	index := 1
+	var noted []op.Op
 	note := func(keys ...string) int {
 		t.Helper()
 		o := op.Op{Index: index, Type: op.OK}
@@ -29,13 +31,34 @@ func TestKeyTracker(t *testing.T) {
 		if pinned := tr.NoteOp(o, in); pinned != (len(keys) > 0) {
 			t.Fatalf("NoteOp(%v) = %v", keys, pinned)
 		}
+		if got, ok := tr.Op(o.Index); ok != (len(keys) > 0) || ok && !reflect.DeepEqual(got, o) {
+			t.Fatalf("Op(%d) = %v, %v after noting it", o.Index, got, ok)
+		}
+		noted = append(noted, o)
 		return o.Index
 	}
+	// sweep checks the keys a Sweep retires and the ops it releases:
+	// those Op found before it and no longer finds.
 	sweep := func(wantDead []history.KeyID, wantOps []int) {
 		t.Helper()
-		dead, ops := tr.Sweep()
+		var before []op.Op
+		for _, o := range noted {
+			if got, ok := tr.Op(o.Index); ok {
+				if !reflect.DeepEqual(got, o) {
+					t.Fatalf("Op(%d) = %v, want %v", o.Index, got, o)
+				}
+				before = append(before, o)
+			}
+		}
+		dead := tr.Sweep()
+		var ops []int
+		for _, o := range before {
+			if _, ok := tr.Op(o.Index); !ok {
+				ops = append(ops, o.Index)
+			}
+		}
 		if !reflect.DeepEqual(dead, wantDead) || !reflect.DeepEqual(ops, wantOps) {
-			t.Fatalf("Sweep = %v, %v; want %v, %v", dead, ops, wantDead, wantOps)
+			t.Fatalf("Sweep = %v, releasing %v; want %v, %v", dead, ops, wantDead, wantOps)
 		}
 	}
 

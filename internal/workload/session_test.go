@@ -34,7 +34,7 @@ func (f *fakeHooks) Scan(out *workload.Findings) {
 	out.Emit("once", anomaly.Anomaly{Type: anomaly.G1a, Key: "keyed"})
 }
 
-func (f *fakeHooks) Retire(keys []history.KeyID, ops []int) {
+func (f *fakeHooks) Retire(keys []history.KeyID) {
 	f.log = append(f.log, "retire")
 }
 
@@ -64,7 +64,7 @@ func fakeInfo(f *fakeHooks, withHooks bool) workload.Info {
 		}),
 	}
 	if withHooks {
-		info.Incremental = func(workload.Opts, *history.Interner) workload.Hooks { return f }
+		info.Incremental = func(workload.Opts, *history.Interner, history.Lookup) workload.Hooks { return f }
 	}
 	return info
 }

@@ -80,7 +80,10 @@ type Opts struct {
 	// permits (rw-register).
 	LinearizableKeys bool
 	// SequentialKeys infers version orders from each process's own
-	// session order (rw-register).
+	// session order: a process's later transaction observes a later
+	// version of the key. Sound only where sessions are guaranteed, or
+	// per-key sequential consistency (which per-key linearizability
+	// implies) is claimed (rw-register).
 	SequentialKeys bool
 
 	// BankTotal is the expected total balance across all accounts of a
@@ -106,8 +109,10 @@ type Opts struct {
 }
 
 // DefaultOpts enables every inference rule, matching the paper's most
-// thorough (Dgraph, §7.4) configuration. Callers checking weaker models
-// should disable LinearizableKeys; core.OptsFor does.
+// thorough (Dgraph, §7.4) configuration. Callers checking a model
+// weaker than strict serializability should disable LinearizableKeys,
+// and one without session guarantees SequentialKeys too, unless the
+// database claims per-key linearizability; core.OptsFor does.
 func DefaultOpts() Opts {
 	return Opts{
 		InitialState:      true,
