@@ -2,10 +2,10 @@
 // emits a machine-readable BENCH_*.json (schema elle-bench/v1): ns/op,
 // allocs/op, B/op, and MB/s per benchmark plus host metadata. The CI
 // perf-regression gate runs it with -baseline against the committed
-// BENCH_*.json and fails when a case's allocs/op grow past the threshold
-// (a case that states why its count does not repeat is left out). ns/op
-// is recorded and tabled but not gated: it moves with the machine and
-// from run to run. The "Current numbers" table in docs/BENCHMARKS.md is
+// BENCH_*.json and fails when a case's allocs/op or B/op grow past the
+// threshold (a case that states why its figures do not repeat is left
+// out). ns/op is recorded and tabled but not gated: it moves with the
+// machine and from run to run. The "Current numbers" table in docs/BENCHMARKS.md is
 // refreshed from the same artifact.
 //
 // Usage:
@@ -28,7 +28,7 @@ func main() {
 	match := flag.String("bench", "", "run only benchmarks whose name contains this substring")
 	out := flag.String("out", "", "write the JSON result to this file (default stdout)")
 	baseline := flag.String("baseline", "", "compare against this committed BENCH_*.json and fail on regression")
-	threshold := flag.Float64("threshold", 0.20, "allowed fractional growth in allocs/op before failing")
+	threshold := flag.Float64("threshold", 0.20, "allowed fractional growth in allocs/op or B/op before failing")
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	flag.Parse()
 

@@ -82,7 +82,7 @@ type analyzer struct {
 	h    *history.History // the ops findings cite
 	in   *history.Interner
 
-	oks        []op.Op
+	oks        []int32          // positions in h.Ops of the committed ops
 	writeCount map[verKey]int   // writes by may-have-committed txns
 	writer     map[verKey]int   // unique such writer (writeCount == 1)
 	readers    map[verKey][]int // committed readers of (key, val)
@@ -97,6 +97,9 @@ type analyzer struct {
 	totalKnown bool
 	anomalies  []anomaly.Anomaly
 }
+
+// ok is the i'th committed op.
+func (a *analyzer) ok(i int) op.Op { return a.h.Ops[a.oks[i]] }
 
 // kid resolves an interned key (see history.Interner.MustID).
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
@@ -133,18 +136,18 @@ func (a *analyzer) run(h *history.History) workload.Analysis {
 			}
 		}
 	}
-	a.oks = h.OKs()
+	a.oks = h.OKPositions()
 	a.index()
 	a.inferInvariant()
 
 	p := a.opts.Parallelism
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.checkOp(a.oks[i])
+		return a.checkOp(a.ok(i))
 	}))
 
 	g := graph.New()
-	for _, o := range a.oks {
-		g.Ensure(o.Index)
+	for i := range a.oks {
+		g.Ensure(a.ok(i).Index)
 	}
 	keys := a.keys()
 	type keyResult struct {
@@ -249,7 +252,8 @@ func (a *analyzer) inferInvariant() {
 		a.accounts, a.total, a.totalKnown = allKeys, a.opts.BankTotal, true
 		return
 	}
-	for _, o := range a.oks {
+	for i := range a.oks {
+		o := a.ok(i)
 		if len(o.Mops) < 2 {
 			continue
 		}

@@ -42,8 +42,8 @@ type Case struct {
 	Name string
 	// F is the benchmark body, in testing.Benchmark form.
 	F func(b *testing.B)
-	// AllocsUngated, when set, says why the case's allocs/op do not
-	// repeat from run to run; Compare then leaves the case ungated.
+	// AllocsUngated, when set, says why the case's allocs/op and B/op do
+	// not repeat from run to run; Compare then leaves the case ungated.
 	AllocsUngated string
 }
 
@@ -292,7 +292,8 @@ func Cases() []Case {
 	}
 }
 
-// decodeAllocsVary is why decode's allocs/op stay out of the gate.
+// decodeAllocsVary is why decode's allocs/op and B/op stay out of the
+// gate.
 const decodeAllocsVary = "the decoder recycles chunk buffers, parsers and their key caches " +
 	"through a sync.Pool, which a GC empties and which keeps one item per P; " +
 	"how many chunks a round finds cold depends on GC timing and scheduling, " +

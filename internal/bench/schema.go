@@ -110,25 +110,27 @@ func DecodeResult(r io.Reader) (Result, error) {
 	return out, nil
 }
 
-// Regression is one gate violation: a case whose allocs/op grew past
-// the threshold.
+// Regression is one gate violation: a case whose allocs/op or B/op grew
+// past the threshold.
 type Regression struct {
 	Name      string
+	Metric    string // "allocs/op" or "B/op"
 	Base, New int64
 }
 
 func (r Regression) String() string {
-	return fmt.Sprintf("%s: allocs/op regressed %d -> %d (%+.1f%%)",
-		r.Name, r.Base, r.New, 100*float64(r.New-r.Base)/float64(r.Base))
+	return fmt.Sprintf("%s: %s regressed %d -> %d (%+.1f%%)",
+		r.Name, r.Metric, r.Base, r.New, 100*float64(r.New-r.Base)/float64(r.Base))
 }
 
 // Compare gates cur against base: any benchmark present in both whose
-// allocs/op grew by more than threshold (0.20 = 20%) is a regression,
-// except a case whose AllocsUngated gives the reason its count does not
-// repeat. ns/op is not compared: it moves with the machine and with
-// run-to-run noise by more than any useful threshold. Benchmarks present
-// only on one side are reported in missing (gate-neutral: the suite may
-// gain cases before the baseline is refreshed).
+// allocs/op or B/op grew by more than threshold (0.20 = 20%) is a
+// regression, once per figure, except a case whose AllocsUngated gives
+// the reason its allocation figures do not repeat. ns/op is not
+// compared: it moves with the machine and with run-to-run noise by more
+// than any useful threshold. Benchmarks present only on one side are
+// reported in missing (gate-neutral: the suite may gain cases before the
+// baseline is refreshed).
 func Compare(base, cur Result, threshold float64) (regs []Regression, missing []string) {
 	baseBy := map[string]Point{}
 	for _, p := range base.Benchmarks {
@@ -142,8 +144,19 @@ func Compare(base, cur Result, threshold float64) (regs []Regression, missing []
 			missing = append(missing, "baseline lacks "+p.Name)
 			continue
 		}
-		if b.AllocsPerOp > 0 && float64(p.AllocsPerOp) > float64(b.AllocsPerOp)*(1+threshold) && !allocsUngated(p.Name) {
-			regs = append(regs, Regression{Name: p.Name, Base: b.AllocsPerOp, New: p.AllocsPerOp})
+		if allocsUngated(p.Name) {
+			continue
+		}
+		for _, f := range []struct {
+			metric    string
+			base, cur int64
+		}{
+			{"allocs/op", b.AllocsPerOp, p.AllocsPerOp},
+			{"B/op", b.BytesPerOp, p.BytesPerOp},
+		} {
+			if f.base > 0 && float64(f.cur) > float64(f.base)*(1+threshold) {
+				regs = append(regs, Regression{Name: p.Name, Metric: f.metric, Base: f.base, New: f.cur})
+			}
 		}
 	}
 	for name := range baseBy {
@@ -155,38 +168,42 @@ func Compare(base, cur Result, threshold float64) (regs []Regression, missing []
 	return regs, missing
 }
 
-// allocsUngated reports whether the named case's allocs/op stay out of
-// the gate.
+// allocsUngated reports whether the named case's allocs/op and B/op
+// stay out of the gate.
 func allocsUngated(name string) bool {
 	c, ok := Find(name)
 	return ok && c.AllocsUngated != ""
 }
 
 // Table renders the comparison side by side for the CI log: ns/op for
-// the record, marked not gated, then the allocs/op the gate reads.
+// the record, marked not gated, then the allocs/op and B/op the gate
+// reads.
 func Table(base, cur Result) string {
 	baseBy := map[string]Point{}
 	for _, p := range base.Benchmarks {
 		baseBy[p.Name] = p
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %14s %14s %8s | %12s %12s %8s\n",
-		"benchmark", "base ns/op", "new ns/op", "Δ", "base allocs", "new allocs", "Δ")
-	fmt.Fprintf(&b, "%-32s %39s | %34s\n", "", "(not gated)", "(gated)")
+	fmt.Fprintf(&b, "%-32s %14s %14s %8s | %12s %12s %8s | %12s %12s %8s\n",
+		"benchmark", "base ns/op", "new ns/op", "Δ", "base allocs", "new allocs", "Δ", "base B/op", "new B/op", "Δ")
+	fmt.Fprintf(&b, "%-32s %39s | %34s | %34s\n", "", "(not gated)", "(gated)", "(gated)")
 	for _, p := range cur.Benchmarks {
 		bp, ok := baseBy[p.Name]
 		if !ok {
-			fmt.Fprintf(&b, "%-32s %14s %14.0f %8s | %12s %12d %8s\n",
-				p.Name, "-", p.NsPerOp, "-", "-", p.AllocsPerOp, "-")
+			fmt.Fprintf(&b, "%-32s %14s %14.0f %8s | %12s %12d %8s | %12s %12d %8s\n",
+				p.Name, "-", p.NsPerOp, "-", "-", p.AllocsPerOp, "-", "-", p.BytesPerOp, "-")
 			continue
 		}
-		allocsDelta := fmt.Sprintf("%+7.1f%%", 100*float64(p.AllocsPerOp-bp.AllocsPerOp)/float64(bp.AllocsPerOp))
-		if allocsUngated(p.Name) {
-			allocsDelta = "ungated"
+		delta := func(base, cur int64) string {
+			if allocsUngated(p.Name) {
+				return "ungated"
+			}
+			return fmt.Sprintf("%+7.1f%%", 100*float64(cur-base)/float64(base))
 		}
-		fmt.Fprintf(&b, "%-32s %14.0f %14.0f %+7.1f%% | %12d %12d %8s\n",
+		fmt.Fprintf(&b, "%-32s %14.0f %14.0f %+7.1f%% | %12d %12d %8s | %12d %12d %8s\n",
 			p.Name, bp.NsPerOp, p.NsPerOp, 100*(p.NsPerOp-bp.NsPerOp)/bp.NsPerOp,
-			bp.AllocsPerOp, p.AllocsPerOp, allocsDelta)
+			bp.AllocsPerOp, p.AllocsPerOp, delta(bp.AllocsPerOp, p.AllocsPerOp),
+			bp.BytesPerOp, p.BytesPerOp, delta(bp.BytesPerOp, p.BytesPerOp))
 	}
 	return b.String()
 }

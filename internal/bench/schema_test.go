@@ -57,8 +57,8 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 }
 
-// TestCompareGatesAllocsOnly: the gate reads allocs/op, the figure that
-// repeats; ns/op alone never fails it, however far it moves.
+// TestCompareGatesAllocsOnly: the gate reads the allocation figures,
+// which repeat; ns/op alone never fails it, however far it moves.
 func TestCompareGatesAllocsOnly(t *testing.T) {
 	base := sample()
 	slower := sample()
@@ -73,6 +73,37 @@ func TestCompareGatesAllocsOnly(t *testing.T) {
 	heavier.Benchmarks[0].AllocsPerOp = base.Benchmarks[0].AllocsPerOp * 121 / 100
 	if regs, _ := Compare(base, heavier, 0.20); len(regs) != 1 {
 		t.Fatalf("+21%% allocs/op: want one regression, got %v", regs)
+	}
+}
+
+// TestCompareGatesBytes: B/op gates at the same threshold as allocs/op,
+// for the same cases, and the table shows its move. A case that
+// allocates as often but twice as much — a per-key slice kept alive, a
+// second copy of the ops — fails the gate on bytes alone.
+func TestCompareGatesBytes(t *testing.T) {
+	base := sample()
+	heavier := sample()
+	heavier.Benchmarks[0].BytesPerOp = base.Benchmarks[0].BytesPerOp * 121 / 100
+	regs, _ := Compare(base, heavier, 0.20)
+	if len(regs) != 1 || regs[0].Name != "check-parallel/n=100000/p=1" || regs[0].Metric != "B/op" {
+		t.Fatalf("+21%% B/op: want one B/op regression on check-parallel, got %v", regs)
+	}
+	if s := regs[0].String(); !strings.Contains(s, "B/op regressed") {
+		t.Errorf("unhelpful rendering %q", s)
+	}
+	if tb := Table(base, heavier); !strings.Contains(tb, "+21.0%") || !strings.Contains(tb, "B/op") {
+		t.Errorf("table does not show the B/op move:\n%s", tb)
+	}
+	within := sample()
+	within.Benchmarks[0].BytesPerOp = base.Benchmarks[0].BytesPerOp * 119 / 100
+	if regs, _ := Compare(base, within, 0.20); len(regs) != 0 {
+		t.Fatalf("+19%% B/op gated: %v", regs)
+	}
+	// decode's B/op, like its allocs/op, depend on its buffer pool.
+	ungated := sample()
+	ungated.Benchmarks[1].BytesPerOp *= 2
+	if regs, _ := Compare(base, ungated, 0.20); len(regs) != 0 {
+		t.Fatalf("decode's B/op gated: %v", regs)
 	}
 }
 

@@ -367,7 +367,8 @@ func (d *StreamDecoder) Next() ([]op.Op, error) {
 // StreamDecoder, ops decode straight out of one read buffer into one
 // collected slice — presized from the source's size when it reports
 // one — so batch decoding re-copies no stream bytes and produces no
-// per-batch garbage.
+// per-batch garbage. The history takes that slice over
+// (history.Adopt) rather than copying it.
 func Decode(r io.Reader) (*history.History, error) {
 	var d decoder
 	var ops []op.Op
@@ -419,5 +420,5 @@ func Decode(r io.Reader) (*history.History, error) {
 			return nil, fmt.Errorf("binhist: %w", rerr)
 		}
 	}
-	return history.New(ops)
+	return history.Adopt(ops)
 }

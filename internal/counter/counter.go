@@ -116,9 +116,9 @@ func check(h *history.History, opts workload.Opts) *result {
 
 	// Bounds check on every committed read; each transaction is
 	// independent, so fan out with ordered collection.
-	oks := h.OKs()
+	oks := h.OKPositions()
 	a.Anomalies = anomaly.AppendGroups(a.Anomalies, par.Map(opts.Parallelism, len(oks), func(i int) []anomaly.Anomaly {
-		o := oks[i]
+		o := h.Ops[oks[i]]
 		var out []anomaly.Anomaly
 		for _, m := range o.Mops {
 			if m.F != op.FRead || !m.RegKnown {

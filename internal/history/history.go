@@ -71,12 +71,23 @@ func (e *Error) Error() string {
 func New(ops []op.Op) (*History, error) {
 	sorted := make([]op.Op, len(ops))
 	copy(sorted, ops)
-	byIndex := func(a, b op.Op) int { return cmp.Compare(a.Index, b.Index) }
-	if !slices.IsSortedFunc(sorted, byIndex) {
-		slices.SortStableFunc(sorted, byIndex)
+	return Adopt(sorted)
+}
+
+// Adopt is New over a slice the caller gives up: the History keeps ops
+// as its Ops, sorted in place if they are out of order, instead of
+// copying them. The decoders, which own the slice they collect, build
+// their histories through it; the caller must not use ops afterwards.
+func Adopt(ops []op.Op) (*History, error) {
+	if ops == nil {
+		ops = []op.Op{} // as New's copy: an empty history's Ops is not nil
 	}
-	s := batchStream(sorted[:0]) // each op is appended back into its own slot
-	for _, o := range sorted {
+	byIndex := func(a, b op.Op) int { return cmp.Compare(a.Index, b.Index) }
+	if !slices.IsSortedFunc(ops, byIndex) {
+		slices.SortStableFunc(ops, byIndex)
+	}
+	s := batchStream(ops[:0:len(ops)]) // each op is appended back into its own slot
+	for _, o := range ops {
 		if err := s.add(o); err != nil {
 			return nil, err
 		}
@@ -156,6 +167,29 @@ func (h *History) OKs() []op.Op {
 	for _, o := range h.Ops {
 		if o.Type == op.OK {
 			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// OKPositions returns the positions in Ops of the committed
+// transactions, in index order, or nil if there are none: what OKs
+// selects, at four bytes an op instead of a copy of each. Analyzers walk
+// committed ops through it.
+func (h *History) OKPositions() []int32 {
+	n := 0
+	for i := range h.Ops {
+		if h.Ops[i].Type == op.OK {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int32, 0, n)
+	for pos := range h.Ops {
+		if h.Ops[pos].Type == op.OK {
+			out = append(out, int32(pos))
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package history
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/op"
@@ -255,5 +256,49 @@ func TestFiltersAllocateOnce(t *testing.T) {
 	empty := MustNew(nil)
 	if empty.OKs() != nil || empty.Crashed() != nil || empty.Completions() == nil {
 		t.Error("an empty history: OKs and Crashed must be nil, Completions empty")
+	}
+	// OKPositions is OKs as positions in Ops, allocated once likewise.
+	pos := h.OKPositions()
+	if len(pos) != len(wantOK) || cap(pos) != len(pos) {
+		t.Fatalf("OKPositions: len %d cap %d, want %d", len(pos), cap(pos), len(wantOK))
+	}
+	for i, p := range pos {
+		if h.Ops[p].Index != wantOK[i] {
+			t.Fatalf("OKPositions[%d] = op %d, want %d", i, h.Ops[p].Index, wantOK[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.OKPositions() }); allocs != 1 {
+		t.Errorf("OKPositions allocates %v times, want 1", allocs)
+	}
+	if empty.OKPositions() != nil {
+		t.Error("an empty history: OKPositions must be nil")
+	}
+}
+
+// TestAdoptKeepsTheSlice: Adopt is New without the copy. It builds the
+// same history over the slice it is given, sorted in place when out of
+// order, and an empty history's Ops is empty, not nil, either way.
+func TestAdoptKeepsTheSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var ops []op.Op
+	for i := 0; i < 50; i++ {
+		p := i % 5
+		ops = append(ops, op.Op{Index: 2 * i, Process: p + 5*(i/5), Type: op.Invoke, Mops: []op.Mop{op.Append("x", i)}},
+			op.Op{Index: 2*i + 1, Process: p + 5*(i/5), Type: op.OK, Mops: []op.Mop{op.Append("x", i)}})
+	}
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	want := MustNew(ops)
+	got, err := Adopt(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Adopt and New build different histories")
+	}
+	if &got.Ops[0] != &ops[0] {
+		t.Error("Adopt copied the ops it was given")
+	}
+	if empty, _ := Adopt(nil); empty.Ops == nil || !reflect.DeepEqual(empty, MustNew(nil)) {
+		t.Error("Adopt(nil) differs from New(nil)")
 	}
 }

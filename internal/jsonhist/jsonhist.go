@@ -114,7 +114,9 @@ type parsed struct {
 // DecodeWith is NewStreamDecoder + collect-everything; callers that
 // want the ops as they parse (the incremental checker) drive the
 // StreamDecoder directly. The rounds are kept as Next returns them and
-// joined once, at their exact total, whatever the source is.
+// joined once, at their exact total, whatever the source is; the
+// history takes the joined slice over (history.Adopt) rather than
+// copying it again.
 func DecodeWith(r io.Reader, opts DecodeOpts) (*history.History, error) {
 	d := NewStreamDecoder(r, opts)
 	var rounds [][]op.Op
@@ -134,7 +136,7 @@ func DecodeWith(r io.Reader, opts DecodeOpts) (*history.History, error) {
 	for _, round := range rounds {
 		ops = append(ops, round...)
 	}
-	return history.New(ops)
+	return history.Adopt(ops)
 }
 
 func trimSpace(b []byte) []byte {

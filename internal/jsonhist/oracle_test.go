@@ -219,6 +219,8 @@ var scannerLines = []string{
 	`{"value":[["r","x",null]],"value":null,"type":"ok"}`,
 	`{"value":[["nope"]],"value":[["r","x",null]],"type":"ok"}`,
 	`{"proceſs":4,"type":"ok"}`, // long s folds to "process"
+	// Case and long s together; the exact-name switch misses every one.
+	`{"PROCEſS":5,"tYPE":"ok","vaLUE":[["r","x",null]]}`,
 	// Numbers: limits, zeros, rejects.
 	`{"index":9223372036854775807,"type":"ok","process":-9223372036854775808}`,
 	`{"index":-0,"type":"ok"}`,

@@ -181,18 +181,17 @@ func (p *lineParser) parseEnvelope(env *envelope) error {
 		}
 		p.pos++
 		p.skipWS()
-		// Member names fold-match like encoding/json field names; the
-		// scratch-backed name is consumed before the next string scan.
-		switch {
-		case bytes.EqualFold(name, nameIndex):
+		// The scratch-backed name is consumed before the next string scan.
+		switch memberOf(name) {
+		case fieldIndex:
 			err = p.memberInt(&env.index)
-		case bytes.EqualFold(name, nameType):
+		case fieldType:
 			err = p.memberType(env)
-		case bytes.EqualFold(name, nameProcess):
+		case fieldProcess:
 			err = p.memberInt(&env.process)
-		case bytes.EqualFold(name, nameTime):
+		case fieldTime:
 			err = p.memberInt(&env.time)
-		case bytes.EqualFold(name, nameValue):
+		case fieldValue:
 			err = p.memberValue()
 		default:
 			err = p.skipValue()
@@ -216,6 +215,50 @@ func (p *lineParser) parseEnvelope(env *envelope) error {
 			return p.errSyntax("expected ',' or '}' in object")
 		}
 	}
+}
+
+// field names an envelope member parseEnvelope assigns.
+type field uint8
+
+const (
+	fieldUnknown field = iota
+	fieldIndex
+	fieldType
+	fieldProcess
+	fieldTime
+	fieldValue
+)
+
+// memberOf matches a member name the way encoding/json matches field
+// names: case-insensitively, Unicode folds included ("proceſs" is
+// process). The exact lower-case spelling every encoder writes takes
+// one switch; only another spelling pays for the folds.
+func memberOf(name []byte) field {
+	switch string(name) {
+	case "index":
+		return fieldIndex
+	case "type":
+		return fieldType
+	case "process":
+		return fieldProcess
+	case "time":
+		return fieldTime
+	case "value":
+		return fieldValue
+	}
+	switch {
+	case bytes.EqualFold(name, nameIndex):
+		return fieldIndex
+	case bytes.EqualFold(name, nameType):
+		return fieldType
+	case bytes.EqualFold(name, nameProcess):
+		return fieldProcess
+	case bytes.EqualFold(name, nameTime):
+		return fieldTime
+	case bytes.EqualFold(name, nameValue):
+		return fieldValue
+	}
+	return fieldUnknown
 }
 
 // memberInt assigns an integer member; null is a no-op.

@@ -104,14 +104,9 @@ func (s *stream) Ingest(o op.Op, invoke int, out *workload.Findings) {
 			if es.attempts == 2 || p >= 0 && ks.writers[p] >= 0 {
 				s.poisoned = true
 			}
-			out.Emit(fmt.Sprintf("dup|%d|%d", k, m.Arg), anomaly.Anomaly{
-				Type: anomaly.DuplicateAppends,
-				Ops:  []op.Op{a.op(es.first), o},
-				Key:  m.Key,
-				Explanation: fmt.Sprintf(
-					"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
-					m.Arg, m.Key, es.attempts),
-			})
+			if key := fmt.Sprintf("dup|%d|%d", k, m.Arg); !out.Emitted(key) {
+				out.Emit(key, a.duplicateAppend(m.Key, m.Arg, ks.dups[m.Arg]))
+			}
 		case o.Type != op.Fail:
 			// The writer of a position reads reached first. Its ww
 			// successor is the one edge placed leaves to the later position.
@@ -226,7 +221,9 @@ func (s *stream) Scan(out *workload.Findings) {
 		s.poisoned = false
 		g := graph.New()
 		for _, k := range s.a.tracedKeys() {
-			g.AddEdges(keyEdges(s.a.keyst[k]))
+			ks := s.a.keyst[k]
+			ks.index()
+			keyEdges(ks, g.AddEdge)
 		}
 		s.incr = graph.NewIncr(g)
 	}

@@ -59,9 +59,10 @@ type analyzer struct {
 	opts workload.Opts
 	in   *history.Interner
 
-	ops       history.Lookup // the ops findings cite: the history, or a session's
-	oks       []op.Op        // committed ops, once finish has the whole history
-	keyst     []*keyState    // per-key state by KeyID; nil for keys never appended to or read
+	ops       history.Lookup   // the ops findings cite: the history, or a session's
+	h         *history.History // the whole history, once finish has it
+	oks       []int32          // positions in h.Ops of the committed ops, likewise
+	keyst     []*keyState      // per-key state by KeyID; nil for keys never appended to or read
 	anomalies []anomaly.Anomaly
 }
 
@@ -70,6 +71,9 @@ func (a *analyzer) op(i int) op.Op {
 	o, _ := a.ops.Op(i)
 	return o
 }
+
+// ok is the i'th committed op, once finish has the whole history.
+func (a *analyzer) ok(i int) op.Op { return a.h.Ops[a.oks[i]] }
 
 // kid resolves an interned key (see history.Interner.MustID).
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
@@ -128,8 +132,6 @@ type keyState struct {
 	writers []int
 	aborted []int
 	garbage int
-
-	edges []graph.Edge // finish's slot between inferring keys in parallel and merging them in order
 
 	// A session's compatible reads grouped by length: byLen[n] is 1 + the
 	// index in reads of the newest one of length n, chained through
@@ -341,28 +343,25 @@ func (a *analyzer) tracedKeys() []history.KeyID {
 // finish is the analysis's one phase sequence, shared by the batch
 // Analyze and the streaming session's Finish so the two agree by
 // construction: over the per-key state addOp and observe built it derives
-// each traced key's per-position facts and dependency edges, runs the
-// per-transaction checks, merges per-key findings and edges in key-name
+// each traced key's per-position facts, runs the per-transaction checks,
+// feeds each key's dependency edges straight into the graph in key-name
 // order, and ends with the checks that need the final write indices and
 // version orders. The per-key state is complete before the first
 // per-transaction fan-out and immutable from then on.
 func (a *analyzer) finish(h *history.History) workload.Analysis {
 	p, keys := a.opts.Parallelism, a.tracedKeys()
-	a.ops, a.oks = h, h.OKs()
+	a.ops, a.h, a.oks = h, h, h.OKPositions()
 	a.markCrashed(h)
-	par.Do(p, len(keys), func(i int) {
-		ks := a.keyst[keys[i]]
-		ks.edges = keyEdges(ks)
-	})
+	par.Do(p, len(keys), func(i int) { a.keyst[keys[i]].index() })
 	a.anomalies = append(a.anomalies, a.duplicateAppendAnomalies()...)
 
 	// Per-transaction checks: every committed op is validated against its
 	// own reads and writes, and against the write indices, independently.
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.internalAnomalies(a.oks[i])
+		return a.internalAnomalies(a.ok(i))
 	}))
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.readStructureAnomalies(a.oks[i])
+		return a.readStructureAnomalies(a.ok(i))
 	}))
 	a.collect(par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
 		return a.incompatAnomalies(keys[i])
@@ -371,11 +370,11 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 	// Every transaction that may have committed is a vertex, even if it
 	// has no edges; cycle search ignores isolated vertices.
 	g := graph.New()
-	for _, o := range a.oks {
-		g.Ensure(o.Index)
+	for i := range a.oks {
+		g.Ensure(a.ok(i).Index)
 	}
 	for _, k := range keys {
-		g.AddEdges(a.keyst[k].edges)
+		keyEdges(a.keyst[k], g.AddEdge)
 	}
 
 	a.finishAnomalies(keys)
@@ -392,7 +391,7 @@ func (a *analyzer) finishAnomalies(keys []history.KeyID) {
 	p := a.opts.Parallelism
 	a.anomalies = append(a.anomalies, a.abortedReadAnomalies()...)
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.intermediateReadAnomalies(a.oks[i])
+		return a.intermediateReadAnomalies(a.ok(i))
 	}))
 	a.collect(par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
 		return a.dirtyUpdateAnomalies(keys[i])
@@ -465,21 +464,36 @@ func (a *analyzer) duplicateAppendAnomalies() []anomaly.Anomaly {
 	for _, k := range keys {
 		dups, kname := a.keyst[k].dups, a.in.Key(k)
 		for _, e := range slices.Sorted(maps.Keys(dups)) {
-			ops := make([]op.Op, len(dups[e]))
-			for i, ix := range dups[e] {
-				ops[i] = a.op(ix)
-			}
-			out = append(out, anomaly.Anomaly{
-				Type: anomaly.DuplicateAppends,
-				Ops:  ops,
-				Key:  kname,
-				Explanation: fmt.Sprintf(
-					"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
-					e, kname, len(ops)),
-			})
+			out = append(out, a.duplicateAppend(kname, e, dups[e]))
 		}
 	}
 	return out
+}
+
+// duplicateAppend renders the finding for element e of key k, given its
+// append attempts' op indices in ascending order. It cites and counts
+// each transaction once, however many times that transaction appended e.
+// The streaming session uses the same rendering for mid-stream
+// surfacing.
+func (a *analyzer) duplicateAppend(k string, e int, attempts []int) anomaly.Anomaly {
+	var ops []op.Op
+	for i, ix := range attempts {
+		if i == 0 || ix != attempts[i-1] {
+			ops = append(ops, a.op(ix))
+		}
+	}
+	by := fmt.Sprintf("by %d distinct transactions", len(ops))
+	if len(ops) == 1 {
+		by = "more than once by one transaction"
+	}
+	return anomaly.Anomaly{
+		Type: anomaly.DuplicateAppends,
+		Ops:  ops,
+		Key:  k,
+		Explanation: fmt.Sprintf(
+			"element %d was appended to key %s %s; appends must be unique for versions to be recoverable",
+			e, k, by),
+	}
 }
 
 // readStructureAnomalies validates each committed read value of one
@@ -580,16 +594,16 @@ func incompatAnomaly(buf *explain.Text, k string, reader op.Op, list []int, hold
 	}
 }
 
-// keyEdges refreshes ks's per-position facts and infers every
-// dependency edge the key contributes.
-func keyEdges(ks *keyState) []graph.Edge {
-	ks.index()
-	var out []graph.Edge
+// keyEdges is the edge rule: it passes add every dependency edge key
+// ks contributes, read off the per-position facts index last rebuilt.
+// add is where the edges go — the graph itself, in finish and in a
+// session's rebuild — so no key holds a list of them.
+func keyEdges(ks *keyState, add func(from, to int, k graph.Kind)) {
 	w := ks.writers
 	// ww: consecutive recoverable writers along the version order.
 	for i := 0; i+1 < len(w); i++ {
 		if w[i] >= 0 && w[i+1] >= 0 {
-			out = append(out, graph.Edge{From: w[i], To: w[i+1], Kind: graph.WW})
+			add(w[i], w[i+1], graph.WW)
 		}
 	}
 	for _, r := range ks.reads {
@@ -602,15 +616,14 @@ func keyEdges(ks *keyState) []graph.Edge {
 		// wr: the writer of the last element of the observed version
 		// installed the version this read observed.
 		if n > 0 && w[n-1] >= 0 {
-			out = append(out, graph.Edge{From: w[n-1], To: r.index, Kind: graph.WR})
+			add(w[n-1], r.index, graph.WR)
 		}
 		// rw: the writer of the next element in ≪x overwrote the
 		// version this read observed.
 		if n < len(w) && w[n] >= 0 {
-			out = append(out, graph.Edge{From: r.index, To: w[n], Kind: graph.RW})
+			add(r.index, w[n], graph.RW)
 		}
 	}
-	return out
 }
 
 // abortedReadAnomalies finds G1a — reads of versions containing
@@ -618,7 +631,8 @@ func keyEdges(ks *keyState) []graph.Edge {
 // program and list order.
 func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	for _, o := range a.oks {
+	for i := range a.oks {
+		o := a.ok(i)
 		for _, m := range o.Mops {
 			if !m.ListKnown() {
 				continue
@@ -712,8 +726,8 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 	}
 	start := make([]int, a.in.Len()+1)
 	var kids []history.KeyID // each committed append's key, in op order
-	for _, w := range a.oks {
-		for _, m := range w.Mops {
+	for _, pos := range a.oks {
+		for _, m := range a.h.Ops[pos].Mops {
 			if m.F == op.FAppend {
 				k := a.kid(m.Key)
 				kids = append(kids, k)
@@ -726,7 +740,8 @@ func (a *analyzer) checkLostUpdates(keys []history.KeyID) {
 	}
 	appends, next := make([]keyAppend, len(kids)), slices.Clone(start)
 	i := 0
-	for _, w := range a.oks {
+	for _, pos := range a.oks {
+		w := &a.h.Ops[pos]
 		for _, m := range w.Mops {
 			if m.F == op.FAppend {
 				k := kids[i]

@@ -51,9 +51,10 @@ func (h *oracleHooks) Finish(hist *history.History) workload.Analysis {
 	return h.stream.Finish(hist)
 }
 
-// check compares the incremental graph with keyEdges. keyEdges re-indexes
-// the key as a side effect, which would paper over a writer the session
-// failed to maintain: the per-position facts are compared, then put back.
+// check compares the incremental graph with keyEdges, collected through
+// its sink over a fresh index. Re-indexing would paper over a writer the
+// session failed to maintain: the per-position facts are compared, then
+// put back.
 func (h *oracleHooks) check(step string, at int) {
 	h.t.Helper()
 	if h.poisoned {
@@ -63,11 +64,12 @@ func (h *oracleHooks) check(step string, at int) {
 	for _, k := range h.a.tracedKeys() {
 		ks := h.a.keyst[k]
 		writers, aborted, garbage := slices.Clone(ks.writers), slices.Clone(ks.aborted), ks.garbage
-		for _, e := range keyEdges(ks) {
-			if e.From != e.To { // a transaction does not depend on itself
-				want[e] = true
+		ks.index()
+		keyEdges(ks, func(from, to int, k graph.Kind) {
+			if from != to { // a transaction does not depend on itself
+				want[graph.Edge{From: from, To: to, Kind: k}] = true
 			}
-		}
+		})
 		if !slices.Equal(writers, ks.writers) {
 			h.t.Errorf("after %s %d: key %s has writers %v, keyEdges indexes %v", step, at, h.a.in.Key(k), writers, ks.writers)
 		}
@@ -143,7 +145,7 @@ func TestScanCostIndependentOfKeyAge(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range st.a.tracedKeys() {
-			inferred += len(st.a.keyst[k].edges)
+			keyEdges(st.a.keyst[k], func(int, int, graph.Kind) { inferred++ })
 		}
 		for _, a := range fin.Graph.Nodes() {
 			fin.Graph.Out(a, graph.KSDep, func(_ int, label graph.KindSet) { kinds += len(label.Kinds()) })

@@ -479,6 +479,54 @@ func TestLateAbortDelta(t *testing.T) {
 	}
 }
 
+// TestDuplicateAppendCountsTransactions pins what a duplicate-append
+// finding counts and cites: transactions, each once, not append
+// attempts. T1 appends x's element 1 twice after T0 did, and T2 appends
+// y's element 2 twice on its own. The session surfaces the same findings
+// mid-stream, and its Finish equals Analyze.
+func TestDuplicateAppendCountsTransactions(t *testing.T) {
+	ops := []op.Op{
+		op.Txn(0, 0, op.OK, op.Append("x", 1)),
+		op.Txn(1, 1, op.OK, op.Append("x", 1), op.Append("x", 1)),
+		op.Txn(2, 2, op.OK, op.Append("y", 2), op.Append("y", 2)),
+	}
+	const unique = "; appends must be unique for versions to be recoverable"
+	want := []anomaly.Anomaly{{
+		Type: anomaly.DuplicateAppends, Ops: []op.Op{ops[0], ops[1]}, Key: "x",
+		Explanation: "element 1 was appended to key x by 2 distinct transactions" + unique,
+	}, {
+		Type: anomaly.DuplicateAppends, Ops: []op.Op{ops[2]}, Key: "y",
+		Explanation: "element 2 was appended to key y more than once by one transaction" + unique,
+	}}
+	opts := workload.Opts{Parallelism: 1}
+	batch := listInfo.Analyzer.Analyze(history.MustNew(ops), opts)
+	if !reflect.DeepEqual(batch.Anomalies, want) {
+		t.Fatalf("batch:\n got %+v\nwant %+v", batch.Anomalies, want)
+	}
+	for _, chunk := range []int{1, len(ops)} {
+		s := workload.BeginSession(listInfo, opts)
+		var surfaced []anomaly.Anomaly
+		for rest := ops; len(rest) > 0; rest = rest[chunk:] {
+			d, err := s.Feed(rest[:chunk])
+			if err != nil {
+				t.Fatal(err)
+			}
+			surfaced = append(surfaced, d.Anomalies...)
+		}
+		if !reflect.DeepEqual(surfaced, want) {
+			t.Errorf("chunk %d: surfaced mid-stream:\n got %+v\nwant %+v", chunk, surfaced, want)
+		}
+		fin, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fin, batch) {
+			t.Errorf("chunk %d: Finish diverges from Analyze:\n got %+v\nwant %+v", chunk, fin, batch)
+		}
+	}
+	checkAgainstReference(t, history.MustNew(ops), 1, 2)
+}
+
 // TestReadCostIndependentOfLength pins the structure the trace index
 // buys: on a clean history a read is one comparison against its key's
 // trace, so allocations follow transactions and distinct elements, not

@@ -51,10 +51,11 @@ type analyzer struct {
 	opts workload.Opts
 	in   *history.Interner
 
-	ops       history.Lookup  // the ops findings cite: the history, or a session's
-	oks       []op.Op         // committed ops, once finish has the whole history
-	keyst     []*keyState     // per-key state by KeyID; nil for keys never written or read
-	stale     []history.KeyID // keys whose tables changed since their last inference
+	ops       history.Lookup   // the ops findings cite: the history, or a session's
+	h         *history.History // the whole history, once finish has it
+	oks       []int32          // positions in h.Ops of the committed ops, likewise
+	keyst     []*keyState      // per-key state by KeyID; nil for keys never written or read
+	stale     []history.KeyID  // keys whose tables changed since their last inference
 	anomalies []anomaly.Anomaly
 }
 
@@ -63,6 +64,9 @@ func (a *analyzer) op(i int) op.Op {
 	o, _ := a.ops.Op(i)
 	return o
 }
+
+// ok is the i'th committed op, once finish has the whole history.
+func (a *analyzer) ok(i int) op.Op { return a.h.Ops[a.oks[i]] }
 
 // kid resolves an interned key (see history.Interner.MustID).
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
@@ -168,7 +172,7 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 // and read-only from then on.
 func (a *analyzer) finish(h *history.History) workload.Analysis {
 	p := a.opts.Parallelism
-	a.ops, a.oks = h, h.OKs()
+	a.ops, a.h, a.oks = h, h, h.OKPositions()
 	a.refresh()
 	// A write whose invocation never completed may still have taken
 	// effect: reading it is not garbage. It gains no writer and no edge.
@@ -195,16 +199,16 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 	// out with ordered collection so the report order matches the
 	// sequential one.
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.internalAnomalies(a.oks[i])
+		return a.internalAnomalies(a.ok(i))
 	}))
 	a.anomalies = append(a.anomalies, a.abortedReadAnomalies()...)
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.readAnomalies(a.oks[i])
+		return a.readAnomalies(a.ok(i))
 	}))
 
 	g := graph.New()
-	for _, o := range a.oks {
-		g.Ensure(o.Index)
+	for i := range a.oks {
+		g.Ensure(a.ok(i).Index)
 	}
 	orders := make([][][2]string, a.in.Len())
 	for _, k := range keys {
@@ -215,6 +219,7 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 		}
 		orders[k] = r.verEdges
 		g.AddEdges(r.edges)
+		a.keyst[k].res.edges = nil // merged: the graph holds them now
 	}
 	a.emitWR(g, keys)
 	return workload.Analysis{
@@ -351,7 +356,8 @@ func (a *analyzer) abortedReads(o op.Op) iter.Seq2[op.Mop, int] {
 // transactions — in transaction, then program order.
 func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	for _, o := range a.oks {
+	for i := range a.oks {
+		o := a.ok(i)
 		for m, w := range a.abortedReads(o) {
 			out = append(out, g1aAnomaly(o, m.Key, m.Reg, a.op(w)))
 		}

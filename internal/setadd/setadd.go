@@ -218,6 +218,7 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 	for i := range res {
 		anomalies = append(anomalies, res[i].anoms...)
 		g.AddEdges(res[i].edges)
+		res[i].edges = nil // merged: the graph holds them now
 	}
 	return workload.Analysis{Graph: g, Anomalies: anomalies, Explainer: &explain.Explainer{Ops: h}}
 }
