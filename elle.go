@@ -106,8 +106,11 @@ var (
 
 // Checking.
 type (
-	// CheckOpts configures a check; see OptsFor for model-appropriate
-	// defaults.
+	// CheckOpts configures a check. Its Model alone decides the orders
+	// added to the dependency graph: process order under the
+	// strong-session and strict models, real time under strict
+	// serializability. See OptsFor for the inference options each model
+	// makes sound.
 	CheckOpts = core.Opts
 	// CheckResult is a check's outcome: verdict, anomalies with
 	// explanations, and the violated / surviving consistency models.

@@ -50,7 +50,6 @@ package bank
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/anomaly"
@@ -62,9 +61,6 @@ import (
 	"repro/internal/workload"
 )
 
-// nilVer stands in for the initial (nil) version of an account.
-const nilVer = math.MinInt64
-
 type verKey struct {
 	key history.KeyID
 	val int
@@ -73,7 +69,7 @@ type verKey struct {
 // overwrite is one observed direct version transition: txn read prev
 // and then wrote next to the same account.
 type overwrite struct {
-	prev, next int // prev may be nilVer
+	prev, next int // prev may be op.NilVersion
 	txn        int
 }
 
@@ -85,8 +81,7 @@ type analyzer struct {
 	oks        []int32          // positions in h.Ops of the committed ops
 	writeCount map[verKey]int   // writes by may-have-committed txns
 	writer     map[verKey]int   // unique such writer (writeCount == 1)
-	readers    map[verKey][]int // committed readers of (key, val)
-	nilReaders [][]int          // committed readers of each key's nil version, by KeyID
+	readers    map[verKey][]int // committed readers of (key, version), nil included
 	overwrites [][]overwrite    // observed direct version transitions, by KeyID
 	// unknowable marks, by KeyID, the accounts a never-completed
 	// invocation wrote: its deltas resolved against balances nobody
@@ -120,7 +115,6 @@ func newAnalyzer(h *history.History, opts workload.Opts) *analyzer {
 		writeCount: map[verKey]int{},
 		writer:     map[verKey]int{},
 		readers:    map[verKey][]int{},
-		nilReaders: make([][]int, h.Keys().Len()),
 		overwrites: make([][]overwrite, h.Keys().Len()),
 		unknowable: make([]bool, h.Keys().Len()),
 	}
@@ -151,7 +145,7 @@ func (a *analyzer) run(h *history.History) workload.Analysis {
 	}
 	keys := a.keys()
 	type keyResult struct {
-		verEdges [][2]string
+		verEdges [][2]int
 		edges    []graph.Edge
 	}
 	perKey := par.Map(p, len(keys), func(i int) keyResult {
@@ -159,7 +153,7 @@ func (a *analyzer) run(h *history.History) workload.Analysis {
 		verEdges, edges := a.keyEdges(k)
 		return keyResult{verEdges: verEdges, edges: edges}
 	})
-	orders := make([][][2]string, a.in.Len())
+	orders := make([][][2]int, a.in.Len())
 	for i, k := range keys {
 		if len(perKey[i].verEdges) > 0 {
 			orders[k] = perKey[i].verEdges
@@ -212,14 +206,9 @@ func (a *analyzer) index() {
 				if !m.RegKnown {
 					continue
 				}
-				v := nilVer
-				if !m.RegNil {
-					v = m.Reg
-					if o.Type == op.OK {
-						a.readers[verKey{k, m.Reg}] = append(a.readers[verKey{k, m.Reg}], o.Index)
-					}
-				} else if o.Type == op.OK {
-					a.nilReaders[k] = append(a.nilReaders[k], o.Index)
+				v := m.Version()
+				if o.Type == op.OK {
+					a.readers[verKey{k, v}] = append(a.readers[verKey{k, v}], o.Index)
 				}
 				cur[k], have[k] = v, true
 			}
@@ -292,8 +281,7 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 	// with the value its own prior mops established.
 	type state struct {
 		known bool
-		nil_  bool
-		val   int
+		ver   int
 	}
 	views := map[string]*state{}
 	view := func(k string) *state {
@@ -320,7 +308,7 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 				})
 			}
 			s := view(m.Key)
-			s.known, s.nil_, s.val = true, false, m.Arg
+			s.known, s.ver = true, m.Arg
 		case op.FRead:
 			if !m.RegKnown {
 				continue
@@ -346,17 +334,18 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 				})
 			}
 			s := view(m.Key)
-			if s.known && (s.nil_ != m.RegNil || (!s.nil_ && s.val != m.Reg)) {
+			v := m.Version()
+			if s.known && s.ver != v {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.Internal,
 					Ops:  []op.Op{o},
 					Key:  m.Key,
 					Explanation: fmt.Sprintf(
 						"%s read account %s = %s, but its own prior operations imply the balance must be %s: an internal inconsistency",
-						o.Name(), m.Key, balString(m.RegNil, m.Reg), balString(s.nil_, s.val)),
+						o.Name(), m.Key, op.FormatVersion(v), op.FormatVersion(s.ver)),
 				})
 			}
-			s.known, s.nil_, s.val = true, m.RegNil, m.Reg
+			s.known, s.ver = true, v
 			if _, seen := firstRead[m.Key]; !seen {
 				v := 0
 				if !m.RegNil {
@@ -401,15 +390,14 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 // must have happened). Without that gate, an indeterminate transfer
 // whose commit actually failed would collect anti-dependency edges that
 // hold in no interpretation, seeding false cycles. An account a crashed
-// transfer wrote gets no edges at all. It also returns the version edges
-// for explanations.
-func (a *analyzer) keyEdges(k history.KeyID) ([][2]string, []graph.Edge) {
-	var verEdges [][2]string
+// transfer wrote gets no edges at all. It also returns the distinct
+// version edges, in first-observed order, for explanations.
+func (a *analyzer) keyEdges(k history.KeyID) ([][2]int, []graph.Edge) {
+	var verEdges [][2]int
 	var deps []graph.Edge
-	seenVer := map[[2]string]bool{}
+	seenVer := map[[2]int]bool{}
 	for _, ow := range a.overwrites[k] {
-		ve := [2]string{balName(ow.prev), balName(ow.next)}
-		if !seenVer[ve] {
+		if ve := [2]int{ow.prev, ow.next}; !seenVer[ve] {
 			seenVer[ve] = true
 			verEdges = append(verEdges, ve)
 		}
@@ -420,7 +408,7 @@ func (a *analyzer) keyEdges(k history.KeyID) ([][2]string, []graph.Edge) {
 			continue
 		}
 		// ww: the overwriter directly succeeds prev's unique writer.
-		if ow.prev != nilVer {
+		if ow.prev != op.NilVersion {
 			w, ok := a.writer[verKey{k, ow.prev}]
 			if !ok {
 				// prev was written more than once (or never): which
@@ -434,13 +422,7 @@ func (a *analyzer) keyEdges(k history.KeyID) ([][2]string, []graph.Edge) {
 		}
 		// rw: every other committed reader of prev anti-depends on the
 		// transaction that overwrote it.
-		var rs []int
-		if ow.prev == nilVer {
-			rs = a.nilReaders[k]
-		} else {
-			rs = a.readers[verKey{k, ow.prev}]
-		}
-		for _, r := range rs {
+		for _, r := range a.readers[verKey{k, ow.prev}] {
 			if r != ow.txn {
 				deps = append(deps, graph.Edge{From: r, To: ow.txn, Kind: graph.RW})
 			}
@@ -500,11 +482,6 @@ func (a *analyzer) keys() []history.KeyID {
 	for vk := range a.readers {
 		seen[vk.key] = true
 	}
-	for k := range a.nilReaders {
-		if len(a.nilReaders[k]) > 0 {
-			seen[k] = true
-		}
-	}
 	for k := range a.overwrites {
 		if len(a.overwrites[k]) > 0 {
 			seen[k] = true
@@ -518,18 +495,4 @@ func (a *analyzer) keys() []history.KeyID {
 	}
 	a.in.SortKeyIDs(out)
 	return out
-}
-
-func balString(isNil bool, v int) string {
-	if isNil {
-		return "nil"
-	}
-	return fmt.Sprintf("%d", v)
-}
-
-func balName(v int) string {
-	if v == nilVer {
-		return "nil"
-	}
-	return fmt.Sprintf("%d", v)
 }

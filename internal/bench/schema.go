@@ -177,21 +177,26 @@ func allocsUngated(name string) bool {
 
 // Table renders the comparison side by side for the CI log: ns/op for
 // the record, marked not gated, then the allocs/op and B/op the gate
-// reads.
+// reads. The name column is as wide as the longest case name (at least
+// 32), so every row's figures line up under the header.
 func Table(base, cur Result) string {
 	baseBy := map[string]Point{}
 	for _, p := range base.Benchmarks {
 		baseBy[p.Name] = p
 	}
+	w := 32
+	for _, p := range cur.Benchmarks {
+		w = max(w, len(p.Name))
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %14s %14s %8s | %12s %12s %8s | %12s %12s %8s\n",
-		"benchmark", "base ns/op", "new ns/op", "Δ", "base allocs", "new allocs", "Δ", "base B/op", "new B/op", "Δ")
-	fmt.Fprintf(&b, "%-32s %39s | %34s | %34s\n", "", "(not gated)", "(gated)", "(gated)")
+	fmt.Fprintf(&b, "%-*s %14s %14s %8s | %12s %12s %8s | %12s %12s %8s\n",
+		w, "benchmark", "base ns/op", "new ns/op", "Δ", "base allocs", "new allocs", "Δ", "base B/op", "new B/op", "Δ")
+	fmt.Fprintf(&b, "%-*s %38s | %34s | %34s\n", w, "", "(not gated)", "(gated)", "(gated)")
 	for _, p := range cur.Benchmarks {
 		bp, ok := baseBy[p.Name]
 		if !ok {
-			fmt.Fprintf(&b, "%-32s %14s %14.0f %8s | %12s %12d %8s | %12s %12d %8s\n",
-				p.Name, "-", p.NsPerOp, "-", "-", p.AllocsPerOp, "-", "-", p.BytesPerOp, "-")
+			fmt.Fprintf(&b, "%-*s %14s %14.0f %8s | %12s %12d %8s | %12s %12d %8s\n",
+				w, p.Name, "-", p.NsPerOp, "-", "-", p.AllocsPerOp, "-", "-", p.BytesPerOp, "-")
 			continue
 		}
 		delta := func(base, cur int64) string {
@@ -200,8 +205,8 @@ func Table(base, cur Result) string {
 			}
 			return fmt.Sprintf("%+7.1f%%", 100*float64(cur-base)/float64(base))
 		}
-		fmt.Fprintf(&b, "%-32s %14.0f %14.0f %+7.1f%% | %12d %12d %8s | %12d %12d %8s\n",
-			p.Name, bp.NsPerOp, p.NsPerOp, 100*(p.NsPerOp-bp.NsPerOp)/bp.NsPerOp,
+		fmt.Fprintf(&b, "%-*s %14.0f %14.0f %+7.1f%% | %12d %12d %8s | %12d %12d %8s\n",
+			w, p.Name, bp.NsPerOp, p.NsPerOp, 100*(p.NsPerOp-bp.NsPerOp)/bp.NsPerOp,
 			bp.AllocsPerOp, p.AllocsPerOp, delta(bp.AllocsPerOp, p.AllocsPerOp),
 			bp.BytesPerOp, p.BytesPerOp, delta(bp.BytesPerOp, p.BytesPerOp))
 	}

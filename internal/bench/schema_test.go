@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -152,6 +153,37 @@ func TestTableRendersEveryBench(t *testing.T) {
 	for _, want := range []string{"check-parallel/n=100000/p=1", "decode/n=100000/p=1", "+0.0%"} {
 		if !strings.Contains(tb, want) {
 			t.Errorf("table missing %q:\n%s", want, tb)
+		}
+	}
+}
+
+// TestTableAlignsLongNames: a case name longer than the default name
+// column widens it, so every row's separators sit where the header's do.
+func TestTableAlignsLongNames(t *testing.T) {
+	long := "check-stream-bounded/n=100000/w=4096/p=1" // 40 characters
+	base := Result{Benchmarks: []Point{
+		{Name: "decode/n=100000/p=1", NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: 1000},
+		{Name: long, NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: 1000},
+	}}
+	cur := base
+	cur.Benchmarks = append(slices.Clone(base.Benchmarks), Point{Name: long + "/new", NsPerOp: 1, AllocsPerOp: 1, BytesPerOp: 1})
+	bars := func(line string) []int {
+		var at []int
+		for i, r := range []rune(line) {
+			if r == '|' {
+				at = append(at, i)
+			}
+		}
+		return at
+	}
+	lines := strings.Split(strings.TrimSuffix(Table(base, cur), "\n"), "\n")
+	want := bars(lines[0])
+	if len(want) != 2 || len(lines) != 5 {
+		t.Fatalf("unexpected table shape:\n%s", strings.Join(lines, "\n"))
+	}
+	for _, l := range lines[1:] {
+		if got := bars(l); !slices.Equal(got, want) {
+			t.Errorf("separators at %v, header's at %v:\n%s\n%s", got, want, lines[0], l)
 		}
 	}
 }

@@ -253,17 +253,11 @@ type ChunkDecoder struct {
 // terminal for the stream: the decoder's state is unspecified after
 // one.
 func (c *ChunkDecoder) Feed(p []byte) ([]op.Op, error) {
-	return c.feedInto(p, nil)
-}
-
-// feedInto is Feed appending into dst, so a batch caller can decode
-// straight into its accumulating slice with no per-feed batch garbage.
-func (c *ChunkDecoder) feedInto(p []byte, dst []op.Op) ([]op.Op, error) {
 	buf := p
 	if len(c.rem) > 0 {
 		buf = append(c.rem, p...)
 	}
-	ops, consumed, err := c.d.decodeAll(buf, dst)
+	ops, consumed, err := c.d.decodeAll(buf, nil)
 	if err != nil {
 		return ops, err
 	}
@@ -292,33 +286,15 @@ func (c *ChunkDecoder) Close() error {
 // with an ErrFraming-wrapped error rather than returning a silently
 // short history.
 type StreamDecoder struct {
-	r        io.Reader
-	c        ChunkDecoder
-	buf      []byte
-	fed      int
-	sizeHint int
-	err      error
+	r   io.Reader
+	c   ChunkDecoder
+	buf []byte
+	err error
 }
 
 // NewStreamDecoder returns a decoder reading from r.
 func NewStreamDecoder(r io.Reader) *StreamDecoder {
-	d := &StreamDecoder{r: r, buf: make([]byte, 1<<16)}
-	// In-memory sources report their size; Decode presizes its
-	// collected ops slice from it.
-	if l, ok := r.(interface{ Len() int }); ok {
-		d.sizeHint = l.Len()
-	}
-	return d
-}
-
-// sizeEstimate projects the stream's total op count from the source's
-// size (when known) and the ops-per-byte ratio observed so far. Zero
-// means no estimate.
-func (d *StreamDecoder) sizeEstimate(decoded int) int {
-	if d.sizeHint <= 0 || d.fed <= 0 || decoded <= 0 {
-		return 0
-	}
-	return int(int64(decoded)*int64(d.sizeHint)/int64(d.fed)) + 1
+	return &StreamDecoder{r: r, buf: make([]byte, 1<<16)}
 }
 
 // Pending returns how many bytes of an incomplete trailing record are
@@ -336,7 +312,6 @@ func (d *StreamDecoder) Next() ([]op.Op, error) {
 		n, rerr := d.r.Read(d.buf)
 		var ops []op.Op
 		if n > 0 {
-			d.fed += n
 			var err error
 			ops, err = d.c.Feed(d.buf[:n])
 			if err != nil {

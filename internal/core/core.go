@@ -59,14 +59,11 @@ type Opts struct {
 	// ListAppend. Check panics on a name no analyzer registered under.
 	Workload Workload
 	// Model is the consistency model the database under test claims.
-	// Default: strict-serializable.
+	// Default: strict-serializable. It alone decides the §5.1 orders
+	// added to the dependency graph before cycle search: per-process
+	// session order under the strong-session and strict models, and
+	// real-time precedence under strict serializability.
 	Model consistency.Model
-	// ProcessEdges adds per-process session order to the dependency
-	// graph before cycle search.
-	ProcessEdges bool
-	// RealtimeEdges adds the real-time precedence order to the
-	// dependency graph before cycle search.
-	RealtimeEdges bool
 	// TimestampEdges adds the order the database's own claimed
 	// transaction timestamps imply (carried in Op.Time, §5.1) to the
 	// dependency graph. Only meaningful when the system under test
@@ -85,30 +82,32 @@ type Opts struct {
 }
 
 // OptsFor returns the options the paper's methodology implies for
-// checking workload w against model m: real-time edges (and lost-update
-// detection) for strict models, session edges for strong-session and
-// stricter models, and the register inference rules the model makes
-// sound: the initial-state and writes-follow-reads rules always,
-// sequential keys only where sessions are guaranteed (strong-session and
-// strict models), linearizable keys only for strict ones. A caller that
-// knows the database claims per-key linearizability may enable both key
-// rules on top of a weaker model.
+// checking workload w against model m: lost-update detection for strict
+// models, and the register inference rules the model makes sound: the
+// initial-state and writes-follow-reads rules always, sequential keys
+// only where sessions are guaranteed (strong-session and strict models),
+// linearizable keys only for strict ones. A caller that knows the
+// database claims per-key linearizability may enable both key rules on
+// top of a weaker model. The orders the model implies (see Opts.Model)
+// are added whatever the other options say.
 func OptsFor(w Workload, m consistency.Model) Opts {
-	strict := m == consistency.StrictSerializable
-	session := strict ||
-		m == consistency.StrongSessionSerial ||
-		m == consistency.StrongSessionSI
+	strict, session := orders(m)
 	wo := workload.DefaultOpts()
 	wo.LinearizableKeys = strict
 	wo.SequentialKeys = session
 	wo.DetectLostUpdates = strict
-	return Opts{
-		Workload:      w,
-		Model:         m,
-		ProcessEdges:  session,
-		RealtimeEdges: strict,
-		Opts:          wo,
-	}
+	return Opts{Workload: w, Model: m, Opts: wo}
+}
+
+// orders reports which of the §5.1 orders model m implies: real time
+// under strict serializability, and process (session) order under the
+// strong-session and strict models.
+func orders(m consistency.Model) (realtime, process bool) {
+	realtime = m == consistency.StrictSerializable
+	process = realtime ||
+		m == consistency.StrongSessionSerial ||
+		m == consistency.StrongSessionSI
+	return realtime, process
 }
 
 func (o Opts) withDefaults() Opts {
@@ -249,18 +248,20 @@ func lookup(w Workload) workload.Info {
 }
 
 // classify is the back half of a check, shared by the batch Check and
-// the streaming Stream.Finish: add the §5.1 orders opts asks for to the
-// inferred dependency graph, search for anomalous cycles, classify
-// every anomaly, and evaluate the consistency lattice.
+// the streaming Stream.Finish: add the §5.1 orders the model implies
+// (and the timestamp order, if opts claims one) to the inferred
+// dependency graph, search for anomalous cycles, classify every
+// anomaly, and evaluate the consistency lattice.
 func classify(h *history.History, opts Opts, an workload.Analysis) *CheckResult {
 	p := opts.Parallelism
 	g, anoms, expl := an.Graph, an.Anomalies, an.Explainer
 
 	var extra graph.KindSet
-	if opts.ProcessEdges {
+	realtime, process := orders(opts.Model)
+	if process {
 		extra |= graph.Process.Mask()
 	}
-	if opts.RealtimeEdges {
+	if realtime {
 		extra |= graph.Realtime.Mask()
 	}
 	if opts.TimestampEdges {

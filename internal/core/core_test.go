@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/consistency"
+	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 )
@@ -216,21 +217,55 @@ func TestAnomalySortingStructuralFirst(t *testing.T) {
 }
 
 func TestOptsForModels(t *testing.T) {
-	o := OptsFor(ListAppend, consistency.StrictSerializable)
-	if !o.RealtimeEdges || !o.ProcessEdges || !o.DetectLostUpdates {
-		t.Error("strict opts should enable realtime, process, lost updates")
+	h := history.MustNew([]op.Op{op.Txn(0, 0, op.OK, op.Append("x", 1))})
+	rt, proc := graph.Realtime.Mask(), graph.Process.Mask()
+	for m, want := range map[consistency.Model]graph.KindSet{
+		consistency.StrictSerializable:  rt | proc,
+		consistency.StrongSessionSI:     proc,
+		consistency.StrongSessionSerial: proc,
+		consistency.Serializable:        0,
+		consistency.SnapshotIsolation:   0,
+	} {
+		if got := Check(h, OptsFor(ListAppend, m)).Stats.ExtraKind; got != want {
+			t.Errorf("%s: orders %v, want %v", m, got, want)
+		}
+		if got := Check(h, Opts{Model: m}).Stats.ExtraKind; got != want {
+			t.Errorf("%s without OptsFor: orders %v, want %v", m, got, want)
+		}
 	}
-	o = OptsFor(ListAppend, consistency.StrongSessionSI)
-	if o.RealtimeEdges || !o.ProcessEdges {
-		t.Error("strong-session opts should enable process only")
+	if !OptsFor(ListAppend, consistency.StrictSerializable).DetectLostUpdates {
+		t.Error("strict opts should detect lost updates")
 	}
-	o = OptsFor(ListAppend, consistency.Serializable)
-	if o.RealtimeEdges || o.ProcessEdges {
-		t.Error("serializable opts should use pure dependency edges")
-	}
-	o = OptsFor(Register, consistency.StrictSerializable)
-	if !o.LinearizableKeys {
+	if !OptsFor(Register, consistency.StrictSerializable).LinearizableKeys {
 		t.Error("strict register opts should enable linearizable keys")
+	}
+}
+
+// TestModelAloneAddsOrders: a stale read — T2 invoked after T0's append
+// of 1 completed, and T1 already observed it, yet T2 reads x empty — is
+// a cycle only through real time. The model decides the orders, so a
+// check that names strict serializability, or no model at all, finds it
+// as OptsFor's does.
+func TestModelAloneAddsOrders(t *testing.T) {
+	h := history.MustNew([]op.Op{
+		{Index: 0, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Append("x", 1)}},
+		{Index: 1, Process: 0, Type: op.OK, Mops: []op.Mop{op.Append("x", 1)}},
+		{Index: 2, Process: 1, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
+		{Index: 3, Process: 1, Type: op.OK, Mops: []op.Mop{op.ReadList("x", []int{1})}},
+		{Index: 4, Process: 2, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
+		{Index: 5, Process: 2, Type: op.OK, Mops: []op.Mop{op.ReadList("x", []int{})}},
+	})
+	for name, opts := range map[string]Opts{
+		"Opts{Model: strict}": {Model: consistency.StrictSerializable},
+		"Opts{}":              {},
+		"OptsFor(strict)":     OptsFor(ListAppend, consistency.StrictSerializable),
+	} {
+		if r := Check(h, opts); r.Valid || !r.HasAnomaly(anomaly.GSingleRealtime) {
+			t.Errorf("%s: valid %v, anomalies %v; want G-single-realtime", name, r.Valid, r.AnomalyTypes())
+		}
+	}
+	if r := Check(h, Opts{Model: consistency.Serializable}); !r.Valid {
+		t.Errorf("serializable: a stale read is no cycle without real time, got %v", r.AnomalyTypes())
 	}
 }
 

@@ -37,9 +37,10 @@ type Explainer struct {
 	// KeyID.
 	ListOrders [][]int
 	// RegOrders holds the direct edges of the inferred register version
-	// order, indexed by KeyID, as "u" -> "v" value strings with "nil"
-	// for the initial version (rw-register and bank workloads).
-	RegOrders [][][2]string
+	// order, indexed by KeyID, as (u, v) value pairs with op.NilVersion
+	// for the initial version (rw-register and bank workloads);
+	// op.FormatVersion renders one.
+	RegOrders [][][2]int
 }
 
 // ListOrder returns the inferred element order for key, or nil if none
@@ -56,7 +57,7 @@ func (e *Explainer) ListOrder(key string) []int {
 }
 
 // RegOrder returns the direct version edges inferred for key, or nil.
-func (e *Explainer) RegOrder(key string) [][2]string {
+func (e *Explainer) RegOrder(key string) [][2]int {
 	if e.Keys == nil {
 		return nil
 	}
@@ -129,8 +130,8 @@ func (e *Explainer) edgeReason(t Text, s graph.Step) Text {
 			return t.Name(f).Str(" did not observe ").Name(g).Str("'s append of ").Int(elem).Str(" to key ").Str(key)
 		}
 		if key, prev, next, ok := e.rwRegWitness(from, to); ok {
-			return t.Name(f).Str(" read key ").Str(key).Str(" = ").Str(prev).
-				Str(", which ").Name(g).Str(" overwrote with ").Str(next)
+			return t.Name(f).Str(" read key ").Str(key).Str(" = ").Version(prev).
+				Str(", which ").Name(g).Str(" overwrote with ").Version(next)
 		}
 		return t.Name(f).Str(" read a version which ").Name(g).Str(" overwrote")
 	case graph.WW:
@@ -139,8 +140,8 @@ func (e *Explainer) edgeReason(t Text, s graph.Step) Text {
 				Str(" to key ").Str(key)
 		}
 		if key, prev, next, ok := e.wwRegWitness(from, to); ok {
-			return t.Name(g).Str(" wrote key ").Str(key).Str(" = ").Str(next).
-				Str(", replacing ").Name(f).Str("'s write of ").Str(prev)
+			return t.Name(g).Str(" wrote key ").Str(key).Str(" = ").Version(next).
+				Str(", replacing ").Name(f).Str("'s write of ").Version(prev)
 		}
 		return t.Name(g).Str(" overwrote a version ").Name(f).Str(" installed")
 	case graph.Process:
@@ -169,6 +170,9 @@ func (t Text) Int(n int) Text { return strconv.AppendInt(t, int64(n), 10) }
 // Name appends the label op.Op.Name gives the op at index: "T42".
 func (t Text) Name(index int) Text { return op.AppendName(t, index) }
 
+// Version appends a register version as op.FormatVersion renders it.
+func (t Text) Version(v int) Text { return op.AppendVersion(t, v) }
+
 // List appends a list value as op.FormatList renders it: "[1 2 3]".
 func (t Text) List(v []int) Text { return op.AppendList(t, v) }
 
@@ -188,13 +192,6 @@ func wrote(o op.Op, fun op.Fun, key string, arg int) bool {
 		}
 	}
 	return false
-}
-
-// wroteVersion is wrote for a register version as version orders spell
-// it: a decimal value, or "nil" — the initial version, nobody's write.
-func wroteVersion(o op.Op, key, version string) bool {
-	v, err := strconv.Atoi(version)
-	return err == nil && wrote(o, op.FWrite, key, v)
 }
 
 // sharedKeys returns, in name order, the keys both transactions wrote
@@ -266,39 +263,36 @@ func (e *Explainer) rwWitness(from, to op.Op) (string, int, bool) {
 
 // rwRegWitness proves a register rw edge: `from` read version prev of a
 // key whose inferred successor next was written by `to`.
-func (e *Explainer) rwRegWitness(from, to op.Op) (key, prev, next string, ok bool) {
+func (e *Explainer) rwRegWitness(from, to op.Op) (key string, prev, next int, ok bool) {
 	for _, m := range from.Mops {
 		if m.F != op.FRead || !m.RegKnown {
 			continue
 		}
-		observed := "nil"
-		if !m.RegNil {
-			observed = strconv.Itoa(m.Reg)
-		}
+		observed := m.Version()
 		for _, edge := range e.RegOrder(m.Key) {
-			if edge[0] == observed && wroteVersion(to, m.Key, edge[1]) {
+			if edge[0] == observed && wrote(to, op.FWrite, m.Key, edge[1]) {
 				return m.Key, observed, edge[1], true
 			}
 		}
 	}
-	return "", "", "", false
+	return "", 0, 0, false
 }
 
 // wwRegWitness proves a register ww edge: an inferred version edge
 // prev -> next where `from` wrote prev and `to` wrote next.
-func (e *Explainer) wwRegWitness(from, to op.Op) (key, prev, next string, ok bool) {
+func (e *Explainer) wwRegWitness(from, to op.Op) (key string, prev, next int, ok bool) {
 	for _, id := range e.sharedKeys(from, to, op.FWrite) {
 		if int(id) >= len(e.RegOrders) {
 			continue
 		}
 		key := e.Keys.Key(id)
 		for _, edge := range e.RegOrders[id] {
-			if wroteVersion(from, key, edge[0]) && wroteVersion(to, key, edge[1]) {
+			if wrote(from, op.FWrite, key, edge[0]) && wrote(to, op.FWrite, key, edge[1]) {
 				return key, edge[0], edge[1], true
 			}
 		}
 	}
-	return "", "", "", false
+	return "", 0, 0, false
 }
 
 // wwWitness finds a key and two elements adjacent in its order proving

@@ -134,8 +134,8 @@ func TestRegisterRWReason(t *testing.T) {
 	r := op.Txn(1, 1, op.OK, op.ReadNil("2434"))
 	w := op.Txn(2, 2, op.OK, op.Write("2434", 10))
 	keys := history.NewInterner()
-	regOrders := make([][][2]string, 1)
-	regOrders[keys.Intern("2434")] = [][2]string{{"nil", "10"}}
+	regOrders := make([][][2]int, 1)
+	regOrders[keys.Intern("2434")] = [][2]int{{op.NilVersion, 10}}
 	e := &Explainer{
 		Ops:       history.MustNew([]op.Op{r, w}),
 		Keys:      keys,
@@ -188,9 +188,9 @@ func TestWitnessChoice(t *testing.T) {
 	lists[a] = []int{1, 2, 3, 4}
 	lists[b] = []int{10, 11}
 	lists[c] = []int{20, 21, 22}
-	regs := make([][][2]string, 3)
-	regs[a] = [][2]string{{"nil", "1"}, {"1", "2"}, {"1", "3"}}
-	regs[b] = [][2]string{{"nil", "10"}, {"10", "11"}}
+	regs := make([][][2]int, 3)
+	regs[a] = [][2]int{{op.NilVersion, 1}, {1, 2}, {1, 3}}
+	regs[b] = [][2]int{{op.NilVersion, 10}, {10, 11}}
 
 	ok := op.OK
 	cases := []struct {

@@ -13,6 +13,7 @@ package op
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -82,7 +83,8 @@ type Mop struct {
 
 	// Reg is the observed value of a register or counter read, valid only
 	// when RegKnown is true. A register read that observed the initial
-	// (nil) version is encoded as RegKnown=true, RegNil=true.
+	// (nil) version is encoded as RegKnown=true, RegNil=true; Version
+	// gives either as a value.
 	Reg int
 
 	F        Fun
@@ -125,6 +127,37 @@ func ReadNil(key string) Mop {
 	return Mop{F: FRead, Key: key, RegKnown: true, RegNil: true}
 }
 
+// NilVersion is a register's initial version as a value: the version
+// no write installs, which every inferred version order puts first
+// (§5.2). It sorts below every written value; a register value of
+// math.MinInt64 cannot be told apart from it.
+const NilVersion = math.MinInt64
+
+// Version returns the register version a known read observed:
+// NilVersion for the initial version, else Reg.
+func (m Mop) Version() int {
+	if m.RegNil {
+		return NilVersion
+	}
+	return m.Reg
+}
+
+// FormatVersion renders a register version: "nil" for NilVersion, else
+// the value in decimal.
+func FormatVersion(v int) string {
+	var buf [24]byte
+	return string(AppendVersion(buf[:0], v))
+}
+
+// AppendVersion appends v as FormatVersion renders it to b and returns
+// the result.
+func AppendVersion(b []byte, v int) []byte {
+	if v == NilVersion {
+		return append(b, "nil"...)
+	}
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
 // IsRead reports whether m is a read micro-op.
 func (m Mop) IsRead() bool { return m.F == FRead }
 
@@ -149,10 +182,8 @@ func (m Mop) AppendTo(b []byte) []byte {
 		b = strconv.AppendInt(append(b, ", "...), int64(m.Arg), 10)
 	case m.List != nil:
 		b = AppendList(append(b, ", "...), m.List)
-	case m.RegKnown && m.RegNil:
-		b = append(b, ", nil"...)
 	case m.RegKnown:
-		b = strconv.AppendInt(append(b, ", "...), int64(m.Reg), 10)
+		b = AppendVersion(append(b, ", "...), m.Version())
 	}
 	return append(b, ')')
 }

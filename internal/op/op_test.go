@@ -74,6 +74,25 @@ func TestMopConstructors(t *testing.T) {
 	if !rv.RegKnown || rv.RegNil || rv.Reg != 7 {
 		t.Errorf("ReadReg: got %+v", rv)
 	}
+	if rn.Version() != NilVersion || rv.Version() != 7 {
+		t.Errorf("Version: nil read %d, read of 7 %d", rn.Version(), rv.Version())
+	}
+}
+
+// TestFormatVersion: the initial version is "nil" and sorts below every
+// value; any other version is its decimal value, negative ones included.
+func TestFormatVersion(t *testing.T) {
+	for v, want := range map[int]string{NilVersion: "nil", 0: "0", -1: "-1", 42: "42", NilVersion + 1: "-9223372036854775807"} {
+		if got := FormatVersion(v); got != want {
+			t.Errorf("FormatVersion(%d) = %q, want %q", v, got, want)
+		}
+		if got := string(AppendVersion([]byte("x="), v)); got != "x="+want {
+			t.Errorf("AppendVersion(%d) = %q, want %q", v, got, "x="+want)
+		}
+		if v != NilVersion && v <= NilVersion {
+			t.Errorf("%d sorts at or below NilVersion", v)
+		}
+	}
 }
 
 func TestMopString(t *testing.T) {

@@ -24,9 +24,9 @@ type Source struct {
 	// ListOrders holds inferred list element orders, indexed by KeyID.
 	ListOrders [][]int
 	// RegOrders holds direct register version-order edges, indexed by
-	// KeyID, as "u" -> "v" value strings with "nil" for the initial
+	// KeyID, as (u, v) value pairs with op.NilVersion for the initial
 	// version.
-	RegOrders [][][2]string
+	RegOrders [][][2]int
 }
 
 // Relations is the minimal catalog surface the query engine evaluates
@@ -113,8 +113,9 @@ func (c *Catalog) Txns() Relation {
 // Mops is mop(txn, key, fun, value): one row per micro-op of every
 // completion, in history and program order. The value column is typed:
 // writes carry their integer argument, list reads their observed list
-// rendered as "[1 2 3]", register reads the observed integer or the
-// strings "nil" (observed initial version) and "?" (result unknown).
+// rendered as "[1 2 3]", register reads the observed integer, the
+// initial version as the string op.FormatVersion spells it, or "?"
+// (result unknown).
 func (c *Catalog) Mops() Relation {
 	h := c.src.History
 	return NewRelation([]string{"txn", "key", "fun", "value"}, func(yield func(Tuple) bool) {
@@ -141,7 +142,7 @@ func mopValue(m op.Mop) Value {
 	case m.List != nil:
 		return Str(op.FormatList(m.List))
 	case m.RegKnown && m.RegNil:
-		return Str("nil")
+		return Str(op.FormatVersion(op.NilVersion))
 	case m.RegKnown:
 		return Int(m.Reg)
 	default:
@@ -188,7 +189,7 @@ func (c *Catalog) Deps() Relation {
 // order of every key, keys sorted by name. For list keys, value is the
 // element at position pos of the inferred total order. For register
 // keys, each direct version-order edge is one row with value rendered
-// "prev->next" ("nil" standing for the initial version) and pos its
+// "prev->next", each version as op.FormatVersion spells it, and pos its
 // edge index.
 func (c *Catalog) VersionOrder() Relation {
 	src := c.src
@@ -197,6 +198,7 @@ func (c *Catalog) VersionOrder() Relation {
 			return
 		}
 		t := make(Tuple, 3)
+		var buf [48]byte
 		for _, id := range src.Keys.SortedIDs() {
 			name := Str(src.Keys.Key(id))
 			if int(id) < len(src.ListOrders) {
@@ -209,7 +211,8 @@ func (c *Catalog) VersionOrder() Relation {
 			}
 			if int(id) < len(src.RegOrders) {
 				for pos, edge := range src.RegOrders[id] {
-					t[0], t[1], t[2] = name, Int(pos), Str(edge[0]+"->"+edge[1])
+					b := append(op.AppendVersion(buf[:0], edge[0]), "->"...)
+					t[0], t[1], t[2] = name, Int(pos), Str(string(op.AppendVersion(b, edge[1])))
 					if !yield(t) {
 						return
 					}

@@ -27,7 +27,6 @@ package rwregister
 import (
 	"fmt"
 	"iter"
-	"math"
 
 	"repro/internal/anomaly"
 	"repro/internal/explain"
@@ -37,10 +36,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/workload"
 )
-
-// nilVer stands for the initial version wherever versions are values:
-// it is the value of row 0 of every key's table, and sorts first.
-const nilVer = math.MinInt64
 
 // analyzer carries the indices built over one history. Everything known
 // about a key — its value table, the transactions that touched it, its
@@ -75,7 +70,7 @@ func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
 func (a *analyzer) key(k history.KeyID) *keyState {
 	a.keyst = history.GrowKeyed(a.keyst, k)
 	if a.keyst[k] == nil {
-		a.keyst[k] = &keyState{ix: map[int]int32{nilVer: 0}, tab: []verState{{val: nilVer}}}
+		a.keyst[k] = &keyState{ix: map[int]int32{op.NilVersion: 0}, tab: []verState{{val: op.NilVersion}}}
 	}
 	return a.keyst[k]
 }
@@ -210,7 +205,7 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 	for i := range a.oks {
 		g.Ensure(a.ok(i).Index)
 	}
-	orders := make([][][2]string, a.in.Len())
+	orders := make([][][2]int, a.in.Len())
 	for _, k := range keys {
 		r := a.keyst[k].res
 		if r.cyclic != nil {
@@ -262,16 +257,15 @@ func (a *analyzer) addOp(o op.Op, invoke int) {
 		}
 		k := a.kid(m.Key)
 		ks := a.key(k)
-		var row int32 // a nil read touches row 0
-		switch {
-		case write:
+		var row int32
+		if write {
 			row = ks.row(m.Arg)
 			vs := &ks.tab[row]
 			if vs.writes++; vs.writes == 1 {
 				vs.first, vs.failed = o.Index, o.Type == op.Fail
 			}
-		case !m.RegNil:
-			row = ks.row(m.Reg)
+		} else {
+			row = ks.row(m.Version()) // a nil read touches row 0
 		}
 		if !ks.stale {
 			ks.stale = true
@@ -418,8 +412,7 @@ func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 	type view struct {
 		key   string
 		known bool
-		nil_  bool
-		val   int
+		ver   int
 	}
 	var buf [4]view
 	views := buf[:0]
@@ -434,22 +427,23 @@ func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 		s := &views[i]
 		switch m.F {
 		case op.FWrite:
-			s.known, s.nil_, s.val = true, false, m.Arg
+			s.known, s.ver = true, m.Arg
 		case op.FRead:
 			if !m.RegKnown {
 				continue
 			}
-			if s.known && (s.nil_ != m.RegNil || (!s.nil_ && s.val != m.Reg)) {
+			v := m.Version()
+			if s.known && s.ver != v {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.Internal,
 					Ops:  []op.Op{o},
 					Key:  m.Key,
 					Explanation: fmt.Sprintf(
 						"%s read key %s = %s, but its own prior operations imply the value must be %s: an internal inconsistency",
-						o.Name(), m.Key, regString(m.RegNil, m.Reg), regString(s.nil_, s.val)),
+						o.Name(), m.Key, op.FormatVersion(v), op.FormatVersion(s.ver)),
 				})
 			}
-			s.known, s.nil_, s.val = true, m.RegNil, m.Reg
+			s.known, s.ver = true, v
 		}
 	}
 	return out
@@ -467,13 +461,6 @@ func g1aAnomaly(reader op.Op, key string, v int, writer op.Op) anomaly.Anomaly {
 			"%s read key %s = %d, which was written by %s, which aborted: an aborted read",
 			reader.Name(), key, v, writer.Name()),
 	}
-}
-
-func regString(isNil bool, v int) string {
-	if isNil {
-		return "nil"
-	}
-	return fmt.Sprintf("%d", v)
 }
 
 // finalWrite returns the last value o wrote to key.

@@ -243,7 +243,7 @@ func TestVersionOrdersReported(t *testing.T) {
 	if len(edges) != 1 {
 		t.Fatalf("version order edges = %v", edges)
 	}
-	if edges[0][0] != "nil" || edges[0][1] != "5" {
+	if edges[0] != [2]int{op.NilVersion, 5} {
 		t.Errorf("edge = %v, want nil -> 5", edges[0])
 	}
 }

@@ -3,16 +3,15 @@ package rwregister
 import (
 	"cmp"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/history"
+	"repro/internal/op"
 )
 
 // This file is the per-key pipeline. Inside it a version is its rank:
 // the position of its table row when the key's rows are sorted by
-// value, nil (row 0, value nilVer) first. Version graphs are sorted,
+// value, nil (row 0, value op.NilVersion) first. Version graphs are sorted,
 // duplicate-free adjacency slices over ranks, so every walk in rank
 // order is a walk in the ascending value order the reports are pinned
 // to.
@@ -23,7 +22,7 @@ import (
 type keyResult struct {
 	order    []int32 // rank -> table row
 	cyclic   []int   // the witness's values
-	verEdges [][2]string
+	verEdges [][2]int
 	edges    []graph.Edge
 }
 
@@ -222,16 +221,16 @@ func reduce(vg [][]int32, post []int32) {
 }
 
 // emitEdges explodes the key's reduced version order into ww and rw
-// transaction dependencies, returning the direct version edges for
-// reporting alongside the dependency edges.
-func emitEdges(ks *keyState, order []int32, vg [][]int32) ([][2]string, []graph.Edge) {
-	var edges [][2]string
+// transaction dependencies, returning the direct version edges, as
+// value pairs, for reporting alongside the dependency edges.
+func emitEdges(ks *keyState, order []int32, vg [][]int32) ([][2]int, []graph.Edge) {
+	var edges [][2]int
 	var deps []graph.Edge
 	for u, outs := range vg {
 		vu := &ks.tab[order[u]]
 		for _, v := range outs {
 			vv := &ks.tab[order[v]]
-			edges = append(edges, [2]string{verName(vu.val), verName(vv.val)})
+			edges = append(edges, [2]int{vu.val, vv.val})
 			wv, ok := vv.sole(false)
 			if !ok {
 				continue
@@ -267,18 +266,14 @@ func (a *analyzer) emitWR(g *graph.Graph, keys []history.KeyID) {
 	}
 }
 
-func verName(v int) string {
-	if v == nilVer {
-		return "nil"
-	}
-	return strconv.Itoa(v)
-}
-
+// formatVersionCycle renders a cyclic version order as "1 < 2 < nil < 1".
 func formatVersionCycle(cyc []int) string {
-	parts := make([]string, 0, len(cyc)+1)
-	for _, v := range cyc {
-		parts = append(parts, verName(v))
+	var b []byte
+	for i := range len(cyc) + 1 {
+		if i > 0 {
+			b = append(b, " < "...)
+		}
+		b = op.AppendVersion(b, cyc[i%len(cyc)])
 	}
-	parts = append(parts, verName(cyc[0]))
-	return strings.Join(parts, " < ")
+	return string(b)
 }
