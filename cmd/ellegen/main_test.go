@@ -227,7 +227,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.OKs()) == 0 {
+	if len(h.OKPositions()) == 0 {
 		t.Fatal("no committed transactions")
 	}
 }

@@ -136,8 +136,14 @@ func NewEncoder(w io.Writer) *Encoder {
 }
 
 // WriteOp appends one op to the stream, preceded by dictionary records
-// for any keys it introduces.
+// for any keys it introduces. It refuses, writing nothing, an op the
+// decoder would refuse: a register write or read of op.NilVersion.
 func (e *Encoder) WriteOp(o op.Op) error {
+	for _, m := range o.Mops {
+		if m.F == op.FWrite && m.Arg == op.NilVersion || m.F == op.FRead && m.List == nil && m.RegKnown && !m.RegNil && m.Reg == op.NilVersion {
+			return fmt.Errorf("binhist: %w", op.ErrNilVersion)
+		}
+	}
 	if !e.opened {
 		e.opened = true
 		if _, err := e.w.Write(magic[:]); err != nil {

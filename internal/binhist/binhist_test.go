@@ -2,6 +2,7 @@ package binhist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -256,4 +257,47 @@ func (o iotest) Read(p []byte) (int, error) {
 		p = p[:1]
 	}
 	return o.r.Read(p)
+}
+
+// nilVersionStream is an ellebin stream the Encoder refuses to write:
+// one transaction writing x = op.NilVersion and reading x as nil.
+// Decoded, every register analyzer would take the write for the initial
+// version, and the history would check clean.
+func nilVersionStream() []byte {
+	b := append(magic[:], Version)
+	record := func(payload ...byte) {
+		b = binary.AppendUvarint(b, uint64(len(payload)))
+		b = append(b, payload...)
+	}
+	record(recDict, 'x')
+	for i, typ := range []op.Type{op.Invoke, op.OK} {
+		p := []byte{recOp, byte(zigzag(int64(i))), 0, 0, byte(typ), 2, byte(op.FWrite), 0}
+		p = binary.AppendUvarint(p, zigzag(op.NilVersion))
+		record(append(p, byte(op.FRead)|readNil<<3, 0)...)
+	}
+	return b
+}
+
+// TestNilVersionRefused: a register value of op.NilVersion cannot be
+// told from the initial version, so the decoder refuses it, written or
+// read, and the encoder refuses to write it.
+func TestNilVersionRefused(t *testing.T) {
+	if _, err := Decode(bytes.NewReader(nilVersionStream())); !errors.Is(err, op.ErrNilVersion) {
+		t.Errorf("a write of the initial version decodes with error %v", err)
+	}
+	var c ChunkDecoder
+	if _, err := c.Feed(nilVersionStream()); !errors.Is(err, op.ErrNilVersion) {
+		t.Errorf("ChunkDecoder: a write of the initial version decodes with error %v", err)
+	}
+	for _, m := range []op.Mop{op.Write("x", op.NilVersion), op.ReadReg("x", op.NilVersion)} {
+		var buf bytes.Buffer
+		e := NewEncoder(&buf)
+		if err := e.WriteOp(op.Txn(0, 0, op.OK, m)); !errors.Is(err, op.ErrNilVersion) {
+			t.Errorf("encoding %v: error %v", m, err)
+		}
+		e.Flush()
+		if _, err := Decode(&buf); err != nil {
+			t.Errorf("after refusing %v the encoder wrote a stream that does not decode: %v", m, err)
+		}
+	}
 }

@@ -183,6 +183,9 @@ func (d *decoder) decodeOp(b []byte) (op.Op, error) {
 			}
 			b = rest
 			m.Arg = int(unzigzag(arg))
+			if fun == op.FWrite && m.Arg == op.NilVersion {
+				return o, fmt.Errorf("binhist: mop %d: %w", i, op.ErrNilVersion)
+			}
 		case kind == readNil:
 			m.RegKnown, m.RegNil = true, true
 		case kind == readReg:
@@ -192,6 +195,9 @@ func (d *decoder) decodeOp(b []byte) (op.Op, error) {
 			}
 			b = rest
 			m.Reg, m.RegKnown = int(unzigzag(v)), true
+			if m.Reg == op.NilVersion {
+				return o, fmt.Errorf("binhist: mop %d: %w", i, op.ErrNilVersion)
+			}
 		case kind == readList:
 			n, rest, err := uvarint(b)
 			if err != nil {

@@ -84,6 +84,8 @@ func FuzzBinHistRoundTrip(f *testing.F) {
 	// One op reading x as [1 2] from its trace, then as [1 5 6 7]:
 	// longer, but no extension of the trace.
 	f.Add([]byte{0, 0, 0, 0, 1, 3, 0, 7, 2, 1, 2, 0, 6, 4, 1, 5, 6, 7, 0, 4})
+	// A write of op.NilVersion, which the decoder refuses.
+	f.Add(nilVersionStream())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (2) arbitrary bytes: must not panic, in either decode surface.

@@ -370,7 +370,8 @@ func TestIncrSeededOrderSkipsRestore(t *testing.T) {
 		e   int
 	}
 	writer, order := map[elem]int{}, map[string][]int{}
-	for _, o := range h.OKs() {
+	for _, pos := range h.OKPositions() {
+		o := h.Ops[pos]
 		for _, m := range o.Mops {
 			if m.F == op.FAppend {
 				writer[elem{m.Key, m.Arg}] = o.Index
@@ -385,7 +386,8 @@ func TestIncrSeededOrderSkipsRestore(t *testing.T) {
 			edges = append(edges, Edge{From: from, To: to, Kind: k})
 		}
 	}
-	for _, o := range h.OKs() {
+	for _, pos := range h.OKPositions() {
+		o := h.Ops[pos]
 		for _, m := range o.Mops {
 			if m.F == op.FAppend {
 				continue

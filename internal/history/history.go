@@ -150,31 +150,10 @@ func (h *History) Completions() []op.Op {
 	return out
 }
 
-// OKs returns the committed transactions in index order, or nil if
-// there are none. Like Completions and Crashed it counts before it
-// allocates: one exact slice, no growth.
-func (h *History) OKs() []op.Op {
-	n := 0
-	for i := range h.Ops {
-		if h.Ops[i].Type == op.OK {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]op.Op, 0, n)
-	for _, o := range h.Ops {
-		if o.Type == op.OK {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // OKPositions returns the positions in Ops of the committed
-// transactions, in index order, or nil if there are none: what OKs
-// selects, at four bytes an op instead of a copy of each. Analyzers walk
+// transactions, in index order, or nil if there are none: four bytes an
+// op instead of a copy of each. Like Completions and Crashed it counts
+// before it allocates: one exact slice, no growth. Analyzers walk
 // committed ops through it.
 func (h *History) OKPositions() []int32 {
 	n := 0

@@ -20,8 +20,8 @@ func TestCompactHistory(t *testing.T) {
 	if got := len(h.Completions()); got != 3 {
 		t.Errorf("Completions() = %d ops", got)
 	}
-	if got := len(h.OKs()); got != 1 {
-		t.Errorf("OKs() = %d ops", got)
+	if got := len(h.OKPositions()); got != 1 {
+		t.Errorf("OKPositions() = %d ops", got)
 	}
 	inv, comp := h.Span(1)
 	if inv != 1 || comp != 1 {
@@ -206,7 +206,7 @@ func TestRandomWellFormedHistories(t *testing.T) {
 	}
 }
 
-// TestFiltersAllocateOnce pins Completions, OKs and Crashed to one
+// TestFiltersAllocateOnce pins Completions, OKPositions and Crashed to one
 // exact-size allocation each, and their contents to a plain filter.
 func TestFiltersAllocateOnce(t *testing.T) {
 	var ops []op.Op
@@ -237,7 +237,6 @@ func TestFiltersAllocateOnce(t *testing.T) {
 		want []int
 	}{
 		{"Completions", h.Completions, wantComp},
-		{"OKs", h.OKs, wantOK},
 		{"Crashed", h.Crashed, wantCrashed},
 	} {
 		got := c.f()
@@ -254,10 +253,10 @@ func TestFiltersAllocateOnce(t *testing.T) {
 		}
 	}
 	empty := MustNew(nil)
-	if empty.OKs() != nil || empty.Crashed() != nil || empty.Completions() == nil {
-		t.Error("an empty history: OKs and Crashed must be nil, Completions empty")
+	if empty.Crashed() != nil || empty.Completions() == nil {
+		t.Error("an empty history: Crashed must be nil, Completions empty")
 	}
-	// OKPositions is OKs as positions in Ops, allocated once likewise.
+	// OKPositions is the committed ops as positions in Ops, allocated once likewise.
 	pos := h.OKPositions()
 	if len(pos) != len(wantOK) || cap(pos) != len(pos) {
 		t.Fatalf("OKPositions: len %d cap %d, want %d", len(pos), cap(pos), len(wantOK))
@@ -300,5 +299,8 @@ func TestAdoptKeepsTheSlice(t *testing.T) {
 	}
 	if empty, _ := Adopt(nil); empty.Ops == nil || !reflect.DeepEqual(empty, MustNew(nil)) {
 		t.Error("Adopt(nil) differs from New(nil)")
+	}
+	if empty := NewStream().History(); !reflect.DeepEqual(empty, MustNew(nil)) {
+		t.Error("an empty stream's History differs from New(nil)")
 	}
 }

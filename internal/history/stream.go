@@ -202,7 +202,11 @@ func (s *Stream) LastInvoke() int { return s.lastInvoke }
 // failure).
 func (s *Stream) History() *History {
 	if s.retired.ops == 0 {
-		h := &History{Ops: s.ops, compact: !s.hasInvoke, keys: s.keys}
+		ops := s.ops
+		if ops == nil {
+			ops = []op.Op{} // empty, not nil, as New's
+		}
+		h := &History{Ops: ops, compact: !s.hasInvoke, keys: s.keys}
 		h.keysOnce.Do(func() {}) // keys are built: History values compare equal either way
 		if !h.compact {
 			h.completion = s.completion

@@ -62,28 +62,35 @@ func TestDecodeChunkingAllocsAmortize(t *testing.T) {
 	}
 }
 
-// TestBytesDecoderAllocatesNoReadBuffer pins what the in-place entry is
-// for: decoding an uploaded chunk allocates in proportion to the chunk —
-// its ops, and a share of the parser's arena slabs — not the megabyte of
-// read buffer (plus a copy of the body) the reader entry costs per call.
-func TestBytesDecoderAllocatesNoReadBuffer(t *testing.T) {
+// TestChunkDecoderAllocatesNoReadBuffer pins what decoding a chunk in
+// place buys: each chunk of a stream allocates in proportion to the
+// chunk — its ops, and a share of the decoder's arena slabs — not the
+// megabyte of read buffer (plus a copy of the body) a StreamDecoder
+// costs per call.
+func TestChunkDecoderAllocatesNoReadBuffer(t *testing.T) {
 	line := `{"index":0,"type":"ok","process":3,"value":[["append",8,117],["r",9,[1,2,3,4,5]],["append",8,118]]}`
 	input := []byte(strings.Repeat(line+"\n", 100)) // ~10 KB
 	const runs = 64
-	perDecode := func(newDecoder func() *StreamDecoder) uint64 {
+	perDecode := func(decode func() error) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if _, err := drain(newDecoder()); err != nil {
+			if err := decode(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	opts := DecodeOpts{Parallelism: 1}
-	reader := perDecode(func() *StreamDecoder { return NewStreamDecoder(bytes.NewReader(input), opts) })
-	inPlace := perDecode(func() *StreamDecoder { return NewBytesDecoder(input, opts) })
+	reader := perDecode(func() error {
+		_, err := drain(NewStreamDecoder(bytes.NewReader(input), DecodeOpts{Parallelism: 1}))
+		return err
+	})
+	var d ChunkDecoder // one per stream, as a job keeps
+	inPlace := perDecode(func() error {
+		_, err := d.Feed(input)
+		return err
+	})
 	t.Logf("bytes allocated per %d-byte chunk: reader %d, in place %d", len(input), reader, inPlace)
 	if inPlace > 1<<18 {
 		t.Fatalf("an in-place chunk decode allocates %d bytes; want well under the 1 MiB read buffer", inPlace)

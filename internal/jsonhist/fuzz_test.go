@@ -23,6 +23,7 @@ func FuzzDecode(f *testing.F) {
 	// The oracle corpus: a line per exit of the fast "value" path, so
 	// what either path emits goes on to the encoder and the analyzers.
 	seedScannerLines(f)
+	f.Add(nilVersionHistory)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		h, err := Decode(strings.NewReader(input), false)

@@ -17,9 +17,11 @@
 //
 // A decoded list read is read-only, and may share memory with other
 // reads of its key: a decoder keeps one trace buffer per key and hands
-// out prefixes of it (op.ShareList). A JSON trace lives for one chunk's
-// parse, so reads in different chunks never share a list, and nothing a
-// decoder returns shares a list with what another decoder returns.
+// out prefixes of it (op.ShareList). Under DecodeWith and StreamDecoder
+// a trace lives for one chunk's parse, so reads in different chunks
+// never share a list; under ChunkDecoder it lives as long as the
+// decoder, so every chunk of a job shares it. Nothing a decoder returns
+// shares a list with what another decoder returns.
 package jsonhist
 
 import (
@@ -67,25 +69,20 @@ func Decode(r io.Reader, register bool) (*history.History, error) {
 const chunkTarget = 1 << 20
 
 // chunk is one parse unit: a run of consecutive lines, copied out of the
-// read buffer so decoding never retains the underlying stream — or, for
-// a source already in memory, a window of it. Lines are packed back to
-// back in one contiguous buffer with recorded end offsets — one
-// allocation per chunk rather than one per line — and the buffers (and
-// the parser's scratch space) recycle through chunkPool once parsed.
+// read buffer so decoding never retains the underlying stream. Lines
+// are packed back to back in one contiguous buffer — one allocation per
+// chunk rather than one per line — and the buffer (and the parser's
+// scratch space) recycles through chunkPool once parsed.
 type chunk struct {
 	firstLine int
-	text      []byte // line bytes, concatenated (newlines included): buf, or the window
-	ends      []int  // end offset of each line within text
-	buf       []byte // the chunk's own buffer, which a reader's lines are copied into
+	buf       []byte // line bytes, concatenated (newlines included)
 	parser    *lineParser
 }
 
-// release returns c to the pool, letting go of text and of the parser's
-// traces first: a window belongs to the caller, and a trace holds lists
-// the caller's ops now own, so the pool must keep neither alive. A trace
-// thus lives for one chunk's parse.
+// release returns c to the pool, letting go of the parser's traces
+// first: a trace holds lists the caller's ops now own, so the pool must
+// not keep it alive. A trace thus lives for one chunk's parse.
 func (c *chunk) release() {
-	c.text = nil
 	if c.parser != nil {
 		c.parser.dropTraces()
 	}

@@ -2,6 +2,7 @@ package jsonhist
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -168,5 +169,39 @@ func TestNumericKeys(t *testing.T) {
 	}
 	if h.Ops[0].Mops[0].Key != "42" {
 		t.Errorf("numeric key = %q", h.Ops[0].Mops[0].Key)
+	}
+}
+
+// nilVersionHistory writes x = op.NilVersion and reads it back as nil in
+// one transaction. Decoded, every register analyzer would take the write
+// for the initial version, and the history would check clean.
+const nilVersionHistory = `{"index":0,"type":"invoke","process":0,"value":[["w","x",-9223372036854775808],["r","x",null]]}
+{"index":1,"type":"ok","process":0,"value":[["w","x",-9223372036854775808],["r","x",null]]}
+`
+
+// TestNilVersionRefused: a register value of op.NilVersion cannot be
+// told from the initial version, so both entries refuse it, written or
+// read, naming the line; one above it is an ordinary value.
+func TestNilVersionRefused(t *testing.T) {
+	for _, c := range []struct{ input, line string }{
+		{nilVersionHistory, "line 1"},
+		{`{"index":0,"type":"ok","process":0,"value":[["r","x",1]]}` + "\n" + `{"index":1,"type":"ok","process":0,"value":[["r","x",-9223372036854775808]]}`, "line 2"},
+	} {
+		_, err := Decode(strings.NewReader(c.input), true)
+		if !errors.Is(err, op.ErrNilVersion) || !strings.Contains(err.Error(), c.line) {
+			t.Errorf("Decode: error %v, want op.ErrNilVersion on %s", err, c.line)
+		}
+		_, err = (&ChunkDecoder{Register: true}).Feed([]byte(c.input))
+		if !errors.Is(err, op.ErrNilVersion) || !strings.Contains(err.Error(), c.line) {
+			t.Errorf("ChunkDecoder: error %v, want op.ErrNilVersion on %s", err, c.line)
+		}
+	}
+	above := strings.ReplaceAll(nilVersionHistory, "-9223372036854775808", "-9223372036854775807")
+	h, err := Decode(strings.NewReader(above), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := h.Ops[1].Mops[0]; m.Arg != op.NilVersion+1 {
+		t.Errorf("wrote %d, want %d", m.Arg, op.NilVersion+1)
 	}
 }

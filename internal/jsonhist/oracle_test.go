@@ -1,7 +1,8 @@
 package jsonhist
 
 // This file preserves the package's previous encoding/json-based
-// decoder and encoder, verbatim, as a differential oracle for the
+// decoder and encoder, verbatim but for one rule added since (a register
+// value of op.NilVersion is refused), as a differential oracle for the
 // scan-first parser (scan.go) and the appender encoder (jsonhist.go):
 //
 //   - the scanner must accept exactly the lines the oracle accepts,
@@ -94,6 +95,9 @@ func oracleDecodeMop(rm json.RawMessage, register bool, t op.Type) (op.Mop, erro
 		if err := json.Unmarshal(parts[2], &arg); err != nil {
 			return op.Mop{}, fmt.Errorf("write argument: %w", err)
 		}
+		if fun == "w" && arg == op.NilVersion {
+			return op.Mop{}, fmt.Errorf("write argument: %w", op.ErrNilVersion)
+		}
 		switch fun {
 		case "append":
 			return op.Append(key, arg), nil
@@ -115,6 +119,9 @@ func oracleDecodeMop(rm json.RawMessage, register bool, t op.Type) (op.Mop, erro
 			var v int
 			if err := json.Unmarshal(parts[2], &v); err != nil {
 				return op.Mop{}, fmt.Errorf("register read value: %w", err)
+			}
+			if v == op.NilVersion {
+				return op.Mop{}, fmt.Errorf("register read value: %w", op.ErrNilVersion)
 			}
 			return op.ReadReg(key, v), nil
 		}

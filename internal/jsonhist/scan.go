@@ -47,7 +47,7 @@ const maxNestingDepth = 10000
 const maxKeyCache = 4096
 
 // keyEntry is one interned key and its trace: the buffer its list reads
-// in the current chunk share (see op.ShareList and chunk.release).
+// share (see op.ShareList) for as long as the parser keeps it.
 type keyEntry struct {
 	key   string
 	trace []int
@@ -61,10 +61,10 @@ var (
 	nameValue   = []byte("value")
 )
 
-// lineParser carries the per-chunk scratch space. One parser serves all
+// lineParser carries the parse scratch space. One parser serves all
 // lines of a chunk sequentially, so every line after the first parses
 // with (amortized) zero scratch allocations. It recycles with its chunk
-// through chunkPool.
+// through chunkPool, or serves every chunk of a ChunkDecoder.
 type lineParser struct {
 	buf      []byte
 	pos      int
@@ -473,6 +473,9 @@ func (p *lineParser) parseMop(span [2]int) (op.Mop, error) {
 			return op.Mop{F: f, Key: key}, nil
 		}
 		arg, err := p.parseInt()
+		if err == nil && f == op.FWrite && arg == op.NilVersion {
+			err = op.ErrNilVersion
+		}
 		if err != nil {
 			return op.Mop{}, fmt.Errorf("write argument: %w", err)
 		}
@@ -486,6 +489,9 @@ func (p *lineParser) parseMop(span [2]int) (op.Mop, error) {
 	}
 	if p.register {
 		v, err := p.parseInt()
+		if err == nil && v == op.NilVersion {
+			err = op.ErrNilVersion
+		}
 		if err != nil {
 			return op.Mop{}, fmt.Errorf("register read value: %w", err)
 		}

@@ -28,8 +28,7 @@ import (
 type StreamDecoder struct {
 	opts DecodeOpts
 	p    int
-	br   *bufio.Reader // the source, or nil when decoding data in place
-	data []byte        // what is left of an in-memory source
+	br   *bufio.Reader
 
 	line     int
 	readErr  error
@@ -53,19 +52,23 @@ func NewStreamDecoder(r io.Reader, opts DecodeOpts) *StreamDecoder {
 	}
 }
 
-// NewBytesDecoder returns a decoder over a history (or a chunk of one)
-// already in memory. It is NewStreamDecoder(bytes.NewReader(data), opts)
-// without the read buffer and without the copies: chunks are windows of
-// data, parsed where they lie. Nothing Next returns aliases data, but
-// data must not change until Next has returned an error (io.EOF
-// included).
-func NewBytesDecoder(data []byte, opts DecodeOpts) *StreamDecoder {
-	return &StreamDecoder{
-		opts:     opts,
-		p:        par.Procs(opts.Parallelism),
-		data:     data,
-		readDone: len(data) == 0,
-	}
+// ChunkDecoder decodes a JSON-lines history delivered as chunks of
+// whole lines, such as HTTP chunk uploads: the JSON counterpart of
+// binhist.ChunkDecoder. One parser serves every chunk, so a key is
+// interned once and its list reads share one trace across chunks. The
+// zero value is ready to use.
+type ChunkDecoder struct {
+	// Register selects register read decoding, as DecodeOpts.Register
+	// does. Set it before the first Feed.
+	Register bool
+	p        lineParser
+}
+
+// Feed decodes body's lines where they lie; nothing it returns aliases
+// body. An error names its line counting from body's first, and is
+// terminal for the stream.
+func (c *ChunkDecoder) Feed(body []byte) ([]op.Op, error) {
+	return parseLines(&c.p, body, 1, c.Register)
 }
 
 // Next returns the next chunk of decoded ops, in input order. It
@@ -134,18 +137,12 @@ func (d *StreamDecoder) chunkBytes() int {
 	return chunkTarget
 }
 
-// nextChunk gathers whole lines until the chunk target: copied out of
-// the reader, or as a window of the in-memory source.
+// nextChunk gathers whole lines from the reader until the chunk target.
 func (d *StreamDecoder) nextChunk() (*chunk, bool) {
 	c := chunkPool.Get().(*chunk)
 	c.firstLine = d.line + 1
-	c.ends = c.ends[:0]
-	if d.br != nil {
-		d.readChunk(c)
-	} else {
-		d.sliceChunk(c)
-	}
-	if len(c.ends) == 0 {
+	d.readChunk(c)
+	if len(c.buf) == 0 {
 		c.release()
 		return nil, false
 	}
@@ -176,7 +173,6 @@ func (d *StreamDecoder) readChunk(c *chunk) {
 				// A final unterminated line is still a line.
 				if len(c.buf) > lineStart {
 					d.line++
-					c.ends = append(c.ends, len(c.buf))
 				}
 			} else {
 				// Drop the truncated fragment: the read failure is the
@@ -189,27 +185,7 @@ func (d *StreamDecoder) readChunk(c *chunk) {
 			break
 		}
 		d.line++
-		c.ends = append(c.ends, len(c.buf))
 	}
-	c.text = c.buf
-}
-
-// sliceChunk is readChunk for an in-memory source: the same lines, but
-// c's text is a window of the source rather than a copy of it.
-func (d *StreamDecoder) sliceChunk(c *chunk) {
-	target := d.chunkBytes()
-	n := 0
-	for n < target && n < len(d.data) {
-		if nl := bytes.IndexByte(d.data[n:], '\n'); nl >= 0 {
-			n += nl + 1
-		} else {
-			n = len(d.data) // a final unterminated line is still a line
-		}
-		d.line++
-		c.ends = append(c.ends, n)
-	}
-	c.text, d.data = d.data[:n], d.data[n:]
-	d.readDone = len(d.data) == 0
 }
 
 // readRound gathers up to one worker's worth of chunks (one chunk when
@@ -287,19 +263,29 @@ func (d *StreamDecoder) parseChunk(c *chunk) parsed {
 	if c.parser == nil {
 		c.parser = new(lineParser)
 	}
-	out := make([]op.Op, 0, len(c.ends))
-	start := 0
-	for j, end := range c.ends {
-		text := c.text[start:end]
-		start = end
-		if len(trimSpace(text)) == 0 {
+	ops, err := parseLines(c.parser, c.buf, c.firstLine, d.opts.Register)
+	return parsed{ops: ops, err: err}
+}
+
+// parseLines decodes the lines of text, numbered from first, with p.
+// Blank lines are skipped; a final line without its newline is still a
+// line. An error names its line.
+func parseLines(p *lineParser, text []byte, first int, register bool) ([]op.Op, error) {
+	ops := make([]op.Op, 0, bytes.Count(text, []byte{'\n'})+1)
+	for line := first; len(text) > 0; line++ {
+		l := text
+		if nl := bytes.IndexByte(text, '\n'); nl >= 0 {
+			l = text[:nl+1]
+		}
+		text = text[len(l):]
+		if len(trimSpace(l)) == 0 {
 			continue
 		}
-		o, err := c.parser.parse(text, d.opts.Register)
+		o, err := p.parse(l, register)
 		if err != nil {
-			return parsed{err: fmt.Errorf("jsonhist: line %d: %w", c.firstLine+j, err)}
+			return nil, fmt.Errorf("jsonhist: line %d: %w", line, err)
 		}
-		out = append(out, o)
+		ops = append(ops, o)
 	}
-	return parsed{ops: out}
+	return ops, nil
 }

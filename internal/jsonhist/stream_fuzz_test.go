@@ -83,14 +83,58 @@ func drainStable(t *testing.T, d *StreamDecoder) ([]op.Op, error) {
 	}
 }
 
+// feedStable feeds input to d in chunks of whole lines, cutting after
+// each line of odd length, and returns the ops, and for a rejected line
+// its number in the whole input. Like drainStable it holds d to the
+// contract on shared lists: no list a Feed returned changes while later
+// chunks decode, though every chunk shares the decoder's traces.
+func feedStable(t *testing.T, d *ChunkDecoder, input string) ([]op.Op, int, error) {
+	t.Helper()
+	var ops []op.Op
+	var lists, want [][]int
+	defer func() {
+		for i, l := range lists {
+			if !slices.Equal(l, want[i]) {
+				t.Fatalf("list %d read %v when decoded, %v at the end", i, want[i], l)
+			}
+		}
+	}()
+	first, lines := 1, strings.SplitAfter(input, "\n")
+	for len(lines) > 0 && lines[0] != "" {
+		n := 1
+		for n < len(lines) && len(lines[n-1])%2 == 0 {
+			n++
+		}
+		chunk, err := d.Feed([]byte(strings.Join(lines[:n], "")))
+		if err != nil {
+			var line int
+			if _, serr := fmt.Sscanf(err.Error(), "jsonhist: line %d:", &line); serr != nil {
+				t.Fatalf("unparseable decode error %q", err)
+			}
+			return ops, first + line - 1, err
+		}
+		for _, o := range chunk {
+			for _, m := range o.Mops {
+				if len(m.List) > 0 {
+					lists, want = append(lists, m.List), append(want, slices.Clone(m.List))
+				}
+			}
+		}
+		ops = append(ops, chunk...)
+		first, lines = first+n, lines[n:]
+	}
+	return ops, 0, nil
+}
+
 // FuzzStreamDecoder holds three properties on arbitrary input: (1)
-// every tuning — sequential, tiny parallel chunks, tail mode, each from
-// a reader and in place — decodes the same ops and reports the same
-// first error as the plain sequential decode; (2) the scan-first parser
-// agrees with the preserved encoding/json oracle on acceptance, on the
-// decoded ops, and on which line is the first bad one (error *text* is
-// the scanner's own and is not compared); (3) under every tuning, no
-// list an earlier Next returned changes while the rest decodes.
+// every tuning — sequential, tiny parallel chunks, tail mode — decodes
+// the same ops and reports the same first error as the plain sequential
+// decode, and a ChunkDecoder fed the input split at line boundaries
+// decodes those ops too, or fails at the same first bad line; (2) the
+// scan-first parser agrees with the preserved encoding/json oracle on
+// acceptance, on the decoded ops, and on which line is the first bad
+// one (error *text* is the scanner's own and is not compared); (3) no
+// list an earlier Next or Feed returned changes while the rest decodes.
 func FuzzStreamDecoder(f *testing.F) {
 	f.Add("")
 	f.Add("\n\n")
@@ -160,15 +204,21 @@ func FuzzStreamDecoder(f *testing.F) {
 						opts, len(got), len(base))
 				}
 			}
-			// The in-place entry is the same decoder minus the reader.
-			for _, opts := range append(tunings, DecodeOpts{Register: register, Parallelism: 1}) {
-				got, err := drainStable(t, NewBytesDecoder([]byte(input), opts))
-				if fmt.Sprint(err) != fmt.Sprint(baseErr) {
-					t.Fatalf("in place, opts %+v: error %v, want %v", opts, err, baseErr)
+			// A job's chunks through one ChunkDecoder, cut after each
+			// line of odd length: the same ops, and the same first bad
+			// line, counted from its chunk's first.
+			got, line, err := feedStable(t, &ChunkDecoder{Register: register}, input)
+			if (err == nil) != (baseErr == nil) {
+				t.Fatalf("chunked: error %v, want %v", err, baseErr)
+			}
+			if err != nil {
+				var baseLine int
+				fmt.Sscanf(baseErr.Error(), "jsonhist: line %d:", &baseLine)
+				if line != baseLine {
+					t.Fatalf("chunked: first bad line %d (%v), want %d (%v)", line, err, baseLine, baseErr)
 				}
-				if err == nil && !reflect.DeepEqual(got, base) {
-					t.Fatalf("in place, opts %+v: decoded %d ops, want %d", opts, len(got), len(base))
-				}
+			} else if !reflect.DeepEqual(got, base) {
+				t.Fatalf("chunked: decoded %d ops, want %d", len(got), len(base))
 			}
 		}
 	})

@@ -124,10 +124,12 @@ func TestStreamDecoderBlankAndUnterminated(t *testing.T) {
 	}
 }
 
-// TestBytesDecoderMatchesReader holds the in-place entry to the reader
-// entry: same ops in the same rounds, same error text, same sticky end,
-// under every tuning — and the input comes back untouched.
-func TestBytesDecoderMatchesReader(t *testing.T) {
+// TestChunkDecoderMatchesReader: fed an input as one chunk, a
+// ChunkDecoder decodes the ops a StreamDecoder over a reader does, fails
+// with the same error, and leaves the input as it was; fed the same
+// input a line per chunk, it decodes the same ops, and an error names
+// line 1 of its chunk.
+func TestChunkDecoderMatchesReader(t *testing.T) {
 	line := func(i int) string {
 		return `{"index":` + itoa(i) + `,"type":"ok","process":0,"value":[["append","k",` + itoa(i) + `],["r","k",[1,2]]]}`
 	}
@@ -148,34 +150,33 @@ func TestBytesDecoderMatchesReader(t *testing.T) {
 		many.String() + `{"index":1,"type":"ok","value":[["r"]]}`,
 	}
 	for _, input := range inputs {
-		for _, opts := range []DecodeOpts{
-			{Parallelism: 1},
-			{Parallelism: 1, ChunkBytes: 1},
-			{Parallelism: 4, ChunkBytes: 128},
-			{Parallelism: 3, ChunkBytes: 1000},
-			{Parallelism: 4, Tail: true},
-		} {
-			data := []byte(input)
-			rd, bd := NewStreamDecoder(strings.NewReader(input), opts), NewBytesDecoder(data, opts)
-			for round := 0; ; round++ {
-				want, werr := rd.Next()
-				got, gerr := bd.Next()
-				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-					t.Fatalf("%+v, %d input bytes, round %d: error %v, reader's %v", opts, len(input), round, gerr, werr)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%+v, %d input bytes, round %d: %d ops, reader's %d", opts, len(input), round, len(got), len(want))
-				}
-				if werr != nil {
-					break
-				}
+		want, werr := drain(NewStreamDecoder(strings.NewReader(input), DecodeOpts{Parallelism: 1}))
+		data := []byte(input)
+		got, err := new(ChunkDecoder).Feed(data)
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("%d input bytes in one chunk: error %v, reader's %v", len(input), err, werr)
+		}
+		if err == nil && len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d input bytes in one chunk: %d ops, reader's %d", len(input), len(got), len(want))
+		}
+		if string(data) != input {
+			t.Fatalf("%d input bytes: decoding changed the input", len(input))
+		}
+
+		d := new(ChunkDecoder)
+		got, err = nil, nil
+		for _, l := range strings.SplitAfter(input, "\n") {
+			var ops []op.Op
+			if ops, err = d.Feed([]byte(l)); err != nil {
+				break
 			}
-			if _, err := bd.Next(); err == nil {
-				t.Fatalf("%+v: the end is not sticky", opts)
-			}
-			if string(data) != input {
-				t.Fatalf("%+v: decoding changed the input", opts)
-			}
+			got = append(got, ops...)
+		}
+		if (err == nil) != (werr == nil) || err != nil && !strings.HasPrefix(err.Error(), "jsonhist: line 1: ") {
+			t.Fatalf("%d input bytes a line per chunk: error %v, reader's %v", len(input), err, werr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d input bytes a line per chunk: %d ops, reader's %d", len(input), len(got), len(want))
 		}
 	}
 }
@@ -184,7 +185,7 @@ func TestBytesDecoderMatchesReader(t *testing.T) {
 // pool reaches Next's caller with its value, where recover contains it,
 // rather than ending the process on the round's own goroutine.
 func TestRoundPanicReachesNext(t *testing.T) {
-	d := NewBytesDecoder(nil, DecodeOpts{Parallelism: 2})
+	d := NewStreamDecoder(strings.NewReader(""), DecodeOpts{Parallelism: 2})
 	want := recovered(func() { d.parseChunk(nil) })
 	if want == nil {
 		t.Fatal("parsing a nil chunk did not panic")

@@ -23,9 +23,9 @@ import (
 // deltas); Scan only drains the components the new edges dirtied and
 // re-searches them for new cycle witnesses.
 //
-// Finish hands the maintained state to the same phase sequence Analyze
-// runs (analyzer.finish), so its Analysis is byte-identical to Analyze
-// over the concatenated chunks.
+// Finish hands the maintained state and graph to the same phase
+// sequence Analyze runs (analyzer.finish), so its Analysis is
+// byte-identical to Analyze over the concatenated chunks.
 type stream struct {
 	a *analyzer // a.keyst is the per-key maintained state
 
@@ -261,10 +261,17 @@ func (s *stream) Retire(keys []history.KeyID) {
 }
 
 // Finish runs the shared phase sequence over the maintained state. The
-// version orders are the maintained ones; the checks whose evidence is
-// inherently global (garbage reads, G1a/G1b against the final writer
-// index, dirty and lost updates) run over the whole history there, each
-// read costing one comparison against its key's trace.
+// version orders are the maintained ones, and so is the graph unless
+// evidence was retracted since the last scan: it holds exactly the edges
+// keyEdges infers. The component index over it goes. The checks whose
+// evidence is inherently global (garbage reads, G1a/G1b against the
+// final writer index, dirty and lost updates) run over the whole history
+// there, each read costing one comparison against its key's trace.
 func (s *stream) Finish(h *history.History) workload.Analysis {
-	return s.a.finish(h)
+	var g *graph.Graph
+	if !s.poisoned {
+		g = s.incr.Graph()
+	}
+	s.incr = nil
+	return s.a.finish(h, g)
 }

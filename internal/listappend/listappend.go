@@ -313,7 +313,7 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 			}
 		}
 	})
-	return a.finish(h)
+	return a.finish(h, nil)
 }
 
 // versionOrders returns each key's trace, indexed by KeyID: the version
@@ -344,11 +344,12 @@ func (a *analyzer) tracedKeys() []history.KeyID {
 // Analyze and the streaming session's Finish so the two agree by
 // construction: over the per-key state addOp and observe built it derives
 // each traced key's per-position facts, runs the per-transaction checks,
-// feeds each key's dependency edges straight into the graph in key-name
-// order, and ends with the checks that need the final write indices and
-// version orders. The per-key state is complete before the first
-// per-transaction fan-out and immutable from then on.
-func (a *analyzer) finish(h *history.History) workload.Analysis {
+// feeds each key's dependency edges straight into a new graph in key-name
+// order unless g (a session's) holds them already, and ends with the
+// checks that need the final write indices and version orders. The
+// per-key state is complete before the first per-transaction fan-out
+// and immutable from then on.
+func (a *analyzer) finish(h *history.History, g *graph.Graph) workload.Analysis {
 	p, keys := a.opts.Parallelism, a.tracedKeys()
 	a.ops, a.h, a.oks = h, h, h.OKPositions()
 	a.markCrashed(h)
@@ -369,12 +370,15 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 
 	// Every transaction that may have committed is a vertex, even if it
 	// has no edges; cycle search ignores isolated vertices.
-	g := graph.New()
+	fresh := g == nil
+	if fresh {
+		g = graph.New()
+	}
 	for i := range a.oks {
 		g.Ensure(a.ok(i).Index)
 	}
-	for _, k := range keys {
-		keyEdges(a.keyst[k], g.AddEdge)
+	for i := 0; fresh && i < len(keys); i++ {
+		keyEdges(a.keyst[keys[i]], g.AddEdge)
 	}
 
 	a.finishAnomalies(keys)

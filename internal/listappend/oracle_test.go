@@ -1,6 +1,7 @@
 package listappend
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -195,5 +196,75 @@ func TestScanExplainsOnlyNewCycles(t *testing.T) {
 	}
 	if surfaced < 20 || st.explained != surfaced {
 		t.Errorf("Scan explained %d cycles and surfaced %d", st.explained, surfaced)
+	}
+}
+
+// TestFinishAdoptsSessionGraph pins what Finish keeps: a session that is
+// not waiting on a rebuild hands finish the graph it maintained, and
+// drops the component index over it; one poisoned after its last scan
+// hands over nothing, and finish builds the graph by the batch rules.
+// Either way the edges are batch's.
+func TestFinishAdoptsSessionGraph(t *testing.T) {
+	clean := memdb.Run(memdb.RunConfig{
+		Clients: 5, Txns: 500, Isolation: memdb.StrictSerializable,
+		Source: gen.New(gen.Config{ActiveKeys: 5, MaxWritesPerKey: 50}, 2), Seed: 2,
+		Workload: memdb.WorkloadList,
+	}).Ops
+	// A last transaction appending an element already appended: a
+	// duplicate append, which retracts its writer's edges.
+	var dup op.Mop
+	for _, o := range clean {
+		if o.Type == op.OK && o.Mops[0].F == op.FAppend {
+			dup = o.Mops[0]
+			break
+		}
+	}
+	last := clean[len(clean)-1].Index
+	poisoned := append(slices.Clone(clean),
+		op.Op{Index: last + 1, Process: 99, Type: op.Invoke, Mops: []op.Mop{dup}},
+		op.Op{Index: last + 2, Process: 99, Type: op.OK, Mops: []op.Mop{dup}})
+
+	edges := func(g *graph.Graph) map[graph.Edge]bool {
+		out := map[graph.Edge]bool{}
+		for _, a := range g.Nodes() {
+			g.Out(a, graph.KSDep, func(b int, label graph.KindSet) {
+				for _, k := range label.Kinds() {
+					out[graph.Edge{From: a, To: b, Kind: k}] = true
+				}
+			})
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name  string
+		ops   []op.Op
+		adopt bool
+	}{{"clean", clean, true}, {"poisoned", poisoned, false}} {
+		var st *stream
+		s := workload.BeginSession(hookedInfo(t, func(s *stream) workload.Hooks { st = s; return s }), workload.Opts{Parallelism: 1})
+		if _, err := s.Feed(c.ops[:len(clean)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Feed(c.ops[len(clean):]); err != nil {
+			t.Fatal(err)
+		}
+		if st.poisoned == c.adopt {
+			t.Fatalf("%s: poisoned is %v before Finish", c.name, st.poisoned)
+		}
+		maintained := st.incr.Graph()
+		fin, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (fin.Graph == maintained) != c.adopt {
+			t.Errorf("%s: Finish took the session's graph over: %v, want %v", c.name, fin.Graph == maintained, c.adopt)
+		}
+		if st.incr != nil {
+			t.Errorf("%s: the component index outlives Finish", c.name)
+		}
+		batch := Analyze(history.MustNew(c.ops), workload.Opts{Parallelism: 1})
+		if got, want := edges(fin.Graph), edges(batch.Graph); !maps.Equal(got, want) {
+			t.Errorf("%s: Finish's graph has %d edges, batch's %d", c.name, len(got), len(want))
+		}
 	}
 }

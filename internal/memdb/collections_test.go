@@ -170,7 +170,8 @@ func TestRunnerSetWorkload(t *testing.T) {
 		Clients: 3, Txns: 3, Isolation: Serializable, Source: src,
 		Seed: 4, Workload: WorkloadSet,
 	})
-	for _, o := range h.OKs() {
+	for _, pos := range h.OKPositions() {
+		o := h.Ops[pos]
 		for _, m := range o.Mops {
 			if m.F == op.FRead && !m.ListKnown() {
 				t.Fatalf("set read unknown in ok op: %v", o)
@@ -189,7 +190,8 @@ func TestRunnerCounterWorkload(t *testing.T) {
 		Clients: 2, Txns: 4, Isolation: Serializable, Source: src,
 		Seed: 4, Workload: WorkloadCounter,
 	})
-	for _, o := range h.OKs() {
+	for _, pos := range h.OKPositions() {
+		o := h.Ops[pos]
 		for _, m := range o.Mops {
 			if m.F == op.FRead && !m.RegKnown {
 				t.Fatalf("counter read unknown in ok op: %v", o)

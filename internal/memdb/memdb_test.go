@@ -439,7 +439,8 @@ func TestBankRunConservesMoney(t *testing.T) {
 		if want := 4 * 100; total != want {
 			t.Fatalf("seed %d: final total %d, want %d", seed, total, want)
 		}
-		for _, o := range h.OKs() {
+		for _, pos := range h.OKPositions() {
+			o := h.Ops[pos]
 			for _, m := range o.Mops {
 				if m.F == op.FWrite && m.Arg < 0 {
 					t.Fatalf("seed %d: committed %s recorded a delta, not a balance: %v",

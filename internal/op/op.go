@@ -130,8 +130,13 @@ func ReadNil(key string) Mop {
 // NilVersion is a register's initial version as a value: the version
 // no write installs, which every inferred version order puts first
 // (§5.2). It sorts below every written value; a register value of
-// math.MinInt64 cannot be told apart from it.
+// math.MinInt64 could not be told apart from it, so both history
+// decoders refuse one with ErrNilVersion.
 const NilVersion = math.MinInt64
+
+// ErrNilVersion is the decoders' error for a register write or read of
+// NilVersion's value.
+var ErrNilVersion = fmt.Errorf("register value %d is reserved for the initial version", NilVersion)
 
 // Version returns the register version a known read observed:
 // NilVersion for the initial version, else Reg.

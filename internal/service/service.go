@@ -436,10 +436,10 @@ type job struct {
 	// formats within one job is refused — an ellebin decoder mid-record
 	// cannot make sense of JSON bytes, and vice versa.
 	format string
-	// bin carries ellebin decode state — the key dictionary and any
-	// partial trailing record — across chunk uploads, which is what lets
-	// clients split the stream at arbitrary byte offsets.
-	bin *binhist.ChunkDecoder
+	// dec carries decode state across chunk uploads: interned keys, the
+	// traces a key's list reads share, and for ellebin any partial
+	// trailing record, which lets clients split at any byte offset.
+	dec interface{ Feed([]byte) ([]op.Op, error) }
 }
 
 func (j *job) touch()             { j.active.Store(time.Now().UnixNano()) }
@@ -724,7 +724,7 @@ func (s *Service) handleChunk(w http.ResponseWriter, r *http.Request) {
 	// j.mu — across a network read. It also means an oversized chunk is
 	// always refused before the stream sees a byte, so the job survives
 	// and the client can re-split and resend.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxChunkBytes))
+	body, err := readBody(w, r, s.cfg.MaxChunkBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -755,6 +755,17 @@ func (s *Service) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, delta)
+}
+
+// readBody reads a chunk body of at most limit bytes, into one buffer of
+// its declared Content-Length when it has one.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength < 0 {
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	buf := make([]byte, r.ContentLength) // the caller refused one over limit
+	_, err := io.ReadFull(r.Body, buf)
+	return buf, err
 }
 
 // ingestChunk runs processChunk as a task on j's home shard — its
@@ -805,9 +816,13 @@ func (s *Service) processChunk(j *job, format string, body []byte, delta *deltaJ
 		before := j.wal.Size()
 		if err := j.wal.AppendChunk(wf, body); err != nil {
 			// The chunk is not journaled, so it must not be fed: replay
-			// would silently drop it. The job survives; the client retries.
-			return http.StatusInternalServerError, CodeWALWrite,
-				fmt.Sprintf("journaling chunk failed: %v", err)
+			// would silently drop it. The job survives and the client
+			// retries, unless the journal still holds part of the chunk.
+			err = fmt.Errorf("journaling chunk failed: %v", err)
+			if j.wal.Size() != before {
+				j.fail(err)
+			}
+			return http.StatusInternalServerError, CodeWALWrite, err.Error()
 		}
 		s.met.walAppends.Inc()
 		s.met.walBytes.Add(int(j.wal.Size() - before))
@@ -837,35 +852,19 @@ func (s *Service) processChunk(j *job, format string, body []byte, delta *deltaJ
 // too instead of the restart. Callers hold j.mu.
 func (j *job) ingestLocked(format string, body []byte, delta *deltaJSON) (err error) {
 	defer j.contain(&err)
-	if format == formatBinary {
-		if j.bin == nil {
-			j.bin = new(binhist.ChunkDecoder)
-		}
-		ops, err := j.bin.Feed(body)
-		if err != nil {
-			j.fail(err)
-			return err
-		}
-		return j.feedLocked(ops, delta)
-	}
-	dec := jsonhist.NewBytesDecoder(body, jsonhist.DecodeOpts{
-		Register:    j.info.RegisterReads,
-		Parallelism: j.opts.Parallelism,
-	})
-	for {
-		ops, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			j.fail(err)
-			return err
-		}
-		if err := j.feedLocked(ops, delta); err != nil {
-			return err
+	if j.dec == nil {
+		if format == formatBinary {
+			j.dec = new(binhist.ChunkDecoder)
+		} else {
+			j.dec = &jsonhist.ChunkDecoder{Register: j.info.RegisterReads}
 		}
 	}
-	return nil
+	ops, err := j.dec.Feed(body)
+	if err != nil {
+		j.fail(err)
+		return err
+	}
+	return j.feedLocked(ops, delta)
 }
 
 // Chunk upload formats, fixed per job by its first chunk.
@@ -967,8 +966,8 @@ func (j *job) finalizeLocked() (err error) {
 	if j.state != stateAccepting {
 		return nil
 	}
-	if j.bin != nil {
-		if err := j.bin.Close(); err != nil {
+	if c, ok := j.dec.(io.Closer); ok { // an ellebin decoder
+		if err := c.Close(); err != nil {
 			j.fail(err)
 			return fmt.Errorf("job failed: %s", j.errMsg)
 		}

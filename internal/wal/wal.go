@@ -147,11 +147,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// file is what a Journal needs of its open file: an *os.File, or in
+// tests one that fails a write or an fsync on cue.
+type file interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// openFile opens a journal's file for appending; tests wrap what it
+// returns.
+var openFile = func(path string, flag int) (file, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // A Journal is one job's open write handle. Methods are safe for a
 // single writer; the service serializes appends per job anyway.
 type Journal struct {
 	path     string
-	f        *os.File
+	f        file
 	opts     Options
 	size     int64
 	lastSync time.Time
@@ -170,7 +189,7 @@ func (j *Journal) Size() int64 { return j.size }
 // survives a crash immediately after creation.
 func Create(dir string, opts Options, meta Meta) (*Journal, error) {
 	path := filepath.Join(dir, meta.ID+".wal")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := openFile(path, os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return nil, err
 	}
@@ -203,20 +222,26 @@ func Create(dir string, opts Options, meta Meta) (*Journal, error) {
 // AppendChunk journals one accepted chunk body in its upload format,
 // fsyncing per the journal's mode. It must be called before the chunk
 // is fed to the job's session: the durability contract is "acked ⇒
-// journaled", and feeding first would invert it.
+// journaled", and feeding first would invert it. A failed append — a
+// short write, or a failed fsync after a full one — is undone: the file
+// is truncated back to its size before the call, so a retried chunk is
+// journaled once and no torn frame sits mid-file. If the truncation
+// fails too, Size still counts the bytes the file holds, and the
+// journal is not fit for further appends.
 func (j *Journal) AppendChunk(format byte, body []byte) error {
-	if err := j.appendRecord(recChunk, format, body); err != nil {
-		return err
+	before := j.size
+	err := j.appendRecord(recChunk, format, body)
+	if err == nil && (j.opts.Mode == SyncAlways ||
+		j.opts.Mode == SyncInterval && time.Since(j.lastSync) >= j.opts.Interval) {
+		err = j.Sync()
 	}
-	switch j.opts.Mode {
-	case SyncAlways:
-		return j.Sync()
-	case SyncInterval:
-		if time.Since(j.lastSync) >= j.opts.Interval {
-			return j.Sync()
+	if err != nil && j.size != before {
+		if terr := j.f.Truncate(before); terr != nil {
+			return fmt.Errorf("%w; undoing the append failed too: %v", err, terr)
 		}
+		j.size = before
 	}
-	return nil
+	return err
 }
 
 // appendRecord writes one length-prefixed record. format is prepended
@@ -380,7 +405,7 @@ func (r *Replayed) OpenAppend(opts Options) (*Journal, error) {
 			return nil, err
 		}
 	}
-	f, err := os.OpenFile(r.Path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openFile(r.Path, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -266,6 +268,161 @@ func TestSizeTracksBytes(t *testing.T) {
 	if j.Size() != fi.Size() {
 		t.Fatalf("Size() = %d, file is %d", j.Size(), fi.Size())
 	}
+}
+
+// faults arms failures on the files journals open while a test runs
+// (see injectFaults). Each failure fires once, except a failing
+// Truncate, which stays armed.
+type faults struct {
+	mu       sync.Mutex
+	short    int  // >= 0: the next Write writes this many bytes, then fails
+	sync     bool // the next Sync fails
+	truncate bool // every Truncate fails
+}
+
+var errInjected = errors.New("injected fault")
+
+// FailNextWrite makes the next Write write its first n bytes and fail.
+func (f *faults) FailNextWrite(n int) { f.mu.Lock(); f.short = n; f.mu.Unlock() }
+
+// FailNextSync makes the next Sync fail.
+func (f *faults) FailNextSync() { f.mu.Lock(); f.sync = true; f.mu.Unlock() }
+
+// FailTruncate makes every Truncate fail.
+func (f *faults) FailTruncate() { f.mu.Lock(); f.truncate = true; f.mu.Unlock() }
+
+// faultyFile is a journal file that fails as its faults say.
+type faultyFile struct {
+	*os.File
+	f *faults
+}
+
+func (ff faultyFile) Write(b []byte) (int, error) {
+	ff.f.mu.Lock()
+	n := ff.f.short
+	ff.f.short = -1
+	ff.f.mu.Unlock()
+	if n < 0 {
+		return ff.File.Write(b)
+	}
+	w, _ := ff.File.Write(b[:min(n, len(b))])
+	return w, errInjected
+}
+
+func (ff faultyFile) Sync() error {
+	ff.f.mu.Lock()
+	fail := ff.f.sync
+	ff.f.sync = false
+	ff.f.mu.Unlock()
+	if fail {
+		return errInjected
+	}
+	return ff.File.Sync()
+}
+
+func (ff faultyFile) Truncate(size int64) error {
+	ff.f.mu.Lock()
+	fail := ff.f.truncate
+	ff.f.mu.Unlock()
+	if fail {
+		return errInjected
+	}
+	return ff.File.Truncate(size)
+}
+
+// injectFaults wraps every file a journal opens until the test ends in
+// a faultyFile, and returns the faults they share, none armed.
+func injectFaults(t testing.TB) *faults {
+	fs := &faults{short: -1}
+	prev := openFile
+	openFile = func(path string, flag int) (file, error) {
+		f, err := prev(path, flag)
+		if err != nil {
+			return nil, err
+		}
+		return faultyFile{f.(*os.File), fs}, nil
+	}
+	t.Cleanup(func() { openFile = prev })
+	return fs
+}
+
+// TestFailedAppendLeavesNothing: an append that fails — a short write,
+// a write that wrote nothing, or an fsync after a full write — leaves
+// Size, the file's bytes and what ReadFile replays exactly as they were
+// before it, so the retried chunk is journaled once. A rollback that
+// fails too is reported, and Size counts what the file then holds.
+func TestFailedAppendLeavesNothing(t *testing.T) {
+	chunks := [][]byte{[]byte("line one\n"), []byte("line two\nline three\n")}
+	for _, c := range []struct {
+		name string
+		arm  func(*faults)
+	}{
+		{"short-write", func(f *faults) { f.FailNextWrite(5) }},
+		{"empty-write", func(f *faults) { f.FailNextWrite(0) }},
+		{"sync-after-full-write", func(f *faults) { f.FailNextSync() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := injectFaults(t)
+			j, err := Create(t.TempDir(), Options{Mode: SyncAlways}, testMeta("j1", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if err := j.AppendChunk(FormatJSON, chunks[0]); err != nil {
+				t.Fatal(err)
+			}
+			size := j.Size()
+			raw, _ := os.ReadFile(j.Path())
+			c.arm(fs)
+			if err := j.AppendChunk(FormatBinary, chunks[1]); !errors.Is(err, errInjected) {
+				t.Fatalf("failed append returned %v", err)
+			}
+			after, _ := os.ReadFile(j.Path())
+			if j.Size() != size || !bytes.Equal(after, raw) {
+				t.Fatalf("after the failure Size is %d and the file %d bytes, want both %d", j.Size(), len(after), size)
+			}
+			r, err := ReadFile(j.Path())
+			if err != nil || r.Torn != 0 || len(r.Chunks) != 1 {
+				t.Fatalf("replay after the failure: %+v, %v", r, err)
+			}
+			// The retry, and a chunk after it, each replay once.
+			if err := j.AppendChunk(FormatJSON, chunks[1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.AppendChunk(FormatJSON, chunks[0]); err != nil {
+				t.Fatal(err)
+			}
+			r, err = ReadFile(j.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []Chunk{{FormatJSON, chunks[0]}, {FormatJSON, chunks[1]}, {FormatJSON, chunks[0]}}
+			if r.Torn != 0 || !reflect.DeepEqual(r.Chunks, want) {
+				t.Fatalf("replay after the retry: %q, torn %d", r.Chunks, r.Torn)
+			}
+		})
+	}
+	t.Run("rollback-fails", func(t *testing.T) {
+		fs := injectFaults(t)
+		j, err := Create(t.TempDir(), Options{Mode: SyncAlways}, testMeta("j1", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		size := j.Size()
+		fs.FailNextSync()
+		fs.FailTruncate()
+		if err := j.AppendChunk(FormatJSON, chunks[0]); !errors.Is(err, errInjected) {
+			t.Fatalf("failed append returned %v", err)
+		}
+		fi, err := os.Stat(j.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Size() == size || j.Size() != fi.Size() {
+			t.Fatalf("after a failed rollback Size is %d, the file %d bytes; before the append %d", j.Size(), fi.Size(), size)
+		}
+	})
 }
 
 // FuzzReadFile holds replay to its contract on three kinds of input.
