@@ -270,8 +270,10 @@ func BenchmarkAblationWritesPerKey(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRegisterRules isolates the cost of each §5.2 register
-// inference rule on the same history.
+// BenchmarkAblationRegisterRules isolates the cost of the §5.2 register
+// inference at each per-key claim on the same history: the initial-state
+// and writes-follow-reads rules always run, session order joins them
+// under SequentialKeys, and real time under LinearizableKeys.
 func BenchmarkAblationRegisterRules(b *testing.B) {
 	g := gen.New(gen.Config{Workload: gen.Register, ActiveKeys: 10, MaxWritesPerKey: 50}, 2)
 	h := memdb.Run(memdb.RunConfig{
@@ -282,10 +284,9 @@ func BenchmarkAblationRegisterRules(b *testing.B) {
 		name string
 		opts workload.Opts
 	}{
-		{"init-only", workload.Opts{InitialState: true}},
-		{"init+wfr", workload.Opts{InitialState: true, WritesFollowReads: true}},
-		{"init+wfr+seq", workload.Opts{InitialState: true, WritesFollowReads: true, SequentialKeys: true}},
-		{"all", workload.DefaultOpts()},
+		{"init+wfr", workload.Opts{}},
+		{"init+wfr+seq", workload.Opts{KeyConsistency: workload.SequentialKeys}},
+		{"all", workload.Opts{KeyConsistency: workload.LinearizableKeys}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

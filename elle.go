@@ -107,11 +107,16 @@ var (
 // Checking.
 type (
 	// CheckOpts configures a check. Its Model alone decides the orders
-	// added to the dependency graph: process order under the
-	// strong-session and strict models, real time under strict
-	// serializability. See OptsFor for the inference options each model
-	// makes sound.
+	// added to the dependency graph and the per-key claim inference
+	// rests on: process order and SequentialKeys under the
+	// strong-session and strict models, real time and LinearizableKeys
+	// under strict serializability. Set KeyConsistency to state a
+	// stronger per-key claim the database makes beyond its model.
 	CheckOpts = core.Opts
+	// KeyConsistency is a per-key claim version-order inference may
+	// rest on: none (the zero value), SequentialKeys, or
+	// LinearizableKeys, each implying the ones below it.
+	KeyConsistency = workload.KeyConsistency
 	// CheckResult is a check's outcome: verdict, anomalies with
 	// explanations, and the violated / surviving consistency models.
 	CheckResult = core.CheckResult
@@ -194,8 +199,14 @@ type (
 // it does from Check.
 func CheckStream(opts CheckOpts) *Stream { return core.CheckStream(opts) }
 
-// OptsFor returns the options the paper's methodology implies for
-// checking workload w against claimed model m.
+// Per-key claims, weakest to strongest.
+const (
+	SequentialKeys   = workload.SequentialKeys
+	LinearizableKeys = workload.LinearizableKeys
+)
+
+// OptsFor returns CheckOpts{Workload: w, Model: m} with the defaults
+// Check fills in already filled, the model's per-key claim among them.
 func OptsFor(w Workload, m Model) CheckOpts { return core.OptsFor(w, m) }
 
 // The checking service.

@@ -41,7 +41,7 @@ func TestFacadeGenerateAndCheck(t *testing.T) {
 		Seed:      9,
 	})
 	opts := elle.OptsFor(elle.ListAppend, elle.SnapshotIsolation)
-	opts.DetectLostUpdates = true
+	opts.KeyConsistency = elle.LinearizableKeys
 	res := elle.Check(h, opts)
 	if res.Valid {
 		t.Fatal("retry-faulted SI engine passed its SI claim")

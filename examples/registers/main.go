@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/memdb"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -42,11 +43,10 @@ func main() {
 		Workload:  memdb.WorkloadRegister,
 	})
 
-	opts := core.OptsFor(core.Register, consistency.SnapshotIsolation)
 	// Dgraph claims per-key linearizability on top of SI, so real-time
 	// and per-process version inference are sound against its claims.
-	opts.LinearizableKeys = true
-	opts.SequentialKeys = true
+	opts := core.Opts{Workload: core.Register, Model: consistency.SnapshotIsolation}
+	opts.KeyConsistency = workload.LinearizableKeys
 	res := core.Check(h, opts)
 
 	fmt.Print(res.Summary())

@@ -100,8 +100,7 @@ func (a *analyzer) ok(i int) op.Op { return a.h.Ops[a.oks[i]] }
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
 
 // Analyze infers dependencies and checks invariants for a bank history.
-// Of the shared options it consumes Parallelism, WritesFollowReads
-// (gating overwrite-derived ww/rw edges), and BankTotal.
+// Of the shared options it consumes Parallelism and BankTotal.
 func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	return newAnalyzer(h, opts).run(h)
 }
@@ -401,7 +400,7 @@ func (a *analyzer) keyEdges(k history.KeyID) ([][2]int, []graph.Edge) {
 			seenVer[ve] = true
 			verEdges = append(verEdges, ve)
 		}
-		if !a.opts.WritesFollowReads || a.unknowable[k] {
+		if a.unknowable[k] {
 			continue
 		}
 		if !a.provenCommitted(k, ow) {

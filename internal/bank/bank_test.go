@@ -44,7 +44,7 @@ func deposit(index int) op.Op {
 }
 
 func TestCleanTransferHistory(t *testing.T) {
-	b, a := run(t, workload.DefaultOpts(),
+	b, a := run(t, workload.Opts{},
 		deposit(0),
 		// Transfer 5 from a to b.
 		op.Txn(1, 1, op.OK,
@@ -73,7 +73,7 @@ func TestCleanTransferHistory(t *testing.T) {
 }
 
 func TestTotalMismatchAndReadSkew(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{},
 		deposit(0),
 		op.Txn(1, 1, op.OK,
 			op.ReadReg("a", 100), op.ReadReg("b", 100),
@@ -92,7 +92,7 @@ func TestTotalMismatchAndReadSkew(t *testing.T) {
 }
 
 func TestNegativeBalance(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{},
 		deposit(0),
 		op.Txn(1, 1, op.OK,
 			op.ReadReg("a", 100), op.ReadReg("b", 100),
@@ -104,7 +104,7 @@ func TestNegativeBalance(t *testing.T) {
 }
 
 func TestGarbageBalance(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{},
 		deposit(0),
 		op.Txn(1, 1, op.OK, op.ReadReg("a", 42), op.ReadReg("b", 100)),
 	)
@@ -114,7 +114,7 @@ func TestGarbageBalance(t *testing.T) {
 }
 
 func TestInternalInconsistency(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{},
 		deposit(0),
 		op.Txn(1, 1, op.OK, op.ReadReg("a", 100), op.ReadReg("a", 95)),
 	)
@@ -124,7 +124,7 @@ func TestInternalInconsistency(t *testing.T) {
 }
 
 func TestBankTotalOverride(t *testing.T) {
-	opts := workload.DefaultOpts()
+	opts := workload.Opts{}
 	opts.BankTotal = 200
 	// No opening deposit in the history; the invariant comes from opts.
 	b, a := run(t, opts,
@@ -143,7 +143,7 @@ func TestBankTotalOverride(t *testing.T) {
 // bank histories (a random walk revisits values); they must disable
 // inference for those versions, not raise duplicate-write anomalies.
 func TestDuplicateBalancesStayQuiet(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{},
 		deposit(0),
 		// a: 100 -> 95 -> 100 — balance 100 written twice overall.
 		op.Txn(1, 1, op.OK,
@@ -165,7 +165,7 @@ func TestDuplicateBalancesStayQuiet(t *testing.T) {
 // TestFailedTransfersIgnored: a failed transfer's write mops carry
 // unresolved deltas; they must not be indexed as balances.
 func TestFailedTransfersIgnored(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{},
 		deposit(0),
 		// A failed transfer whose template delta (+3) collides with a
 		// plausible balance value.
@@ -192,7 +192,7 @@ func transferInvoke(index, p int, from, to string, amt int) op.Op {
 // completed may have taken effect, and the balances it installed are
 // unknowable, so reading them is not garbage.
 func TestCrashedTransferIsNotGarbage(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{},
 		invoke(0, 0, op.Write("a", 10), op.Write("b", 10)),
 		op.Txn(1, 0, op.OK, op.Write("a", 10), op.Write("b", 10)),
 		transferInvoke(2, 1, "a", "b", 3),
@@ -208,7 +208,7 @@ func TestCrashedTransferIsNotGarbage(t *testing.T) {
 // balance another transfer also wrote, so on an account it wrote no
 // balance names its writer — no wr, ww or rw edge comes from them.
 func TestCrashedTransferSeedsNoEdges(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{},
 		invoke(0, 0, op.Write("a", 10), op.Write("b", 10)),
 		op.Txn(1, 0, op.OK, op.Write("a", 10), op.Write("b", 10)),
 		// a: 10 -> 7 -> 10, then the crashed transfer takes it to 7 again.
@@ -231,7 +231,7 @@ func TestCrashedTransferSeedsNoEdges(t *testing.T) {
 // TestExplainerRendersBankCycle: a lost-update pair produces a cycle the
 // explainer can justify with balance witnesses.
 func TestExplainerRendersBankCycle(t *testing.T) {
-	an := analyze(t, workload.DefaultOpts(),
+	an := analyze(t, workload.Opts{},
 		deposit(0),
 		// Two transfers both resolve against the deposit's a=100: the
 		// second erases the first (lost update).

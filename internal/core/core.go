@@ -60,9 +60,12 @@ type Opts struct {
 	Workload Workload
 	// Model is the consistency model the database under test claims.
 	// Default: strict-serializable. It alone decides the §5.1 orders
-	// added to the dependency graph before cycle search: per-process
-	// session order under the strong-session and strict models, and
-	// real-time precedence under strict serializability.
+	// added to the dependency graph before cycle search, and the
+	// per-key claim version-order inference rests on: per-process
+	// session order and SequentialKeys under the strong-session and
+	// strict models, real-time precedence and LinearizableKeys under
+	// strict serializability. Opts.KeyConsistency can only raise the
+	// claim.
 	Model consistency.Model
 	// TimestampEdges adds the order the database's own claimed
 	// transaction timestamps imply (carried in Op.Time, §5.1) to the
@@ -70,7 +73,7 @@ type Opts struct {
 	// exposes start/commit timestamps; off by default.
 	TimestampEdges bool
 	// Opts carries the analyzer options shared by every workload —
-	// inference rules, workload parameters, and Parallelism, which caps
+	// the per-key claim, workload parameters, and Parallelism, which caps
 	// the worker pools used throughout the check: per-key dependency
 	// inference, per-transaction anomaly checks, per-SCC cycle search,
 	// and explanation rendering. Values <= 0 mean one worker per CPU
@@ -81,22 +84,12 @@ type Opts struct {
 	workload.Opts
 }
 
-// OptsFor returns the options the paper's methodology implies for
-// checking workload w against model m: lost-update detection for strict
-// models, and the register inference rules the model makes sound: the
-// initial-state and writes-follow-reads rules always, sequential keys
-// only where sessions are guaranteed (strong-session and strict models),
-// linearizable keys only for strict ones. A caller that knows the
-// database claims per-key linearizability may enable both key rules on
-// top of a weaker model. The orders the model implies (see Opts.Model)
-// are added whatever the other options say.
+// OptsFor returns the options for checking workload w against model m:
+// Opts{Workload: w, Model: m} with the defaults Check fills in already
+// filled, so a caller that hands opts.Opts straight to an analyzer gets
+// the per-key claim the model implies (see Opts.Model).
 func OptsFor(w Workload, m consistency.Model) Opts {
-	strict, session := orders(m)
-	wo := workload.DefaultOpts()
-	wo.LinearizableKeys = strict
-	wo.SequentialKeys = session
-	wo.DetectLostUpdates = strict
-	return Opts{Workload: w, Model: m, Opts: wo}
+	return Opts{Workload: w, Model: m}.withDefaults()
 }
 
 // orders reports which of the §5.1 orders model m implies: real time
@@ -110,12 +103,23 @@ func orders(m consistency.Model) (realtime, process bool) {
 	return realtime, process
 }
 
+// withDefaults fills in the default workload and model, and raises the
+// per-key claim to what the model implies: a model that orders
+// transactions in real time orders each key's versions so too, and one
+// that orders each session orders its view of every key.
 func (o Opts) withDefaults() Opts {
 	if o.Model == "" {
 		o.Model = consistency.StrictSerializable
 	}
 	if o.Workload == "" {
 		o.Workload = ListAppend
+	}
+	realtime, process := orders(o.Model)
+	if process {
+		o.KeyConsistency = max(o.KeyConsistency, workload.SequentialKeys)
+	}
+	if realtime {
+		o.KeyConsistency = workload.LinearizableKeys
 	}
 	return o
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
+	"repro/internal/workload"
 )
 
 func TestCleanHistoryValid(t *testing.T) {
@@ -233,11 +234,16 @@ func TestOptsForModels(t *testing.T) {
 			t.Errorf("%s without OptsFor: orders %v, want %v", m, got, want)
 		}
 	}
-	if !OptsFor(ListAppend, consistency.StrictSerializable).DetectLostUpdates {
-		t.Error("strict opts should detect lost updates")
-	}
-	if !OptsFor(Register, consistency.StrictSerializable).LinearizableKeys {
-		t.Error("strict register opts should enable linearizable keys")
+	for m, want := range map[consistency.Model]workload.KeyConsistency{
+		consistency.StrictSerializable:  workload.LinearizableKeys,
+		consistency.StrongSessionSI:     workload.SequentialKeys,
+		consistency.StrongSessionSerial: workload.SequentialKeys,
+		consistency.Serializable:        0,
+		consistency.SnapshotIsolation:   0,
+	} {
+		if got := OptsFor(Register, m).KeyConsistency; got != want {
+			t.Errorf("%s: key consistency %d, want %d", m, got, want)
+		}
 	}
 }
 
@@ -247,14 +253,7 @@ func TestOptsForModels(t *testing.T) {
 // check that names strict serializability, or no model at all, finds it
 // as OptsFor's does.
 func TestModelAloneAddsOrders(t *testing.T) {
-	h := history.MustNew([]op.Op{
-		{Index: 0, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Append("x", 1)}},
-		{Index: 1, Process: 0, Type: op.OK, Mops: []op.Mop{op.Append("x", 1)}},
-		{Index: 2, Process: 1, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
-		{Index: 3, Process: 1, Type: op.OK, Mops: []op.Mop{op.ReadList("x", []int{1})}},
-		{Index: 4, Process: 2, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
-		{Index: 5, Process: 2, Type: op.OK, Mops: []op.Mop{op.ReadList("x", []int{})}},
-	})
+	h := StaleRead()
 	for name, opts := range map[string]Opts{
 		"Opts{Model: strict}": {Model: consistency.StrictSerializable},
 		"Opts{}":              {},
@@ -276,12 +275,7 @@ func TestModelAloneAddsOrders(t *testing.T) {
 // then x = 2, while T1 overwrote T0's 2 with 1, is what the
 // strong-session models rule out.
 func TestSequentialKeysOnlyWithSessions(t *testing.T) {
-	h := history.MustNew([]op.Op{
-		op.Txn(0, 0, op.OK, op.Write("x", 2), op.Write("y", 1)),
-		op.Txn(1, 2, op.OK, op.ReadReg("y", 1), op.Write("x", 1)),
-		op.Txn(2, 1, op.OK, op.ReadReg("x", 1)),
-		op.Txn(3, 1, op.OK, op.ReadReg("x", 2)),
-	})
+	h := SessionRegression()
 	for _, m := range []consistency.Model{
 		consistency.ReadUncommitted, consistency.ReadCommitted, consistency.RepeatableRead,
 		consistency.SnapshotIsolation, consistency.Serializable,
@@ -295,6 +289,44 @@ func TestSequentialKeysOnlyWithSessions(t *testing.T) {
 			t.Errorf("%s: p1's reads of x go back in the version order, yet the history checked valid", m)
 		}
 	}
+	// A database that claims more per key than its model is held to
+	// the claim. Claiming sequential keys under SI orders p1's reads, so
+	// the history is invalid. Claiming linearizable keys makes x's
+	// version order cyclic (real time puts 1 after 2, p1 reads 2 after
+	// 1): cyclic-version-order refutes the claim, and x's edges, which
+	// carried the session violation, are dropped, so SI itself holds.
+	si := Opts{Workload: Register, Model: consistency.SnapshotIsolation}
+	si.KeyConsistency = workload.SequentialKeys
+	if r := Check(h, si); r.Valid {
+		t.Errorf("snapshot-isolation claiming sequential keys: the history checked valid")
+	}
+	si.KeyConsistency = workload.LinearizableKeys
+	if r := Check(h, si); !r.HasAnomaly(anomaly.CyclicVersionOrder) {
+		t.Errorf("snapshot-isolation claiming linearizable keys: %v, want cyclic-version-order", r.AnomalyTypes())
+	}
+}
+
+// StaleRead is TestModelAloneAddsOrders' history, and SessionRegression
+// TestSequentialKeysOnlyWithSessions'; both are exported for the
+// external TestModelAloneDecidesInference.
+func StaleRead() *history.History {
+	return history.MustNew([]op.Op{
+		{Index: 0, Process: 0, Type: op.Invoke, Mops: []op.Mop{op.Append("x", 1)}},
+		{Index: 1, Process: 0, Type: op.OK, Mops: []op.Mop{op.Append("x", 1)}},
+		{Index: 2, Process: 1, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
+		{Index: 3, Process: 1, Type: op.OK, Mops: []op.Mop{op.ReadList("x", []int{1})}},
+		{Index: 4, Process: 2, Type: op.Invoke, Mops: []op.Mop{op.Read("x")}},
+		{Index: 5, Process: 2, Type: op.OK, Mops: []op.Mop{op.ReadList("x", []int{})}},
+	})
+}
+
+func SessionRegression() *history.History {
+	return history.MustNew([]op.Op{
+		op.Txn(0, 0, op.OK, op.Write("x", 2), op.Write("y", 1)),
+		op.Txn(1, 2, op.OK, op.ReadReg("y", 1), op.Write("x", 1)),
+		op.Txn(2, 1, op.OK, op.ReadReg("x", 1)),
+		op.Txn(3, 1, op.OK, op.ReadReg("x", 2)),
+	})
 }
 
 func TestCheckDefaultsToStrictSerializable(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/gen"
 	"repro/internal/memdb"
+	"repro/internal/workload"
 )
 
 // The paper's §7 workload dimension: "We performed anywhere from one to
@@ -22,7 +23,7 @@ func checkAtWidth(t *testing.T, width int, iso memdb.Isolation, f memdb.Faults, 
 		Clients: 10, Txns: 800, Isolation: iso, Faults: f, Source: g, Seed: seed,
 	})
 	opts := OptsFor(ListAppend, consistency.SnapshotIsolation)
-	opts.DetectLostUpdates = true
+	opts.KeyConsistency = workload.LinearizableKeys
 	return Check(h, opts)
 }
 

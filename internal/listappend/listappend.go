@@ -294,8 +294,8 @@ func (ks *keyState) abortedReads(list []int) iter.Seq2[int, int] {
 }
 
 // Analyze infers the dependency graph and non-cycle anomalies for h.
-// Of the shared options it consumes Parallelism and DetectLostUpdates
-// (see workload.Opts).
+// Of the shared options it consumes Parallelism and KeyConsistency:
+// the real-time lost-update rule runs only under LinearizableKeys.
 func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	a := &analyzer{opts: opts, in: h.Keys(), ops: h}
 	for pos, o := range h.Ops {
@@ -400,7 +400,7 @@ func (a *analyzer) finishAnomalies(keys []history.KeyID) {
 	a.collect(par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
 		return a.dirtyUpdateAnomalies(keys[i])
 	}))
-	if a.opts.DetectLostUpdates {
+	if a.opts.KeyConsistency >= workload.LinearizableKeys {
 		a.checkLostUpdates(keys)
 	}
 }

@@ -378,7 +378,7 @@ func TestLostUpdateDetection(t *testing.T) {
 	b.Complete(2, op.OK, r)
 	h := b.MustHistory()
 
-	a := Analyze(h, workload.Opts{DetectLostUpdates: true})
+	a := Analyze(h, workload.Opts{KeyConsistency: workload.LinearizableKeys})
 	if !hasAnomaly(a, anomaly.LostUpdate) {
 		t.Fatalf("expected lost update, got %v", a.Anomalies)
 	}
@@ -397,7 +397,7 @@ func TestNoLostUpdateForConcurrentRead(t *testing.T) {
 	b.Complete(0, op.OK, []op.Mop{op.Append("x", 1)})
 	b.Complete(1, op.OK, []op.Mop{op.ReadList("x", []int{})})
 	h := b.MustHistory()
-	a := Analyze(h, workload.Opts{DetectLostUpdates: true})
+	a := Analyze(h, workload.Opts{KeyConsistency: workload.LinearizableKeys})
 	if hasAnomaly(a, anomaly.LostUpdate) {
 		t.Fatalf("concurrent read misreported as lost update: %v", a.Anomalies)
 	}

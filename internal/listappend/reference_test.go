@@ -259,7 +259,7 @@ var listInfo = func() workload.Info {
 // emitted edges ≡ keyEdges (see oracle_test.go).
 func checkAgainstReference(t *testing.T, h *history.History, chunks ...int) {
 	t.Helper()
-	opts := workload.Opts{Parallelism: 1, DetectLostUpdates: true}
+	opts := workload.Opts{Parallelism: 1, KeyConsistency: workload.LinearizableKeys}
 	an := listappend.Analyze(h, opts)
 	want := reference(h)
 
@@ -616,7 +616,7 @@ func TestAbortedReadAndLostUpdateOrder(t *testing.T) {
 	cited := map[string]bool{} // key, reader, aborted writer
 	for _, p := range []int{1, 4} {
 		var got []string
-		for _, a := range listappend.Analyze(h, workload.Opts{Parallelism: p, DetectLostUpdates: true}).Anomalies {
+		for _, a := range listappend.Analyze(h, workload.Opts{Parallelism: p, KeyConsistency: workload.LinearizableKeys}).Anomalies {
 			switch a.Type {
 			case anomaly.G1a:
 				cited[fmt.Sprint(a.Key, a.Ops[0].Index, a.Ops[1].Index)] = true
@@ -633,7 +633,7 @@ func TestAbortedReadAndLostUpdateOrder(t *testing.T) {
 	chunks := []int{1, 2, 7, len(ops)}
 	checkAgainstReference(t, h, chunks...)
 	for _, chunk := range chunks {
-		s := workload.BeginSession(listInfo, workload.Opts{Parallelism: 1, DetectLostUpdates: true})
+		s := workload.BeginSession(listInfo, workload.Opts{Parallelism: 1, KeyConsistency: workload.LinearizableKeys})
 		provisional := map[string]bool{}
 		for rest := ops; len(rest) > 0; rest = rest[min(chunk, len(rest)):] {
 			d, err := s.Feed(rest[:min(chunk, len(rest))])

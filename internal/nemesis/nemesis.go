@@ -70,12 +70,11 @@ type Campaign struct {
 	// NoReadAfterWrite shapes the workload so transactions never read a
 	// key they already wrote.
 	NoReadAfterWrite bool
-	// DetectLostUpdates and LinearizableKeys turn on the analyzer
-	// options of the same names even where the model alone would not:
-	// the paper's TiDB lost-update reports use real-time knowledge
-	// (§7.1), and Dgraph claimed per-key linearizability (§7.4), which
-	// turns on SequentialKeys too.
-	DetectLostUpdates, LinearizableKeys bool
+	// KeyConsistency is a per-key claim the engine makes beyond its
+	// Model: the paper's TiDB lost-update reports use real-time
+	// knowledge (§7.1), and Dgraph claimed per-key linearizability
+	// (§7.4). The check raises it to what Model implies.
+	KeyConsistency workload.KeyConsistency
 	// Clients and Txns override the run size; 0 means the Config's.
 	Clients, Txns int
 }
@@ -251,14 +250,14 @@ func Check(c Campaign, cfg Config) (*history.History, *core.CheckResult, error) 
 		return nil, nil, err
 	}
 	model, _, _ := c.shape(cfg)
-	opts := core.OptsFor(c.Workload, model)
-	opts.DetectLostUpdates = opts.DetectLostUpdates || c.DetectLostUpdates
-	// Per-key linearizability implies per-key sequential consistency.
-	opts.LinearizableKeys = opts.LinearizableKeys || c.LinearizableKeys
-	opts.SequentialKeys = opts.SequentialKeys || c.LinearizableKeys
-	opts.Parallelism = cfg.Parallelism
-	opts.MemoryBudget = cfg.MemoryBudget
-	opts.TimestampEdges = plan.Timestamps
+	opts := core.Opts{
+		Workload: c.Workload, Model: model, TimestampEdges: plan.Timestamps,
+		Opts: workload.Opts{
+			KeyConsistency: c.KeyConsistency,
+			Parallelism:    cfg.Parallelism,
+			MemoryBudget:   cfg.MemoryBudget,
+		},
+	}
 
 	var res *core.CheckResult
 	if cfg.Stream {
@@ -455,15 +454,15 @@ func Campaigns() []Campaign {
 		// Allow lists are what seeds 1–3 at 600, 1000, and 2000
 		// transactions produce, so the verdicts stay closed.
 		Campaign{
-			Name:              "tidb",
-			Doc:               "§7.1 TiDB: SI whose automatic conflict retry re-applies writes: read skew, lost updates, incompatible orders",
-			Workload:          workload.ListAppend,
-			Isolation:         memdb.SnapshotIsolation,
-			Model:             consistency.SnapshotIsolation,
-			Faults:            []string{"retry-stomp", "retry-rebase"},
-			DetectLostUpdates: true,
-			Expect:            []anomaly.Class{anomaly.GSingle, anomaly.LostUpdate, anomaly.IncompatibleOrder},
-			Allow:             []anomaly.Class{anomaly.G2Item},
+			Name:           "tidb",
+			Doc:            "§7.1 TiDB: SI whose automatic conflict retry re-applies writes: read skew, lost updates, incompatible orders",
+			Workload:       workload.ListAppend,
+			Isolation:      memdb.SnapshotIsolation,
+			Model:          consistency.SnapshotIsolation,
+			Faults:         []string{"retry-stomp", "retry-rebase"},
+			KeyConsistency: workload.LinearizableKeys,
+			Expect:         []anomaly.Class{anomaly.GSingle, anomaly.LostUpdate, anomaly.IncompatibleOrder},
+			Allow:          []anomaly.Class{anomaly.G2Item},
 		},
 		Campaign{
 			Name:      "yugabyte",
@@ -484,14 +483,14 @@ func Campaigns() []Campaign {
 			Expect:    []anomaly.Class{anomaly.Internal},
 		},
 		Campaign{
-			Name:             "dgraph",
-			Doc:              "§7.4 Dgraph: SI register reads that return nil after shard migration: internal anomalies, cyclic version orders, read skew",
-			Workload:         workload.RWRegister,
-			Isolation:        memdb.SnapshotIsolation,
-			Model:            consistency.SnapshotIsolation,
-			Faults:           []string{"nil-read"},
-			LinearizableKeys: true,
-			Expect:           []anomaly.Class{anomaly.Internal, anomaly.CyclicVersionOrder},
+			Name:           "dgraph",
+			Doc:            "§7.4 Dgraph: SI register reads that return nil after shard migration: internal anomalies, cyclic version orders, read skew",
+			Workload:       workload.RWRegister,
+			Isolation:      memdb.SnapshotIsolation,
+			Model:          consistency.SnapshotIsolation,
+			Faults:         []string{"nil-read"},
+			KeyConsistency: workload.LinearizableKeys,
+			Expect:         []anomaly.Class{anomaly.Internal, anomaly.CyclicVersionOrder},
 			// Read skew shows at most seeds, but not at seed 3.
 			Allow: []anomaly.Class{anomaly.GSingle, anomaly.G2Item},
 		},

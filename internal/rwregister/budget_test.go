@@ -24,7 +24,7 @@ func TestAnalyzeAllocsPerOp(t *testing.T) {
 		Source: gen.New(gen.Config{Workload: gen.Register, ActiveKeys: 10, MaxWritesPerKey: 50}, 3), Seed: 3,
 		Workload: memdb.WorkloadRegister,
 	})
-	opts := workload.DefaultOpts()
+	opts := workload.Opts{KeyConsistency: workload.LinearizableKeys}
 	opts.Parallelism = 1
 	if an := rwregister.Analyze(h, opts); len(an.Anomalies) != 0 {
 		t.Fatalf("clean history reported %v", an.Anomalies)

@@ -129,7 +129,7 @@ func FuzzRegisterSession(f *testing.F) {
 			t.Skip()
 		}
 		ops := fuzzHistory(data[1:min(len(data), 200)])
-		opts := workload.DefaultOpts()
+		opts := workload.Opts{KeyConsistency: workload.LinearizableKeys}
 		opts.Parallelism = 1
 		checkAgainstOracles(t, history.MustNew(ops), opts, 1+int(data[0])%16)
 	})

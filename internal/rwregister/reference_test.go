@@ -237,12 +237,12 @@ func streamed(t *testing.T, ops []op.Op, opts workload.Opts, chunk int) workload
 	return fin
 }
 
-// ruleSets are BenchmarkAblationRegisterRules' four.
+// ruleSets are BenchmarkAblationRegisterRules' three: one per per-key
+// claim.
 var ruleSets = map[string]workload.Opts{
-	"init-only":    {InitialState: true},
-	"init+wfr":     {InitialState: true, WritesFollowReads: true},
-	"init+wfr+seq": {InitialState: true, WritesFollowReads: true, SequentialKeys: true},
-	"all":          workload.DefaultOpts(),
+	"init+wfr":     {},
+	"init+wfr+seq": {KeyConsistency: workload.SequentialKeys},
+	"all":          {KeyConsistency: workload.LinearizableKeys},
 }
 
 // TestOraclesOnEngineHistories: memdb register histories, clean and
@@ -320,7 +320,7 @@ func TestOraclesOnHandWrittenHistories(t *testing.T) {
 				{Index: 1, Process: 1, Type: op.Invoke, Mops: []op.Mop{op.Read("x"), op.Read("x")}},
 				{Index: 2, Process: 1, Type: ok, Mops: []op.Mop{op.ReadReg("x", 1), op.ReadReg("x", 2)}},
 			},
-			opts: workload.DefaultOpts(),
+			opts: workload.Opts{KeyConsistency: workload.LinearizableKeys},
 			want: []string{
 				"internal: T2 read key x = 2, but its own prior operations imply the value must be 1: an internal inconsistency",
 				"garbage-read: T2 read key x = 2, but no transaction ever wrote 2 to x",
@@ -335,7 +335,7 @@ func TestOraclesOnHandWrittenHistories(t *testing.T) {
 				op.Txn(0, 1, ok, op.ReadReg("x", 1), op.Write("x", 2)),
 				op.Txn(0, 2, ok, op.ReadNil("x")),
 			),
-			opts: workload.DefaultOpts(),
+			opts: workload.Opts{KeyConsistency: workload.LinearizableKeys},
 			want: []string{
 				"cyclic-version-order: the inferred version order for key x is cyclic (1 < 2 < nil < 1); its version edges are discarded to avoid trivial transaction cycles",
 			},
@@ -350,7 +350,7 @@ func TestOraclesOnHandWrittenHistories(t *testing.T) {
 				op.Txn(2, 2, ok, op.ReadReg("x", 2)),
 				op.Txn(3, 0, ok, op.ReadReg("x", 3)),
 			},
-			opts: workload.Opts{InitialState: true, WritesFollowReads: true},
+			opts: workload.Opts{},
 			want: []string{
 				"G1b: T2 read key x = 2, an intermediate write of T1 (whose final write was 3): an intermediate read",
 			},
@@ -370,7 +370,7 @@ func TestOraclesOnHandWrittenHistories(t *testing.T) {
 				op.Txn(2, 2, ok, op.ReadReg("x", 1)),
 				op.Txn(3, 0, ok, op.Write("x", 1)),
 			},
-			opts: workload.Opts{InitialState: true, WritesFollowReads: true},
+			opts: workload.Opts{},
 			want: []string{
 				"duplicate-appends: value 1 was written to key x by 2 transactions; writes must be unique for versions to be recoverable",
 			},
@@ -416,7 +416,7 @@ func TestCrashedClientWriteIsNotGarbage(t *testing.T) {
 			op.Op{Index: len(crashed), Process: 2, Type: op.Invoke, Mops: []op.Mop{op.Write(k, 1)}},
 			op.Op{Index: len(crashed) + 1, Process: 2, Type: op.OK, Mops: []op.Mop{op.Write(k, 1)}})
 	}
-	opts := workload.DefaultOpts()
+	opts := workload.Opts{KeyConsistency: workload.LinearizableKeys}
 	opts.Parallelism = 1
 	budgeted := opts
 	budgeted.MemoryBudget = 16
@@ -463,7 +463,7 @@ func TestAbortedReadDeltaOrder(t *testing.T) {
 		op.Txn(4, 1, op.Fail, op.Write("x", 7)),
 		op.Txn(5, 2, op.OK, op.ReadReg("x", 7)),
 	}
-	opts := workload.DefaultOpts()
+	opts := workload.Opts{KeyConsistency: workload.LinearizableKeys}
 	opts.Parallelism = 1
 	s := workload.BeginSession(registerInfo, opts)
 	d, err := s.Feed(ops[:4])
@@ -533,7 +533,7 @@ func TestAbortedReadOrder(t *testing.T) {
 	h := history.MustNew(ops)
 	cited := map[string]bool{} // key, reader, aborted writer
 	for _, p := range []int{1, 4} {
-		opts := workload.DefaultOpts()
+		opts := workload.Opts{KeyConsistency: workload.LinearizableKeys}
 		opts.Parallelism = p
 		var got []string
 		for _, a := range rwregister.Analyze(h, opts).Anomalies {
@@ -547,7 +547,7 @@ func TestAbortedReadOrder(t *testing.T) {
 		}
 	}
 
-	opts := workload.DefaultOpts()
+	opts := workload.Opts{KeyConsistency: workload.LinearizableKeys}
 	opts.Parallelism = 1
 	chunks := []int{1, 2, 7, len(ops)}
 	checkAgainstOracles(t, h, opts, chunks...)

@@ -32,7 +32,7 @@ func TestBudgetedSessionRetiresQuiescentKeys(t *testing.T) {
 	abort := len(ops) - 1
 	txn(op.OK, op.ReadReg("x", 7))
 
-	opts := workload.Opts{Parallelism: 1, InitialState: true, MemoryBudget: window}
+	opts := workload.Opts{Parallelism: 1, MemoryBudget: window}
 	// The session under test is the registered one; the test keeps a
 	// handle on its hooks to inspect the state they maintain.
 	info, _ := workload.Lookup(string(workload.RWRegister))

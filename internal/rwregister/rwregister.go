@@ -142,10 +142,9 @@ func (ks *keyState) row(v int) int32 {
 }
 
 // Analyze infers dependencies and anomalies for a register history. Of
-// the shared options it consumes Parallelism and the four version-order
-// inference rules (InitialState, WritesFollowReads, LinearizableKeys,
-// SequentialKeys); workload.DefaultOpts enables every rule, matching
-// the paper's Dgraph analysis.
+// the shared options it consumes Parallelism and KeyConsistency, which
+// decides whether session and real-time order constrain each key's
+// versions (see versionGraph).
 func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	a := &analyzer{opts: opts, in: h.Keys(), ops: h}
 	for pos, o := range h.Ops {

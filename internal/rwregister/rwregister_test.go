@@ -27,7 +27,7 @@ func hasAnomaly(a workload.Analysis, typ anomaly.Type) bool {
 // TestDgraphInternalInconsistency reproduces §7.4: a transaction sets key
 // 10 to 2, then reads an earlier value 1.
 func TestDgraphInternalInconsistency(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{KeyConsistency: workload.LinearizableKeys},
 		op.Txn(0, 0, op.OK, op.Write("1", 1)), // writer of 1, so the read isn't garbage
 		op.Txn(1, 1, op.OK, op.Write("10", 2), op.ReadReg("10", 1)),
 		op.Txn(2, 2, op.OK, op.Write("10", 1)),
@@ -48,7 +48,7 @@ func TestDgraphInternalInconsistency(t *testing.T) {
 func TestDgraphReadSkew(t *testing.T) {
 	// Distinct write values per key keep recoverability; the paper's keys
 	// map values 10 to separate registers.
-	opts := workload.Opts{InitialState: true, WritesFollowReads: true}
+	opts := workload.Opts{}
 	a := analyze(t, opts,
 		op.Txn(1, 1, op.OK, op.ReadReg("2432", 10), op.ReadNil("2434")),
 		op.Txn(2, 2, op.OK, op.Write("2434", 10)),
@@ -86,7 +86,7 @@ func TestDgraphCyclicVersionOrder(t *testing.T) {
 	b.Complete(2, op.OK, m2)
 	h := b.MustHistory()
 
-	a := Analyze(h, workload.DefaultOpts())
+	a := Analyze(h, workload.Opts{KeyConsistency: workload.LinearizableKeys})
 	if !hasAnomaly(a, anomaly.CyclicVersionOrder) {
 		t.Fatalf("expected cyclic version order, got %v", a.Anomalies)
 	}
@@ -97,7 +97,7 @@ func TestDgraphCyclicVersionOrder(t *testing.T) {
 }
 
 func TestWritesFollowReadsOrdersVersions(t *testing.T) {
-	opts := workload.Opts{WritesFollowReads: true}
+	opts := workload.Opts{}
 	a := analyze(t, opts,
 		op.Txn(0, 0, op.OK, op.Write("x", 1)),
 		op.Txn(1, 1, op.OK, op.ReadReg("x", 1), op.Write("x", 2)),
@@ -124,7 +124,7 @@ func TestWritesFollowReadsOrdersVersions(t *testing.T) {
 }
 
 func TestG1aRegister(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{KeyConsistency: workload.LinearizableKeys},
 		op.Txn(0, 0, op.Fail, op.Write("x", 1)),
 		op.Txn(1, 1, op.OK, op.ReadReg("x", 1)),
 	)
@@ -134,7 +134,7 @@ func TestG1aRegister(t *testing.T) {
 }
 
 func TestG1bRegister(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{KeyConsistency: workload.LinearizableKeys},
 		op.Txn(0, 0, op.OK, op.Write("x", 1), op.Write("x", 2)),
 		op.Txn(1, 1, op.OK, op.ReadReg("x", 1)),
 	)
@@ -144,7 +144,7 @@ func TestG1bRegister(t *testing.T) {
 }
 
 func TestGarbageReadRegister(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{KeyConsistency: workload.LinearizableKeys},
 		op.Txn(0, 0, op.OK, op.ReadReg("x", 42)),
 	)
 	if !hasAnomaly(a, anomaly.GarbageRead) {
@@ -153,7 +153,7 @@ func TestGarbageReadRegister(t *testing.T) {
 }
 
 func TestDuplicateWritesRegister(t *testing.T) {
-	a := analyze(t, workload.DefaultOpts(),
+	a := analyze(t, workload.Opts{KeyConsistency: workload.LinearizableKeys},
 		op.Txn(0, 0, op.OK, op.Write("x", 7)),
 		op.Txn(1, 1, op.OK, op.Write("x", 7)),
 	)
@@ -161,7 +161,7 @@ func TestDuplicateWritesRegister(t *testing.T) {
 		t.Fatalf("expected duplicate writes, got %v", a.Anomalies)
 	}
 	// Unrecoverable values seed no wr edges.
-	a2 := analyze(t, workload.DefaultOpts(),
+	a2 := analyze(t, workload.Opts{KeyConsistency: workload.LinearizableKeys},
 		op.Txn(0, 0, op.OK, op.Write("x", 7)),
 		op.Txn(1, 1, op.OK, op.Write("x", 7)),
 		op.Txn(2, 2, op.OK, op.ReadReg("x", 7)),
@@ -186,7 +186,7 @@ func TestLinearizableKeysRealtimeInference(t *testing.T) {
 	b.Complete(2, op.OK, m2)
 	h := b.MustHistory()
 
-	a := Analyze(h, workload.Opts{LinearizableKeys: true})
+	a := Analyze(h, workload.Opts{KeyConsistency: workload.LinearizableKeys})
 	if len(a.Anomalies) != 0 {
 		t.Fatalf("unexpected anomalies: %v", a.Anomalies)
 	}
@@ -208,7 +208,7 @@ func TestStaleNilReadMakesCycleWithLinearizableKeys(t *testing.T) {
 	b.Complete(1, op.OK, m1)
 	h := b.MustHistory()
 
-	a := Analyze(h, workload.DefaultOpts())
+	a := Analyze(h, workload.Opts{KeyConsistency: workload.LinearizableKeys})
 	if !hasAnomaly(a, anomaly.CyclicVersionOrder) {
 		t.Fatalf("expected cyclic version order, got %v", a.Anomalies)
 	}
@@ -226,7 +226,7 @@ func TestCleanRegisterHistoryNoAnomalies(t *testing.T) {
 		b.Invoke(i, mops)
 		b.Complete(i, op.OK, mops)
 	}
-	a := Analyze(b.MustHistory(), workload.DefaultOpts())
+	a := Analyze(b.MustHistory(), workload.Opts{KeyConsistency: workload.LinearizableKeys})
 	if len(a.Anomalies) != 0 {
 		t.Fatalf("clean history produced anomalies: %v", a.Anomalies)
 	}
@@ -236,7 +236,7 @@ func TestCleanRegisterHistoryNoAnomalies(t *testing.T) {
 }
 
 func TestVersionOrdersReported(t *testing.T) {
-	a := analyze(t, workload.Opts{InitialState: true},
+	a := analyze(t, workload.Opts{},
 		op.Txn(0, 0, op.OK, op.Write("x", 5)),
 	)
 	edges := a.Explainer.RegOrder("x")

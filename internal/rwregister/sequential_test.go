@@ -16,7 +16,7 @@ import (
 // information.
 
 func TestSequentialKeysOrdersVersions(t *testing.T) {
-	opts := workload.Opts{SequentialKeys: true}
+	opts := workload.Opts{KeyConsistency: workload.SequentialKeys}
 	// Process 7 wrote 1, then later (different txn) wrote 2; a reader
 	// saw 2. Session order gives 1 <x 2 without wfr or realtime.
 	a := analyze(t, opts,
@@ -33,7 +33,7 @@ func TestSequentialKeysOrdersVersions(t *testing.T) {
 }
 
 func TestSequentialKeysCrossProcessNoEdge(t *testing.T) {
-	opts := workload.Opts{SequentialKeys: true}
+	opts := workload.Opts{KeyConsistency: workload.SequentialKeys}
 	a := analyze(t, opts,
 		op.Txn(0, 1, op.OK, op.Write("x", 1)),
 		op.Txn(1, 2, op.OK, op.Write("x", 2)),
@@ -47,7 +47,7 @@ func TestSequentialKeysDetectsSessionRegression(t *testing.T) {
 	// Process 5 read 2, then later read 1 — with the writers recoverable
 	// and wfr linking 1 -> 2, the session edge 2 -> 1 closes a cyclic
 	// version order.
-	opts := workload.Opts{InitialState: true, WritesFollowReads: true, SequentialKeys: true}
+	opts := workload.Opts{KeyConsistency: workload.SequentialKeys}
 	a := analyze(t, opts,
 		op.Txn(0, 0, op.OK, op.Write("x", 1)),
 		op.Txn(1, 1, op.OK, op.ReadReg("x", 1), op.Write("x", 2)),
@@ -67,20 +67,13 @@ func TestSequentialKeysDetectsSessionRegression(t *testing.T) {
 
 func TestSequentialKeysRespectsAbortedTxns(t *testing.T) {
 	// A failed transaction contributes no session edges.
-	opts := workload.Opts{SequentialKeys: true}
+	opts := workload.Opts{KeyConsistency: workload.SequentialKeys}
 	a := analyze(t, opts,
 		op.Txn(0, 7, op.Fail, op.Write("x", 1)),
 		op.Txn(1, 7, op.OK, op.Write("x", 2)),
 	)
 	if a.Graph.Label(0, 1) != 0 {
 		t.Error("failed transaction seeded a session version edge")
-	}
-}
-
-func TestDefaultOptsEnableEverything(t *testing.T) {
-	o := workload.DefaultOpts()
-	if !o.InitialState || !o.WritesFollowReads || !o.LinearizableKeys || !o.SequentialKeys {
-		t.Errorf("DefaultOpts = %+v", o)
 	}
 }
 

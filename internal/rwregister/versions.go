@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
+	"repro/internal/workload"
 )
 
 // This file is the per-key pipeline. Inside it a version is its rank:
@@ -27,8 +28,8 @@ type keyResult struct {
 }
 
 // analyzeKey runs the whole per-key pipeline over ks: rank the versions,
-// build the version graph from the enabled rules, reject it if cyclic,
-// otherwise reduce it and explode it into transaction dependencies.
+// build the version graph, reject it if cyclic, otherwise reduce it and
+// explode it into transaction dependencies.
 func (a *analyzer) analyzeKey(ks *keyState) keyResult {
 	order := make([]int32, len(ks.tab))
 	for row := range order {
@@ -54,8 +55,10 @@ func (a *analyzer) analyzeKey(ks *keyState) keyResult {
 	return keyResult{order: order, verEdges: verEdges, edges: edges}
 }
 
-// versionGraph builds the key's partial version order from the enabled
-// inference rules. rank maps the table rows the rules speak of to the
+// versionGraph builds the key's partial version order: the initial
+// version precedes every other, a transaction's write follows what it
+// last touched, and the claimed key consistency adds session order and
+// then real time. rank maps the table rows the rules speak of to the
 // graph's nodes.
 func (a *analyzer) versionGraph(ks *keyState, rank []int32) [][]int32 {
 	vg := make([][]int32, len(rank))
@@ -64,20 +67,16 @@ func (a *analyzer) versionGraph(ks *keyState, rank []int32) [][]int32 {
 			vg[rank[u]] = append(vg[rank[u]], rank[v])
 		}
 	}
-	if a.opts.InitialState {
-		for row := range ks.tab {
-			addEdge(0, int32(row))
-		}
+	for row := range ks.tab {
+		addEdge(0, int32(row))
 	}
-	if a.opts.WritesFollowReads {
-		for _, e := range ks.wfr {
-			addEdge(e[0], e[1])
-		}
+	for _, e := range ks.wfr {
+		addEdge(e[0], e[1])
 	}
-	if a.opts.LinearizableKeys {
+	if a.opts.KeyConsistency >= workload.LinearizableKeys {
 		linearizableEdges(ks.ops, addEdge)
 	}
-	if a.opts.SequentialKeys {
+	if a.opts.KeyConsistency >= workload.SequentialKeys {
 		sequentialEdges(ks.ops, addEdge)
 	}
 	for u := range vg {

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/jsonhist"
 	"repro/internal/op"
 	"repro/internal/par"
+	"repro/internal/promtext"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -186,6 +189,72 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 	if _, metrics := do(t, c, "GET", srv.URL+"/metrics", "", nil); !strings.Contains(metrics, "elled_panics_total 2\n") {
 		t.Errorf("exposition does not count two panics:\n%s", grepLines(metrics, "panics"))
+	}
+}
+
+// TestRenderPanicContained: a panic in rendering a finished job's report
+// (prose or JSON) or in evaluating a query against it is contained as a
+// checker panic is: the job fails, the panic is counted, and the request
+// that hit it gets 500 internal. No checker output reaches a renderer
+// that can panic, so the test plants the defect in the job itself: a
+// done job whose result is gone.
+func TestRenderPanicContained(t *testing.T) {
+	svc, srv, _ := startServer(t, Config{Shards: 1})
+	c := srv.Client()
+	endpoints := []string{"/report", "/report?format=json", "/query?q=(dep%20?a%20?b%20_)"}
+	for _, endpoint := range endpoints {
+		id := createJob(t, c, srv.URL, `{"model":"read-committed","parallelism":1}`)
+		feedChunks(t, c, srv.URL, id, g1aHistory, 1)
+		if code, raw := do(t, c, "GET", srv.URL+"/v1/jobs/"+id+endpoint, "", nil); code != http.StatusOK {
+			t.Fatalf("%s before the plant: %d: %s", endpoint, code, raw)
+		}
+		j, _ := svc.lookup(id)
+		j.mu.Lock()
+		j.result = nil
+		j.mu.Unlock()
+
+		resp, err := c.Get(srv.URL + "/v1/jobs/" + id + endpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s: decoding the error envelope: %v", endpoint, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || env.Err.Code != CodeInternal ||
+			resp.Header.Get("X-Elle-Valid") != "" {
+			t.Fatalf("%s: %d %+v, X-Elle-Valid %q; want 500 %s and no verdict header",
+				endpoint, resp.StatusCode, env.Err, resp.Header.Get("X-Elle-Valid"), CodeInternal)
+		}
+		var st jobJSON
+		do(t, c, "GET", srv.URL+"/v1/jobs/"+id, "", &st)
+		if st.State != stateFailed || !strings.HasPrefix(st.Error, "internal error: ") {
+			t.Fatalf("%s: job after a render panic: state %q error %q", endpoint, st.State, st.Error)
+		}
+		if code, raw := do(t, c, "GET", srv.URL+"/v1/jobs/"+id+endpoint, "", nil); code != http.StatusConflict {
+			t.Fatalf("%s: asked again: %d, want 409: %s", endpoint, code, raw)
+		}
+	}
+	if _, metrics := do(t, c, "GET", srv.URL+"/metrics", "", nil); !strings.Contains(metrics, "elled_panics_total 3\n") {
+		t.Errorf("exposition does not count three panics:\n%s", grepLines(metrics, "panics"))
+	}
+}
+
+// TestRespondPanicMidBody: a panic after the response began cannot
+// change its status; the job still fails and the panic is counted.
+func TestRespondPanicMidBody(t *testing.T) {
+	j := &job{id: "mid-body", panics: new(promtext.Counter)}
+	rec := httptest.NewRecorder()
+	j.respondLocked(rec, func(w http.ResponseWriter) {
+		w.Write([]byte("partial")) //nolint:errcheck
+		panic("render panic planted by the test")
+	})
+	if rec.Code != http.StatusOK || rec.Body.String() != "partial" {
+		t.Fatalf("response %d %q, want the 200 and the bytes already sent", rec.Code, rec.Body.String())
+	}
+	if j.state != stateFailed || !strings.Contains(j.errMsg, "planted by the test") || j.panics.Value() != 1 {
+		t.Fatalf("job state %q error %q panics %d", j.state, j.errMsg, j.panics.Value())
 	}
 }
 

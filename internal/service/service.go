@@ -483,7 +483,8 @@ func (e internalError) Error() string { return fmt.Sprintf("internal error: %v",
 // job in it: the job fails with an internalError, which becomes *err,
 // the stack goes to the log, and elled_panics_total counts it. The
 // session may be half-updated, which is why the job accepts nothing
-// more. ingestLocked and finalizeLocked defer it.
+// more. ingestLocked and finalizeLocked defer it, and respondLocked
+// runs rendering and queries under it.
 func (j *job) contain(err *error) {
 	if v := recover(); v != nil {
 		*err = j.failPanic(v)
@@ -935,19 +936,54 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeFinalizeErr(w, err)
 		return
 	}
-	w.Header().Set("X-Elle-Valid", fmt.Sprintf("%t", j.result.Valid))
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := report.New(j.stream.History(), core.Workload(j.info.Name), j.result).Write(w); err != nil {
-			return // mid-body; too late for a status code
+	asJSON := r.URL.Query().Get("format") == "json"
+	j.respondLocked(w, func(w http.ResponseWriter) {
+		w.Header().Set("X-Elle-Valid", fmt.Sprintf("%t", j.result.Valid))
+		if asJSON {
+			w.Header().Set("Content-Type", "application/json")
+			report.New(j.stream.History(), core.Workload(j.info.Name), j.result).Write(w) //nolint:errcheck // mid-body; too late for a status code
+			return
 		}
-		return
+		// The default rendering is exactly cmd/elle's stdout for the
+		// same history and options: same CheckResult (stream/batch
+		// equivalence), same report.Prose.
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		report.Prose(w, j.result, report.ProseOpts{})
+	})
+}
+
+// respondLocked runs respond, which answers from a finished job, under
+// the job's containment: a panic in rendering or in a query fails the
+// job, is logged and counted as a checker panic is, and is answered 500
+// internal if respond had sent nothing yet (after that the status line
+// is out, and the client sees a cut body). Callers hold j.mu.
+func (j *job) respondLocked(w http.ResponseWriter, respond func(http.ResponseWriter)) {
+	sw := &sentWriter{ResponseWriter: w}
+	err := func() (err error) {
+		defer j.contain(&err)
+		respond(sw)
+		return nil
+	}()
+	if err != nil && !sw.sent {
+		w.Header().Del("X-Elle-Valid")
+		writeErr(w, http.StatusInternalServerError, CodeInternal, err.Error())
 	}
-	// The default rendering is exactly cmd/elle's stdout for the same
-	// history and options: same CheckResult (stream/batch equivalence),
-	// same report.Prose.
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	report.Prose(w, j.result, report.ProseOpts{})
+}
+
+// sentWriter records whether a response's status line has gone out.
+type sentWriter struct {
+	http.ResponseWriter
+	sent bool
+}
+
+func (s *sentWriter) WriteHeader(code int) {
+	s.sent = true
+	s.ResponseWriter.WriteHeader(code)
+}
+
+func (s *sentWriter) Write(p []byte) (int, error) {
+	s.sent = true
+	return s.ResponseWriter.Write(p)
 }
 
 // finalizeLocked drives an accepting job to its terminal state, shared
@@ -1017,13 +1053,15 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeFinalizeErr(w, err)
 		return
 	}
-	res, err := j.result.Query(j.stream.History(), q)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadQuery, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	res.WriteTo(w) //nolint:errcheck // mid-body write; too late for a status code
+	j.respondLocked(w, func(w http.ResponseWriter) {
+		res, err := j.result.Query(j.stream.History(), q)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, CodeBadQuery, err.Error())
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		res.WriteTo(w) //nolint:errcheck // mid-body write; too late for a status code
+	})
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -63,28 +63,11 @@ type Opts struct {
 	// setting.
 	Parallelism int
 
-	// DetectLostUpdates enables the real-time lost-update inference for
-	// list-append histories: a committed append missing from a longest
-	// read invoked after the append's transaction completed. Sound only
-	// against databases claiming a real-time-consistent model.
-	DetectLostUpdates bool
-
-	// InitialState infers nil <x v for every non-initial register
-	// version v (rw-register).
-	InitialState bool
-	// WritesFollowReads infers v <x v' when one transaction reads v and
-	// then writes v' to the same key (rw-register, bank).
-	WritesFollowReads bool
-	// LinearizableKeys infers version orders from the real-time order
-	// of transactions touching a key, as per-key linearizability
-	// permits (rw-register).
-	LinearizableKeys bool
-	// SequentialKeys infers version orders from each process's own
-	// session order: a process's later transaction observes a later
-	// version of the key. Sound only where sessions are guaranteed, or
-	// per-key sequential consistency (which per-key linearizability
-	// implies) is claimed (rw-register).
-	SequentialKeys bool
+	// KeyConsistency is the per-key claim the version-order inference
+	// may rest on. core raises it to the level the checked model
+	// implies; a caller states a stronger claim the database makes that
+	// its model does not, such as Dgraph's per-key linearizability (§7.4).
+	KeyConsistency KeyConsistency
 
 	// BankTotal is the expected total balance across all accounts of a
 	// bank history. 0 means infer it from the history's opening
@@ -108,19 +91,21 @@ type Opts struct {
 	SpillDir string
 }
 
-// DefaultOpts enables every inference rule, matching the paper's most
-// thorough (Dgraph, §7.4) configuration. Callers checking a model
-// weaker than strict serializability should disable LinearizableKeys,
-// and one without session guarantees SequentialKeys too, unless the
-// database claims per-key linearizability; core.OptsFor does.
-func DefaultOpts() Opts {
-	return Opts{
-		InitialState:      true,
-		WritesFollowReads: true,
-		LinearizableKeys:  true,
-		SequentialKeys:    true,
-	}
-}
+// KeyConsistency is an ordered per-key claim: each level implies the
+// ones below it. The zero value claims nothing per key.
+type KeyConsistency uint8
+
+const (
+	// SequentialKeys claims each process sees every key's versions in
+	// order: a process's later transaction observes a later version of
+	// the key. rw-register orders versions by it.
+	SequentialKeys KeyConsistency = iota + 1
+	// LinearizableKeys claims each key is linearizable, which implies
+	// SequentialKeys: rw-register also orders versions by real time,
+	// and list-append reports a committed append missing from a longest
+	// read invoked after its transaction completed as a lost update.
+	LinearizableKeys
+)
 
 // Analysis is what every analyzer produces: the inferred dependency
 // graph, the non-cycle anomalies discovered during inference, and the

@@ -84,7 +84,7 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 func TestAnalyzersHonorTheContract(t *testing.T) {
 	h := history.MustNew(nil)
 	for _, info := range workload.All() {
-		an := info.Analyzer.Analyze(h, workload.DefaultOpts())
+		an := info.Analyzer.Analyze(h, workload.Opts{KeyConsistency: workload.LinearizableKeys})
 		if an.Graph == nil {
 			t.Errorf("%s: nil graph on empty history", info.Name)
 		}
@@ -102,7 +102,7 @@ func TestAnalyzersHonorTheContract(t *testing.T) {
 // batch contract, and sessions reject use after Finish.
 func TestSessionsHonorTheContract(t *testing.T) {
 	for _, info := range workload.All() {
-		sess := workload.BeginSession(info, workload.DefaultOpts())
+		sess := workload.BeginSession(info, workload.Opts{KeyConsistency: workload.LinearizableKeys})
 		if d, err := sess.Feed(nil); err != nil || d.Ops != 0 {
 			t.Errorf("%s: empty feed: %+v, %v", info.Name, d, err)
 		}
