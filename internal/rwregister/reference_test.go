@@ -26,6 +26,8 @@ import (
 //     requires exactly the analyzer's graph.
 //   - The order oracle requires every reported version order to be
 //     acyclic, transitively reduced, and about that key's values only.
+//   - The initial-state oracle requires nil to precede, in every acyclic
+//     reported order, each value written to or read from that key.
 
 type refVer struct {
 	key string
@@ -193,6 +195,49 @@ func checkOrders(t *testing.T, h *history.History, an workload.Analysis) {
 	}
 }
 
+// checkInitialState is the initial-state oracle. The rule applies to
+// every key under every claim; keys reported cyclic keep no order.
+func checkInitialState(t *testing.T, h *history.History, an workload.Analysis) {
+	t.Helper()
+	cyclic := map[string]bool{}
+	for _, a := range an.Anomalies {
+		if a.Type == anomaly.CyclicVersionOrder {
+			cyclic[a.Key] = true
+		}
+	}
+	ix := index(h)
+	observed := map[refVer]bool{}
+	for v := range ix.writes {
+		observed[v] = true
+	}
+	for v := range ix.readers {
+		observed[v] = true
+	}
+	after := map[string]map[string]bool{} // key -> versions reachable from nil
+	for v := range observed {
+		if cyclic[v.key] || v.val == "nil" {
+			continue
+		}
+		reach, ok := after[v.key]
+		if !ok {
+			order := regOrder(an, v.key)
+			reach = map[string]bool{"nil": true}
+			for grew := true; grew; {
+				grew = false
+				for _, e := range order {
+					if reach[e[0]] && !reach[e[1]] {
+						reach[e[1]], grew = true, true
+					}
+				}
+			}
+			after[v.key] = reach
+		}
+		if !reach[v.val] {
+			t.Errorf("key %s: %s is not ordered after the initial nil: %v", v.key, v.val, regOrder(an, v.key))
+		}
+	}
+}
+
 var registerInfo = func() workload.Info {
 	info, ok := workload.Lookup(string(workload.RWRegister))
 	if !ok {
@@ -247,7 +292,9 @@ var ruleSets = map[string]workload.Opts{
 
 // TestOraclesOnEngineHistories: memdb register histories, clean and
 // under every internal/nemesis fault, at the two isolation levels that
-// between them let every fault show, under each rule set.
+// between them let every fault show, under each rule set. The initial-
+// state rule always runs beside writes-follow-reads, so init-only holds
+// its oracle alone to the analysis without a per-key claim.
 func TestOraclesOnEngineHistories(t *testing.T) {
 	plans := map[string]nemesis.Plan{"clean": {}}
 	for _, f := range nemesis.FaultCatalog() {
@@ -269,6 +316,9 @@ func TestOraclesOnEngineHistories(t *testing.T) {
 					checkAgainstOracles(t, h, opts, 1, 2, len(h.Ops))
 				})
 			}
+			t.Run(fmt.Sprintf("%s/%s/init-only", name, iso), func(t *testing.T) {
+				checkInitialState(t, h, rwregister.Analyze(h, workload.Opts{Parallelism: 1}))
+			})
 		}
 	}
 }
