@@ -33,8 +33,8 @@
 // observation of all accounts must sum to the invariant total
 // (TotalMismatch), and no balance may ever be negative
 // (NegativeBalance). The account set and total are recovered from the
-// history itself — the opening deposit the runner records as its first
-// committed transaction — or supplied via Opts.BankTotal.
+// history itself: the opening deposit the runner records as its first
+// committed transaction.
 //
 // Failed transactions are ignored entirely: a failed transfer's write
 // mops carry unresolved deltas, not balances, so indexing them would
@@ -100,7 +100,7 @@ func (a *analyzer) ok(i int) op.Op { return a.h.Ops[a.oks[i]] }
 func (a *analyzer) kid(k string) history.KeyID { return a.in.MustID(k) }
 
 // Analyze infers dependencies and checks invariants for a bank history.
-// Of the shared options it consumes Parallelism and BankTotal.
+// Of the shared options it consumes Parallelism.
 func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 	return newAnalyzer(h, opts).run(h)
 }
@@ -215,31 +215,11 @@ func (a *analyzer) index() {
 	}
 }
 
-// inferInvariant recovers the account set and the invariant total:
-// from Opts.BankTotal when set, otherwise from the opening deposit —
-// the first committed transaction consisting solely of writes to two or
-// more distinct accounts. Without either, total checks are skipped and
-// the account set falls back to every key observed.
+// inferInvariant recovers the account set and the invariant total from
+// the opening deposit: the first committed transaction consisting solely
+// of writes to two or more distinct accounts. Without one, total checks
+// are skipped and the account set falls back to every key observed.
 func (a *analyzer) inferInvariant() {
-	set := map[string]bool{}
-	for _, o := range a.h.Ops {
-		if o.Type == op.Invoke {
-			continue
-		}
-		for _, m := range o.Mops {
-			set[m.Key] = true
-		}
-	}
-	allKeys := make([]string, 0, len(set))
-	for k := range set {
-		allKeys = append(allKeys, k)
-	}
-	sort.Strings(allKeys)
-
-	if a.opts.BankTotal > 0 {
-		a.accounts, a.total, a.totalKnown = allKeys, a.opts.BankTotal, true
-		return
-	}
 	for i := range a.oks {
 		o := a.ok(i)
 		if len(o.Mops) < 2 {
@@ -267,7 +247,20 @@ func (a *analyzer) inferInvariant() {
 		a.accounts, a.total, a.totalKnown = accounts, sum, true
 		return
 	}
-	a.accounts = allKeys
+	set := map[string]bool{}
+	for _, o := range a.h.Ops {
+		if o.Type == op.Invoke {
+			continue
+		}
+		for _, m := range o.Mops {
+			set[m.Key] = true
+		}
+	}
+	a.accounts = make([]string, 0, len(set))
+	for k := range set {
+		a.accounts = append(a.accounts, k)
+	}
+	sort.Strings(a.accounts)
 }
 
 // checkOp runs the per-transaction checks on one committed op: internal

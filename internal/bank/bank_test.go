@@ -123,22 +123,6 @@ func TestInternalInconsistency(t *testing.T) {
 	}
 }
 
-func TestBankTotalOverride(t *testing.T) {
-	opts := workload.Opts{}
-	opts.BankTotal = 200
-	// No opening deposit in the history; the invariant comes from opts.
-	b, a := run(t, opts,
-		op.Txn(0, 0, op.OK, op.Write("a", 150), op.Write("b", 40), op.ReadReg("a", 150)),
-		op.Txn(1, 1, op.OK, op.ReadReg("a", 150), op.ReadReg("b", 40)),
-	)
-	if !b.totalKnown || b.total != 200 {
-		t.Fatalf("total = %d known=%v, want 200 from opts", b.total, b.totalKnown)
-	}
-	if !hasType(a, anomaly.TotalMismatch) {
-		t.Fatalf("no total-mismatch in %v", a.Anomalies)
-	}
-}
-
 // TestDuplicateBalancesStayQuiet: repeated balance values are normal in
 // bank histories (a random walk revisits values); they must disable
 // inference for those versions, not raise duplicate-write anomalies.

@@ -53,7 +53,7 @@ func TestInferredOrderIsPrefixOfTruth(t *testing.T) {
 // long and include reads every so often, the unknown fraction of a
 // version order can be made relatively small".
 func TestObservationCoverage(t *testing.T) {
-	g := gen.New(gen.Config{ActiveKeys: 3, MaxWritesPerKey: 60, ReadRatio: 0.5}, 4)
+	g := gen.New(gen.Config{ActiveKeys: 3, MaxWritesPerKey: 60}, 4)
 	h, db := memdb.RunOnDB(memdb.RunConfig{
 		Clients: 8, Txns: 1000, Isolation: memdb.StrictSerializable,
 		Source: g, Seed: 4,

@@ -53,8 +53,6 @@ type Config struct {
 	// MinOps and MaxOps bound the mops per transaction (paper: 1–10;
 	// Figure 4 used 1–5). Defaults 1 and 5.
 	MinOps, MaxOps int
-	// ReadRatio is the probability each mop is a read. Default 0.5.
-	ReadRatio float64
 	// NoReadAfterWrite suppresses reads of keys the transaction has
 	// already written. Useful for workloads modeling engines whose read
 	// and write paths diverge (the YugaByte campaign), where a
@@ -75,11 +73,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxOps < c.MinOps {
 		c.MaxOps = c.MinOps + 4
 	}
-	if c.ReadRatio <= 0 || c.ReadRatio >= 1 {
-		c.ReadRatio = 0.5
-	}
 	return c
 }
+
+// readRatio is the probability each mop is a read (for bank, that a
+// transaction reads every account).
+const readRatio = 0.5
 
 // Gen produces transaction bodies. It is not safe for concurrent use.
 type Gen struct {
@@ -137,7 +136,7 @@ func (g *Gen) Next() []op.Mop {
 	for i := 0; i < n; i++ {
 		ki := g.rng.Intn(len(g.active))
 		key := g.active[ki]
-		if g.rng.Float64() < g.cfg.ReadRatio {
+		if g.rng.Float64() < readRatio {
 			if g.cfg.NoReadAfterWrite && written[key] {
 				continue
 			}
@@ -167,7 +166,7 @@ func (g *Gen) Next() []op.Mop {
 	return mops
 }
 
-// nextBank emits one bank transaction. With probability ReadRatio it is
+// nextBank emits one bank transaction. With probability readRatio it is
 // a read of every account (the invariant-checking observation); the
 // rest are transfers: read the two accounts involved, then write both
 // with a signed delta. Bank write arguments are deltas, not balances —
@@ -175,7 +174,7 @@ func (g *Gen) Next() []op.Mop {
 // recorded history carries real balances (see memdb.WorkloadBank).
 // Accounts are the initial ActiveKeys keys and are never retired.
 func (g *Gen) nextBank() []op.Mop {
-	if len(g.active) < 2 || g.rng.Float64() < g.cfg.ReadRatio {
+	if len(g.active) < 2 || g.rng.Float64() < readRatio {
 		mops := make([]op.Mop, len(g.active))
 		for i, k := range g.active {
 			mops[i] = op.Read(k)
@@ -196,14 +195,14 @@ func (g *Gen) nextBank() []op.Mop {
 }
 
 // nextKAtomic emits one single-operation transaction over the first
-// active key: a register read with probability ReadRatio, otherwise a
+// active key: a register read with probability readRatio, otherwise a
 // blind write of a globally unique value. One object and one mop per
 // transaction keep the invocation/completion interval of the op equal
 // to that of its transaction, which is what the k-atomicity analysis
 // orders by; the key is never retired.
 func (g *Gen) nextKAtomic() []op.Mop {
 	key := g.active[0]
-	if g.rng.Float64() < g.cfg.ReadRatio {
+	if g.rng.Float64() < readRatio {
 		return []op.Mop{op.Read(key)}
 	}
 	g.nextArg++

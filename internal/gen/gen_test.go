@@ -36,7 +36,7 @@ func TestTxnLengthBounds(t *testing.T) {
 }
 
 func TestKeyRotation(t *testing.T) {
-	g := New(Config{ActiveKeys: 2, MaxWritesPerKey: 3, ReadRatio: 0.01, MinOps: 1, MaxOps: 1}, 3)
+	g := New(Config{ActiveKeys: 2, MaxWritesPerKey: 3, MinOps: 1, MaxOps: 1}, 3)
 	writes := map[string]int{}
 	for i := 0; i < 500; i++ {
 		for _, m := range g.Next() {
@@ -56,7 +56,7 @@ func TestKeyRotation(t *testing.T) {
 }
 
 func TestRegisterWorkload(t *testing.T) {
-	g := New(Config{Workload: Register, ReadRatio: 0.3}, 4)
+	g := New(Config{Workload: Register}, 4)
 	sawWrite := false
 	for i := 0; i < 100; i++ {
 		for _, m := range g.Next() {
@@ -161,7 +161,7 @@ func TestCounterWorkloadEmitsIncrements(t *testing.T) {
 }
 
 func TestNoReadAfterWrite(t *testing.T) {
-	g := New(Config{NoReadAfterWrite: true, MinOps: 4, MaxOps: 8, ReadRatio: 0.5}, 12)
+	g := New(Config{NoReadAfterWrite: true, MinOps: 4, MaxOps: 8}, 12)
 	for i := 0; i < 500; i++ {
 		written := map[string]bool{}
 		for _, m := range g.Next() {

@@ -255,14 +255,6 @@ func (h *History) ByProcess() map[int][]op.Op {
 	return out
 }
 
-// MaxIndex returns the largest op index, or -1 for an empty history.
-func (h *History) MaxIndex() int {
-	if len(h.Ops) == 0 {
-		return -1
-	}
-	return h.Ops[len(h.Ops)-1].Index
-}
-
 // Builder incrementally assembles a history, assigning indices and
 // (logical) times automatically. It is safe for single-goroutine use; the
 // memdb recorder wraps it with a mutex.

@@ -27,9 +27,6 @@ func TestCompactHistory(t *testing.T) {
 	if inv != 1 || comp != 1 {
 		t.Errorf("compact Span = (%d, %d)", inv, comp)
 	}
-	if h.MaxIndex() != 2 {
-		t.Errorf("MaxIndex = %d", h.MaxIndex())
-	}
 }
 
 func TestCompleteHistoryPairing(t *testing.T) {
@@ -160,8 +157,8 @@ func TestBuilder(t *testing.T) {
 
 func TestEmptyHistory(t *testing.T) {
 	h := MustNew(nil)
-	if h.Len() != 0 || h.MaxIndex() != -1 {
-		t.Errorf("empty history: len=%d max=%d", h.Len(), h.MaxIndex())
+	if h.Len() != 0 {
+		t.Errorf("empty history: len=%d", h.Len())
 	}
 	if got := h.Completions(); len(got) != 0 {
 		t.Errorf("Completions on empty = %v", got)

@@ -2,6 +2,7 @@ package jsonhist
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func TestDecodeChunkingAllocsAmortize(t *testing.T) {
 	measure := func(chunkBytes int) float64 {
 		return testing.AllocsPerRun(20, func() {
 			d := NewStreamDecoder(bytes.NewReader(input),
-				DecodeOpts{Parallelism: 1, ChunkBytes: chunkBytes})
+				DecodeOpts{Parallelism: 1, chunkBytes: chunkBytes})
 			if _, err := drain(d); err != nil {
 				t.Fatal(err)
 			}
@@ -59,6 +60,31 @@ func TestDecodeChunkingAllocsAmortize(t *testing.T) {
 	// chunk, independent of the lines inside it.
 	if perExtraChunk > 12 {
 		t.Fatalf("each chunk boundary costs %.2f allocations; want O(1) per chunk (<= 12)", perExtraChunk)
+	}
+}
+
+// TestDecodeWithIgnoresTail holds DecodeWith to what DecodeOpts says of
+// Tail: batch decoding ignores it. Honoured, Tail would make every line
+// a chunk and a round of its own, several allocations per line more.
+func TestDecodeWithIgnoresTail(t *testing.T) {
+	const lines = 400
+	var b strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&b, `{"index":%d,"type":"ok","process":3,"value":[["append",8,%d]]}`+"\n", i, i)
+	}
+	input := []byte(b.String())
+	perLine := func(opts DecodeOpts) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DecodeWith(bytes.NewReader(input), opts); err != nil {
+				t.Fatal(err)
+			}
+		}) / lines
+	}
+	batch := perLine(DecodeOpts{Parallelism: 1})
+	tail := perLine(DecodeOpts{Parallelism: 1, Tail: true})
+	t.Logf("allocations per line: %.2f without Tail, %.2f with it", batch, tail)
+	if tail > batch*1.1 {
+		t.Fatalf("DecodeWith with Tail allocates %.2f per line against %.2f without it; batch decoding must ignore Tail", tail, batch)
 	}
 }
 

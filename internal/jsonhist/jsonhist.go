@@ -45,15 +45,16 @@ type DecodeOpts struct {
 	// one per CPU, 1 parses sequentially. The decoded history is
 	// identical at every setting.
 	Parallelism int
-	// ChunkBytes is how many raw history bytes one parse unit carries;
-	// <= 0 means ~1 MB, which amortizes fan-out against JSON parsing
-	// for batch decoding.
-	ChunkBytes int
 	// Tail tunes the streaming decoder for following a live source:
 	// every line is emitted as soon as it parses — no chunk batching,
 	// no read-ahead — so a paused producer never delays delivery of
 	// what has already arrived. Batch decoding ignores it.
 	Tail bool
+
+	// chunkBytes, when > 0, replaces chunkTarget as the raw bytes one
+	// parse unit carries, so that tests reach many chunks and rounds on
+	// a small input.
+	chunkBytes int
 }
 
 // Decode reads a JSON-lines history. Blank lines are skipped. The
@@ -108,13 +109,14 @@ type parsed struct {
 // sequential decoder would. Reading and parsing are pipelined: while one
 // round of chunks parses, the next round is read from the stream.
 //
-// DecodeWith is NewStreamDecoder + collect-everything; callers that
-// want the ops as they parse (the incremental checker) drive the
-// StreamDecoder directly. The rounds are kept as Next returns them and
-// joined once, at their exact total, whatever the source is; the
-// history takes the joined slice over (history.Adopt) rather than
-// copying it again.
+// DecodeWith is NewStreamDecoder, with Tail cleared, +
+// collect-everything; callers that want the ops as they parse (the
+// incremental checker) drive the StreamDecoder directly. The rounds
+// are kept as Next returns them and joined once, at their exact total,
+// whatever the source is; the history takes the joined slice over
+// (history.Adopt) rather than copying it again.
 func DecodeWith(r io.Reader, opts DecodeOpts) (*history.History, error) {
+	opts.Tail = false
 	d := NewStreamDecoder(r, opts)
 	var rounds [][]op.Op
 	total := 0

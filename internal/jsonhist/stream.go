@@ -126,13 +126,13 @@ func (d *StreamDecoder) terminate() error {
 	return d.err
 }
 
-// chunkBytes resolves the per-chunk byte target.
-func (d *StreamDecoder) chunkBytes() int {
+// target resolves the per-chunk byte target.
+func (d *StreamDecoder) target() int {
 	if d.opts.Tail {
 		return 1 // any positive size: one line per chunk
 	}
-	if d.opts.ChunkBytes > 0 {
-		return d.opts.ChunkBytes
+	if d.opts.chunkBytes > 0 {
+		return d.opts.chunkBytes
 	}
 	return chunkTarget
 }
@@ -155,7 +155,7 @@ func (d *StreamDecoder) nextChunk() (*chunk, bool) {
 // the bufio window and a chunk of n lines costs no per-line allocations.
 func (d *StreamDecoder) readChunk(c *chunk) {
 	c.buf = c.buf[:0]
-	target := d.chunkBytes()
+	target := d.target()
 	for len(c.buf) < target && !d.readDone {
 		lineStart := len(c.buf)
 		var err error

@@ -183,8 +183,8 @@ func FuzzStreamDecoder(f *testing.F) {
 					len(base), len(oracleOps))
 			}
 			tunings := []DecodeOpts{
-				{Register: register, Parallelism: 2, ChunkBytes: 7},
-				{Register: register, Parallelism: 4, ChunkBytes: 64},
+				{Register: register, Parallelism: 2, chunkBytes: 7},
+				{Register: register, Parallelism: 4, chunkBytes: 64},
 				{Register: register, Parallelism: 1, Tail: true},
 			}
 			for _, opts := range tunings {

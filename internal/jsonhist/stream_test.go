@@ -26,7 +26,7 @@ func TestStreamDecoderMatchesDecode(t *testing.T) {
 	}
 	for _, opts := range []DecodeOpts{
 		{Parallelism: 1},
-		{Parallelism: 4, ChunkBytes: 128},
+		{Parallelism: 4, chunkBytes: 128},
 		{Parallelism: 4, Tail: true},
 	} {
 		d := NewStreamDecoder(strings.NewReader(input), opts)
@@ -54,7 +54,7 @@ func TestStreamDecoderMatchesDecode(t *testing.T) {
 		if opts.Tail && chunks != 500 {
 			t.Fatalf("tail mode delivered %d chunks, want one per line", chunks)
 		}
-		if opts.ChunkBytes == 128 && chunks < 10 {
+		if opts.chunkBytes == 128 && chunks < 10 {
 			t.Fatalf("small chunks delivered only %d Next calls", chunks)
 		}
 		// The terminal state is sticky.

@@ -364,17 +364,6 @@ func (o Op) Indeterminate() bool { return o.Type == Info }
 // could map this op to a committed transaction.
 func (o Op) MayHaveCommitted() bool { return o.Type == OK || o.Type == Info }
 
-// WritesKey reports whether the transaction contains a write-like micro-op
-// on key.
-func (o Op) WritesKey(key string) bool {
-	for _, m := range o.Mops {
-		if m.IsWrite() && m.Key == key {
-			return true
-		}
-	}
-	return false
-}
-
 // Keys returns the distinct keys touched by the transaction, in first-use
 // order.
 func (o Op) Keys() []string {

@@ -154,9 +154,6 @@ func TestOpKeysAndWrites(t *testing.T) {
 			t.Errorf("Keys()[%d] = %q, want %q", i, keys[i], want[i])
 		}
 	}
-	if !o.WritesKey("a") || o.WritesKey("b") || o.WritesKey("d") {
-		t.Error("WritesKey wrong")
-	}
 }
 
 func TestOpString(t *testing.T) {

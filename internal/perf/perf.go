@@ -151,19 +151,9 @@ func Sweep(cfg Config, report func(Point)) []Point {
 	return out
 }
 
-// WriteCSV renders points as CSV with a header, the format the paper's
-// Figure 4 was plotted from.
-func WriteCSV(w io.Writer, points []Point) error {
-	row, err := StartCSV(w)
-	for i := 0; err == nil && i < len(points); i++ {
-		err = row(points[i])
-	}
-	return err
-}
-
-// StartCSV writes WriteCSV's header to w and returns the writer of its
+// StartCSV writes the CSV header to w and returns the writer of its
 // rows, one point per call, so a sweep can print each point as it
-// completes.
+// completes: the format the paper's Figure 4 was plotted from.
 func StartCSV(w io.Writer) (row func(Point) error, err error) {
 	row = func(p Point) error {
 		_, err := fmt.Fprintf(w, "%s,%d,%d,%.6f,%s,%d,%s\n",

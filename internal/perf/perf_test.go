@@ -71,9 +71,10 @@ func TestBaselineMaxOpsSkips(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteCSV(&buf, []Point{
-		{Checker: "elle", Ops: 10, Concurrency: 2, Seconds: 0.5, Outcome: "valid"},
-	})
+	row, err := StartCSV(&buf)
+	if err == nil {
+		err = row(Point{Checker: "elle", Ops: 10, Concurrency: 2, Seconds: 0.5, Outcome: "valid"})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

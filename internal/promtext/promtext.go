@@ -33,13 +33,11 @@ type family struct {
 	name, help, typ string
 	labels          []string // label names for vec families; nil for plain
 
-	mu      sync.Mutex
-	metrics map[string]metric // keyed by joined label values
-	collect func(set func(labels []string, v float64))
-	hist    *Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter // keyed by joined label values
+	collect  func(set func(labels []string, v float64))
+	hist     *Histogram
 }
-
-type metric interface{ value() float64 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
@@ -71,33 +69,14 @@ func (c *Counter) Add(n int) {
 }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64  { return c.v.Load() }
-func (c *Counter) value() float64 { return float64(c.v.Load()) }
-
-// A Gauge goes up and down. Safe for concurrent use.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-func (g *Gauge) value() float64 { return g.Value() }
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Counter registers an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
 	r.add(&family{name: name, help: help, typ: "counter",
-		metrics: map[string]metric{"": c}})
+		counters: map[string]*Counter{"": c}})
 	return c
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&family{name: name, help: help, typ: "gauge",
-		metrics: map[string]metric{"": g}})
-	return g
 }
 
 // CounterVec is a counter family with one or more labels.
@@ -106,29 +85,26 @@ type CounterVec struct{ f *family }
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	f := r.add(&family{name: name, help: help, typ: "counter",
-		labels: labels, metrics: map[string]metric{}})
+		labels: labels, counters: map[string]*Counter{}})
 	return &CounterVec{f: f}
 }
 
 // With returns the counter for the given label values (in declaration
 // order), creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.with(values, func() metric { return &Counter{} }).(*Counter)
-}
-
-// GaugeVec is a gauge family with one or more labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	f := r.add(&family{name: name, help: help, typ: "gauge",
-		labels: labels, metrics: map[string]metric{}})
-	return &GaugeVec{f: f}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.with(values, func() metric { return &Gauge{} }).(*Gauge)
+	f := v.f
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("promtext: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
+	}
+	key := strings.Join(values, labelSep)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.counters[key]
+	if !ok {
+		c = &Counter{}
+		f.counters[key] = c
+	}
+	return c
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
@@ -144,21 +120,6 @@ func (r *Registry) GaugeVecFunc(name, help string, labels []string, fn func(set 
 }
 
 const labelSep = "\x1f"
-
-func (f *family) with(values []string, make func() metric) metric {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("promtext: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
-	key := strings.Join(values, labelSep)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m, ok := f.metrics[key]
-	if !ok {
-		m = make()
-		f.metrics[key] = m
-	}
-	return m
-}
 
 // A Histogram observes a distribution into cumulative buckets — the
 // exposition's classic le-labeled shape. Buckets are fixed at
@@ -230,8 +191,8 @@ func (r *Registry) Write(w io.Writer) error {
 			}
 		default:
 			f.mu.Lock()
-			keys := make([]string, 0, len(f.metrics))
-			for k := range f.metrics {
+			keys := make([]string, 0, len(f.counters))
+			for k := range f.counters {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
@@ -240,7 +201,7 @@ func (r *Registry) Write(w io.Writer) error {
 				if k != "" || len(f.labels) > 0 {
 					values = strings.Split(k, labelSep)
 				}
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, values), formatValue(f.metrics[k].value()))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, values), formatValue(float64(f.counters[k].Value())))
 			}
 			f.mu.Unlock()
 		}

@@ -20,8 +20,7 @@ func TestExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs_created_total", "Jobs created.")
 	c.Add(3)
-	g := r.Gauge("queue_depth", "Depth.")
-	g.Set(2.5)
+	r.GaugeFunc("queue_depth", "Depth.", func() float64 { return 2.5 })
 	cv := r.CounterVec("refused_total", "Refusals by code.", "code")
 	cv.With("429").Add(2)
 	cv.With("413").Inc()
@@ -76,7 +75,7 @@ resident 7
 func TestExpositionShape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "A.").Inc()
-	r.GaugeVec("b", "B.", "x", "y").With(`quo"te`, "new\nline").Set(1)
+	r.CounterVec("b_total", "B.", "x", "y").With(`quo"te`, "new\nline").Inc()
 	r.Histogram("h_seconds", "H.", []float64{0.5}).Observe(1)
 
 	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? -?[0-9.+eEInf]+$`)

@@ -103,6 +103,60 @@ func TestWALReplayTable(t *testing.T) {
 		}
 	})
 
+	t.Run("altered-chunk", func(t *testing.T) {
+		cfg := Config{WALDir: t.TempDir()}
+		_, srv, stop := startServer(t, cfg)
+		id := createJob(t, srv.Client(), srv.URL, `{"model":"read-committed","parallelism":1}`)
+		feedChunks(t, srv.Client(), srv.URL, id, g1aHistory, 1)
+		stop()
+
+		// One byte of the last chunk's body, altered in place: its
+		// checksum fails, and replay stops before it as at a tear.
+		raw, err := os.ReadFile(walFile(cfg, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)-3] ^= 0x20
+		if err := os.WriteFile(walFile(cfg, id), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		_, srv2, _ := startServer(t, cfg)
+		var st jobJSON
+		do(t, srv2.Client(), "GET", srv2.URL+"/v1/jobs/"+id, "", &st)
+		if st.Chunks != len(g1aLines)-1 || st.State != stateAccepting {
+			t.Fatalf("after altered chunk: %+v, want %d chunks", st, len(g1aLines)-1)
+		}
+		code, _ := do(t, srv2.Client(), "POST", srv2.URL+"/v1/jobs/"+id+"/chunks", g1aLines[len(g1aLines)-1], nil)
+		if code != http.StatusOK {
+			t.Fatalf("re-feed after altered chunk: %d", code)
+		}
+		if code, body := do(t, srv2.Client(), "GET", srv2.URL+"/v1/jobs/"+id+"/report", "", nil); code != http.StatusOK || !strings.Contains(body, "G1a") {
+			t.Fatalf("report after altered chunk+resume: %d: %s", code, body)
+		}
+	})
+
+	t.Run("version-1", func(t *testing.T) {
+		cfg := Config{WALDir: t.TempDir()}
+		_, srv, stop := startServer(t, cfg)
+		id := createJob(t, srv.Client(), srv.URL, `{}`)
+		stop()
+
+		raw, err := os.ReadFile(walFile(cfg, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[7] = 1 // the header's version byte
+		if err := os.WriteFile(walFile(cfg, id), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		svc2, _, _ := startServer(t, cfg)
+		if sk := svc2.SkippedWALs(); svc2.Jobs() != 0 || len(sk) != 1 || sk[0] != walFile(cfg, id) {
+			t.Fatalf("a version-1 journal: %d jobs, skipped %v", svc2.Jobs(), sk)
+		}
+	})
+
 	t.Run("truncated-header", func(t *testing.T) {
 		cfg := Config{WALDir: t.TempDir()}
 		_, srv, stop := startServer(t, cfg)
@@ -198,6 +252,47 @@ func TestWALReplayTable(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReplayKeepsCreateParameters: a job created with every create
+// parameter set comes back from its journal as it was — the same
+// status, apart from resumed, and the report of a job that never
+// restarted.
+func TestReplayKeepsCreateParameters(t *testing.T) {
+	const body = `{"workload":"bank","model":"snapshot-isolation","parallelism":2,"memory_budget":64}`
+	jsonl := faultedHistory(t, "bank", 5, 400)
+
+	_, ref, _ := startServer(t, Config{SpillDir: t.TempDir()})
+	refID := createJob(t, ref.Client(), ref.URL, body)
+	feedChunks(t, ref.Client(), ref.URL, refID, jsonl, 50)
+	code, want := do(t, ref.Client(), "GET", ref.URL+"/v1/jobs/"+refID+"/report", "", nil)
+	if code != http.StatusOK {
+		t.Fatalf("report of the job that never restarted: %d: %s", code, want)
+	}
+
+	cfg := Config{WALDir: t.TempDir(), SpillDir: t.TempDir()}
+	_, srv, stop := startServer(t, cfg)
+	id := createJob(t, srv.Client(), srv.URL, body)
+	feedChunks(t, srv.Client(), srv.URL, id, jsonl, 50)
+	var before jobJSON
+	do(t, srv.Client(), "GET", srv.URL+"/v1/jobs/"+id, "", &before)
+	stop()
+
+	_, srv2, _ := startServer(t, cfg)
+	var after jobJSON
+	do(t, srv2.Client(), "GET", srv2.URL+"/v1/jobs/"+id, "", &after)
+	if before.Workload != "bank" || before.Model != "snapshot-isolation" || before.Memory == nil || before.Resumed || !after.Resumed {
+		t.Fatalf("status before the restart %+v, after %+v", before, after)
+	}
+	after.Resumed = false
+	b, _ := json.Marshal(before)
+	a, _ := json.Marshal(after)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("status changed across the restart:\n%s\n%s", b, a)
+	}
+	if code, got := do(t, srv2.Client(), "GET", srv2.URL+"/v1/jobs/"+id+"/report", "", nil); code != http.StatusOK || got != want {
+		t.Fatalf("report after the restart (%d) differs from the job that never restarted:\n%s\n--- want ---\n%s", code, got, want)
+	}
 }
 
 // TestWALLifecycle: the journal lives exactly as long as its job —
@@ -426,7 +521,7 @@ func grepLines(s, substr string) string {
 // shard_busy, and the job survives to accept the retry once the queue
 // drains.
 func TestShardBusy(t *testing.T) {
-	svc, srv, _ := startServer(t, Config{Shards: 1, ShardQueue: 1})
+	svc, srv, _ := startServer(t, Config{Shards: 1, shardQueue: 1})
 	c := srv.Client()
 	id := createJob(t, c, srv.URL, `{"model":"read-committed","parallelism":1}`)
 
@@ -509,7 +604,7 @@ func wedgeShard(t *testing.T, svc *Service, i int) (release func()) {
 // wedging the first job's shard refuses only the first job's chunks:
 // the second streams to the end and reports what batch reports.
 func TestShardIsCreationOrder(t *testing.T) {
-	svc, srv, _ := startServer(t, Config{Shards: 2, ShardQueue: 1})
+	svc, srv, _ := startServer(t, Config{Shards: 2, shardQueue: 1})
 	c := srv.Client()
 	const body = `{"model":"serializable","parallelism":1}`
 	lines := strings.SplitAfter(key0History, "\n")

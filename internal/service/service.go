@@ -141,9 +141,6 @@ type Config struct {
 	// Any shard count yields byte-identical reports; it only changes how
 	// much inference runs in parallel. Default: one per CPU.
 	Shards int
-	// ShardQueue is each shard's queue depth; a chunk arriving at a full
-	// queue is refused with 429 shard_busy. Default 32.
-	ShardQueue int
 
 	// WALDir, when set, enables the job WAL: every job journals its
 	// create parameters and accepted chunks to <WALDir>/<id>.wal before
@@ -155,7 +152,15 @@ type Config struct {
 	// staleness), or "none" (the OS flushes; crashes lose more acked
 	// chunks, which clients re-send via the resume protocol).
 	WALSync string
+
+	// shardQueue, when > 0, replaces shardQueueDepth, so that tests can
+	// wedge a shard with one task.
+	shardQueue int
 }
+
+// shardQueueDepth is each shard's queue depth: a chunk arriving at a
+// full queue is refused with 429 shard_busy.
+const shardQueueDepth = 32
 
 func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
@@ -176,8 +181,8 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = par.Procs(0)
 	}
-	if c.ShardQueue <= 0 {
-		c.ShardQueue = 32
+	if c.shardQueue <= 0 {
+		c.shardQueue = shardQueueDepth
 	}
 	return c
 }
@@ -214,7 +219,7 @@ func New(cfg Config) (*Service, error) {
 		done: make(chan struct{}),
 		jobs: make(map[string]*job),
 	}
-	s.pool = newShardPool(s.cfg.Shards, s.cfg.ShardQueue)
+	s.pool = newShardPool(s.cfg.Shards, s.cfg.shardQueue)
 	s.met = newMetrics(s)
 	mode, err := wal.ParseSyncMode(s.cfg.WALSync)
 	if err != nil {
@@ -305,24 +310,8 @@ func (s *Service) replayWALs() error {
 			s.skipped = append(s.skipped, r.Path)
 			continue
 		}
-		opts := core.OptsFor(core.Workload(info.Name), consistency.Model(r.Meta.Model))
-		opts.Parallelism = r.Meta.Parallelism
-		if r.Meta.MemoryBudget > 0 {
-			opts.MemoryBudget = r.Meta.MemoryBudget
-			opts.SpillDir = s.cfg.SpillDir
-		}
-		j := &job{
-			id:        r.Meta.ID,
-			seq:       r.Meta.Seq,
-			info:      info,
-			opts:      opts,
-			stream:    core.CheckStream(opts),
-			state:     stateAccepting,
-			createdAt: r.Meta.CreatedAt,
-			resumed:   true,
-			panics:    s.met.panics,
-		}
-		j.touch()
+		j := s.newJob(r.Meta, info)
+		j.resumed = true
 		j.mu.Lock()
 		for _, c := range r.Chunks {
 			format := formatJSON
@@ -397,6 +386,30 @@ func (s *Service) reap() {
 			}
 		}
 	}
+}
+
+// newJob builds a job from its create parameters, the ones its journal
+// records: a created job and one replayed from its journal are built
+// alike. The caller has checked m's workload (info) and model.
+func (s *Service) newJob(m wal.Meta, info workload.Info) *job {
+	opts := core.OptsFor(core.Workload(info.Name), consistency.Model(m.Model))
+	opts.Parallelism = m.Parallelism
+	if m.MemoryBudget > 0 {
+		opts.MemoryBudget = m.MemoryBudget
+		opts.SpillDir = s.cfg.SpillDir
+	}
+	j := &job{
+		id:        m.ID,
+		seq:       m.Seq,
+		info:      info,
+		opts:      opts,
+		stream:    core.CheckStream(opts),
+		state:     stateAccepting,
+		createdAt: m.CreatedAt,
+		panics:    s.met.panics,
+	}
+	j.touch()
+	return j
 }
 
 // Job lifecycle states.
@@ -636,11 +649,12 @@ func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeInvalidMemoryBudget, "memory_budget must be >= 0")
 		return
 	}
-	opts := core.OptsFor(core.Workload(info.Name), model)
-	opts.Parallelism = req.Parallelism
-	if req.MemoryBudget > 0 {
-		opts.MemoryBudget = req.MemoryBudget
-		opts.SpillDir = s.cfg.SpillDir
+	meta := wal.Meta{
+		Workload:     string(info.Name),
+		Model:        string(model),
+		Parallelism:  req.Parallelism,
+		MemoryBudget: req.MemoryBudget,
+		CreatedAt:    time.Now().UTC(),
 	}
 
 	s.mu.Lock()
@@ -652,29 +666,13 @@ func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("j%d", s.seq),
-		seq:       s.seq,
-		info:      info,
-		opts:      opts,
-		stream:    core.CheckStream(opts),
-		state:     stateAccepting,
-		createdAt: time.Now().UTC(),
-		panics:    s.met.panics,
-	}
-	j.touch()
+	meta.ID, meta.Seq = fmt.Sprintf("j%d", s.seq), s.seq
+	j := s.newJob(meta, info)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 
 	if s.cfg.WALDir != "" {
-		jw, err := wal.Create(s.cfg.WALDir, s.walOpts, wal.Meta{
-			ID: j.id, Seq: j.seq,
-			Workload:     string(info.Name),
-			Model:        string(model),
-			Parallelism:  req.Parallelism,
-			MemoryBudget: req.MemoryBudget,
-			CreatedAt:    j.createdAt,
-		})
+		jw, err := wal.Create(s.cfg.WALDir, s.walOpts, meta)
 		if err != nil {
 			// No journal, no job: a create the WAL cannot record would
 			// silently lose the job on restart — refuse instead.

@@ -6,27 +6,33 @@
 // uploaded. The journal is written before the job's session sees the
 // chunk: what the client got a 200 for is what replay re-feeds.
 //
-// The framing is ellebin's (internal/binhist, docs/FORMATS.md): an
+// The framing follows ellebin's (internal/binhist, docs/FORMATS.md): an
 // 8-byte magic header, then uvarint length-prefixed records, each
-// payload led by a kind byte —
+// carrying the CRC-32C (Castagnoli) of its payload, each payload led by
+// a kind byte —
 //
 //	header: 8 bytes  EA 6C 6C 65 77 61 6C vv  (0xEA "llewal" + version)
+//	record: uvarint payload length, 4-byte little-endian CRC-32C of the
+//	        payload, then the payload:
 //	meta  (0x01): JSON-encoded Meta — the job's create parameters
 //	chunk (0x02): one format byte ('j' JSON lines | 'b' ellebin),
 //	              then the chunk body exactly as uploaded
 //
-// As in ellebin, the framing is the integrity story: a journal cut off
-// mid-record by a crash — a torn trailing record — parses cleanly up to
-// the last valid frame, and replay truncates the tear so appends resume
-// at a record boundary. A client that never heard the 200 for the torn
-// chunk re-sends it; the resume protocol in docs/SERVICE.md is built on
-// exactly this property.
+// The length prefix and the checksum are the integrity story. A journal
+// cut off mid-record by a crash — a torn trailing record — parses
+// cleanly up to the last valid frame, and so does one whose bytes were
+// altered in place: replay stops before the first chunk record whose
+// checksum fails, as it does at a tear, and truncates there so appends
+// resume at a record boundary. A client that never heard the 200 for a
+// dropped chunk re-sends it; the resume protocol in docs/SERVICE.md is
+// built on exactly this property. A meta record that fails its checksum
+// leaves no job to resume: the journal is ErrCorrupt.
 //
 // Durability is configurable (SyncMode): fsync on every append, fsync
 // at most once per interval, or never (the OS flushes). Whatever the
-// mode, replay never yields a half-chunk — the length prefix sees to
-// that — so a weaker mode trades *how many* acked chunks a crash can
-// lose, never whether the survivors are intact.
+// mode, replay never yields a half-chunk — the length prefix and the
+// checksum see to that — so a weaker mode trades *how many* acked
+// chunks a crash can lose, never whether the survivors are intact.
 package wal
 
 import (
@@ -34,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,13 +49,22 @@ import (
 )
 
 // Version is the journal format version, the header's final byte.
-const Version = 1
+// Version 2 added each record's checksum; a version-1 journal is
+// refused as unsupported.
+const Version = 2
 
 // magic tags a journal file. The leading 0xEA cannot begin JSON and is
 // distinct from ellebin's 0xEB, so the three formats never mis-identify.
 var magic = [7]byte{0xEA, 'l', 'l', 'e', 'w', 'a', 'l'}
 
 const headerLen = 8
+
+// crcLen is the size of a record's checksum, which sits between its
+// length prefix and its payload.
+const crcLen = 4
+
+// castagnoli is the CRC-32C table every record's checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record kinds.
 const (
@@ -69,7 +85,8 @@ const maxRecordBytes = 1 << 30
 
 // ErrCorrupt tags journals whose header or meta record is unreadable —
 // the file is not (or no longer) a journal this package understands.
-// Torn trailing records are NOT corruption; they are truncated silently.
+// Torn trailing records and chunk records that fail their checksum are
+// NOT corruption; replay stops before them and truncates them silently.
 var ErrCorrupt = errors.New("corrupt wal journal")
 
 // Meta is a job's create-time identity and parameters, journaled as the
@@ -132,17 +149,21 @@ func (m SyncMode) String() string {
 // Options configures a Journal's durability and instrumentation.
 type Options struct {
 	Mode SyncMode
-	// Interval bounds how stale the file can be under SyncInterval.
-	// Zero means 100ms.
-	Interval time.Duration
 	// OnFsync, when set, observes each fsync's wall-clock latency —
 	// the service's wal_fsync_seconds histogram.
 	OnFsync func(time.Duration)
+
+	// interval, when > 0, replaces syncPeriod, so that tests can hold
+	// off the periodic fsync.
+	interval time.Duration
 }
 
+// syncPeriod bounds how stale the file can be under SyncInterval.
+const syncPeriod = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
+	if o.interval <= 0 {
+		o.interval = syncPeriod
 	}
 	return o
 }
@@ -232,7 +253,7 @@ func (j *Journal) AppendChunk(format byte, body []byte) error {
 	before := j.size
 	err := j.appendRecord(recChunk, format, body)
 	if err == nil && (j.opts.Mode == SyncAlways ||
-		j.opts.Mode == SyncInterval && time.Since(j.lastSync) >= j.opts.Interval) {
+		j.opts.Mode == SyncInterval && time.Since(j.lastSync) >= j.opts.interval) {
 		err = j.Sync()
 	}
 	if err != nil && j.size != before {
@@ -244,8 +265,8 @@ func (j *Journal) AppendChunk(format byte, body []byte) error {
 	return err
 }
 
-// appendRecord writes one length-prefixed record. format is prepended
-// to the payload for chunk records only (recMeta passes 0).
+// appendRecord writes one length-prefixed, checksummed record. format
+// is prepended to the payload for chunk records only (recMeta passes 0).
 func (j *Journal) appendRecord(kind, format byte, payload []byte) error {
 	n := 1 + len(payload)
 	if kind == recChunk {
@@ -253,11 +274,14 @@ func (j *Journal) appendRecord(kind, format byte, payload []byte) error {
 	}
 	b := j.buf[:0]
 	b = binary.AppendUvarint(b, uint64(n))
+	b = binary.LittleEndian.AppendUint32(b, 0) // the checksum, filled in below
+	at := len(b)
 	b = append(b, kind)
 	if kind == recChunk {
 		b = append(b, format)
 	}
 	b = append(b, payload...)
+	binary.LittleEndian.PutUint32(b[at-crcLen:], crc32.Checksum(b[at:], castagnoli))
 	j.buf = b[:0]
 	w, err := j.f.Write(b)
 	j.size += int64(w)
@@ -334,8 +358,10 @@ type Replayed struct {
 
 // ReadFile parses one journal. Torn trailing bytes — a record cut off
 // mid-write — are dropped, not an error: the final intact frame ends
-// the replay. A file whose header or meta record is unreadable returns
-// ErrCorrupt: it is not a resumable journal at all.
+// the replay. A chunk record whose checksum fails ends it the same way,
+// with everything from that record on counted as Torn. A file whose
+// header or meta record is unreadable, or whose meta record fails its
+// checksum, returns ErrCorrupt: it is not a resumable journal at all.
 func ReadFile(path string) (*Replayed, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -357,10 +383,14 @@ func ReadFile(path string) (*Replayed, error) {
 	sawMeta := false
 	for {
 		n, w := binary.Uvarint(raw[pos:])
-		if w <= 0 || n == 0 || n > maxRecordBytes || pos+int64(w)+int64(n) > int64(len(raw)) {
+		at := pos + int64(w) + crcLen
+		if w <= 0 || n == 0 || n > maxRecordBytes || at+int64(n) > int64(len(raw)) {
 			break // torn (or absent) trailing record: stop at the last valid frame
 		}
-		payload := raw[pos+int64(w) : pos+int64(w)+int64(n)]
+		payload := raw[at : at+int64(n)]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(raw[at-crcLen:]) {
+			break // altered in place: stop as at a tear (before the meta, the journal is corrupt)
+		}
 		switch payload[0] {
 		case recMeta:
 			var m Meta
@@ -382,11 +412,11 @@ func ReadFile(path string) (*Replayed, error) {
 			// the valid prefix.
 			return r.tear(int64(len(raw))), nil
 		}
-		pos += int64(w) + int64(n)
+		pos = at + int64(n)
 		r.valid = pos
 	}
 	if !sawMeta {
-		return nil, fmt.Errorf("wal: %w: %s: no meta record", ErrCorrupt, path)
+		return nil, fmt.Errorf("wal: %w: %s: no intact meta record", ErrCorrupt, path)
 	}
 	return r.tear(int64(len(raw))), nil
 }

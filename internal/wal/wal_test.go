@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -95,7 +97,7 @@ func TestTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastStart := clean.valid - int64(len("second\n")+3) // len prefix + kind + format
+	lastStart := clean.valid - int64(len("second\n")+3+crcLen) // len prefix + checksum + kind + format
 
 	for cut := lastStart + 1; cut < int64(len(whole)); cut++ {
 		p := filepath.Join(t.TempDir(), "torn.wal")
@@ -135,11 +137,27 @@ func TestTornTail(t *testing.T) {
 
 func TestCorruptHeaderAndMeta(t *testing.T) {
 	dir := t.TempDir()
+	// A version-1 journal: records without checksums.
+	mj, err := json.Marshal(testMeta("j1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append(append([]byte{}, magic[:]...), 1)
+	v1 = append(append(binary.AppendUvarint(v1, uint64(1+len(mj))), recMeta), mj...)
+	// A journal whose meta record fails its checksum, though its JSON
+	// still parses.
+	badMeta, err := os.ReadFile(write(t, t.TempDir(), "j1", 1, []byte("x\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badMeta[bytes.Index(badMeta, []byte("list-append"))] ^= 1
 	cases := map[string][]byte{
-		"empty":       {},
-		"short":       {0xEA, 'l', 'l'},
-		"bad-magic":   []byte("not a journal, eight+ bytes"),
-		"bad-version": append(append([]byte{}, magic[:]...), 99),
+		"version-1":     v1,
+		"meta-checksum": badMeta,
+		"empty":         {},
+		"short":         {0xEA, 'l', 'l'},
+		"bad-magic":     []byte("not a journal, eight+ bytes"),
+		"bad-version":   append(append([]byte{}, magic[:]...), 99),
 		// A valid header whose first record is not parseable meta.
 		"no-meta": append(append(append([]byte{}, magic[:]...), Version), 0x02, recMeta, '{'),
 	}
@@ -150,6 +168,49 @@ func TestCorruptHeaderAndMeta(t *testing.T) {
 		}
 		if _, err := ReadFile(p); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestAlteredChunkEndsReplay: a byte of a chunk record altered in
+// place, wherever it lies in the record, ends the replay before that
+// record, as a tear does, and OpenAppend resumes on the boundary.
+func TestAlteredChunkEndsReplay(t *testing.T) {
+	path := write(t, t.TempDir(), "j4", 4, []byte("first\n"), []byte("second\n"), []byte("third\n"))
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recLen := int64(len("second\n") + 3 + crcLen) // len prefix + checksum + kind + format
+	secondEnd := int64(len(whole)) - int64(len("third\n")+3+crcLen)
+	secondStart := secondEnd - recLen
+	for at := secondStart; at < secondEnd; at++ {
+		for _, mask := range []byte{0x01, 0x80, 0xFF} {
+			raw := bytes.Clone(whole)
+			raw[at] ^= mask
+			p := filepath.Join(t.TempDir(), "altered.wal")
+			if err := os.WriteFile(p, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := ReadFile(p)
+			if err != nil {
+				t.Fatalf("byte %d ^ %#x: %v", at, mask, err)
+			}
+			if len(r.Chunks) != 1 || string(r.Chunks[0].Body) != "first\n" || r.Torn != int64(len(raw))-secondStart {
+				t.Fatalf("byte %d ^ %#x: chunks %q, torn %d", at, mask, r.Chunks, r.Torn)
+			}
+			j, err := r.OpenAppend(Options{Mode: SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.AppendChunk(FormatJSON, []byte("second again\n")); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			again, err := ReadFile(p)
+			if err != nil || len(again.Chunks) != 2 || string(again.Chunks[1].Body) != "second again\n" || again.Torn != 0 {
+				t.Fatalf("byte %d ^ %#x, then append: %+v, %v", at, mask, again, err)
+			}
 		}
 	}
 }
@@ -230,7 +291,7 @@ func TestSyncModes(t *testing.T) {
 	// Close still flushes.
 	syncs = 0
 	j2, err := Create(t.TempDir(), Options{
-		Mode: SyncInterval, Interval: time.Hour,
+		Mode: SyncInterval, interval: time.Hour,
 		OnFsync: func(time.Duration) { syncs++ },
 	}, testMeta("j2", 2))
 	if err != nil {
@@ -433,13 +494,11 @@ func TestFailedAppendLeavesNothing(t *testing.T) {
 //   - A journal of fuzzed chunk bodies and formats, cut at a fuzzed
 //     offset past its meta record: replay yields exactly the chunks
 //     whose records end at or before the cut, byte for byte.
+//   - That cut journal with one fuzzed byte past its meta record
+//     altered in place: replay yields a prefix of the appended chunks,
+//     each byte for byte.
 //   - That cut journal reopened with OpenAppend and given one more
 //     chunk: replay yields the prefix plus the new chunk, with Torn 0.
-//
-// The journal carries no checksums, so "replay never yields a chunk
-// that was not appended" is a property of truncation — a crash cutting
-// the file short — and this target claims nothing about journals whose
-// bytes were altered in place.
 func FuzzReadFile(f *testing.F) {
 	dir := f.TempDir()
 	j, err := Create(dir, Options{Mode: SyncNone}, testMeta("j1", 1))
@@ -453,13 +512,13 @@ func FuzzReadFile(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(whole, []byte("a\x00bb\x00"), uint8(2), uint32(0))
-	f.Add(whole[:len(whole)-1], []byte("line\n"), uint8(1), uint32(7))
-	f.Add(whole[:headerLen], []byte{}, uint8(0), uint32(1))
-	f.Add([]byte{}, []byte("\x00\x00\x00"), uint8(5), uint32(1<<20))
-	f.Add([]byte("not a journal at all"), []byte("x"), uint8(0), uint32(3))
+	f.Add(whole, []byte("a\x00bb\x00"), uint8(2), uint32(0), uint32(0), uint8(1))
+	f.Add(whole[:len(whole)-1], []byte("line\n"), uint8(1), uint32(7), uint32(3), uint8(0x80))
+	f.Add(whole[:headerLen], []byte{}, uint8(0), uint32(1), uint32(9), uint8(0xFF))
+	f.Add([]byte{}, []byte("\x00\x00\x00"), uint8(5), uint32(1<<20), uint32(17), uint8(4))
+	f.Add([]byte("not a journal at all"), []byte("x"), uint8(0), uint32(3), uint32(1<<16), uint8(0x40))
 
-	f.Fuzz(func(t *testing.T, raw, bodies []byte, formats uint8, cut uint32) {
+	f.Fuzz(func(t *testing.T, raw, bodies []byte, formats uint8, cut, flipAt uint32, flipMask uint8) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "raw.wal")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -519,6 +578,28 @@ func FuzzReadFile(f *testing.F) {
 		for i, c := range r.Chunks {
 			if c.Format != format(i) || !bytes.Equal(c.Body, chunks[i]) {
 				t.Fatalf("cut at %d: chunk %d = %c %q, want %c %q", at, i, c.Format, c.Body, format(i), chunks[i])
+			}
+		}
+
+		if at > metaEnd {
+			altered := bytes.Clone(whole[:at])
+			i := metaEnd + int64(flipAt)%(at-metaEnd)
+			altered[i] ^= max(flipMask, 1)
+			p := filepath.Join(dir, "altered.wal")
+			if err := os.WriteFile(p, altered, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ra, err := ReadFile(p)
+			if err != nil {
+				t.Fatalf("cut at %d, byte %d altered: %v", at, i, err)
+			}
+			if len(ra.Chunks) > kept {
+				t.Fatalf("cut at %d, byte %d altered: replayed %d chunks of %d", at, i, len(ra.Chunks), kept)
+			}
+			for k, c := range ra.Chunks {
+				if c.Format != format(k) || !bytes.Equal(c.Body, chunks[k]) {
+					t.Fatalf("cut at %d, byte %d altered: chunk %d = %c %q, want %c %q", at, i, k, c.Format, c.Body, format(k), chunks[k])
+				}
 			}
 		}
 

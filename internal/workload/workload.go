@@ -69,11 +69,6 @@ type Opts struct {
 	// its model does not, such as Dgraph's per-key linearizability (§7.4).
 	KeyConsistency KeyConsistency
 
-	// BankTotal is the expected total balance across all accounts of a
-	// bank history. 0 means infer it from the history's opening
-	// deposit (the first committed all-write transaction).
-	BankTotal int
-
 	// MemoryBudget, when > 0, bounds a streaming session's resident
 	// memory during Feed: roughly the last MemoryBudget completions stay
 	// fully resident, while settled prefixes are retired — closed spans
