@@ -338,13 +338,18 @@ func runConvert(h *history.History, format string, stdout, stderr io.Writer) int
 // from the first byte, exactly as in batch mode; the peek itself tails,
 // so following a file that does not have its first byte yet works.
 func runFollow(in io.Reader, fromFile bool, idle time.Duration, info workload.Info, opts core.Opts, out output) int {
+	// Either decoder knows whether the bytes delivered so far end inside
+	// a record: a writer paused mid-line (or mid-ellebin-record) earns
+	// the tail reader's extended grace.
+	var dec interface {
+		Next() ([]op.Op, error)
+		Pending() int
+	}
 	src := in
-	var tail *tailReader
 	if fromFile {
 		// A file hitting EOF may just not have been written yet; stdin's
 		// EOF (pipe close) is already definitive.
-		tail = newTailReader(in, idle)
-		src = tail
+		src = newTailReader(in, idle, func() bool { return dec != nil && dec.Pending() > 0 })
 	}
 	br := bufio.NewReader(src)
 	head, perr := br.Peek(1)
@@ -355,21 +360,12 @@ func runFollow(in io.Reader, fromFile bool, idle time.Duration, info workload.In
 		}
 		return 2
 	}
-	var dec interface{ Next() ([]op.Op, error) }
 	if len(head) > 0 && binhist.IsMagic(head) {
-		bdec := binhist.NewStreamDecoder(br)
-		if tail != nil {
-			// An ellebin writer paused mid-record earns the same extended
-			// grace a JSON writer paused mid-line does; the decoder knows
-			// whether the delivered tail sits inside a record.
-			tail.partial = func() bool { return bdec.Pending() > 0 }
-		}
-		dec = bdec
+		dec = binhist.NewStreamDecoder(br)
 	} else {
 		dec = jsonhist.NewStreamDecoder(br, jsonhist.DecodeOpts{
 			Register:    info.RegisterReads,
 			Parallelism: opts.Parallelism,
-			Tail:        true,
 		})
 	}
 	st := core.CheckStream(opts)

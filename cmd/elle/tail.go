@@ -36,11 +36,10 @@ const graceFactor = 4
 //     a partial line the reader keeps polling through graceFactor idle
 //     windows; only after that extended quiet is the fragment passed on
 //     as a final unterminated line, which the decoder accepts exactly
-//     as a batch read of the same file would. "Partial line" is judged
-//     by the last delivered byte being a newline; for ellebin streams —
-//     where a newline byte means nothing — the follow path installs a
-//     partial hook instead, asking the binary decoder whether it is
-//     sitting mid-record.
+//     as a batch read of the same file would. Whether the delivered
+//     tail is partial is the decoder's to say, through the partial hook:
+//     both the JSON and the ellebin decoder know where their records
+//     end.
 //   - Every poll at EOF stats the file (when the source is statable):
 //     if it shrank below the bytes already consumed, the stream fails
 //     with errTruncated rather than ending in a short — wrong — report.
@@ -56,18 +55,16 @@ type tailReader struct {
 	poll time.Duration         // delay between retries when no data is available
 	last time.Time             // time of the last successful read
 	read int64                 // total bytes delivered downstream
-	eol  bool                  // last delivered byte was '\n' (vacuously true before any data)
 
-	// partial, when set, replaces the newline heuristic: it reports
-	// whether the downstream decoder holds an incomplete record and so
-	// deserves the extended grace window. The binary follow path wires
-	// it to binhist.StreamDecoder.Pending — the decoder, not a byte
-	// value, knows where ellebin record boundaries are.
+	// partial reports whether the downstream decoder holds an
+	// incomplete record and so deserves the extended grace window. The
+	// follow path wires it to the decoder's Pending: the decoder, not a
+	// byte value, knows where records end.
 	partial func() bool
 }
 
-func newTailReader(r io.Reader, idle time.Duration) *tailReader {
-	t := &tailReader{r: r, idle: idle, poll: 25 * time.Millisecond, last: time.Now(), eol: true}
+func newTailReader(r io.Reader, idle time.Duration, partial func() bool) *tailReader {
+	t := &tailReader{r: r, idle: idle, poll: 25 * time.Millisecond, last: time.Now(), partial: partial}
 	if f, ok := r.(*os.File); ok {
 		t.size = func() (int64, error) {
 			fi, err := f.Stat()
@@ -85,7 +82,6 @@ func (t *tailReader) Read(p []byte) (int, error) {
 		n, err := t.r.Read(p)
 		if n > 0 {
 			t.read += int64(n)
-			t.eol = p[n-1] == '\n'
 			t.last = time.Now()
 			return n, nil
 		}
@@ -106,12 +102,8 @@ func (t *tailReader) Read(p []byte) (int, error) {
 				return 0, errTruncated
 			}
 		}
-		midRecord := !t.eol
-		if t.partial != nil {
-			midRecord = t.partial()
-		}
 		quiet := t.idle
-		if midRecord {
+		if t.partial() {
 			quiet = graceFactor * t.idle
 		}
 		if time.Since(t.last) >= quiet {

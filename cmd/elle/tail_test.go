@@ -84,8 +84,12 @@ func TestTailReader(t *testing.T) {
 		events      []event
 		zeroOnEmpty bool
 		statable    bool
-		want        string
-		wantErr     error
+		// midLine installs a partial hook that reports whether the
+		// delivered bytes end mid-line, as the JSON decoder's Pending
+		// does; without it the hook reports no partial record.
+		midLine bool
+		want    string
+		wantErr error
 		// maxReads bounds the number of underlying Read calls: polling
 		// at the poll interval stays in the hundreds, while a hot spin
 		// on a no-data branch would run to the millions.
@@ -135,6 +139,7 @@ func TestTailReader(t *testing.T) {
 				{after: idle * 2, append: "\"rest\"}\n", truncateTo: -1},
 			},
 			statable: true,
+			midLine:  true,
 			want:     "complete 1\n{\"half\":\"rest\"}\n",
 			wantErr:  io.EOF,
 			maxReads: 2000,
@@ -145,6 +150,7 @@ func TestTailReader(t *testing.T) {
 				{after: 0, append: "complete 1\nno trailing newline", truncateTo: -1},
 			},
 			statable: true,
+			midLine:  true,
 			want:     "complete 1\nno trailing newline",
 			wantErr:  io.EOF,
 			maxReads: 2000,
@@ -164,7 +170,12 @@ func TestTailReader(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			g := &growBuf{zeroOnEmpty: tc.zeroOnEmpty}
-			tr := &tailReader{r: g, idle: idle, poll: poll, last: time.Now(), eol: true}
+			var b strings.Builder
+			partial := func() bool { return false }
+			if tc.midLine {
+				partial = func() bool { return b.Len() > 0 && !strings.HasSuffix(b.String(), "\n") }
+			}
+			tr := &tailReader{r: g, idle: idle, poll: poll, last: time.Now(), partial: partial}
 			if tc.statable {
 				tr.size = g.size
 			}
@@ -182,7 +193,6 @@ func TestTailReader(t *testing.T) {
 				}
 			}()
 
-			var b strings.Builder
 			buf := make([]byte, 64)
 			var err error
 			for err == nil {

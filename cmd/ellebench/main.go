@@ -2,16 +2,15 @@
 // emits a machine-readable BENCH_*.json (schema elle-bench/v1): ns/op,
 // allocs/op, B/op, and MB/s per benchmark plus host metadata. The CI
 // perf-regression gate runs it with -baseline against the committed
-// BENCH_*.json and fails when a case's allocs/op or B/op grow past the
-// threshold (a case that states why its figures do not repeat is left
-// out). ns/op is recorded and tabled but not gated: it moves with the
-// machine and from run to run. The "Current numbers" table in docs/BENCHMARKS.md is
-// refreshed from the same artifact.
+// BENCH_*.json and fails when any case's allocs/op or B/op grow past
+// the threshold. ns/op is recorded and tabled but not gated: it moves
+// with the machine and from run to run. The "Current numbers" table in
+// docs/BENCHMARKS.md is refreshed from the same artifact.
 //
 // Usage:
 //
 //	ellebench [-runs N] [-bench substr] [-out BENCH.json]
-//	          [-baseline BENCH_28.json] [-threshold 0.20] [-list]
+//	          [-baseline BENCH_47.json] [-threshold 0.20] [-list]
 package main
 
 import (

@@ -205,7 +205,7 @@ func (a *analyzer) index() {
 				if !m.RegKnown {
 					continue
 				}
-				v := m.Version()
+				v := m.Reg
 				if o.Type == op.OK {
 					a.readers[verKey{k, v}] = append(a.readers[verKey{k, v}], o.Index)
 				}
@@ -305,7 +305,7 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 			if !m.RegKnown {
 				continue
 			}
-			if !m.RegNil && m.Reg < 0 {
+			if m.Reg != op.NilVersion && m.Reg < 0 {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.NegativeBalance,
 					Ops:  []op.Op{o},
@@ -315,7 +315,7 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 						o.Name(), m.Reg, m.Key),
 				})
 			}
-			if k := a.kid(m.Key); !m.RegNil && !a.unknowable[k] && a.writeCount[verKey{k, m.Reg}] == 0 {
+			if k := a.kid(m.Key); m.Reg != op.NilVersion && !a.unknowable[k] && a.writeCount[verKey{k, m.Reg}] == 0 {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.GarbageRead,
 					Ops:  []op.Op{o},
@@ -326,7 +326,7 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 				})
 			}
 			s := view(m.Key)
-			v := m.Version()
+			v := m.Reg
 			if s.known && s.ver != v {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.Internal,
@@ -339,9 +339,9 @@ func (a *analyzer) checkOp(o op.Op) []anomaly.Anomaly {
 			}
 			s.known, s.ver = true, v
 			if _, seen := firstRead[m.Key]; !seen {
-				v := 0
-				if !m.RegNil {
-					v = m.Reg
+				v := m.Reg
+				if v == op.NilVersion {
+					v = 0
 				}
 				firstRead[m.Key] = v
 			}

@@ -42,9 +42,6 @@ type Case struct {
 	Name string
 	// F is the benchmark body, in testing.Benchmark form.
 	F func(b *testing.B)
-	// AllocsUngated, when set, says why the case's allocs/op and B/op do
-	// not repeat from run to run; Compare then leaves the case ungated.
-	AllocsUngated string
 }
 
 // Histories are generated once per process, not once per testing.B
@@ -260,7 +257,7 @@ func Cases() []Case {
 				}
 			}
 		}},
-		{Name: "decode/n=100000/p=1", AllocsUngated: decodeAllocsVary, F: func(b *testing.B) {
+		{Name: "decode/n=100000/p=1", F: func(b *testing.B) {
 			raw := listEncoded()
 			b.SetBytes(int64(len(raw)))
 			b.ResetTimer()
@@ -291,13 +288,6 @@ func Cases() []Case {
 		}},
 	}
 }
-
-// decodeAllocsVary is why decode's allocs/op and B/op stay out of the
-// gate.
-const decodeAllocsVary = "the decoder recycles chunk buffers, parsers and their key caches " +
-	"through a sync.Pool, which a GC empties and which keeps one item per P; " +
-	"how many chunks a round finds cold depends on GC timing and scheduling, " +
-	"so the count varies between rounds of one build by more than the gate's threshold"
 
 // Find returns the named case.
 func Find(name string) (Case, bool) {

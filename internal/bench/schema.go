@@ -125,8 +125,7 @@ func (r Regression) String() string {
 
 // Compare gates cur against base: any benchmark present in both whose
 // allocs/op or B/op grew by more than threshold (0.20 = 20%) is a
-// regression, once per figure, except a case whose AllocsUngated gives
-// the reason its allocation figures do not repeat. ns/op is not
+// regression, once per figure. ns/op is not
 // compared: it moves with the machine and with run-to-run noise by more
 // than any useful threshold. Benchmarks present only on one side are
 // reported in missing (gate-neutral: the suite may gain cases before the
@@ -142,9 +141,6 @@ func Compare(base, cur Result, threshold float64) (regs []Regression, missing []
 		b, ok := baseBy[p.Name]
 		if !ok {
 			missing = append(missing, "baseline lacks "+p.Name)
-			continue
-		}
-		if allocsUngated(p.Name) {
 			continue
 		}
 		for _, f := range []struct {
@@ -166,13 +162,6 @@ func Compare(base, cur Result, threshold float64) (regs []Regression, missing []
 	}
 	sort.Strings(missing)
 	return regs, missing
-}
-
-// allocsUngated reports whether the named case's allocs/op and B/op
-// stay out of the gate.
-func allocsUngated(name string) bool {
-	c, ok := Find(name)
-	return ok && c.AllocsUngated != ""
 }
 
 // Table renders the comparison side by side for the CI log: ns/op for
@@ -200,9 +189,6 @@ func Table(base, cur Result) string {
 			continue
 		}
 		delta := func(base, cur int64) string {
-			if allocsUngated(p.Name) {
-				return "ungated"
-			}
 			return fmt.Sprintf("%+7.1f%%", 100*float64(cur-base)/float64(base))
 		}
 		fmt.Fprintf(&b, "%-*s %14.0f %14.0f %+7.1f%% | %12d %12d %8s | %12d %12d %8s\n",

@@ -43,7 +43,7 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	cur := sample()
 	// 25% more allocations on the first bench: gates.
 	cur.Benchmarks[0].AllocsPerOp = 2_500_000
-	// 10% more on the second: within the 20% threshold, and ungated anyway.
+	// 10% more on the second: within the 20% threshold.
 	cur.Benchmarks[1].AllocsPerOp = 1_100_000
 
 	regs, missing := Compare(base, cur, 0.20)
@@ -100,26 +100,11 @@ func TestCompareGatesBytes(t *testing.T) {
 	if regs, _ := Compare(base, within, 0.20); len(regs) != 0 {
 		t.Fatalf("+19%% B/op gated: %v", regs)
 	}
-	// decode's B/op, like its allocs/op, depend on its buffer pool.
-	ungated := sample()
-	ungated.Benchmarks[1].BytesPerOp *= 2
-	if regs, _ := Compare(base, ungated, 0.20); len(regs) != 0 {
-		t.Fatalf("decode's B/op gated: %v", regs)
-	}
-}
-
-// TestCompareSkipsUngatedAllocs: decode's allocs/op depend on what its
-// buffer pool kept, so nothing of it gates.
-func TestCompareSkipsUngatedAllocs(t *testing.T) {
-	base := sample()
-	cur := sample()
-	cur.Benchmarks[1].AllocsPerOp *= 2
-	cur.Benchmarks[1].NsPerOp *= 1.5
-	if regs, _ := Compare(base, cur, 0.20); len(regs) != 0 {
-		t.Fatalf("decode gated: %v", regs)
-	}
-	if tb := Table(base, cur); !strings.Contains(tb, "ungated") {
-		t.Errorf("table does not mark decode's allocs/op ungated:\n%s", tb)
+	// decode gates like every other case: twice its B/op is a regression.
+	doubled := sample()
+	doubled.Benchmarks[1].BytesPerOp *= 2
+	if regs, _ := Compare(base, doubled, 0.20); len(regs) != 1 || regs[0].Name != "decode/n=100000/p=1" || regs[0].Metric != "B/op" {
+		t.Fatalf("doubled decode B/op: want one B/op regression on decode, got %v", regs)
 	}
 }
 

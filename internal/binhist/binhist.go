@@ -137,10 +137,10 @@ func NewEncoder(w io.Writer) *Encoder {
 
 // WriteOp appends one op to the stream, preceded by dictionary records
 // for any keys it introduces. It refuses, writing nothing, an op the
-// decoder would refuse: a register write or read of op.NilVersion.
+// decoder would refuse: a register write of op.NilVersion.
 func (e *Encoder) WriteOp(o op.Op) error {
 	for _, m := range o.Mops {
-		if m.F == op.FWrite && m.Arg == op.NilVersion || m.F == op.FRead && m.List == nil && m.RegKnown && !m.RegNil && m.Reg == op.NilVersion {
+		if m.F == op.FWrite && m.Arg == op.NilVersion {
 			return fmt.Errorf("binhist: %w", op.ErrNilVersion)
 		}
 	}
@@ -175,7 +175,7 @@ func (e *Encoder) WriteOp(o op.Op) error {
 			switch {
 			case m.List != nil:
 				tag |= readList << 3
-			case m.RegKnown && m.RegNil:
+			case m.RegKnown && m.Reg == op.NilVersion:
 				tag |= readNil << 3
 			case m.RegKnown:
 				tag |= readReg << 3
@@ -191,7 +191,7 @@ func (e *Encoder) WriteOp(o op.Op) error {
 			for _, v := range m.List {
 				b = binary.AppendUvarint(b, zigzag(int64(v)))
 			}
-		case m.RegKnown && !m.RegNil:
+		case m.RegKnown && m.Reg != op.NilVersion:
 			b = binary.AppendUvarint(b, zigzag(int64(m.Reg)))
 		}
 	}

@@ -187,7 +187,7 @@ func (d *decoder) decodeOp(b []byte) (op.Op, error) {
 				return o, fmt.Errorf("binhist: mop %d: %w", i, op.ErrNilVersion)
 			}
 		case kind == readNil:
-			m.RegKnown, m.RegNil = true, true
+			m.Reg, m.RegKnown = op.NilVersion, true
 		case kind == readReg:
 			v, rest, err := uvarint(b)
 			if err != nil {

@@ -124,9 +124,9 @@ func check(h *history.History, opts workload.Opts) *result {
 			if m.F != op.FRead || !m.RegKnown {
 				continue
 			}
-			v := 0
-			if !m.RegNil {
-				v = m.Reg
+			v := m.Reg
+			if v == op.NilVersion {
+				v = 0 // a nil read counts as 0
 			}
 			k := kid(m.Key)
 			l, hb := lo[k], hi[k]
@@ -169,9 +169,9 @@ func check(h *history.History, opts workload.Opts) *result {
 				if !incremented[k] || !nonNegative[k] {
 					continue
 				}
-				v := 0
-				if !m.RegNil {
-					v = m.Reg
+				v := m.Reg
+				if v == op.NilVersion {
+					v = 0
 				}
 				if prev, seen := last[k]; seen && v < prev[0] {
 					po, _ := h.Op(prev[1])

@@ -238,7 +238,7 @@ func (e *Explainer) wrWitness(from, to op.Op) (string, int, bool) {
 // wrRegWitness proves a register wr edge: `to` read a value `from` wrote.
 func (e *Explainer) wrRegWitness(from, to op.Op) (string, int, bool) {
 	for _, m := range to.Mops {
-		if m.F == op.FRead && m.RegKnown && !m.RegNil && wrote(from, op.FWrite, m.Key, m.Reg) {
+		if m.F == op.FRead && m.RegKnown && m.Reg != op.NilVersion && wrote(from, op.FWrite, m.Key, m.Reg) {
 			return m.Key, m.Reg, true
 		}
 	}
@@ -268,7 +268,7 @@ func (e *Explainer) rwRegWitness(from, to op.Op) (key string, prev, next int, ok
 		if m.F != op.FRead || !m.RegKnown {
 			continue
 		}
-		observed := m.Version()
+		observed := m.Reg
 		for _, edge := range e.RegOrder(m.Key) {
 			if edge[0] == observed && wrote(to, op.FWrite, m.Key, edge[1]) {
 				return m.Key, observed, edge[1], true

@@ -2,7 +2,6 @@ package jsonhist
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,7 +11,7 @@ import (
 // allocation budget. With the scan-first parser the measured cost of
 // this 3-mop line is ~2 allocations — the exact-size Mops copy and the
 // list-read copy; keys hit the parser's interned cache, scratch
-// buffers recycle with the chunk, and the chunked reader contributes
+// buffers serve every line of the decoder, and the reader contributes
 // nothing per line. A breach means a per-line allocation crept back
 // into the decode hot path (the budget leaves headroom for runtime
 // drift, not for new per-line work; the stdlib decoder this replaced
@@ -35,10 +34,10 @@ func TestDecodeAllocsPerLine(t *testing.T) {
 	}
 }
 
-// TestDecodeChunkingAllocsAmortize pins the chunk machinery itself:
-// decoding the same input as one chunk or as many small chunks must
-// cost nearly the same, proving chunk buffers recycle instead of
-// allocating per chunk boundary.
+// TestDecodeChunkingAllocsAmortize pins the read loop itself: decoding
+// the same input in one read or in many small reads must cost nearly
+// the same, proving the read buffer and parsers serve every read
+// instead of allocating per read boundary.
 func TestDecodeChunkingAllocsAmortize(t *testing.T) {
 	line := `{"index":0,"type":"ok","process":3,"value":[["append",8,1]]}`
 	const lines = 400
@@ -52,39 +51,14 @@ func TestDecodeChunkingAllocsAmortize(t *testing.T) {
 			}
 		})
 	}
-	one := measure(1 << 20)        // whole input in one chunk
-	many := measure(len(line) * 4) // ~100 chunks
+	one := measure(1 << 20)        // whole input in one read
+	many := measure(len(line) * 4) // ~100 reads
 	perExtraChunk := (many - one) / 100
 	t.Logf("allocs one-chunk=%.0f many-chunks=%.0f (+%.2f per extra chunk)", one, many, perExtraChunk)
-	// ~7 today: the round channel and result slices; crucially O(1) per
-	// chunk, independent of the lines inside it.
+	// ~1.4 today, mostly the read's op slice; crucially O(1) per read,
+	// independent of the lines inside it.
 	if perExtraChunk > 12 {
 		t.Fatalf("each chunk boundary costs %.2f allocations; want O(1) per chunk (<= 12)", perExtraChunk)
-	}
-}
-
-// TestDecodeWithIgnoresTail holds DecodeWith to what DecodeOpts says of
-// Tail: batch decoding ignores it. Honoured, Tail would make every line
-// a chunk and a round of its own, several allocations per line more.
-func TestDecodeWithIgnoresTail(t *testing.T) {
-	const lines = 400
-	var b strings.Builder
-	for i := 0; i < lines; i++ {
-		fmt.Fprintf(&b, `{"index":%d,"type":"ok","process":3,"value":[["append",8,%d]]}`+"\n", i, i)
-	}
-	input := []byte(b.String())
-	perLine := func(opts DecodeOpts) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := DecodeWith(bytes.NewReader(input), opts); err != nil {
-				t.Fatal(err)
-			}
-		}) / lines
-	}
-	batch := perLine(DecodeOpts{Parallelism: 1})
-	tail := perLine(DecodeOpts{Parallelism: 1, Tail: true})
-	t.Logf("allocations per line: %.2f without Tail, %.2f with it", batch, tail)
-	if tail > batch*1.1 {
-		t.Fatalf("DecodeWith with Tail allocates %.2f per line against %.2f without it; batch decoding must ignore Tail", tail, batch)
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 )
 
 // TestDecodeWithCopiesOpsTwice pins how often a batch decode allocates
-// the op slice: once as its one chunk parses, once where DecodeWith joins
-// the rounds, and never again — the history takes the joined slice over
-// (history.Adopt). Total bytes allocated cannot tell: the parser's mop
-// slabs outlive a decode in its pool, so what one decode allocates moves
-// by a slab with what the last one left. The test counts, through an
-// exact allocation profile, the allocations the size of the whole op
-// slice instead.
+// the op slice: once as its one read parses, once where DecodeWith joins
+// the reads' ops, and never again — the history takes the joined slice
+// over (history.Adopt). Total bytes allocated cannot tell a copy of the
+// ops from the read buffer and the parser's slabs. The test counts,
+// through an exact allocation profile, the allocations the size of the
+// whole op slice instead.
 func TestDecodeWithCopiesOpsTwice(t *testing.T) {
-	const lines = 8000 // one chunk
+	const lines = 8000 // one read
 	var b bytes.Buffer
 	for i := 0; i < lines/2; i++ {
 		k := i % 16

@@ -17,11 +17,11 @@
 //
 // A decoded list read is read-only, and may share memory with other
 // reads of its key: a decoder keeps one trace buffer per key and hands
-// out prefixes of it (op.ShareList). Under DecodeWith and StreamDecoder
-// a trace lives for one chunk's parse, so reads in different chunks
-// never share a list; under ChunkDecoder it lives as long as the
-// decoder, so every chunk of a job shares it. Nothing a decoder returns
-// shares a list with what another decoder returns.
+// out prefixes of it (op.ShareList). A trace lives as long as its
+// decoder — StreamDecoder (and DecodeWith) keeps one parser per part of
+// a read, ChunkDecoder one for every chunk — so reads far apart in the
+// input share it. Nothing a decoder returns shares a list with what
+// another decoder returns.
 package jsonhist
 
 import (
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 
 	"repro/internal/history"
@@ -45,15 +44,10 @@ type DecodeOpts struct {
 	// one per CPU, 1 parses sequentially. The decoded history is
 	// identical at every setting.
 	Parallelism int
-	// Tail tunes the streaming decoder for following a live source:
-	// every line is emitted as soon as it parses — no chunk batching,
-	// no read-ahead — so a paused producer never delays delivery of
-	// what has already arrived. Batch decoding ignores it.
-	Tail bool
 
 	// chunkBytes, when > 0, replaces chunkTarget as the raw bytes one
-	// parse unit carries, so that tests reach many chunks and rounds on
-	// a small input.
+	// part of a read carries, so that tests reach many reads and parts
+	// on a small input.
 	chunkBytes int
 }
 
@@ -64,60 +58,28 @@ func Decode(r io.Reader, register bool) (*history.History, error) {
 	return DecodeWith(r, DecodeOpts{Register: register, Parallelism: 1})
 }
 
-// chunkTarget is how many raw history bytes one parse unit carries. Big
-// enough that fan-out overhead vanishes against JSON parsing; small
-// enough that a round of chunks never approaches the history's size.
+// chunkTarget is how many raw history bytes one part of a read
+// carries. Big enough that fan-out overhead vanishes against JSON
+// parsing; small enough that a buffer of parts never approaches the
+// history's size.
 const chunkTarget = 1 << 20
 
-// chunk is one parse unit: a run of consecutive lines, copied out of the
-// read buffer so decoding never retains the underlying stream. Lines
-// are packed back to back in one contiguous buffer — one allocation per
-// chunk rather than one per line — and the buffer (and the parser's
-// scratch space) recycles through chunkPool once parsed.
-type chunk struct {
-	firstLine int
-	buf       []byte // line bytes, concatenated (newlines included)
-	parser    *lineParser
-}
-
-// release returns c to the pool, letting go of the parser's traces
-// first: a trace holds lists the caller's ops now own, so the pool must
-// not keep it alive. A trace thus lives for one chunk's parse.
-func (c *chunk) release() {
-	if c.parser != nil {
-		c.parser.dropTraces()
-	}
-	chunkPool.Put(c)
-}
-
-// chunkPool recycles chunk buffers between reads; a decode of an n-line
-// history reuses a handful of chunk buffers instead of allocating n
-// line slices.
-var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
-
-// parsed is one chunk's decode result.
-type parsed struct {
-	ops []op.Op
-	err error
-}
-
-// DecodeWith reads a JSON-lines history, streaming the input in ~1 MB
-// chunks of whole lines and parsing chunks across a worker pool. Raw
-// bytes are dropped as soon as their chunk is parsed, so multi-million-op
-// histories never live in memory twice; ops are collected in input order,
-// and the first malformed line (in line order) is reported just as the
-// sequential decoder would. Reading and parsing are pipelined: while one
-// round of chunks parses, the next round is read from the stream.
+// DecodeWith reads a JSON-lines history through a StreamDecoder over a
+// reader that fills every read it asks for, so each read is a buffer
+// of up to Parallelism parts of ~1 MB whole lines parsed across a
+// worker pool, even from a pipe that delivers a little at a time. Raw
+// bytes are dropped as soon as their read is parsed, so
+// multi-million-op histories never live in memory twice; ops are
+// collected in input order, and the first malformed line (in line
+// order) is reported just as the sequential decoder would.
 //
-// DecodeWith is NewStreamDecoder, with Tail cleared, +
-// collect-everything; callers that want the ops as they parse (the
-// incremental checker) drive the StreamDecoder directly. The rounds
-// are kept as Next returns them and joined once, at their exact total,
-// whatever the source is; the history takes the joined slice over
-// (history.Adopt) rather than copying it again.
+// Callers that want the ops as they parse (the incremental checker)
+// drive the StreamDecoder directly. The reads' ops are kept as Next
+// returns them and joined once, at their exact total; the history
+// takes the joined slice over (history.Adopt) rather than copying it
+// again.
 func DecodeWith(r io.Reader, opts DecodeOpts) (*history.History, error) {
-	opts.Tail = false
-	d := NewStreamDecoder(r, opts)
+	d := NewStreamDecoder(fullReader{r}, opts)
 	var rounds [][]op.Op
 	total := 0
 	for {
@@ -136,6 +98,20 @@ func DecodeWith(r io.Reader, opts DecodeOpts) (*history.History, error) {
 		ops = append(ops, round...)
 	}
 	return history.Adopt(ops)
+}
+
+// fullReader fills every read it is asked for, or ends it early with
+// the error that stopped it (io.ReadFull's semantics, with the error
+// passed through as it came).
+type fullReader struct{ r io.Reader }
+
+func (f fullReader) Read(p []byte) (n int, err error) {
+	for n < len(p) && err == nil {
+		var m int
+		m, err = f.r.Read(p[n:])
+		n += m
+	}
+	return n, err
 }
 
 func trimSpace(b []byte) []byte {
@@ -234,7 +210,7 @@ func appendMop(dst []byte, m op.Mop) ([]byte, error) {
 			dst = strconv.AppendInt(dst, int64(v), 10)
 		}
 		dst = append(dst, ']')
-	case m.RegKnown && !m.RegNil:
+	case m.RegKnown && m.Reg != op.NilVersion:
 		dst = strconv.AppendInt(dst, int64(m.Reg), 10)
 	default:
 		dst = append(dst, "null"...)

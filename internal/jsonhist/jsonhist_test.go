@@ -52,7 +52,7 @@ func TestDecodeRegisterHistory(t *testing.T) {
 	if m[0].F != op.FWrite || m[0].Arg != 2 {
 		t.Errorf("write = %+v", m[0])
 	}
-	if !m[1].RegKnown || !m[1].RegNil {
+	if !m[1].RegKnown || m[1].Reg != op.NilVersion {
 		t.Errorf("null read in ok op should be nil: %+v", m[1])
 	}
 	if !m[2].RegKnown || m[2].Reg != 5 {
@@ -129,7 +129,7 @@ func TestRoundTripRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := back.Ops[0].Mops
-	if !m[1].RegNil || !m[1].RegKnown {
+	if m[1].Reg != op.NilVersion || !m[1].RegKnown {
 		t.Errorf("nil read lost: %+v", m[1])
 	}
 	if m[2].Reg != 1 {

@@ -195,7 +195,7 @@ func oracleEncodeMop(m op.Mop) (json.RawMessage, error) {
 		switch {
 		case m.List != nil:
 			val = m.List
-		case m.RegKnown && !m.RegNil:
+		case m.RegKnown && m.Reg != op.NilVersion:
 			val = m.Reg
 		default:
 			val = nil

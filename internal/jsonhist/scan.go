@@ -61,10 +61,10 @@ var (
 	nameValue   = []byte("value")
 )
 
-// lineParser carries the parse scratch space. One parser serves all
-// lines of a chunk sequentially, so every line after the first parses
-// with (amortized) zero scratch allocations. It recycles with its chunk
-// through chunkPool, or serves every chunk of a ChunkDecoder.
+// lineParser carries the parse scratch space. One parser serves its
+// decoder's lines sequentially — every part i of a StreamDecoder's
+// reads, or every chunk of a ChunkDecoder — so every line after the
+// first parses with (amortized) zero scratch allocations.
 type lineParser struct {
 	buf      []byte
 	pos      int
@@ -101,13 +101,6 @@ func (p *lineParser) allocMops(n int) []op.Mop {
 	start := len(p.mopArena)
 	p.mopArena = p.mopArena[:start+n]
 	return p.mopArena[start : start+n : start+n]
-}
-
-// dropTraces lets go of every key's trace, keeping the interned keys.
-func (p *lineParser) dropTraces() {
-	for i := range p.entries {
-		p.entries[i].trace = nil
-	}
 }
 
 // envelope is the decoded top-level object, the scanner's stand-in for

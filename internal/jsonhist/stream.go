@@ -1,56 +1,72 @@
 package jsonhist
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/op"
 	"repro/internal/par"
 )
 
 // StreamDecoder incrementally parses a JSON-lines history, yielding ops
-// chunk by chunk — the bridge between a (possibly still growing) byte
+// read by read — the bridge between a (possibly still growing) byte
 // stream and the incremental checker's Feed calls.
 //
-// In the default (batch) tuning it behaves exactly like DecodeWith's
-// internals: whole lines are gathered into ~1 MB chunks, a round of up
-// to Parallelism chunks parses across the worker pool while the next
-// round is read from the stream, and Next returns each round's ops in
-// input order, reporting the first malformed line (in line order) just
-// as the sequential decoder would.
-//
-// With Opts.Tail set it trades throughput for latency: one line per
-// chunk, one chunk per round, no read-ahead — every line is delivered
-// the moment it parses, so a paused producer (a live test run writing
-// its history) never delays ops that have already arrived.
+// Each Next reads once from the source, and reads again only while it
+// holds no whole line. It parses the whole lines it holds where they
+// lie, cut into parts of about a megabyte that parse across Parallelism
+// workers, and carries a partial last line over to the next read. So a
+// paused producer (a live test run writing its history) never delays
+// ops that have already arrived, and a source that fills every read
+// (DecodeWith's) is parsed a buffer of parts at a time. Part i of every
+// read goes to the decoder's parser i, whose interned keys and traces
+// live as long as the decoder. The first malformed line, in line order,
+// is reported by its number in the whole stream.
 type StreamDecoder struct {
-	opts DecodeOpts
-	p    int
-	br   *bufio.Reader
-
-	line     int
-	readErr  error
-	readDone bool
-	pending  chan parsedRound
+	r        io.Reader
+	register bool
+	p        int
+	part     int    // raw bytes one parse unit carries
+	buf      []byte // read buffer: buf[:held] is the carried partial line
+	held     int
+	line     int // lines parsed so far
+	parts    []part
+	parsers  []*lineParser
 	err      error // sticky terminal state, io.EOF included
 }
 
-// NewStreamDecoder returns a decoder reading from r under opts.
+// part is one parse unit of a read: whole lines, and the number of the
+// first.
+type part struct {
+	text  []byte
+	first int
+}
+
+// NewStreamDecoder returns a decoder reading from r under opts. Its read
+// buffer starts at one part and doubles, up to Parallelism parts, only
+// while reads fill it; past that it grows only for a line longer than
+// itself.
 func NewStreamDecoder(r io.Reader, opts DecodeOpts) *StreamDecoder {
-	bufSize := 1 << 20
-	if opts.Tail {
-		// A tailing reader delivers small bursts; a huge buffer only
-		// adds copy slack.
-		bufSize = 1 << 16
+	size := chunkTarget
+	if opts.chunkBytes > 0 {
+		size = opts.chunkBytes
 	}
 	return &StreamDecoder{
-		opts: opts,
-		p:    par.Procs(opts.Parallelism),
-		br:   bufio.NewReaderSize(r, bufSize),
+		r:        r,
+		register: opts.Register,
+		p:        par.Procs(opts.Parallelism),
+		part:     size,
+		buf:      make([]byte, size),
 	}
 }
+
+// Pending returns how many bytes of a partial last line the decoder
+// holds — nonzero exactly when the stream, if it ended now, would end
+// mid-line. Tail readers use it to tell "writer paused inside a line"
+// from "stream complete".
+func (d *StreamDecoder) Pending() int { return d.held }
 
 // ChunkDecoder decodes a JSON-lines history delivered as chunks of
 // whole lines, such as HTTP chunk uploads: the JSON counterpart of
@@ -75,196 +91,90 @@ func (c *ChunkDecoder) Feed(body []byte) ([]op.Op, error) {
 // returns io.EOF when the stream is exhausted; any other error (a
 // malformed line, a failed read) is terminal and sticky.
 func (d *StreamDecoder) Next() ([]op.Op, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	for {
-		if d.pending == nil {
-			round := d.readRound()
-			if len(round) == 0 {
-				return nil, d.terminate()
-			}
-			d.launch(round)
+	for d.err == nil {
+		n, rerr := d.r.Read(d.buf[d.held:])
+		d.held += n
+		text := d.buf[:d.held]
+		filled := d.held == len(d.buf)
+		whole := bytes.LastIndexByte(text, '\n') + 1
+		switch {
+		case rerr == io.EOF:
+			// A final line without its newline is still a line.
+			whole, d.err = len(text), io.EOF
+		case rerr != nil:
+			// The partial line goes: the read failure is the real
+			// error, and parsing the fragment would mask it with a
+			// phantom syntax error.
+			d.err = fmt.Errorf("jsonhist: %w", rerr)
 		}
-		// Read the next round while the pending one parses — unless
-		// tailing, where waiting for more input must never delay ops
-		// already in flight.
-		var next []*chunk
-		if !d.opts.Tail {
-			next = d.readRound()
+		ops, err := d.parse(text[:whole])
+		if err != nil {
+			d.err = err
+			return nil, err
 		}
-		results := <-d.pending
-		d.pending = nil
-		if results.panicked != nil {
-			panic(results.panicked)
-		}
-		if len(next) > 0 {
-			d.launch(next)
-		}
-		var ops []op.Op
-		for _, res := range results.chunks {
-			if res.err != nil {
-				d.err = res.err
-				return nil, d.err
-			}
-			ops = concat(ops, res.ops)
+		d.held = copy(d.buf, text[whole:])
+		if filled {
+			d.grow()
 		}
 		if len(ops) > 0 {
 			return ops, nil
 		}
-		// A round of blank lines only: keep going.
 	}
+	return nil, d.err
 }
 
-// terminate resolves the end of the stream into the sticky error state.
-func (d *StreamDecoder) terminate() error {
-	if d.readErr != nil {
-		d.err = fmt.Errorf("jsonhist: %w", d.readErr)
-	} else {
-		d.err = io.EOF
+// grow doubles the read buffer after a read filled it: up to
+// Parallelism parts, and past that only while it holds one partial line
+// that fills it.
+func (d *StreamDecoder) grow() {
+	limit := d.p * d.part
+	if d.held == len(d.buf) {
+		limit = 2 * len(d.buf)
 	}
-	return d.err
+	if len(d.buf) >= limit {
+		return
+	}
+	grown := make([]byte, min(2*len(d.buf), limit))
+	copy(grown, d.buf[:d.held])
+	d.buf = grown
 }
 
-// target resolves the per-chunk byte target.
-func (d *StreamDecoder) target() int {
-	if d.opts.Tail {
-		return 1 // any positive size: one line per chunk
-	}
-	if d.opts.chunkBytes > 0 {
-		return d.opts.chunkBytes
-	}
-	return chunkTarget
-}
-
-// nextChunk gathers whole lines from the reader until the chunk target.
-func (d *StreamDecoder) nextChunk() (*chunk, bool) {
-	c := chunkPool.Get().(*chunk)
-	c.firstLine = d.line + 1
-	d.readChunk(c)
-	if len(c.buf) == 0 {
-		c.release()
-		return nil, false
-	}
-	return c, true
-}
-
-// readChunk fills c from the reader. Lines (of any length — long lines
-// are reassembled across buffer refills) are copied into the chunk's
-// pooled contiguous buffer as they are read, so the chunk never aliases
-// the bufio window and a chunk of n lines costs no per-line allocations.
-func (d *StreamDecoder) readChunk(c *chunk) {
-	c.buf = c.buf[:0]
-	target := d.target()
-	for len(c.buf) < target && !d.readDone {
-		lineStart := len(c.buf)
-		var err error
-		for {
-			var frag []byte
-			frag, err = d.br.ReadSlice('\n')
-			c.buf = append(c.buf, frag...)
-			if err != bufio.ErrBufferFull {
-				break
+// parse decodes text, whole lines, in parts of d.part bytes: part i with
+// the decoder's parser i, across the worker pool, the ops in input
+// order. An error is the first malformed line's.
+func (d *StreamDecoder) parse(text []byte) ([]op.Op, error) {
+	d.parts = d.parts[:0]
+	for len(text) > 0 {
+		cut := len(text)
+		if cut > d.part {
+			if nl := bytes.IndexByte(text[d.part-1:], '\n'); nl >= 0 {
+				cut = d.part + nl
 			}
-			// A line longer than the read buffer: keep accumulating it.
 		}
+		d.parts = append(d.parts, part{text: text[:cut], first: d.line + 1})
+		d.line += bytes.Count(text[:cut], []byte{'\n'})
+		text = text[cut:]
+	}
+	for len(d.parsers) < len(d.parts) {
+		d.parsers = append(d.parsers, new(lineParser))
+	}
+	switch len(d.parts) {
+	case 0:
+		return nil, nil
+	case 1:
+		return parseLines(d.parsers[0], d.parts[0].text, d.parts[0].first, d.register)
+	}
+	ops := make([][]op.Op, len(d.parts))
+	errs := par.Map(d.p, len(d.parts), func(i int) (err error) {
+		ops[i], err = parseLines(d.parsers[i], d.parts[i].text, d.parts[i].first, d.register)
+		return err
+	})
+	for _, err := range errs {
 		if err != nil {
-			if err == io.EOF {
-				// A final unterminated line is still a line.
-				if len(c.buf) > lineStart {
-					d.line++
-				}
-			} else {
-				// Drop the truncated fragment: the read failure is the
-				// real error, and parsing the fragment would mask it
-				// with a phantom syntax error.
-				d.readErr = err
-				c.buf = c.buf[:lineStart]
-			}
-			d.readDone = true
-			break
-		}
-		d.line++
-	}
-}
-
-// readRound gathers up to one worker's worth of chunks (one chunk when
-// tailing).
-func (d *StreamDecoder) readRound() []*chunk {
-	width := d.p
-	if d.opts.Tail {
-		width = 1
-	}
-	var round []*chunk
-	for len(round) < width && !d.readDone {
-		if c, ok := d.nextChunk(); ok {
-			round = append(round, c)
+			return nil, err
 		}
 	}
-	return round
-}
-
-// parsedRound is one launched round's outcome: its chunks' results, or
-// the value its parse panicked with.
-type parsedRound struct {
-	chunks   []parsed
-	panicked any
-}
-
-// launch starts parsing a round: inline for sequential or single-chunk
-// rounds, across the worker pool otherwise. A pool round runs on a
-// goroutine of its own, where par.Map's re-panic would end the process:
-// it recovers the value and hands it to Next, which re-panics on its
-// caller's goroutine.
-func (d *StreamDecoder) launch(round []*chunk) {
-	ch := make(chan parsedRound, 1)
-	if d.p <= 1 || len(round) == 1 {
-		ch <- parsedRound{chunks: []parsed{d.parseRoundInline(round)}}
-	} else {
-		go func(rd []*chunk) {
-			defer func() {
-				if v := recover(); v != nil {
-					ch <- parsedRound{panicked: v}
-				}
-			}()
-			ch <- parsedRound{chunks: par.Map(d.p, len(rd), func(i int) parsed { return d.parseChunk(rd[i]) })}
-		}(round)
-	}
-	d.pending = ch
-}
-
-func (d *StreamDecoder) parseRoundInline(round []*chunk) parsed {
-	var all parsed
-	for _, c := range round {
-		res := d.parseChunk(c)
-		if res.err != nil {
-			return res
-		}
-		all.ops = concat(all.ops, res.ops)
-	}
-	return all
-}
-
-// concat is append(ops, more...), except that the first non-empty slice
-// is passed through rather than copied — the usual round is one chunk.
-func concat(ops, more []op.Op) []op.Op {
-	if len(ops) == 0 {
-		return more
-	}
-	return append(ops, more...)
-}
-
-// parseChunk decodes one chunk's lines with the chunk's own scan-first
-// parser (scan.go), returning its buffers to the pool when done:
-// nothing the parser produces aliases the chunk text (keys are interned
-// copies, mop slices are copied out of scratch).
-func (d *StreamDecoder) parseChunk(c *chunk) parsed {
-	defer c.release()
-	if c.parser == nil {
-		c.parser = new(lineParser)
-	}
-	ops, err := parseLines(c.parser, c.buf, c.firstLine, d.opts.Register)
-	return parsed{ops: ops, err: err}
+	return slices.Concat(ops...), nil
 }
 
 // parseLines decodes the lines of text, numbered from first, with p.

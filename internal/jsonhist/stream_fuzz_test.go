@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/op"
 )
@@ -127,10 +128,11 @@ func feedStable(t *testing.T, d *ChunkDecoder, input string) ([]op.Op, int, erro
 }
 
 // FuzzStreamDecoder holds three properties on arbitrary input: (1)
-// every tuning — sequential, tiny parallel chunks, tail mode — decodes
-// the same ops and reports the same first error as the plain sequential
-// decode, and a ChunkDecoder fed the input split at line boundaries
-// decodes those ops too, or fails at the same first bad line; (2) the
+// every tuning — sequential, tiny parallel parts, reads of one byte or
+// of half the buffer — decodes the same ops and reports the same first
+// error as the plain sequential decode, and a ChunkDecoder fed the
+// input split at line boundaries decodes those ops too, or fails at the
+// same first bad line; (2) the
 // scan-first parser agrees with the preserved encoding/json oracle on
 // acceptance, on the decoded ops, and on which line is the first bad
 // one (error *text* is the scanner's own and is not compared); (3) no
@@ -182,26 +184,37 @@ func FuzzStreamDecoder(f *testing.F) {
 				t.Fatalf("decoded ops diverged from oracle: %d vs %d ops",
 					len(base), len(oracleOps))
 			}
-			tunings := []DecodeOpts{
-				{Register: register, Parallelism: 2, chunkBytes: 7},
-				{Register: register, Parallelism: 4, chunkBytes: 64},
-				{Register: register, Parallelism: 1, Tail: true},
+			// Tiny parts across workers, and reads of one byte and of half
+			// what is asked for, so that every carry boundary is hit.
+			tunings := []struct {
+				name string
+				opts DecodeOpts
+				read func(io.Reader) io.Reader
+			}{
+				{"p=2 parts of 7", DecodeOpts{Register: register, Parallelism: 2, chunkBytes: 7}, nil},
+				{"p=4 parts of 64", DecodeOpts{Register: register, Parallelism: 4, chunkBytes: 64}, nil},
+				{"one byte a read", DecodeOpts{Register: register, Parallelism: 1}, iotest.OneByteReader},
+				{"half a read", DecodeOpts{Register: register, Parallelism: 2, chunkBytes: 64}, iotest.HalfReader},
 			}
-			for _, opts := range tunings {
-				got, err := drainStable(t, NewStreamDecoder(strings.NewReader(input), opts))
+			for _, tc := range tunings {
+				var r io.Reader = strings.NewReader(input)
+				if tc.read != nil {
+					r = tc.read(r)
+				}
+				got, err := drainStable(t, NewStreamDecoder(r, tc.opts))
 				if (err == nil) != (baseErr == nil) {
-					t.Fatalf("opts %+v: error presence diverged: %v vs %v", opts, err, baseErr)
+					t.Fatalf("%s: error presence diverged: %v vs %v", tc.name, err, baseErr)
 				}
 				if err != nil {
 					if err.Error() != baseErr.Error() {
-						t.Fatalf("opts %+v: error text diverged:\n  got:  %v\n  want: %v",
-							opts, err, baseErr)
+						t.Fatalf("%s: error text diverged:\n  got:  %v\n  want: %v",
+							tc.name, err, baseErr)
 					}
 					continue
 				}
 				if !reflect.DeepEqual(got, base) {
-					t.Fatalf("opts %+v: decoded %d ops, want %d (first divergence matters)",
-						opts, len(got), len(base))
+					t.Fatalf("%s: decoded %d ops, want %d (first divergence matters)",
+						tc.name, len(got), len(base))
 				}
 			}
 			// A job's chunks through one ChunkDecoder, cut after each

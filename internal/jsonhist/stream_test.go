@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/op"
 )
@@ -27,7 +30,6 @@ func TestStreamDecoderMatchesDecode(t *testing.T) {
 	for _, opts := range []DecodeOpts{
 		{Parallelism: 1},
 		{Parallelism: 4, chunkBytes: 128},
-		{Parallelism: 4, Tail: true},
 	} {
 		d := NewStreamDecoder(strings.NewReader(input), opts)
 		var ops []op.Op
@@ -50,9 +52,6 @@ func TestStreamDecoderMatchesDecode(t *testing.T) {
 			if ops[i].Index != want.Ops[i].Index {
 				t.Fatalf("%+v: op %d has index %d, want %d", opts, i, ops[i].Index, want.Ops[i].Index)
 			}
-		}
-		if opts.Tail && chunks != 500 {
-			t.Fatalf("tail mode delivered %d chunks, want one per line", chunks)
 		}
 		if opts.chunkBytes == 128 && chunks < 10 {
 			t.Fatalf("small chunks delivered only %d Next calls", chunks)
@@ -181,24 +180,104 @@ func TestChunkDecoderMatchesReader(t *testing.T) {
 	}
 }
 
-// TestRoundPanicReachesNext: a panic while a round parses on the worker
-// pool reaches Next's caller with its value, where recover contains it,
-// rather than ending the process on the round's own goroutine.
-func TestRoundPanicReachesNext(t *testing.T) {
-	d := NewStreamDecoder(strings.NewReader(""), DecodeOpts{Parallelism: 2})
-	want := recovered(func() { d.parseChunk(nil) })
-	if want == nil {
-		t.Fatal("parsing a nil chunk did not panic")
+// arrivals is a source that delivers one send per Read, and blocks
+// while nothing has arrived: a producer that pauses. Closing it ends
+// the stream.
+type arrivals chan string
+
+func (a arrivals) Read(p []byte) (int, error) {
+	s, ok := <-a
+	if !ok {
+		return 0, io.EOF
 	}
-	d.launch([]*chunk{nil, nil}) // two chunks at p = 2: the pool path
-	if got := recovered(func() { d.Next() }); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("Next panicked with %v, want %v", got, want)
+	if len(s) > len(p) {
+		panic("a send larger than the read")
+	}
+	return copy(p, s), nil
+}
+
+// TestStreamDecoderDeliversWhatArrived: a Next returns every whole line
+// that has arrived without waiting for more, carries the half line that
+// follows them, and numbers a bad line by its place in the whole stream
+// once the rest arrives.
+func TestStreamDecoderDeliversWhatArrived(t *testing.T) {
+	line := func(i int) string {
+		return `{"index":` + itoa(i) + `,"type":"ok","process":0,"value":[["append","k",` + itoa(i) + `]]}` + "\n"
+	}
+	var first, rest strings.Builder
+	for i := 0; i < 300; i++ {
+		first.WriteString(line(i))
+	}
+	half := line(300)
+	first.WriteString(half[:len(half)/2])
+	rest.WriteString(half[len(half)/2:])
+	for i := 301; i < 500; i++ {
+		if i == 449 {
+			rest.WriteString("not json\n") // line 450
+			continue
+		}
+		rest.WriteString(line(i))
+	}
+
+	src := make(arrivals, 1)
+	src <- first.String()
+	d := NewStreamDecoder(src, DecodeOpts{Parallelism: 2})
+	type result struct {
+		ops []op.Op
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		ops, err := d.Next()
+		done <- result{ops, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || len(r.ops) != 300 || r.ops[299].Index != 299 {
+			t.Fatalf("first Next: %d ops, error %v; want the 300 that arrived", len(r.ops), r.err)
+		}
+	case <-time.After(5 * time.Second):
+		close(src)
+		t.Fatal("Next waited for input past the 300 whole lines that had arrived")
+	}
+	if d.Pending() != len(half)/2 {
+		t.Fatalf("Pending() = %d, want the %d bytes of the half line", d.Pending(), len(half)/2)
+	}
+
+	src <- rest.String()
+	close(src)
+	if _, err := drain(d); err == nil || !strings.HasPrefix(err.Error(), "jsonhist: line 450: ") {
+		t.Fatalf("error %v; want one naming line 450", err)
 	}
 }
 
-// recovered runs f and returns the value it panicked with, or nil.
-func recovered(f func()) (v any) {
-	defer func() { v = recover() }()
-	f()
-	return nil
+// TestDecodeWithSharesTraces: a key's trace lives as long as the
+// decoder, so two prefix-related reads of one key share a backing array
+// even when many reads of the source lie between them.
+func TestDecodeWithSharesTraces(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`{"index":0,"type":"ok","process":0,"value":[["r","k",[1,2]]]}` + "\n")
+	for i := 1; i < 200; i++ {
+		b.WriteString(`{"index":` + itoa(i) + `,"type":"ok","process":1,"value":[["append","j",` + itoa(i) + `]]}` + "\n")
+	}
+	b.WriteString(`{"index":200,"type":"ok","process":0,"value":[["r","k",[1,2,3]]]}` + "\n")
+	input := b.String()
+
+	opts := DecodeOpts{Parallelism: 1, chunkBytes: 256}
+	reads := 0
+	d := NewStreamDecoder(strings.NewReader(input), opts)
+	for _, err := d.Next(); err == nil; _, err = d.Next() {
+		reads++
+	}
+	if reads < 20 {
+		t.Fatalf("the input took %d reads; want many", reads)
+	}
+	h, err := DecodeWith(strings.NewReader(input), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, late := h.Ops[0].Mops[0].List, h.Ops[200].Mops[0].List
+	if !slices.Equal(late, []int{1, 2, 3}) || unsafe.SliceData(early) != unsafe.SliceData(late) {
+		t.Fatalf("reads %v and %v of one key do not share a backing array", early, late)
+	}
 }

@@ -205,7 +205,7 @@ func check(h *history.History) *result {
 				switch {
 				case m.F == op.FWrite:
 					agg(kid(m.Key)).addWrite(m.Arg, start64, end64, o)
-				case m.F == op.FRead && m.RegKnown && m.RegNil:
+				case m.F == op.FRead && m.RegKnown && m.Reg == op.NilVersion:
 					a := agg(kid(m.Key))
 					a.reads++
 					a.nilReads = append(a.nilReads, obs{start: start64, end: end64, o: o})

@@ -84,7 +84,7 @@ func bruteMinimalK(ops []op.Op) (k int, ok bool) {
 			continue
 		}
 		m := o.Mops[0]
-		r := regOp{start: invokedAt[o.Process], end: o.Index, write: m.F == op.FWrite, isNil: m.RegNil, val: m.Reg}
+		r := regOp{start: invokedAt[o.Process], end: o.Index, write: m.F == op.FWrite, isNil: m.Reg == op.NilVersion, val: m.Reg}
 		if r.write {
 			r.val = m.Arg
 		}

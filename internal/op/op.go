@@ -64,11 +64,12 @@ func (f Fun) IsWrite() bool { return f != FRead }
 //   - FRead of a list object stores the observed list in List; a nil List
 //     means the result is unknown (e.g. on an invoke), while an empty,
 //     non-nil List means the database returned the empty list.
-//   - FRead of a register or counter stores the observed value in Reg;
-//     RegKnown distinguishes "observed nil / zero" from "unknown".
+//   - FRead of a register or counter stores the observed value in Reg,
+//     NilVersion for the initial nil; RegKnown distinguishes "observed"
+//     from "unknown".
 //
-// The three one-byte fields come last, so a Mop is 64 bytes with a
-// four-byte hole after them.
+// The two one-byte fields come last, so a Mop is 64 bytes with a
+// six-byte hole after them.
 type Mop struct {
 	Key string
 
@@ -83,13 +84,11 @@ type Mop struct {
 
 	// Reg is the observed value of a register or counter read, valid only
 	// when RegKnown is true. A register read that observed the initial
-	// (nil) version is encoded as RegKnown=true, RegNil=true; Version
-	// gives either as a value.
+	// (nil) version reads NilVersion, which no write installs.
 	Reg int
 
 	F        Fun
 	RegKnown bool
-	RegNil   bool
 }
 
 // Append constructs an append micro-op.
@@ -124,7 +123,7 @@ func ReadReg(key string, v int) Mop {
 // ReadNil constructs a completed register read that observed the initial
 // nil version.
 func ReadNil(key string) Mop {
-	return Mop{F: FRead, Key: key, RegKnown: true, RegNil: true}
+	return Mop{F: FRead, Key: key, Reg: NilVersion, RegKnown: true}
 }
 
 // NilVersion is a register's initial version as a value: the version
@@ -137,15 +136,6 @@ const NilVersion = math.MinInt64
 // ErrNilVersion is the decoders' error for a register write or read of
 // NilVersion's value.
 var ErrNilVersion = fmt.Errorf("register value %d is reserved for the initial version", NilVersion)
-
-// Version returns the register version a known read observed:
-// NilVersion for the initial version, else Reg.
-func (m Mop) Version() int {
-	if m.RegNil {
-		return NilVersion
-	}
-	return m.Reg
-}
 
 // FormatVersion renders a register version: "nil" for NilVersion, else
 // the value in decimal.
@@ -188,7 +178,7 @@ func (m Mop) AppendTo(b []byte) []byte {
 	case m.List != nil:
 		b = AppendList(append(b, ", "...), m.List)
 	case m.RegKnown:
-		b = AppendVersion(append(b, ", "...), m.Version())
+		b = AppendVersion(append(b, ", "...), m.Reg)
 	}
 	return append(b, ')')
 }

@@ -67,15 +67,12 @@ func TestMopConstructors(t *testing.T) {
 	}
 
 	rn := ReadNil("z")
-	if !rn.RegKnown || !rn.RegNil {
+	if !rn.RegKnown || rn.Reg != NilVersion {
 		t.Errorf("ReadNil: got %+v", rn)
 	}
 	rv := ReadReg("z", 7)
-	if !rv.RegKnown || rv.RegNil || rv.Reg != 7 {
+	if !rv.RegKnown || rv.Reg != 7 {
 		t.Errorf("ReadReg: got %+v", rv)
-	}
-	if rn.Version() != NilVersion || rv.Version() != 7 {
-		t.Errorf("Version: nil read %d, read of 7 %d", rn.Version(), rv.Version())
 	}
 }
 

@@ -141,7 +141,7 @@ func mopValue(m op.Mop) Value {
 		return Int(m.Arg)
 	case m.List != nil:
 		return Str(op.FormatList(m.List))
-	case m.RegKnown && m.RegNil:
+	case m.RegKnown && m.Reg == op.NilVersion:
 		return Str(op.FormatVersion(op.NilVersion))
 	case m.RegKnown:
 		return Int(m.Reg)

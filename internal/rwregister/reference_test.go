@@ -51,7 +51,7 @@ func index(h *history.History) refIndex {
 				ix.writes[v] = append(ix.writes[v], o)
 			case m.F == op.FRead && o.Type == op.OK && m.RegKnown:
 				v := refVer{m.Key, "nil"}
-				if !m.RegNil {
+				if m.Reg != op.NilVersion {
 					v.val = fmt.Sprint(m.Reg)
 				}
 				ix.readers[v] = append(ix.readers[v], o.Index)

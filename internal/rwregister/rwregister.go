@@ -264,7 +264,7 @@ func (a *analyzer) addOp(o op.Op, invoke int) {
 				vs.first, vs.failed = o.Index, o.Type == op.Fail
 			}
 		} else {
-			row = ks.row(m.Version()) // a nil read touches row 0
+			row = ks.row(m.Reg) // a nil read touches row 0
 		}
 		if !ks.stale {
 			ks.stale = true
@@ -335,7 +335,7 @@ func cvoAnomaly(k string, cyc []int) anomaly.Anomaly {
 func (a *analyzer) abortedReads(o op.Op) iter.Seq2[op.Mop, int] {
 	return func(yield func(op.Mop, int) bool) {
 		for _, m := range o.Mops {
-			if m.F != op.FRead || !m.RegKnown || m.RegNil {
+			if m.F != op.FRead || !m.RegKnown || m.Reg == op.NilVersion {
 				continue
 			}
 			if w, ok := a.find(a.kid(m.Key), m.Reg).sole(true); ok && !yield(m, w) {
@@ -366,7 +366,7 @@ func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
 func (a *analyzer) readAnomalies(o op.Op) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
 	for _, m := range o.Mops {
-		if m.F != op.FRead || !m.RegKnown || m.RegNil {
+		if m.F != op.FRead || !m.RegKnown || m.Reg == op.NilVersion {
 			continue
 		}
 		vs := a.find(a.kid(m.Key), m.Reg)
@@ -431,7 +431,7 @@ func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 			if !m.RegKnown {
 				continue
 			}
-			v := m.Version()
+			v := m.Reg
 			if s.known && s.ver != v {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.Internal,

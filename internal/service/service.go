@@ -314,15 +314,11 @@ func (s *Service) replayWALs() error {
 		j.resumed = true
 		j.mu.Lock()
 		for _, c := range r.Chunks {
-			format := formatJSON
-			if c.Format == wal.FormatBinary {
-				format = formatBinary
-			}
-			if j.format == "" {
-				j.format = format
+			if j.format == 0 {
+				j.format = c.Format
 			}
 			var delta deltaJSON
-			if err := j.ingestLocked(format, c.Body, &delta); err != nil {
+			if err := j.ingestLocked(c.Format, c.Body, &delta); err != nil {
 				break // job is failed; it stays resident so the client learns why
 			}
 			j.chunks++
@@ -445,10 +441,11 @@ type job struct {
 	errMsg string
 	wal    *wal.Journal // nil when the service runs without a WAL
 
-	// format is fixed by the first chunk ("json" or "binary"); mixing
-	// formats within one job is refused — an ellebin decoder mid-record
-	// cannot make sense of JSON bytes, and vice versa.
-	format string
+	// format is fixed by the first chunk (wal.FormatJSON or
+	// wal.FormatBinary; 0 before it); mixing formats within one job is
+	// refused — an ellebin decoder mid-record cannot make sense of JSON
+	// bytes, and vice versa.
+	format byte
 	// dec carries decode state across chunk uploads: interned keys, the
 	// traces a key's list reads share, and for ellebin any partial
 	// trailing record, which lets clients split at any byte offset.
@@ -774,7 +771,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 // checker's, so this is the WAL append around it — reaches this
 // goroutine through shardPool.run and fails the job as contain would,
 // with 500 internal; the shard's worker lives on.
-func (s *Service) ingestChunk(j *job, format string, body []byte, delta *deltaJSON) (status int, code, msg string, ran bool) {
+func (s *Service) ingestChunk(j *job, format byte, body []byte, delta *deltaJSON) (status int, code, msg string, ran bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			j.mu.Lock()
@@ -791,7 +788,7 @@ func (s *Service) ingestChunk(j *job, format string, body []byte, delta *deltaJS
 // processChunk ingests one chunk body on the job's shard: journal
 // first (acked ⇒ journaled), then decode and feed. It returns the HTTP
 // status plus error code/message for non-200s.
-func (s *Service) processChunk(j *job, format string, body []byte, delta *deltaJSON) (int, string, string) {
+func (s *Service) processChunk(j *job, format byte, body []byte, delta *deltaJSON) (int, string, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != stateAccepting {
@@ -801,19 +798,15 @@ func (s *Service) processChunk(j *job, format string, body []byte, delta *deltaJ
 		}
 		return http.StatusConflict, code, fmt.Sprintf("job is %s", j.state)
 	}
-	if j.format != "" && j.format != format {
+	if j.format != 0 && j.format != format {
 		// Not a job failure: the stream is intact, the chunk just never
 		// reached it. The client can resend with the right Content-Type.
 		return http.StatusBadRequest, CodeFormatMismatch,
-			fmt.Sprintf("job is a %s stream; this chunk is %s — one job, one format", j.format, format)
+			fmt.Sprintf("job is a %s stream; this chunk is %s — one job, one format", formatName(j.format), formatName(format))
 	}
 	if j.wal != nil {
-		wf := wal.FormatJSON
-		if format == formatBinary {
-			wf = wal.FormatBinary
-		}
 		before := j.wal.Size()
-		if err := j.wal.AppendChunk(wf, body); err != nil {
+		if err := j.wal.AppendChunk(format, body); err != nil {
 			// The chunk is not journaled, so it must not be fed: replay
 			// would silently drop it. The job survives and the client
 			// retries, unless the journal still holds part of the chunk.
@@ -849,10 +842,10 @@ func (s *Service) processChunk(j *job, format string, body []byte, delta *deltaJ
 // WAL append; startup replay runs it directly on already-journaled
 // chunks, so a chunk that panics the checker fails its job on replay
 // too instead of the restart. Callers hold j.mu.
-func (j *job) ingestLocked(format string, body []byte, delta *deltaJSON) (err error) {
+func (j *job) ingestLocked(format byte, body []byte, delta *deltaJSON) (err error) {
 	defer j.contain(&err)
 	if j.dec == nil {
-		if format == formatBinary {
+		if format == wal.FormatBinary {
 			j.dec = new(binhist.ChunkDecoder)
 		} else {
 			j.dec = &jsonhist.ChunkDecoder{Register: j.info.RegisterReads}
@@ -866,21 +859,23 @@ func (j *job) ingestLocked(format string, body []byte, delta *deltaJSON) (err er
 	return j.feedLocked(ops, delta)
 }
 
-// Chunk upload formats, fixed per job by its first chunk.
-const (
-	formatJSON   = "json"
-	formatBinary = "binary"
-)
-
-// chunkFormat maps a chunk upload's Content-Type to its history format.
-// Anything that is not ellebin's type — including absent or unparseable
-// values — is read as JSON lines, the format every pre-ellebin client
-// sends without a Content-Type.
-func chunkFormat(contentType string) string {
+// chunkFormat maps a chunk upload's Content-Type to its history format,
+// as the journal records it. Anything that is not ellebin's type —
+// including absent or unparseable values — is read as JSON lines, the
+// format every pre-ellebin client sends without a Content-Type.
+func chunkFormat(contentType string) byte {
 	if mt, _, err := mime.ParseMediaType(contentType); err == nil && mt == binhist.ContentType {
-		return formatBinary
+		return wal.FormatBinary
 	}
-	return formatJSON
+	return wal.FormatJSON
+}
+
+// formatName names a chunk format in a format_mismatch message.
+func formatName(format byte) string {
+	if format == wal.FormatBinary {
+		return "binary"
+	}
+	return "json"
 }
 
 // feedLocked feeds one batch of decoded ops into the job's stream and
