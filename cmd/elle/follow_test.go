@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -254,5 +255,23 @@ func TestFollowMalformedInput(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "line 1") {
 		t.Errorf("error lacks line number:\n%s", errb.String())
+	}
+}
+
+// TestFollowMalformedAfterGoodLines: the well-formed lines read with a
+// bad one are checked before the stream fails, so their provisional
+// findings print ahead of the decoder error and exit 2.
+func TestFollowMalformedAfterGoodLines(t *testing.T) {
+	bad := strings.Count(g1aHistory, "\n") + 1
+	var out, errb bytes.Buffer
+	code := run([]string{"-follow", "-model", "read-committed", "-"},
+		strings.NewReader(g1aHistory+"not json\n"), &out, &errb)
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2; stderr: %s", code, errb.String())
+	}
+	stderr := errb.String()
+	g1a, failed := strings.Index(stderr, "provisional: G1a"), strings.Index(stderr, "line "+strconv.Itoa(bad)+":")
+	if g1a < 0 || failed < 0 || g1a > failed {
+		t.Fatalf("want the prefix's provisional G1a, then the error naming line %d:\n%s", bad, stderr)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/par"
@@ -51,7 +52,7 @@ func (x panicHooks) Ingest(o op.Op, _ int, _ *workload.Findings) {
 }
 func (panicHooks) Scan(*workload.Findings) {}
 func (panicHooks) Retire([]history.KeyID)  {}
-func (x panicHooks) Finish(*history.History) workload.Analysis {
+func (x panicHooks) Finish(*history.History, *graph.Graph) workload.Analysis {
 	plant(x.p, "finish panic planted by the test")
 	return workload.Analysis{} // unreachable: plant panics
 }

@@ -99,3 +99,14 @@ func GrowKeyed[T any](s []T, id KeyID) []T {
 	copy(ns, s)
 	return ns
 }
+
+// DropKeyed releases the per-key state of keys a session retires. A
+// key that never got a state lies past the end of s.
+func DropKeyed[T any](s []T, keys []KeyID) {
+	var zero T
+	for _, k := range keys {
+		if int(k) < len(s) {
+			s[k] = zero
+		}
+	}
+}

@@ -97,6 +97,42 @@ func TestChunkDecoderAllocatesNoReadBuffer(t *testing.T) {
 	}
 }
 
+// TestStreamDecoderSmallInputSmallBuffer: a StreamDecoder's read buffer
+// starts small and grows only while reads fill it, so decoding a small
+// input through one costs little beyond what a fresh parser does: under
+// the bound TestChunkDecoderAllocatesNoReadBuffer holds an in-place
+// decode to, not a whole 1 MiB part.
+func TestStreamDecoderSmallInputSmallBuffer(t *testing.T) {
+	line := `{"index":0,"type":"ok","process":3,"value":[["append",8,117],["r",9,[1,2,3,4,5]],["append",8,118]]}`
+	input := []byte(strings.Repeat(line+"\n", 100)) // ~10 KB
+	perDecode := func(decode func() error) uint64 {
+		const runs = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := decode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	reader := perDecode(func() error {
+		_, err := drain(NewStreamDecoder(bytes.NewReader(input), DecodeOpts{Parallelism: 1}))
+		return err
+	})
+	parser := perDecode(func() error {
+		var d ChunkDecoder // a fresh parser, as each StreamDecoder has
+		_, err := d.Feed(input)
+		return err
+	})
+	t.Logf("bytes allocated per %d-byte decode: reader %d, fresh parser in place %d", len(input), reader, parser)
+	if reader > parser+1<<18 {
+		t.Fatalf("a StreamDecoder allocates %d bytes beyond its parser's for a %d-byte input; want well under a 1 MiB part",
+			reader-parser, len(input))
+	}
+}
+
 // BenchmarkParseLine is the scanner alone, per line shape, in MB/s: no
 // reader, no chunking, one parser reused as within a chunk.
 func BenchmarkParseLine(b *testing.B) {

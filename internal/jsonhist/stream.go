@@ -45,9 +45,9 @@ type part struct {
 }
 
 // NewStreamDecoder returns a decoder reading from r under opts. Its read
-// buffer starts at one part and doubles, up to Parallelism parts, only
-// while reads fill it; past that it grows only for a line longer than
-// itself.
+// buffer starts at one part or 64 KiB, whichever is smaller, and
+// doubles, up to Parallelism parts, only while reads fill it; past that
+// it grows only for a line longer than itself.
 func NewStreamDecoder(r io.Reader, opts DecodeOpts) *StreamDecoder {
 	size := chunkTarget
 	if opts.chunkBytes > 0 {
@@ -58,7 +58,7 @@ func NewStreamDecoder(r io.Reader, opts DecodeOpts) *StreamDecoder {
 		register: opts.Register,
 		p:        par.Procs(opts.Parallelism),
 		part:     size,
-		buf:      make([]byte, size),
+		buf:      make([]byte, min(size, 64<<10)),
 	}
 }
 
@@ -82,14 +82,17 @@ type ChunkDecoder struct {
 
 // Feed decodes body's lines where they lie; nothing it returns aliases
 // body. An error names its line counting from body's first, and is
-// terminal for the stream.
+// terminal for the stream; the ops returned with it are the lines'
+// before the bad one.
 func (c *ChunkDecoder) Feed(body []byte) ([]op.Op, error) {
 	return parseLines(&c.p, body, 1, c.Register)
 }
 
 // Next returns the next chunk of decoded ops, in input order. It
 // returns io.EOF when the stream is exhausted; any other error (a
-// malformed line, a failed read) is terminal and sticky.
+// malformed line, a failed read) is terminal and sticky. The well-formed
+// lines a read holds before a malformed one come back first, with a nil
+// error; the next call returns the error.
 func (d *StreamDecoder) Next() ([]op.Op, error) {
 	for d.err == nil {
 		n, rerr := d.r.Read(d.buf[d.held:])
@@ -110,6 +113,9 @@ func (d *StreamDecoder) Next() ([]op.Op, error) {
 		ops, err := d.parse(text[:whole])
 		if err != nil {
 			d.err = err
+			if len(ops) > 0 {
+				return ops, nil
+			}
 			return nil, err
 		}
 		d.held = copy(d.buf, text[whole:])
@@ -141,7 +147,8 @@ func (d *StreamDecoder) grow() {
 
 // parse decodes text, whole lines, in parts of d.part bytes: part i with
 // the decoder's parser i, across the worker pool, the ops in input
-// order. An error is the first malformed line's.
+// order. An error is the first malformed line's, and the ops are those
+// of the lines before it.
 func (d *StreamDecoder) parse(text []byte) ([]op.Op, error) {
 	d.parts = d.parts[:0]
 	for len(text) > 0 {
@@ -169,9 +176,9 @@ func (d *StreamDecoder) parse(text []byte) ([]op.Op, error) {
 		ops[i], err = parseLines(d.parsers[i], d.parts[i].text, d.parts[i].first, d.register)
 		return err
 	})
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return slices.Concat(ops[:i+1]...), err
 		}
 	}
 	return slices.Concat(ops...), nil
@@ -179,7 +186,8 @@ func (d *StreamDecoder) parse(text []byte) ([]op.Op, error) {
 
 // parseLines decodes the lines of text, numbered from first, with p.
 // Blank lines are skipped; a final line without its newline is still a
-// line. An error names its line.
+// line. An error names its line; the ops are those of the lines before
+// it.
 func parseLines(p *lineParser, text []byte, first int, register bool) ([]op.Op, error) {
 	ops := make([]op.Op, 0, bytes.Count(text, []byte{'\n'})+1)
 	for line := first; len(text) > 0; line++ {
@@ -193,7 +201,7 @@ func parseLines(p *lineParser, text []byte, first int, register bool) ([]op.Op, 
 		}
 		o, err := p.parse(l, register)
 		if err != nil {
-			return nil, fmt.Errorf("jsonhist: line %d: %w", line, err)
+			return ops, fmt.Errorf("jsonhist: line %d: %w", line, err)
 		}
 		ops = append(ops, o)
 	}

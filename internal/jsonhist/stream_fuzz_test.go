@@ -84,6 +84,25 @@ func drainStable(t *testing.T, d *StreamDecoder) ([]op.Op, error) {
 	}
 }
 
+// decodeBefore is the batch decode of the lines of input before the one
+// err names.
+func decodeBefore(t *testing.T, input string, err error, register bool) []op.Op {
+	t.Helper()
+	var line int
+	if _, serr := fmt.Sscanf(err.Error(), "jsonhist: line %d:", &line); serr != nil {
+		t.Fatalf("unparseable decode error %q", err)
+	}
+	end := 0
+	for i := 1; i < line; i++ {
+		end += strings.IndexByte(input[end:], '\n') + 1
+	}
+	ops, derr := drain(NewStreamDecoder(strings.NewReader(input[:end]), DecodeOpts{Register: register, Parallelism: 1}))
+	if derr != nil {
+		t.Fatalf("the lines before line %d do not decode: %v", line, derr)
+	}
+	return ops
+}
+
 // feedStable feeds input to d in chunks of whole lines, cutting after
 // each line of odd length, and returns the ops, and for a rejected line
 // its number in the whole input. Like drainStable it holds d to the
@@ -184,6 +203,15 @@ func FuzzStreamDecoder(f *testing.F) {
 				t.Fatalf("decoded ops diverged from oracle: %d vs %d ops",
 					len(base), len(oracleOps))
 			}
+			// The ops delivered before an error are the batch decode of
+			// the lines before the bad one.
+			var before []op.Op
+			if baseErr != nil {
+				before = decodeBefore(t, input, baseErr, register)
+				if !reflect.DeepEqual(base, before) {
+					t.Fatalf("delivered %d ops before the error, want the %d of the lines before it", len(base), len(before))
+				}
+			}
 			// Tiny parts across workers, and reads of one byte and of half
 			// what is asked for, so that every carry boundary is hit.
 			tunings := []struct {
@@ -209,6 +237,10 @@ func FuzzStreamDecoder(f *testing.F) {
 					if err.Error() != baseErr.Error() {
 						t.Fatalf("%s: error text diverged:\n  got:  %v\n  want: %v",
 							tc.name, err, baseErr)
+					}
+					if !reflect.DeepEqual(got, before) {
+						t.Fatalf("%s: delivered %d ops before the error, want the %d of the lines before it",
+							tc.name, len(got), len(before))
 					}
 					continue
 				}

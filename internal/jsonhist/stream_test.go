@@ -281,3 +281,34 @@ func TestDecodeWithSharesTraces(t *testing.T) {
 		t.Fatalf("reads %v and %v of one key do not share a backing array", early, late)
 	}
 }
+
+// TestStreamDecoderDeliversLinesBeforeBadOne: a read holding 300 good
+// lines and then a bad one yields the 300 ops with a nil error, and the
+// bad line's error on the next call, whether the read parses as one part
+// or as many across workers.
+func TestStreamDecoderDeliversLinesBeforeBadOne(t *testing.T) {
+	var in strings.Builder
+	for i := 0; i < 300; i++ {
+		in.WriteString(`{"index":` + itoa(i) + `,"type":"ok","process":0,"value":[["append","k",` + itoa(i) + `]]}` + "\n")
+	}
+	in.WriteString(`{"index":300,"type":"ok","process":0,"value":[["r","k",[1,2}]]}` + "\n")
+	for _, opts := range []DecodeOpts{{Parallelism: 1}, {Parallelism: 2, chunkBytes: 512}} {
+		d := NewStreamDecoder(strings.NewReader(in.String()), opts)
+		var ops []op.Op
+		var err error
+		for err == nil {
+			var got []op.Op
+			got, err = d.Next()
+			ops = append(ops, got...)
+		}
+		if len(ops) != 300 || ops[299].Index != 299 {
+			t.Errorf("p=%d: %d ops before the error, want 300", opts.Parallelism, len(ops))
+		}
+		if !strings.HasPrefix(err.Error(), "jsonhist: line 301: ") {
+			t.Errorf("p=%d: error %v, want one naming line 301", opts.Parallelism, err)
+		}
+		if _, again := d.Next(); again != err {
+			t.Errorf("p=%d: the error is not sticky: %v, then %v", opts.Parallelism, err, again)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package listappend
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/anomaly"
 	"repro/internal/op"
@@ -62,7 +63,7 @@ func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 			}
 			observed := mop.List
 			if m.known {
-				if !equalInts(observed, m.value) {
+				if !slices.Equal(observed, m.value) {
 					out = append(out, anomaly.Anomaly{
 						Type: anomaly.Internal,
 						Ops:  []op.Op{o},
@@ -72,7 +73,7 @@ func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 							o.Name(), mop.Key, op.FormatList(observed), op.FormatList(m.value)),
 					})
 				}
-			} else if !endsWith(observed, m.appended) {
+			} else if n := len(observed) - len(m.appended); n < 0 || !slices.Equal(observed[n:], m.appended) {
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.Internal,
 					Ops:  []op.Op{o},
@@ -89,30 +90,4 @@ func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 		}
 	}
 	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// endsWith reports whether v ends with suffix.
-func endsWith(v, suffix []int) bool {
-	if len(suffix) > len(v) {
-		return false
-	}
-	off := len(v) - len(suffix)
-	for i, e := range suffix {
-		if v[off+i] != e {
-			return false
-		}
-	}
-	return true
 }

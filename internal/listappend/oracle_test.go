@@ -13,86 +13,25 @@ import (
 	"repro/internal/workload"
 )
 
-// This file ties the session's emitter to the batch rules. A session
-// never calls keyEdges on its way to a provisional finding — Ingest emits
-// each edge as a delta — so the two rule sets could drift apart unseen:
-// Finish's byte-identity oracles only ever look at the batch graph. The
-// edge-set oracle closes that: whenever the session is not waiting on a
-// rebuild, the edges its incremental graph holds are exactly the union
-// of keyEdges over its traced keys, kind for kind.
-
-// oracleHooks is list-append's stream, checked against keyEdges after
-// every step. Finish scans once more first, so a history too short to
-// reach a scan point still drives Scan — and the rebuild of a session
-// that ended poisoned — past the oracle.
-type oracleHooks struct {
-	*stream
-	t   testing.TB
-	out *workload.Findings
+// The edge-set oracle (workloadtest.Begin) holds the session's graph to
+// keyEdges over the traced keys, which reads the writers the session
+// maintains per trace position. writersHooks holds those writers to what
+// index derives from the element table, after every Ingest, on copies:
+// re-indexing the session's own state would paper over a writer it
+// failed to maintain.
+type writersHooks struct {
+	*analyzer
+	t testing.TB
 }
 
-func (h *oracleHooks) Ingest(o op.Op, invoke int, out *workload.Findings) {
-	h.out = out
-	h.stream.Ingest(o, invoke, out)
-	h.check("Ingest", o.Index)
-}
-
-func (h *oracleHooks) Scan(out *workload.Findings) {
-	h.stream.Scan(out)
-	if h.poisoned {
-		h.t.Errorf("Scan left the session poisoned")
-	}
-	h.check("Scan", -1)
-}
-
-func (h *oracleHooks) Finish(hist *history.History) workload.Analysis {
-	if h.out != nil {
-		h.Scan(h.out)
-	}
-	return h.stream.Finish(hist)
-}
-
-// check compares the incremental graph with keyEdges, collected through
-// its sink over a fresh index. Re-indexing would paper over a writer the
-// session failed to maintain: the per-position facts are compared, then
-// put back.
-func (h *oracleHooks) check(step string, at int) {
-	h.t.Helper()
-	if h.poisoned {
-		return // stale until the next scan rebuilds it
-	}
-	want := map[graph.Edge]bool{}
-	for _, k := range h.a.tracedKeys() {
-		ks := h.a.keyst[k]
-		writers, aborted, garbage := slices.Clone(ks.writers), slices.Clone(ks.aborted), ks.garbage
+func (h writersHooks) Ingest(o op.Op, invoke int, out *workload.Findings) {
+	h.analyzer.Ingest(o, invoke, out)
+	for _, k := range h.tracedKeys() {
+		ks := *h.keyst[k]
+		ks.writers, ks.aborted = nil, nil
 		ks.index()
-		keyEdges(ks, func(from, to int, k graph.Kind) {
-			if from != to { // a transaction does not depend on itself
-				want[graph.Edge{From: from, To: to, Kind: k}] = true
-			}
-		})
-		if !slices.Equal(writers, ks.writers) {
-			h.t.Errorf("after %s %d: key %s has writers %v, keyEdges indexes %v", step, at, h.a.in.Key(k), writers, ks.writers)
-		}
-		ks.writers, ks.aborted, ks.garbage = writers, aborted, garbage
-	}
-	got := map[graph.Edge]bool{}
-	g := h.incr.Graph()
-	for _, a := range g.Nodes() {
-		g.Out(a, graph.KSDep, func(b int, label graph.KindSet) {
-			for _, k := range label.Kinds() {
-				got[graph.Edge{From: a, To: b, Kind: k}] = true
-			}
-		})
-	}
-	for e := range want {
-		if !got[e] {
-			h.t.Errorf("after %s %d: keyEdges infers %d -%s-> %d, the session never emitted it", step, at, e.From, e.Kind, e.To)
-		}
-	}
-	for e := range got {
-		if !want[e] {
-			h.t.Errorf("after %s %d: the session emitted %d -%s-> %d, keyEdges does not infer it", step, at, e.From, e.Kind, e.To)
+		if !slices.Equal(h.keyst[k].writers, ks.writers) {
+			h.t.Errorf("after Ingest %d: key %s has writers %v, index derives %v", o.Index, h.in.Key(k), h.keyst[k].writers, ks.writers)
 		}
 	}
 }
@@ -100,21 +39,22 @@ func (h *oracleHooks) check(step string, at int) {
 // hookedInfo is list-append's registration with each session's hooks
 // passed through wrap, so a test can watch, or keep a handle on, the
 // state the registered session maintains.
-func hookedInfo(t testing.TB, wrap func(*stream) workload.Hooks) workload.Info {
+func hookedInfo(t testing.TB, wrap func(*analyzer) workload.Hooks) workload.Info {
 	info, ok := workload.Lookup(string(workload.ListAppend))
 	if !ok {
 		t.Fatal("list-append is not registered")
 	}
 	info.Incremental = func(opts workload.Opts, keys *history.Interner, ops history.Lookup) workload.Hooks {
-		return wrap(begin(opts, keys, ops).(*stream))
+		return wrap(begin(opts, keys, ops).(*analyzer))
 	}
 	return info
 }
 
-// OracleInfo is list-append's registration with the edge-set oracle
-// riding on its session hooks, for the reference and fuzz tests.
+// OracleInfo is list-append's registration with its maintained writers
+// checked after every Ingest, for the reference and fuzz tests to open
+// through workloadtest.Begin.
 func OracleInfo(t testing.TB) workload.Info {
-	return hookedInfo(t, func(s *stream) workload.Hooks { return &oracleHooks{stream: s, t: t} })
+	return hookedInfo(t, func(s *analyzer) workload.Hooks { return writersHooks{analyzer: s, t: t} })
 }
 
 // TestScanCostIndependentOfKeyAge pins what emitting deltas buys: across
@@ -131,8 +71,8 @@ func TestScanCostIndependentOfKeyAge(t *testing.T) {
 			Source: gen.New(gen.Config{ActiveKeys: 10, MaxWritesPerKey: writesPerKey}, 3), Seed: 3,
 			Workload: memdb.WorkloadList,
 		})
-		var st *stream
-		info := hookedInfo(t, func(s *stream) workload.Hooks { st = s; return s })
+		var st *analyzer
+		info := hookedInfo(t, func(s *analyzer) workload.Hooks { st = s; return s })
 		s := workload.BeginSession(info, workload.Opts{Parallelism: 1})
 		for ops := h.Ops; len(ops) > 0; {
 			n := min(100, len(ops))
@@ -145,13 +85,14 @@ func TestScanCostIndependentOfKeyAge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range st.a.tracedKeys() {
-			keyEdges(st.a.keyst[k], func(int, int, graph.Kind) { inferred++ })
+		for _, k := range st.tracedKeys() {
+			keyEdges(st.keyst[k], func(int, int, graph.Kind) { inferred++ })
 		}
 		for _, a := range fin.Graph.Nodes() {
 			fin.Graph.Out(a, graph.KSDep, func(_ int, label graph.KindSet) { kinds += len(label.Kinds()) })
 		}
-		return st.offered, inferred, kinds
+		offered, _ = s.EdgeWork()
+		return offered, inferred, kinds
 	}
 	for _, writesPerKey := range []int{50, 200} {
 		offered, inferred, kinds := run(writesPerKey)
@@ -177,9 +118,7 @@ func TestScanExplainsOnlyNewCycles(t *testing.T) {
 		Source: gen.New(gen.Config{ActiveKeys: 10, MaxWritesPerKey: 50}, 1), Seed: 1,
 		Workload: memdb.WorkloadList,
 	})
-	var st *stream
-	info := hookedInfo(t, func(s *stream) workload.Hooks { st = s; return s })
-	s := workload.BeginSession(info, workload.Opts{Parallelism: 1})
+	s := workload.BeginSession(hookedInfo(t, func(s *analyzer) workload.Hooks { return s }), workload.Opts{Parallelism: 1})
 	surfaced := 0
 	for ops := h.Ops; len(ops) > 0; {
 		n := min(100, len(ops))
@@ -194,8 +133,8 @@ func TestScanExplainsOnlyNewCycles(t *testing.T) {
 		}
 		ops = ops[n:]
 	}
-	if surfaced < 20 || st.explained != surfaced {
-		t.Errorf("Scan explained %d cycles and surfaced %d", st.explained, surfaced)
+	if _, explained := s.EdgeWork(); surfaced < 20 || explained != surfaced {
+		t.Errorf("Scan explained %d cycles and surfaced %d", explained, surfaced)
 	}
 }
 
@@ -240,18 +179,17 @@ func TestFinishAdoptsSessionGraph(t *testing.T) {
 		ops   []op.Op
 		adopt bool
 	}{{"clean", clean, true}, {"poisoned", poisoned, false}} {
-		var st *stream
-		s := workload.BeginSession(hookedInfo(t, func(s *stream) workload.Hooks { st = s; return s }), workload.Opts{Parallelism: 1})
+		s := workload.BeginSession(hookedInfo(t, func(s *analyzer) workload.Hooks { return s }), workload.Opts{Parallelism: 1})
 		if _, err := s.Feed(c.ops[:len(clean)]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Feed(c.ops[len(clean):]); err != nil {
 			t.Fatal(err)
 		}
-		if st.poisoned == c.adopt {
-			t.Fatalf("%s: poisoned is %v before Finish", c.name, st.poisoned)
+		maintained := s.Graph()
+		if poisoned := maintained == nil; poisoned == c.adopt {
+			t.Fatalf("%s: poisoned is %v before Finish", c.name, poisoned)
 		}
-		maintained := st.incr.Graph()
 		fin, err := s.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +197,7 @@ func TestFinishAdoptsSessionGraph(t *testing.T) {
 		if (fin.Graph == maintained) != c.adopt {
 			t.Errorf("%s: Finish took the session's graph over: %v, want %v", c.name, fin.Graph == maintained, c.adopt)
 		}
-		if st.incr != nil {
+		if s.Graph() != nil {
 			t.Errorf("%s: the component index outlives Finish", c.name)
 		}
 		batch := Analyze(history.MustNew(c.ops), workload.Opts{Parallelism: 1})

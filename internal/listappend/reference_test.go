@@ -16,6 +16,7 @@ import (
 	"repro/internal/nemesis"
 	"repro/internal/op"
 	"repro/internal/workload"
+	"repro/internal/workload/workloadtest"
 )
 
 // This file is the element-wise reference oracle for the analyzer's
@@ -292,7 +293,7 @@ func checkAgainstReference(t *testing.T, h *history.History, chunks ...int) {
 // edge-set oracle riding along.
 func streamed(t *testing.T, ops []op.Op, opts workload.Opts, chunk int) workload.Analysis {
 	t.Helper()
-	s := workload.BeginSession(listappend.OracleInfo(t), opts)
+	s := workloadtest.Begin(t, listappend.OracleInfo(t), opts)
 	for len(ops) > 0 {
 		n := min(max(chunk, 1), len(ops))
 		if _, err := s.Feed(ops[:n]); err != nil {

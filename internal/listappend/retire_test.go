@@ -46,8 +46,8 @@ func TestBudgetedSessionDropsSettledCycles(t *testing.T) {
 	opts := workload.Opts{Parallelism: 1, MemoryBudget: window}
 	// The session under test is the registered one; the test keeps a
 	// handle on its hooks to inspect the state they maintain.
-	var st *stream
-	s := workload.BeginSession(hookedInfo(t, func(s *stream) workload.Hooks { st = s; return s }), opts)
+	var st *analyzer
+	s := workload.BeginSession(hookedInfo(t, func(s *analyzer) workload.Hooks { st = s; return s }), opts)
 	for _, o := range ops {
 		d, err := s.Feed([]op.Op{o})
 		if err != nil {
@@ -68,18 +68,18 @@ func TestBudgetedSessionDropsSettledCycles(t *testing.T) {
 		if !surfaced {
 			t.Fatalf("scan at op %d did not surface the T%d/T%d cycle: %v", o.Index, skew[0], skew[1], d.Anomalies)
 		}
-		g := st.incr.Graph()
+		g := s.Graph()
 		if g.HasNode(skew[0]) || g.HasNode(skew[1]) {
 			t.Fatalf("sweep at op %d kept the settled cycle's nodes", o.Index)
 		}
 		for _, n := range g.Nodes() {
-			if _, pinned := st.a.ops.Op(n); !pinned {
+			if _, pinned := st.ops.Op(n); !pinned {
 				t.Fatalf("sweep at op %d kept node %d, which no live key pins", o.Index, n)
 			}
 		}
-		if n := g.NumNodes(); n == 0 || n > pinned(st.a.ops, o.Index) || n > 2*window {
+		if n := g.NumNodes(); n == 0 || n > pinned(st.ops, o.Index) || n > 2*window {
 			t.Fatalf("after the sweep at op %d the graph holds %d nodes; %d ops are pinned, window %d",
-				o.Index, n, pinned(st.a.ops, o.Index), window)
+				o.Index, n, pinned(st.ops, o.Index), window)
 		}
 	}
 	if st := s.RetireStats(); st.RetiredKeys == 0 || st.Stream.RetiredOps == 0 {

@@ -3,6 +3,7 @@ package rwregister
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/workload"
@@ -80,17 +81,11 @@ func (s stream) Scan(out *workload.Findings) {
 // transaction footprints, inference result). There is no cross-key graph
 // to retire — dependencies are exploded per key — and the scan just
 // before left no retiring key awaiting a refresh.
-func (s stream) Retire(keys []history.KeyID) {
-	for _, k := range keys {
-		// Keys only failed or unknown reads touched never got a state.
-		if int(k) < len(s.a.keyst) {
-			s.a.keyst[k] = nil
-		}
-	}
-}
+func (s stream) Retire(keys []history.KeyID) { history.DropKeyed(s.a.keyst, keys) }
 
 // Finish runs the shared phase sequence over the maintained state; it
-// refreshes the keys touched since the last scan first.
-func (s stream) Finish(h *history.History) workload.Analysis {
+// refreshes the keys touched since the last scan first. rw-register
+// emits no edges, so the session hands it no graph.
+func (s stream) Finish(h *history.History, _ *graph.Graph) workload.Analysis {
 	return s.a.finish(h)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/jsonhist"
 	"repro/internal/op"
@@ -58,7 +59,7 @@ func (x panicHooks) Ingest(o op.Op, _ int, _ *workload.Findings) {
 }
 func (panicHooks) Scan(*workload.Findings) {}
 func (panicHooks) Retire([]history.KeyID)  {}
-func (x panicHooks) Finish(*history.History) workload.Analysis {
+func (x panicHooks) Finish(*history.History, *graph.Graph) workload.Analysis {
 	plant(x.p, "finish panic planted by the test")
 	return workload.Analysis{} // unreachable: plant panics
 }

@@ -16,6 +16,11 @@
 //
 // yields T1 <wr T3, T2 <wr T3 (their elements were visible to T3) and
 // T0 <rw T1, T0 <rw T2 (T0's read of {0} did not include 1 or 2).
+//
+// A streaming session maintains the same per-key state one op at a time
+// (incremental.go) and emits these edges as their second endpoint
+// arrives, so the session searches set histories for cycles mid-stream
+// and its Finish adopts the graph it kept.
 package setadd
 
 import (
@@ -71,6 +76,7 @@ type elemState struct {
 	first    int   // op index of the first completed attempt, once attempts > 0
 	attempts int32 // completed add attempts; exactly one keeps the element recoverable
 	failed   bool  // the first attempt aborted
+	ok       bool  // the first attempt committed
 	crashed  bool  // an invocation that never completed tried to add it: not garbage when read, but nobody's writer
 	seen     int   // serial of the last read marked as containing it
 }
@@ -97,6 +103,11 @@ type keyState struct {
 	tab     []elemState
 	reads   []keyRead
 	checked int // reads a streaming session has marked and checked so far
+
+	// pending holds, per element no attempt has added yet, the reads (by
+	// index in reads) of a streaming session that already hold it: the
+	// wr edges its adder will owe.
+	pending map[int][]int32
 }
 
 // find returns e's row, or nil if the key has never met e. The pointer
@@ -129,7 +140,7 @@ func Analyze(h *history.History, opts workload.Opts) workload.Analysis {
 			a.addOp(o)
 		}
 	}
-	return a.finish(h)
+	return a.finish(h, nil)
 }
 
 // addOp indexes one completion op: each added element's row in its
@@ -143,7 +154,7 @@ func (a *analyzer) addOp(o op.Op) {
 		case m.F == op.FAdd:
 			es := a.key(a.kid(m.Key)).elem(m.Arg)
 			if es.attempts++; es.attempts == 1 {
-				es.first, es.failed = o.Index, o.Type == op.Fail
+				es.first, es.failed, es.ok = o.Index, o.Type == op.Fail, o.Type == op.OK
 			}
 		case o.Type == op.OK && m.ListKnown():
 			ks := a.key(a.kid(m.Key))
@@ -168,8 +179,9 @@ type readFindings struct {
 // adds in (key name, element) order, checks and explodes every read —
 // independently per key, across opts.Parallelism workers — and merges
 // the per-read results in op order, so the graph and anomaly list are
-// identical at every parallelism level.
-func (a *analyzer) finish(h *history.History) workload.Analysis {
+// identical at every parallelism level. The edges go straight into a new
+// graph unless g (a session's) holds them already.
+func (a *analyzer) finish(h *history.History, g *graph.Graph) workload.Analysis {
 	a.ops = h
 	// An add whose invocation never completed may still have taken
 	// effect: reading it is not garbage. It gains no writer and no edge.
@@ -202,11 +214,19 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 		}
 	}
 
+	fresh := g == nil
 	res := make([]readFindings, a.reads)
-	par.Do(a.opts.Parallelism, len(keys), func(i int) { a.keyFindings(keys[i], res) })
+	par.Do(a.opts.Parallelism, len(keys), func(i int) {
+		reads := a.keyst[keys[i]].reads
+		for j, f := range a.keyFindings(keys[i], fresh) {
+			res[reads[j].serial-1] = f
+		}
+	})
 
 	// Every committed transaction is a vertex, even if it has no edges.
-	g := graph.New()
+	if fresh {
+		g = graph.New()
+	}
 	for _, o := range h.Ops {
 		if o.Type == op.OK {
 			g.Ensure(o.Index)
@@ -224,26 +244,28 @@ func (a *analyzer) finish(h *history.History) workload.Analysis {
 }
 
 // keyFindings checks every read of key k against the key's element
-// table and explodes it into edges, filing the results under the read's
-// serial. Per element in read order: an aborted sole adder is a G1a, any
-// other sole adder a wr edge, and an element nobody attempted to add —
-// crashed clients included — a garbage read.
-func (a *analyzer) keyFindings(k history.KeyID, res []readFindings) {
+// table and, with edges, explodes it into edges: what each read
+// contributes, by its place in the key's reads. Per element in read
+// order: an aborted sole adder is a G1a, any other sole adder a wr edge,
+// and an element nobody attempted to add — crashed clients included — a
+// garbage read.
+func (a *analyzer) keyFindings(k history.KeyID, edges bool) []readFindings {
 	ks, kname := a.keyst[k], a.in.Key(k)
 	// Committed elements, ascending: any element added by a committed
 	// transaction is eventually in the set (grow-only), so a committed
 	// read that misses it anti-depends on its writer.
 	var committed []int32
 	for i := range ks.tab {
-		if es := &ks.tab[i]; es.attempts == 1 && !es.failed && a.op(es.first).Type == op.OK {
+		if es := &ks.tab[i]; es.attempts == 1 && es.ok && edges {
 			committed = append(committed, int32(i))
 		}
 	}
 	slices.SortFunc(committed, func(x, y int32) int { return cmp.Compare(ks.tab[x].elem, ks.tab[y].elem) })
 
+	res := make([]readFindings, len(ks.reads))
 	for i := range ks.reads {
 		r := &ks.reads[i]
-		o, out := a.op(r.index), &res[r.serial-1]
+		o, out := a.op(r.index), &res[i]
 		for _, e := range o.Mops[r.pos].List {
 			es := ks.elem(e)
 			es.seen = r.serial
@@ -251,7 +273,9 @@ func (a *analyzer) keyFindings(k history.KeyID, res []readFindings) {
 			case es.attempts == 1 && es.failed:
 				out.anoms = append(out.anoms, g1aAnomaly(o, kname, e, a.op(es.first)))
 			case es.attempts == 1:
-				out.edges = append(out.edges, graph.Edge{From: es.first, To: o.Index, Kind: graph.WR})
+				if edges {
+					out.edges = append(out.edges, graph.Edge{From: es.first, To: o.Index, Kind: graph.WR})
+				}
 			case es.attempts == 0 && !es.crashed:
 				out.anoms = append(out.anoms, anomaly.Anomaly{
 					Type: anomaly.GarbageRead,
@@ -275,6 +299,7 @@ func (a *analyzer) keyFindings(k history.KeyID, res []readFindings) {
 			}
 		}
 	}
+	return res
 }
 
 // missing verifies grow-only set semantics within r's transaction o: r —

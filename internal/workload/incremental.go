@@ -4,6 +4,8 @@ import (
 	"errors"
 
 	"repro/internal/anomaly"
+	"repro/internal/explain"
+	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 )
@@ -40,17 +42,17 @@ type Delta struct {
 // ScanEvery is how many completions a session ingests between scans.
 // Per-op findings surface on the feed that proves them; whatever an
 // analyzer derives in batches surfaces at the next scan: rw-register
-// re-infers a hot key once per batch of ops; list-append emits its edges
-// as ops arrive and has nothing to rebuild, so for it the constant only
-// paces cycle search over the components the new edges dirtied.
+// re-infers a hot key once per batch of ops; for list-append and set-add,
+// which emit edges as ops arrive, it only paces cycle search.
 const ScanEvery = 128
 
 // Hooks is the per-analyzer half of a streaming session: what a
 // workload must supply to be natively incremental. The Session owns
 // everything workloads have in common — the validated stream, the scan
-// clock, the emitted-set, key quiescence, the budget decision — and
-// calls the hooks, from one goroutine, with each completion in
-// ascending index order. The state a hook set maintains is its own.
+// clock, the emitted-set, key quiescence, the budget decision, the graph
+// of EdgeHooks — and calls the hooks, from one goroutine, with each
+// completion in ascending index order. The state a hook set maintains is
+// its own.
 type Hooks interface {
 	// Ingest indexes one completion op — invoke is the index of its
 	// invocation — and surfaces the findings the op itself proves.
@@ -66,8 +68,21 @@ type Hooks interface {
 	Retire(keys []history.KeyID)
 	// Finish completes an unbudgeted stream from the maintained state.
 	// h is the whole history; the result must equal the workload's
-	// Analyzer's over h, byte for byte.
-	Finish(h *history.History) Analysis
+	// Analyzer's over h, byte for byte. g is the session's graph for
+	// EdgeHooks no retraction has left stale, otherwise nil.
+	Finish(h *history.History, g *graph.Graph) Analysis
+}
+
+// EdgeHooks also emit dependency edges (Findings.Edge). The session
+// keeps them in a graph.Incr, searches the components they dirty at each
+// scan, rebuilds the graph by Edges after a Findings.Retract, retires
+// the nodes no live key pins, and hands the graph to Finish.
+type EdgeHooks interface {
+	Hooks
+	// Edges hands add every edge the batch rule infers now.
+	Edges(add func(from, to int, k graph.Kind))
+	// Explainer renders the cycles a scan surfaces.
+	Explainer() *explain.Explainer
 }
 
 // Incremental opens a workload's Hooks for one session, over the
@@ -76,11 +91,16 @@ type Hooks interface {
 // holds the ops live keys pin, otherwise the stream's.
 type Incremental func(opts Opts, keys *history.Interner, ops history.Lookup) Hooks
 
-// Findings is where hooks surface provisional anomalies: the session's
-// one emitted-set, and the anomalies of the Feed in progress.
+// Findings is where hooks surface provisional anomalies and edges: the
+// session's one emitted-set, the Feed's anomalies so far, its graph.
 type Findings struct {
 	emitted map[string]bool
 	fresh   []anomaly.Anomaly
+
+	incr      *graph.Incr // nil unless the hooks are EdgeHooks
+	stale     bool        // a retraction left incr stale until the next scan
+	offered   int         // edges handed to incr, for the cost tests
+	explained int         // cycles the scans rendered, likewise
 }
 
 // Emit surfaces one finding unless an earlier Emit under the same key —
@@ -103,6 +123,42 @@ func (f *Findings) Emitted(key string) bool { return f.emitted[key] }
 // Add surfaces findings that cannot repeat: the ones an op proves by
 // itself, on the one Ingest that sees it.
 func (f *Findings) Add(ans ...anomaly.Anomaly) { f.fresh = append(f.fresh, ans...) }
+
+// Edge offers the graph one dependency edge, the moment its second
+// endpoint is known; a stale graph, about to be rebuilt, drops it.
+func (f *Findings) Edge(from, to int, k graph.Kind) {
+	if !f.stale {
+		f.offered++
+		f.incr.AddEdge(from, to, k)
+	}
+}
+
+// Retract withdraws evidence emitted edges may rest on: lest the stale
+// edges seed phantom cycles, the next scan rebuilds the graph by Edges.
+func (f *Findings) Retract() { f.stale = true }
+
+// searchCycles re-searches the components new edges dirtied, rebuilding
+// a stale graph first; only a cycle not yet surfaced is explained.
+func (f *Findings) searchCycles(h EdgeHooks, p int) {
+	if f.stale {
+		f.stale = false
+		g := graph.New()
+		h.Edges(g.AddEdge)
+		f.incr = graph.NewIncr(g)
+	}
+	var expl *explain.Explainer
+	for _, c := range f.incr.DirtyCycles(p) {
+		key := "cycle|" + graph.CycleKey(c)
+		if f.Emitted(key) {
+			continue
+		}
+		if expl == nil {
+			expl = h.Explainer()
+		}
+		f.explained++
+		f.Emit(key, anomaly.Anomaly{Type: anomaly.CycleType(c), Cycle: c, Explanation: expl.Cycle(c)})
+	}
+}
 
 // Session is one in-progress streaming analysis, the same type for
 // every workload. Ops are fed in chunks, in ascending index order
@@ -133,6 +189,7 @@ type Session struct {
 	opts     Opts
 	hs       *history.Stream
 	hooks    Hooks       // nil: the workload finishes in batch
+	edges    EdgeHooks   // hooks, when they emit edges
 	rt       *KeyTracker // key quiescence; nil without both hooks and a budget
 	out      Findings
 
@@ -153,6 +210,9 @@ func BeginSession(info Info, opts Opts) *Session {
 			ops = s.rt
 		}
 		s.hooks = info.Incremental(opts, hs.Keys(), ops)
+		if s.edges, _ = s.hooks.(EdgeHooks); s.edges != nil {
+			s.out.incr = graph.NewIncr(graph.New())
+		}
 	}
 	return s
 }
@@ -186,11 +246,18 @@ func (s *Session) Feed(ops []op.Op) (Delta, error) {
 	if s.sinceScan >= ScanEvery {
 		s.sinceScan = 0
 		s.hooks.Scan(&s.out)
+		if s.edges != nil {
+			s.out.searchCycles(s.edges, s.opts.Parallelism)
+		}
 		if s.rt != nil {
 			// Sweep after the scan: what the retiring keys and ops could
-			// prove is out before the state backing it goes.
+			// prove, cycles through the graph's unpinned nodes included, is
+			// out before the state backing it goes.
 			if keys := s.rt.Sweep(); len(keys) > 0 {
 				s.hooks.Retire(keys)
+				if s.edges != nil {
+					s.out.incr.Retire(func(n int) bool { _, pinned := s.rt.Op(n); return pinned })
+				}
 			}
 		}
 	}
@@ -214,8 +281,23 @@ func (s *Session) Finish() (Analysis, error) {
 	if s.hooks == nil || s.rt != nil {
 		return s.analyzer.Analyze(h, s.opts), nil
 	}
-	return s.hooks.Finish(h), nil
+	g := s.Graph()
+	s.out.incr = nil // Finish takes the graph; its component index goes
+	return s.hooks.Finish(h, g), nil
 }
+
+// Graph returns the session's dependency graph, or nil without
+// EdgeHooks, after Finish, and while a retraction has left it stale.
+func (s *Session) Graph() *graph.Graph {
+	if s.out.incr == nil || s.out.stale {
+		return nil
+	}
+	return s.out.incr.Graph()
+}
+
+// EdgeWork returns how many edges the graph was offered while current,
+// and how many cycles the scans explained.
+func (s *Session) EdgeWork() (offered, explained int) { return s.out.offered, s.out.explained }
 
 // History returns the session's validated accumulation, rehydrating any
 // retired prefix. It aliases live state: call it once feeding is over.

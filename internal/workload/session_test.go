@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/anomaly"
+	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/workload"
@@ -38,7 +39,7 @@ func (f *fakeHooks) Retire(keys []history.KeyID) {
 	f.log = append(f.log, "retire")
 }
 
-func (f *fakeHooks) Finish(h *history.History) workload.Analysis {
+func (f *fakeHooks) Finish(*history.History, *graph.Graph) workload.Analysis {
 	f.log = append(f.log, "finish")
 	return workload.Analysis{}
 }
